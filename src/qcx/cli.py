@@ -15,6 +15,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -137,10 +138,15 @@ def index_to_dict(ix: ConvexityIndex, smooth: Optional[float]) -> dict:
 # ---------------------------------------------------------------------------
 
 def load_config(path: str) -> configparser.ConfigParser:
+    """Parse the config; data-file paths resolve against its directory."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
+        for section in ("space", "partition"):
+            if cp.has_option(section, "file"):
+                cp.set(section, "file", os.path.join(os.path.dirname(path),
+                                                     cp.get(section, "file")))
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     except configparser.Error as e:
@@ -170,7 +176,10 @@ def build_space(cp) -> FiniteProbSpace:
         return FiniteProbSpace(vals)
     path = _get(cp, "space", "file")
     if path is not None:
-        return load_scenario_table(path)[0]
+        try:
+            return load_scenario_table(path)[0]
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"[space] file: {e}") from e
     raise ConfigError("[space] needs one of: uniform, probs, file")
 
 
@@ -182,7 +191,10 @@ def build_partition(cp, n: int) -> PartitionSigma:
         path = _get(cp, "partition", "file")
         if path is None:
             raise ConfigError("[partition] needs atoms or file")
-        sigma = load_partition(path)
+        try:
+            sigma = load_partition(path)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"[partition] file: {e}") from e
     if sigma.n != n:
         raise ConfigError(f"partition covers {sigma.n} outcomes, space has {n}")
     return sigma

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import AssumptionViolatedError, RankDeficientError
 from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, FiniteProbSpace,
                           PartitionSigma, PropertyReport, RiskMeasureOracle,
-                          _rng, _vec, conditional_expectation, nqc_mu_interval,
-                          _infeasibility_certificate, sample_triples)
+                          _mu_feasibility, _rng, _vec, conditional_expectation,
+                          sample_triples)
 
 #: Orthonormality residual required of every block structure.
 ORTHO_TOL = 1e-12
@@ -260,11 +260,13 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
 
     For each sampled position, each cell i and each e-vector e^i_k, the
     coordinate ``<rho(X), e^i_k>`` must be unchanged when X is replaced by
-    its projection onto the cell (e-part plus beta-part).
+    its projection onto the cell (e-part plus beta-part). ``samples`` counts
+    the e-vector comparisons made.
     """
     gen = _rng(rng)
     n_cells = block.k
     rounds = max(1, budget // max(1, n_cells))
+    checked = 0
     for _ in range(rounds):
         x = gen.uniform(-3.0, 3.0, block.space.n)
         rx = rho(x)
@@ -272,6 +274,7 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
             arg = block.cell_projection_argument(x, ci)
             r_arg = rho(arg)
             for ki, e in enumerate(block.e_blocks[ci]):
+                checked += 1
                 lhs = block.space.inner(rx, e)
                 rhs = block.space.inner(r_arg, e)
                 if abs(lhs - rhs) > tol:
@@ -279,8 +282,8 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
                         "basis-locality", CheckVerdict.FAIL,
                         witness={"x": _vec(x), "cell": ci, "e_index": ki,
                                  "violation": float(abs(lhs - rhs))},
-                        samples=budget, tol=tol)
-    return PropertyReport("basis-locality", CheckVerdict.PASS, samples=budget,
+                        samples=checked, tol=tol)
+    return PropertyReport("basis-locality", CheckVerdict.PASS, samples=checked,
                           tol=tol)
 
 
@@ -344,7 +347,7 @@ def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
     """Jensen inequality in every e-coordinate over sampled triples."""
     if triples is None:
         triples = sample_triples(block.space, rng, budget)
-    for x, y, lam in triples:
+    for i, (x, y, lam) in enumerate(triples, 1):
         ex = block.e_coordinates(rho(x))
         ey = block.e_coordinates(rho(y))
         em = block.e_coordinates(rho(lam * x + (1 - lam) * y))
@@ -355,7 +358,7 @@ def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
                 "convexity-wrt-preorder", CheckVerdict.FAIL,
                 witness={"x": _vec(x), "y": _vec(y), "lam": lam,
                          "violation": worst},
-                samples=len(triples), tol=tol)
+                samples=i, tol=tol)
     return PropertyReport("convexity-wrt-preorder", CheckVerdict.PASS,
                           samples=len(triples), tol=tol)
 
@@ -379,17 +382,18 @@ def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
             "the preorder feasibility check needs 1-dimensional e-blocks")
     if triples is None:
         triples = sample_triples(block.space, rng, budget)
-    for x, y, lam in triples:
+    for i, (x, y, lam) in enumerate(triples, 1):
         ex = block.e_coordinates(rho(x))
         ey = block.e_coordinates(rho(y))
         em = block.e_coordinates(rho(lam * x + (1 - lam) * y))
-        if nqc_mu_interval(ex, ey, em, tol) is None:
+        certificate = _mu_feasibility(ex, ey, em, tol)[1]
+        if certificate is not None:
             return PropertyReport(
                 "nqc-wrt-preorder", CheckVerdict.FAIL,
                 witness={"x": _vec(x), "y": _vec(y), "lam": lam,
                          "e_x": _vec(ex), "e_y": _vec(ey), "e_mix": _vec(em),
-                         "certificate": _infeasibility_certificate(ex, ey, em, tol)},
-                samples=len(triples), tol=tol)
+                         "certificate": certificate},
+                samples=i, tol=tol)
     conv = check_convexity_wrt_preorder(rho, block, tol=tol, triples=triples)
     zero = rho(np.zeros(block.space.n))
     normalized = bool(np.max(np.abs(zero)) <= 1e-9)

@@ -384,13 +384,24 @@ def sample_triples(space: FiniteProbSpace, rng, count: int,
     return out
 
 
-def _atom_events(sigma: PartitionSigma) -> list[tuple[int, ...]]:
-    """All nonempty unions of atoms (as atom index tuples)."""
-    k = sigma.k
-    events = []
-    for r in range(1, k + 1):
-        events.extend(itertools.combinations(range(k), r))
-    return events
+def _atom_events(k: int) -> list[tuple[int, ...]]:
+    """All nonempty unions of k atoms (as atom index tuples), by size."""
+    return [ev for r in range(1, k + 1)
+            for ev in itertools.combinations(range(k), r)]
+
+
+def _sampled_events(k: int, budget: int, gen) -> list[tuple[int, ...]]:
+    """Atoms, atom complements and the whole space, then distinct random
+    unions up to ``budget`` events (there must be more unions than that)."""
+    structural = [(a,) for a in range(k)]
+    structural += [tuple(b for b in range(k) if b != a) for a in range(k)]
+    structural.append(tuple(range(k)))
+    events = dict.fromkeys(ev for ev in structural if ev)  # ordered set
+    while len(events) < budget:
+        ev = tuple(int(a) for a in np.flatnonzero(gen.integers(0, 2, k)))
+        if ev:
+            events[ev] = None
+    return list(events)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +413,7 @@ def check_monotonicity(rho: RiskMeasureOracle, budget: int = 200,
     """Larger positions must not carry larger risk: X <= Y => rho(X) >= rho(Y)."""
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
-    for _ in range(budget):
+    for checked in range(1, budget + 1):
         x = gen.uniform(lo, hi, rho.space.n)
         delta = gen.uniform(0.0, 2.0, rho.space.n)
         rx = rho(x)
@@ -414,7 +425,7 @@ def check_monotonicity(rho: RiskMeasureOracle, budget: int = 200,
                 "monotonicity", CheckVerdict.FAIL,
                 witness={"x": _vec(x), "delta": _vec(delta), "outcome": i,
                          "violation": float(ry[i] - rx[i])},
-                samples=budget, tol=tol)
+                samples=checked, tol=tol)
     return PropertyReport("monotonicity", CheckVerdict.PASS, samples=budget, tol=tol)
 
 
@@ -423,7 +434,7 @@ def check_translativity(rho: RiskMeasureOracle, budget: int = 200,
     """Adding a measurable position Z shifts the risk by exactly -Z."""
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
-    for _ in range(budget):
+    for checked in range(1, budget + 1):
         x = gen.uniform(lo, hi, rho.space.n)
         z = rho.sigma.from_atom_values(gen.uniform(-2.0, 2.0, rho.sigma.k))
         lhs = rho(x + z)
@@ -433,7 +444,7 @@ def check_translativity(rho: RiskMeasureOracle, budget: int = 200,
             return PropertyReport(
                 "translativity", CheckVerdict.FAIL,
                 witness={"x": _vec(x), "z": _vec(z), "violation": err},
-                samples=budget, tol=tol)
+                samples=checked, tol=tol)
     return PropertyReport("translativity", CheckVerdict.PASS, samples=budget, tol=tol)
 
 
@@ -443,26 +454,40 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
 
     Definition form: ``rho(X 1_A) 1_A == rho(X) 1_A``. Two-sided form:
     ``rho(X 1_A + U 1_{A^c}) == rho(X) 1_A + rho(U) 1_{A^c}``.
+
+    When all ``2^k - 1`` atom unions fit in the budget, each round of fresh
+    X, U checks every union, for ``budget // (2^k - 1)`` rounds. Otherwise
+    one round checks the atoms, their complements, the whole space and then
+    distinct random unions up to the budget. ``samples`` counts the events
+    checked: at most two oracle calls each, plus two per round.
     """
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
-    events = _atom_events(rho.sigma)
-    n_rounds = max(1, budget // max(1, len(events)))
-    for _ in range(n_rounds):
-        x = gen.uniform(lo, hi, rho.space.n)
-        u = gen.uniform(lo, hi, rho.space.n)
+    k, n = rho.sigma.k, rho.space.n
+    x, u = gen.uniform(lo, hi, n), gen.uniform(lo, hi, n)
+    n_unions = 2 ** k - 1
+    if n_unions <= budget:
+        events, rounds = _atom_events(k), budget // n_unions
+    else:
+        events, rounds = _sampled_events(k, budget, gen), 1
+    checked = 0
+    for r in range(rounds):
+        if r:
+            x, u = gen.uniform(lo, hi, n), gen.uniform(lo, hi, n)
+        rx, ru = rho(x), rho(u)
         for ev in events:
+            checked += 1
             ind = rho.sigma.event_indicator(ev)
-            err = float(np.max(np.abs(rho(x * ind) * ind - rho(x) * ind)))
+            err = float(np.max(np.abs(rho(x * ind) * ind - rx * ind)))
             if err > tol:
                 return PropertyReport(
                     "locality", CheckVerdict.FAIL,
                     witness={"x": _vec(x), "event_atoms": list(ev),
                              "form": "definition", "violation": err},
-                    samples=budget, tol=tol)
-            if len(ev) < rho.sigma.k:
+                    samples=checked, tol=tol)
+            if len(ev) < k:
                 lhs = rho(x * ind + u * (1 - ind))
-                rhs = rho(x) * ind + rho(u) * (1 - ind)
+                rhs = rx * ind + ru * (1 - ind)
                 err = float(np.max(np.abs(lhs - rhs)))
                 if err > tol:
                     return PropertyReport(
@@ -470,8 +495,8 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
                         witness={"x": _vec(x), "u": _vec(u),
                                  "event_atoms": list(ev), "form": "two-sided",
                                  "violation": err},
-                        samples=budget, tol=tol)
-    return PropertyReport("locality", CheckVerdict.PASS, samples=budget, tol=tol)
+                        samples=checked, tol=tol)
+    return PropertyReport("locality", CheckVerdict.PASS, samples=checked, tol=tol)
 
 
 def check_convexity(rho: RiskMeasureOracle, budget: int = 200,
@@ -480,7 +505,7 @@ def check_convexity(rho: RiskMeasureOracle, budget: int = 200,
     """Componentwise Jensen inequality over sampled triples."""
     if triples is None:
         triples = sample_triples(rho.space, rng, budget)
-    for x, y, lam in triples:
+    for i, (x, y, lam) in enumerate(triples, 1):
         rx, ry = rho(x), rho(y)
         rm = rho(lam * x + (1 - lam) * y)
         viol = rm - (lam * rx + (1 - lam) * ry)
@@ -490,7 +515,7 @@ def check_convexity(rho: RiskMeasureOracle, budget: int = 200,
                 "convexity", CheckVerdict.FAIL,
                 witness={"x": _vec(x), "y": _vec(y), "lam": lam,
                          "violation": worst},
-                samples=len(triples), tol=tol)
+                samples=i, tol=tol)
     return PropertyReport("convexity", CheckVerdict.PASS,
                           samples=len(triples), tol=tol)
 
@@ -501,7 +526,7 @@ def check_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
     """Componentwise max inequality over sampled triples."""
     if triples is None:
         triples = sample_triples(rho.space, rng, budget)
-    for x, y, lam in triples:
+    for i, (x, y, lam) in enumerate(triples, 1):
         rx, ry = rho(x), rho(y)
         rm = rho(lam * x + (1 - lam) * y)
         viol = rm - np.maximum(rx, ry)
@@ -511,7 +536,7 @@ def check_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
                 "quasiconvexity", CheckVerdict.FAIL,
                 witness={"x": _vec(x), "y": _vec(y), "lam": lam,
                          "violation": worst},
-                samples=len(triples), tol=tol)
+                samples=i, tol=tol)
     return PropertyReport("quasiconvexity", CheckVerdict.PASS,
                           samples=len(triples), tol=tol)
 
@@ -519,6 +544,32 @@ def check_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
 # ---------------------------------------------------------------------------
 # natural quasiconvexity and dual scalarizations
 # ---------------------------------------------------------------------------
+
+def _mu_feasibility(r_x, r_y, r_mix, tol: float
+                    ) -> tuple[Optional[tuple[float, float]], Optional[dict]]:
+    """The :func:`nqc_mu_interval` and ``None``, or ``None`` and a certificate:
+    the first zero-slope atom no weight satisfies, or the crossing bounds with
+    their binding atoms (``None`` where [0, 1] binds). Ties go to the lowest
+    atom; 0 and 1 yield only to strictly tighter bounds."""
+    r_y = np.asarray(r_y, dtype=float)
+    d = np.asarray(r_x, dtype=float) - r_y
+    c = np.asarray(r_mix, dtype=float) - r_y - tol
+    blocked = np.flatnonzero((d == 0.0) & (c > 0.0))
+    if blocked.size:
+        a = int(blocked[0])
+        return None, {"kind": "single-atom", "atom": a, "excess": float(c[a])}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = c / d
+    lower = np.where(d > 0.0, q, -np.inf)
+    upper = np.where(d < 0.0, q, np.inf)
+    a, b = int(np.argmax(lower)), int(np.argmin(upper))
+    lo, lo_atom = (float(lower[a]), a) if lower[a] > 0.0 else (0.0, None)
+    hi, hi_atom = (float(upper[b]), b) if upper[b] < 1.0 else (1.0, None)
+    if lo > hi:
+        return None, {"kind": "contradictory-pair", "atom_lower": lo_atom,
+                      "atom_upper": hi_atom, "mu_lower": lo, "mu_upper": hi}
+    return (lo, hi), None
+
 
 def nqc_mu_interval(r_x: np.ndarray, r_y: np.ndarray, r_mix: np.ndarray,
                     tol: float = DEFAULT_CHECK_TOL
@@ -529,65 +580,7 @@ def nqc_mu_interval(r_x: np.ndarray, r_y: np.ndarray, r_mix: np.ndarray,
     (everything, or nothing, when the slope vanishes). Returns the interval
     or ``None`` when the intersection is empty.
     """
-    lo, hi = 0.0, 1.0
-    for a in range(len(r_x)):
-        d = float(r_x[a] - r_y[a])
-        c = float(r_mix[a] - r_y[a]) - tol
-        if d == 0.0:
-            if c > 0.0:
-                return None
-        elif d > 0.0:
-            lo = max(lo, c / d)
-        else:
-            hi = min(hi, c / d)
-    if lo > hi:
-        return None
-    return lo, hi
-
-
-def _infeasibility_certificate(r_x, r_y, r_mix, tol) -> dict:
-    """Two contradictory atom constraints (or one unconditional one)."""
-    lo, hi = 0.0, 1.0
-    lo_atom, hi_atom = None, None
-    for a in range(len(r_x)):
-        d = float(r_x[a] - r_y[a])
-        c = float(r_mix[a] - r_y[a]) - tol
-        if d == 0.0:
-            if c > 0.0:
-                return {"kind": "single-atom", "atom": a, "excess": c}
-        elif d > 0.0:
-            if c / d > lo:
-                lo, lo_atom = c / d, a
-        else:
-            if c / d < hi:
-                hi, hi_atom = c / d, a
-    return {"kind": "contradictory-pair", "atom_lower": lo_atom,
-            "atom_upper": hi_atom, "mu_lower": lo, "mu_upper": hi}
-
-
-def infeasibility_depth(r_x: np.ndarray, r_y: np.ndarray,
-                        r_mix: np.ndarray) -> float:
-    """Minimax depth ``min_mu max_a (r_mix - mu r_x - (1-mu) r_y)_a``.
-
-    Positive exactly when no mixing weight dominates the mixed risk; equals
-    the best separating margin achievable by a normalized nonnegative dual
-    vector (linear-programming duality on the simplex).
-    """
-    r_x = np.asarray(r_x, dtype=float)
-    r_y = np.asarray(r_y, dtype=float)
-    r_mix = np.asarray(r_mix, dtype=float)
-    slopes = r_x - r_y
-    mus = {0.0, 1.0}
-    k = len(r_x)
-    for a in range(k):
-        for b in range(a + 1, k):
-            den = slopes[a] - slopes[b]
-            if den != 0.0:
-                mu = ((r_mix[a] - r_y[a]) - (r_mix[b] - r_y[b])) / den
-                if 0.0 <= mu <= 1.0:
-                    mus.add(float(mu))
-    return min(float(np.max(r_mix - (mu * r_x + (1 - mu) * r_y)))
-               for mu in mus)
+    return _mu_feasibility(r_x, r_y, r_mix, tol)[0]
 
 
 def _simplex_grid(k: int, per_edge: int) -> np.ndarray:
@@ -608,81 +601,65 @@ def _simplex_grid(k: int, per_edge: int) -> np.ndarray:
     raise ValueError("grid construction is used for at most 3 atoms")
 
 
-def _dual_candidates(r_x, r_y, r_mix, atom_probs) -> np.ndarray:
-    """Vertices plus two-atom kink points of the piecewise-linear margin."""
-    k = len(atom_probs)
+def _dual_candidates(u, v, p) -> np.ndarray:
+    """Vertices plus two-atom kink points of the piecewise-linear margin.
+
+    Rows are normalized by the atom probabilities to ``sum_a p_a z_a = 1``:
+    each vertex ``e_a / p_a``, then for each pair ``a < b`` the edge point
+    where ``E[Z u] = E[Z v]`` (``u = r_mix - r_x``, ``v = r_mix - r_y``).
+    Maximizing ``min(E[Z u], E[Z v])`` over the simplex is a linear program
+    with two inequality rows, so these basic solutions contain an optimum.
+    """
+    k = len(p)
+    w = u - v
+    a, b = np.triu_indices(k, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (v[b] - u[b]) / (w[a] - w[b])
+    on_edge = (s >= 0.0) & (s <= 1.0)  # a zero denominator gives inf or nan
+    a, b, s = a[on_edge], b[on_edge], s[on_edge]
+    z = np.zeros((k + len(s), k))
+    z[np.arange(k), np.arange(k)] = 1.0 / p
+    rows = np.arange(k, k + len(s))
+    z[rows, a] = s / p[a]
+    z[rows, b] = (1.0 - s) / p[b]
+    return z
+
+
+def _best_dual(r_x, r_y, r_mix, atom_probs) -> tuple[np.ndarray, float]:
+    """The candidate maximizing ``min(E[Z u], E[Z v])``, with that margin."""
+    p = np.asarray(atom_probs, dtype=float)
     u = np.asarray(r_mix) - np.asarray(r_x)
     v = np.asarray(r_mix) - np.asarray(r_y)
-    cands = []
-    for a in range(k):
-        z = np.zeros(k)
-        z[a] = 1.0 / atom_probs[a]
-        cands.append(z)
-    for a in range(k):
-        for b in range(a + 1, k):
-            den = (u[a] - v[a]) - (u[b] - v[b])
-            if den == 0.0:
-                continue
-            s = (v[b] - u[b]) / den
-            if 0.0 <= s <= 1.0:
-                z = np.zeros(k)
-                z[a] = s / atom_probs[a]
-                z[b] = (1.0 - s) / atom_probs[b]
-                cands.append(z)
-    return np.array(cands)
+    z = _dual_candidates(u, v, p)
+    best = z[int(np.argmax(np.minimum((z * p) @ u, (z * p) @ v)))]
+    return best, min(float(np.dot(p * best, u)), float(np.dot(p * best, v)))
+
+
+def infeasibility_depth(r_x: np.ndarray, r_y: np.ndarray,
+                        r_mix: np.ndarray) -> float:
+    """Minimax depth ``min_mu max_a (r_mix - mu r_x - (1-mu) r_y)_a``.
+
+    Positive exactly when no mixing weight dominates the mixed risk. By LP
+    duality it equals the best margin of a normalized nonnegative dual vector.
+    """
+    return _best_dual(r_x, r_y, r_mix, np.ones(len(r_x)))[1]
 
 
 def separating_dual_witness(r_x, r_y, r_mix, atom_probs,
-                            tol: float = DEFAULT_CHECK_TOL,
-                            per_edge: int = 33, refine_rounds: int = 3,
-                            samples: int = 512, rng=0
+                            tol: float = DEFAULT_CHECK_TOL
                             ) -> Optional[tuple[np.ndarray, float]]:
-    """Search for a nonnegative dual vector separating the mixed risk.
+    """The nonnegative dual vector that best separates the mixed risk.
 
-    The candidate set is a simplex grid (Dirichlet samples beyond 3 atoms)
-    together with the vertices and the kink points of the piecewise-linear
-    margin, followed by local blend refinement around the best point. The
-    dual vector is normalized to ``sum_a p_a z_a = 1``; the returned margin
-    is ``E[Z r_mix] - max(E[Z r_x], E[Z r_y])``.
-
+    ``Z`` is normalized to ``E[Z] = 1``; its margin is ``E[Z r_mix] -
+    max(E[Z r_x], E[Z r_y])``. The result is the exact LP optimum, a vertex
+    or two-atom basic solution, so the margin equals the infeasibility depth.
     Returns ``None`` when the feasibility interval is nonempty (nothing to
-    separate) or when the search does not reach a positive margin.
+    separate) or when rounding leaves the best margin nonpositive.
     """
     if nqc_mu_interval(r_x, r_y, r_mix, tol) is not None:
         return None
-    atom_probs = np.asarray(atom_probs, dtype=float)
-    k = len(atom_probs)
-    u = np.asarray(r_mix) - np.asarray(r_x)
-    v = np.asarray(r_mix) - np.asarray(r_y)
-
-    def margin(z: np.ndarray) -> float:
-        return min(float(np.dot(atom_probs * z, u)),
-                   float(np.dot(atom_probs * z, v)))
-
-    if k <= 3:
-        raw = _simplex_grid(k, per_edge)
-    else:
-        raw = _rng(rng).dirichlet(np.ones(k), size=samples)
-    with np.errstate(divide="ignore"):
-        grid = raw / np.maximum(raw @ atom_probs, 1e-300)[:, None]
-    cands = np.vstack([grid, _dual_candidates(r_x, r_y, r_mix, atom_probs)])
-    margins = np.minimum((cands * atom_probs) @ u, (cands * atom_probs) @ v)
-    best = cands[int(np.argmax(margins))]
-    best_margin = margin(best)
-    anchors = _dual_candidates(r_x, r_y, r_mix, atom_probs)
-    for _ in range(refine_rounds):
-        improved = False
-        for anchor in anchors:
-            for t in (0.5, 0.25, 0.125):
-                z = (1 - t) * best + t * anchor
-                m = margin(z)
-                if m > best_margin:
-                    best, best_margin, improved = z, m, True
-        if not improved:
-            break
-    if best_margin <= 0.0:
-        return None
-    return best, best_margin
+    best, margin = _best_dual(r_x, r_y, r_mix, atom_probs)
+    return (best, margin) if margin > 0.0 else None
 
 
 def check_natural_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
@@ -690,21 +667,23 @@ def check_natural_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
                                  triples=None) -> PropertyReport:
     """Exact mixing-weight feasibility per sampled triple.
 
-    A failing triple carries the infeasibility certificate and, when the
-    search succeeds, a separating dual vector with its margin.
+    A failing triple carries the infeasibility certificate and, unless
+    rounding leaves no positive margin, the optimal separating dual vector
+    with its margin.
     """
     if triples is None:
         triples = sample_triples(rho.space, rng, budget)
     atom_probs = rho.sigma.atom_probs(rho.space)
-    for x, y, lam in triples:
+    for i, (x, y, lam) in enumerate(triples, 1):
         r_x = rho.atom_values(x)
         r_y = rho.atom_values(y)
         r_mix = rho.atom_values(lam * x + (1 - lam) * y)
-        if nqc_mu_interval(r_x, r_y, r_mix, tol) is None:
+        certificate = _mu_feasibility(r_x, r_y, r_mix, tol)[1]
+        if certificate is not None:
             witness = {
                 "x": _vec(x), "y": _vec(y), "lam": lam,
                 "r_x": _vec(r_x), "r_y": _vec(r_y), "r_mix": _vec(r_mix),
-                "certificate": _infeasibility_certificate(r_x, r_y, r_mix, tol),
+                "certificate": certificate,
             }
             found = separating_dual_witness(r_x, r_y, r_mix, atom_probs, tol)
             if found is not None:
@@ -712,7 +691,7 @@ def check_natural_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
                 witness["separating_dual"] = _vec(z)
                 witness["separating_margin"] = m
             return PropertyReport("natural-quasiconvexity", CheckVerdict.FAIL,
-                                  witness=witness, samples=len(triples), tol=tol)
+                                  witness=witness, samples=i, tol=tol)
     return PropertyReport("natural-quasiconvexity", CheckVerdict.PASS,
                           samples=len(triples), tol=tol)
 
@@ -738,11 +717,12 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle,
     else:
         raw = np.vstack([np.eye(k), _rng(rng).dirichlet(np.ones(k), size=budget_z)])
     z_set = raw / np.maximum(raw @ atom_probs, 1e-300)[:, None]
-    for x, y, lam in triples:
+    for i, (x, y, lam) in enumerate(triples, 1):
         r_x = rho.atom_values(x)
         r_y = rho.atom_values(y)
         r_mix = rho.atom_values(lam * x + (1 - lam) * y)
-        zs = np.vstack([z_set, _dual_candidates(r_x, r_y, r_mix, atom_probs)])
+        zs = np.vstack([z_set, _dual_candidates(r_mix - r_x, r_mix - r_y,
+                                                atom_probs)])
         s_x = (zs * atom_probs) @ r_x
         s_y = (zs * atom_probs) @ r_y
         s_mix = (zs * atom_probs) @ r_mix
@@ -753,7 +733,7 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle,
                 "star-quasiconvexity", CheckVerdict.FAIL,
                 witness={"z": _vec(zs[j]), "x": _vec(x), "y": _vec(y),
                          "lam": lam, "violation": float(viol[j] + tol)},
-                samples=len(triples), tol=tol,
+                samples=i, tol=tol,
                 details={"dual_samples": len(zs)})
     return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
                           samples=len(triples), tol=tol,
@@ -815,11 +795,13 @@ def check_assumption_nonconstant(rho: RiskMeasureOracle, budget: int = 16,
 
     Atoms suffice: the scalarization is additive over disjoint measurable
     events. Constant probes are tried first, then random pairs up to the
-    budget.
+    budget of each atom. ``samples`` counts the probe pairs tried, summed
+    over atoms.
     """
     gen = _rng(rng)
     p = rho.space.p
     ones = np.ones(rho.space.n)
+    checked = 0
     for ai, atom in enumerate(rho.sigma.atoms):
         ind = np.zeros(rho.space.n)
         ind[list(atom)] = 1.0
@@ -828,24 +810,25 @@ def check_assumption_nonconstant(rho: RiskMeasureOracle, budget: int = 16,
             return float(np.dot(p, rho(x) * ind))
 
         found = False
-        pairs = [(0.0, 1.0), (0.0, -1.0), (-1.0, 2.0)]
-        for x1, x2 in pairs:
+        tried = 0
+        for x1, x2 in [(0.0, 1.0), (0.0, -1.0), (-1.0, 2.0)]:
+            tried += 1
             if abs(scal(x1 * ones) - scal(x2 * ones)) > tol:
                 found = True
                 break
-        tried = len(pairs)
         while not found and tried < budget:
             a = gen.uniform(-3, 3, rho.space.n)
             b = gen.uniform(-3, 3, rho.space.n)
             if abs(scal(a) - scal(b)) > tol:
                 found = True
             tried += 1
+        checked += tried
         if not found:
             return PropertyReport(
                 "assumption-nonconstant", CheckVerdict.FAIL,
-                witness={"atom": ai}, samples=tried, tol=tol)
+                witness={"atom": ai}, samples=checked, tol=tol)
     return PropertyReport("assumption-nonconstant", CheckVerdict.PASS,
-                          samples=budget, tol=tol)
+                          samples=checked, tol=tol)
 
 
 # ---------------------------------------------------------------------------

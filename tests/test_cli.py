@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +266,30 @@ class TestDeterminismAndErrors:
         assert run(["risk-check", "--config", str(cfg), "--out", str(out)]) == 0
         props = json.loads(out.read_text())["results"]["properties"]
         assert all(rep["verdict"] == "pass" for rep in props.values())
+
+    def test_demo_config_from_another_cwd(self, tmp_path, monkeypatch):
+        """Data-file paths resolve against the config file's directory."""
+        demo = Path(__file__).resolve().parent.parent / "demos" / "cli" / "run.ini"
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "r.json"
+        assert run(["risk-check", "--config", str(demo), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["measure"] == "entropic-ce"
+
+    @pytest.mark.parametrize("section", ["space", "partition"])
+    def test_bad_data_file_is_config_error(self, tmp_path, capsys, section):
+        (tmp_path / "space.txt").write_text("0.5 a\n0.5 b\n")
+        (tmp_path / "partition.txt").write_text("1\n2\n")
+        cfg = tmp_path / "d.ini"
+        cfg.write_text("[space]\nfile = space.txt\n\n[partition]\n"
+                       "file = partition.txt\n\n[measure m]\n"
+                       "kind = neg_cond_exp\n\n[risk-check]\nmeasure = m\n"
+                       "properties = monotonicity\n")
+        assert run(["risk-check", "--config", str(cfg)]) == 0
+        (tmp_path / f"{section}.txt").unlink()
+        assert run(["risk-check", "--config", str(cfg)]) == 64
+        assert f"[{section}] file" in capsys.readouterr().err
+        (tmp_path / f"{section}.txt").write_text("not a number\n")
+        assert run(["risk-check", "--config", str(cfg)]) == 64
 
     def test_partition_size_mismatch(self, tmp_path):
         cfg = tmp_path / "m.ini"

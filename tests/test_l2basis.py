@@ -139,12 +139,13 @@ class TestProjection:
 class TestBasisLocality:
     def test_condexp_passes(self, block):
         rho = neg_conditional_expectation(block.sigma(), block.space)
-        assert check_basis_locality(rho, block, budget=120).passed
+        rep = check_basis_locality(rho, block, budget=120)
+        assert rep.passed and rep.samples == 120  # 40 rounds of 3 e-vectors
 
     def test_mean_broadcast_fails(self, block):
         rho = mean_broadcast_map(block.sigma(), block.space)
         rep = check_basis_locality(rho, block, budget=120)
-        assert rep.failed
+        assert rep.failed and rep.samples == 1
         assert rep.witness["violation"] > rep.tol
 
     def test_e_coordinate_projection_map_passes(self, block):
@@ -180,7 +181,8 @@ class TestSplitFixture:
         rho = conditional_expectation_map(PartitionSigma(split.cells),
                                           split.space, declared_sigma=refined)
         assert split.e_dims() == (2, 1, 1)
-        assert check_basis_locality(rho, split, budget=120).passed
+        rep = check_basis_locality(rho, split, budget=120)
+        assert rep.passed and rep.samples == 40 * 4  # one per e-vector
         rep = check_locality(rho, budget=120)
         assert rep.failed
         # the violating event lives inside the split cell

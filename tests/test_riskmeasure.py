@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qcx.riskmeasure import (
     load_scenario_table, mean_broadcast_map, neg_conditional_expectation,
     nqc_mu_interval, parse_partition_text, sample_triples,
     separating_dual_witness, sqrt_log_map)
+from qcx.riskmeasure import _sampled_events
 
 
 @pytest.fixture
@@ -131,18 +133,57 @@ class TestElementaryChecks:
             sigma10, space10)
         rep = check_monotonicity(wrong_sign)
         assert rep.failed and rep.witness["violation"] > 0
+        assert rep.samples == 1  # the first sample already fails
 
     def test_translativity(self, space10, sigma10):
         assert check_translativity(neg_conditional_expectation(sigma10, space10)).passed
         assert check_translativity(entropic_certainty_equivalent(sigma10, space10)).passed
         rep = check_translativity(cubed_mean_map(sigma10, space10))
-        assert rep.failed
+        assert rep.failed and rep.samples == 1
 
     def test_locality(self, space10, sigma10):
-        assert check_locality(neg_conditional_expectation(sigma10, space10)).passed
+        rep = check_locality(neg_conditional_expectation(sigma10, space10))
+        assert rep.passed
+        assert rep.samples == 7 * (200 // 7)  # every union, in 28 rounds
         assert check_locality(sqrt_log_map(sigma10, space10)).passed
         rep = check_locality(mean_broadcast_map(sigma10, space10))
-        assert rep.failed
+        assert rep.failed and rep.samples == 1
+
+    def test_locality_budget_bounds_oracle_calls(self):
+        """Beyond the budget, unions are sampled instead of enumerated."""
+        k = 14
+        space = FiniteProbSpace.uniform(2 * k)
+        sigma = PartitionSigma.of(*[(2 * i, 2 * i + 1) for i in range(k)])
+        rho = entropic_certainty_equivalent(sigma, space)
+        calls = 0
+        fn = rho.fn
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return fn(x)
+
+        rho.fn = counted
+        start = time.perf_counter()
+        rep = check_locality(rho, budget=200)
+        elapsed = time.perf_counter() - start
+        assert rep.passed and rep.samples == 200
+        assert calls <= 2 * 200 + 2
+        assert elapsed < 1.0
+
+    def test_locality_sampled_events(self):
+        """Atoms, complements and the whole space come first, all distinct."""
+        k = 8
+        events = _sampled_events(k, 100, np.random.default_rng(0))
+        assert len(events) == len(set(events)) == 100
+        assert events[:k] == [(a,) for a in range(k)]
+        assert [set(range(k)) - set(ev) for ev in events[k:2 * k]] == \
+            [{a} for a in range(k)]
+        assert events[2 * k] == tuple(range(k))
+        assert all(ev and ev == tuple(sorted(ev)) for ev in events)
+        # fewer unions than structural events: each is listed once
+        assert sorted(_sampled_events(2, 2, np.random.default_rng(0))) == \
+            [(0,), (0, 1), (1,)]
 
     def test_convexity(self, space10, sigma10, triples):
         assert check_convexity(entropic_certainty_equivalent(sigma10, space10),
@@ -292,13 +333,15 @@ class TestSensitivityAndAssumption:
             check_sensitivity(sqrt_log_map(sigma10, space10))
 
     def test_assumption(self, space10, sigma10):
-        assert check_assumption_nonconstant(
-            entropic_certainty_equivalent(sigma10, space10)).passed
+        rep = check_assumption_nonconstant(
+            entropic_certainty_equivalent(sigma10, space10))
+        assert rep.passed and rep.samples == 3  # one probe per atom
         assert check_assumption_nonconstant(
             neg_conditional_expectation(sigma10, space10)).passed
         zero = RiskMeasureOracle("zero", lambda x: np.zeros(10), sigma10, space10)
         rep = check_assumption_nonconstant(zero)
         assert rep.failed and rep.witness["atom"] == 0
+        assert rep.samples == 16  # the whole budget of atom 0
 
 
 class TestFileFormats:
