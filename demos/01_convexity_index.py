@@ -28,7 +28,7 @@ print(f"  midpoint gap sqrt(2.5) - 1.5 = {gap:.4f}")
 print(f"sqrt is still quasiconvex (monotone): "
       f"{certify_quasiconvex(sqrt_fn, box).verdict.value}")
 
-print("\n== the index by bisection, with a smooth cross-check ==")
+print("\n== the exact grid index, with a smooth cross-check ==")
 for f, lo, hi in [(families.sqrt(), 1, 4), (families.neglog(), 1, E),
                   (families.square(), 1, 2), (families.affine(), 0, 1),
                   (families.exp(), 0, 1)]:
@@ -38,7 +38,8 @@ for f, lo, hi in [(families.sqrt(), 1, 4), (families.neglog(), 1, E),
     cls = classify(ix)
     print(f"{f.name:12s} on [{lo:g},{hi:g}]: index {ix.value:+.5f} "
           f"(case {ix.case.value}, smooth oracle {smooth:+.5f}, "
-          f"convex={cls.convex})")
+          f"convex={cls.convex}, binding pair {ix.binding.x1[0]:.4f} "
+          f"{ix.binding.x2[0]:.4f} eta {ix.binding.eta:g})")
 
 print("\n== the transform family around the break-even point ==")
 f = families.neglog()

@@ -45,7 +45,7 @@ joint_box = BoxDomain.of((1, 1), (2, E), (21, 21))
 direct = compute_index(joint, joint_box).value
 print(f"block indices: {ds.index_values(tol=1e-4)}")
 print(f"harmonic formula: {harmonic_index([0.125, 1.0]):.5f} = 1/9")
-print(f"direct 2-D bisection: {direct:.5f}")
+print(f"direct 2-D grid index: {direct:.5f}")
 
 print("\n== three blocks: the except-one rule needs the reciprocal form ==")
 vec = [-0.25, 1.0, 1.0]

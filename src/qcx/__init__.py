@@ -1,8 +1,8 @@
 """Convexity indices, decomposable sums, and conditional risk measures.
 
 The package certifies convexity and quasiconvexity of extended-real
-functions on box grids, computes the break-even convexity index by
-bisection, decides quasiconvexity of additively decomposable sums from the
+functions on box grids, computes the exact grid break-even convexity
+index, decides quasiconvexity of additively decomposable sums from the
 coordinate indices, and checks the property suite of conditional risk
 measures on finite probability spaces, including natural quasiconvexity and
 its dual-scalarization characterization, and the block-basis locality and

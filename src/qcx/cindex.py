@@ -15,11 +15,14 @@ The index is nonnegative exactly when ``f`` is convex, it is ``+inf``
 exactly when ``f`` is constant (for lower semicontinuous ``f``), and it
 scales as ``index(w * f) = index(f) / w`` for ``w >= 0``.
 
-The down-set structure makes the index computable by bisection on a single
-monotone boolean predicate per case. Each predicate evaluation is a grid
-certification from :mod:`qcx.extcore`, so the computed value inherits the
+On a grid the break-even point is exact. For a cached pair ``(a, b, eta)``
+the mix-normalized transform ``eta e^{-lam (fa-fm)} + (1-eta) e^{-lam (fb-fm)}``
+is convex in ``lam`` and equals 1 at ``lam = 0``, so each pair has its own
+crossing of ``1 +- REL_GAP_TOL`` and the grid index is the extremum of those
+crossings. :meth:`qcx.extcore.PairTable.exp_break_even` solves it to
+adjacent floats and names the pair that fixes it. The value inherits the
 grid semantics: it is the break-even point of the *grid* transform family,
-reported with a bracket of the requested width.
+reported with a float-tight bracket whose ends re-certify.
 """
 
 from __future__ import annotations
@@ -34,14 +37,11 @@ import numpy as np
 
 from .errors import CapTooSmallWarning, MissingDerivativesError
 from .extcore import (BoxDomain, CertResult, DEFAULT_ETAS, FunctionSpec,
-                      PairTable, Verdict, default_gap_tol)
+                      PairTable, Verdict, Witness, default_gap_tol)
 from .extreal import POS_INF, NEG_INF
 
 #: Relative tolerance of the mix-normalized exponential-transform test.
 REL_GAP_TOL = 1e-12
-
-#: Hard ceiling on bisection steps; the bracket also stops at width <= tol.
-MAX_BISECT_ITERS = 60
 
 DEFAULT_LAMBDA_CAP = 1e4
 DEFAULT_BRACKET_TOL = 1e-4
@@ -83,7 +83,10 @@ class ConvexityIndex:
     ``bracket`` is absent for infinite values. ``cap_probe`` marks values
     reported as +-inf purely because the probe at the lambda cap did not
     flip; ``constant_shortcut`` marks +inf values detected from a flat grid
-    before any probing.
+    before any probing. ``binding`` is the pair that fixes a finite index:
+    it passes at the lower bracket end and fails at the upper one, where its
+    ``violation`` is the normalized excess. ``probes`` lists every
+    whole-table probe of the transform as ``(lambda, ok)``.
     """
 
     value: float
@@ -92,6 +95,7 @@ class ConvexityIndex:
     lambda_cap: float
     cap_probe: bool = False
     constant_shortcut: bool = False
+    binding: Optional[Witness] = None
     probes: tuple[tuple[float, bool], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -125,34 +129,18 @@ def r_lambda(f: FunctionSpec, lam: float) -> FunctionSpec:
                         name=f"exp(-{lam:g}*{f.name or 'f'})")
 
 
-def _bisect(table: PairTable, lo: float, hi: float, sign: int, tol: float,
-            probes: list[tuple[float, bool]]) -> tuple[float, float]:
-    """Monotone bisection of ``exp_transform_ok`` on [lo, hi].
-
-    The predicate holds at ``lo`` and fails at ``hi``; both stay on the
-    correct side throughout.
-    """
-    for _ in range(MAX_BISECT_ITERS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        ok = table.exp_transform_ok(mid, sign, REL_GAP_TOL)
-        probes.append((mid, ok))
-        if ok:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def compute_index(f: FunctionSpec, box: BoxDomain,
                   lambda_cap: float = DEFAULT_LAMBDA_CAP,
                   tol: float = DEFAULT_BRACKET_TOL,
                   gap_tol: Optional[float] = None,
                   etas=DEFAULT_ETAS, threads: int = 1) -> ConvexityIndex:
-    """Bisect for the convexity index of ``f`` on the box grid.
+    """The exact grid convexity index of ``f`` on the box grid.
 
-    ``tol`` is the requested bracket width. ``gap_tol`` is the absolute
+    The value is the break-even lambda of the grid transform family, the
+    lower end of a float-tight bracket: the transform passes on the whole
+    table there, and the ``binding`` pair fails one float up. ``tol`` is an
+    upper bound on the bracket width; the float-tight bracket meets any
+    ``tol`` of at least one ulp of the value. ``gap_tol`` is the absolute
     tolerance of the entry certification of ``f`` itself (defaults per
     :func:`qcx.extcore.default_gap_tol`); the exponential-transform probes
     use the mix-normalized relative test, which is immune to overflow at
@@ -161,7 +149,8 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     Near-constant inputs (grid range spread below 1e-10) classify as
     constant, index ``+inf``, without probing. A ``+-inf`` result obtained
     because the cap probe did not flip carries ``cap_probe=True`` and emits
-    :class:`qcx.errors.CapTooSmallWarning`.
+    :class:`qcx.errors.CapTooSmallWarning`. The result does not depend on
+    ``threads``.
     """
     if lambda_cap <= 0 or tol <= 0:
         raise ValueError("lambda_cap and tol must be positive")
@@ -172,34 +161,29 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
                               constant_shortcut=True)
     if gap_tol is None:
         gap_tol = default_gap_tol(f)
-    probes: list[tuple[float, bool]] = []
     base_worst, base_witness, _ = table.scan("convex", gap_tol)
     if base_witness is not None:
         # case I: f is not convex, the index is negative
-        ok = table.exp_transform_ok(-lambda_cap, +1, REL_GAP_TOL)
-        probes.append((-lambda_cap, ok))
+        case, sign = IndexCase.CASE_I, +1
+        ok = table.exp_transform_ok(-lambda_cap, sign, REL_GAP_TOL)
         if not ok:
             warnings.warn("index is -inf at the probe cap; increase lambda_cap "
                           "to look further", CapTooSmallWarning)
-            return ConvexityIndex(NEG_INF, None, IndexCase.CASE_I, lambda_cap,
-                                  cap_probe=True, probes=tuple(probes))
-        lo, hi = _bisect(table, -lambda_cap, 0.0, +1, tol, probes)
-        value = 0.5 * (lo + hi)
-        if value >= 0.0:  # bracket collapsed onto 0 from below
-            value = math.nextafter(0.0, -1.0)
-        return ConvexityIndex(value, (lo, hi), IndexCase.CASE_I, lambda_cap,
-                              probes=tuple(probes))
-    # case II: f certified convex, the index is nonnegative
-    ok = table.exp_transform_ok(lambda_cap, -1, REL_GAP_TOL)
-    probes.append((lambda_cap, ok))
-    if ok:
-        warnings.warn("index is +inf at the probe cap; the function may be "
-                      "constant or the cap too small", CapTooSmallWarning)
-        return ConvexityIndex(POS_INF, None, IndexCase.CASE_II, lambda_cap,
-                              cap_probe=True, probes=tuple(probes))
-    lo, hi = _bisect(table, 0.0, lambda_cap, -1, tol, probes)
-    return ConvexityIndex(0.5 * (lo + hi), (lo, hi), IndexCase.CASE_II,
-                          lambda_cap, probes=tuple(probes))
+            return ConvexityIndex(NEG_INF, None, case, lambda_cap,
+                                  cap_probe=True, probes=((-lambda_cap, ok),))
+    else:
+        # case II: f certified convex, the index is nonnegative
+        case, sign = IndexCase.CASE_II, -1
+        ok = table.exp_transform_ok(lambda_cap, sign, REL_GAP_TOL)
+        if ok:
+            warnings.warn("index is +inf at the probe cap; the function may be "
+                          "constant or the cap too small", CapTooSmallWarning)
+            return ConvexityIndex(POS_INF, None, case, lambda_cap,
+                                  cap_probe=True, probes=((lambda_cap, ok),))
+    be = table.exp_break_even(sign, REL_GAP_TOL, lambda_cap)
+    return ConvexityIndex(be.lo, (be.lo, be.hi), case, lambda_cap,
+                          binding=be.binding,
+                          probes=((-sign * lambda_cap, ok),) + be.probes)
 
 
 def smooth_index_1d(f: FunctionSpec, box: BoxDomain) -> float:
@@ -258,8 +242,8 @@ def certify_index_bracket(f: FunctionSpec, box: BoxDomain, idx: ConvexityIndex,
     """Re-certify both bracket ends of a finite index (consistency check).
 
     Case I: the transform at the lower end must certify convex and at the
-    upper end must refute. Case II: same with concavity. Used by tests and
-    the command-line report; raises on infinite values.
+    upper end must refute. Case II: same with concavity. Raises on infinite
+    values.
     """
     if idx.bracket is None:
         raise ValueError("bracket is absent for infinite indices")

@@ -28,7 +28,7 @@ from .decomp import (DecomposableSum, SumDecision, SumVerdict,
                      brute_force_sum_quasiconvex, characterize,
                      harmonic_index, index_sum_criterion)
 from .errors import ConfigError, NotGMeasurableError, NotNormalizedError, QcxError
-from .extcore import BoxDomain, CertResult, FunctionSpec, Verdict
+from .extcore import BoxDomain, CertResult, FunctionSpec, Verdict, Witness
 from .families import make_function
 from .l2basis import (build_example_10pt, build_example_10pt_split,
                       check_basis_locality, check_cone_self_dual,
@@ -107,12 +107,15 @@ def sum_verdict_to_dict(v: SumVerdict) -> dict:
             "margin": v.margin, "boundary": v.boundary}
 
 
+def witness_to_dict(w: Witness) -> dict:
+    return {"x1": list(w.x1), "x2": list(w.x2), "eta": w.eta,
+            "violation": w.violation}
+
+
 def cert_to_dict(res: CertResult) -> dict:
     out = {"verdict": res.verdict.value, "tol": res.tol}
     if res.witness is not None:
-        out["witness"] = {"x1": list(res.witness.x1), "x2": list(res.witness.x2),
-                          "eta": res.witness.eta,
-                          "violation": res.witness.violation}
+        out["witness"] = witness_to_dict(res.witness)
     return out
 
 
@@ -125,6 +128,7 @@ def index_to_dict(ix: ConvexityIndex, smooth: Optional[float]) -> dict:
         "lambda_cap": ix.lambda_cap,
         "cap_probe": ix.cap_probe,
         "constant_shortcut": ix.constant_shortcut,
+        "binding": witness_to_dict(ix.binding) if ix.binding else None,
         "convex": cls.convex,
         "constant": cls.constant,
     }

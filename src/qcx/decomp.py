@@ -73,7 +73,7 @@ def index_sum_criterion(indices: Sequence[float],
 
     The margin is ``sum(indices)``; within ``boundary_margin`` of zero the
     verdict follows the sign (zero inclusive as quasiconvex) with the
-    boundary flag set, since bisection error makes an exact zero
+    boundary flag set, since grid resolution makes an exact zero
     untrustworthy.
 
     The sign form is exact for two coordinates. With three or more

@@ -15,12 +15,19 @@ a violation of at least the tolerance.
 The pair set contains all pairs of grid points plus, for each grid point and
 each axis, short pairs at geometrically shrinking steps. The short pairs make
 narrow curvature defects visible well below the uniform grid spacing, which
-is what the index bisection in :mod:`qcx.cindex` needs near its break-even
-point.
+is where the convexity index of :mod:`qcx.cindex` usually finds the pair that
+fixes its break-even point.
+
+The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
+mix-normalized form (:meth:`PairTable.exp_transform_ok`), and
+:meth:`PairTable.exp_break_even` solves the same test exactly for the
+break-even lambda of the whole table: each pair's crossing is found to
+adjacent floats, and pairs that cannot beat the running extremum are pruned
+by one probe per round.
 
 Concurrency: all scans are pure given a pure evaluation oracle. With
 ``threads > 1`` the pair set is split into chunks evaluated on a thread pool,
-so the oracle must be reentrant.
+so the oracle must be reentrant; results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ LOCAL_SCALES = 9
 
 #: Range spread below which a grid of values is treated as constant.
 CONSTANT_SPREAD = 1e-10
+
+#: Pairs per interpolation weight solved exactly in each break-even round.
+SOLVE_BATCH = 32
 
 
 class Verdict(enum.Enum):
@@ -76,6 +86,23 @@ class CertResult:
     @property
     def refuted(self) -> bool:
         return self.verdict is Verdict.REFUTED
+
+
+@dataclass(frozen=True)
+class BreakEven:
+    """Adjacent floats ``lo < hi`` around the break-even lambda of a table.
+
+    The transform passes on the whole table at ``lo`` and the ``binding``
+    pair fails at ``hi``. ``probes`` lists the whole-table probes as
+    ``(lam, transform ok)``, ending with the two bracket ends. Without a
+    binding pair (convexity side only: no pair fails inside the cap), ``lo``
+    is the negative float nearest 0, ``hi`` is 0 and only ``lo`` is probed.
+    """
+
+    lo: float
+    hi: float
+    binding: Optional[Witness]
+    probes: tuple[tuple[float, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -240,12 +267,112 @@ def _pair_arrays(box: BoxDomain, local_pairs: bool = True,
     return np.concatenate(first), np.concatenate(second)
 
 
+# ---------------------------------------------------------------------------
+# exponential-transform kernels
+# ---------------------------------------------------------------------------
+
+def _exp_combo(da, db, eta, lam):
+    """``eta e^{-lam da} + (1-eta) e^{-lam db}``, the mix-normalized transform."""
+    combo = np.multiply(-lam, da)
+    np.exp(combo, out=combo)
+    combo *= eta
+    other = np.multiply(-lam, db)
+    np.exp(other, out=other)
+    other *= 1 - eta
+    combo += other
+    return combo
+
+
+def _exp_violation(da, db, eta, lam, sign: int, tol_rel: float) -> np.ndarray:
+    """Per pair: ``sign * (1 - combo) > tol_rel``.
+
+    Undetermined pairs (combo NaN) compare false, so they never violate.
+    ``eta`` and ``lam`` are scalars or arrays matching ``da``. Every
+    exponential-transform test goes through here, so all of them agree bit
+    for bit.
+    """
+    excess = _exp_combo(da, db, eta, lam)
+    excess -= 1.0  # c - 1, which is exactly -(1 - c)
+    if sign > 0:
+        np.negative(excess, out=excess)
+    return excess > tol_rel
+
+
+def _crossing_estimate(da, db, eta, sign: int, tol_rel: float) -> np.ndarray:
+    """Second-order estimate of each pair's break-even lambda (+inf: none).
+
+    With ``s = eta da + (1-eta) db`` and ``q = eta da^2 + (1-eta) db^2``,
+    ``combo(lam) ~ 1 - s lam + q lam^2 / 2``; the estimate is the root of
+    ``combo = 1 -/+ tol_rel`` that bounds the pair's passing set. Smaller is
+    more binding for both signs; the estimate only orders the work.
+    Overwrites ``da`` and ``db``.
+    """
+    s = eta * da
+    s += (1 - eta) * db
+    q = np.multiply(da, da, out=da)
+    q *= eta
+    db *= db
+    db *= 1 - eta
+    q += db
+    del db
+    key = s * s
+    key -= (sign * 2.0 * tol_rel) * q
+    np.sqrt(key, out=key)
+    if sign > 0:
+        np.subtract(s, key, out=key)
+    else:
+        key += s
+    key /= q
+    return np.fmin(key, math.inf, out=key)  # NaN (no crossing) -> +inf
+
+
+def _smallest(key: np.ndarray, k: int) -> np.ndarray:
+    """Positions (ascending) of the ``k`` smallest keys, ties to the lower
+    position, so per-chunk picks merge to the same set for any chunking."""
+    if len(key) > k:
+        kth = np.partition(key, k - 1)[k - 1]
+        below = np.flatnonzero(key < kth)
+        ties = np.flatnonzero(key == kth)[:k - len(below)]
+        pos = np.concatenate([below, ties])
+    else:
+        pos = np.arange(len(key))
+    return np.sort(pos)
+
+
+def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
+           lam_cap: float):
+    """The pairs that can still beat the running extremum ``t``.
+
+    Returns their positions (ascending), a ``t`` at which each fails (``t``
+    itself or a minimizer beyond it) and their crossing estimates.
+    """
+    fail = _exp_violation(da, db, eta, -sign * t, sign, tol_rel)
+    pos = np.flatnonzero(fail)
+    t_fail = np.full(len(pos), t)
+    if sign > 0:
+        t_min = db * (eta - 1)
+        t_min /= eta * da
+        np.log(t_min, out=t_min)
+        t_min /= da - db
+        beyond = np.flatnonzero((t_min > t) & (t_min < lam_cap) & ~fail)
+        del fail
+        t_min = t_min[beyond]
+        hit = _exp_violation(da[beyond], db[beyond], eta, -t_min, sign, tol_rel)
+        pos = np.concatenate([pos, beyond[hit]])
+        t_fail = np.concatenate([t_fail, t_min[hit]])
+        order = np.argsort(pos, kind="stable")
+        pos, t_fail = pos[order], t_fail[order]
+    key = _crossing_estimate(da[pos], db[pos], eta, sign, tol_rel)
+    return pos, t_fail, key
+
+
 class PairTable:
     """Cached function values on a pair scan (endpoints and mixes).
 
     The table is built once per (function, box, etas) and supports repeated
-    scans: absolute convexity / concavity / quasiconvexity gap scans and the
-    mix-normalized exponential-transform scan used by the index bisection.
+    scans: absolute convexity / concavity / quasiconvexity gap scans, the
+    mix-normalized exponential-transform test and its exact break-even
+    solve, which the convexity index uses.
     """
 
     def __init__(self, g: FunctionSpec, box: BoxDomain,
@@ -333,6 +460,12 @@ class PairTable:
 
     # -- mix-normalized exponential scan --------------------------------------
 
+    def _diffs(self, which: int, idx):
+        """``fa - fm`` and ``fb - fm`` at weight ``which`` for a slice or
+        an index array; recomputed per pass rather than cached."""
+        fm = self.fm[which][idx]
+        return self.fa[idx] - fm, self.fb[idx] - fm
+
     def exp_transform_ok(self, lam: float, sign: int, tol_rel: float) -> bool:
         """Is ``exp(-lam * g)`` convex (sign=+1) or concave (sign=-1) on the table?
 
@@ -341,28 +474,169 @@ class PairTable:
         a convexity violation is ``1 - c > tol_rel`` and a concavity violation
         is ``c - 1 > tol_rel``. The normalization keeps the test exact when
         ``exp(-lam * g)`` itself would overflow or underflow, which happens at
-        the large lambda probes of the bisection. Pairs where the normalized
-        differences are undetermined (both values +inf) are skipped.
+        the lambda cap of the index. Pairs where the normalized differences
+        are undetermined (both values +inf) are skipped. The test is the one
+        :meth:`exp_break_even` solves, so its bracket ends replay here.
         """
         if lam == 0.0:
             return True  # exp(0) == 1 is both convex and concave
-        result = True
 
         def work(sl: slice):
             with np.errstate(all="ignore"):
                 for which, eta in enumerate(self.etas):
-                    da = self.fa[sl] - self.fm[which][sl]
-                    db = self.fb[sl] - self.fm[which][sl]
-                    combo = eta * np.exp(-lam * da) + (1 - eta) * np.exp(-lam * db)
-                    viol = sign * (1.0 - combo) > tol_rel
-                    viol &= ~np.isnan(combo)
-                    if viol.any():
+                    da, db = self._diffs(which, sl)
+                    if _exp_violation(da, db, eta, lam, sign, tol_rel).any():
                         return False
             return True
 
-        for ok in self._map(work):
-            result = result and ok
-        return result
+        return all(self._map(work))
+
+    def exp_break_even(self, sign: int, tol_rel: float,
+                       lam_cap: float) -> "BreakEven":
+        """The exact break-even lambda of :meth:`exp_transform_ok`.
+
+        Call it once the cap probe ``exp_transform_ok(-sign * lam_cap)`` has
+        shown that a break-even point lies inside the cap. Write
+        ``lam = -sign * t`` with ``t >= 0``; per pair,
+        ``phi(t) = eta e^{-lam da} + (1-eta) e^{-lam db}`` is convex with
+        ``phi(0) = 1``.
+
+        * sign=-1 (concavity, ``lam = t``): a pair passes on ``[0, t*]``, a
+          sublevel set of ``phi``, and the index is the least ``t*``. A pair
+          that passes at the running minimum cannot bind below it.
+        * sign=+1 (convexity, ``lam = -t``): a pair fails on an interval
+          ``(t1, t2)`` and the index is ``-max t2``. A pair can beat the
+          running maximum ``t^`` only if it fails at ``t^`` or at its
+          analytic minimizer ``log(-(1-eta) db / (eta da)) / (da - db)``
+          when that lies in ``(t^, lam_cap)``; beyond the cap every pair
+          passes.
+
+        Rounds alternate an exact solve of a small batch, ranked by the
+        second-order crossing estimate, with a probe at the running
+        extremum; the pairs that fail the probe form the next, smaller
+        candidate set. A probe of the whole table that leaves no candidate
+        certifies the lower bracket end; the upper end, one float above, is
+        replayed through :meth:`exp_transform_ok`. Each whole-table probe is
+        recorded as ``(lam, transform ok at lam)``. Ties go to the earlier
+        weight, then the lower pair index, so the result does not depend on
+        ``threads``.
+        """
+        n_eta = len(self.etas)
+        t_hat = lam_cap if sign < 0 else math.ulp(0.0)
+        best = None  # (lam_pass, which, idx, t_pass, t_fail)
+        probes: list[tuple[float, bool]] = []
+
+        def merge(parts):
+            """Concatenate per-chunk, per-weight results in chunk order."""
+            return [tuple(np.concatenate([p[w][k] for p in parts])
+                          for k in range(len(parts[0][w])))
+                    for w in range(n_eta)]
+
+        def estimate(sl: slice):
+            out = []
+            with np.errstate(all="ignore"):
+                for which, eta in enumerate(self.etas):
+                    key = _crossing_estimate(*self._diffs(which, sl), eta,
+                                             sign, tol_rel)
+                    pos = _smallest(key, SOLVE_BATCH)
+                    out.append((sl.start + pos, key[pos]))
+            return out
+
+        def prune(which: int, idx, t: float):
+            with np.errstate(all="ignore"):
+                return _prune(*self._diffs(which, idx), self.etas[which],
+                              t, sign, tol_rel, lam_cap)
+
+        def probe_table(sl: slice):
+            out = []
+            for which in range(n_eta):
+                pos, t_fail, key = prune(which, sl, t_hat)
+                out.append((sl.start + pos, t_fail, key))
+            return out
+
+        # seed: the best-ranked pairs of every weight, probed at t_hat
+        cands = [idx[_smallest(key, SOLVE_BATCH)]
+                 for idx, key in merge(self._map(estimate))]
+        while True:
+            if cands is None:
+                found = merge(self._map(probe_table))
+                # failures beyond t_hat are recorded at their own t
+                ok = not any((t_fail == t_hat).any() for _, t_fail, _ in found)
+                probes.append((-sign * t_hat, ok))
+            else:
+                found = []
+                for which, idx in enumerate(cands):
+                    pos, t_fail, key = prune(which, idx, t_hat)
+                    found.append((idx[pos], t_fail, key))
+            if not any(len(f[0]) for f in found):
+                if cands is None:
+                    break
+                cands = None  # re-probe the whole table at the new extremum
+                continue
+            picks, cands = [], []
+            for which, (idx, t_fail, key) in enumerate(found):
+                take = _smallest(key, SOLVE_BATCH)
+                rest = np.ones(len(idx), dtype=bool)
+                rest[take] = False
+                picks.append((which, idx[take], t_fail[take]))
+                cands.append(idx[rest])
+            best = self._solve(picks, best, sign, tol_rel, lam_cap)
+            t_hat = best[3]
+
+        if best is None:
+            # sign=+1 only: no pair fails in [-lam_cap, 0), so the transform
+            # passes up to the negative float nearest 0
+            return BreakEven(-t_hat, 0.0, None, tuple(probes))
+        lam_pass, which, idx, _, t_fail = best
+        hi = -sign * t_fail
+        hi_ok = self.exp_transform_ok(hi, sign, tol_rel)
+        probes.append((hi, hi_ok))
+        if hi_ok:
+            raise RuntimeError("break-even upper end does not replay")
+        da, db = self._diffs(which, np.array([idx]))
+        eta = self.etas[which]
+        with np.errstate(all="ignore"):
+            excess = sign * (1.0 - _exp_combo(da, db, eta, -sign * t_fail))
+        binding = Witness(x1=tuple(float(v) for v in self.a[idx]),
+                          x2=tuple(float(v) for v in self.b[idx]),
+                          eta=float(eta), violation=float(excess[0]))
+        return BreakEven(lam_pass, hi, binding, tuple(probes))
+
+    def _solve(self, picks, best, sign: int, tol_rel: float, lam_cap: float):
+        """Solve each picked pair's crossing to adjacent floats.
+
+        ``picks`` holds ``(which, pair indices, failing t)`` per weight. A
+        pair passes at ``t = 0`` when sign=-1 and at the cap when sign=+1,
+        and a bisection on the float bit patterns keeps one end passing and
+        the other failing. Returns the better of ``best`` and the best
+        solved pair as ``(lam_pass, which, idx, t_pass, t_fail)``.
+        """
+        which = np.concatenate([np.full(len(i), w) for w, i, _ in picks])
+        idx = np.concatenate([i for _, i, _ in picks])
+        t_fail = np.concatenate([t for _, _, t in picks])
+        eta = np.asarray(self.etas)[which]
+        da, db = (np.concatenate(d) for d in
+                  zip(*(self._diffs(w, i) for w, i, _ in picks)))
+        pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
+        fail_bits = t_fail.view(np.int64).copy()
+        with np.errstate(all="ignore"):
+            while True:
+                step = fail_bits - pass_bits
+                if not (np.abs(step) > 1).any():
+                    break
+                mid = pass_bits + step // 2
+                bad = _exp_violation(da, db, eta, -sign * mid.view(np.float64),
+                                     sign, tol_rel)
+                fail_bits = np.where(bad, mid, fail_bits)
+                pass_bits = np.where(bad, pass_bits, mid)
+        t_pass = pass_bits.view(np.float64)
+        lam_pass = -sign * t_pass
+        k = np.lexsort((idx, which, lam_pass))[0]
+        cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
+                float(t_pass[k]), float(fail_bits.view(np.float64)[k]))
+        if best is None or cand[:3] < best[:3]:
+            return cand
+        return best
 
 
 # ---------------------------------------------------------------------------

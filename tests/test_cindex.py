@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from qcx import families
-from qcx.cindex import (ConvexityIndex, IndexCase, certify_index_bracket,
-                        classify, compute_index, r_lambda, scale_index,
-                        smooth_index_1d)
+from qcx.cindex import (REL_GAP_TOL, ConvexityIndex, IndexCase,
+                        certify_index_bracket, classify, compute_index,
+                        r_lambda, scale_index, smooth_index_1d)
 from qcx.errors import CapTooSmallWarning, MissingDerivativesError
-from qcx.extcore import BoxDomain, FunctionSpec, PairTable, scale_function
+from qcx.extcore import (BoxDomain, FunctionSpec, PairTable, _exp_violation,
+                         scale_function)
 from qcx.extreal import POS_INF, NEG_INF
 
 E = math.e
@@ -17,6 +18,12 @@ E = math.e
 
 def box1(lo, hi, m=129):
     return BoxDomain.of(lo, hi, m)
+
+
+#: Finite-index fixtures: function, domain.
+INDEX_FIXTURES = [(families.sqrt(), 1, 4), (families.neglog(), 1, E),
+                  (families.square(), 1, 2), (families.affine(), 0, 1),
+                  (families.exp(), 0, 1)]
 
 
 class TestRLambda:
@@ -129,6 +136,43 @@ class TestComputeIndex:
             # only be lost, never regained
             for earlier, later in zip(flags, flags[1:]):
                 assert earlier or not later
+
+    def test_binding_pair_fixes_the_index(self):
+        """The binding pair alone passes at the lower bracket end and fails
+        at the upper one."""
+        quad = FunctionSpec(2, lambda p: p[:, 0] ** 2 + 2 * p[:, 1] ** 2
+                            + p[:, 0] * p[:, 1])
+        cases = [(f, box1(lo, hi)) for f, lo, hi in INDEX_FIXTURES]
+        cases.append((quad, BoxDomain.of((0.5, 0.5), (2.0, 2.0), (21, 21))))
+        for f, box in cases:
+            ix = compute_index(f, box)
+            w = ix.binding
+            sign = +1 if ix.case is IndexCase.CASE_I else -1
+            x1, x2 = np.array([w.x1]), np.array([w.x2])
+            fm = f(w.eta * x1 + (1 - w.eta) * x2)
+            da, db = f(x1) - fm, f(x2) - fm
+            lo, hi = ix.bracket
+            assert not _exp_violation(da, db, w.eta, lo, sign, REL_GAP_TOL)[0]
+            assert _exp_violation(da, db, w.eta, hi, sign, REL_GAP_TOL)[0]
+            assert w.violation > REL_GAP_TOL
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CapTooSmallWarning)
+            assert compute_index(families.negsquare(), box1(-1, 1, 33)).binding is None
+        assert compute_index(families.const(1.0), box1(0, 1, 9)).binding is None
+
+    def test_threads_do_not_change_the_result(self):
+        for f, lo, hi in INDEX_FIXTURES:
+            one = compute_index(f, box1(lo, hi), threads=1)
+            two = compute_index(f, box1(lo, hi), threads=2)
+            assert one.value == two.value and one.bracket == two.bracket
+            assert one.binding == two.binding
+            assert one.probes == two.probes
+
+    def test_probes_end_with_the_bracket(self):
+        ix = compute_index(families.sqrt(), box1(1, 4))
+        lo, hi = ix.bracket
+        assert ix.probes[0] == (-1e4, True)  # the cap probe
+        assert ix.probes[-2:] == ((lo, True), (hi, False))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcx.cli import main
-from qcx.extcore import quasiconvexity_gap
+from qcx.cindex import REL_GAP_TOL
+from qcx.cli import build_function, load_config, main
+from qcx.extcore import PairTable, quasiconvexity_gap
 
 
 BASE_CONFIG = """\
@@ -74,6 +75,16 @@ class TestIndexCommand:
         assert fs["l"]["convex"] is True
         assert "sqrt" not in capsys.readouterr().out  # names come from config
 
+    def test_binding_pair_in_report(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.json"
+        run(["index", "--config", cfg, "--out", str(out)])
+        for r in json.loads(out.read_text())["results"]["functions"].values():
+            b = r["binding"]
+            assert set(b) == {"x1", "x2", "eta", "violation"}
+            assert len(b["x1"]) == len(b["x2"]) == 1 and 0 < b["eta"] < 1
+            assert b["violation"] > REL_GAP_TOL
+
     def test_constant_function(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[function k]\nfamily = const\nc = 3\ndomain = 0 1\n"
@@ -85,12 +96,26 @@ class TestIndexCommand:
         assert k["value"] == "inf" and k["constant"] is True
 
     def test_csv_sweep(self, tmp_path):
+        """Every probe row replays on a fresh table; each function's rows
+        end with its bracket ends."""
         cfg = write_config(tmp_path)
         csv = tmp_path / "sweep.csv"
-        run(["index", "--config", cfg, "--csv", str(csv)])
+        out = tmp_path / "r.json"
+        run(["index", "--config", cfg, "--csv", str(csv), "--out", str(out)])
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "function,lambda,transform_ok"
-        assert len(lines) > 10
+        functions = json.loads(out.read_text())["results"]["functions"]
+        cp = load_config(cfg)
+        rows = [line.split(",") for line in lines[1:]]
+        for name, r in functions.items():
+            f, box = build_function(cp, name)
+            table = PairTable(f, box)
+            sign = +1 if r["case"] == "I" else -1
+            mine = [(float(lam), ok == "1") for n, lam, ok in rows if n == name]
+            for lam, ok in mine:
+                assert table.exp_transform_ok(lam, sign, REL_GAP_TOL) == ok
+            lo, hi = r["bracket"]
+            assert mine[-2:] == [(lo, True), (hi, False)]
 
 
 class TestSumCheckCommand:
