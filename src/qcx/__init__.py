@@ -22,8 +22,8 @@ from .extcore import (BoxDomain, CertResult, DEFAULT_ETAS, FunctionSpec,
                       certify_quasiconvex, convexity_gap, default_gap_tol,
                       quasiconvexity_gap, scale_function)
 from .cindex import (Classification, Constancy, Convexity, ConvexityIndex,
-                     IndexCase, certify_index_bracket, classify,
-                     compute_index, r_lambda, scale_index, smooth_index_1d)
+                     IndexCase, classify, compute_index, r_lambda,
+                     scale_index, smooth_index_1d)
 from .decomp import (DecomposableSum, SumDecision, SumVerdict,
                      brute_force_sum_quasiconvex, characterize,
                      harmonic_index, index_sum_criterion,

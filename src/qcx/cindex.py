@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapTooSmallWarning, MissingDerivativesError
-from .extcore import (BoxDomain, CertResult, DEFAULT_ETAS, FunctionSpec,
-                      PairTable, Verdict, Witness, default_gap_tol)
+from .extcore import (BoxDomain, DEFAULT_ETAS, FunctionSpec, PairTable,
+                      Witness, default_gap_tol)
 from .extreal import POS_INF, NEG_INF
 
 #: Relative tolerance of the mix-normalized exponential-transform test.
@@ -235,25 +235,3 @@ def classify(c) -> Classification:
     convex = Convexity.CONVEX if value >= 0 else Convexity.NOT_CONVEX
     constant = Constancy.CONSTANT if value == POS_INF else Constancy.NOT_CONSTANT
     return Classification(convex, constant)
-
-
-def certify_index_bracket(f: FunctionSpec, box: BoxDomain, idx: ConvexityIndex,
-                          etas=DEFAULT_ETAS) -> tuple[CertResult, CertResult]:
-    """Re-certify both bracket ends of a finite index (consistency check).
-
-    Case I: the transform at the lower end must certify convex and at the
-    upper end must refute. Case II: same with concavity. Raises on infinite
-    values.
-    """
-    if idx.bracket is None:
-        raise ValueError("bracket is absent for infinite indices")
-    table = PairTable(f, box, etas=etas)
-    sign = +1 if idx.case is IndexCase.CASE_I else -1
-    lo_ok = table.exp_transform_ok(idx.bracket[0], sign, REL_GAP_TOL)
-    hi_ok = table.exp_transform_ok(idx.bracket[1], sign, REL_GAP_TOL)
-
-    def mk(ok: bool) -> CertResult:
-        return CertResult(Verdict.CERTIFIED if ok else Verdict.REFUTED,
-                          tol=REL_GAP_TOL)
-
-    return mk(lo_ok), mk(hi_ok)

@@ -249,6 +249,9 @@ def brute_force_sum_quasiconvex(dsum: DecomposableSum, tol: float = 1e-9,
 
     Pairs are drawn across the whole product (not coordinatewise); the scan
     refuses to start if the all-pairs count would exceed ``pair_budget``.
+    The scan streams the pairs in fixed blocks (see
+    :func:`qcx.extcore.certify_quasiconvex`), so its memory does not grow
+    with the pair count and ``pair_budget`` bounds time, not memory.
     """
     box = dsum.product_box(m_override)
     return certify_quasiconvex(dsum.as_function(), box, tol=tol, etas=etas,

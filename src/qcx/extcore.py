@@ -18,6 +18,12 @@ narrow curvature defects visible well below the uniform grid spacing, which
 is where the convexity index of :mod:`qcx.cindex` usually finds the pair that
 fixes its break-even point.
 
+The certifiers stream the pairs in blocks of :data:`SCAN_BLOCK`, evaluate
+only the mixes and keep each block's worst gap: memory is O(block + grid),
+and ``pair_budget`` bounds time, not memory. :class:`PairTable` caches the
+pairs for the convexity index, which rescans them; its gap scan runs the
+same block kernel over its cached arrays.
+
 The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
 mix-normalized form (:meth:`PairTable.exp_transform_ok`), and
 :meth:`PairTable.exp_break_even` solves the same test exactly for the
@@ -26,8 +32,9 @@ adjacent floats, and pairs that cannot beat the running extremum are pruned
 by one probe per round.
 
 Concurrency: all scans are pure given a pure evaluation oracle. With
-``threads > 1`` the pair set is split into chunks evaluated on a thread pool,
-so the oracle must be reentrant; results do not depend on the thread count.
+``threads > 1`` blocks (or table chunks) are evaluated on a thread pool, so
+the oracle must be reentrant. Ties between gaps go to the earlier weight,
+then the lower pair index, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -36,12 +43,12 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, ImproperFunctionError
-from .extreal import ext_combo, ext_sub
 
 #: Default interpolation weights; midpoint alone misses asymmetric violations.
 DEFAULT_ETAS: tuple[float, ...] = tuple(k / 8 for k in range(1, 8))
@@ -54,6 +61,9 @@ CONSTANT_SPREAD = 1e-10
 
 #: Pairs per interpolation weight solved exactly in each break-even round.
 SOLVE_BATCH = 32
+
+#: Pairs per block of a gap scan; a streamed scan holds one block per thread.
+SCAN_BLOCK = 8192
 
 
 class Verdict(enum.Enum):
@@ -208,63 +218,138 @@ def scale_function(g: FunctionSpec, w: float, name: str = "") -> FunctionSpec:
 
 
 # ---------------------------------------------------------------------------
-# gap evaluation
+# gap forms and the block scan
 # ---------------------------------------------------------------------------
 
-def convexity_gap(g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool]:
-    """``g(eta x1 + (1-eta) x2) - eta g(x1) - (1-eta) g(x2)`` with a flag.
+def _combo(eta, fa, fb):
+    return eta * fa + (1 - eta) * fb
 
-    Returns ``(gap, degenerate)``; the gap is ``+inf`` with the degenerate
-    flag set when both sides of the difference are ``+inf``.
-    """
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    v1 = float(g(x1.reshape(1, -1))[0])
-    v2 = float(g(x2.reshape(1, -1))[0])
-    vm = float(g((eta * x1 + (1 - eta) * x2).reshape(1, -1))[0])
-    return ext_sub(vm, ext_combo(eta, v1, v2))
+
+#: ``(sign, ref)`` per scan kind: ``gap = sign * (fm - ref(eta, fa, fb))`` at
+#: the mix value ``fm``; a NaN gap (both sides +inf) is degenerate.
+GAP_FORMS = {"convex": (1.0, _combo), "concave": (-1.0, _combo),
+             "quasiconvex": (1.0, lambda eta, fa, fb: np.maximum(fa, fb))}
+
+
+def _gap(kind: str, g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool]:
+    """The gap of form ``kind`` at one triple, in the arithmetic of the scan,
+    with a degeneracy flag; an undetermined gap is ``+inf``."""
+    sign, ref = GAP_FORMS[kind]
+    x1, x2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (x1, x2))
+    v1, v2, vm = g(np.stack([x1, x2, eta * x1 + (1 - eta) * x2]))
+    with np.errstate(all="ignore"):
+        gap = sign * (vm - ref(eta, v1, v2))
+    return (math.inf, True) if math.isnan(gap) else (float(gap), False)
+
+
+def convexity_gap(g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool]:
+    """``(gap, degenerate)`` of ``g(eta x1 + (1-eta) x2) - eta g(x1) - (1-eta)
+    g(x2)``; ``(+inf, True)`` when both sides of the difference are ``+inf``."""
+    return _gap("convex", g, x1, x2, eta)
 
 
 def quasiconvexity_gap(g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool]:
     """``g(mix) - max(g(x1), g(x2))`` with the same degeneracy convention."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    v1 = float(g(x1.reshape(1, -1))[0])
-    v2 = float(g(x2.reshape(1, -1))[0])
-    vm = float(g((eta * x1 + (1 - eta) * x2).reshape(1, -1))[0])
-    return ext_sub(vm, max(v1, v2))
+    return _gap("quasiconvex", g, x1, x2, eta)
 
 
-# ---------------------------------------------------------------------------
-# pair construction
-# ---------------------------------------------------------------------------
+def _map(fn, items: list, threads: int) -> list:
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
 
-def _pair_arrays(box: BoxDomain, local_pairs: bool = True,
-                 pair_budget: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-    """All grid pairs plus per-point geometric local pairs along each axis."""
-    pts = box.points()
-    n = len(pts)
-    n_pairs = n * (n - 1) // 2
-    if pair_budget is not None and n_pairs > pair_budget:
-        raise BudgetExceededError(
-            f"grid yields {n_pairs} pairs, budget is {pair_budget}")
-    i, j = np.triu_indices(n, k=1)
-    first = [pts[i]]
-    second = [pts[j]]
-    if local_pairs:
-        for axis, ax in enumerate(box.axes()):
+
+def _gap_scan(kind: str, etas: Sequence[float], blocks: list, load,
+              threads: int, tol: float):
+    """``(worst_gap, witness | None, degenerate_seen)`` of form ``kind``.
+
+    ``load(block)`` gives the endpoints and values of the pairs ``block[0]``
+    on and ``fm(which)``, the values at the mixes of weight ``which``. Ties
+    go to the earlier weight, then the lower pair index, within and across
+    blocks, so the result depends on neither block size nor threads."""
+    sign, ref = GAP_FORMS[kind]
+
+    def work(block):
+        worst, arg, degen = -math.inf, None, False
+        with np.errstate(all="ignore"):
+            a, b, fa, fb, fm = load(block)
+            for which, eta in enumerate(etas):
+                gap = sign * (fm(which) - ref(eta, fa, fb))
+                bad = np.isnan(gap)
+                degen = degen or bool(bad.any())
+                gap[bad] = -math.inf
+                k = int(np.argmax(gap))
+                if gap[k] > worst:
+                    worst = float(gap[k])
+                    arg = (-which, -(block[0] + k), tuple(map(float, a[k])),
+                           tuple(map(float, b[k])), float(eta))
+        return (worst, *arg) if arg else None, degen
+
+    results = _map(work, blocks, threads)
+    degen = any(r[1] for r in results)
+    best = max((r[0] for r in results if r[0]), key=lambda r: r[:3], default=None)
+    if best is None:
+        return -math.inf, None, degen
+    worst, _, _, x1, x2, eta = best
+    return worst, Witness(x1, x2, eta, worst) if worst > tol else None, degen
+
+
+class _Pairs:
+    """The pair set of a box grid, built block by block in scan order: grid
+    pairs in ``np.triu_indices`` order, then per axis and local scale the
+    steps up from every grid point and the steps down, clipped to the box.
+    A step clipped back onto its base point is skipped (its mix may round an
+    ulp away from it). Only off-grid local ends are evaluated."""
+
+    def __init__(self, g: FunctionSpec, box: BoxDomain, local_pairs: bool = True,
+                 pair_budget: Optional[int] = None):
+        if g.dim != box.dim:
+            raise ValueError(f"function dim {g.dim} != box dim {box.dim}")
+        self.g, self.pts = g, box.points()
+        self.values = g(self.pts)
+        if np.isposinf(self.values).all():
+            raise ImproperFunctionError(
+                f"{g.name or 'function'} is +inf on the entire grid")
+        n = len(self.pts)
+        count = n * (n - 1) // 2
+        if pair_budget is not None and count > pair_budget:
+            raise BudgetExceededError(
+                f"grid yields {count} pairs, budget is {pair_budget}")
+        self.row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+        self.blocks = [(s, min(s + SCAN_BLOCK, count), None)
+                       for s in range(0, count, SCAN_BLOCK)]
+        for axis, ax in enumerate(box.axes() if local_pairs else ()):
             h = (ax[-1] - ax[0]) / (len(ax) - 1)
-            for k in range(LOCAL_SCALES):
-                d = h / 2 ** k
-                up = pts.copy()
-                up[:, axis] = np.minimum(up[:, axis] + d, ax[-1])
-                first.append(pts)
-                second.append(up)
-                down = pts.copy()
-                down[:, axis] = np.maximum(down[:, axis] - d, ax[0])
-                first.append(down)
-                second.append(pts)
-    return np.concatenate(first), np.concatenate(second)
+            for step in (sign * h / 2 ** k for k in range(LOCAL_SCALES)
+                         for sign in (1, -1)):
+                local = (axis, step, ax[0], ax[-1])
+                size = len(self._local(*local)[0])
+                self.blocks += [(count, count + size, local)] if size else []
+                count += size
+
+    def _local(self, axis, step, lo, hi):
+        moved = np.clip(self.pts[:, axis] + step, lo, hi)
+        base = np.flatnonzero(moved != self.pts[:, axis])
+        return base, moved[base]
+
+    def build(self, block):
+        """``(a, b, fa, fb)`` of the pairs in ``block``."""
+        start, stop, local = block
+        if local is None:
+            first = int(np.searchsorted(self.row_start, start, side="right")) - 1
+            rows = np.arange(first, np.searchsorted(self.row_start, stop))
+            counts = np.diff(np.clip(self.row_start[first:rows[-1] + 2], start, stop))
+            i = np.repeat(rows, counts)
+            j = np.arange(start, stop) + i + 1 - np.repeat(self.row_start[rows], counts)
+            return self.pts[i], self.pts[j], self.values[i], self.values[j]
+        base, moved = self._local(*local)
+        near, far = self.pts[base], self.pts[base]
+        far[:, local[0]] = moved
+        f_near, f_far = self.values[base], self.g(far)
+        if local[1] > 0:
+            return near, far, f_near, f_far
+        return far, near, f_far, f_near
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +454,8 @@ def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
 class PairTable:
     """Cached function values on a pair scan (endpoints and mixes).
 
-    The table is built once per (function, box, etas) and supports repeated
-    scans: absolute convexity / concavity / quasiconvexity gap scans, the
+    Built once per (function, box, etas) by the certifiers' pair generator,
+    the table supports repeated scans: gap scans on the block kernel, the
     mix-normalized exponential-transform test and its exact break-even
     solve, which the convexity index uses.
     """
@@ -378,85 +463,45 @@ class PairTable:
     def __init__(self, g: FunctionSpec, box: BoxDomain,
                  etas: Sequence[float] = DEFAULT_ETAS, threads: int = 1,
                  local_pairs: bool = True, pair_budget: Optional[int] = None):
-        if g.dim != box.dim:
-            raise ValueError(f"function dim {g.dim} != box dim {box.dim}")
+        pairs = _Pairs(g, box, local_pairs=local_pairs, pair_budget=pair_budget)
         self.g = g
         self.box = box
         self.etas = tuple(etas)
         self.threads = max(1, int(threads))
-        grid_vals = g(box.points())
-        if np.isposinf(grid_vals).all():
-            raise ImproperFunctionError(
-                f"{g.name or 'function'} is +inf on the entire grid")
-        self.grid_values = grid_vals
-        a, b = _pair_arrays(box, local_pairs=local_pairs, pair_budget=pair_budget)
-        self.a = a
-        self.b = b
+        self.grid_values = pairs.values
+        self.blocks = pairs.blocks
+        self.a, self.b = np.empty((2, pairs.blocks[-1][1], box.dim))
+        self.fa, self.fb = np.empty((2, len(self.a)))
         with np.errstate(all="ignore"):
-            self.fa = g(a)
-            self.fb = g(b)
-            self.fm = [g(eta * a + (1 - eta) * b) for eta in self.etas]
+            for block in pairs.blocks:
+                sl = slice(block[0], block[1])
+                self.a[sl], self.b[sl], self.fa[sl], self.fb[sl] = pairs.build(block)
+            self.fm = [g(eta * self.a + (1 - eta) * self.b) for eta in self.etas]
 
     def _chunks(self) -> list[slice]:
         n = len(self.a)
-        k = min(self.threads, max(1, n))
-        bounds = np.linspace(0, n, k + 1).astype(int)
-        return [slice(bounds[t], bounds[t + 1]) for t in range(k)]
+        bounds = np.linspace(0, n, min(self.threads, n) + 1).astype(int)
+        return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def _map(self, fn):
-        chunks = self._chunks()
-        if len(chunks) == 1:
-            return [fn(chunks[0])]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            return list(pool.map(fn, chunks))
+        return _map(fn, self._chunks(), self.threads)
 
     # -- absolute gap scans --------------------------------------------------
 
     def scan(self, kind: str, tol: float):
         """Largest non-degenerate gap of the given kind over the table.
 
-        kind is one of ``convex``, ``concave``, ``quasiconvex``. Returns
-        ``(worst_gap, witness | None, degenerate_seen)`` where the witness is
-        reported only when the worst gap exceeds ``tol``.
+        kind is one of ``convex``, ``concave``, ``quasiconvex`` (see
+        :data:`GAP_FORMS`). Returns ``(worst_gap, witness | None,
+        degenerate_seen)`` where the witness is reported only when the worst
+        gap exceeds ``tol``.
         """
+        def load(block):
+            sl = slice(block[0], block[1])
+            return (self.a[sl], self.b[sl], self.fa[sl], self.fb[sl],
+                    lambda which: self.fm[which][sl])
 
-        def work(sl: slice):
-            worst = -math.inf
-            arg = None
-            degen = False
-            with np.errstate(all="ignore"):
-                for which, eta in enumerate(self.etas):
-                    fa = self.fa[sl]
-                    fb = self.fb[sl]
-                    fm = self.fm[which][sl]
-                    if kind == "quasiconvex":
-                        gap = fm - np.maximum(fa, fb)
-                    elif kind == "convex":
-                        gap = fm - (eta * fa + (1 - eta) * fb)
-                    elif kind == "concave":
-                        gap = (eta * fa + (1 - eta) * fb) - fm
-                    else:
-                        raise ValueError(f"unknown scan kind {kind!r}")
-                    bad = np.isnan(gap)
-                    if bad.any():
-                        degen = True
-                        gap = np.where(bad, -math.inf, gap)
-                    k = int(np.argmax(gap))
-                    if gap[k] > worst:
-                        worst = float(gap[k])
-                        arg = (sl.start + k, eta)
-            return worst, arg, degen
-
-        results = self._map(work)
-        worst, arg, degen = max(results, key=lambda r: r[0])
-        degen = any(r[2] for r in results)
-        witness = None
-        if arg is not None and worst > tol:
-            idx, eta = arg
-            witness = Witness(x1=tuple(float(v) for v in self.a[idx]),
-                              x2=tuple(float(v) for v in self.b[idx]),
-                              eta=float(eta), violation=worst)
-        return worst, witness, degen
+        return _gap_scan(kind, self.etas, self.blocks, load, self.threads, tol)
 
     # -- mix-normalized exponential scan --------------------------------------
 
@@ -643,26 +688,26 @@ class PairTable:
 # public certifiers
 # ---------------------------------------------------------------------------
 
-def _certify(g: FunctionSpec, box: BoxDomain, kind: str, tol: Optional[float],
-             etas: Sequence[float], threads: int,
+def _certify(g: FunctionSpec, box: BoxDomain, kind: str, replay,
+             tol: Optional[float], etas: Sequence[float], threads: int,
              pair_budget: Optional[int]) -> CertResult:
     if tol is None:
         tol = default_gap_tol(g)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    table = PairTable(g, box, etas=etas, threads=threads, pair_budget=pair_budget)
-    worst, witness, degen = table.scan(kind, tol)
+    pairs = _Pairs(g, box, pair_budget=pair_budget)
+    etas = tuple(etas)
+
+    def load(block):
+        a, b, fa, fb = pairs.build(block)
+        return a, b, fa, fb, lambda which: g(etas[which] * a
+                                             + (1 - etas[which]) * b)
+
+    _, witness, degen = _gap_scan(kind, etas, pairs.blocks, load, threads, tol)
     if witness is None:
         return CertResult(Verdict.CERTIFIED, None, tol, degen)
     # re-evaluate the witness independently of the scan before reporting it
-    if kind == "quasiconvex":
-        gap, wdegen = quasiconvexity_gap(g, witness.x1, witness.x2, witness.eta)
-    elif kind == "convex":
-        gap, wdegen = convexity_gap(g, witness.x1, witness.x2, witness.eta)
-    else:  # concave gap is the negated convexity gap when determinate
-        gap, wdegen = convexity_gap(g, witness.x1, witness.x2, witness.eta)
-        if not wdegen:
-            gap = -gap
+    gap, wdegen = replay(g, witness.x1, witness.x2, witness.eta)
     if wdegen or gap <= tol:
         return CertResult(Verdict.INCONCLUSIVE, witness, tol, degen)
     return CertResult(Verdict.REFUTED, witness, tol, degen)
@@ -672,18 +717,21 @@ def certify_convex(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = None,
                    etas: Sequence[float] = DEFAULT_ETAS, threads: int = 1,
                    pair_budget: Optional[int] = None) -> CertResult:
     """Scan for Jensen-inequality violations of ``g`` on the box grid."""
-    return _certify(g, box, "convex", tol, etas, threads, pair_budget)
+    return _certify(g, box, "convex", convexity_gap, tol, etas, threads,
+                    pair_budget)
 
 
 def certify_concave(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = None,
                     etas: Sequence[float] = DEFAULT_ETAS, threads: int = 1,
                     pair_budget: Optional[int] = None) -> CertResult:
     """Concavity counterpart of :func:`certify_convex`."""
-    return _certify(g, box, "concave", tol, etas, threads, pair_budget)
+    return _certify(g, box, "concave", partial(_gap, "concave"), tol, etas,
+                    threads, pair_budget)
 
 
 def certify_quasiconvex(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = None,
                         etas: Sequence[float] = DEFAULT_ETAS, threads: int = 1,
                         pair_budget: Optional[int] = None) -> CertResult:
-    """Scan for ``g(mix) > max(g(x1), g(x2)) + tol`` over the pair table."""
-    return _certify(g, box, "quasiconvex", tol, etas, threads, pair_budget)
+    """Scan for ``g(mix) > max(g(x1), g(x2)) + tol`` over the pair set."""
+    return _certify(g, box, "quasiconvex", quasiconvexity_gap, tol, etas,
+                    threads, pair_budget)

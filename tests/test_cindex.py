@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from qcx import families
-from qcx.cindex import (REL_GAP_TOL, ConvexityIndex, IndexCase,
-                        certify_index_bracket, classify, compute_index,
-                        r_lambda, scale_index, smooth_index_1d)
+from qcx.cindex import (REL_GAP_TOL, ConvexityIndex, IndexCase, classify,
+                        compute_index, r_lambda, scale_index, smooth_index_1d)
 from qcx.errors import CapTooSmallWarning, MissingDerivativesError
 from qcx.extcore import (BoxDomain, FunctionSpec, PairTable, _exp_violation,
                          scale_function)
 from qcx.extreal import POS_INF, NEG_INF
+
+from test_index_oracle import certify_index_bracket
 
 E = math.e
 

@@ -324,11 +324,16 @@ class TestDeterminismAndErrors:
         assert run(["risk-check", "--config", str(cfg)]) == 64
 
     def test_threads_flag_accepted(self, tmp_path):
+        """Whole ``results`` sections agree across thread counts."""
         cfg = write_config(tmp_path)
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        run(["sum-check", "--config", cfg, "--threads", "1", "--out", str(out1)])
-        run(["sum-check", "--config", cfg, "--threads", "4", "--out", str(out2)])
-        r1 = json.loads(out1.read_text())
-        r2 = json.loads(out2.read_text())
-        assert r1["results"]["indices"] == r2["results"]["indices"]
+        for command, section in ((["sum-check", "--brute"], "brute_force"),
+                                 (["index"], "functions")):
+            reports = []
+            for threads in ("1", "3"):
+                out = tmp_path / f"{command[0]}-{threads}.json"
+                run([*command, "--config", cfg, "--threads", threads,
+                     "--out", str(out)])
+                reports.append(json.loads(out.read_text()))
+            assert reports[0]["threads"] == 1 and reports[1]["threads"] == 3
+            assert section in reports[0]["results"]
+            assert reports[0]["results"] == reports[1]["results"], command

@@ -5,9 +5,9 @@ import pytest
 
 from qcx import families
 from qcx.errors import BudgetExceededError, ImproperFunctionError
-from qcx.extcore import (BoxDomain, FunctionSpec, Verdict, certify_concave,
-                         certify_convex, certify_quasiconvex, convexity_gap,
-                         quasiconvexity_gap, scale_function)
+from qcx.extcore import (BoxDomain, FunctionSpec, PairTable, Verdict,
+                         certify_concave, certify_convex, certify_quasiconvex,
+                         convexity_gap, quasiconvexity_gap, scale_function)
 
 
 def absfn():
@@ -161,6 +161,23 @@ class TestConcaveAndThreads:
         b = certify_convex(f, box, threads=4)
         assert a.verdict == b.verdict
         assert a.witness == b.witness
+
+    def test_tied_gaps_do_not_depend_on_threads(self):
+        """Gaps of 1 tie across weights and local pairs; every certifier and
+        the table scan pick the same pair, the one a single pass reports."""
+        g = FunctionSpec(1, lambda p: np.where(
+            (p[:, 0] == 2.0 ** -11) | (p[:, 0] == 2.0 ** -9), 1.0, 0.0))
+        box = BoxDomain.of(0, 8, 9)
+        for certify in (certify_convex, certify_concave, certify_quasiconvex):
+            results = {certify(g, box, threads=t) for t in (1, 2, 3, 4)}
+            assert len(results) == 1, results
+        res = certify_quasiconvex(g, box, threads=4)
+        assert (res.witness.x1, res.witness.x2) == ((0.0,), (2.0 ** -8,))
+        assert res.witness.eta == 0.5
+        for kind in ("convex", "concave", "quasiconvex"):
+            scans = {PairTable(g, box, threads=t).scan(kind, 1e-6)
+                     for t in (1, 2, 3, 4)}
+            assert len(scans) == 1, (kind, scans)
 
     def test_pair_budget(self):
         with pytest.raises(BudgetExceededError):

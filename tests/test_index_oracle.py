@@ -3,9 +3,11 @@
 ``bisect_index`` is the earlier ``compute_index``: the same constant
 shortcut, entry certification and cap probe, then a bisection of the
 ``exp_transform_ok`` predicate down to the requested bracket width. It lives
-here only as an oracle. On every case the exact value must lie inside the
-bisection bracket, the new bracket must re-certify at its lower end and
-refute at its upper end, and it must be float-tight.
+here only as an oracle, next to ``certify_index_bracket``, which replays
+both bracket ends of an index on a fresh table. On every case the exact
+value must lie inside the bisection bracket, the new bracket must
+re-certify at its lower end and refute at its upper end, and it must be
+float-tight.
 """
 
 import math
@@ -15,9 +17,10 @@ import numpy as np
 import pytest
 
 from qcx import families
-from qcx.cindex import REL_GAP_TOL, certify_index_bracket, compute_index
+from qcx.cindex import REL_GAP_TOL, ConvexityIndex, IndexCase, compute_index
 from qcx.errors import CapTooSmallWarning
-from qcx.extcore import BoxDomain, FunctionSpec, PairTable, default_gap_tol
+from qcx.extcore import (DEFAULT_ETAS, BoxDomain, CertResult, FunctionSpec,
+                         PairTable, Verdict, default_gap_tol)
 
 from test_acceptance import FIXTURES, SEED, _random_suite
 
@@ -47,6 +50,28 @@ def _bisect(table: PairTable, lo: float, hi: float, sign: int, tol: float,
         else:
             hi = mid
     return lo, hi
+
+
+def certify_index_bracket(f: FunctionSpec, box: BoxDomain, idx: ConvexityIndex,
+                          etas=DEFAULT_ETAS) -> tuple[CertResult, CertResult]:
+    """Re-certify both bracket ends of a finite index (consistency check).
+
+    Case I: the transform at the lower end must certify convex and at the
+    upper end must refute. Case II: same with concavity. Raises on infinite
+    values.
+    """
+    if idx.bracket is None:
+        raise ValueError("bracket is absent for infinite indices")
+    table = PairTable(f, box, etas=etas)
+    sign = +1 if idx.case is IndexCase.CASE_I else -1
+    lo_ok = table.exp_transform_ok(idx.bracket[0], sign, REL_GAP_TOL)
+    hi_ok = table.exp_transform_ok(idx.bracket[1], sign, REL_GAP_TOL)
+
+    def mk(ok: bool) -> CertResult:
+        return CertResult(Verdict.CERTIFIED if ok else Verdict.REFUTED,
+                          tol=REL_GAP_TOL)
+
+    return mk(lo_ok), mk(hi_ok)
 
 
 def bisect_index(f, box, tol=ORACLE_TOL, lambda_cap=CAP):
@@ -92,10 +117,8 @@ def _two_d():
         f = FunctionSpec(2, lambda p, a=a: np.sqrt(p[:, 0]) + a * np.sqrt(p[:, 1]),
                          name=f"sqrt+{a:g}sqrt")
         cases.append((f, BoxDomain.of((1.0, 1.0), (4.0, 4.0), (21, 21))))
-    # A finite case-I sum (harmonic rule: 1 / (0.5 - 1) = -2). Its grid is
-    # dyadic: a boundary local pair has a == b, and a mix of a point with
-    # itself must round back to the point, or the pair reads as a strict
-    # maximum and the index drops to -inf at the cap.
+    # A finite case-I sum (harmonic rule: 1 / (0.5 - 1) = -2), on a dyadic
+    # grid; see test_clipped_local_pairs_are_skipped for a non-dyadic one.
     f = FunctionSpec(2, lambda p: np.sqrt(p[:, 0]) - 0.5 * np.log(p[:, 1]),
                      name="sqrt+0.5neglog")
     cases.append((f, BoxDomain.of((1.0, 1.0), (5.0, 3.0), (17, 17))))
@@ -144,3 +167,22 @@ def test_case_one_without_a_failing_pair():
     assert bracket[0] <= ix.value <= bracket[1]
     assert ix.binding is None
     assert ix.probes[-1] == (ix.value, True)
+
+
+def test_clipped_local_pairs_are_skipped():
+    """A local step clipped back onto its base point is no pair.
+
+    On this non-dyadic grid the mix of a boundary point with itself rounds
+    an ulp away from the point; kept as a pair, it read as a strict maximum
+    and the index dropped to -inf at the cap.
+    """
+    f = FunctionSpec(2, lambda p: np.sqrt(p[:, 0]) - 0.5 * np.log(p[:, 1]),
+                     name="sqrt+0.5neglog")
+    box = BoxDomain.of((1.0, 1.0), (4.0, E), (21, 21))
+    table = PairTable(f, box)
+    assert not (table.a == table.b).all(axis=1).any()
+    want, bracket = bisect_index(f, box)
+    ix = compute_index(f, box, tol=ORACLE_TOL)
+    assert math.isfinite(ix.value) and bracket is not None
+    assert bracket[0] <= ix.value <= bracket[1], (ix.value, bracket)
+    assert ix.binding is not None and ix.binding.x1 != ix.binding.x2
