@@ -170,6 +170,18 @@ def _get(cp, section: str, key: str, default=None, required: bool = False):
     return cp.get(section, key)
 
 
+def _get_count(cp, section: str, key: str, default: str) -> int:
+    """A sample budget: a positive integer, since zero checks prove nothing."""
+    text = _get(cp, section, key, default=default)
+    try:
+        value = int(text)
+    except ValueError as e:
+        raise ConfigError(f"[{section}] {key} is not an integer") from e
+    if value < 1:
+        raise ConfigError(f"[{section}] {key} must be at least 1, got {value}")
+    return value
+
+
 def build_space(cp) -> FiniteProbSpace:
     uniform = _get(cp, "space", "uniform")
     if uniform is not None:
@@ -382,7 +394,7 @@ def cmd_risk_check(cp, seed: int, threads: int) -> dict:
     rho = build_measure(cp, measure_name, sigma, space)
     props_text = _get(cp, "risk-check", "properties",
                       default=" ".join(PROPERTY_CHECKS))
-    budget = int(_get(cp, "risk-check", "budget", default="200"))
+    budget = _get_count(cp, "risk-check", "budget", "200")
     tol = float(_get(cp, "risk-check", "tol", default="1e-6"))
     triples = sample_triples(space, np.random.default_rng([seed, 1]), budget)
     reports = {}
@@ -426,23 +438,15 @@ def cmd_l2_demo(cp, seed: int, threads: int) -> dict:
         raise ConfigError(f"unknown fixture {fixture!r}")
     space = block.space
     kind = _get(cp, "l2-demo", "measure", default="neg_cond_exp")
-    if kind == "neg_cond_exp":
-        rho = neg_conditional_expectation(declared, space)
-    elif kind == "entropic":
-        rho = entropic_certainty_equivalent(declared, space)
-    elif kind == "sqrt_log":
-        rho = sqrt_log_map(declared, space)
-    elif kind == "cubed_mean":
-        rho = cubed_mean_map(declared, space)
-    elif kind == "mean_broadcast":
-        rho = mean_broadcast_map(declared, space)
-    elif kind == "coarse_cond_exp":
+    if kind not in L2_MEASURES:
+        raise ConfigError(f"unknown l2 measure {kind!r}; known: {L2_MEASURES}")
+    if kind == "coarse_cond_exp":  # the target is the fixture's cells
         rho = conditional_expectation_map(PartitionSigma(block.cells), space,
                                           declared_sigma=declared)
     else:
-        raise ConfigError(f"unknown l2 measure {kind!r}; known: {L2_MEASURES}")
-    budget = int(_get(cp, "l2-demo", "budget", default="200"))
-    samples = int(_get(cp, "l2-demo", "samples", default="500"))
+        rho = _dispatch_measure(cp, "l2-demo", kind, declared, space)
+    budget = _get_count(cp, "l2-demo", "budget", "200")
+    samples = _get_count(cp, "l2-demo", "samples", "500")
     vecs = block.all_vectors()
     gram = np.array([[space.inner(a, b) for b in vecs] for a in vecs])
     ortho_resid = float(np.abs(gram - np.eye(len(vecs))).max())

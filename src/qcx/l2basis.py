@@ -201,11 +201,7 @@ def build_example_10pt() -> BlockStructure:
     """
     space = FiniteProbSpace.uniform(10)
     cells = ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9))
-    ind = []
-    for cell in cells:
-        v = np.zeros(10)
-        v[list(cell)] = 1.0
-        ind.append(v)
+    ind = list(map(PartitionSigma(cells).indicator, range(3)))
     beta_gens = [
         [np.array([1, 1, -1, -1, 0, 0, 0, 0, 0, 0], dtype=float),
          np.array([1, -1, 1, -1, 0, 0, 0, 0, 0, 0], dtype=float),
@@ -229,14 +225,7 @@ def build_example_10pt_split() -> BlockStructure:
     """
     space = FiniteProbSpace.uniform(10)
     cells = ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9))
-    e11 = np.zeros(10)
-    e11[[0, 1]] = 1.0
-    e12 = np.zeros(10)
-    e12[[2, 3]] = 1.0
-    ind2 = np.zeros(10)
-    ind2[[4, 5, 6]] = 1.0
-    ind3 = np.zeros(10)
-    ind3[[7, 8, 9]] = 1.0
+    e11, e12, ind2, ind3 = map(refined_partition_10pt().indicator, range(4))
     return blocks_from_generators(
         space, cells,
         [[e11, e12], [ind2], [ind3]],
@@ -449,15 +438,10 @@ def load_block_structure(path, space: Optional[FiniteProbSpace] = None
             if not 0 <= idx < len(cells):
                 raise ValueError(f"generator references cell {idx + 1}, "
                                  f"but only {len(cells)} cells are declared")
-    n = sum(len(c) for c in cells)
-    sp = space or FiniteProbSpace.uniform(n)
-    e_list = [e_gens.get(i, []) for i in range(len(cells))]
+    sigma = PartitionSigma(tuple(cells))
+    sp = space or FiniteProbSpace.uniform(sigma.n)
+    e_list = [e_gens.get(i) or [sigma.indicator(i)] for i in range(len(cells))]
     b_list = [b_gens.get(i, []) for i in range(len(cells))]
-    for i, cell in enumerate(cells):
-        if not e_list[i]:
-            v = np.zeros(n)
-            v[list(cell)] = 1.0
-            e_list[i] = [v]
     return blocks_from_generators(sp, cells, e_list, b_list, complete=True)
 
 

@@ -5,7 +5,9 @@ sigma-algebra is an atom partition of the outcome set, and a conditional
 risk measure is an oracle mapping position vectors to vectors constant on
 each atom (checked on every call). All inner products are probability
 weighted: ``<X, Y> = E[X Y]``. On a finite space every L^p coincides, so the
-exponent never appears.
+exponent never appears. A partition carries an atom index built once, so
+the conditional expectation and the measurability check of every oracle
+call take a fixed number of numpy calls whatever the number of atoms.
 
 The property checkers sample positions and mixing weights, so a ``Pass`` is
 always "no violation found at this tolerance on these samples" while a
@@ -57,19 +59,22 @@ def _vec(x) -> list[float]:
 
 @dataclass(frozen=True)
 class FiniteProbSpace:
-    """Outcome probabilities; all positive, summing to one."""
+    """Outcome probabilities; all positive, summing to one. ``p`` holds them
+    once more as a read-only array."""
 
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)
         if p.ndim != 1 or len(p) == 0:
             raise ValueError("probs must be a nonempty vector")
         if (p <= 0).any():
             raise ValueError("all outcome probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+        p.setflags(write=False)
         object.__setattr__(self, "probs", tuple(float(v) for v in p))
+        object.__setattr__(self, "_p", p)
 
     @staticmethod
     def uniform(n: int) -> "FiniteProbSpace":
@@ -81,7 +86,7 @@ class FiniteProbSpace:
 
     @property
     def p(self) -> np.ndarray:
-        return np.asarray(self.probs)
+        return self._p
 
     def expectation(self, x: np.ndarray) -> float:
         return float(np.dot(self.p, np.asarray(x, dtype=float)))
@@ -96,7 +101,10 @@ class FiniteProbSpace:
 
 @dataclass(frozen=True)
 class PartitionSigma:
-    """A sub-sigma-algebra given as a partition of outcome indices."""
+    """A sub-sigma-algebra given as a partition of outcome indices, with a
+    read-only atom index: ``labels[i]`` is the atom of outcome ``i``;
+    ``_order`` lists the outcomes atom by atom, atom ``j`` from position
+    ``_starts[j]`` on; ``_first[j]`` is the first outcome of atom ``j``."""
 
     atoms: tuple[tuple[int, ...], ...]
 
@@ -115,7 +123,17 @@ class PartitionSigma:
             norm.append(atom)
         if seen != set(range(len(seen))) or min(seen) != 0:
             raise ValueError("atoms must cover 0..n-1 exactly")
+        sizes = [len(a) for a in norm]
+        order = np.concatenate(norm).astype(np.intp)
+        starts = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        labels = np.repeat(np.arange(len(norm)), sizes)[np.argsort(order)]
+        index = {"labels": labels, "_order": order, "_starts": starts,
+                 "_first": order[starts]}
+        for name, value in index.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "atoms", tuple(norm))
+        object.__setattr__(self, "_atom_probs", {})
 
     @staticmethod
     def trivial(n: int) -> "PartitionSigma":
@@ -127,51 +145,49 @@ class PartitionSigma:
 
     @property
     def n(self) -> int:
-        return sum(len(a) for a in self.atoms)
+        return len(self.labels)
 
     @property
     def k(self) -> int:
         return len(self.atoms)
 
     def atom_probs(self, space: FiniteProbSpace) -> np.ndarray:
-        p = space.p
-        return np.array([p[list(a)].sum() for a in self.atoms])
+        """Per-atom probabilities (read-only), computed once per space."""
+        probs = self._atom_probs.get(space)
+        if probs is None:
+            p = space.p
+            probs = np.array([p[list(a)].sum() for a in self.atoms])
+            probs.setflags(write=False)
+            self._atom_probs[space] = probs
+        return probs
 
     def measurability_spread(self, x: np.ndarray) -> tuple[float, int]:
-        """Largest within-atom spread and the atom where it occurs."""
-        x = np.asarray(x, dtype=float)
-        worst, where = 0.0, 0
-        for i, a in enumerate(self.atoms):
-            vals = x[list(a)]
-            s = float(vals.max() - vals.min())
-            if s > worst:
-                worst, where = s, i
-        return worst, where
+        """Largest within-atom spread and the first atom where it occurs;
+        ``(0.0, 0)`` when no atom has a positive spread (NaN spreads are
+        ignored)."""
+        xs = np.asarray(x, dtype=float)[self._order]
+        spread = np.fmax(np.maximum.reduceat(xs, self._starts)
+                         - np.minimum.reduceat(xs, self._starts), 0.0)
+        where = int(np.argmax(spread))
+        return (float(spread[where]), where) if spread[where] > 0.0 else (0.0, 0)
 
     def is_measurable(self, x: np.ndarray, tol: float = MEASURABILITY_TOL) -> bool:
         return self.measurability_spread(x)[0] <= tol
 
     def atom_values(self, x: np.ndarray) -> np.ndarray:
         """One representative value per atom (for measurable vectors)."""
-        x = np.asarray(x, dtype=float)
-        return np.array([x[a[0]] for a in self.atoms])
+        return np.asarray(x, dtype=float)[self._first]
 
     def from_atom_values(self, vals: Sequence[float]) -> np.ndarray:
-        out = np.empty(self.n)
-        for v, a in zip(vals, self.atoms):
-            out[list(a)] = v
-        return out
+        return np.asarray(vals, dtype=float)[self.labels]
 
     def indicator(self, atom_index: int) -> np.ndarray:
-        out = np.zeros(self.n)
-        out[list(self.atoms[atom_index])] = 1.0
-        return out
+        return self.event_indicator((atom_index,))
 
     def event_indicator(self, atom_indices: Iterable[int]) -> np.ndarray:
-        out = np.zeros(self.n)
-        for i in atom_indices:
-            out[list(self.atoms[i])] = 1.0
-        return out
+        on = np.zeros(self.k)
+        on[list(atom_indices)] = 1.0
+        return on[self.labels]
 
     def refines(self, other: "PartitionSigma") -> bool:
         """True when every atom of self sits inside an atom of other."""
@@ -181,13 +197,9 @@ class PartitionSigma:
 def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
                             space: FiniteProbSpace) -> np.ndarray:
     """Per-atom probability-weighted mean, broadcast back to outcomes."""
-    x = np.asarray(x, dtype=float)
-    p = space.p
-    out = np.empty_like(x)
-    for a in sigma.atoms:
-        idx = list(a)
-        out[idx] = np.dot(p[idx], x[idx]) / p[idx].sum()
-    return out
+    sums = np.bincount(sigma.labels, space.p * np.asarray(x, dtype=float),
+                       sigma.k)
+    return (sums / sigma.atom_probs(space))[sigma.labels]
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +295,12 @@ def sqrt_log_map(sigma: PartitionSigma,
     if sigma.k < 2:
         raise ValueError("sqrt-log map needs at least two atoms")
     floor = 1e-6
+    in_atom0 = sigma.labels == 0
 
     def fn(x: np.ndarray) -> np.ndarray:
         ce = conditional_expectation(x, sigma, space)
-        out = np.empty_like(ce)
-        a0 = list(sigma.atoms[0])
-        out[a0] = np.sqrt(np.maximum(ce[a0] + 4.0, floor))
-        for a in sigma.atoms[1:]:
-            idx = list(a)
-            out[idx] = -np.log(np.maximum(ce[idx] + 5.0, floor))
-        return out
+        return np.where(in_atom0, np.sqrt(np.maximum(ce + 4.0, floor)),
+                        -np.log(np.maximum(ce + 5.0, floor)))
 
     return RiskMeasureOracle("sqrt-log", fn, sigma, space,
                              claims=("local", "quasiconvex"))
@@ -717,15 +725,17 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle,
     else:
         raw = np.vstack([np.eye(k), _rng(rng).dirichlet(np.ones(k), size=budget_z)])
     z_set = raw / np.maximum(raw @ atom_probs, 1e-300)[:, None]
+    weighted_set = z_set * atom_probs
     for i, (x, y, lam) in enumerate(triples, 1):
         r_x = rho.atom_values(x)
         r_y = rho.atom_values(y)
         r_mix = rho.atom_values(lam * x + (1 - lam) * y)
-        zs = np.vstack([z_set, _dual_candidates(r_mix - r_x, r_mix - r_y,
-                                                atom_probs)])
-        s_x = (zs * atom_probs) @ r_x
-        s_y = (zs * atom_probs) @ r_y
-        s_mix = (zs * atom_probs) @ r_mix
+        kinks = _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs)
+        zs = np.vstack([z_set, kinks])
+        weighted = np.vstack([weighted_set, kinks * atom_probs])
+        s_x = weighted @ r_x
+        s_y = weighted @ r_y
+        s_mix = weighted @ r_mix
         viol = s_mix - np.maximum(s_x, s_y) - tol
         j = int(np.argmax(viol))
         if viol[j] > 0:
@@ -802,9 +812,8 @@ def check_assumption_nonconstant(rho: RiskMeasureOracle, budget: int = 16,
     p = rho.space.p
     ones = np.ones(rho.space.n)
     checked = 0
-    for ai, atom in enumerate(rho.sigma.atoms):
-        ind = np.zeros(rho.space.n)
-        ind[list(atom)] = 1.0
+    for ai in range(rho.sigma.k):
+        ind = rho.sigma.indicator(ai)
 
         def scal(x: np.ndarray) -> float:
             return float(np.dot(p, rho(x) * ind))

@@ -316,6 +316,25 @@ class TestDeterminismAndErrors:
         (tmp_path / f"{section}.txt").write_text("not a number\n")
         assert run(["risk-check", "--config", str(cfg)]) == 64
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("risk-check", "budget", "0"), ("risk-check", "budget", "-5"),
+        ("risk-check", "budget", "many"), ("l2-demo", "budget", "0"),
+        ("l2-demo", "samples", "0")])
+    def test_sample_budget_must_be_positive(self, tmp_path, capsys, command,
+                                            key, value):
+        """A budget of zero checks nothing, so it cannot report a pass."""
+        text = Path(write_config(tmp_path, measure="cubed_mean",
+                                 l2_measure="sqrt_log")).read_text()
+        risk, l2 = text.split("[l2-demo]")
+        if command == "risk-check":
+            risk = risk.replace(f"{key} = 80", f"{key} = {value}")
+        else:
+            l2 = l2.replace(f"{key} = 80", f"{key} = {value}")
+        cfg = tmp_path / "b.ini"
+        cfg.write_text(risk + "[l2-demo]" + l2)
+        assert run([command, "--config", str(cfg)]) == 64
+        assert f"[{command}] {key}" in capsys.readouterr().err
+
     def test_partition_size_mismatch(self, tmp_path):
         cfg = tmp_path / "m.ini"
         cfg.write_text("[space]\nuniform = 8\n\n[partition]\n"

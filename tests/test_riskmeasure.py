@@ -317,6 +317,25 @@ class TestNQCAndStar:
         mix = lam * x + (1 - lam) * y
         assert s(mix) > max(s(x), s(y)) + rep.tol
 
+    @pytest.mark.parametrize("make", [cubed_mean_map, sqrt_log_map])
+    def test_star_violation_replays_on_a_weighted_space(self, make):
+        """Six unequal atoms: the reported violation is the witness dual's
+        probability-weighted scalarization gap, kink candidates included."""
+        rng = np.random.default_rng(11)
+        raw = rng.uniform(1.0, 3.0, 18)
+        space = FiniteProbSpace(tuple(raw / raw.sum()))
+        sigma = PartitionSigma.of(*(range(3 * a, 3 * a + 3) for a in range(6)))
+        rho = make(sigma, space)
+        rep = check_star_quasiconvexity(rho, budget_z=64,
+                                        triples=sample_triples(space, 3, 200))
+        assert rep.failed
+        w = rep.witness
+        weights = sigma.atom_probs(space) * np.array(w["z"])
+        x, y, lam = np.array(w["x"]), np.array(w["y"]), w["lam"]
+        s = lambda v: float(weights @ rho.atom_values(v))
+        gap = s(lam * x + (1 - lam) * y) - max(s(x), s(y))
+        assert gap == pytest.approx(w["violation"], rel=1e-9, abs=1e-12)
+
 
 class TestSensitivityAndAssumption:
     def test_pass_cases(self, space10, sigma10):
