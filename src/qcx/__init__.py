@@ -29,19 +29,18 @@ from .decomp import (DecomposableSum, SumDecision, SumVerdict,
                      harmonic_index, index_sum_criterion,
                      infinite_sum_criterion)
 from .families import FAMILIES, make_function
-from .riskmeasure import (CheckVerdict, FiniteProbSpace, PartitionSigma,
-                          PropertyReport, RiskMeasureOracle,
-                          blind_spot_map, certainty_equivalent,
+from .spaces import (FiniteProbSpace, PartitionSigma, conditional_expectation,
+                     load_partition, load_scenario_table, parse_partition_text)
+from .riskmeasure import (CheckVerdict, PropertyReport, RiskMeasureOracle,
+                          TripleTable, blind_spot_map, certainty_equivalent,
                           check_assumption_nonconstant, check_convexity,
                           check_locality, check_monotonicity,
                           check_natural_quasiconvexity, check_quasiconvexity,
                           check_sensitivity, check_star_quasiconvexity,
-                          check_translativity, conditional_expectation,
-                          conditional_expectation_map, cubed_mean_map,
-                          entropic_certainty_equivalent, infeasibility_depth,
-                          load_partition, load_scenario_table,
-                          mean_broadcast_map, neg_conditional_expectation,
-                          nqc_mu_interval, parse_partition_text,
+                          check_translativity, conditional_expectation_map,
+                          cubed_mean_map, entropic_certainty_equivalent,
+                          infeasibility_depth, mean_broadcast_map,
+                          neg_conditional_expectation, nqc_mu_interval,
                           sample_triples, separating_dual_witness,
                           sqrt_log_map)
 from .l2basis import (BlockStructure, build_example_10pt,

@@ -33,17 +33,18 @@ from .families import make_function
 from .l2basis import (build_example_10pt, build_example_10pt_split,
                       check_basis_locality, check_cone_self_dual,
                       check_nqc_wrt_preorder, refined_partition_10pt)
-from .riskmeasure import (CheckVerdict, FiniteProbSpace, PartitionSigma,
-                          PropertyReport, RiskMeasureOracle, blind_spot_map,
-                          certainty_equivalent, check_assumption_nonconstant,
-                          check_convexity, check_locality, check_monotonicity,
+from .riskmeasure import (CheckVerdict, PropertyReport, RiskMeasureOracle,
+                          TripleTable, blind_spot_map, certainty_equivalent,
+                          check_assumption_nonconstant, check_convexity,
+                          check_locality, check_monotonicity,
                           check_natural_quasiconvexity, check_quasiconvexity,
                           check_sensitivity, check_star_quasiconvexity,
                           check_translativity, conditional_expectation_map,
                           cubed_mean_map, entropic_certainty_equivalent,
-                          load_partition, load_scenario_table,
                           mean_broadcast_map, neg_conditional_expectation,
-                          parse_partition_text, sample_triples, sqrt_log_map)
+                          sample_triples, sqrt_log_map)
+from .spaces import (FiniteProbSpace, PartitionSigma, load_partition,
+                     load_scenario_table, parse_partition_text)
 
 SCHEMA = "qcx-report/1"
 
@@ -170,8 +171,9 @@ def _get(cp, section: str, key: str, default=None, required: bool = False):
     return cp.get(section, key)
 
 
-def _get_count(cp, section: str, key: str, default: str) -> int:
-    """A sample budget: a positive integer, since zero checks prove nothing."""
+def _get_count(cp, section: str, key: str, default: Optional[str]) -> int:
+    """A positive integer: a sample budget (zero checks prove nothing), a
+    size or a 1-based number."""
     text = _get(cp, section, key, default=default)
     try:
         value = int(text)
@@ -182,14 +184,38 @@ def _get_count(cp, section: str, key: str, default: str) -> int:
     return value
 
 
+def _get_float(cp, section: str, key: str,
+               default: Optional[str] = None) -> Optional[float]:
+    """One number, or ``None`` when the key is absent and has no default."""
+    values = _get_numbers(cp, section, key, float, default, count=1)
+    return None if values is None else values[0]
+
+
+def _get_numbers(cp, section: str, key: str, cast=float,
+                 default: Optional[str] = None, count: Optional[int] = None,
+                 required: bool = False) -> Optional[list]:
+    """The whitespace-separated values of a key through ``cast`` (exactly
+    ``count`` of them when given), or ``None`` when the key is absent and
+    has no default. A malformed value is a config error."""
+    text = _get(cp, section, key, default=default, required=required)
+    if text is None:
+        return None
+    try:
+        values = [cast(t) for t in text.split()]
+    except ValueError as e:
+        raise ConfigError(f"[{section}] {key}: {e}") from e
+    if count is not None and len(values) != count:
+        raise ConfigError(f"[{section}] {key} needs {count} value(s), "
+                          f"got {text!r}")
+    return values
+
+
 def build_space(cp) -> FiniteProbSpace:
-    uniform = _get(cp, "space", "uniform")
-    if uniform is not None:
-        return FiniteProbSpace.uniform(int(uniform))
-    probs = _get(cp, "space", "probs")
+    if _get(cp, "space", "uniform") is not None:
+        return FiniteProbSpace.uniform(_get_count(cp, "space", "uniform", None))
+    probs = _get_numbers(cp, "space", "probs")
     if probs is not None:
-        vals = tuple(float(t) for t in probs.split())
-        return FiniteProbSpace(vals)
+        return FiniteProbSpace(tuple(probs))
     path = _get(cp, "space", "file")
     if path is not None:
         try:
@@ -223,27 +249,24 @@ def build_function(cp, name: str) -> tuple[FunctionSpec, BoxDomain]:
     family = _get(cp, section, "family", required=True)
     params = {}
     for key in ("a", "b", "c"):
-        val = _get(cp, section, key)
+        val = _get_float(cp, section, key)
         if val is not None:
-            params[key] = float(val)
-    table_x = _get(cp, section, "xs")
-    table_y = _get(cp, section, "ys")
+            params[key] = val
+    table_x = _get_numbers(cp, section, "xs")
+    table_y = _get_numbers(cp, section, "ys")
     if table_x is not None or table_y is not None:
         if table_x is None or table_y is None:
             raise ConfigError(f"[{section}] needs both xs and ys")
-        params["xs"] = [float(t) for t in table_x.split()]
-        params["ys"] = [float(t) for t in table_y.split()]
-    weight = float(_get(cp, section, "weight", default="1.0"))
+        params["xs"], params["ys"] = table_x, table_y
+    weight = _get_float(cp, section, "weight", default="1.0")
     try:
         f = make_function(family, weight=weight, **params)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"[{section}]: {e}") from e
     f.name = name
-    domain = _get(cp, section, "domain", required=True).split()
-    if len(domain) != 2:
-        raise ConfigError(f"[{section}] domain must be two numbers, got {domain}")
-    grid = int(_get(cp, section, "grid", default="129"))
-    box = BoxDomain.of(float(domain[0]), float(domain[1]), grid)
+    lo, hi = _get_numbers(cp, section, "domain", count=2, required=True)
+    grid = _get_count(cp, section, "grid", "129")
+    box = BoxDomain.of(lo, hi, grid)
     return f, box
 
 
@@ -285,8 +308,11 @@ def _dispatch_measure(cp, section: str, kind: str, sigma: PartitionSigma,
     if kind == "mean_broadcast":
         return mean_broadcast_map(sigma, space)
     if kind == "blind_spot":
-        atom = int(_get(cp, section, "ignored_atom", default="1")) - 1
-        return blind_spot_map(sigma, space, ignored_atom=atom)
+        atom = _get_count(cp, section, "ignored_atom", "1")
+        if atom > sigma.k:
+            raise ConfigError(f"[{section}] ignored_atom must be an atom "
+                              f"number in 1..{sigma.k}, got {atom}")
+        return blind_spot_map(sigma, space, ignored_atom=atom - 1)
     if kind == "coarse_cond_exp":
         target_text = _get(cp, section, "target", required=True)
         target = parse_partition_text(target_text)
@@ -304,8 +330,8 @@ def _dispatch_measure(cp, section: str, kind: str, sigma: PartitionSigma,
 def cmd_index(cp, seed: int, threads: int, csv_path: Optional[str]) -> dict:
     names_text = _get(cp, "index", "function", required=True)
     names = names_text.split()
-    lambda_cap = float(_get(cp, "index", "lambda_cap", default="1e4"))
-    tol = float(_get(cp, "index", "tol", default="1e-4"))
+    lambda_cap = _get_float(cp, "index", "lambda_cap", default="1e4")
+    tol = _get_float(cp, "index", "tol", default="1e-4")
     results = {}
     sweeps = []
     for name in names:
@@ -331,8 +357,8 @@ def cmd_sum_check(cp, seed: int, threads: int, brute: bool,
     names = names_text.split()
     if len(names) < 2:
         raise ConfigError("[sum-check] needs at least two functions")
-    lambda_cap = float(_get(cp, "sum-check", "lambda_cap", default="1e4"))
-    tol = float(_get(cp, "sum-check", "tol", default="1e-4"))
+    lambda_cap = _get_float(cp, "sum-check", "lambda_cap", default="1e4")
+    tol = _get_float(cp, "sum-check", "tol", default="1e-4")
     coords = [build_function(cp, n) for n in names]
     dsum = DecomposableSum(tuple(coords))
     indices = dsum.indices(lambda_cap=lambda_cap, tol=tol, threads=threads)
@@ -353,9 +379,8 @@ def cmd_sum_check(cp, seed: int, threads: int, brute: bool,
         result["harmonic_index"] = harmonic_index(values)
     brute_cfg = _get(cp, "sum-check", "brute", default="false").lower() == "true"
     if brute or brute_cfg:
-        budget = int(_get(cp, "sum-check", "pair_budget", default="1000000"))
-        m_text = _get(cp, "sum-check", "brute_grid")
-        m_override = [int(t) for t in m_text.split()] if m_text else None
+        budget = _get_count(cp, "sum-check", "pair_budget", "1000000")
+        m_override = _get_numbers(cp, "sum-check", "brute_grid", int) or None
         oracle = brute_force_sum_quasiconvex(dsum, pair_budget=budget,
                                              m_override=m_override,
                                              threads=threads)
@@ -395,8 +420,10 @@ def cmd_risk_check(cp, seed: int, threads: int) -> dict:
     props_text = _get(cp, "risk-check", "properties",
                       default=" ".join(PROPERTY_CHECKS))
     budget = _get_count(cp, "risk-check", "budget", "200")
-    tol = float(_get(cp, "risk-check", "tol", default="1e-6"))
-    triples = sample_triples(space, np.random.default_rng([seed, 1]), budget)
+    tol = _get_float(cp, "risk-check", "tol", default="1e-6")
+    # one table: the four triple checks evaluate each triple once
+    triples = TripleTable(rho, sample_triples(
+        space, np.random.default_rng([seed, 1]), budget))
     reports = {}
     for i, prop in enumerate(props_text.split()):
         if prop not in PROPERTY_CHECKS:
@@ -589,16 +616,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, "
+                              f"got {args.threads}")
+        # more workers than cores only add threads; the report keeps the
+        # requested count
+        threads = min(args.threads, os.cpu_count() or 1)
         cp = load_config(args.config)
         if args.command == "index":
-            results = cmd_index(cp, args.seed, args.threads, args.csv)
+            results = cmd_index(cp, args.seed, threads, args.csv)
         elif args.command == "sum-check":
-            results = cmd_sum_check(cp, args.seed, args.threads, args.brute,
+            results = cmd_sum_check(cp, args.seed, threads, args.brute,
                                     args.csv)
         elif args.command == "risk-check":
-            results = cmd_risk_check(cp, args.seed, args.threads)
+            results = cmd_risk_check(cp, args.seed, threads)
         else:
-            results = cmd_l2_demo(cp, args.seed, args.threads)
+            results = cmd_l2_demo(cp, args.seed, threads)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,10 +21,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AssumptionViolatedError, RankDeficientError
-from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, FiniteProbSpace,
-                          PartitionSigma, PropertyReport, RiskMeasureOracle,
-                          _mu_feasibility, _rng, _vec, conditional_expectation,
-                          sample_triples)
+from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, PropertyReport,
+                          RiskMeasureOracle, _each_triple, _excess_check,
+                          _jensen_bound, _mu_feasibility, _rng, _triple_table,
+                          _vec, sample_triples)
+from .spaces import (FiniteProbSpace, PartitionSigma, conditional_expectation,
+                     parse_partition_text)
 
 #: Orthonormality residual required of every block structure.
 ORTHO_TOL = 1e-12
@@ -336,20 +338,17 @@ def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
     """Jensen inequality in every e-coordinate over sampled triples."""
     if triples is None:
         triples = sample_triples(block.space, rng, budget)
-    for i, (x, y, lam) in enumerate(triples, 1):
-        ex = block.e_coordinates(rho(x))
-        ey = block.e_coordinates(rho(y))
-        em = block.e_coordinates(rho(lam * x + (1 - lam) * y))
-        viol = em - (lam * ex + (1 - lam) * ey)
-        worst = float(np.max(viol))
-        if worst > tol:
-            return PropertyReport(
-                "convexity-wrt-preorder", CheckVerdict.FAIL,
-                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
-                         "violation": worst},
-                samples=i, tol=tol)
-    return PropertyReport("convexity-wrt-preorder", CheckVerdict.PASS,
-                          samples=len(triples), tol=tol)
+    table = _triple_table(rho, triples)
+    return _excess_check("convexity-wrt-preorder", table,
+                         _e_coordinate_chunks(block, table), _jensen_bound, tol)
+
+
+def _e_coordinate_chunks(block: BlockStructure, table):
+    """:meth:`TripleTable.chunks` with each output replaced by its
+    e-coordinates (one inner product per cell and output)."""
+    for start, risks in table.chunks():
+        yield start, np.array([[block.e_coordinates(r) for r in triple]
+                               for triple in risks])
 
 
 def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
@@ -371,25 +370,24 @@ def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
             "the preorder feasibility check needs 1-dimensional e-blocks")
     if triples is None:
         triples = sample_triples(block.space, rng, budget)
-    for i, (x, y, lam) in enumerate(triples, 1):
-        ex = block.e_coordinates(rho(x))
-        ey = block.e_coordinates(rho(y))
-        em = block.e_coordinates(rho(lam * x + (1 - lam) * y))
+    table = _triple_table(rho, triples)
+    for i, (ex, ey, em) in _each_triple(_e_coordinate_chunks(block, table)):
         certificate = _mu_feasibility(ex, ey, em, tol)[1]
         if certificate is not None:
+            x, y, lam = table.triples[i - 1]
             return PropertyReport(
                 "nqc-wrt-preorder", CheckVerdict.FAIL,
                 witness={"x": _vec(x), "y": _vec(y), "lam": lam,
                          "e_x": _vec(ex), "e_y": _vec(ey), "e_mix": _vec(em),
                          "certificate": certificate},
                 samples=i, tol=tol)
-    conv = check_convexity_wrt_preorder(rho, block, tol=tol, triples=triples)
+    conv = check_convexity_wrt_preorder(rho, block, tol=tol, triples=table)
     zero = rho(np.zeros(block.space.n))
     normalized = bool(np.max(np.abs(zero)) <= 1e-9)
     loc = check_basis_locality(rho, block, budget=locality_budget, tol=tol, rng=rng)
     hypotheses = normalized and loc.passed
     return PropertyReport(
-        "nqc-wrt-preorder", CheckVerdict.PASS, samples=len(triples), tol=tol,
+        "nqc-wrt-preorder", CheckVerdict.PASS, samples=len(table), tol=tol,
         details={
             "convexity_wrt_preorder": conv.verdict.value,
             "normalized": normalized,
@@ -422,7 +420,6 @@ def load_block_structure(path, space: Optional[FiniteProbSpace] = None
             key, _, rest = line.partition(":")
             key = key.strip().lower()
             if key == "cells":
-                from .riskmeasure import parse_partition_text
                 cells = list(parse_partition_text(rest).atoms)
             elif key.startswith("e ") or key.startswith("beta "):
                 kind, idx = key.split()

@@ -1,13 +1,10 @@
 """Conditional risk measures on finite probability spaces.
 
-Positions are plain numpy vectors indexed by outcome; a conditioning
-sigma-algebra is an atom partition of the outcome set, and a conditional
-risk measure is an oracle mapping position vectors to vectors constant on
-each atom (checked on every call). All inner products are probability
-weighted: ``<X, Y> = E[X Y]``. On a finite space every L^p coincides, so the
-exponent never appears. A partition carries an atom index built once, so
-the conditional expectation and the measurability check of every oracle
-call take a fixed number of numpy calls whatever the number of atoms.
+A conditional risk measure is an oracle mapping position vectors to vectors
+constant on each atom of a partition (checked on every call); the spaces,
+partitions and the conditional expectation live in :mod:`qcx.spaces` and
+are re-exported here. Oracles are row-wise: a stack of positions ``(m, n)``
+is evaluated in one call and gives each row the bits of its own call.
 
 The property checkers sample positions and mixing weights, so a ``Pass`` is
 always "no violation found at this tolerance on these samples" while a
@@ -16,28 +13,33 @@ exact per sampled triple: feasibility of the mixing weight reduces to an
 interval intersection, and infeasibility is certified either by a
 contradictory pair of atom constraints or by a separating nonnegative dual
 vector whose scalarization violates quasiconvexity at the same triple.
+
+The six triple checkers (convexity, quasiconvexity, natural and star
+quasiconvexity here, and the two preorder checks of :mod:`qcx.l2basis`) read
+one :class:`TripleTable`: ``rho`` of every ``X``, ``Y`` and mix, evaluated
+once per triple in stacked chunks, only as far as some checker reads.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (InverseMismatchError, NotGMeasurableError,
-                     NotNormalizedError)
+                     NotNormalizedError, QcxError)
+# re-exported, loaders included: scripts and tests import them from here
+from .spaces import (MEASURABILITY_TOL, FiniteProbSpace, PartitionSigma,
+                     conditional_expectation, load_partition,
+                     load_scenario_table, parse_partition_text)
 
 #: Default tolerance of the sampled checks. Kept at 1e-6 so that every
 #: declared natural-quasiconvexity failure has infeasibility depth above it,
 #: which in turn guarantees a separating dual vector with margin > 1e-6.
 DEFAULT_CHECK_TOL = 1e-6
-
-#: Measurability tolerance applied to every risk-measure output.
-MEASURABILITY_TOL = 1e-9
 
 DEFAULT_LAMBDA_GRID = tuple(k / 8 for k in range(1, 8))
 DEFAULT_SAMPLE_RANGE = (-3.0, 3.0)
@@ -54,160 +56,16 @@ def _vec(x) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# spaces, partitions, conditional expectation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FiniteProbSpace:
-    """Outcome probabilities; all positive, summing to one. ``p`` holds them
-    once more as a read-only array."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        if p.ndim != 1 or len(p) == 0:
-            raise ValueError("probs must be a nonempty vector")
-        if (p <= 0).any():
-            raise ValueError("all outcome probabilities must be positive")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", tuple(float(v) for v in p))
-        object.__setattr__(self, "_p", p)
-
-    @staticmethod
-    def uniform(n: int) -> "FiniteProbSpace":
-        return FiniteProbSpace(tuple([1.0 / n] * n))
-
-    @property
-    def n(self) -> int:
-        return len(self.probs)
-
-    @property
-    def p(self) -> np.ndarray:
-        return self._p
-
-    def expectation(self, x: np.ndarray) -> float:
-        return float(np.dot(self.p, np.asarray(x, dtype=float)))
-
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Probability-weighted inner product ``E[x y]``."""
-        return float(np.dot(self.p, np.asarray(x) * np.asarray(y)))
-
-    def norm(self, x: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(x, x), 0.0))
-
-
-@dataclass(frozen=True)
-class PartitionSigma:
-    """A sub-sigma-algebra given as a partition of outcome indices, with a
-    read-only atom index: ``labels[i]`` is the atom of outcome ``i``;
-    ``_order`` lists the outcomes atom by atom, atom ``j`` from position
-    ``_starts[j]`` on; ``_first[j]`` is the first outcome of atom ``j``."""
-
-    atoms: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        if not self.atoms:
-            raise ValueError("partition needs at least one atom")
-        norm = []
-        for atom in self.atoms:
-            atom = tuple(sorted(int(i) for i in atom))
-            if not atom:
-                raise ValueError("empty atom")
-            if seen & set(atom):
-                raise ValueError("atoms overlap")
-            seen |= set(atom)
-            norm.append(atom)
-        if seen != set(range(len(seen))) or min(seen) != 0:
-            raise ValueError("atoms must cover 0..n-1 exactly")
-        sizes = [len(a) for a in norm]
-        order = np.concatenate(norm).astype(np.intp)
-        starts = np.cumsum([0] + sizes[:-1]).astype(np.intp)
-        labels = np.repeat(np.arange(len(norm)), sizes)[np.argsort(order)]
-        index = {"labels": labels, "_order": order, "_starts": starts,
-                 "_first": order[starts]}
-        for name, value in index.items():
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "atoms", tuple(norm))
-        object.__setattr__(self, "_atom_probs", {})
-
-    @staticmethod
-    def trivial(n: int) -> "PartitionSigma":
-        return PartitionSigma((tuple(range(n)),))
-
-    @staticmethod
-    def of(*atoms: Iterable[int]) -> "PartitionSigma":
-        return PartitionSigma(tuple(tuple(a) for a in atoms))
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def k(self) -> int:
-        return len(self.atoms)
-
-    def atom_probs(self, space: FiniteProbSpace) -> np.ndarray:
-        """Per-atom probabilities (read-only), computed once per space."""
-        probs = self._atom_probs.get(space)
-        if probs is None:
-            p = space.p
-            probs = np.array([p[list(a)].sum() for a in self.atoms])
-            probs.setflags(write=False)
-            self._atom_probs[space] = probs
-        return probs
-
-    def measurability_spread(self, x: np.ndarray) -> tuple[float, int]:
-        """Largest within-atom spread and the first atom where it occurs;
-        ``(0.0, 0)`` when no atom has a positive spread (NaN spreads are
-        ignored)."""
-        xs = np.asarray(x, dtype=float)[self._order]
-        spread = np.fmax(np.maximum.reduceat(xs, self._starts)
-                         - np.minimum.reduceat(xs, self._starts), 0.0)
-        where = int(np.argmax(spread))
-        return (float(spread[where]), where) if spread[where] > 0.0 else (0.0, 0)
-
-    def is_measurable(self, x: np.ndarray, tol: float = MEASURABILITY_TOL) -> bool:
-        return self.measurability_spread(x)[0] <= tol
-
-    def atom_values(self, x: np.ndarray) -> np.ndarray:
-        """One representative value per atom (for measurable vectors)."""
-        return np.asarray(x, dtype=float)[self._first]
-
-    def from_atom_values(self, vals: Sequence[float]) -> np.ndarray:
-        return np.asarray(vals, dtype=float)[self.labels]
-
-    def indicator(self, atom_index: int) -> np.ndarray:
-        return self.event_indicator((atom_index,))
-
-    def event_indicator(self, atom_indices: Iterable[int]) -> np.ndarray:
-        on = np.zeros(self.k)
-        on[list(atom_indices)] = 1.0
-        return on[self.labels]
-
-    def refines(self, other: "PartitionSigma") -> bool:
-        """True when every atom of self sits inside an atom of other."""
-        return all(any(set(a) <= set(b) for b in other.atoms) for a in self.atoms)
-
-
-def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
-                            space: FiniteProbSpace) -> np.ndarray:
-    """Per-atom probability-weighted mean, broadcast back to outcomes."""
-    sums = np.bincount(sigma.labels, space.p * np.asarray(x, dtype=float),
-                       sigma.k)
-    return (sums / sigma.atom_probs(space))[sigma.labels]
-
-
-# ---------------------------------------------------------------------------
 # risk-measure oracles
 # ---------------------------------------------------------------------------
 
 class RiskMeasureOracle:
-    """A map from positions to atom-measurable vectors, checked per call."""
+    """A map from positions to atom-measurable vectors, checked per call.
+
+    ``fn`` must be row-wise on ``(..., n)``: given a stack of positions it
+    returns the stack of their outputs, and each row equals the output of
+    that row alone bit for bit. Every map built in this module complies.
+    """
 
     def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray],
                  sigma: PartitionSigma, space: FiniteProbSpace,
@@ -219,14 +77,24 @@ class RiskMeasureOracle:
         self.claims = claims
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        if y.shape != (self.sigma.n,):
+        """``rho`` of one position ``(n,)`` or of a stack ``(m, n)``.
+
+        Each output row is checked as a single call checks it (no NaN, atom
+        spread within :data:`MEASURABILITY_TOL`), and the first bad row
+        raises what its own call would raise.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(self.fn(x), dtype=float)
+        if y.shape != x.shape[:-1] + (self.sigma.n,):
             raise ValueError(f"{self.name}: output shape {y.shape}")
-        if np.isnan(y).any():
-            raise ValueError(f"{self.name}: output contains NaN")
-        spread, atom = self.sigma.measurability_spread(y)
-        if spread > MEASURABILITY_TOL:
-            raise NotGMeasurableError(atom, spread)
+        if (np.isnan(y).any() or self.sigma.atom_spreads(y).max(initial=0.0)
+                > MEASURABILITY_TOL):
+            for row in y.reshape(-1, self.sigma.n):
+                if np.isnan(row).any():
+                    raise ValueError(f"{self.name}: output contains NaN")
+                spread, atom = self.sigma.measurability_spread(row)
+                if spread > MEASURABILITY_TOL:
+                    raise NotGMeasurableError(atom, spread)
         return y
 
     def atom_values(self, x: np.ndarray) -> np.ndarray:
@@ -310,7 +178,9 @@ def mean_broadcast_map(sigma: PartitionSigma,
                        space: FiniteProbSpace) -> RiskMeasureOracle:
     """``-E[X]`` broadcast to all outcomes: mixes atoms, breaks locality."""
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.full(space.n, -space.expectation(x))
+        # one dot per row: a matrix-vector product rounds differently
+        means = [-space.expectation(row) for row in x.reshape(-1, space.n)]
+        return np.repeat(means, space.n).reshape(x.shape)
 
     return RiskMeasureOracle("mean-broadcast", fn, sigma, space,
                              claims=("monotone", "convex"))
@@ -383,13 +253,116 @@ def sample_triples(space: FiniteProbSpace, rng, count: int,
     """Deterministic (X, Y, lambda) triples for the sampled checks."""
     gen = _rng(rng)
     lo, hi = sample_range
+    grid = [float(lam) for lam in lam_grid]
     out = []
     for _ in range(count):
         x = gen.uniform(lo, hi, space.n)
         y = gen.uniform(lo, hi, space.n)
-        lam = float(gen.choice(np.asarray(lam_grid)))
-        out.append((x, y, lam))
+        out.append((x, y, grid[gen.integers(len(grid))]))
     return out
+
+
+#: Triples per stacked oracle call of a :class:`TripleTable`.
+TRIPLE_CHUNK = 64
+
+
+class TripleTable:
+    """``rho(X)``, ``rho(Y)`` and ``rho(mix)`` of a list of ``(X, Y, lam)``
+    triples, evaluated once and shared by the triple checkers.
+
+    The table fills lazily, :data:`TRIPLE_CHUNK` triples at a time, through
+    one stacked oracle call per chunk with rows in call order ``X_1, Y_1,
+    mix_1, X_2, ...``; the mix is ``lam X + (1 - lam) Y``. When the stacked
+    call raises, the chunk is evaluated row by row: the rows before the
+    first failing one are kept, and reading the triple of that row raises
+    its error, as evaluating the triples one by one would.
+    """
+
+    def __init__(self, rho: RiskMeasureOracle, triples):
+        self.rho = rho
+        self.triples = list(triples)
+        self.lam = np.array([lam for _, _, lam in self.triples], dtype=float)
+        self._risks: list[np.ndarray] = []  # one (c, 3, n) array per chunk
+        self._error: Optional[Exception] = None
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    @property
+    def filled(self) -> int:
+        """The number of triples evaluated so far."""
+        return sum(map(len, self._risks))
+
+    def chunks(self):
+        """Yield ``(start, risks)`` chunk by chunk, evaluating each chunk on
+        first use: ``risks[j]`` holds ``rho(X)``, ``rho(Y)`` and ``rho(mix)``
+        of triple ``start + j``."""
+        for c, start in enumerate(range(0, len(self), TRIPLE_CHUNK)):
+            if c == len(self._risks):
+                self._risks.append(self._evaluate(start))
+            if len(self._risks[c]):
+                yield start, self._risks[c]
+            if self._error is not None and c == len(self._risks) - 1:
+                raise self._error
+
+    def _evaluate(self, start: int) -> np.ndarray:
+        stop = min(start + TRIPLE_CHUNK, len(self))
+        n = self.rho.sigma.n
+        xy = np.array([t[:2] for t in self.triples[start:stop]], dtype=float)
+        lam = self.lam[start:stop, None, None]
+        mix = lam * xy[:, :1] + (1 - lam) * xy[:, 1:]
+        rows = np.concatenate([xy, mix], axis=1).reshape(-1, n)
+        try:
+            return self.rho(rows).reshape(-1, 3, n)
+        except (ValueError, QcxError):
+            done = []
+            for row in rows:
+                try:
+                    done.append(self.rho(row))
+                except (ValueError, QcxError) as e:
+                    self._error = e
+                    break
+            return np.array(done[:len(done) // 3 * 3]).reshape(-1, 3, n)
+
+
+def _triple_table(rho: RiskMeasureOracle, triples) -> TripleTable:
+    """``triples`` as a table of ``rho``: a :class:`TripleTable` of the same
+    oracle is shared as it is, a plain list is wrapped."""
+    if not isinstance(triples, TripleTable):
+        return TripleTable(rho, triples)
+    if triples.rho is not rho:
+        raise ValueError("the triple table was built for another measure")
+    return triples
+
+
+def _excess_check(prop: str, table: TripleTable, chunks, bound: Callable,
+                  tol: float) -> PropertyReport:
+    """Fail at the first triple whose mixed value exceeds
+    ``bound(lam, v_x, v_y)`` by more than ``tol`` in some coordinate,
+    reporting the largest excess; one vectorized pass per chunk.
+
+    ``chunks`` yields ``(start, values)`` as :meth:`TripleTable.chunks`
+    does, ``values[j]`` holding ``v_x``, ``v_y`` and ``v_mix`` of triple
+    ``start + j``.
+    """
+    for start, values in chunks:
+        v_x, v_y, v_mix = values.transpose(1, 0, 2)
+        lam = table.lam[start:start + len(values), None]
+        worst = (v_mix - bound(lam, v_x, v_y)).max(axis=1)
+        bad = np.flatnonzero(worst > tol)
+        if bad.size:
+            i = start + int(bad[0])
+            x, y, lam = table.triples[i]
+            return PropertyReport(
+                prop, CheckVerdict.FAIL,
+                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
+                         "violation": float(worst[bad[0]])},
+                samples=i + 1, tol=tol)
+    return PropertyReport(prop, CheckVerdict.PASS, samples=len(table), tol=tol)
+
+
+def _jensen_bound(lam, v_x, v_y):
+    return lam * v_x + (1 - lam) * v_y
 
 
 def _atom_events(k: int) -> list[tuple[int, ...]]:
@@ -513,19 +486,9 @@ def check_convexity(rho: RiskMeasureOracle, budget: int = 200,
     """Componentwise Jensen inequality over sampled triples."""
     if triples is None:
         triples = sample_triples(rho.space, rng, budget)
-    for i, (x, y, lam) in enumerate(triples, 1):
-        rx, ry = rho(x), rho(y)
-        rm = rho(lam * x + (1 - lam) * y)
-        viol = rm - (lam * rx + (1 - lam) * ry)
-        worst = float(np.max(viol))
-        if worst > tol:
-            return PropertyReport(
-                "convexity", CheckVerdict.FAIL,
-                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
-                         "violation": worst},
-                samples=i, tol=tol)
-    return PropertyReport("convexity", CheckVerdict.PASS,
-                          samples=len(triples), tol=tol)
+    table = _triple_table(rho, triples)
+    return _excess_check("convexity", table, table.chunks(), _jensen_bound,
+                         tol)
 
 
 def check_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
@@ -534,19 +497,9 @@ def check_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
     """Componentwise max inequality over sampled triples."""
     if triples is None:
         triples = sample_triples(rho.space, rng, budget)
-    for i, (x, y, lam) in enumerate(triples, 1):
-        rx, ry = rho(x), rho(y)
-        rm = rho(lam * x + (1 - lam) * y)
-        viol = rm - np.maximum(rx, ry)
-        worst = float(np.max(viol))
-        if worst > tol:
-            return PropertyReport(
-                "quasiconvexity", CheckVerdict.FAIL,
-                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
-                         "violation": worst},
-                samples=i, tol=tol)
-    return PropertyReport("quasiconvexity", CheckVerdict.PASS,
-                          samples=len(triples), tol=tol)
+    table = _triple_table(rho, triples)
+    return _excess_check("quasiconvexity", table, table.chunks(),
+                         lambda lam, v_x, v_y: np.maximum(v_x, v_y), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +623,13 @@ def separating_dual_witness(r_x, r_y, r_mix, atom_probs,
     return (best, margin) if margin > 0.0 else None
 
 
+def _each_triple(chunks):
+    """``(i, values)`` per triple of :meth:`TripleTable.chunks`, ``i``
+    counted from 1."""
+    for start, values in chunks:
+        yield from enumerate(values, start + 1)
+
+
 def check_natural_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
                                  tol: float = DEFAULT_CHECK_TOL, rng=0,
                                  triples=None) -> PropertyReport:
@@ -681,13 +641,13 @@ def check_natural_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
     """
     if triples is None:
         triples = sample_triples(rho.space, rng, budget)
+    table = _triple_table(rho, triples)
     atom_probs = rho.sigma.atom_probs(rho.space)
-    for i, (x, y, lam) in enumerate(triples, 1):
-        r_x = rho.atom_values(x)
-        r_y = rho.atom_values(y)
-        r_mix = rho.atom_values(lam * x + (1 - lam) * y)
+    for i, risks in _each_triple(table.chunks()):
+        r_x, r_y, r_mix = rho.sigma.atom_values(risks)
         certificate = _mu_feasibility(r_x, r_y, r_mix, tol)[1]
         if certificate is not None:
+            x, y, lam = table.triples[i - 1]
             witness = {
                 "x": _vec(x), "y": _vec(y), "lam": lam,
                 "r_x": _vec(r_x), "r_y": _vec(r_y), "r_mix": _vec(r_mix),
@@ -701,7 +661,7 @@ def check_natural_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
             return PropertyReport("natural-quasiconvexity", CheckVerdict.FAIL,
                                   witness=witness, samples=i, tol=tol)
     return PropertyReport("natural-quasiconvexity", CheckVerdict.PASS,
-                          samples=len(triples), tol=tol)
+                          samples=len(table), tol=tol)
 
 
 def check_star_quasiconvexity(rho: RiskMeasureOracle,
@@ -718,6 +678,7 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle,
     """
     if triples is None:
         triples = sample_triples(rho.space, rng, budget_xy)
+    table = _triple_table(rho, triples)
     atom_probs = rho.sigma.atom_probs(rho.space)
     k = rho.sigma.k
     if k <= 3:
@@ -726,10 +687,8 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle,
         raw = np.vstack([np.eye(k), _rng(rng).dirichlet(np.ones(k), size=budget_z)])
     z_set = raw / np.maximum(raw @ atom_probs, 1e-300)[:, None]
     weighted_set = z_set * atom_probs
-    for i, (x, y, lam) in enumerate(triples, 1):
-        r_x = rho.atom_values(x)
-        r_y = rho.atom_values(y)
-        r_mix = rho.atom_values(lam * x + (1 - lam) * y)
+    for i, risks in _each_triple(table.chunks()):
+        r_x, r_y, r_mix = rho.sigma.atom_values(risks)
         kinks = _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs)
         zs = np.vstack([z_set, kinks])
         weighted = np.vstack([weighted_set, kinks * atom_probs])
@@ -739,6 +698,7 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle,
         viol = s_mix - np.maximum(s_x, s_y) - tol
         j = int(np.argmax(viol))
         if viol[j] > 0:
+            x, y, lam = table.triples[i - 1]
             return PropertyReport(
                 "star-quasiconvexity", CheckVerdict.FAIL,
                 witness={"z": _vec(zs[j]), "x": _vec(x), "y": _vec(y),
@@ -746,7 +706,7 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle,
                 samples=i, tol=tol,
                 details={"dual_samples": len(zs)})
     return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
-                          samples=len(triples), tol=tol,
+                          samples=len(table), tol=tol,
                           details={"dual_samples": len(z_set)})
 
 
@@ -838,53 +798,3 @@ def check_assumption_nonconstant(rho: RiskMeasureOracle, budget: int = 16,
                 witness={"atom": ai}, samples=checked, tol=tol)
     return PropertyReport("assumption-nonconstant", CheckVerdict.PASS,
                           samples=checked, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# scenario and partition files
-# ---------------------------------------------------------------------------
-
-def load_scenario_table(path) -> tuple[FiniteProbSpace, list[str]]:
-    """One outcome per row: probability, then an optional label."""
-    probs: list[float] = []
-    labels: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            probs.append(float(parts[0]))
-            labels.append(parts[1] if len(parts) > 1 else f"w{len(probs)}")
-    return FiniteProbSpace(tuple(probs)), labels
-
-
-def _parse_index_list(text: str) -> list[int]:
-    """1-based indices and ranges: ``1 2 5-7`` -> [0, 1, 4, 5, 6]."""
-    out: list[int] = []
-    for tok in text.replace(",", " ").split():
-        if "-" in tok:
-            a, b = tok.split("-", 1)
-            out.extend(range(int(a) - 1, int(b)))
-        else:
-            out.append(int(tok) - 1)
-    return out
-
-
-def load_partition(path) -> PartitionSigma:
-    """One atom per row, as 1-based outcome indices or ranges."""
-    atoms: list[tuple[int, ...]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            atoms.append(tuple(_parse_index_list(line)))
-    return PartitionSigma(tuple(atoms))
-
-
-def parse_partition_text(text: str) -> PartitionSigma:
-    """Semicolon-separated atoms of 1-based indices: ``1-4; 5-7; 8-10``."""
-    atoms = [tuple(_parse_index_list(part))
-             for part in text.split(";") if part.strip()]
-    return PartitionSigma(tuple(atoms))

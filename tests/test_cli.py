@@ -356,3 +356,88 @@ class TestDeterminismAndErrors:
             assert reports[0]["threads"] == 1 and reports[1]["threads"] == 3
             assert section in reports[0]["results"]
             assert reports[0]["results"] == reports[1]["results"], command
+
+    @pytest.mark.parametrize("value", ["0", "9", "x"])
+    def test_blind_spot_atom_out_of_range(self, tmp_path, capsys, value):
+        """``ignored_atom`` is a 1-based atom number, 1..k."""
+        text = Path(write_config(tmp_path, measure="blind_spot")).read_text()
+        cfg = tmp_path / "b.ini"
+        cfg.write_text(text.replace("kind = blind_spot",
+                                    f"kind = blind_spot\nignored_atom = {value}"))
+        assert run(["risk-check", "--config", str(cfg)]) == 64
+        assert "ignored_atom" in capsys.readouterr().err
+
+    def test_blind_spot_atom_in_range(self, tmp_path):
+        text = Path(write_config(tmp_path, measure="blind_spot")).read_text()
+        cfg = tmp_path / "b.ini"
+        cfg.write_text(text.replace("kind = blind_spot",
+                                    "kind = blind_spot\nignored_atom = 3"))
+        out = tmp_path / "r.json"
+        assert run(["risk-check", "--config", str(cfg), "--out", str(out)]) == 2
+        res = json.loads(out.read_text())["results"]
+        assert res["measure"] == "blind-spot[2]"
+        assert res["properties"]["sensitivity"]["witness"]["event"] == [7]
+
+    @pytest.mark.parametrize("command,section,changes", [
+        ("risk-check", "risk-check", {"tol": "abc"}),
+        ("risk-check", "space", {"uniform": "ten"}),
+        ("risk-check", "space", {"uniform": None, "probs": "0.5 half"}),
+        ("index", "index", {"lambda_cap": "1e4x"}),
+        ("index", "index", {"tol": ""}),
+        ("sum-check", "sum-check", {"tol": "abc"}),
+        ("sum-check", "sum-check", {"lambda_cap": "big"}),
+        ("sum-check", "sum-check", {"pair_budget": "1e6"}),
+        ("sum-check", "sum-check", {"brute_grid": "41 x"}),
+        ("index", "function l", {"weight": "heavy"}),
+        ("index", "function s", {"a": "abc"}),
+        ("index", "function s", {"domain": "1 four"}),
+        ("index", "function s", {"domain": "1 2 3"}),
+        ("index", "function s", {"grid": "31.5"}),
+        ("index", "function s", {"family": "piecewise", "ys": "0 1 4",
+                                 "xs": "0 1 x"}),
+        ("index", "function s", {"family": "piecewise", "xs": "0 1 2",
+                                 "ys": "0 1 oops"}),
+    ])
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, command,
+                                              section, changes):
+        """A value that does not parse exits 64 and names its key (the
+        last one changed)."""
+        cp = load_config(write_config(tmp_path))
+        for key, value in changes.items():
+            if value is None:
+                cp.remove_option(section, key)
+            else:
+                cp.set(section, key, value)
+        cfg = tmp_path / "bad.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        argv = [command, "--config", str(cfg)]
+        assert run(argv + (["--brute"] if command == "sum-check" else [])) == 64
+        key = list(changes)[-1]
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path)
+        assert run(["index", "--config", cfg, "--threads", threads]) == 64
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_clamped_to_cores(self, tmp_path, monkeypatch):
+        """The command gets at most ``os.cpu_count()`` threads; the stub
+        command starts none."""
+        import qcx.cli as cli
+        seen = []
+
+        def fake_index(cp, seed, threads, csv_path):
+            seen.append(threads)
+            return {"functions": {}}
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "cmd_index", fake_index)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.json"
+        assert run(["index", "--config", cfg, "--threads", "64",
+                    "--out", str(out)]) == 0
+        assert run(["index", "--config", cfg, "--threads", "1"]) == 0
+        assert seen == [2, 1]
+        assert json.loads(out.read_text())["threads"] == 64

@@ -1,0 +1,385 @@
+"""The triple table against the per-triple loops it replaced.
+
+The ``ref_*`` checkers are the earlier implementations of the six triple
+checkers: one Python iteration per triple, calling ``rho`` on ``X``, ``Y``
+and the mix each time. They live here only as oracles. On random spaces and
+shuffled partitions (2-12 atoms of 1-4 outcomes, random probabilities) and
+for every built-in measure, the table-based checkers must give the loops'
+reports, compared by ``repr`` so that float bits count, both when a check
+passes and when it fails early (the two preorder checks up to 4 atoms, as
+their e-coordinates cost an inner product per atom and output). A stacked oracle call must give the bits of
+the row-by-row calls, and a bad row must raise what its own call raises.
+"""
+
+import numpy as np
+import pytest
+
+from qcx.errors import NotGMeasurableError
+from qcx.l2basis import (blocks_from_generators, check_basis_locality,
+                         check_convexity_wrt_preorder, check_nqc_wrt_preorder)
+from qcx.riskmeasure import (DEFAULT_CHECK_TOL, TRIPLE_CHUNK, CheckVerdict,
+                             FiniteProbSpace, PartitionSigma, PropertyReport,
+                             RiskMeasureOracle, TripleTable, _dual_candidates,
+                             _mu_feasibility, _rng, _simplex_grid, _vec,
+                             blind_spot_map, certainty_equivalent,
+                             check_convexity, check_natural_quasiconvexity,
+                             check_quasiconvexity, check_star_quasiconvexity,
+                             conditional_expectation,
+                             conditional_expectation_map, cubed_mean_map,
+                             entropic_certainty_equivalent, mean_broadcast_map,
+                             neg_conditional_expectation, sample_triples,
+                             separating_dual_witness, sqrt_log_map)
+
+TRIPLES = 70  # two chunks
+TOL = DEFAULT_CHECK_TOL
+
+
+# ---------------------------------------------------------------------------
+# the per-triple loops
+# ---------------------------------------------------------------------------
+
+def ref_convexity(rho, triples, tol=TOL):
+    for i, (x, y, lam) in enumerate(triples, 1):
+        rx, ry = rho(x), rho(y)
+        rm = rho(lam * x + (1 - lam) * y)
+        worst = float(np.max(rm - (lam * rx + (1 - lam) * ry)))
+        if worst > tol:
+            return PropertyReport(
+                "convexity", CheckVerdict.FAIL,
+                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
+                         "violation": worst},
+                samples=i, tol=tol)
+    return PropertyReport("convexity", CheckVerdict.PASS,
+                          samples=len(triples), tol=tol)
+
+
+def ref_quasiconvexity(rho, triples, tol=TOL):
+    for i, (x, y, lam) in enumerate(triples, 1):
+        rx, ry = rho(x), rho(y)
+        rm = rho(lam * x + (1 - lam) * y)
+        worst = float(np.max(rm - np.maximum(rx, ry)))
+        if worst > tol:
+            return PropertyReport(
+                "quasiconvexity", CheckVerdict.FAIL,
+                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
+                         "violation": worst},
+                samples=i, tol=tol)
+    return PropertyReport("quasiconvexity", CheckVerdict.PASS,
+                          samples=len(triples), tol=tol)
+
+
+def ref_nqc(rho, triples, tol=TOL):
+    atom_probs = rho.sigma.atom_probs(rho.space)
+    for i, (x, y, lam) in enumerate(triples, 1):
+        r_x = rho.atom_values(x)
+        r_y = rho.atom_values(y)
+        r_mix = rho.atom_values(lam * x + (1 - lam) * y)
+        certificate = _mu_feasibility(r_x, r_y, r_mix, tol)[1]
+        if certificate is not None:
+            witness = {
+                "x": _vec(x), "y": _vec(y), "lam": lam,
+                "r_x": _vec(r_x), "r_y": _vec(r_y), "r_mix": _vec(r_mix),
+                "certificate": certificate,
+            }
+            found = separating_dual_witness(r_x, r_y, r_mix, atom_probs, tol)
+            if found is not None:
+                z, m = found
+                witness["separating_dual"] = _vec(z)
+                witness["separating_margin"] = m
+            return PropertyReport("natural-quasiconvexity", CheckVerdict.FAIL,
+                                  witness=witness, samples=i, tol=tol)
+    return PropertyReport("natural-quasiconvexity", CheckVerdict.PASS,
+                          samples=len(triples), tol=tol)
+
+
+def ref_star(rho, triples, tol=TOL, rng=0, budget_z=512):
+    atom_probs = rho.sigma.atom_probs(rho.space)
+    k = rho.sigma.k
+    if k <= 3:
+        raw = _simplex_grid(k, 51)
+    else:
+        raw = np.vstack([np.eye(k), _rng(rng).dirichlet(np.ones(k), size=budget_z)])
+    z_set = raw / np.maximum(raw @ atom_probs, 1e-300)[:, None]
+    weighted_set = z_set * atom_probs
+    for i, (x, y, lam) in enumerate(triples, 1):
+        r_x = rho.atom_values(x)
+        r_y = rho.atom_values(y)
+        r_mix = rho.atom_values(lam * x + (1 - lam) * y)
+        kinks = _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs)
+        zs = np.vstack([z_set, kinks])
+        weighted = np.vstack([weighted_set, kinks * atom_probs])
+        viol = weighted @ r_mix - np.maximum(weighted @ r_x, weighted @ r_y) - tol
+        j = int(np.argmax(viol))
+        if viol[j] > 0:
+            return PropertyReport(
+                "star-quasiconvexity", CheckVerdict.FAIL,
+                witness={"z": _vec(zs[j]), "x": _vec(x), "y": _vec(y),
+                         "lam": lam, "violation": float(viol[j] + tol)},
+                samples=i, tol=tol, details={"dual_samples": len(zs)})
+    return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
+                          samples=len(triples), tol=tol,
+                          details={"dual_samples": len(z_set)})
+
+
+def ref_convexity_wrt_preorder(rho, block, triples, tol=TOL):
+    for i, (x, y, lam) in enumerate(triples, 1):
+        ex = block.e_coordinates(rho(x))
+        ey = block.e_coordinates(rho(y))
+        em = block.e_coordinates(rho(lam * x + (1 - lam) * y))
+        worst = float(np.max(em - (lam * ex + (1 - lam) * ey)))
+        if worst > tol:
+            return PropertyReport(
+                "convexity-wrt-preorder", CheckVerdict.FAIL,
+                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
+                         "violation": worst},
+                samples=i, tol=tol)
+    return PropertyReport("convexity-wrt-preorder", CheckVerdict.PASS,
+                          samples=len(triples), tol=tol)
+
+
+def ref_nqc_wrt_preorder(rho, block, triples, tol=TOL, rng=0,
+                         locality_budget=24):
+    for i, (x, y, lam) in enumerate(triples, 1):
+        ex = block.e_coordinates(rho(x))
+        ey = block.e_coordinates(rho(y))
+        em = block.e_coordinates(rho(lam * x + (1 - lam) * y))
+        certificate = _mu_feasibility(ex, ey, em, tol)[1]
+        if certificate is not None:
+            return PropertyReport(
+                "nqc-wrt-preorder", CheckVerdict.FAIL,
+                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
+                         "e_x": _vec(ex), "e_y": _vec(ey), "e_mix": _vec(em),
+                         "certificate": certificate},
+                samples=i, tol=tol)
+    conv = ref_convexity_wrt_preorder(rho, block, triples, tol)
+    normalized = bool(np.max(np.abs(rho(np.zeros(block.space.n)))) <= 1e-9)
+    loc = check_basis_locality(rho, block, budget=locality_budget, tol=tol,
+                               rng=rng)
+    hypotheses = normalized and loc.passed
+    return PropertyReport(
+        "nqc-wrt-preorder", CheckVerdict.PASS, samples=len(triples), tol=tol,
+        details={
+            "convexity_wrt_preorder": conv.verdict.value,
+            "normalized": normalized,
+            "basis_local": loc.passed,
+            "implication_holds": (not hypotheses) or conv.passed,
+        })
+
+
+# ---------------------------------------------------------------------------
+# random cases
+# ---------------------------------------------------------------------------
+
+def random_case(k, seed):
+    """A random space and a shuffled partition of k atoms of 1-4 outcomes."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, k)
+    outcomes = rng.permutation(int(sizes.sum()))
+    atoms = np.split(outcomes, np.cumsum(sizes)[:-1])
+    raw = rng.uniform(0.5, 2.0, len(outcomes))
+    space = FiniteProbSpace(tuple(raw / raw.sum()))
+    return space, PartitionSigma(tuple(tuple(a) for a in atoms)), rng
+
+
+def measures(space, sigma, rng):
+    """Every built-in measure on the case, by name."""
+    coarse = PartitionSigma(tuple(sum(sigma.atoms[i:i + 2], ())
+                                  for i in range(0, sigma.k, 2)))
+    return {
+        "neg-cond-exp": neg_conditional_expectation(sigma, space),
+        "entropic": entropic_certainty_equivalent(sigma, space),
+        "identity-ce": certainty_equivalent(lambda t: t, lambda t: t,
+                                            sigma, space),
+        "cubed-mean": cubed_mean_map(sigma, space),
+        "sqrt-log": sqrt_log_map(sigma, space),
+        "mean-broadcast": mean_broadcast_map(sigma, space),
+        "blind-spot": blind_spot_map(sigma, space,
+                                     int(rng.integers(sigma.k))),
+        "cond-exp-coarse": conditional_expectation_map(
+            coarse, space, declared_sigma=sigma, negate=bool(sigma.k % 2)),
+    }
+
+
+def indicator_block(space, sigma):
+    """Cells = atoms, e-blocks = atom indicators, beta-blocks completed."""
+    return blocks_from_generators(
+        space, sigma.atoms, [[sigma.indicator(a)] for a in range(sigma.k)],
+        [[] for _ in range(sigma.k)], complete=True)
+
+
+def triple_lists(space, rng):
+    """Sampled triples, and the same after 70 triples with ``X == Y`` (no
+    check can fail there), so that a first failure lands in chunk two."""
+    triples = sample_triples(space, rng, TRIPLES)
+    flat = [(x, x.copy(), lam) for x, _, lam in sample_triples(space, rng, 70)]
+    return {"sampled": triples, "late": flat + triples[:30]}
+
+
+CASES = [(k, 500 + k) for k in (2, 3, 4, 6, 8, 10, 12)]
+
+
+@pytest.mark.parametrize("k,seed", CASES)
+def test_checkers_match_the_loops(k, seed):
+    space, sigma, rng = random_case(k, seed)
+    block = indicator_block(space, sigma)
+    verdicts = set()
+    for name, rho in measures(space, sigma, rng).items():
+        for kind, triples in triple_lists(space, rng).items():
+            table = TripleTable(rho, triples)
+            pairs = [
+                (check_convexity(rho, triples=table),
+                 ref_convexity(rho, triples)),
+                (check_quasiconvexity(rho, triples=table),
+                 ref_quasiconvexity(rho, triples)),
+                (check_natural_quasiconvexity(rho, triples=table),
+                 ref_nqc(rho, triples)),
+                (check_star_quasiconvexity(rho, triples=table, rng=seed),
+                 ref_star(rho, triples, rng=seed)),
+            ]
+            if k <= 4:  # the e-coordinates cost k inner products per output
+                pairs += [
+                    (check_nqc_wrt_preorder(rho, block, triples=triples,
+                                            rng=seed),
+                     ref_nqc_wrt_preorder(rho, block, triples, rng=seed)),
+                    (check_convexity_wrt_preorder(rho, block, triples=table),
+                     ref_convexity_wrt_preorder(rho, block, triples)),
+                ]
+            for new, old in pairs:
+                assert repr(new) == repr(old), (name, kind, new.prop)
+                verdicts.add((new.verdict, kind, new.samples > TRIPLE_CHUNK))
+    # both verdicts are exercised, and failures beyond the first chunk too
+    assert (CheckVerdict.PASS, "sampled", True) in verdicts
+    assert (CheckVerdict.FAIL, "sampled", False) in verdicts
+    assert (CheckVerdict.FAIL, "late", True) in verdicts
+
+
+@pytest.mark.parametrize("k,seed", CASES)
+def test_stacked_call_matches_row_calls(k, seed):
+    space, sigma, rng = random_case(k, seed)
+    rows = np.vstack([rng.uniform(-3, 3, (9, sigma.n)),
+                      rng.uniform(-40, 40, (2, sigma.n)),
+                      np.zeros((1, sigma.n))])
+    for name, rho in measures(space, sigma, rng).items():
+        stacked = rho(rows)
+        single = np.array([rho(row) for row in rows])
+        assert stacked.shape == rows.shape
+        assert stacked.tobytes() == single.tobytes(), name
+        assert rho(rows[:0]).shape == (0, sigma.n)
+
+
+def _marked_measure(sigma, space):
+    """``-E[X|G]``, except that a row whose first outcome exceeds 100
+    returns itself (not measurable), and beyond 1000 with a NaN first."""
+    first = np.arange(sigma.n) == 0
+
+    def fn(x):
+        out = -conditional_expectation(x, sigma, space)
+        mark = x[..., :1]
+        return np.where(mark > 100, np.where(first & (mark > 1000), np.nan, x),
+                        out)
+
+    return RiskMeasureOracle("marked", fn, sigma, space)
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as e:  # the error itself is the result
+        return type(e), str(e), vars(e)
+    return None
+
+
+def test_first_bad_row_raises_its_own_error():
+    space, sigma, rng = random_case(5, 7)
+    rho = _marked_measure(sigma, space)
+    rows = rng.uniform(-3, 3, (6, sigma.n))
+    rows[2, 0], rows[3, 0], rows[4, 0] = 500.0, 200.0, 5000.0
+    for stop in (3, 4, 5, 6):
+        expected = _raised(lambda: rho(rows[2]))
+        assert expected[0] is NotGMeasurableError
+        assert _raised(lambda: rho(rows[:stop])) == expected
+    rows[2, 0] = 5000.0  # NaN in a row that is not measurable either
+    assert rho.sigma.measurability_spread(np.nan_to_num(rho.fn(rows[2])))[0] > 1
+    assert _raised(lambda: rho(rows)) == _raised(lambda: rho(rows[2]))
+    assert _raised(lambda: rho(rows))[0] is ValueError
+    assert _raised(lambda: rho(rows[:2])) is None
+
+
+def test_bad_triple_raises_when_read():
+    """Reading up to the bad triple works; reading it raises what the
+    per-triple calls raise, for every checker that reads it."""
+    space, sigma, _ = random_case(6, 11)
+    rho = cubed_mean_map(sigma, space)
+    marked = _marked_measure(sigma, space)
+    triples = sample_triples(space, 3, 150)
+    x, y, lam = triples[100]
+    triples[100] = (x, np.concatenate([[300.0], y[1:]]), lam)
+    bad = RiskMeasureOracle("marked-cubed", lambda v: np.where(
+        v[..., :1] > 100, v, rho.fn(v)), sigma, space)
+    table = TripleTable(bad, triples)
+    # convexity fails well before triple 101 and does not see it
+    assert repr(check_convexity(bad, triples=table)) == repr(
+        ref_convexity(bad, triples))
+    expected = _raised(lambda: ref_quasiconvexity(bad, triples))
+    assert expected[0] is NotGMeasurableError
+    assert _raised(lambda: check_quasiconvexity(bad, triples=table)) == expected
+    assert table.filled == 100
+    # star fails before triple 101, from the partly filled table
+    assert repr(check_star_quasiconvexity(bad, triples=table)) == repr(
+        ref_star(bad, triples))
+    # a measure that is bad on every X is bad at the first row
+    assert _raised(lambda: check_convexity(marked, triples=[
+        (np.full(sigma.n, 2000.0), y, lam)]))[0] is ValueError
+
+
+def test_early_failure_evaluates_one_chunk():
+    space, sigma, _ = random_case(4, 3)
+    calls = []
+
+    def fn(x):
+        calls.append(x.size // sigma.n)
+        return cubed_mean_map(sigma, space).fn(x)
+
+    rho = RiskMeasureOracle("counted", fn, sigma, space)
+    rng = np.random.default_rng(0)
+    flat = [(x, x.copy(), 0.5) for x, _, _ in sample_triples(space, rng, 2)]
+    bad = next(t for t in sample_triples(space, rng, 50)
+               if ref_convexity(rho, [t]).failed)
+    triples = flat + [bad] + sample_triples(space, rng, 300)
+    calls.clear()
+    table = TripleTable(rho, triples)
+    rep = check_convexity(rho, triples=table)
+    assert rep.failed and rep.samples == 3
+    assert calls == [3 * TRIPLE_CHUNK] and table.filled == TRIPLE_CHUNK
+    assert check_natural_quasiconvexity(rho, triples=table).samples <= 3
+    assert calls == [3 * TRIPLE_CHUNK]
+
+
+def test_table_of_another_measure_is_refused():
+    space, sigma, _ = random_case(3, 1)
+    triples = sample_triples(space, 0, 5)
+    table = TripleTable(cubed_mean_map(sigma, space), triples)
+    with pytest.raises(ValueError, match="another measure"):
+        check_convexity(neg_conditional_expectation(sigma, space),
+                        triples=table)
+
+
+def ref_sample_triples(space, rng, count, lam_grid):
+    gen = np.random.default_rng(rng)
+    out = []
+    for _ in range(count):
+        x = gen.uniform(-3.0, 3.0, space.n)
+        y = gen.uniform(-3.0, 3.0, space.n)
+        out.append((x, y, float(gen.choice(np.asarray(lam_grid)))))
+    return out
+
+
+@pytest.mark.parametrize("lam_grid", [(0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
+                                       0.875), [0.3], np.linspace(0, 1, 11)])
+def test_lambda_draw_keeps_the_stream(lam_grid):
+    space = FiniteProbSpace.uniform(7)
+    for seed in range(10):
+        new = sample_triples(space, seed, 60, lam_grid=lam_grid)
+        old = ref_sample_triples(space, seed, 60, lam_grid)
+        assert repr(new) == repr(old)
+        assert all(type(lam) is float for _, _, lam in new)
