@@ -171,16 +171,18 @@ def _get(cp, section: str, key: str, default=None, required: bool = False):
     return cp.get(section, key)
 
 
-def _get_count(cp, section: str, key: str, default: Optional[str]) -> int:
-    """A positive integer: a sample budget (zero checks prove nothing), a
-    size or a 1-based number."""
+def _get_count(cp, section: str, key: str, default: Optional[str],
+               minimum: int = 1) -> int:
+    """An integer of at least ``minimum``: a sample budget (zero checks
+    prove nothing), a size or a 1-based number."""
     text = _get(cp, section, key, default=default)
     try:
         value = int(text)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key} is not an integer") from e
-    if value < 1:
-        raise ConfigError(f"[{section}] {key} must be at least 1, got {value}")
+    if value < minimum:
+        raise ConfigError(f"[{section}] {key} must be at least {minimum}, "
+                          f"got {value}")
     return value
 
 
@@ -189,6 +191,14 @@ def _get_float(cp, section: str, key: str,
     """One number, or ``None`` when the key is absent and has no default."""
     values = _get_numbers(cp, section, key, float, default, count=1)
     return None if values is None else values[0]
+
+
+def _get_positive(cp, section: str, key: str, default: str) -> float:
+    """A number above zero: a tolerance or a lambda cap."""
+    value = _get_float(cp, section, key, default=default)
+    if not value > 0:
+        raise ConfigError(f"[{section}] {key} must be positive, got {value}")
+    return value
 
 
 def _get_numbers(cp, section: str, key: str, cast=float,
@@ -215,7 +225,10 @@ def build_space(cp) -> FiniteProbSpace:
         return FiniteProbSpace.uniform(_get_count(cp, "space", "uniform", None))
     probs = _get_numbers(cp, "space", "probs")
     if probs is not None:
-        return FiniteProbSpace(tuple(probs))
+        try:
+            return FiniteProbSpace(tuple(probs))
+        except ValueError as e:
+            raise ConfigError(f"[space] probs: {e}") from e
     path = _get(cp, "space", "file")
     if path is not None:
         try:
@@ -265,9 +278,11 @@ def build_function(cp, name: str) -> tuple[FunctionSpec, BoxDomain]:
         raise ConfigError(f"[{section}]: {e}") from e
     f.name = name
     lo, hi = _get_numbers(cp, section, "domain", count=2, required=True)
-    grid = _get_count(cp, section, "grid", "129")
-    box = BoxDomain.of(lo, hi, grid)
-    return f, box
+    grid = _get_count(cp, section, "grid", "129", minimum=3)
+    try:
+        return f, BoxDomain.of(lo, hi, grid)
+    except ValueError as e:
+        raise ConfigError(f"[{section}] domain: {e}") from e
 
 
 MEASURE_KINDS = ("neg_cond_exp", "entropic", "certainty_equivalent",
@@ -330,8 +345,8 @@ def _dispatch_measure(cp, section: str, kind: str, sigma: PartitionSigma,
 def cmd_index(cp, seed: int, threads: int, csv_path: Optional[str]) -> dict:
     names_text = _get(cp, "index", "function", required=True)
     names = names_text.split()
-    lambda_cap = _get_float(cp, "index", "lambda_cap", default="1e4")
-    tol = _get_float(cp, "index", "tol", default="1e-4")
+    lambda_cap = _get_positive(cp, "index", "lambda_cap", "1e4")
+    tol = _get_positive(cp, "index", "tol", "1e-4")
     results = {}
     sweeps = []
     for name in names:
@@ -357,8 +372,8 @@ def cmd_sum_check(cp, seed: int, threads: int, brute: bool,
     names = names_text.split()
     if len(names) < 2:
         raise ConfigError("[sum-check] needs at least two functions")
-    lambda_cap = _get_float(cp, "sum-check", "lambda_cap", default="1e4")
-    tol = _get_float(cp, "sum-check", "tol", default="1e-4")
+    lambda_cap = _get_positive(cp, "sum-check", "lambda_cap", "1e4")
+    tol = _get_positive(cp, "sum-check", "tol", "1e-4")
     coords = [build_function(cp, n) for n in names]
     dsum = DecomposableSum(tuple(coords))
     indices = dsum.indices(lambda_cap=lambda_cap, tol=tol, threads=threads)
@@ -420,7 +435,7 @@ def cmd_risk_check(cp, seed: int, threads: int) -> dict:
     props_text = _get(cp, "risk-check", "properties",
                       default=" ".join(PROPERTY_CHECKS))
     budget = _get_count(cp, "risk-check", "budget", "200")
-    tol = _get_float(cp, "risk-check", "tol", default="1e-6")
+    tol = _get_positive(cp, "risk-check", "tol", "1e-6")
     # one table: the four triple checks evaluate each triple once
     triples = TripleTable(rho, sample_triples(
         space, np.random.default_rng([seed, 1]), budget))

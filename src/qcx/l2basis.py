@@ -23,8 +23,8 @@ import numpy as np
 from .errors import AssumptionViolatedError, RankDeficientError
 from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, PropertyReport,
                           RiskMeasureOracle, _each_triple, _excess_check,
-                          _jensen_bound, _mu_feasibility, _rng, _triple_table,
-                          _vec, sample_triples)
+                          _first_failure, _jensen_bound, _mu_feasibility, _rng,
+                          _stacked, _triple_table, _vec, sample_triples)
 from .spaces import (FiniteProbSpace, PartitionSigma, conditional_expectation,
                      parse_partition_text)
 
@@ -252,30 +252,34 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
     For each sampled position, each cell i and each e-vector e^i_k, the
     coordinate ``<rho(X), e^i_k>`` must be unchanged when X is replaced by
     its projection onto the cell (e-part plus beta-part). ``samples`` counts
-    the e-vector comparisons made.
+    the e-vector comparisons made. Each position and its cell projections
+    are one stacked call.
     """
     gen = _rng(rng)
-    n_cells = block.k
-    rounds = max(1, budget // max(1, n_cells))
-    checked = 0
-    for _ in range(rounds):
+    inner = block.space.inner
+    rounds = max(1, budget // max(1, block.k))
+    # the comparisons of one round, in order: (cell, e_index, e-vector)
+    comparisons = [(ci, ki, e) for ci, eb in enumerate(block.e_blocks)
+                   for ki, e in enumerate(eb)]
+    for r in range(rounds):
         x = gen.uniform(-3.0, 3.0, block.space.n)
-        rx = rho(x)
-        for ci in range(n_cells):
-            arg = block.cell_projection_argument(x, ci)
-            r_arg = rho(arg)
-            for ki, e in enumerate(block.e_blocks[ci]):
-                checked += 1
-                lhs = block.space.inner(rx, e)
-                rhs = block.space.inner(r_arg, e)
-                if abs(lhs - rhs) > tol:
-                    return PropertyReport(
-                        "basis-locality", CheckVerdict.FAIL,
-                        witness={"x": _vec(x), "cell": ci, "e_index": ki,
-                                 "violation": float(abs(lhs - rhs))},
-                        samples=checked, tol=tol)
-    return PropertyReport("basis-locality", CheckVerdict.PASS, samples=checked,
-                          tol=tol)
+        out, error = _stacked(rho, np.array(
+            [x] + [block.cell_projection_argument(x, ci)
+                   for ci in range(block.k)]))
+        if not len(out):
+            raise error
+        gaps = np.array([abs(inner(out[0], e) - inner(out[1 + ci], e))
+                         for ci, _, e in comparisons if ci < len(out) - 1])
+        j = _first_failure(gaps > tol, error)
+        if j is not None:
+            ci, ki, _ = comparisons[j]
+            return PropertyReport(
+                "basis-locality", CheckVerdict.FAIL,
+                witness={"x": _vec(x), "cell": ci, "e_index": ki,
+                         "violation": float(gaps[j])},
+                samples=r * len(comparisons) + j + 1, tol=tol)
+    return PropertyReport("basis-locality", CheckVerdict.PASS,
+                          samples=rounds * len(comparisons), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,19 @@ interval intersection, and infeasibility is certified either by a
 contradictory pair of atom constraints or by a separating nonnegative dual
 vector whose scalarization violates quasiconvexity at the same triple.
 
+Every sampled checker evaluates stacked rows: one oracle call per chunk of
+samples or events, in the order of single calls, with the first failure
+taken from a violation mask, so reports equal those of one call per row.
 The six triple checkers (convexity, quasiconvexity, natural and star
 quasiconvexity here, and the two preorder checks of :mod:`qcx.l2basis`) read
 one :class:`TripleTable`: ``rho`` of every ``X``, ``Y`` and mix, evaluated
-once per triple in stacked chunks, only as far as some checker reads.
+once per triple, only as far as some checker reads.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -262,7 +266,7 @@ def sample_triples(space: FiniteProbSpace, rng, count: int,
     return out
 
 
-#: Triples per stacked oracle call of a :class:`TripleTable`.
+#: Triples, samples or events per stacked oracle call of a sampled checker.
 TRIPLE_CHUNK = 64
 
 
@@ -272,10 +276,8 @@ class TripleTable:
 
     The table fills lazily, :data:`TRIPLE_CHUNK` triples at a time, through
     one stacked oracle call per chunk with rows in call order ``X_1, Y_1,
-    mix_1, X_2, ...``; the mix is ``lam X + (1 - lam) Y``. When the stacked
-    call raises, the chunk is evaluated row by row: the rows before the
-    first failing one are kept, and reading the triple of that row raises
-    its error, as evaluating the triples one by one would.
+    mix_1, X_2, ...``; the mix is ``lam X + (1 - lam) Y``. Reading the
+    triple of a failing row raises its error (see :func:`_stacked`).
     """
 
     def __init__(self, rho: RiskMeasureOracle, triples):
@@ -311,18 +313,43 @@ class TripleTable:
         xy = np.array([t[:2] for t in self.triples[start:stop]], dtype=float)
         lam = self.lam[start:stop, None, None]
         mix = lam * xy[:, :1] + (1 - lam) * xy[:, 1:]
-        rows = np.concatenate([xy, mix], axis=1).reshape(-1, n)
-        try:
-            return self.rho(rows).reshape(-1, 3, n)
-        except (ValueError, QcxError):
-            done = []
-            for row in rows:
-                try:
-                    done.append(self.rho(row))
-                except (ValueError, QcxError) as e:
-                    self._error = e
-                    break
-            return np.array(done[:len(done) // 3 * 3]).reshape(-1, 3, n)
+        risks, self._error = _stacked(
+            self.rho, np.concatenate([xy, mix], axis=1).reshape(-1, n))
+        return risks[:len(risks) // 3 * 3].reshape(-1, 3, n)
+
+
+def _stacked(rho: RiskMeasureOracle, rows: np.ndarray
+             ) -> tuple[np.ndarray, Optional[Exception]]:
+    """``rho`` of a stack of rows ``(m, n)`` in one call, and ``None``.
+
+    When that call raises, the rows are evaluated one at a time: the result
+    holds the outputs of the rows before the first failing one, and that
+    row's error. A checker raises the error once it needs a row past those
+    outputs, as the calls of one row each would have raised it there.
+    """
+    try:
+        return rho(rows), None
+    except (ValueError, QcxError):
+        done = []
+        for row in rows:
+            try:
+                done.append(rho(row))
+            except (ValueError, QcxError) as e:
+                return np.reshape(done, (-1, rows.shape[-1])), e
+        return np.reshape(done, rows.shape), None
+
+
+def _first_failure(mask: np.ndarray, error: Optional[Exception]
+                   ) -> Optional[int]:
+    """The index of the first ``True`` of a violation mask over the rows
+    :func:`_stacked` evaluated; ``None`` when there is none, unless the rows
+    stopped at ``error``, which is then raised."""
+    bad = np.flatnonzero(mask)
+    if bad.size:
+        return int(bad[0])
+    if error is not None:
+        raise error
+    return None
 
 
 def _triple_table(rho: RiskMeasureOracle, triples) -> TripleTable:
@@ -391,41 +418,57 @@ def _sampled_events(k: int, budget: int, gen) -> list[tuple[int, ...]]:
 
 def check_monotonicity(rho: RiskMeasureOracle, budget: int = 200,
                        tol: float = DEFAULT_CHECK_TOL, rng=0) -> PropertyReport:
-    """Larger positions must not carry larger risk: X <= Y => rho(X) >= rho(Y)."""
+    """Larger positions must not carry larger risk: X <= Y => rho(X) >= rho(Y).
+
+    One stacked call per :data:`TRIPLE_CHUNK` samples, drawn in sample order
+    (a caller's generator advances by whole chunks), rows ``X``, ``Y``.
+    """
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
-    for checked in range(1, budget + 1):
-        x = gen.uniform(lo, hi, rho.space.n)
-        delta = gen.uniform(0.0, 2.0, rho.space.n)
-        rx = rho(x)
-        ry = rho(x + delta)
+    n = rho.space.n
+    for start in range(0, budget, TRIPLE_CHUNK):
+        x, delta = np.array([
+            (gen.uniform(lo, hi, n), gen.uniform(0.0, 2.0, n))
+            for _ in range(min(TRIPLE_CHUNK, budget - start))]).swapaxes(0, 1)
+        out, error = _stacked(rho, np.stack([x, x + delta], 1).reshape(-1, n))
+        rx, ry = out[:len(out) // 2 * 2].reshape(-1, 2, n).swapaxes(0, 1)
         viol = rx - (ry - tol)
-        if (viol < 0).any():
-            i = int(np.argmin(viol))
+        j = _first_failure((viol < 0).any(axis=1), error)
+        if j is not None:
+            i = int(np.argmin(viol[j]))
             return PropertyReport(
                 "monotonicity", CheckVerdict.FAIL,
-                witness={"x": _vec(x), "delta": _vec(delta), "outcome": i,
-                         "violation": float(ry[i] - rx[i])},
-                samples=checked, tol=tol)
+                witness={"x": _vec(x[j]), "delta": _vec(delta[j]),
+                         "outcome": i,
+                         "violation": float(ry[j, i] - rx[j, i])},
+                samples=start + j + 1, tol=tol)
     return PropertyReport("monotonicity", CheckVerdict.PASS, samples=budget, tol=tol)
 
 
 def check_translativity(rho: RiskMeasureOracle, budget: int = 200,
                         tol: float = DEFAULT_CHECK_TOL, rng=0) -> PropertyReport:
-    """Adding a measurable position Z shifts the risk by exactly -Z."""
+    """Adding a measurable position Z shifts the risk by exactly -Z.
+
+    Chunked as :func:`check_monotonicity` is, rows ``X + Z``, ``X``.
+    """
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
-    for checked in range(1, budget + 1):
-        x = gen.uniform(lo, hi, rho.space.n)
-        z = rho.sigma.from_atom_values(gen.uniform(-2.0, 2.0, rho.sigma.k))
-        lhs = rho(x + z)
-        rhs = rho(x) - z
-        err = float(np.max(np.abs(lhs - rhs)))
-        if err > tol:
+    n = rho.space.n
+    for start in range(0, budget, TRIPLE_CHUNK):
+        x, z = np.array([
+            (gen.uniform(lo, hi, n),
+             rho.sigma.from_atom_values(gen.uniform(-2.0, 2.0, rho.sigma.k)))
+            for _ in range(min(TRIPLE_CHUNK, budget - start))]).swapaxes(0, 1)
+        out, error = _stacked(rho, np.stack([x + z, x], 1).reshape(-1, n))
+        lhs, rx = out[:len(out) // 2 * 2].reshape(-1, 2, n).swapaxes(0, 1)
+        err = np.abs(lhs - (rx - z[:len(rx)])).max(axis=1)
+        j = _first_failure(err > tol, error)
+        if j is not None:
             return PropertyReport(
                 "translativity", CheckVerdict.FAIL,
-                witness={"x": _vec(x), "z": _vec(z), "violation": err},
-                samples=checked, tol=tol)
+                witness={"x": _vec(x[j]), "z": _vec(z[j]),
+                         "violation": float(err[j])},
+                samples=start + j + 1, tol=tol)
     return PropertyReport("translativity", CheckVerdict.PASS, samples=budget, tol=tol)
 
 
@@ -440,7 +483,10 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
     X, U checks every union, for ``budget // (2^k - 1)`` rounds. Otherwise
     one round checks the atoms, their complements, the whole space and then
     distinct random unions up to the budget. ``samples`` counts the events
-    checked: at most two oracle calls each, plus two per round.
+    checked. A round is one stacked call per :data:`TRIPLE_CHUNK` events,
+    rows in the order of single calls: ``X`` and ``U`` first, then per event
+    the definition form and, unless the event is the whole space, the
+    two-sided form.
     """
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
@@ -451,33 +497,44 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
         events, rounds = _atom_events(k), budget // n_unions
     else:
         events, rounds = _sampled_events(k, budget, gen), 1
-    checked = 0
+    inds = np.array([rho.sigma.event_indicator(ev) for ev in events])
+    # row slot 2 e + f is event e in form f (0 definition, 1 two-sided; the
+    # whole space has no two-sided form), cut into chunks of events
+    slots = np.flatnonzero([f == 0 or len(ev) < k
+                            for ev in events for f in (0, 1)])
+    chunks = np.split(slots, np.searchsorted(
+        slots, np.arange(2 * TRIPLE_CHUNK, 2 * len(events), 2 * TRIPLE_CHUNK)))
     for r in range(rounds):
         if r:
             x, u = gen.uniform(lo, hi, n), gen.uniform(lo, hi, n)
-        rx, ru = rho(x), rho(u)
-        for ev in events:
-            checked += 1
-            ind = rho.sigma.event_indicator(ev)
-            err = float(np.max(np.abs(rho(x * ind) * ind - rx * ind)))
-            if err > tol:
-                return PropertyReport(
-                    "locality", CheckVerdict.FAIL,
-                    witness={"x": _vec(x), "event_atoms": list(ev),
-                             "form": "definition", "violation": err},
-                    samples=checked, tol=tol)
-            if len(ev) < k:
-                lhs = rho(x * ind + u * (1 - ind))
-                rhs = rx * ind + ru * (1 - ind)
-                err = float(np.max(np.abs(lhs - rhs)))
-                if err > tol:
-                    return PropertyReport(
-                        "locality", CheckVerdict.FAIL,
-                        witness={"x": _vec(x), "u": _vec(u),
-                                 "event_atoms": list(ev), "form": "two-sided",
-                                 "violation": err},
-                        samples=checked, tol=tol)
-    return PropertyReport("locality", CheckVerdict.PASS, samples=checked, tol=tol)
+        for c, slot in enumerate(chunks):
+            two, ind = slot % 2 == 1, inds[slot // 2]
+            rows = np.where(two[:, None], x * ind + u * (1 - ind), x * ind)
+            if c == 0:
+                out, error = _stacked(rho, np.vstack([x, u, rows]))
+                if len(out) < 2:
+                    raise error
+                rx, ru, out = out[0], out[1], out[2:]
+            else:
+                out, error = _stacked(rho, rows)
+            two, ind = two[:len(out)], ind[:len(out)]
+            err = np.where(two[:, None],
+                           np.abs(out - (rx * ind + ru * (1 - ind))),
+                           np.abs(out * ind - rx * ind)).max(axis=1)
+            j = _first_failure(err > tol, error)
+            if j is not None:
+                e = int(slot[j] // 2)
+                witness = {"x": _vec(x)}
+                if two[j]:
+                    witness["u"] = _vec(u)
+                witness.update(event_atoms=list(events[e]),
+                               form="two-sided" if two[j] else "definition",
+                               violation=float(err[j]))
+                return PropertyReport("locality", CheckVerdict.FAIL,
+                                      witness=witness,
+                                      samples=r * len(events) + e + 1, tol=tol)
+    return PropertyReport("locality", CheckVerdict.PASS,
+                          samples=rounds * len(events), tol=tol)
 
 
 def check_convexity(rho: RiskMeasureOracle, budget: int = 200,
@@ -562,6 +619,15 @@ def _simplex_grid(k: int, per_edge: int) -> np.ndarray:
     raise ValueError("grid construction is used for at most 3 atoms")
 
 
+@functools.lru_cache(maxsize=64)
+def _atom_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``, computed once per ``k`` and read-only."""
+    pairs = np.triu_indices(k, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def _dual_candidates(u, v, p) -> np.ndarray:
     """Vertices plus two-atom kink points of the piecewise-linear margin.
 
@@ -573,7 +639,7 @@ def _dual_candidates(u, v, p) -> np.ndarray:
     """
     k = len(p)
     w = u - v
-    a, b = np.triu_indices(k, 1)
+    a, b = _atom_pairs(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (v[b] - u[b]) / (w[a] - w[b])
     on_edge = (s >= 0.0) & (s <= 1.0)  # a zero denominator gives inf or nan
@@ -686,25 +752,27 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle,
     else:
         raw = np.vstack([np.eye(k), _rng(rng).dirichlet(np.ones(k), size=budget_z)])
     z_set = raw / np.maximum(raw @ atom_probs, 1e-300)[:, None]
-    weighted_set = z_set * atom_probs
+    # the weighted set once, then each triple's kinks behind it: the product
+    # runs on the same rows as a stacked copy would, so it keeps their bits
+    m = len(z_set)
+    weighted = np.empty((m + k + k * (k - 1) // 2, k))
+    weighted[:m] = z_set * atom_probs
     for i, risks in _each_triple(table.chunks()):
         r_x, r_y, r_mix = rho.sigma.atom_values(risks)
         kinks = _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs)
-        zs = np.vstack([z_set, kinks])
-        weighted = np.vstack([weighted_set, kinks * atom_probs])
-        s_x = weighted @ r_x
-        s_y = weighted @ r_y
-        s_mix = weighted @ r_mix
-        viol = s_mix - np.maximum(s_x, s_y) - tol
+        rows = weighted[:m + len(kinks)]
+        np.multiply(kinks, atom_probs, out=rows[m:])
+        viol = rows @ r_mix - np.maximum(rows @ r_x, rows @ r_y) - tol
         j = int(np.argmax(viol))
         if viol[j] > 0:
             x, y, lam = table.triples[i - 1]
+            z = z_set[j] if j < m else kinks[j - m]
             return PropertyReport(
                 "star-quasiconvexity", CheckVerdict.FAIL,
-                witness={"z": _vec(zs[j]), "x": _vec(x), "y": _vec(y),
+                witness={"z": _vec(z), "x": _vec(x), "y": _vec(y),
                          "lam": lam, "violation": float(viol[j] + tol)},
                 samples=i, tol=tol,
-                details={"dual_samples": len(zs)})
+                details={"dual_samples": len(rows)})
     return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
                           samples=len(table), tol=tol,
                           details={"dual_samples": len(z_set)})
@@ -723,7 +791,8 @@ def check_sensitivity(rho: RiskMeasureOracle,
 
     Requires a normalized measure (``rho(0) = 0``). Events are outcome index
     sets; the default set contains every singleton, every atom, the whole
-    space, and random events up to the budget.
+    space, and random events up to the budget. The events of one ``eps``
+    are one stacked call.
     """
     zero = rho(np.zeros(rho.space.n))
     if np.max(np.abs(zero)) > 1e-9:
@@ -740,21 +809,24 @@ def check_sensitivity(rho: RiskMeasureOracle,
             if mask.any():
                 ev.append(tuple(np.flatnonzero(mask)))
         events = ev
+    inds = np.zeros((len(events), n))
+    for row, event in zip(inds, events):
+        row[list(event)] = 1.0
     checked = 0
     for eps in eps_list:
         if eps <= 0:
             raise ValueError("eps values must be positive")
-        for event in events:
-            ind = np.zeros(n)
-            ind[list(event)] = 1.0
-            out = rho(-eps * ind)
-            checked += 1
-            if not (out > tol).any():
-                return PropertyReport(
-                    "sensitivity", CheckVerdict.FAIL,
-                    witness={"eps": float(eps), "event": list(map(int, event)),
-                             "max_output": float(np.max(out))},
-                    samples=checked, tol=tol)
+        out, error = _stacked(rho, -eps * inds)
+        j = _first_failure(~(out > tol).any(axis=1), error)
+        if j is not None:
+            # a stacked output row may be strided, and the max of a strided
+            # row can pick the other of 0.0 and -0.0: take it of a copy
+            return PropertyReport(
+                "sensitivity", CheckVerdict.FAIL,
+                witness={"eps": float(eps), "event": list(map(int, events[j])),
+                         "max_output": float(np.max(out[j].copy()))},
+                samples=checked + j + 1, tol=tol)
+        checked += len(events)
     return PropertyReport("sensitivity", CheckVerdict.PASS, samples=checked,
                           tol=tol)
 

@@ -61,6 +61,23 @@ def run(args):
     return main(args)
 
 
+def run_changed(tmp_path, command, section, changes):
+    """Run ``command`` on the base config with ``changes`` made in
+    ``section`` (``None`` removes a key); ``sum-check`` runs with
+    ``--brute``."""
+    cp = load_config(write_config(tmp_path))
+    for key, value in changes.items():
+        if value is None:
+            cp.remove_option(section, key)
+        else:
+            cp.set(section, key, value)
+    cfg = tmp_path / "changed.ini"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    argv = [command, "--config", str(cfg)]
+    return run(argv + (["--brute"] if command == "sum-check" else []))
+
+
 class TestIndexCommand:
     def test_report_values(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -402,17 +419,25 @@ class TestDeterminismAndErrors:
                                               section, changes):
         """A value that does not parse exits 64 and names its key (the
         last one changed)."""
-        cp = load_config(write_config(tmp_path))
-        for key, value in changes.items():
-            if value is None:
-                cp.remove_option(section, key)
-            else:
-                cp.set(section, key, value)
-        cfg = tmp_path / "bad.ini"
-        with open(cfg, "w", encoding="utf-8") as fh:
-            cp.write(fh)
-        argv = [command, "--config", str(cfg)]
-        assert run(argv + (["--brute"] if command == "sum-check" else [])) == 64
+        assert run_changed(tmp_path, command, section, changes) == 64
+        key = list(changes)[-1]
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,section,changes", [
+        ("index", "function s", {"domain": "4 1"}),
+        ("index", "function s", {"grid": "2"}),
+        ("risk-check", "space", {"uniform": None, "probs": "0.5 0.6"}),
+        ("risk-check", "risk-check", {"tol": "-1"}),
+        ("index", "index", {"tol": "0"}),
+        ("sum-check", "sum-check", {"lambda_cap": "-1e4"}),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys,
+                                                command, section, changes):
+        """A well-formed value out of its range (an empty domain, fewer
+        than three grid points, probabilities that do not sum to 1, a
+        tolerance or lambda cap that is not positive) exits 64 and names
+        its key."""
+        assert run_changed(tmp_path, command, section, changes) == 64
         key = list(changes)[-1]
         assert f"[{section}] {key}" in capsys.readouterr().err
 
