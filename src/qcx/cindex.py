@@ -15,12 +15,13 @@ The index is nonnegative exactly when ``f`` is convex, it is ``+inf``
 exactly when ``f`` is constant (for lower semicontinuous ``f``), and it
 scales as ``index(w * f) = index(f) / w`` for ``w >= 0``.
 
-On a grid the break-even point is exact. For a cached pair ``(a, b, eta)``
+On a grid the break-even point is exact. For a pair ``(a, b, eta)``
 the mix-normalized transform ``eta e^{-lam (fa-fm)} + (1-eta) e^{-lam (fb-fm)}``
 is convex in ``lam`` and equals 1 at ``lam = 0``, so each pair has its own
 crossing of ``1 +- REL_GAP_TOL`` and the grid index is the extremum of those
 crossings. :meth:`qcx.extcore.PairTable.exp_break_even` solves it to
-adjacent floats and names the pair that fixes it. The value inherits the
+adjacent floats and names the pair that fixes it; like every pass over the
+pairs, it streams them in blocks and keeps no table. The value inherits the
 grid semantics: it is the break-even point of the *grid* transform family,
 reported with a float-tight bracket whose ends re-certify.
 """

@@ -18,11 +18,11 @@ narrow curvature defects visible well below the uniform grid spacing, which
 is where the convexity index of :mod:`qcx.cindex` usually finds the pair that
 fixes its break-even point.
 
-The certifiers stream the pairs in blocks of :data:`SCAN_BLOCK`, evaluate
-only the mixes and keep each block's worst gap: memory is O(block + grid),
-and ``pair_budget`` bounds time, not memory. :class:`PairTable` caches the
-pairs for the convexity index, which rescans them; its gap scan runs the
-same block kernel over its cached arrays.
+:class:`PairTable` streams the pairs in blocks of :data:`SCAN_BLOCK` and
+keeps no pair: every pass rebuilds each block and evaluates its mixes one
+weight at a time, so memory is O(block + grid) and ``pair_budget`` bounds
+time, not memory. The certifiers make one gap scan; the convexity index
+makes a few passes of its own.
 
 The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
 mix-normalized form (:meth:`PairTable.exp_transform_ok`), and
@@ -32,9 +32,9 @@ adjacent floats, and pairs that cannot beat the running extremum are pruned
 by one probe per round.
 
 Concurrency: all scans are pure given a pure evaluation oracle. With
-``threads > 1`` blocks (or table chunks) are evaluated on a thread pool, so
-the oracle must be reentrant. Ties between gaps go to the earlier weight,
-then the lower pair index, so results do not depend on the thread count.
+``threads > 1`` blocks are evaluated on a thread pool, so the oracle must be
+reentrant. Ties between gaps go to the earlier weight, then the lower pair
+index, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -186,9 +186,10 @@ class FunctionSpec:
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.dim)
         vals = np.asarray(self.fn(pts), dtype=float).reshape(-1)
-        if np.isnan(vals).any():
+        low = vals.min(initial=math.inf)  # NaN propagates through min
+        if math.isnan(low):
             raise ValueError(f"oracle for {self.name or 'function'} returned NaN")
-        if self.proper and np.isneginf(vals).any():
+        if self.proper and low == -math.inf:
             raise ImproperFunctionError(
                 f"{self.name or 'function'} declared proper but returned -inf")
         return vals
@@ -253,103 +254,17 @@ def quasiconvexity_gap(g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool
     return _gap("quasiconvex", g, x1, x2, eta)
 
 
-def _map(fn, items: list, threads: int) -> list:
+def _map(fn, items: list, threads: int):
+    """``fn`` over ``items``, lazily and in order, on up to ``threads``
+    threads; closing the iterator early cancels the items not yet started."""
     if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _gap_scan(kind: str, etas: Sequence[float], blocks: list, load,
-              threads: int, tol: float):
-    """``(worst_gap, witness | None, degenerate_seen)`` of form ``kind``.
-
-    ``load(block)`` gives the endpoints and values of the pairs ``block[0]``
-    on and ``fm(which)``, the values at the mixes of weight ``which``. Ties
-    go to the earlier weight, then the lower pair index, within and across
-    blocks, so the result depends on neither block size nor threads."""
-    sign, ref = GAP_FORMS[kind]
-
-    def work(block):
-        worst, arg, degen = -math.inf, None, False
-        with np.errstate(all="ignore"):
-            a, b, fa, fb, fm = load(block)
-            for which, eta in enumerate(etas):
-                gap = sign * (fm(which) - ref(eta, fa, fb))
-                bad = np.isnan(gap)
-                degen = degen or bool(bad.any())
-                gap[bad] = -math.inf
-                k = int(np.argmax(gap))
-                if gap[k] > worst:
-                    worst = float(gap[k])
-                    arg = (-which, -(block[0] + k), tuple(map(float, a[k])),
-                           tuple(map(float, b[k])), float(eta))
-        return (worst, *arg) if arg else None, degen
-
-    results = _map(work, blocks, threads)
-    degen = any(r[1] for r in results)
-    best = max((r[0] for r in results if r[0]), key=lambda r: r[:3], default=None)
-    if best is None:
-        return -math.inf, None, degen
-    worst, _, _, x1, x2, eta = best
-    return worst, Witness(x1, x2, eta, worst) if worst > tol else None, degen
-
-
-class _Pairs:
-    """The pair set of a box grid, built block by block in scan order: grid
-    pairs in ``np.triu_indices`` order, then per axis and local scale the
-    steps up from every grid point and the steps down, clipped to the box.
-    A step clipped back onto its base point is skipped (its mix may round an
-    ulp away from it). Only off-grid local ends are evaluated."""
-
-    def __init__(self, g: FunctionSpec, box: BoxDomain, local_pairs: bool = True,
-                 pair_budget: Optional[int] = None):
-        if g.dim != box.dim:
-            raise ValueError(f"function dim {g.dim} != box dim {box.dim}")
-        self.g, self.pts = g, box.points()
-        self.values = g(self.pts)
-        if np.isposinf(self.values).all():
-            raise ImproperFunctionError(
-                f"{g.name or 'function'} is +inf on the entire grid")
-        n = len(self.pts)
-        count = n * (n - 1) // 2
-        if pair_budget is not None and count > pair_budget:
-            raise BudgetExceededError(
-                f"grid yields {count} pairs, budget is {pair_budget}")
-        self.row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
-        self.blocks = [(s, min(s + SCAN_BLOCK, count), None)
-                       for s in range(0, count, SCAN_BLOCK)]
-        for axis, ax in enumerate(box.axes() if local_pairs else ()):
-            h = (ax[-1] - ax[0]) / (len(ax) - 1)
-            for step in (sign * h / 2 ** k for k in range(LOCAL_SCALES)
-                         for sign in (1, -1)):
-                local = (axis, step, ax[0], ax[-1])
-                size = len(self._local(*local)[0])
-                self.blocks += [(count, count + size, local)] if size else []
-                count += size
-
-    def _local(self, axis, step, lo, hi):
-        moved = np.clip(self.pts[:, axis] + step, lo, hi)
-        base = np.flatnonzero(moved != self.pts[:, axis])
-        return base, moved[base]
-
-    def build(self, block):
-        """``(a, b, fa, fb)`` of the pairs in ``block``."""
-        start, stop, local = block
-        if local is None:
-            first = int(np.searchsorted(self.row_start, start, side="right")) - 1
-            rows = np.arange(first, np.searchsorted(self.row_start, stop))
-            counts = np.diff(np.clip(self.row_start[first:rows[-1] + 2], start, stop))
-            i = np.repeat(rows, counts)
-            j = np.arange(start, stop) + i + 1 - np.repeat(self.row_start[rows], counts)
-            return self.pts[i], self.pts[j], self.values[i], self.values[j]
-        base, moved = self._local(*local)
-        near, far = self.pts[base], self.pts[base]
-        far[:, local[0]] = moved
-        f_near, f_far = self.values[base], self.g(far)
-        if local[1] > 0:
-            return near, far, f_near, f_far
-        return far, near, f_far, f_near
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=min(threads, len(items)))
+    try:
+        yield from pool.map(fn, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +305,14 @@ def _crossing_estimate(da, db, eta, sign: int, tol_rel: float) -> np.ndarray:
     ``combo(lam) ~ 1 - s lam + q lam^2 / 2``; the estimate is the root of
     ``combo = 1 -/+ tol_rel`` that bounds the pair's passing set. Smaller is
     more binding for both signs; the estimate only orders the work.
-    Overwrites ``da`` and ``db``.
     """
     s = eta * da
     s += (1 - eta) * db
-    q = np.multiply(da, da, out=da)
+    q = da * da
     q *= eta
-    db *= db
-    db *= 1 - eta
-    q += db
-    del db
+    db2 = db * db
+    db2 *= 1 - eta
+    q += db2
     key = s * s
     key -= (sign * 2.0 * tol_rel) * q
     np.sqrt(key, out=key)
@@ -452,39 +365,107 @@ def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
 
 
 class PairTable:
-    """Cached function values on a pair scan (endpoints and mixes).
+    """The pair set of a box grid, streamed in blocks of :data:`SCAN_BLOCK`.
 
-    Built once per (function, box, etas) by the certifiers' pair generator,
-    the table supports repeated scans: gap scans on the block kernel, the
-    mix-normalized exponential-transform test and its exact break-even
-    solve, which the convexity index uses.
+    Pairs come in scan order: grid pairs in ``np.triu_indices`` order, then
+    per axis and local scale the steps up from every grid point and the steps
+    down, clipped to the box. A step clipped back onto its base point is
+    skipped (its mix may round an ulp away from it). The table keeps only the
+    grid points, their values and the block list; every pass rebuilds each
+    block and evaluates its mixes one weight at a time, so a pass holds one
+    block per thread. The passes are gap scans, the mix-normalized
+    exponential-transform test and its exact break-even solve, which the
+    convexity index uses.
     """
 
     def __init__(self, g: FunctionSpec, box: BoxDomain,
                  etas: Sequence[float] = DEFAULT_ETAS, threads: int = 1,
-                 local_pairs: bool = True, pair_budget: Optional[int] = None):
-        pairs = _Pairs(g, box, local_pairs=local_pairs, pair_budget=pair_budget)
-        self.g = g
-        self.box = box
-        self.etas = tuple(etas)
+                 pair_budget: Optional[int] = None):
+        if g.dim != box.dim:
+            raise ValueError(f"function dim {g.dim} != box dim {box.dim}")
+        self.g, self.etas = g, tuple(etas)
         self.threads = max(1, int(threads))
-        self.grid_values = pairs.values
-        self.blocks = pairs.blocks
-        self.a, self.b = np.empty((2, pairs.blocks[-1][1], box.dim))
-        self.fa, self.fb = np.empty((2, len(self.a)))
-        with np.errstate(all="ignore"):
-            for block in pairs.blocks:
-                sl = slice(block[0], block[1])
-                self.a[sl], self.b[sl], self.fa[sl], self.fb[sl] = pairs.build(block)
-            self.fm = [g(eta * self.a + (1 - eta) * self.b) for eta in self.etas]
+        self.pts = box.points()
+        self.grid_values = g(self.pts)
+        if np.isposinf(self.grid_values).all():
+            raise ImproperFunctionError(
+                f"{g.name or 'function'} is +inf on the entire grid")
+        n = len(self.pts)
+        self.grid_pairs = count = n * (n - 1) // 2
+        if pair_budget is not None and count > pair_budget:
+            raise BudgetExceededError(
+                f"grid yields {count} pairs, budget is {pair_budget}")
+        self.row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+        self.local = []  # (first position, size, (axis, step, lo, hi)) per run
+        for axis, ax in enumerate(box.axes()):
+            h = (ax[-1] - ax[0]) / (len(ax) - 1)
+            for step in (sign * h / 2 ** k for k in range(LOCAL_SCALES)
+                         for sign in (1, -1)):
+                local = (axis, step, ax[0], ax[-1])
+                size = len(self._local(*local)[0])
+                self.local += [(count, size, local)] if size else []
+                count += size
+        self.blocks = [(s, min(s + SCAN_BLOCK, count))
+                       for s in range(0, count, SCAN_BLOCK)]
+        self.a = range(count)  # pair positions; bench/spans.py counts len(a)
 
-    def _chunks(self) -> list[slice]:
-        n = len(self.a)
-        bounds = np.linspace(0, n, min(self.threads, n) + 1).astype(int)
-        return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    def _local(self, axis, step, lo, hi):
+        moved = np.clip(self.pts[:, axis] + step, lo, hi)
+        base = np.flatnonzero(moved != self.pts[:, axis])
+        return base, moved[base]
+
+    def _build(self, block):
+        """``(a, b, fa, fb)`` of the pairs at positions ``block[0]`` up to
+        ``block[1]``."""
+        start, stop = block
+        parts = []
+        if start < self.grid_pairs:
+            parts.append(self._grid(start, min(stop, self.grid_pairs)))
+        for first, size, local in self.local:
+            lo, hi = max(start - first, 0), min(stop - first, size)
+            if lo < hi:
+                parts.append(self._steps(local, lo, hi))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def _grid(self, start, stop):
+        """Endpoints and values of the grid pairs ``start`` up to ``stop``."""
+        first = int(np.searchsorted(self.row_start, start, side="right")) - 1
+        rows = np.arange(first, np.searchsorted(self.row_start, stop))
+        counts = np.diff(np.clip(self.row_start[first:rows[-1] + 2], start, stop))
+        i = np.repeat(rows, counts)
+        j = np.arange(start, stop) + i + 1 - np.repeat(self.row_start[rows], counts)
+        return (np.take(self.pts, i, axis=0), np.take(self.pts, j, axis=0),
+                self.grid_values[i], self.grid_values[j])
+
+    def _steps(self, local, lo, hi):
+        """Endpoints and values of steps ``lo`` up to ``hi`` of a local run."""
+        base, moved = self._local(*local)
+        base = base[lo:hi]
+        near, far = np.take(self.pts, base, axis=0), np.take(self.pts, base, axis=0)
+        far[:, local[0]] = moved[lo:hi]
+        f_near, f_far = self.grid_values[base], self.g(far)
+        if local[1] > 0:
+            return near, far, f_near, f_far
+        return far, near, f_far, f_near
+
+    def _mix(self, a, b, eta):
+        """The values at the mixes ``eta a + (1 - eta) b``."""
+        m = np.multiply(a, eta)
+        m += np.multiply(b, 1 - eta)
+        return self.g(m)
+
+    def _diffs(self, block):
+        """Per weight ``(eta, fa - fm, fb - fm)`` of the block's pairs, the
+        mix values ``fm`` evaluated one weight at a time."""
+        a, b, fa, fb = self._build(block)
+        for eta in self.etas:
+            fm = self._mix(a, b, eta)
+            yield eta, fa - fm, fb - fm
 
     def _map(self, fn):
-        return _map(fn, self._chunks(), self.threads)
+        return _map(fn, self.blocks, self.threads)
 
     # -- absolute gap scans --------------------------------------------------
 
@@ -494,22 +475,38 @@ class PairTable:
         kind is one of ``convex``, ``concave``, ``quasiconvex`` (see
         :data:`GAP_FORMS`). Returns ``(worst_gap, witness | None,
         degenerate_seen)`` where the witness is reported only when the worst
-        gap exceeds ``tol``.
+        gap exceeds ``tol``. Ties go to the earlier weight, then the lower
+        pair index, within and across blocks, so the result depends on
+        neither block size nor threads.
         """
-        def load(block):
-            sl = slice(block[0], block[1])
-            return (self.a[sl], self.b[sl], self.fa[sl], self.fb[sl],
-                    lambda which: self.fm[which][sl])
+        sign, ref = GAP_FORMS[kind]
 
-        return _gap_scan(kind, self.etas, self.blocks, load, self.threads, tol)
+        def work(block):
+            worst, arg, degen = -math.inf, None, False
+            with np.errstate(all="ignore"):
+                a, b, fa, fb = self._build(block)
+                for which, eta in enumerate(self.etas):
+                    gap = sign * (self._mix(a, b, eta) - ref(eta, fa, fb))
+                    bad = np.isnan(gap)
+                    degen = degen or bool(bad.any())
+                    gap[bad] = -math.inf
+                    k = int(np.argmax(gap))
+                    if gap[k] > worst:
+                        worst = float(gap[k])
+                        arg = (-which, -(block[0] + k), tuple(map(float, a[k])),
+                               tuple(map(float, b[k])), float(eta))
+            return (worst, *arg) if arg else None, degen
+
+        results = list(self._map(work))
+        degen = any(r[1] for r in results)
+        best = max((r[0] for r in results if r[0]), key=lambda r: r[:3],
+                   default=None)
+        if best is None:
+            return -math.inf, None, degen
+        worst, _, _, x1, x2, eta = best
+        return worst, Witness(x1, x2, eta, worst) if worst > tol else None, degen
 
     # -- mix-normalized exponential scan --------------------------------------
-
-    def _diffs(self, which: int, idx):
-        """``fa - fm`` and ``fb - fm`` at weight ``which`` for a slice or
-        an index array; recomputed per pass rather than cached."""
-        fm = self.fm[which][idx]
-        return self.fa[idx] - fm, self.fb[idx] - fm
 
     def exp_transform_ok(self, lam: float, sign: int, tol_rel: float) -> bool:
         """Is ``exp(-lam * g)`` convex (sign=+1) or concave (sign=-1) on the table?
@@ -521,18 +518,17 @@ class PairTable:
         ``exp(-lam * g)`` itself would overflow or underflow, which happens at
         the lambda cap of the index. Pairs where the normalized differences
         are undetermined (both values +inf) are skipped. The test is the one
-        :meth:`exp_break_even` solves, so its bracket ends replay here.
+        :meth:`exp_break_even` solves, so its bracket ends replay here. The
+        scan stops at the first failing block.
         """
         if lam == 0.0:
             return True  # exp(0) == 1 is both convex and concave
 
-        def work(sl: slice):
+        def work(block):
             with np.errstate(all="ignore"):
-                for which, eta in enumerate(self.etas):
-                    da, db = self._diffs(which, sl)
-                    if _exp_violation(da, db, eta, lam, sign, tol_rel).any():
-                        return False
-            return True
+                return not any(_exp_violation(da, db, eta, lam, sign,
+                                              tol_rel).any()
+                               for eta, da, db in self._diffs(block))
 
         return all(self._map(work))
 
@@ -559,72 +555,81 @@ class PairTable:
         Rounds alternate an exact solve of a small batch, ranked by the
         second-order crossing estimate, with a probe at the running
         extremum; the pairs that fail the probe form the next, smaller
-        candidate set. A probe of the whole table that leaves no candidate
-        certifies the lower bracket end; the upper end, one float above, is
-        replayed through :meth:`exp_transform_ok`. Each whole-table probe is
-        recorded as ``(lam, transform ok at lam)``. Ties go to the earlier
-        weight, then the lower pair index, so the result does not depend on
-        ``threads``.
+        candidate set, each carrying its ``(index, da, db)``. A probe of the
+        whole table that leaves no candidate certifies the lower bracket
+        end; the same pass tests the upper end, one float above. Each
+        whole-table probe is recorded as ``(lam, transform ok at lam)``.
+        Ties go to the earlier weight, then the lower pair index, so the
+        result depends on neither block size nor threads.
         """
-        n_eta = len(self.etas)
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
-        best = None  # (lam_pass, which, idx, t_pass, t_fail)
+        best = None  # (lam_pass, which, idx, t_pass, t_fail, da, db)
         probes: list[tuple[float, bool]] = []
 
-        def merge(parts):
-            """Concatenate per-chunk, per-weight results in chunk order."""
-            return [tuple(np.concatenate([p[w][k] for p in parts])
-                          for k in range(len(parts[0][w])))
-                    for w in range(n_eta)]
+        def concat(parts):
+            """Per weight, the rows of per-block results joined in block
+            order."""
+            return [tuple(map(np.concatenate, zip(*rows))) for rows in zip(*parts)]
 
-        def estimate(sl: slice):
-            out = []
+        def smallest(rows):
+            """The ``SOLVE_BATCH`` rows of least key (the last array)."""
+            take = _smallest(rows[-1], SOLVE_BATCH)
+            return tuple(x[take] for x in rows)
+
+        def estimate(block):
+            idx = np.arange(*block)
             with np.errstate(all="ignore"):
-                for which, eta in enumerate(self.etas):
-                    key = _crossing_estimate(*self._diffs(which, sl), eta,
-                                             sign, tol_rel)
-                    pos = _smallest(key, SOLVE_BATCH)
-                    out.append((sl.start + pos, key[pos]))
-            return out
+                return [smallest((idx, da, db, _crossing_estimate(
+                    da, db, eta, sign, tol_rel)))
+                        for eta, da, db in self._diffs(block)]
 
-        def prune(which: int, idx, t: float):
+        def probe_table(t, hi, block):
+            """Per weight, the block's pairs that can beat ``t``, and whether
+            any pair fails at ``hi``."""
+            out, hi_fails = [], False
             with np.errstate(all="ignore"):
-                return _prune(*self._diffs(which, idx), self.etas[which],
-                              t, sign, tol_rel, lam_cap)
+                for eta, da, db in self._diffs(block):
+                    pos, t_fail, key = _prune(da, db, eta, t, sign, tol_rel,
+                                              lam_cap)
+                    out.append((block[0] + pos, da[pos], db[pos], t_fail, key))
+                    hi_fails = hi_fails or (hi is not None and bool(
+                        _exp_violation(da, db, eta, hi, sign, tol_rel).any()))
+            return out, hi_fails
 
-        def probe_table(sl: slice):
-            out = []
-            for which in range(n_eta):
-                pos, t_fail, key = prune(which, sl, t_hat)
-                out.append((sl.start + pos, t_fail, key))
-            return out
-
-        # seed: the best-ranked pairs of every weight, probed at t_hat
-        cands = [idx[_smallest(key, SOLVE_BATCH)]
-                 for idx, key in merge(self._map(estimate))]
+        # seed: the best-ranked pairs of every weight, folded block by block
+        seed = None
+        for part in self._map(estimate):
+            seed = part if seed is None else [smallest(rows) for rows in
+                                              concat([seed, part])]
+        cands = [rows[:3] for rows in seed]
         while True:
             if cands is None:
-                found = merge(self._map(probe_table))
+                hi = -sign * best[4] if best else None
+                parts = list(self._map(partial(probe_table, t_hat, hi)))
+                found = concat([out for out, _ in parts])
+                hi_ok = not any(hi_fails for _, hi_fails in parts)
                 # failures beyond t_hat are recorded at their own t
-                ok = not any((t_fail == t_hat).any() for _, t_fail, _ in found)
+                ok = not any((f[3] == t_hat).any() for f in found)
                 probes.append((-sign * t_hat, ok))
             else:
                 found = []
-                for which, idx in enumerate(cands):
-                    pos, t_fail, key = prune(which, idx, t_hat)
-                    found.append((idx[pos], t_fail, key))
+                for eta, (idx, da, db) in zip(self.etas, cands):
+                    with np.errstate(all="ignore"):
+                        pos, t_fail, key = _prune(da, db, eta, t_hat, sign,
+                                                  tol_rel, lam_cap)
+                    found.append((idx[pos], da[pos], db[pos], t_fail, key))
             if not any(len(f[0]) for f in found):
                 if cands is None:
                     break
                 cands = None  # re-probe the whole table at the new extremum
                 continue
             picks, cands = [], []
-            for which, (idx, t_fail, key) in enumerate(found):
+            for which, (idx, da, db, t_fail, key) in enumerate(found):
                 take = _smallest(key, SOLVE_BATCH)
                 rest = np.ones(len(idx), dtype=bool)
                 rest[take] = False
-                picks.append((which, idx[take], t_fail[take]))
-                cands.append(idx[rest])
+                picks.append((which, idx[take], da[take], db[take], t_fail[take]))
+                cands.append((idx[rest], da[rest], db[rest]))
             best = self._solve(picks, best, sign, tol_rel, lam_cap)
             t_hat = best[3]
 
@@ -632,36 +637,33 @@ class PairTable:
             # sign=+1 only: no pair fails in [-lam_cap, 0), so the transform
             # passes up to the negative float nearest 0
             return BreakEven(-t_hat, 0.0, None, tuple(probes))
-        lam_pass, which, idx, _, t_fail = best
-        hi = -sign * t_fail
-        hi_ok = self.exp_transform_ok(hi, sign, tol_rel)
+        lam_pass, which, idx, _, t_fail, da, db = best
         probes.append((hi, hi_ok))
         if hi_ok:
             raise RuntimeError("break-even upper end does not replay")
-        da, db = self._diffs(which, np.array([idx]))
         eta = self.etas[which]
         with np.errstate(all="ignore"):
-            excess = sign * (1.0 - _exp_combo(da, db, eta, -sign * t_fail))
-        binding = Witness(x1=tuple(float(v) for v in self.a[idx]),
-                          x2=tuple(float(v) for v in self.b[idx]),
+            excess = sign * (1.0 - _exp_combo(np.array([da]), np.array([db]),
+                                              eta, -sign * t_fail))
+        a, b, _, _ = self._build((idx, idx + 1))
+        binding = Witness(x1=tuple(map(float, a[0])), x2=tuple(map(float, b[0])),
                           eta=float(eta), violation=float(excess[0]))
         return BreakEven(lam_pass, hi, binding, tuple(probes))
 
     def _solve(self, picks, best, sign: int, tol_rel: float, lam_cap: float):
         """Solve each picked pair's crossing to adjacent floats.
 
-        ``picks`` holds ``(which, pair indices, failing t)`` per weight. A
-        pair passes at ``t = 0`` when sign=-1 and at the cap when sign=+1,
-        and a bisection on the float bit patterns keeps one end passing and
-        the other failing. Returns the better of ``best`` and the best
-        solved pair as ``(lam_pass, which, idx, t_pass, t_fail)``.
+        ``picks`` holds ``(which, pair indices, da, db, failing t)`` per
+        weight. A pair passes at ``t = 0`` when sign=-1 and at the cap when
+        sign=+1, and a bisection on the float bit patterns keeps one end
+        passing and the other failing. Returns the better of ``best`` and
+        the best solved pair as ``(lam_pass, which, idx, t_pass, t_fail, da,
+        db)``.
         """
-        which = np.concatenate([np.full(len(i), w) for w, i, _ in picks])
-        idx = np.concatenate([i for _, i, _ in picks])
-        t_fail = np.concatenate([t for _, _, t in picks])
+        which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
+        idx, da, db, t_fail = (np.concatenate(c) for c in
+                               zip(*(p[1:] for p in picks)))
         eta = np.asarray(self.etas)[which]
-        da, db = (np.concatenate(d) for d in
-                  zip(*(self._diffs(w, i) for w, i, _ in picks)))
         pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
         fail_bits = t_fail.view(np.int64).copy()
         with np.errstate(all="ignore"):
@@ -678,7 +680,8 @@ class PairTable:
         lam_pass = -sign * t_pass
         k = np.lexsort((idx, which, lam_pass))[0]
         cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
-                float(t_pass[k]), float(fail_bits.view(np.float64)[k]))
+                float(t_pass[k]), float(fail_bits.view(np.float64)[k]),
+                float(da[k]), float(db[k]))
         if best is None or cand[:3] < best[:3]:
             return cand
         return best
@@ -695,15 +698,9 @@ def _certify(g: FunctionSpec, box: BoxDomain, kind: str, replay,
         tol = default_gap_tol(g)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pairs = _Pairs(g, box, pair_budget=pair_budget)
-    etas = tuple(etas)
-
-    def load(block):
-        a, b, fa, fb = pairs.build(block)
-        return a, b, fa, fb, lambda which: g(etas[which] * a
-                                             + (1 - etas[which]) * b)
-
-    _, witness, degen = _gap_scan(kind, etas, pairs.blocks, load, threads, tol)
+    table = PairTable(g, box, etas=etas, threads=threads,
+                      pair_budget=pair_budget)
+    _, witness, degen = table.scan(kind, tol)
     if witness is None:
         return CertResult(Verdict.CERTIFIED, None, tol, degen)
     # re-evaluate the witness independently of the scan before reporting it

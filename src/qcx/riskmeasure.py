@@ -819,12 +819,10 @@ def check_sensitivity(rho: RiskMeasureOracle,
         out, error = _stacked(rho, -eps * inds)
         j = _first_failure(~(out > tol).any(axis=1), error)
         if j is not None:
-            # a stacked output row may be strided, and the max of a strided
-            # row can pick the other of 0.0 and -0.0: take it of a copy
             return PropertyReport(
                 "sensitivity", CheckVerdict.FAIL,
                 witness={"eps": float(eps), "event": list(map(int, events[j])),
-                         "max_output": float(np.max(out[j].copy()))},
+                         "max_output": float(np.max(out[j]))},
                 samples=checked + j + 1, tol=tol)
         checked += len(events)
     return PropertyReport("sensitivity", CheckVerdict.PASS, samples=checked,

@@ -187,7 +187,7 @@ def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
     labels = (sigma.labels + k * np.arange(m)[:, None]).ravel()
     sums = np.bincount(labels, (space.p * rows).ravel(), m * k)
     means = sums.reshape(m, k) / sigma.atom_probs(space)
-    return means[:, sigma.labels].reshape(x.shape)
+    return np.take(means, sigma.labels, axis=1).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,24 @@ class TestCertifyConvex:
         with pytest.raises(ImproperFunctionError):
             certify_convex(g, BoxDomain.of(0, 1, 5))
 
+    def test_oracle_output_checks(self):
+        """NaN is an error even beside -inf; -inf only for proper functions;
+        an empty output passes."""
+        outs = {"nan": [1.0, np.nan], "nan-neginf": [-np.inf, np.nan, 2.0],
+                "neginf": [0.0, -np.inf], "empty": []}
+        for proper in (True, False):
+            for out in outs.values():
+                g = FunctionSpec(1, lambda p, out=out: np.array(out),
+                                 proper=proper, name="g")
+                if np.isnan(out).any():
+                    with pytest.raises(ValueError, match="returned NaN"):
+                        g([[0.0]])
+                elif proper and -np.inf in out:
+                    with pytest.raises(ImproperFunctionError):
+                        g([[0.0]])
+                else:
+                    assert np.array_equal(g([[0.0]]), out)
+
     def test_partial_domain_still_certifies(self):
         # +inf region does not produce spurious refutations
         res = certify_convex(partial_domain(), BoxDomain.of(-1, 1, 17))

@@ -1,28 +1,39 @@
-"""The exact break-even index against the bisection it replaced.
+"""The exact break-even index against the code it replaced.
 
-``bisect_index`` is the earlier ``compute_index``: the same constant
-shortcut, entry certification and cap probe, then a bisection of the
-``exp_transform_ok`` predicate down to the requested bracket width. It lives
-here only as an oracle, next to ``certify_index_bracket``, which replays
-both bracket ends of an index on a fresh table. On every case the exact
-value must lie inside the bisection bracket, the new bracket must
+``CachedPairTable`` is the earlier ``PairTable``: every pair's endpoints and
+all seven mix values cached at once, and each pass a full-array pass over
+the cache. ``oracle_index`` is ``compute_index`` on that table. The streamed
+index must equal it field for field (value, bracket, binding pair and
+probes) for any block size and thread count.
+
+``bisect_index`` is the ``compute_index`` before the exact solve: the same
+constant shortcut, entry certification and cap probe, then a bisection of
+the ``exp_transform_ok`` predicate down to the requested bracket width.
+Both live here only as oracles, next to ``certify_index_bracket``, which
+replays both bracket ends of an index on a fresh table. On every case the
+exact value must lie inside the bisection bracket, the new bracket must
 re-certify at its lower end and refute at its upper end, and it must be
 float-tight.
 """
 
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from qcx import families
+from qcx import extcore, families
 from qcx.cindex import REL_GAP_TOL, ConvexityIndex, IndexCase, compute_index
 from qcx.errors import CapTooSmallWarning
-from qcx.extcore import (DEFAULT_ETAS, BoxDomain, CertResult, FunctionSpec,
-                         PairTable, Verdict, default_gap_tol)
+from qcx.extcore import (DEFAULT_ETAS, SOLVE_BATCH, BoxDomain, BreakEven,
+                         CertResult, FunctionSpec, PairTable, Verdict, Witness,
+                         _crossing_estimate, _exp_combo, _exp_violation, _prune,
+                         _smallest, default_gap_tol)
 
 from test_acceptance import FIXTURES, SEED, _random_suite
+from test_scan_oracle import _few, _pair_arrays, oracle_scan
 
 #: Hard ceiling on bisection steps; the bracket also stops at width <= tol.
 MAX_BISECT_ITERS = 60
@@ -32,7 +43,138 @@ CAP = 1e4
 E = math.e
 
 
-def _bisect(table: PairTable, lo: float, hi: float, sign: int, tol: float,
+class CachedPairTable:
+    """The earlier pair table: endpoints and mix values cached, one chunk."""
+
+    def __init__(self, g: FunctionSpec, box: BoxDomain, etas=DEFAULT_ETAS):
+        self.g, self.box, self.etas = g, box, tuple(etas)
+        self.grid_values = g(box.points())
+        self.a, self.b = _pair_arrays(box)
+        with np.errstate(all="ignore"):
+            self.fa, self.fb = g(self.a), g(self.b)
+            self.fm = [g(eta * self.a + (1 - eta) * self.b) for eta in self.etas]
+
+    def scan(self, kind: str, tol: float):
+        return oracle_scan(self.g, self.box, kind, tol)
+
+    def _diffs(self, which: int, idx):
+        fm = self.fm[which][idx]
+        return self.fa[idx] - fm, self.fb[idx] - fm
+
+    def exp_transform_ok(self, lam: float, sign: int, tol_rel: float) -> bool:
+        if lam == 0.0:
+            return True
+        with np.errstate(all="ignore"):
+            return not any(
+                _exp_violation(*self._diffs(which, slice(None)), eta, lam,
+                               sign, tol_rel).any()
+                for which, eta in enumerate(self.etas))
+
+    def exp_break_even(self, sign: int, tol_rel: float,
+                       lam_cap: float) -> BreakEven:
+        t_hat = lam_cap if sign < 0 else math.ulp(0.0)
+        best = None  # (lam_pass, which, idx, t_pass, t_fail)
+        probes: list[tuple[float, bool]] = []
+        everything = np.arange(len(self.a))
+        with np.errstate(all="ignore"):
+            cands = [_smallest(_crossing_estimate(*self._diffs(which, everything),
+                                                  eta, sign, tol_rel),
+                               SOLVE_BATCH)
+                     for which, eta in enumerate(self.etas)]
+        while True:
+            found = []
+            pool = [everything] * len(self.etas) if cands is None else cands
+            for which, idx in enumerate(pool):
+                with np.errstate(all="ignore"):
+                    pos, t_fail, key = _prune(*self._diffs(which, idx),
+                                              self.etas[which], t_hat, sign,
+                                              tol_rel, lam_cap)
+                found.append((idx[pos], t_fail, key))
+            if cands is None:
+                ok = not any((t_fail == t_hat).any() for _, t_fail, _ in found)
+                probes.append((-sign * t_hat, ok))
+            if not any(len(f[0]) for f in found):
+                if cands is None:
+                    break
+                cands = None
+                continue
+            picks, cands = [], []
+            for which, (idx, t_fail, key) in enumerate(found):
+                take = _smallest(key, SOLVE_BATCH)
+                rest = np.ones(len(idx), dtype=bool)
+                rest[take] = False
+                picks.append((which, idx[take], t_fail[take]))
+                cands.append(idx[rest])
+            best = self._solve(picks, best, sign, tol_rel, lam_cap)
+            t_hat = best[3]
+        if best is None:
+            return BreakEven(-t_hat, 0.0, None, tuple(probes))
+        lam_pass, which, idx, _, t_fail = best
+        hi = -sign * t_fail
+        hi_ok = self.exp_transform_ok(hi, sign, tol_rel)
+        probes.append((hi, hi_ok))
+        assert not hi_ok
+        da, db = self._diffs(which, np.array([idx]))
+        eta = self.etas[which]
+        with np.errstate(all="ignore"):
+            excess = sign * (1.0 - _exp_combo(da, db, eta, -sign * t_fail))
+        binding = Witness(x1=tuple(float(v) for v in self.a[idx]),
+                          x2=tuple(float(v) for v in self.b[idx]),
+                          eta=float(eta), violation=float(excess[0]))
+        return BreakEven(lam_pass, hi, binding, tuple(probes))
+
+    def _solve(self, picks, best, sign: int, tol_rel: float, lam_cap: float):
+        which = np.concatenate([np.full(len(i), w) for w, i, _ in picks])
+        idx = np.concatenate([i for _, i, _ in picks])
+        t_fail = np.concatenate([t for _, _, t in picks])
+        eta = np.asarray(self.etas)[which]
+        da, db = (np.concatenate(d) for d in
+                  zip(*(self._diffs(w, i) for w, i, _ in picks)))
+        pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
+        fail_bits = t_fail.view(np.int64).copy()
+        with np.errstate(all="ignore"):
+            while True:
+                step = fail_bits - pass_bits
+                if not (np.abs(step) > 1).any():
+                    break
+                mid = pass_bits + step // 2
+                bad = _exp_violation(da, db, eta, -sign * mid.view(np.float64),
+                                     sign, tol_rel)
+                fail_bits = np.where(bad, mid, fail_bits)
+                pass_bits = np.where(bad, pass_bits, mid)
+        t_pass = pass_bits.view(np.float64)
+        lam_pass = -sign * t_pass
+        k = np.lexsort((idx, which, lam_pass))[0]
+        cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
+                float(t_pass[k]), float(fail_bits.view(np.float64)[k]))
+        if best is None or cand[:3] < best[:3]:
+            return cand
+        return best
+
+
+def oracle_index(f: FunctionSpec, box: BoxDomain,
+                 lambda_cap: float = CAP) -> ConvexityIndex:
+    """``compute_index`` on the cached table, without the cap warnings."""
+    table = CachedPairTable(f, box)
+    if np.ptp(table.grid_values) < 1e-10:
+        return ConvexityIndex(math.inf, None, IndexCase.CASE_II, lambda_cap,
+                              constant_shortcut=True)
+    _, witness, _ = table.scan("convex", default_gap_tol(f))
+    if witness is not None:
+        case, sign, flat = IndexCase.CASE_I, +1, -math.inf
+    else:
+        case, sign, flat = IndexCase.CASE_II, -1, math.inf
+    ok = table.exp_transform_ok(-sign * lambda_cap, sign, REL_GAP_TOL)
+    if ok == (flat > 0):  # the cap probe did not flip
+        return ConvexityIndex(flat, None, case, lambda_cap, cap_probe=True,
+                              probes=((-sign * lambda_cap, ok),))
+    be = table.exp_break_even(sign, REL_GAP_TOL, lambda_cap)
+    return ConvexityIndex(be.lo, (be.lo, be.hi), case, lambda_cap,
+                          binding=be.binding,
+                          probes=((-sign * lambda_cap, ok),) + be.probes)
+
+
+def _bisect(table, lo: float, hi: float, sign: int, tol: float,
             probes: list[tuple[float, bool]]) -> tuple[float, float]:
     """Monotone bisection of ``exp_transform_ok`` on [lo, hi].
 
@@ -76,7 +218,7 @@ def certify_index_bracket(f: FunctionSpec, box: BoxDomain, idx: ConvexityIndex,
 
 def bisect_index(f, box, tol=ORACLE_TOL, lambda_cap=CAP):
     """``(value, bracket)`` by bisection; the bracket is None for +-inf."""
-    table = PairTable(f, box)
+    table = CachedPairTable(f, box)
     if np.ptp(table.grid_values) < 1e-10:
         return math.inf, None
     probes: list[tuple[float, bool]] = []
@@ -180,9 +322,57 @@ def test_clipped_local_pairs_are_skipped():
                      name="sqrt+0.5neglog")
     box = BoxDomain.of((1.0, 1.0), (4.0, E), (21, 21))
     table = PairTable(f, box)
-    assert not (table.a == table.b).all(axis=1).any()
+    for block in table.blocks:
+        a, b, _, _ = table._build(block)
+        assert not (a == b).all(axis=1).any(), block
     want, bracket = bisect_index(f, box)
     ix = compute_index(f, box, tol=ORACLE_TOL)
     assert math.isfinite(ix.value) and bracket is not None
     assert bracket[0] <= ix.value <= bracket[1], (ix.value, bracket)
     assert ix.binding is not None and ix.binding.x1 != ix.binding.x2
+
+
+#: Default blocks and blocks of about 1/20 of the grid pairs, on 1-2 threads.
+SETTINGS = [("default", 1), ("default", 2), ("few", 1), ("few", 2)]
+STREAMED_GROUPS = ("fixtures", "random-suite", "two-d")
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_indices(group: str) -> list[ConvexityIndex]:
+    return [oracle_index(f, box) for f, box in CASES[group]()]
+
+
+@pytest.mark.parametrize("group", STREAMED_GROUPS)
+@pytest.mark.parametrize("block,threads", SETTINGS)
+def test_streamed_index_matches_cached_oracle(group, block, threads,
+                                              monkeypatch):
+    """Value, bracket, binding pair and probes equal the cached table's."""
+    finite = 0
+    for (f, box), want in zip(CASES[group](), _oracle_indices(group)):
+        if block == "few":
+            monkeypatch.setattr(extcore, "SCAN_BLOCK", _few(box))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CapTooSmallWarning)
+            got = compute_index(f, box, threads=threads)
+        assert got == want, (f.name, got, want)  # probes included
+        finite += got.binding is not None
+    assert finite > 0
+
+
+@pytest.mark.parametrize("f,box", [
+    (families.neglog(), BoxDomain.of(1.0, E, 1025)),
+    (FunctionSpec(2, lambda p: np.sqrt(p[:, 0]) - 0.5 * np.log(p[:, 1]),
+                  name="sqrt+0.5neglog"),
+     BoxDomain.of((1.0, 1.0), (4.0, E), (41, 41))),
+], ids=["neglog-1025", "sqrt+0.5neglog-41x41"])
+def test_index_memory_is_bounded_by_the_block(f, box):
+    """525 k and 840 k pairs: a few MB, not the 70 MB and 213 MB that a
+    cached table of every pair and mix held."""
+    tracemalloc.start()
+    try:
+        ix = compute_index(f, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ix.binding is not None
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20

@@ -194,13 +194,22 @@ def test_table_scan_matches_oracle(block, threads, monkeypatch):
             assert got == want, (case, kind, got, want)
 
 
-def test_table_pairs_match_oracle():
-    """Same pairs in the same order: grid pairs, then up/down local steps."""
+def test_table_pairs_match_oracle(monkeypatch):
+    """The blocks build the same pairs in the same order, at the default
+    block size and at a few pairs: grid pairs, then up/down local steps."""
+    default = extcore.SCAN_BLOCK
     for case, (f, box) in CASES.items():
-        table = PairTable(f, box)
         a, b = _pair_arrays(box)
-        assert np.array_equal(table.a, a) and np.array_equal(table.b, b), case
-        assert np.array_equal(table.fa, f(a)) and np.array_equal(table.fb, f(b))
+        for size in (default, _few(box)):
+            monkeypatch.setattr(extcore, "SCAN_BLOCK", size)
+            table = PairTable(f, box)
+            built = [table._build(block) for block in table.blocks]
+            assert [len(part[0]) for part in built] == [
+                stop - start for start, stop in table.blocks], case
+            ta, tb, fa, fb = map(np.concatenate, zip(*built))
+            assert np.array_equal(ta, a) and np.array_equal(tb, b), case
+            assert np.array_equal(fa, f(a)) and np.array_equal(fb, f(b)), case
+            assert len(table.a) == len(a)
 
 
 def test_brute_force_memory_is_bounded_by_the_block():

@@ -267,6 +267,18 @@ def test_stacked_call_matches_row_calls(k, seed):
         assert rho(rows[:0]).shape == (0, sigma.n)
 
 
+def test_stacked_conditional_expectation_is_c_contiguous():
+    """Stacked rows come back row-major, so a reduction over one row reads
+    it as the row's own call does (a strided row can resolve a max of 0.0
+    and -0.0 the other way)."""
+    space, sigma, rng = random_case(5, 505)
+    rows = rng.uniform(-3, 3, (5, sigma.n))
+    got = conditional_expectation(rows, sigma, space)
+    assert got.flags.c_contiguous
+    single = [conditional_expectation(row, sigma, space) for row in rows]
+    assert got.tobytes() == np.array(single).tobytes()
+
+
 def _marked_measure(sigma, space):
     """``-E[X|G]``, except that a row whose first outcome exceeds 100
     returns itself (not measurable), and beyond 1000 with a NaN first."""
