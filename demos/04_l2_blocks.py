@@ -14,7 +14,8 @@ from qcx import (PartitionSigma, build_example_10pt, build_example_10pt_split,
                  check_basis_locality, check_cone_self_dual, check_locality,
                  check_nqc_wrt_preorder, conditional_expectation_map,
                  cone_leq, mean_broadcast_map, neg_conditional_expectation,
-                 project_G_complement, refined_partition_10pt, sqrt_log_map)
+                 project_G_complement, refined_partition_10pt,
+                 sample_triples, sqrt_log_map)
 
 block = build_example_10pt()
 space = block.space
@@ -64,9 +65,10 @@ print(f"self-duality spot checks: "
       f"{check_cone_self_dual(block, budget=200).verdict.value}")
 
 print("\n== natural quasiconvexity with respect to the preorder ==")
+triples = sample_triples(space, 0, 150)
 for make in (neg_conditional_expectation, sqrt_log_map):
     rho = make(block.sigma(), space)
-    rep = check_nqc_wrt_preorder(rho, block, budget=150)
+    rep = check_nqc_wrt_preorder(rho, block, triples=triples)
     line = f"{rho.name}: {rep.verdict.value}"
     if rep.details:
         line += (f" (convex wrt preorder: "

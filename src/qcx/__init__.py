@@ -21,9 +21,8 @@ from .extcore import (BoxDomain, CertResult, DEFAULT_ETAS, FunctionSpec,
                       Verdict, Witness, certify_concave, certify_convex,
                       certify_quasiconvex, convexity_gap, default_gap_tol,
                       quasiconvexity_gap, scale_function)
-from .cindex import (Classification, Constancy, Convexity, ConvexityIndex,
-                     IndexCase, classify, compute_index, r_lambda,
-                     scale_index, smooth_index_1d)
+from .cindex import (Classification, ConvexityIndex, IndexCase, classify,
+                     compute_index, r_lambda, scale_index, smooth_index_1d)
 from .decomp import (DecomposableSum, SumDecision, SumVerdict,
                      brute_force_sum_quasiconvex, characterize,
                      harmonic_index, index_sum_criterion,

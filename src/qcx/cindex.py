@@ -32,7 +32,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,28 +53,9 @@ class IndexCase(enum.Enum):
     CASE_II = "II"  # r_lam convex for all lam < 0; index >= 0
 
 
-class Convexity(enum.Enum):
-    CONVEX = "convex"
-    NOT_CONVEX = "not-convex"
-
-
-class Constancy(enum.Enum):
-    CONSTANT = "constant"
-    NOT_CONSTANT = "not-constant"
-
-
-@dataclass(frozen=True)
-class Classification:
-    convexity: Convexity
-    constancy: Constancy
-
-    @property
-    def convex(self) -> bool:
-        return self.convexity is Convexity.CONVEX
-
-    @property
-    def constant(self) -> bool:
-        return self.constancy is Constancy.CONSTANT
+class Classification(NamedTuple):
+    convex: bool
+    constant: bool
 
 
 @dataclass(frozen=True)
@@ -233,6 +214,5 @@ def classify(c) -> Classification:
     library certifies.
     """
     value = c.value if isinstance(c, ConvexityIndex) else float(c)
-    convex = Convexity.CONVEX if value >= 0 else Convexity.NOT_CONVEX
-    constant = Constancy.CONSTANT if value == POS_INF else Constancy.NOT_CONSTANT
-    return Classification(convex, constant)
+    return Classification(convex=bool(value >= 0),
+                          constant=bool(value == POS_INF))

@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cindex import (ConvexityIndex, classify, compute_index, smooth_index_1d)
+from .cindex import (DEFAULT_BRACKET_TOL, DEFAULT_LAMBDA_CAP, ConvexityIndex,
+                     classify, compute_index, smooth_index_1d)
 from .decomp import (DecomposableSum, SumDecision, SumVerdict,
                      brute_force_sum_quasiconvex, characterize,
                      harmonic_index, index_sum_criterion)
@@ -33,10 +34,10 @@ from .families import make_function
 from .l2basis import (build_example_10pt, build_example_10pt_split,
                       check_basis_locality, check_cone_self_dual,
                       check_nqc_wrt_preorder, refined_partition_10pt)
-from .riskmeasure import (CheckVerdict, PropertyReport, RiskMeasureOracle,
-                          TripleTable, blind_spot_map, certainty_equivalent,
-                          check_assumption_nonconstant, check_convexity,
-                          check_locality, check_monotonicity,
+from .riskmeasure import (DEFAULT_CHECK_TOL, CheckVerdict, PropertyReport,
+                          RiskMeasureOracle, TripleTable, blind_spot_map,
+                          certainty_equivalent, check_assumption_nonconstant,
+                          check_convexity, check_locality, check_monotonicity,
                           check_natural_quasiconvexity, check_quasiconvexity,
                           check_sensitivity, check_star_quasiconvexity,
                           check_translativity, conditional_expectation_map,
@@ -193,12 +194,21 @@ def _get_float(cp, section: str, key: str,
     return None if values is None else values[0]
 
 
-def _get_positive(cp, section: str, key: str, default: str) -> float:
+def _get_positive(cp, section: str, key: str, default: float) -> float:
     """A number above zero: a tolerance or a lambda cap."""
-    value = _get_float(cp, section, key, default=default)
+    value = _get_float(cp, section, key, default=repr(default))
     if not value > 0:
         raise ConfigError(f"[{section}] {key} must be positive, got {value}")
     return value
+
+
+def _get_bool(cp, section: str, key: str) -> bool:
+    """A flag in configparser's words (true/false, yes/no, on/off, 1/0);
+    false when the key is absent."""
+    try:
+        return cp.getboolean(section, key, fallback=False)
+    except ValueError as e:
+        raise ConfigError(f"[{section}] {key}: {e}") from e
 
 
 def _get_numbers(cp, section: str, key: str, cast=float,
@@ -241,7 +251,10 @@ def build_space(cp) -> FiniteProbSpace:
 def build_partition(cp, n: int) -> PartitionSigma:
     atoms = _get(cp, "partition", "atoms")
     if atoms is not None:
-        sigma = parse_partition_text(atoms)
+        try:
+            sigma = parse_partition_text(atoms)
+        except ValueError as e:
+            raise ConfigError(f"[partition] atoms: {e}") from e
     else:
         path = _get(cp, "partition", "file")
         if path is None:
@@ -331,9 +344,9 @@ def _dispatch_measure(cp, section: str, kind: str, sigma: PartitionSigma,
     if kind == "coarse_cond_exp":
         target_text = _get(cp, section, "target", required=True)
         target = parse_partition_text(target_text)
-        negate = _get(cp, section, "negate", default="false").lower() == "true"
-        return conditional_expectation_map(target, space, declared_sigma=sigma,
-                                           negate=negate)
+        return conditional_expectation_map(
+            target, space, declared_sigma=sigma,
+            negate=_get_bool(cp, section, "negate"))
     raise ConfigError(f"[{section}] unknown kind {kind!r}; "
                       f"known: {MEASURE_KINDS}")
 
@@ -345,8 +358,8 @@ def _dispatch_measure(cp, section: str, kind: str, sigma: PartitionSigma,
 def cmd_index(cp, seed: int, threads: int, csv_path: Optional[str]) -> dict:
     names_text = _get(cp, "index", "function", required=True)
     names = names_text.split()
-    lambda_cap = _get_positive(cp, "index", "lambda_cap", "1e4")
-    tol = _get_positive(cp, "index", "tol", "1e-4")
+    lambda_cap = _get_positive(cp, "index", "lambda_cap", DEFAULT_LAMBDA_CAP)
+    tol = _get_positive(cp, "index", "tol", DEFAULT_BRACKET_TOL)
     results = {}
     sweeps = []
     for name in names:
@@ -372,8 +385,9 @@ def cmd_sum_check(cp, seed: int, threads: int, brute: bool,
     names = names_text.split()
     if len(names) < 2:
         raise ConfigError("[sum-check] needs at least two functions")
-    lambda_cap = _get_positive(cp, "sum-check", "lambda_cap", "1e4")
-    tol = _get_positive(cp, "sum-check", "tol", "1e-4")
+    lambda_cap = _get_positive(cp, "sum-check", "lambda_cap",
+                               DEFAULT_LAMBDA_CAP)
+    tol = _get_positive(cp, "sum-check", "tol", DEFAULT_BRACKET_TOL)
     coords = [build_function(cp, n) for n in names]
     dsum = DecomposableSum(tuple(coords))
     indices = dsum.indices(lambda_cap=lambda_cap, tol=tol, threads=threads)
@@ -392,8 +406,7 @@ def cmd_sum_check(cp, seed: int, threads: int, brute: bool,
     }
     if all(v >= 0 for v in values):
         result["harmonic_index"] = harmonic_index(values)
-    brute_cfg = _get(cp, "sum-check", "brute", default="false").lower() == "true"
-    if brute or brute_cfg:
+    if _get_bool(cp, "sum-check", "brute") or brute:
         budget = _get_count(cp, "sum-check", "pair_budget", "1000000")
         m_override = _get_numbers(cp, "sum-check", "brute_grid", int) or None
         oracle = brute_force_sum_quasiconvex(dsum, pair_budget=budget,
@@ -425,6 +438,8 @@ PROPERTY_CHECKS = {
     "sensitivity": check_sensitivity,
     "assumption": check_assumption_nonconstant,
 }
+#: The properties checked on the shared triple table.
+TRIPLE_PROPERTIES = ("convexity", "quasiconvexity", "nqc", "star")
 
 
 def cmd_risk_check(cp, seed: int, threads: int) -> dict:
@@ -435,7 +450,7 @@ def cmd_risk_check(cp, seed: int, threads: int) -> dict:
     props_text = _get(cp, "risk-check", "properties",
                       default=" ".join(PROPERTY_CHECKS))
     budget = _get_count(cp, "risk-check", "budget", "200")
-    tol = _get_positive(cp, "risk-check", "tol", "1e-6")
+    tol = _get_positive(cp, "risk-check", "tol", DEFAULT_CHECK_TOL)
     # one table: the four triple checks evaluate each triple once
     triples = TripleTable(rho, sample_triples(
         space, np.random.default_rng([seed, 1]), budget))
@@ -445,18 +460,14 @@ def cmd_risk_check(cp, seed: int, threads: int) -> dict:
             raise ConfigError(f"unknown property {prop!r}; "
                               f"known: {sorted(PROPERTY_CHECKS)}")
         rng = np.random.default_rng([seed, 100 + i])
+        check = PROPERTY_CHECKS[prop]
         try:
-            if prop in ("convexity", "quasiconvexity", "nqc"):
-                rep = PROPERTY_CHECKS[prop](rho, tol=tol, triples=triples)
-            elif prop == "star":
-                rep = check_star_quasiconvexity(rho, tol=tol, triples=triples,
-                                                rng=rng)
-            elif prop == "sensitivity":
-                rep = check_sensitivity(rho, rng=rng)
-            elif prop == "assumption":
-                rep = check_assumption_nonconstant(rho, rng=rng)
+            if prop in TRIPLE_PROPERTIES:
+                rep = check(rho, triples=triples, tol=tol)
+            elif prop in ("sensitivity", "assumption"):
+                rep = check(rho, rng=rng)
             else:
-                rep = PROPERTY_CHECKS[prop](rho, budget=budget, tol=tol, rng=rng)
+                rep = check(rho, budget=budget, tol=tol, rng=rng)
         except NotNormalizedError as e:
             rep = PropertyReport(prop, CheckVerdict.INCONCLUSIVE,
                                  details={"reason": str(e)})
@@ -516,9 +527,11 @@ def cmd_l2_demo(cp, seed: int, threads: int) -> dict:
         result["cone_self_dual"] = report_to_dict(
             check_cone_self_dual(block, budget=budget,
                                  rng=np.random.default_rng([seed, 4])))
+        # the triples first, then basis locality, from one stream
+        rng = np.random.default_rng([seed, 5])
+        triples = sample_triples(space, rng, budget)
         result["nqc_wrt_preorder"] = report_to_dict(
-            check_nqc_wrt_preorder(rho, block, budget=budget,
-                                   rng=np.random.default_rng([seed, 5])))
+            check_nqc_wrt_preorder(rho, block, triples=triples, rng=rng))
     return result
 
 

@@ -24,7 +24,7 @@ from .errors import AssumptionViolatedError, RankDeficientError
 from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, PropertyReport,
                           RiskMeasureOracle, _each_triple, _excess_check,
                           _first_failure, _jensen_bound, _mu_feasibility, _rng,
-                          _stacked, _triple_table, _vec, sample_triples)
+                          _stacked, _triple_table, _vec)
 from .spaces import (FiniteProbSpace, PartitionSigma, conditional_expectation,
                      parse_partition_text)
 
@@ -336,12 +336,9 @@ def check_cone_self_dual(block: BlockStructure, budget: int = 200,
 
 
 def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
-                                 budget: int = 200,
-                                 tol: float = DEFAULT_CHECK_TOL, rng=0,
-                                 triples=None) -> PropertyReport:
-    """Jensen inequality in every e-coordinate over sampled triples."""
-    if triples is None:
-        triples = sample_triples(block.space, rng, budget)
+                                 *, triples, tol: float = DEFAULT_CHECK_TOL
+                                 ) -> PropertyReport:
+    """Jensen inequality in every e-coordinate over the triples."""
     table = _triple_table(rho, triples)
     return _excess_check("convexity-wrt-preorder", table,
                          _e_coordinate_chunks(block, table), _jensen_bound, tol)
@@ -356,24 +353,21 @@ def _e_coordinate_chunks(block: BlockStructure, table):
 
 
 def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
-                           budget: int = 200, tol: float = DEFAULT_CHECK_TOL,
-                           rng=0, triples=None,
-                           locality_budget: int = 24) -> PropertyReport:
+                           *, triples, tol: float = DEFAULT_CHECK_TOL,
+                           rng=0) -> PropertyReport:
     """Natural quasiconvexity with respect to the e-coordinate preorder.
 
     Mixing-weight feasibility runs on e-coordinate vectors exactly as the
     atom-value check does on atom values; e-blocks must be one-dimensional.
     When the check passes, the report details also record convexity with
     respect to the preorder on the same triples together with the
-    normalization and basis-locality hypotheses, so the implication
-    "naturally quasiconvex and local and normalized implies convex" can be
-    read off the report.
+    normalization and basis-locality hypotheses (the latter on a budget of
+    24 drawn from ``rng``), so the implication "naturally quasiconvex and
+    local and normalized implies convex" can be read off the report.
     """
     if any(len(e) != 1 for e in block.e_blocks):
         raise AssumptionViolatedError(
             "the preorder feasibility check needs 1-dimensional e-blocks")
-    if triples is None:
-        triples = sample_triples(block.space, rng, budget)
     table = _triple_table(rho, triples)
     for i, (ex, ey, em) in _each_triple(_e_coordinate_chunks(block, table)):
         certificate = _mu_feasibility(ex, ey, em, tol)[1]
@@ -385,10 +379,10 @@ def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
                          "e_x": _vec(ex), "e_y": _vec(ey), "e_mix": _vec(em),
                          "certificate": certificate},
                 samples=i, tol=tol)
-    conv = check_convexity_wrt_preorder(rho, block, tol=tol, triples=table)
+    conv = check_convexity_wrt_preorder(rho, block, triples=table, tol=tol)
     zero = rho(np.zeros(block.space.n))
     normalized = bool(np.max(np.abs(zero)) <= 1e-9)
-    loc = check_basis_locality(rho, block, budget=locality_budget, tol=tol, rng=rng)
+    loc = check_basis_locality(rho, block, budget=24, tol=tol, rng=rng)
     hypotheses = normalized and loc.passed
     return PropertyReport(
         "nqc-wrt-preorder", CheckVerdict.PASS, samples=len(table), tol=tol,

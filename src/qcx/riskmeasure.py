@@ -12,14 +12,18 @@ always "no violation found at this tolerance on these samples" while a
 exact per sampled triple: feasibility of the mixing weight reduces to an
 interval intersection, and infeasibility is certified either by a
 contradictory pair of atom constraints or by a separating nonnegative dual
-vector whose scalarization violates quasiconvexity at the same triple.
+vector whose scalarization violates quasiconvexity at the same triple. The
+star check is exact per triple too: the best nonnegative dual vector solves
+a linear program with two inequality rows, so it tests only that program's
+basic solutions (atom vertices and two-atom edge points).
 
 Every sampled checker evaluates stacked rows: one oracle call per chunk of
 samples or events, in the order of single calls, with the first failure
 taken from a violation mask, so reports equal those of one call per row.
 The six triple checkers (convexity, quasiconvexity, natural and star
-quasiconvexity here, and the two preorder checks of :mod:`qcx.l2basis`) read
-one :class:`TripleTable`: ``rho`` of every ``X``, ``Y`` and mix, evaluated
+quasiconvexity here, and the two preorder checks of :mod:`qcx.l2basis`) take
+the caller's triples, ``triples=`` a list from :func:`sample_triples` or a
+shared :class:`TripleTable`: ``rho`` of every ``X``, ``Y`` and mix, evaluated
 once per triple, only as far as some checker reads.
 """
 
@@ -251,12 +255,11 @@ class PropertyReport:
 
 
 def sample_triples(space: FiniteProbSpace, rng, count: int,
-                   lam_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-                   sample_range: tuple[float, float] = DEFAULT_SAMPLE_RANGE
+                   lam_grid: Sequence[float] = DEFAULT_LAMBDA_GRID
                    ) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Deterministic (X, Y, lambda) triples for the sampled checks."""
+    """Deterministic (X, Y, lambda) triples for the triple checkers."""
     gen = _rng(rng)
-    lo, hi = sample_range
+    lo, hi = DEFAULT_SAMPLE_RANGE
     grid = [float(lam) for lam in lam_grid]
     out = []
     for _ in range(count):
@@ -537,23 +540,17 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
                           samples=rounds * len(events), tol=tol)
 
 
-def check_convexity(rho: RiskMeasureOracle, budget: int = 200,
-                    tol: float = DEFAULT_CHECK_TOL, rng=0,
-                    triples=None) -> PropertyReport:
-    """Componentwise Jensen inequality over sampled triples."""
-    if triples is None:
-        triples = sample_triples(rho.space, rng, budget)
+def check_convexity(rho: RiskMeasureOracle, *, triples,
+                    tol: float = DEFAULT_CHECK_TOL) -> PropertyReport:
+    """Componentwise Jensen inequality over the triples."""
     table = _triple_table(rho, triples)
     return _excess_check("convexity", table, table.chunks(), _jensen_bound,
                          tol)
 
 
-def check_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
-                         tol: float = DEFAULT_CHECK_TOL, rng=0,
-                         triples=None) -> PropertyReport:
-    """Componentwise max inequality over sampled triples."""
-    if triples is None:
-        triples = sample_triples(rho.space, rng, budget)
+def check_quasiconvexity(rho: RiskMeasureOracle, *, triples,
+                         tol: float = DEFAULT_CHECK_TOL) -> PropertyReport:
+    """Componentwise max inequality over the triples."""
     table = _triple_table(rho, triples)
     return _excess_check("quasiconvexity", table, table.chunks(),
                          lambda lam, v_x, v_y: np.maximum(v_x, v_y), tol)
@@ -599,24 +596,6 @@ def nqc_mu_interval(r_x: np.ndarray, r_y: np.ndarray, r_mix: np.ndarray,
     or ``None`` when the intersection is empty.
     """
     return _mu_feasibility(r_x, r_y, r_mix, tol)[0]
-
-
-def _simplex_grid(k: int, per_edge: int) -> np.ndarray:
-    """Lattice points of the unit simplex in R^k (plain coordinates)."""
-    if k == 1:
-        return np.array([[1.0]])
-    if k == 2:
-        t = np.linspace(0.0, 1.0, per_edge)
-        return np.stack([t, 1 - t], axis=1)
-    if k == 3:
-        pts = []
-        for i in range(per_edge):
-            for j in range(per_edge - i):
-                a = i / (per_edge - 1)
-                b = j / (per_edge - 1)
-                pts.append((a, b, 1.0 - a - b))
-        return np.array(pts)
-    raise ValueError("grid construction is used for at most 3 atoms")
 
 
 @functools.lru_cache(maxsize=64)
@@ -696,17 +675,15 @@ def _each_triple(chunks):
         yield from enumerate(values, start + 1)
 
 
-def check_natural_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
-                                 tol: float = DEFAULT_CHECK_TOL, rng=0,
-                                 triples=None) -> PropertyReport:
-    """Exact mixing-weight feasibility per sampled triple.
+def check_natural_quasiconvexity(rho: RiskMeasureOracle, *, triples,
+                                 tol: float = DEFAULT_CHECK_TOL
+                                 ) -> PropertyReport:
+    """Exact mixing-weight feasibility per triple.
 
     A failing triple carries the infeasibility certificate and, unless
     rounding leaves no positive margin, the optimal separating dual vector
     with its margin.
     """
-    if triples is None:
-        triples = sample_triples(rho.space, rng, budget)
     table = _triple_table(rho, triples)
     atom_probs = rho.sigma.atom_probs(rho.space)
     for i, risks in _each_triple(table.chunks()):
@@ -730,92 +707,68 @@ def check_natural_quasiconvexity(rho: RiskMeasureOracle, budget: int = 200,
                           samples=len(table), tol=tol)
 
 
-def check_star_quasiconvexity(rho: RiskMeasureOracle,
-                              budget_z: int = 512, budget_xy: int = 200,
-                              tol: float = DEFAULT_CHECK_TOL, rng=0,
-                              triples=None) -> PropertyReport:
-    """Quasiconvexity of every sampled nonnegative dual scalarization.
+def check_star_quasiconvexity(rho: RiskMeasureOracle, *, triples,
+                              tol: float = DEFAULT_CHECK_TOL) -> PropertyReport:
+    """Quasiconvexity of every nonnegative dual scalarization, exact per triple.
 
-    Dual vectors are drawn from the atom-indexed simplex (a 51-per-edge grid
-    through 3 atoms, Dirichlet samples beyond), always including the extreme
-    points, and are normalized to ``E[Z] = 1``. For each sampled triple the
-    kink candidates of that triple's margin function are also tested, which
-    makes the scalarization check exactly as sharp as the feasibility check.
+    A dual vector ``Z >= 0``, normalized to ``E[Z] = 1``, violates
+    quasiconvexity at a triple by ``E[Z r_mix] - max(E[Z r_x], E[Z r_y])``.
+    Maximizing that over ``Z`` is a linear program with two inequality rows,
+    so its basic solutions (:func:`_dual_candidates`: the atom vertices and
+    the two-atom edge points) contain an optimum, and testing them tests
+    every ``Z``. The witness is the first candidate of largest violation.
     """
-    if triples is None:
-        triples = sample_triples(rho.space, rng, budget_xy)
     table = _triple_table(rho, triples)
     atom_probs = rho.sigma.atom_probs(rho.space)
-    k = rho.sigma.k
-    if k <= 3:
-        raw = _simplex_grid(k, 51)
-    else:
-        raw = np.vstack([np.eye(k), _rng(rng).dirichlet(np.ones(k), size=budget_z)])
-    z_set = raw / np.maximum(raw @ atom_probs, 1e-300)[:, None]
-    # the weighted set once, then each triple's kinks behind it: the product
-    # runs on the same rows as a stacked copy would, so it keeps their bits
-    m = len(z_set)
-    weighted = np.empty((m + k + k * (k - 1) // 2, k))
-    weighted[:m] = z_set * atom_probs
     for i, risks in _each_triple(table.chunks()):
         r_x, r_y, r_mix = rho.sigma.atom_values(risks)
-        kinks = _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs)
-        rows = weighted[:m + len(kinks)]
-        np.multiply(kinks, atom_probs, out=rows[m:])
-        viol = rows @ r_mix - np.maximum(rows @ r_x, rows @ r_y) - tol
+        z = _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs)
+        weighted = z * atom_probs
+        viol = (weighted @ r_mix
+                - np.maximum(weighted @ r_x, weighted @ r_y) - tol)
         j = int(np.argmax(viol))
         if viol[j] > 0:
             x, y, lam = table.triples[i - 1]
-            z = z_set[j] if j < m else kinks[j - m]
             return PropertyReport(
                 "star-quasiconvexity", CheckVerdict.FAIL,
-                witness={"z": _vec(z), "x": _vec(x), "y": _vec(y),
+                witness={"z": _vec(z[j]), "x": _vec(x), "y": _vec(y),
                          "lam": lam, "violation": float(viol[j] + tol)},
-                samples=i, tol=tol,
-                details={"dual_samples": len(rows)})
+                samples=i, tol=tol)
     return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
-                          samples=len(table), tol=tol,
-                          details={"dual_samples": len(z_set)})
+                          samples=len(table), tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # sensitivity and the non-constancy hypothesis
 # ---------------------------------------------------------------------------
 
-def check_sensitivity(rho: RiskMeasureOracle,
-                      eps_list: Sequence[float] = (0.01, 0.1, 1.0),
-                      events: Optional[Sequence[Sequence[int]]] = None,
-                      budget: int = 32, rng=0,
+def check_sensitivity(rho: RiskMeasureOracle, budget: int = 32, rng=0,
                       tol: float = 1e-12) -> PropertyReport:
     """Charging any nonnull event must create risk somewhere.
 
     Requires a normalized measure (``rho(0) = 0``). Events are outcome index
-    sets; the default set contains every singleton, every atom, the whole
-    space, and random events up to the budget. The events of one ``eps``
-    are one stacked call.
+    sets: every singleton, every atom, the whole space, and random events up
+    to the budget, each charged ``eps`` = 0.01, 0.1 and 1. The events of one
+    ``eps`` are one stacked call.
     """
     zero = rho(np.zeros(rho.space.n))
     if np.max(np.abs(zero)) > 1e-9:
         raise NotNormalizedError(f"{rho.name}: rho(0) has norm "
                                  f"{np.max(np.abs(zero)):.3e}")
     n = rho.space.n
-    if events is None:
-        gen = _rng(rng)
-        ev: list[tuple[int, ...]] = [(i,) for i in range(n)]
-        ev.extend(tuple(a) for a in rho.sigma.atoms)
-        ev.append(tuple(range(n)))
-        while len(ev) < budget:
-            mask = gen.integers(0, 2, n).astype(bool)
-            if mask.any():
-                ev.append(tuple(np.flatnonzero(mask)))
-        events = ev
+    gen = _rng(rng)
+    events: list[tuple[int, ...]] = [(i,) for i in range(n)]
+    events.extend(tuple(a) for a in rho.sigma.atoms)
+    events.append(tuple(range(n)))
+    while len(events) < budget:
+        mask = gen.integers(0, 2, n).astype(bool)
+        if mask.any():
+            events.append(tuple(np.flatnonzero(mask)))
     inds = np.zeros((len(events), n))
     for row, event in zip(inds, events):
         row[list(event)] = 1.0
     checked = 0
-    for eps in eps_list:
-        if eps <= 0:
-            raise ValueError("eps values must be positive")
+    for eps in (0.01, 0.1, 1.0):
         out, error = _stacked(rho, -eps * inds)
         j = _first_failure(~(out > tol).any(axis=1), error)
         if j is not None:

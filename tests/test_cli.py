@@ -414,14 +414,36 @@ class TestDeterminismAndErrors:
                                  "xs": "0 1 x"}),
         ("index", "function s", {"family": "piecewise", "xs": "0 1 2",
                                  "ys": "0 1 oops"}),
+        ("risk-check", "partition", {"atoms": "1-4; 5-x; 8-10"}),
+        ("sum-check", "sum-check", {"brute": "maybe"}),
+        ("risk-check", "measure m", {"kind": "coarse_cond_exp",
+                                     "target": "1-7; 8-10", "negate": "ture"}),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, command,
                                               section, changes):
-        """A value that does not parse exits 64 and names its key (the
-        last one changed)."""
+        """A value that does not parse (a number, a partition, a boolean)
+        exits 64 and names its key (the last one changed)."""
         assert run_changed(tmp_path, command, section, changes) == 64
         key = list(changes)[-1]
         assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word,negate", [
+        ("true", True), ("Yes", True), ("on", True), ("1", True),
+        ("false", False), ("no", False), ("OFF", False), ("0", False)])
+    def test_boolean_words(self, tmp_path, word, negate):
+        """``negate`` reads configparser's boolean words."""
+        cp = load_config(write_config(tmp_path))
+        for key, value in (("kind", "coarse_cond_exp"),
+                           ("target", "1-7; 8-10"), ("negate", word)):
+            cp.set("measure m", key, value)
+        cp.set("risk-check", "properties", "locality")
+        cfg = tmp_path / "changed.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        out = tmp_path / "r.json"
+        run(["risk-check", "--config", str(cfg), "--out", str(out)])
+        name = json.loads(out.read_text())["results"]["measure"]
+        assert name == ("neg-" if negate else "") + "cond-exp-coarse"
 
     @pytest.mark.parametrize("command,section,changes", [
         ("index", "function s", {"domain": "4 1"}),
@@ -430,13 +452,14 @@ class TestDeterminismAndErrors:
         ("risk-check", "risk-check", {"tol": "-1"}),
         ("index", "index", {"tol": "0"}),
         ("sum-check", "sum-check", {"lambda_cap": "-1e4"}),
+        ("risk-check", "partition", {"atoms": "1-4; 4-7; 8-10"}),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys,
                                                 command, section, changes):
         """A well-formed value out of its range (an empty domain, fewer
         than three grid points, probabilities that do not sum to 1, a
-        tolerance or lambda cap that is not positive) exits 64 and names
-        its key."""
+        tolerance or lambda cap that is not positive, overlapping atoms)
+        exits 64 and names its key."""
         assert run_changed(tmp_path, command, section, changes) == 64
         key = list(changes)[-1]
         assert f"[{section}] {key}" in capsys.readouterr().err

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from qcx.riskmeasure import (DEFAULT_CHECK_TOL, _dual_candidates,
-                             _mu_feasibility, _simplex_grid,
-                             infeasibility_depth, nqc_mu_interval,
-                             separating_dual_witness)
+                             _mu_feasibility, infeasibility_depth,
+                             nqc_mu_interval, separating_dual_witness)
+from test_triple_oracle import _simplex_grid
 
 TRIPLES_PER_K = 300
 

@@ -320,13 +320,13 @@ class TestNQCAndStar:
     @pytest.mark.parametrize("make", [cubed_mean_map, sqrt_log_map])
     def test_star_violation_replays_on_a_weighted_space(self, make):
         """Six unequal atoms: the reported violation is the witness dual's
-        probability-weighted scalarization gap, kink candidates included."""
+        probability-weighted scalarization gap."""
         rng = np.random.default_rng(11)
         raw = rng.uniform(1.0, 3.0, 18)
         space = FiniteProbSpace(tuple(raw / raw.sum()))
         sigma = PartitionSigma.of(*(range(3 * a, 3 * a + 3) for a in range(6)))
         rho = make(sigma, space)
-        rep = check_star_quasiconvexity(rho, budget_z=64,
+        rep = check_star_quasiconvexity(rho,
                                         triples=sample_triples(space, 3, 200))
         assert rep.failed
         w = rep.witness
