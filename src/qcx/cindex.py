@@ -115,7 +115,7 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
                   lambda_cap: float = DEFAULT_LAMBDA_CAP,
                   tol: float = DEFAULT_BRACKET_TOL,
                   gap_tol: Optional[float] = None,
-                  etas=DEFAULT_ETAS, threads: int = 1) -> ConvexityIndex:
+                  etas=DEFAULT_ETAS) -> ConvexityIndex:
     """The exact grid convexity index of ``f`` on the box grid.
 
     The value is the break-even lambda of the grid transform family, the
@@ -131,12 +131,12 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     Near-constant inputs (grid range spread below 1e-10) classify as
     constant, index ``+inf``, without probing. A ``+-inf`` result obtained
     because the cap probe did not flip carries ``cap_probe=True`` and emits
-    :class:`qcx.errors.CapTooSmallWarning`. The result does not depend on
-    ``threads``.
+    :class:`qcx.errors.CapTooSmallWarning`. Every pass streams the pairs
+    block by block, and the result does not depend on the block size.
     """
     if lambda_cap <= 0 or tol <= 0:
         raise ValueError("lambda_cap and tol must be positive")
-    table = PairTable(f, box, etas=etas, threads=threads)
+    table = PairTable(f, box, etas=etas)
     spread = float(np.max(table.grid_values) - np.min(table.grid_values))
     if spread < 1e-10:
         return ConvexityIndex(POS_INF, None, IndexCase.CASE_II, lambda_cap,

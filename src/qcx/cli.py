@@ -342,8 +342,11 @@ def _dispatch_measure(cp, section: str, kind: str, sigma: PartitionSigma,
                               f"number in 1..{sigma.k}, got {atom}")
         return blind_spot_map(sigma, space, ignored_atom=atom - 1)
     if kind == "coarse_cond_exp":
-        target_text = _get(cp, section, "target", required=True)
-        target = parse_partition_text(target_text)
+        try:
+            target = parse_partition_text(
+                _get(cp, section, "target", required=True))
+        except ValueError as e:
+            raise ConfigError(f"[{section}] target: {e}") from e
         return conditional_expectation_map(
             target, space, declared_sigma=sigma,
             negate=_get_bool(cp, section, "negate"))
@@ -355,7 +358,7 @@ def _dispatch_measure(cp, section: str, kind: str, sigma: PartitionSigma,
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_index(cp, seed: int, threads: int, csv_path: Optional[str]) -> dict:
+def cmd_index(cp, seed: int, csv_path: Optional[str]) -> dict:
     names_text = _get(cp, "index", "function", required=True)
     names = names_text.split()
     lambda_cap = _get_positive(cp, "index", "lambda_cap", DEFAULT_LAMBDA_CAP)
@@ -364,8 +367,7 @@ def cmd_index(cp, seed: int, threads: int, csv_path: Optional[str]) -> dict:
     sweeps = []
     for name in names:
         f, box = build_function(cp, name)
-        ix = compute_index(f, box, lambda_cap=lambda_cap, tol=tol,
-                           threads=threads)
+        ix = compute_index(f, box, lambda_cap=lambda_cap, tol=tol)
         smooth = None
         if f.smooth and f.dim == 1 and ix.bracket is not None:
             smooth = smooth_index_1d(f, box)
@@ -379,7 +381,7 @@ def cmd_index(cp, seed: int, threads: int, csv_path: Optional[str]) -> dict:
     return {"functions": results}
 
 
-def cmd_sum_check(cp, seed: int, threads: int, brute: bool,
+def cmd_sum_check(cp, seed: int, brute: bool,
                   csv_path: Optional[str]) -> dict:
     names_text = _get(cp, "sum-check", "functions", required=True)
     names = names_text.split()
@@ -388,9 +390,13 @@ def cmd_sum_check(cp, seed: int, threads: int, brute: bool,
     lambda_cap = _get_positive(cp, "sum-check", "lambda_cap",
                                DEFAULT_LAMBDA_CAP)
     tol = _get_positive(cp, "sum-check", "tol", DEFAULT_BRACKET_TOL)
+    brute = _get_bool(cp, "sum-check", "brute") or brute
+    if brute:
+        budget = _get_count(cp, "sum-check", "pair_budget", "1000000")
+        m_override = _get_numbers(cp, "sum-check", "brute_grid", int) or None
     coords = [build_function(cp, n) for n in names]
     dsum = DecomposableSum(tuple(coords))
-    indices = dsum.indices(lambda_cap=lambda_cap, tol=tol, threads=threads)
+    indices = dsum.indices(lambda_cap=lambda_cap, tol=tol)
     values = [ix.value for ix in indices]
     for name, v in zip(names, values):
         if math.isinf(v):
@@ -406,12 +412,9 @@ def cmd_sum_check(cp, seed: int, threads: int, brute: bool,
     }
     if all(v >= 0 for v in values):
         result["harmonic_index"] = harmonic_index(values)
-    if _get_bool(cp, "sum-check", "brute") or brute:
-        budget = _get_count(cp, "sum-check", "pair_budget", "1000000")
-        m_override = _get_numbers(cp, "sum-check", "brute_grid", int) or None
+    if brute:
         oracle = brute_force_sum_quasiconvex(dsum, pair_budget=budget,
-                                             m_override=m_override,
-                                             threads=threads)
+                                             m_override=m_override)
         oracle_decision = (SumDecision.NOT_QUASICONVEX if oracle.refuted
                            else SumDecision.QUASICONVEX)
         result["brute_force"] = cert_to_dict(oracle)
@@ -442,7 +445,7 @@ PROPERTY_CHECKS = {
 TRIPLE_PROPERTIES = ("convexity", "quasiconvexity", "nqc", "star")
 
 
-def cmd_risk_check(cp, seed: int, threads: int) -> dict:
+def cmd_risk_check(cp, seed: int) -> dict:
     space = build_space(cp)
     sigma = build_partition(cp, space.n)
     measure_name = _get(cp, "risk-check", "measure", required=True)
@@ -479,7 +482,7 @@ L2_MEASURES = ("neg_cond_exp", "entropic", "sqrt_log", "cubed_mean",
                "mean_broadcast", "coarse_cond_exp")
 
 
-def cmd_l2_demo(cp, seed: int, threads: int) -> dict:
+def cmd_l2_demo(cp, seed: int) -> dict:
     fixture = _get(cp, "l2-demo", "fixture", default="paper10pt")
     if fixture == "paper10pt":
         block = build_example_10pt()
@@ -500,9 +503,6 @@ def cmd_l2_demo(cp, seed: int, threads: int) -> dict:
         rho = _dispatch_measure(cp, "l2-demo", kind, declared, space)
     budget = _get_count(cp, "l2-demo", "budget", "200")
     samples = _get_count(cp, "l2-demo", "samples", "500")
-    vecs = block.all_vectors()
-    gram = np.array([[space.inner(a, b) for b in vecs] for a in vecs])
-    ortho_resid = float(np.abs(gram - np.eye(len(vecs))).max())
     rng = np.random.default_rng([seed, 7])
     pyth = 0.0
     for _ in range(100):
@@ -512,9 +512,9 @@ def cmd_l2_demo(cp, seed: int, threads: int) -> dict:
     result = {
         "fixture": fixture,
         "measure": rho.name,
-        "basis_size": len(vecs),
+        "basis_size": len(block.all_vectors()),
         "e_dims": list(block.e_dims()),
-        "orthonormality_residual": ortho_resid,
+        "orthonormality_residual": block.ortho_residual,
         "pythagoras_residual": pyth,
         "classical_locality": report_to_dict(
             check_locality(rho, budget=samples,
@@ -632,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="at least 1; accepted, has no effect")
         if name == "sum-check":
             p.add_argument("--brute", action="store_true",
                            help="also run the product-grid oracle")
@@ -647,19 +648,15 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, "
                               f"got {args.threads}")
-        # more workers than cores only add threads; the report keeps the
-        # requested count
-        threads = min(args.threads, os.cpu_count() or 1)
         cp = load_config(args.config)
         if args.command == "index":
-            results = cmd_index(cp, args.seed, threads, args.csv)
+            results = cmd_index(cp, args.seed, args.csv)
         elif args.command == "sum-check":
-            results = cmd_sum_check(cp, args.seed, threads, args.brute,
-                                    args.csv)
+            results = cmd_sum_check(cp, args.seed, args.brute, args.csv)
         elif args.command == "risk-check":
-            results = cmd_risk_check(cp, args.seed, threads)
+            results = cmd_risk_check(cp, args.seed)
         else:
-            results = cmd_l2_demo(cp, args.seed, threads)
+            results = cmd_l2_demo(cp, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -673,7 +670,6 @@ def main(argv=None) -> int:
         "schema": SCHEMA,
         "command": args.command,
         "seed": args.seed,
-        "threads": args.threads,
         "results": results,
     }
     sys.stdout.write(render_text(report))

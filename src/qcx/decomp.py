@@ -230,9 +230,9 @@ class DecomposableSum:
         name = " + ".join(f.name or f"f{k}" for k, (f, _) in enumerate(self.coords))
         return FunctionSpec(dim=self.dim, fn=fn, name=name)
 
-    def indices(self, recompute: bool = False, **kwargs) -> tuple[ConvexityIndex, ...]:
+    def indices(self, **kwargs) -> tuple[ConvexityIndex, ...]:
         """Coordinate indices, computed once and cached."""
-        if self._indices is None or recompute:
+        if self._indices is None:
             self._indices = tuple(compute_index(f, b, **kwargs)
                                   for f, b in self.coords)
         return self._indices
@@ -244,7 +244,7 @@ class DecomposableSum:
 def brute_force_sum_quasiconvex(dsum: DecomposableSum, tol: float = 1e-9,
                                 pair_budget: int = 10 ** 6,
                                 m_override: Optional[Sequence[int]] = None,
-                                etas=DEFAULT_ETAS, threads: int = 1) -> CertResult:
+                                etas=DEFAULT_ETAS) -> CertResult:
     """Certify quasiconvexity of the sum on the full product grid.
 
     Pairs are drawn across the whole product (not coordinatewise); the scan
@@ -255,4 +255,4 @@ def brute_force_sum_quasiconvex(dsum: DecomposableSum, tol: float = 1e-9,
     """
     box = dsum.product_box(m_override)
     return certify_quasiconvex(dsum.as_function(), box, tol=tol, etas=etas,
-                               threads=threads, pair_budget=pair_budget)
+                               pair_budget=pair_budget)

@@ -31,17 +31,16 @@ break-even lambda of the whole table: each pair's crossing is found to
 adjacent floats, and pairs that cannot beat the running extremum are pruned
 by one probe per round.
 
-Concurrency: all scans are pure given a pure evaluation oracle. With
-``threads > 1`` blocks are evaluated on a thread pool, so the oracle must be
-reentrant. Ties between gaps go to the earlier weight, then the lower pair
-index, so results do not depend on the thread count.
+Every pass walks the blocks in order, one at a time, so the evaluation
+oracle is never called concurrently and need not be reentrant. Ties between
+gaps go to the earlier weight, then the lower pair index, so results do not
+depend on the block size.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -62,7 +61,7 @@ CONSTANT_SPREAD = 1e-10
 #: Pairs per interpolation weight solved exactly in each break-even round.
 SOLVE_BATCH = 32
 
-#: Pairs per block of a gap scan; a streamed scan holds one block per thread.
+#: Pairs per block of a streamed pass; a pass holds one block at a time.
 SCAN_BLOCK = 8192
 
 
@@ -254,19 +253,6 @@ def quasiconvexity_gap(g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool
     return _gap("quasiconvex", g, x1, x2, eta)
 
 
-def _map(fn, items: list, threads: int):
-    """``fn`` over ``items``, lazily and in order, on up to ``threads``
-    threads; closing the iterator early cancels the items not yet started."""
-    if threads <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
-    pool = ThreadPoolExecutor(max_workers=min(threads, len(items)))
-    try:
-        yield from pool.map(fn, items)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 # ---------------------------------------------------------------------------
 # exponential-transform kernels
 # ---------------------------------------------------------------------------
@@ -373,18 +359,16 @@ class PairTable:
     skipped (its mix may round an ulp away from it). The table keeps only the
     grid points, their values and the block list; every pass rebuilds each
     block and evaluates its mixes one weight at a time, so a pass holds one
-    block per thread. The passes are gap scans, the mix-normalized
-    exponential-transform test and its exact break-even solve, which the
-    convexity index uses.
+    block. The passes are gap scans, the mix-normalized exponential-transform
+    test and its exact break-even solve, which the convexity index uses.
     """
 
     def __init__(self, g: FunctionSpec, box: BoxDomain,
-                 etas: Sequence[float] = DEFAULT_ETAS, threads: int = 1,
+                 etas: Sequence[float] = DEFAULT_ETAS,
                  pair_budget: Optional[int] = None):
         if g.dim != box.dim:
             raise ValueError(f"function dim {g.dim} != box dim {box.dim}")
         self.g, self.etas = g, tuple(etas)
-        self.threads = max(1, int(threads))
         self.pts = box.points()
         self.grid_values = g(self.pts)
         if np.isposinf(self.grid_values).all():
@@ -464,9 +448,6 @@ class PairTable:
             fm = self._mix(a, b, eta)
             yield eta, fa - fm, fb - fm
 
-    def _map(self, fn):
-        return _map(fn, self.blocks, self.threads)
-
     # -- absolute gap scans --------------------------------------------------
 
     def scan(self, kind: str, tol: float):
@@ -476,8 +457,8 @@ class PairTable:
         :data:`GAP_FORMS`). Returns ``(worst_gap, witness | None,
         degenerate_seen)`` where the witness is reported only when the worst
         gap exceeds ``tol``. Ties go to the earlier weight, then the lower
-        pair index, within and across blocks, so the result depends on
-        neither block size nor threads.
+        pair index, within and across blocks, so the result does not depend
+        on the block size.
         """
         sign, ref = GAP_FORMS[kind]
 
@@ -497,7 +478,7 @@ class PairTable:
                                tuple(map(float, b[k])), float(eta))
             return (worst, *arg) if arg else None, degen
 
-        results = list(self._map(work))
+        results = list(map(work, self.blocks))
         degen = any(r[1] for r in results)
         best = max((r[0] for r in results if r[0]), key=lambda r: r[:3],
                    default=None)
@@ -530,7 +511,7 @@ class PairTable:
                                               tol_rel).any()
                                for eta, da, db in self._diffs(block))
 
-        return all(self._map(work))
+        return all(map(work, self.blocks))
 
     def exp_break_even(self, sign: int, tol_rel: float,
                        lam_cap: float) -> "BreakEven":
@@ -560,7 +541,7 @@ class PairTable:
         end; the same pass tests the upper end, one float above. Each
         whole-table probe is recorded as ``(lam, transform ok at lam)``.
         Ties go to the earlier weight, then the lower pair index, so the
-        result depends on neither block size nor threads.
+        result does not depend on the block size.
         """
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
         best = None  # (lam_pass, which, idx, t_pass, t_fail, da, db)
@@ -598,14 +579,14 @@ class PairTable:
 
         # seed: the best-ranked pairs of every weight, folded block by block
         seed = None
-        for part in self._map(estimate):
+        for part in map(estimate, self.blocks):
             seed = part if seed is None else [smallest(rows) for rows in
                                               concat([seed, part])]
         cands = [rows[:3] for rows in seed]
         while True:
             if cands is None:
                 hi = -sign * best[4] if best else None
-                parts = list(self._map(partial(probe_table, t_hat, hi)))
+                parts = list(map(partial(probe_table, t_hat, hi), self.blocks))
                 found = concat([out for out, _ in parts])
                 hi_ok = not any(hi_fails for _, hi_fails in parts)
                 # failures beyond t_hat are recorded at their own t
@@ -692,14 +673,13 @@ class PairTable:
 # ---------------------------------------------------------------------------
 
 def _certify(g: FunctionSpec, box: BoxDomain, kind: str, replay,
-             tol: Optional[float], etas: Sequence[float], threads: int,
+             tol: Optional[float], etas: Sequence[float],
              pair_budget: Optional[int]) -> CertResult:
     if tol is None:
         tol = default_gap_tol(g)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    table = PairTable(g, box, etas=etas, threads=threads,
-                      pair_budget=pair_budget)
+    table = PairTable(g, box, etas=etas, pair_budget=pair_budget)
     _, witness, degen = table.scan(kind, tol)
     if witness is None:
         return CertResult(Verdict.CERTIFIED, None, tol, degen)
@@ -711,24 +691,23 @@ def _certify(g: FunctionSpec, box: BoxDomain, kind: str, replay,
 
 
 def certify_convex(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = None,
-                   etas: Sequence[float] = DEFAULT_ETAS, threads: int = 1,
+                   etas: Sequence[float] = DEFAULT_ETAS,
                    pair_budget: Optional[int] = None) -> CertResult:
     """Scan for Jensen-inequality violations of ``g`` on the box grid."""
-    return _certify(g, box, "convex", convexity_gap, tol, etas, threads,
-                    pair_budget)
+    return _certify(g, box, "convex", convexity_gap, tol, etas, pair_budget)
 
 
 def certify_concave(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = None,
-                    etas: Sequence[float] = DEFAULT_ETAS, threads: int = 1,
+                    etas: Sequence[float] = DEFAULT_ETAS,
                     pair_budget: Optional[int] = None) -> CertResult:
     """Concavity counterpart of :func:`certify_convex`."""
     return _certify(g, box, "concave", partial(_gap, "concave"), tol, etas,
-                    threads, pair_budget)
+                    pair_budget)
 
 
 def certify_quasiconvex(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = None,
-                        etas: Sequence[float] = DEFAULT_ETAS, threads: int = 1,
+                        etas: Sequence[float] = DEFAULT_ETAS,
                         pair_budget: Optional[int] = None) -> CertResult:
     """Scan for ``g(mix) > max(g(x1), g(x2)) + tol`` over the pair set."""
     return _certify(g, box, "quasiconvex", quasiconvexity_gap, tol, etas,
-                    threads, pair_budget)
+                    pair_budget)

@@ -76,7 +76,7 @@ class BlockStructure:
     set; every basis vector vanishes outside its cell; all vectors are
     pairwise orthonormal to 1e-12; within each cell the two blocks together
     span everything supported on the cell (their sizes add up to the cell
-    size).
+    size). ``ortho_residual`` is the largest entry of ``|Gram - I|``.
     """
 
     space: FiniteProbSpace
@@ -85,6 +85,7 @@ class BlockStructure:
     beta_blocks: tuple[tuple[np.ndarray, ...], ...]
     transforms: Optional[tuple[np.ndarray, ...]] = field(default=None,
                                                          compare=False)
+    ortho_residual: float = field(init=False, compare=False)
 
     def __post_init__(self):
         PartitionSigma(self.cells)  # validates the disjoint cover
@@ -103,9 +104,10 @@ class BlockStructure:
                 raise ValueError(f"blocks of cell {ci} do not span the cell")
         allv = self.all_vectors()
         gram = np.array([[self.space.inner(a, b) for b in allv] for a in allv])
-        resid = np.abs(gram - np.eye(len(allv))).max()
+        resid = float(np.abs(gram - np.eye(len(allv))).max())
         if resid > ORTHO_TOL:
             raise ValueError(f"basis is not orthonormal: residual {resid:.3e}")
+        object.__setattr__(self, "ortho_residual", resid)
 
     @property
     def k(self) -> int:

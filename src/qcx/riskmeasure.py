@@ -52,6 +52,9 @@ DEFAULT_CHECK_TOL = 1e-6
 DEFAULT_LAMBDA_GRID = tuple(k / 8 for k in range(1, 8))
 DEFAULT_SAMPLE_RANGE = (-3.0, 3.0)
 
+#: Points at which a certainty equivalent's declared loss inverse is checked.
+INVERSE_PROBES = np.linspace(-6.0, 6.0, 25)
+
 
 def _rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
@@ -119,15 +122,13 @@ def neg_conditional_expectation(sigma: PartitionSigma,
 def certainty_equivalent(loss: Callable[[np.ndarray], np.ndarray],
                          loss_inv: Callable[[np.ndarray], np.ndarray],
                          sigma: PartitionSigma, space: FiniteProbSpace,
-                         name: str = "certainty-equivalent",
-                         probe_points: Optional[np.ndarray] = None) -> RiskMeasureOracle:
+                         name: str = "certainty-equivalent") -> RiskMeasureOracle:
     """``rho(X) = loss_inv(E[loss(-X) | G])`` for an increasing loss.
 
-    The declared inverse is probed on construction; a mismatch beyond 1e-9
-    raises :class:`qcx.errors.InverseMismatchError`.
+    The declared inverse is probed at :data:`INVERSE_PROBES` on construction;
+    a mismatch beyond 1e-9 raises :class:`qcx.errors.InverseMismatchError`.
     """
-    probes = np.linspace(-6.0, 6.0, 25) if probe_points is None else probe_points
-    residual = np.max(np.abs(loss_inv(loss(probes)) - probes))
+    residual = np.max(np.abs(loss_inv(loss(INVERSE_PROBES)) - INVERSE_PROBES))
     if residual > 1e-9:
         raise InverseMismatchError(
             f"{name}: loss_inv(loss(t)) deviates from t by {residual:.3e}")

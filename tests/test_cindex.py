@@ -161,14 +161,6 @@ class TestComputeIndex:
             assert compute_index(families.negsquare(), box1(-1, 1, 33)).binding is None
         assert compute_index(families.const(1.0), box1(0, 1, 9)).binding is None
 
-    def test_threads_do_not_change_the_result(self):
-        for f, lo, hi in INDEX_FIXTURES:
-            one = compute_index(f, box1(lo, hi), threads=1)
-            two = compute_index(f, box1(lo, hi), threads=2)
-            assert one.value == two.value and one.bracket == two.bracket
-            assert one.binding == two.binding
-            assert one.probes == two.probes
-
     def test_probes_end_with_the_bracket(self):
         ix = compute_index(families.sqrt(), box1(1, 4))
         lo, hi = ix.bracket

@@ -360,19 +360,19 @@ class TestDeterminismAndErrors:
         assert run(["risk-check", "--config", str(cfg)]) == 64
 
     def test_threads_flag_accepted(self, tmp_path):
-        """Whole ``results`` sections agree across thread counts."""
+        """``--threads`` is accepted and changes nothing: the report files
+        agree byte for byte, up to far more threads than cores."""
         cfg = write_config(tmp_path)
         for command, section in ((["sum-check", "--brute"], "brute_force"),
                                  (["index"], "functions")):
             reports = []
-            for threads in ("1", "3"):
+            for threads in ("1", "3", "64"):
                 out = tmp_path / f"{command[0]}-{threads}.json"
                 run([*command, "--config", cfg, "--threads", threads,
                      "--out", str(out)])
-                reports.append(json.loads(out.read_text()))
-            assert reports[0]["threads"] == 1 and reports[1]["threads"] == 3
-            assert section in reports[0]["results"]
-            assert reports[0]["results"] == reports[1]["results"], command
+                reports.append(out.read_bytes())
+            assert section in json.loads(reports[0])["results"]
+            assert reports[0] == reports[1] == reports[2], command
 
     @pytest.mark.parametrize("value", ["0", "9", "x"])
     def test_blind_spot_atom_out_of_range(self, tmp_path, capsys, value):
@@ -418,6 +418,8 @@ class TestDeterminismAndErrors:
         ("sum-check", "sum-check", {"brute": "maybe"}),
         ("risk-check", "measure m", {"kind": "coarse_cond_exp",
                                      "target": "1-7; 8-10", "negate": "ture"}),
+        ("risk-check", "measure m", {"kind": "coarse_cond_exp",
+                                     "target": "1-7; 8-x"}),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, command,
                                               section, changes):
@@ -470,22 +472,16 @@ class TestDeterminismAndErrors:
         assert run(["index", "--config", cfg, "--threads", threads]) == 64
         assert "--threads" in capsys.readouterr().err
 
-    def test_threads_clamped_to_cores(self, tmp_path, monkeypatch):
-        """The command gets at most ``os.cpu_count()`` threads; the stub
-        command starts none."""
-        import qcx.cli as cli
-        seen = []
+    def test_sum_check_reads_brute_keys_before_the_indices(
+            self, tmp_path, capsys, monkeypatch):
+        """A bad brute key exits 64 before any coordinate index is
+        computed."""
+        import qcx.decomp
 
-        def fake_index(cp, seed, threads, csv_path):
-            seen.append(threads)
-            return {"functions": {}}
+        def no_index(*args, **kwargs):
+            raise AssertionError("an index was computed")
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "cmd_index", fake_index)
-        cfg = write_config(tmp_path)
-        out = tmp_path / "r.json"
-        assert run(["index", "--config", cfg, "--threads", "64",
-                    "--out", str(out)]) == 0
-        assert run(["index", "--config", cfg, "--threads", "1"]) == 0
-        assert seen == [2, 1]
-        assert json.loads(out.read_text())["threads"] == 64
+        monkeypatch.setattr(qcx.decomp, "compute_index", no_index)
+        assert run_changed(tmp_path, "sum-check", "sum-check",
+                           {"brute_grid": "41 x"}) == 64
+        assert "[sum-check] brute_grid" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcx import families
+from qcx import extcore, families
 from qcx.errors import BudgetExceededError, ImproperFunctionError
 from qcx.extcore import (BoxDomain, FunctionSpec, PairTable, Verdict,
                          certify_concave, certify_convex, certify_quasiconvex,
@@ -172,29 +172,30 @@ class TestConcaveAndThreads:
         assert certify_concave(families.negsquare(), BoxDomain.of(-1, 1, 17)).certified
         assert certify_concave(families.square(), BoxDomain.of(-1, 1, 17)).refuted
 
-    def test_threads_match_serial(self):
-        f = families.sqrt()
-        box = BoxDomain.of(1, 4, 33)
-        a = certify_convex(f, box, threads=1)
-        b = certify_convex(f, box, threads=4)
-        assert a.verdict == b.verdict
-        assert a.witness == b.witness
-
-    def test_tied_gaps_do_not_depend_on_threads(self):
+    def test_tied_gaps_do_not_depend_on_block_size(self, monkeypatch):
         """Gaps of 1 tie across weights and local pairs; every certifier and
-        the table scan pick the same pair, the one a single pass reports."""
+        the table scan pick the same pair at every block size, the one a
+        single block reports."""
         g = FunctionSpec(1, lambda p: np.where(
             (p[:, 0] == 2.0 ** -11) | (p[:, 0] == 2.0 ** -9), 1.0, 0.0))
         box = BoxDomain.of(0, 8, 9)
+        sizes = (extcore.SCAN_BLOCK, 1, 2, 3, 7)
+
+        def each_size(run):
+            out = set()
+            for size in sizes:
+                monkeypatch.setattr(extcore, "SCAN_BLOCK", size)
+                out.add(run())
+            return out
+
         for certify in (certify_convex, certify_concave, certify_quasiconvex):
-            results = {certify(g, box, threads=t) for t in (1, 2, 3, 4)}
+            results = each_size(lambda: certify(g, box))
             assert len(results) == 1, results
-        res = certify_quasiconvex(g, box, threads=4)
+        res, = each_size(lambda: certify_quasiconvex(g, box))
         assert (res.witness.x1, res.witness.x2) == ((0.0,), (2.0 ** -8,))
         assert res.witness.eta == 0.5
         for kind in ("convex", "concave", "quasiconvex"):
-            scans = {PairTable(g, box, threads=t).scan(kind, 1e-6)
-                     for t in (1, 2, 3, 4)}
+            scans = each_size(lambda: PairTable(g, box).scan(kind, 1e-6))
             assert len(scans) == 1, (kind, scans)
 
     def test_pair_budget(self):

@@ -4,7 +4,7 @@
 all seven mix values cached at once, and each pass a full-array pass over
 the cache. ``oracle_index`` is ``compute_index`` on that table. The streamed
 index must equal it field for field (value, bracket, binding pair and
-probes) for any block size and thread count.
+probes) for any block size.
 
 ``bisect_index`` is the ``compute_index`` before the exact solve: the same
 constant shortcut, entry certification and cap probe, then a bisection of
@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcx import extcore, families
+from qcx import families
 from qcx.cindex import REL_GAP_TOL, ConvexityIndex, IndexCase, compute_index
 from qcx.errors import CapTooSmallWarning
 from qcx.extcore import (DEFAULT_ETAS, SOLVE_BATCH, BoxDomain, BreakEven,
@@ -33,7 +33,7 @@ from qcx.extcore import (DEFAULT_ETAS, SOLVE_BATCH, BoxDomain, BreakEven,
                          _smallest, default_gap_tol)
 
 from test_acceptance import FIXTURES, SEED, _random_suite
-from test_scan_oracle import _few, _pair_arrays, oracle_scan
+from test_scan_oracle import _pair_arrays, _set_block, oracle_scan
 
 #: Hard ceiling on bisection steps; the bracket also stops at width <= tol.
 MAX_BISECT_ITERS = 60
@@ -332,7 +332,8 @@ def test_clipped_local_pairs_are_skipped():
     assert ix.binding is not None and ix.binding.x1 != ix.binding.x2
 
 
-#: Default blocks and blocks of about 1/20 of the grid pairs, on 1-2 threads.
+#: Default blocks and half of them, and blocks of about 1/20 and 1/40 of the
+#: grid pairs.
 SETTINGS = [("default", 1), ("default", 2), ("few", 1), ("few", 2)]
 STREAMED_GROUPS = ("fixtures", "random-suite", "two-d")
 
@@ -343,17 +344,16 @@ def _oracle_indices(group: str) -> list[ConvexityIndex]:
 
 
 @pytest.mark.parametrize("group", STREAMED_GROUPS)
-@pytest.mark.parametrize("block,threads", SETTINGS)
-def test_streamed_index_matches_cached_oracle(group, block, threads,
+@pytest.mark.parametrize("block,split", SETTINGS)
+def test_streamed_index_matches_cached_oracle(group, block, split,
                                               monkeypatch):
     """Value, bracket, binding pair and probes equal the cached table's."""
     finite = 0
     for (f, box), want in zip(CASES[group](), _oracle_indices(group)):
-        if block == "few":
-            monkeypatch.setattr(extcore, "SCAN_BLOCK", _few(box))
+        _set_block(monkeypatch, box, block, split)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CapTooSmallWarning)
-            got = compute_index(f, box, threads=threads)
+            got = compute_index(f, box)
         assert got == want, (f.name, got, want)  # probes included
         finite += got.binding is not None
     assert finite > 0

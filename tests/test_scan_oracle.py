@@ -10,8 +10,8 @@ lands back on its base point is skipped.
 
 The streamed certifiers and ``PairTable.scan`` must return exactly what the
 oracle returns: verdict, witness bits, violation and the degenerate flag,
-for every gap form, for 1-3 threads and for blocks of a few pairs, so that
-the worst pair and its ties cross block boundaries.
+for every gap form, at the default block size and at three sizes of a few
+pairs, so that the worst pair and its ties cross block boundaries.
 """
 
 import functools
@@ -163,31 +163,40 @@ def _few(box: BoxDomain) -> int:
     return max(3, n * (n - 1) // 40)
 
 
-#: Default blocks hold every grid pair of most cases; few-pair blocks
-#: split each case into a few dozen, on 1-3 threads.
+DEFAULT_BLOCK = extcore.SCAN_BLOCK
+
+
+def _set_block(monkeypatch, box: BoxDomain, block: str, split: int):
+    """Set ``SCAN_BLOCK`` for a setting: the default size or a few pairs,
+    divided by ``split``."""
+    size = DEFAULT_BLOCK if block == "default" else _few(box)
+    monkeypatch.setattr(extcore, "SCAN_BLOCK", max(3, size // split))
+
+
+#: Default blocks hold every grid pair of most cases; few-pair blocks of
+#: about 1/20, 1/40 and 1/60 of the grid pairs split each case into a few
+#: dozen blocks and more.
 SETTINGS = [("default", 1), ("few", 1), ("few", 2), ("few", 3)]
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("block,threads", SETTINGS)
-def test_streamed_certifier_matches_oracle(block, kind, threads, monkeypatch):
+@pytest.mark.parametrize("block,split", SETTINGS)
+def test_streamed_certifier_matches_oracle(block, kind, split, monkeypatch):
     refuted = 0
     for case, (f, box) in CASES.items():
-        if block == "few":
-            monkeypatch.setattr(extcore, "SCAN_BLOCK", _few(box))
+        _set_block(monkeypatch, box, block, split)
         want, _ = _oracle(case, kind)
-        got = CERTIFIERS[kind](f, box, threads=threads)
+        got = CERTIFIERS[kind](f, box)
         assert got == want, (case, got, want)
         refuted += got.refuted
     assert refuted >= 4
 
 
-@pytest.mark.parametrize("block,threads", SETTINGS)
-def test_table_scan_matches_oracle(block, threads, monkeypatch):
+@pytest.mark.parametrize("block,split", SETTINGS)
+def test_table_scan_matches_oracle(block, split, monkeypatch):
     for case, (f, box) in CASES.items():
-        if block == "few":
-            monkeypatch.setattr(extcore, "SCAN_BLOCK", _few(box))
-        table = PairTable(f, box, threads=threads)
+        _set_block(monkeypatch, box, block, split)
+        table = PairTable(f, box)
         for kind in KINDS:
             want = _oracle(case, kind)[1]
             got = table.scan(kind, default_gap_tol(f))
@@ -197,10 +206,9 @@ def test_table_scan_matches_oracle(block, threads, monkeypatch):
 def test_table_pairs_match_oracle(monkeypatch):
     """The blocks build the same pairs in the same order, at the default
     block size and at a few pairs: grid pairs, then up/down local steps."""
-    default = extcore.SCAN_BLOCK
     for case, (f, box) in CASES.items():
         a, b = _pair_arrays(box)
-        for size in (default, _few(box)):
+        for size in (DEFAULT_BLOCK, _few(box)):
             monkeypatch.setattr(extcore, "SCAN_BLOCK", size)
             table = PairTable(f, box)
             built = [table._build(block) for block in table.blocks]
