@@ -67,8 +67,11 @@ class ConvexityIndex:
     flip; ``constant_shortcut`` marks +inf values detected from a flat grid
     before any probing. ``binding`` is the pair that fixes a finite index:
     it passes at the lower bracket end and fails at the upper one, where its
-    ``violation`` is the normalized excess. ``probes`` lists every
-    whole-table probe of the transform as ``(lambda, ok)``.
+    ``violation`` is the normalized excess. ``probes`` lists the probes of
+    the transform as ``(lambda, ok)``: the cap probe first, then each
+    whole-table probe of the solve, then the upper bracket end, which is
+    replayed on the binding pair's block only. In case I the cap probe is
+    made block by block in the solve's seed pass.
     """
 
     value: float
@@ -145,27 +148,28 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
         gap_tol = default_gap_tol(f)
     base_worst, base_witness, _ = table.scan("convex", gap_tol)
     if base_witness is not None:
-        # case I: f is not convex, the index is negative
-        case, sign = IndexCase.CASE_I, +1
-        ok = table.exp_transform_ok(-lambda_cap, sign, REL_GAP_TOL)
-        if not ok:
+        # case I: f is not convex, the index is negative; the solve's seed
+        # pass makes the cap probe
+        case = IndexCase.CASE_I
+        be = table.exp_break_even(+1, REL_GAP_TOL, lambda_cap)
+        if be.lo == NEG_INF:
             warnings.warn("index is -inf at the probe cap; increase lambda_cap "
                           "to look further", CapTooSmallWarning)
             return ConvexityIndex(NEG_INF, None, case, lambda_cap,
-                                  cap_probe=True, probes=((-lambda_cap, ok),))
+                                  cap_probe=True, probes=be.probes)
+        probes = be.probes
     else:
         # case II: f certified convex, the index is nonnegative
-        case, sign = IndexCase.CASE_II, -1
-        ok = table.exp_transform_ok(lambda_cap, sign, REL_GAP_TOL)
-        if ok:
+        case = IndexCase.CASE_II
+        if table.exp_transform_ok(lambda_cap, -1, REL_GAP_TOL):
             warnings.warn("index is +inf at the probe cap; the function may be "
                           "constant or the cap too small", CapTooSmallWarning)
             return ConvexityIndex(POS_INF, None, case, lambda_cap,
-                                  cap_probe=True, probes=((lambda_cap, ok),))
-    be = table.exp_break_even(sign, REL_GAP_TOL, lambda_cap)
+                                  cap_probe=True, probes=((lambda_cap, True),))
+        be = table.exp_break_even(-1, REL_GAP_TOL, lambda_cap)
+        probes = ((lambda_cap, False),) + be.probes
     return ConvexityIndex(be.lo, (be.lo, be.hi), case, lambda_cap,
-                          binding=be.binding,
-                          probes=((-sign * lambda_cap, ok),) + be.probes)
+                          binding=be.binding, probes=probes)
 
 
 def smooth_index_1d(f: FunctionSpec, box: BoxDomain) -> float:

@@ -6,7 +6,8 @@ plus a seed; identical config and seed produce byte-identical JSON reports.
 
 Exit codes: 0 when everything passed or was decided, 2 on any failure
 (including an oracle disagreement), 3 when some result is inconclusive,
-64 on configuration errors.
+64 on configuration and usage errors (a flag argparse rejects, a missing
+``--config``).
 """
 
 from __future__ import annotations
@@ -623,8 +624,17 @@ def render_text(report: dict) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that exits :data:`EXIT_CONFIG` on a usage error; its own
+    exit code 2 would read as a failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qcx", description=__doc__)
+    ap = _Parser(prog="qcx", description=__doc__)
     ap.add_argument("--version", action="version", version=f"qcx {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("index", "sum-check", "risk-check", "l2-demo"):

@@ -21,15 +21,20 @@ fixes its break-even point.
 :class:`PairTable` streams the pairs in blocks of :data:`SCAN_BLOCK` and
 keeps no pair: every pass rebuilds each block and evaluates its mixes one
 weight at a time, so memory is O(block + grid) and ``pair_budget`` bounds
-time, not memory. The certifiers make one gap scan; the convexity index
-makes a few passes of its own.
+time, not memory. The certifiers make one gap scan. The convexity index
+makes the same scan, then a seed pass that ranks each block's pairs by
+their estimated crossings (in case I it tests the lambda cap first), then
+one whole-table probe per round of its solve that runs out of candidates;
+the upper bracket end replays on the binding pair's block alone.
 
 The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
 mix-normalized form (:meth:`PairTable.exp_transform_ok`), and
 :meth:`PairTable.exp_break_even` solves the same test exactly for the
 break-even lambda of the whole table: each pair's crossing is found to
 adjacent floats, and pairs that cannot beat the running extremum are pruned
-by one probe per round.
+by one probe per round. At the lambda cap of case I, a pair with a term
+``eta e^{cap da}`` or ``(1-eta) e^{cap db}`` of about 4 or more cannot
+violate, so its exponentials are skipped.
 
 Every pass walks the blocks in order, one at a time, so the evaluation
 oracle is never called concurrently and need not be reentrant. Ties between
@@ -102,10 +107,13 @@ class BreakEven:
     """Adjacent floats ``lo < hi`` around the break-even lambda of a table.
 
     The transform passes on the whole table at ``lo`` and the ``binding``
-    pair fails at ``hi``. ``probes`` lists the whole-table probes as
-    ``(lam, transform ok)``, ending with the two bracket ends. Without a
-    binding pair (convexity side only: no pair fails inside the cap), ``lo``
-    is the negative float nearest 0, ``hi`` is 0 and only ``lo`` is probed.
+    pair fails at ``hi``. ``probes`` lists the probes as ``(lam, transform
+    ok)``: on the convexity side first the cap, then the whole-table
+    probes, ending with the two bracket ends. Without a binding pair
+    (convexity side only: no pair fails inside the cap), ``lo`` is the
+    negative float nearest 0, ``hi`` is 0 and ``lo`` is the last probe. If
+    the convexity-side transform fails at the cap, ``lo`` is ``-inf``,
+    ``hi`` is ``-lam_cap`` and the cap is the only probe.
     """
 
     lo: float
@@ -282,6 +290,22 @@ def _exp_violation(da, db, eta, lam, sign: int, tol_rel: float) -> np.ndarray:
     if sign > 0:
         np.negative(excess, out=excess)
     return excess > tol_rel
+
+
+def _cap_violation(da, db, eta: float, cap: float, tol_rel: float) -> np.ndarray:
+    """``_exp_violation(da, db, eta, -cap, +1, tol_rel)``, skipping the
+    exponentials of the pairs that cannot violate.
+
+    A pair with ``cap * da >= log(4 / eta)`` has ``eta e^{cap da} ~ 4`` after
+    rounding, so ``combo >= 1`` whatever the other term; likewise for ``db``.
+    A pair with a NaN difference is skipped as well: its combo is NaN, which
+    never violates.
+    """
+    keep = np.multiply(cap, da) < math.log(4 / eta)
+    keep &= np.multiply(cap, db) < math.log(4 / (1 - eta))
+    fail = np.zeros(len(da), dtype=bool)
+    fail[keep] = _exp_violation(da[keep], db[keep], eta, -cap, +1, tol_rel)
+    return fail
 
 
 def _crossing_estimate(da, db, eta, sign: int, tol_rel: float) -> np.ndarray:
@@ -517,8 +541,11 @@ class PairTable:
                        lam_cap: float) -> "BreakEven":
         """The exact break-even lambda of :meth:`exp_transform_ok`.
 
-        Call it once the cap probe ``exp_transform_ok(-sign * lam_cap)`` has
-        shown that a break-even point lies inside the cap. Write
+        For sign=-1, call it once the cap probe ``exp_transform_ok(lam_cap)``
+        has failed, so that a break-even point lies inside the cap. For
+        sign=+1 the seed pass makes the cap probe at ``-lam_cap`` itself,
+        block by block; if it fails, the result is ``lo = -inf``,
+        ``hi = -lam_cap`` with the probe ``(-lam_cap, False)`` alone. Write
         ``lam = -sign * t`` with ``t >= 0``; per pair,
         ``phi(t) = eta e^{-lam da} + (1-eta) e^{-lam db}`` is convex with
         ``phi(0) = 1``.
@@ -533,15 +560,20 @@ class PairTable:
           when that lies in ``(t^, lam_cap)``; beyond the cap every pair
           passes.
 
-        Rounds alternate an exact solve of a small batch, ranked by the
-        second-order crossing estimate, with a probe at the running
+        The seed pass keeps the ``SOLVE_BATCH`` pairs of least second-order
+        crossing estimate per weight. Rounds alternate an exact solve of a
+        small batch, ranked by that estimate, with a probe at the running
         extremum; the pairs that fail the probe form the next, smaller
-        candidate set, each carrying its ``(index, da, db)``. A probe of the
-        whole table that leaves no candidate certifies the lower bracket
-        end; the same pass tests the upper end, one float above. Each
-        whole-table probe is recorded as ``(lam, transform ok at lam)``.
-        Ties go to the earlier weight, then the lower pair index, so the
-        result does not depend on the block size.
+        candidate set, each carrying its ``(index, da, db)``. When none is
+        left the whole table is probed, and a whole-table probe that finds
+        no candidate certifies the lower bracket end. Each round must move
+        the extremum or shrink the candidate count strictly, or the solve
+        raises ``RuntimeError``. The upper end, one float above, is replayed
+        on the binding pair's block, rebuilt as the whole-table probes built
+        it. ``probes`` records the cap probe (sign=+1), each whole-table
+        probe and the upper end as ``(lam, transform ok at lam)``. Ties go
+        to the earlier weight, then the lower pair index, so the result
+        does not depend on the block size.
         """
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
         best = None  # (lam_pass, which, idx, t_pass, t_fail, da, db)
@@ -552,58 +584,57 @@ class PairTable:
             order."""
             return [tuple(map(np.concatenate, zip(*rows))) for rows in zip(*parts)]
 
-        def smallest(rows):
-            """The ``SOLVE_BATCH`` rows of least key (the last array)."""
-            take = _smallest(rows[-1], SOLVE_BATCH)
-            return tuple(x[take] for x in rows)
-
-        def estimate(block):
-            idx = np.arange(*block)
-            with np.errstate(all="ignore"):
-                return [smallest((idx, da, db, _crossing_estimate(
-                    da, db, eta, sign, tol_rel)))
-                        for eta, da, db in self._diffs(block)]
-
-        def probe_table(t, hi, block):
-            """Per weight, the block's pairs that can beat ``t``, and whether
-            any pair fails at ``hi``."""
-            out, hi_fails = [], False
+        def probe_table(t, block):
+            """Per weight, the block's pairs that can beat ``t``."""
+            out = []
             with np.errstate(all="ignore"):
                 for eta, da, db in self._diffs(block):
                     pos, t_fail, key = _prune(da, db, eta, t, sign, tol_rel,
                                               lam_cap)
                     out.append((block[0] + pos, da[pos], db[pos], t_fail, key))
-                    hi_fails = hi_fails or (hi is not None and bool(
-                        _exp_violation(da, db, eta, hi, sign, tol_rel).any()))
-            return out, hi_fails
+            return out
 
-        # seed: the best-ranked pairs of every weight, folded block by block
-        seed = None
-        for part in map(estimate, self.blocks):
-            seed = part if seed is None else [smallest(rows) for rows in
-                                              concat([seed, part])]
+        # seed: the best-ranked pairs of every weight, folded block by block.
+        # Once a weight holds SOLVE_BATCH pairs, a later pair enters only
+        # below its largest key (a later pair loses ties). For sign=+1 the
+        # same pass tests the cap first.
+        seed = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3] * len(self.etas)
+        for block in self.blocks:
+            for which, (eta, da, db) in enumerate(self._diffs(block)):
+                with np.errstate(all="ignore"):
+                    if sign > 0 and _cap_violation(da, db, eta, lam_cap,
+                                                   tol_rel).any():
+                        return BreakEven(-math.inf, -lam_cap, None,
+                                         ((-lam_cap, False),))
+                    key = _crossing_estimate(da, db, eta, sign, tol_rel)
+                rows = seed[which]
+                pos = (np.flatnonzero(key < rows[-1].max())
+                       if len(rows[0]) == SOLVE_BATCH else np.arange(len(key)))
+                part = (block[0] + pos, da[pos], db[pos], key[pos])
+                rows = tuple(map(np.concatenate, zip(rows, part)))
+                take = _smallest(rows[-1], SOLVE_BATCH)
+                seed[which] = tuple(x[take] for x in rows)
+        if sign > 0:
+            probes.append((-lam_cap, True))
+
         cands = [rows[:3] for rows in seed]
+        left = sum(len(rows[0]) for rows in cands)
         while True:
-            if cands is None:
-                hi = -sign * best[4] if best else None
-                parts = list(map(partial(probe_table, t_hat, hi), self.blocks))
-                found = concat([out for out, _ in parts])
-                hi_ok = not any(hi_fails for _, hi_fails in parts)
-                # failures beyond t_hat are recorded at their own t
-                ok = not any((f[3] == t_hat).any() for f in found)
-                probes.append((-sign * t_hat, ok))
-            else:
-                found = []
-                for eta, (idx, da, db) in zip(self.etas, cands):
-                    with np.errstate(all="ignore"):
-                        pos, t_fail, key = _prune(da, db, eta, t_hat, sign,
-                                                  tol_rel, lam_cap)
-                    found.append((idx[pos], da[pos], db[pos], t_fail, key))
+            found = []
+            for eta, (idx, da, db) in zip(self.etas, cands):
+                with np.errstate(all="ignore"):
+                    pos, t_fail, key = _prune(da, db, eta, t_hat, sign,
+                                              tol_rel, lam_cap)
+                found.append((idx[pos], da[pos], db[pos], t_fail, key))
             if not any(len(f[0]) for f in found):
-                if cands is None:
+                # re-probe the whole table at the new extremum; failures
+                # beyond t_hat are recorded at their own t
+                found = concat([probe_table(t_hat, block)
+                                for block in self.blocks])
+                probes.append((-sign * t_hat,
+                               not any((f[3] == t_hat).any() for f in found)))
+                if not any(len(f[0]) for f in found):
                     break
-                cands = None  # re-probe the whole table at the new extremum
-                continue
             picks, cands = [], []
             for which, (idx, da, db, t_fail, key) in enumerate(found):
                 take = _smallest(key, SOLVE_BATCH)
@@ -611,17 +642,28 @@ class PairTable:
                 rest[take] = False
                 picks.append((which, idx[take], da[take], db[take], t_fail[take]))
                 cands.append((idx[rest], da[rest], db[rest]))
-            best = self._solve(picks, best, sign, tol_rel, lam_cap)
-            t_hat = best[3]
+            solved = self._solve(picks, best, sign, tol_rel, lam_cap)
+            t_next = t_hat if solved is None else solved[3]
+            was, left = left, sum(len(rows[0]) for rows in cands)
+            if sign * (t_next - t_hat) <= 0 and left >= was:
+                raise RuntimeError("break-even round moved neither the "
+                                   "extremum nor the candidate count")
+            best, t_hat = solved, t_next
 
         if best is None:
             # sign=+1 only: no pair fails in [-lam_cap, 0), so the transform
             # passes up to the negative float nearest 0
             return BreakEven(-t_hat, 0.0, None, tuple(probes))
         lam_pass, which, idx, _, t_fail, da, db = best
-        probes.append((hi, hi_ok))
-        if hi_ok:
-            raise RuntimeError("break-even upper end does not replay")
+        hi = -sign * t_fail
+        # replay the upper end on the binding pair's block, rebuilt exactly
+        # as the whole-table probes built it
+        block = next(b for b in self.blocks if idx < b[1])
+        with np.errstate(all="ignore"):
+            if not any(_exp_violation(d_a, d_b, w, hi, sign, tol_rel).any()
+                       for w, d_a, d_b in self._diffs(block)):
+                raise RuntimeError("break-even upper end does not replay")
+        probes.append((hi, False))
         eta = self.etas[which]
         with np.errstate(all="ignore"):
             excess = sign * (1.0 - _exp_combo(np.array([da]), np.array([db]),

@@ -276,6 +276,22 @@ class TestDeterminismAndErrors:
     def test_missing_config(self, tmp_path):
         assert run(["index", "--config", str(tmp_path / "nope.ini")]) == 64
 
+    @pytest.mark.parametrize("args,message", [
+        (["--seed", "x"], "invalid int value: 'x'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (None, "required: --config"),
+    ], ids=["bad-seed", "unknown-flag", "missing-config"])
+    def test_usage_error_exits_64(self, tmp_path, capsys, args, message):
+        """A usage error is a configuration error, not the failure that
+        argparse's own exit code 2 would report."""
+        argv = ["index"] + (["--config", write_config(tmp_path)] + args
+                            if args else [])
+        with pytest.raises(SystemExit) as exit_:
+            run(argv)
+        assert exit_.value.code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qcx") and message in err
+
     def test_undeclared_function(self, tmp_path):
         cfg = tmp_path / "u.ini"
         cfg.write_text("[index]\nfunction = ghost\n")

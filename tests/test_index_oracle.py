@@ -29,8 +29,8 @@ from qcx.cindex import REL_GAP_TOL, ConvexityIndex, IndexCase, compute_index
 from qcx.errors import CapTooSmallWarning
 from qcx.extcore import (DEFAULT_ETAS, SOLVE_BATCH, BoxDomain, BreakEven,
                          CertResult, FunctionSpec, PairTable, Verdict, Witness,
-                         _crossing_estimate, _exp_combo, _exp_violation, _prune,
-                         _smallest, default_gap_tol)
+                         _cap_violation, _crossing_estimate, _exp_combo,
+                         _exp_violation, _prune, _smallest, default_gap_tol)
 
 from test_acceptance import FIXTURES, SEED, _random_suite
 from test_scan_oracle import _pair_arrays, _set_block, oracle_scan
@@ -376,3 +376,109 @@ def test_index_memory_is_bounded_by_the_block(f, box):
         tracemalloc.stop()
     assert ix.binding is not None
     assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+
+#: The lambda cap and a ladder of negative lambdas for the masked cap test.
+CAP_LADDER = (CAP, 1e3, 64.0, 3.0, 1.0, 0.25, 1e-3)
+
+
+@pytest.mark.parametrize("group", STREAMED_GROUPS)
+def test_cap_mask_matches_the_predicate_pair_for_pair(group):
+    """The masked cap test flags exactly the pairs ``_exp_violation`` flags
+    at ``lam = -L``, on every block and weight; the mask does skip pairs."""
+    skipped = flagged = 0
+    for f, box in CASES[group]():
+        table = PairTable(f, box)
+        for block in table.blocks:
+            for eta, da, db in table._diffs(block):
+                for cap in CAP_LADDER:
+                    with np.errstate(all="ignore"):
+                        want = _exp_violation(da, db, eta, -cap, +1, REL_GAP_TOL)
+                        got = _cap_violation(da, db, eta, cap, REL_GAP_TOL)
+                        skipped += int(np.count_nonzero(
+                            (cap * da >= math.log(4 / eta))
+                            | (cap * db >= math.log(4 / (1 - eta)))))
+                    assert np.array_equal(got, want), (f.name, block, eta, cap)
+                    flagged += int(want.sum())
+    assert skipped > 0 and flagged > 0
+
+
+def test_cap_mask_at_its_threshold():
+    """Differences a few floats either side of the skip threshold, with
+    infinite and NaN partners, flag the same pairs as the plain test."""
+    cap = CAP
+    for eta in DEFAULT_ETAS:
+        edge = math.log(4 / eta) / cap
+        near = [edge]
+        for _ in range(4):
+            near += [math.nextafter(near[-1], math.inf)]
+            near.insert(0, math.nextafter(near[0], -math.inf))
+        partners = [-math.inf, -1.0, -1e-300, 0.0, -edge, math.inf, math.nan]
+        da, db = (np.array(v) for v in zip(*[(x, y) for x in near + partners
+                                             for y in partners + near]))
+        for a, b, w in ((da, db, eta), (db, da, 1 - eta)):
+            with np.errstate(all="ignore"):
+                want = _exp_violation(a, b, w, -cap, +1, REL_GAP_TOL)
+                got = _cap_violation(a, b, w, cap, REL_GAP_TOL)
+            assert np.array_equal(got, want), eta
+
+
+def _count_passes(monkeypatch):
+    """Record every block build, and the builds each ``exp_transform_ok``
+    call made."""
+    builds, probes = [], []
+    build, probe = PairTable._build, PairTable.exp_transform_ok
+
+    def counted_build(self, block):
+        builds.append(block)
+        return build(self, block)
+
+    def counted_probe(self, *args):
+        before = len(builds)
+        ok = probe(self, *args)
+        probes.append(len(builds) - before)
+        return ok
+
+    monkeypatch.setattr(PairTable, "_build", counted_build)
+    monkeypatch.setattr(PairTable, "exp_transform_ok", counted_probe)
+    return builds, probes
+
+
+def test_case_one_block_passes(monkeypatch):
+    """Case I reads every block in the entry scan, in the seed pass (which
+    makes the cap probe) and in each whole-table probe; then it rebuilds the
+    binding pair's block for the upper end and the pair for the witness."""
+    f, box = families.sqrt(), BoxDomain.of(1.0, 4.0, 1025)
+    blocks = PairTable(f, box).blocks
+    builds, probes = _count_passes(monkeypatch)
+    ix = compute_index(f, box)
+    assert ix.case is IndexCase.CASE_I and ix.binding is not None
+    whole = len(ix.probes) - 2  # not the cap probe, not the upper end
+    assert whole >= 1 and ix.probes[0] == (-CAP, True)
+    assert len(builds) == (2 + whole) * len(blocks) + 2
+    idx = builds[-1][0]
+    assert builds[-1] == (idx, idx + 1)
+    assert builds[-2] == next(b for b in blocks if idx < b[1])
+    assert probes == []
+
+
+def test_case_two_cap_probe_stops_in_the_first_block(monkeypatch):
+    f, box = families.neglog(), BoxDomain.of(1.0, E, 1025)
+    assert len(PairTable(f, box).blocks) > 1
+    builds, probes = _count_passes(monkeypatch)
+    ix = compute_index(f, box)
+    assert ix.case is IndexCase.CASE_II and ix.probes[0] == (CAP, False)
+    assert probes == [1]
+
+
+@pytest.mark.parametrize("f,box", [
+    (families.sqrt(), BoxDomain.of(1.0, 4.0, 65)),
+    (families.neglog(), BoxDomain.of(1.0, E, 65)),
+], ids=["case-I", "case-II"])
+def test_solve_that_makes_no_progress_raises(f, box, monkeypatch):
+    """A solve that keeps the running best would re-probe the same pairs
+    for ever; the round check stops it."""
+    monkeypatch.setattr(PairTable, "_solve",
+                        lambda self, picks, best, *args: best)
+    with pytest.raises(RuntimeError, match="moved neither"):
+        compute_index(f, box)
