@@ -3,6 +3,10 @@
 Subcommands: ``index``, ``sum-check``, ``risk-check``, ``l2-demo``. Every
 run is driven by a line-oriented INI config (sections of key = value lines)
 plus a seed; identical config and seed produce byte-identical JSON reports.
+One table, ``CONFIG_KEYS``, types every key; a key is read when its command
+needs it. A key the table does not list for a known section, and a value
+that does not parse or is out of range, is a configuration error that
+names ``[section] key``.
 
 Exit codes: 0 when everything passed or was decided, 2 on any failure
 (including an oracle disagreement), 3 when some result is inconclusive,
@@ -30,7 +34,8 @@ from .decomp import (DecomposableSum, SumDecision, SumVerdict,
                      brute_force_sum_quasiconvex, characterize,
                      harmonic_index, index_sum_criterion)
 from .errors import ConfigError, NotGMeasurableError, NotNormalizedError, QcxError
-from .extcore import BoxDomain, CertResult, FunctionSpec, Verdict, Witness
+from .extcore import (BoxDomain, CertResult, FunctionSpec, Verdict, Witness,
+                      scale_function)
 from .families import make_function
 from .l2basis import (build_example_10pt, build_example_10pt_split,
                       check_basis_locality, check_cone_self_dual,
@@ -144,8 +149,127 @@ def index_to_dict(ix: ConvexityIndex, smooth: Optional[float]) -> dict:
 # config loading
 # ---------------------------------------------------------------------------
 
+def _count(minimum: int = 1):
+    """An integer of at least ``minimum``: a sample budget (zero checks
+    prove nothing), a size or a 1-based number."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _positive(text: str) -> float:
+    """A finite number above zero: a tolerance or a lambda cap."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _flag(text: str) -> bool:
+    """A flag in configparser's words (true/false, yes/no, on/off, 1/0)."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _choice(*options: str):
+    """One of ``options``, as written."""
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"unknown {text!r}; known: {', '.join(options)}")
+        return text
+    return parse
+
+
+def _words(item=str, count: Optional[int] = None):
+    """Whitespace-separated values through ``item``: at least one, and
+    exactly ``count`` when given."""
+    def parse(text: str) -> list:
+        values = [item(t) for t in text.split()]
+        if not values or (count is not None and len(values) != count):
+            raise ValueError(f"needs {count or 'one or more'} value(s), "
+                             f"got {text!r}")
+        return values
+    return parse
+
+
+_floats = _words(float)
+
+PROPERTY_CHECKS = {
+    "monotonicity": check_monotonicity,
+    "translativity": check_translativity,
+    "locality": check_locality,
+    "convexity": check_convexity,
+    "quasiconvexity": check_quasiconvexity,
+    "nqc": check_natural_quasiconvexity,
+    "star": check_star_quasiconvexity,
+    "sensitivity": check_sensitivity,
+    "assumption": check_assumption_nonconstant,
+}
+#: The properties checked on the shared triple table.
+TRIPLE_PROPERTIES = ("convexity", "quasiconvexity", "nqc", "star")
+#: The measures built from the partition and the space alone.
+PLAIN_MEASURES = {"neg_cond_exp": neg_conditional_expectation,
+                  "entropic": entropic_certainty_equivalent,
+                  "sqrt_log": sqrt_log_map, "cubed_mean": cubed_mean_map,
+                  "mean_broadcast": mean_broadcast_map}
+MEASURE_KINDS = (*PLAIN_MEASURES, "certainty_equivalent", "blind_spot",
+                 "coarse_cond_exp")
+L2_MEASURES = (*PLAIN_MEASURES, "coarse_cond_exp")
+
+#: Default of a key that must be given.
+REQUIRED = object()
+_BRACKET = {"lambda_cap": (_positive, DEFAULT_LAMBDA_CAP),
+            "tol": (_positive, DEFAULT_BRACKET_TOL)}
+
+#: Every config key: section kind (a ``[function NAME]`` or ``[measure
+#: NAME]`` section by its first word) -> key -> ``(parse, default)``. A
+#: parse raises ``ValueError`` on a malformed or out-of-range value.
+CONFIG_KEYS = {
+    "space": {
+        "uniform": (lambda t: FiniteProbSpace.uniform(_count()(t)), None),
+        "probs": (lambda t: FiniteProbSpace(tuple(_floats(t))), None),
+        "file": (lambda t: load_scenario_table(t)[0], None)},
+    "partition": {"atoms": (parse_partition_text, None),
+                  "file": (load_partition, None)},
+    "function": {
+        "family": (str, REQUIRED),
+        "a": (float, None), "b": (float, None), "c": (float, None),
+        "xs": (_floats, None), "ys": (_floats, None),
+        "weight": (float, 1.0),
+        "domain": (_words(float, 2), REQUIRED),
+        "grid": (_count(3), 129)},
+    "measure": {"kind": (_choice(*MEASURE_KINDS), REQUIRED),
+                "loss": (_choice("exp", "identity"), "exp"),
+                "ignored_atom": (_count(), 1),
+                "target": (parse_partition_text, REQUIRED),
+                "negate": (_flag, False)},
+    "index": {"function": (_words(), REQUIRED), **_BRACKET},
+    "sum-check": {"functions": (_words(), REQUIRED), **_BRACKET,
+                  "brute": (_flag, False),
+                  "pair_budget": (_count(), 1000000),
+                  "brute_grid": (_words(_count(3)), None)},
+    "risk-check": {"measure": (str, REQUIRED),
+                   "properties": (_words(_choice(*PROPERTY_CHECKS)),
+                                  list(PROPERTY_CHECKS)),
+                   "budget": (_count(), 200),
+                   "tol": (_positive, DEFAULT_CHECK_TOL)},
+    "l2-demo": {"fixture": (_choice("paper10pt", "paper10pt-split"),
+                            "paper10pt"),
+                "measure": (_choice(*L2_MEASURES), "neg_cond_exp"),
+                "budget": (_count(), 200),
+                "samples": (_count(), 500)},
+}
+
+
 def load_config(path: str) -> configparser.ConfigParser:
-    """Parse the config; data-file paths resolve against its directory."""
+    """Parse the config; data-file paths resolve against its directory. A
+    key that :data:`CONFIG_KEYS` does not list for its section kind is an
+    error; sections of other kinds are left alone."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -158,112 +282,50 @@ def load_config(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config: {e}") from e
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from e
+    for section in cp.sections():
+        known = CONFIG_KEYS.get(section.partition(" ")[0])
+        for key in cp.options(section) if known else ():
+            if key not in known:
+                raise ConfigError(f"[{section}] {key}: unknown key; "
+                                  f"known: {', '.join(known)}")
     return cp
 
 
-def _get(cp, section: str, key: str, default=None, required: bool = False):
-    if not cp.has_section(section):
-        if required:
-            raise ConfigError(f"missing [{section}] section")
-        return default
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing key {key!r} in [{section}]")
-        return default
-    return cp.get(section, key)
-
-
-def _get_count(cp, section: str, key: str, default: Optional[str],
-               minimum: int = 1) -> int:
-    """An integer of at least ``minimum``: a sample budget (zero checks
-    prove nothing), a size or a 1-based number."""
-    text = _get(cp, section, key, default=default)
+def _apply(section: str, key: str, fn, *args):
+    """``fn(*args)``; a ``ValueError`` or ``OSError`` becomes a config error
+    naming ``[section] key``."""
     try:
-        value = int(text)
-    except ValueError as e:
-        raise ConfigError(f"[{section}] {key} is not an integer") from e
-    if value < minimum:
-        raise ConfigError(f"[{section}] {key} must be at least {minimum}, "
-                          f"got {value}")
-    return value
-
-
-def _get_float(cp, section: str, key: str,
-               default: Optional[str] = None) -> Optional[float]:
-    """One number, or ``None`` when the key is absent and has no default."""
-    values = _get_numbers(cp, section, key, float, default, count=1)
-    return None if values is None else values[0]
-
-
-def _get_positive(cp, section: str, key: str, default: float) -> float:
-    """A number above zero: a tolerance or a lambda cap."""
-    value = _get_float(cp, section, key, default=repr(default))
-    if not value > 0:
-        raise ConfigError(f"[{section}] {key} must be positive, got {value}")
-    return value
-
-
-def _get_bool(cp, section: str, key: str) -> bool:
-    """A flag in configparser's words (true/false, yes/no, on/off, 1/0);
-    false when the key is absent."""
-    try:
-        return cp.getboolean(section, key, fallback=False)
-    except ValueError as e:
+        return fn(*args)
+    except (OSError, ValueError) as e:
         raise ConfigError(f"[{section}] {key}: {e}") from e
 
 
-def _get_numbers(cp, section: str, key: str, cast=float,
-                 default: Optional[str] = None, count: Optional[int] = None,
-                 required: bool = False) -> Optional[list]:
-    """The whitespace-separated values of a key through ``cast`` (exactly
-    ``count`` of them when given), or ``None`` when the key is absent and
-    has no default. A malformed value is a config error."""
-    text = _get(cp, section, key, default=default, required=required)
-    if text is None:
-        return None
-    try:
-        values = [cast(t) for t in text.split()]
-    except ValueError as e:
-        raise ConfigError(f"[{section}] {key}: {e}") from e
-    if count is not None and len(values) != count:
-        raise ConfigError(f"[{section}] {key} needs {count} value(s), "
-                          f"got {text!r}")
-    return values
+def _read(cp, section: str, key: str):
+    """``[section] key`` through its parse in :data:`CONFIG_KEYS`; its
+    default when absent."""
+    parse, default = CONFIG_KEYS[section.partition(" ")[0]][key]
+    if cp.has_option(section, key):
+        return _apply(section, key, parse, cp.get(section, key))
+    if default is not REQUIRED:
+        return default
+    raise ConfigError(f"missing key {key!r} in [{section}]")
+
+
+def _one_of(cp, section: str, keys: tuple[str, ...]):
+    """The value of the first of ``keys`` that ``[section]`` sets."""
+    for key in keys:
+        value = _read(cp, section, key)
+        if value is not None:
+            return value
+    raise ConfigError(f"[{section}] needs one of: {', '.join(keys)}")
 
 
 def build_space(cp) -> FiniteProbSpace:
-    if _get(cp, "space", "uniform") is not None:
-        return FiniteProbSpace.uniform(_get_count(cp, "space", "uniform", None))
-    probs = _get_numbers(cp, "space", "probs")
-    if probs is not None:
-        try:
-            return FiniteProbSpace(tuple(probs))
-        except ValueError as e:
-            raise ConfigError(f"[space] probs: {e}") from e
-    path = _get(cp, "space", "file")
-    if path is not None:
-        try:
-            return load_scenario_table(path)[0]
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"[space] file: {e}") from e
-    raise ConfigError("[space] needs one of: uniform, probs, file")
+    return _one_of(cp, "space", ("uniform", "probs", "file"))
 
 
 def build_partition(cp, n: int) -> PartitionSigma:
-    atoms = _get(cp, "partition", "atoms")
-    if atoms is not None:
-        try:
-            sigma = parse_partition_text(atoms)
-        except ValueError as e:
-            raise ConfigError(f"[partition] atoms: {e}") from e
-    else:
-        path = _get(cp, "partition", "file")
-        if path is None:
-            raise ConfigError("[partition] needs atoms or file")
-        try:
-            sigma = load_partition(path)
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"[partition] file: {e}") from e
+    sigma = _one_of(cp, "partition", ("atoms", "file"))
     if sigma.n != n:
         raise ConfigError(f"partition covers {sigma.n} outcomes, space has {n}")
     return sigma
@@ -273,35 +335,22 @@ def build_function(cp, name: str) -> tuple[FunctionSpec, BoxDomain]:
     section = f"function {name}"
     if not cp.has_section(section):
         raise ConfigError(f"function {name!r} is not declared (no [{section}])")
-    family = _get(cp, section, "family", required=True)
-    params = {}
-    for key in ("a", "b", "c"):
-        val = _get_float(cp, section, key)
-        if val is not None:
-            params[key] = val
-    table_x = _get_numbers(cp, section, "xs")
-    table_y = _get_numbers(cp, section, "ys")
-    if table_x is not None or table_y is not None:
-        if table_x is None or table_y is None:
-            raise ConfigError(f"[{section}] needs both xs and ys")
-        params["xs"], params["ys"] = table_x, table_y
-    weight = _get_float(cp, section, "weight", default="1.0")
+    family = _read(cp, section, "family")
+    params = {key: _read(cp, section, key) for key in ("a", "b", "c", "xs", "ys")
+              if cp.has_option(section, key)}
+    if ("xs" in params) != ("ys" in params):
+        raise ConfigError(f"[{section}] needs both xs and ys")
+    weight = _read(cp, section, "weight")
     try:
-        f = make_function(family, weight=weight, **params)
+        f = make_function(family, **params)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"[{section}]: {e}") from e
+    if weight != 1.0:
+        f = _apply(section, "weight", scale_function, f, weight)
     f.name = name
-    lo, hi = _get_numbers(cp, section, "domain", count=2, required=True)
-    grid = _get_count(cp, section, "grid", "129", minimum=3)
-    try:
-        return f, BoxDomain.of(lo, hi, grid)
-    except ValueError as e:
-        raise ConfigError(f"[{section}] domain: {e}") from e
-
-
-MEASURE_KINDS = ("neg_cond_exp", "entropic", "certainty_equivalent",
-                 "cubed_mean", "sqrt_log", "mean_broadcast", "blind_spot",
-                 "coarse_cond_exp")
+    lo, hi = _read(cp, section, "domain")
+    grid = _read(cp, section, "grid")
+    return f, _apply(section, "domain", BoxDomain.of, lo, hi, grid)
 
 
 def build_measure(cp, name: str, sigma: PartitionSigma,
@@ -309,50 +358,26 @@ def build_measure(cp, name: str, sigma: PartitionSigma,
     section = f"measure {name}"
     if not cp.has_section(section):
         raise ConfigError(f"measure {name!r} is not declared (no [{section}])")
-    kind = _get(cp, section, "kind", required=True)
+    kind = _read(cp, section, "kind")
     try:
-        return _dispatch_measure(cp, section, kind, sigma, space)
+        if kind in PLAIN_MEASURES:
+            return PLAIN_MEASURES[kind](sigma, space)
+        if kind == "certainty_equivalent":
+            if _read(cp, section, "loss") == "exp":
+                return entropic_certainty_equivalent(sigma, space)
+            return certainty_equivalent(lambda t: t, lambda t: t, sigma,
+                                        space, name="identity-ce")
+        if kind == "blind_spot":
+            atom = _read(cp, section, "ignored_atom")
+            if atom > sigma.k:
+                raise ConfigError(f"[{section}] ignored_atom must be an atom "
+                                  f"number in 1..{sigma.k}, got {atom}")
+            return blind_spot_map(sigma, space, ignored_atom=atom - 1)
+        return conditional_expectation_map(  # coarse_cond_exp
+            _read(cp, section, "target"), space, declared_sigma=sigma,
+            negate=_read(cp, section, "negate"))
     except ValueError as e:
         raise ConfigError(f"[{section}]: {e}") from e
-
-
-def _dispatch_measure(cp, section: str, kind: str, sigma: PartitionSigma,
-                      space: FiniteProbSpace) -> RiskMeasureOracle:
-    if kind == "neg_cond_exp":
-        return neg_conditional_expectation(sigma, space)
-    if kind == "entropic":
-        return entropic_certainty_equivalent(sigma, space)
-    if kind == "certainty_equivalent":
-        loss = _get(cp, section, "loss", default="exp")
-        if loss == "exp":
-            return entropic_certainty_equivalent(sigma, space)
-        if loss == "identity":
-            return certainty_equivalent(lambda t: t, lambda t: t, sigma, space,
-                                        name="identity-ce")
-        raise ConfigError(f"[{section}] unknown loss {loss!r}")
-    if kind == "cubed_mean":
-        return cubed_mean_map(sigma, space)
-    if kind == "sqrt_log":
-        return sqrt_log_map(sigma, space)
-    if kind == "mean_broadcast":
-        return mean_broadcast_map(sigma, space)
-    if kind == "blind_spot":
-        atom = _get_count(cp, section, "ignored_atom", "1")
-        if atom > sigma.k:
-            raise ConfigError(f"[{section}] ignored_atom must be an atom "
-                              f"number in 1..{sigma.k}, got {atom}")
-        return blind_spot_map(sigma, space, ignored_atom=atom - 1)
-    if kind == "coarse_cond_exp":
-        try:
-            target = parse_partition_text(
-                _get(cp, section, "target", required=True))
-        except ValueError as e:
-            raise ConfigError(f"[{section}] target: {e}") from e
-        return conditional_expectation_map(
-            target, space, declared_sigma=sigma,
-            negate=_get_bool(cp, section, "negate"))
-    raise ConfigError(f"[{section}] unknown kind {kind!r}; "
-                      f"known: {MEASURE_KINDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +385,9 @@ def _dispatch_measure(cp, section: str, kind: str, sigma: PartitionSigma,
 # ---------------------------------------------------------------------------
 
 def cmd_index(cp, seed: int, csv_path: Optional[str]) -> dict:
-    names_text = _get(cp, "index", "function", required=True)
-    names = names_text.split()
-    lambda_cap = _get_positive(cp, "index", "lambda_cap", DEFAULT_LAMBDA_CAP)
-    tol = _get_positive(cp, "index", "tol", DEFAULT_BRACKET_TOL)
+    names = _read(cp, "index", "function")
+    lambda_cap = _read(cp, "index", "lambda_cap")
+    tol = _read(cp, "index", "tol")
     results = {}
     sweeps = []
     for name in names:
@@ -384,17 +408,19 @@ def cmd_index(cp, seed: int, csv_path: Optional[str]) -> dict:
 
 def cmd_sum_check(cp, seed: int, brute: bool,
                   csv_path: Optional[str]) -> dict:
-    names_text = _get(cp, "sum-check", "functions", required=True)
-    names = names_text.split()
+    names = _read(cp, "sum-check", "functions")
     if len(names) < 2:
         raise ConfigError("[sum-check] needs at least two functions")
-    lambda_cap = _get_positive(cp, "sum-check", "lambda_cap",
-                               DEFAULT_LAMBDA_CAP)
-    tol = _get_positive(cp, "sum-check", "tol", DEFAULT_BRACKET_TOL)
-    brute = _get_bool(cp, "sum-check", "brute") or brute
+    lambda_cap = _read(cp, "sum-check", "lambda_cap")
+    tol = _read(cp, "sum-check", "tol")
+    brute = _read(cp, "sum-check", "brute") or brute
     if brute:
-        budget = _get_count(cp, "sum-check", "pair_budget", "1000000")
-        m_override = _get_numbers(cp, "sum-check", "brute_grid", int) or None
+        budget = _read(cp, "sum-check", "pair_budget")
+        m_override = _read(cp, "sum-check", "brute_grid")
+        if m_override is not None and len(m_override) != len(names):
+            raise ConfigError(f"[sum-check] brute_grid needs one grid size "
+                              f"per function, {len(names)}, got "
+                              f"{len(m_override)}")
     coords = [build_function(cp, n) for n in names]
     dsum = DecomposableSum(tuple(coords))
     indices = dsum.indices(lambda_cap=lambda_cap, tol=tol)
@@ -431,38 +457,18 @@ def cmd_sum_check(cp, seed: int, brute: bool,
     return result
 
 
-PROPERTY_CHECKS = {
-    "monotonicity": check_monotonicity,
-    "translativity": check_translativity,
-    "locality": check_locality,
-    "convexity": check_convexity,
-    "quasiconvexity": check_quasiconvexity,
-    "nqc": check_natural_quasiconvexity,
-    "star": check_star_quasiconvexity,
-    "sensitivity": check_sensitivity,
-    "assumption": check_assumption_nonconstant,
-}
-#: The properties checked on the shared triple table.
-TRIPLE_PROPERTIES = ("convexity", "quasiconvexity", "nqc", "star")
-
-
 def cmd_risk_check(cp, seed: int) -> dict:
     space = build_space(cp)
     sigma = build_partition(cp, space.n)
-    measure_name = _get(cp, "risk-check", "measure", required=True)
-    rho = build_measure(cp, measure_name, sigma, space)
-    props_text = _get(cp, "risk-check", "properties",
-                      default=" ".join(PROPERTY_CHECKS))
-    budget = _get_count(cp, "risk-check", "budget", "200")
-    tol = _get_positive(cp, "risk-check", "tol", DEFAULT_CHECK_TOL)
+    rho = build_measure(cp, _read(cp, "risk-check", "measure"), sigma, space)
+    props = _read(cp, "risk-check", "properties")
+    budget = _read(cp, "risk-check", "budget")
+    tol = _read(cp, "risk-check", "tol")
     # one table: the four triple checks evaluate each triple once
     triples = TripleTable(rho, sample_triples(
         space, np.random.default_rng([seed, 1]), budget))
     reports = {}
-    for i, prop in enumerate(props_text.split()):
-        if prop not in PROPERTY_CHECKS:
-            raise ConfigError(f"unknown property {prop!r}; "
-                              f"known: {sorted(PROPERTY_CHECKS)}")
+    for i, prop in enumerate(props):
         rng = np.random.default_rng([seed, 100 + i])
         check = PROPERTY_CHECKS[prop]
         try:
@@ -479,31 +485,23 @@ def cmd_risk_check(cp, seed: int) -> dict:
     return {"measure": rho.name, "budget": budget, "properties": reports}
 
 
-L2_MEASURES = ("neg_cond_exp", "entropic", "sqrt_log", "cubed_mean",
-               "mean_broadcast", "coarse_cond_exp")
-
-
 def cmd_l2_demo(cp, seed: int) -> dict:
-    fixture = _get(cp, "l2-demo", "fixture", default="paper10pt")
+    fixture = _read(cp, "l2-demo", "fixture")
     if fixture == "paper10pt":
         block = build_example_10pt()
         declared = block.sigma()
-    elif fixture == "paper10pt-split":
+    else:
         block = build_example_10pt_split()
         declared = refined_partition_10pt()
-    else:
-        raise ConfigError(f"unknown fixture {fixture!r}")
     space = block.space
-    kind = _get(cp, "l2-demo", "measure", default="neg_cond_exp")
-    if kind not in L2_MEASURES:
-        raise ConfigError(f"unknown l2 measure {kind!r}; known: {L2_MEASURES}")
+    kind = _read(cp, "l2-demo", "measure")
     if kind == "coarse_cond_exp":  # the target is the fixture's cells
         rho = conditional_expectation_map(PartitionSigma(block.cells), space,
                                           declared_sigma=declared)
     else:
-        rho = _dispatch_measure(cp, "l2-demo", kind, declared, space)
-    budget = _get_count(cp, "l2-demo", "budget", "200")
-    samples = _get_count(cp, "l2-demo", "samples", "500")
+        rho = PLAIN_MEASURES[kind](declared, space)
+    budget = _read(cp, "l2-demo", "budget")
+    samples = _read(cp, "l2-demo", "samples")
     rng = np.random.default_rng([seed, 7])
     pyth = 0.0
     for _ in range(100):

@@ -213,8 +213,9 @@ def default_gap_tol(g: FunctionSpec) -> float:
 
 def scale_function(g: FunctionSpec, w: float, name: str = "") -> FunctionSpec:
     """The function ``w * g`` with derivatives scaled alongside."""
-    if w < 0:
-        raise ValueError("scale weight must be nonnegative")
+    if not 0 <= w < math.inf:
+        raise ValueError(f"scale weight must be finite and nonnegative, "
+                         f"got {w}")
     return FunctionSpec(
         dim=g.dim,
         fn=lambda p: w * g.fn(p),

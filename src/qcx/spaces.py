@@ -37,7 +37,7 @@ class FiniteProbSpace:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 1 or len(p) == 0:
             raise ValueError("probs must be a nonempty vector")
-        if (p <= 0).any():
+        if not (p > 0).all():  # NaN fails too
             raise ValueError("all outcome probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -5,8 +6,15 @@ import numpy as np
 import pytest
 
 from qcx.cindex import REL_GAP_TOL
-from qcx.cli import build_function, load_config, main
+from qcx.cli import CONFIG_KEYS, _read, build_function, load_config, main
+from qcx.errors import ConfigError
 from qcx.extcore import PairTable, quasiconvexity_gap
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location(
+    "workloads", ROOT / "bench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
 
 
 BASE_CONFIG = """\
@@ -436,6 +444,9 @@ class TestDeterminismAndErrors:
                                      "target": "1-7; 8-10", "negate": "ture"}),
         ("risk-check", "measure m", {"kind": "coarse_cond_exp",
                                      "target": "1-7; 8-x"}),
+        ("index", "index", {"function": ""}),
+        ("risk-check", "risk-check", {"properties": ""}),
+        ("sum-check", "sum-check", {"brute_grid": ""}),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, command,
                                               section, changes):
@@ -471,6 +482,14 @@ class TestDeterminismAndErrors:
         ("index", "index", {"tol": "0"}),
         ("sum-check", "sum-check", {"lambda_cap": "-1e4"}),
         ("risk-check", "partition", {"atoms": "1-4; 4-7; 8-10"}),
+        ("risk-check", "risk-check", {"tol": "inf"}),
+        ("index", "index", {"lambda_cap": "inf"}),
+        ("sum-check", "sum-check", {"brute_grid": "2 2"}),
+        ("sum-check", "sum-check", {"brute_grid": "11 11 11"}),
+        ("risk-check", "space", {"uniform": None,
+                                 "probs": "0.1 " * 9 + "nan"}),
+        ("index", "function l", {"weight": "nan"}),
+        ("index", "function l", {"weight": "inf"}),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys,
                                                 command, section, changes):
@@ -498,6 +517,68 @@ class TestDeterminismAndErrors:
             raise AssertionError("an index was computed")
 
         monkeypatch.setattr(qcx.decomp, "compute_index", no_index)
-        assert run_changed(tmp_path, "sum-check", "sum-check",
-                           {"brute_grid": "41 x"}) == 64
-        assert "[sum-check] brute_grid" in capsys.readouterr().err
+        for value in ("41 x", "2 2", "11 11 11"):
+            assert run_changed(tmp_path, "sum-check", "sum-check",
+                               {"brute_grid": value}) == 64
+            assert "[sum-check] brute_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,section,changes", [
+        ("risk-check", "risk-check", {"budgte": "7"}),
+        ("index", "function s", {"gird": "31"}),
+        ("l2-demo", "l2-demo", {"loss": "exp"}),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, command,
+                                         section, changes):
+        """A misspelled key exits 64 and names itself instead of leaving
+        its default in force."""
+        assert run_changed(tmp_path, command, section, changes) == 64
+        key = list(changes)[-1]
+        assert f"[{section}] {key}: unknown key" in capsys.readouterr().err
+
+    def test_unknown_sections_and_measure_keys_are_accepted(self, tmp_path):
+        """Sections of other kinds are left alone, and a measure section
+        accepts every measure key whatever its kind."""
+        cfg = tmp_path / "extra.ini"
+        cfg.write_text(Path(write_config(tmp_path)).read_text()
+                       + "\n[notes]\nbudgte = 7\n")
+        cp = load_config(str(cfg))
+        cp.set("measure m", "loss", "identity")
+        cp.set("measure m", "ignored_atom", "2")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        assert run(["risk-check", "--config", str(cfg)]) == 0
+
+    def test_values_are_read_only_by_their_command(self, tmp_path):
+        """A bad value breaks only the commands that read it."""
+        assert run_changed(tmp_path, "index", "risk-check",
+                           {"budget": "x", "tol": "inf"}) == 0
+        assert run_changed(tmp_path, "risk-check", "l2-demo",
+                           {"fixture": "nowhere"}) == 0
+
+    @pytest.mark.parametrize("command", [["index"], ["sum-check", "--brute"],
+                                         ["risk-check"], ["l2-demo"]])
+    def test_demo_config_runs_every_subcommand(self, command):
+        demo = ROOT / "demos" / "cli" / "run.ini"
+        assert run([*command, "--config", str(demo)]) == 0
+
+    def test_bench_configs_load(self, tmp_path):
+        """Every config the benchmark generates loads, and each of its keys
+        reads through the table."""
+        cfg = tmp_path / "job.ini"
+        for workload in ("index", "brute", "risk"):
+            for seed in range(101, 111):
+                for job in workloads.generate(workload, seed):
+                    cfg.write_text(job["config"])
+                    cp = load_config(str(cfg))
+                    for section in cp.sections():
+                        assert section.partition(" ")[0] in CONFIG_KEYS
+                        for key in cp.options(section):
+                            _read(cp, section, key)
+
+    def test_read_names_a_missing_required_key(self, tmp_path):
+        cfg = tmp_path / "r.ini"
+        cfg.write_text("[function f]\nfamily = sqrt\n")
+        cp = load_config(str(cfg))
+        assert _read(cp, "function f", "grid") == 129
+        with pytest.raises(ConfigError, match="missing key 'domain'"):
+            _read(cp, "function f", "domain")

@@ -212,5 +212,12 @@ def test_scale_function():
         scale_function(families.sqrt(), -1.0)
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf])
+def test_scale_function_rejects_non_finite_weight(w):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        scale_function(families.sqrt(), w)
+    assert scale_function(families.sqrt(), 0.0)([[4.0]])[0] == 0.0
+
+
 def test_verdict_enum_roundtrip():
     assert Verdict("certified") is Verdict.CERTIFIED

@@ -41,6 +41,13 @@ class TestSpaces:
         with pytest.raises(ValueError):
             FiniteProbSpace((1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_number_probability_rejected(self, bad):
+        """A NaN fails ``p <= 0`` and the sum test alike, so positivity
+        is tested as ``p > 0``."""
+        with pytest.raises(ValueError, match="positive"):
+            FiniteProbSpace((0.5, 0.5, bad))
+
     def test_inner_product(self, space10):
         x = np.arange(10.0)
         assert space10.expectation(x) == pytest.approx(4.5)
