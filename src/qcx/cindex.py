@@ -117,7 +117,6 @@ def r_lambda(f: FunctionSpec, lam: float) -> FunctionSpec:
 def compute_index(f: FunctionSpec, box: BoxDomain,
                   lambda_cap: float = DEFAULT_LAMBDA_CAP,
                   tol: float = DEFAULT_BRACKET_TOL,
-                  gap_tol: Optional[float] = None,
                   etas=DEFAULT_ETAS) -> ConvexityIndex:
     """The exact grid convexity index of ``f`` on the box grid.
 
@@ -125,9 +124,9 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     lower end of a float-tight bracket: the transform passes on the whole
     table there, and the ``binding`` pair fails one float up. ``tol`` is an
     upper bound on the bracket width; the float-tight bracket meets any
-    ``tol`` of at least one ulp of the value. ``gap_tol`` is the absolute
-    tolerance of the entry certification of ``f`` itself (defaults per
-    :func:`qcx.extcore.default_gap_tol`); the exponential-transform probes
+    ``tol`` of at least one ulp of the value. The entry certification of
+    ``f`` itself uses the absolute tolerance
+    :func:`qcx.extcore.default_gap_tol`; the exponential-transform probes
     use the mix-normalized relative test, which is immune to overflow at
     extreme lambda.
 
@@ -144,9 +143,7 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     if spread < 1e-10:
         return ConvexityIndex(POS_INF, None, IndexCase.CASE_II, lambda_cap,
                               constant_shortcut=True)
-    if gap_tol is None:
-        gap_tol = default_gap_tol(f)
-    base_worst, base_witness, _ = table.scan("convex", gap_tol)
+    base_worst, base_witness, _ = table.scan("convex", default_gap_tol(f))
     if base_witness is not None:
         # case I: f is not convex, the index is negative; the solve's seed
         # pass makes the cap probe

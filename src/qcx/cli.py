@@ -312,12 +312,15 @@ def _read(cp, section: str, key: str):
 
 
 def _one_of(cp, section: str, keys: tuple[str, ...]):
-    """The value of the first of ``keys`` that ``[section]`` sets."""
-    for key in keys:
-        value = _read(cp, section, key)
-        if value is not None:
-            return value
-    raise ConfigError(f"[{section}] needs one of: {', '.join(keys)}")
+    """The value of the one of ``keys`` that ``[section]`` sets; setting
+    none of them, or more than one, is an error."""
+    given = [key for key in keys if cp.has_option(section, key)]
+    if len(given) > 1:
+        raise ConfigError(f"[{section}] {' and '.join(given)}: conflicting "
+                          f"keys; give only one of: {', '.join(keys)}")
+    if not given:
+        raise ConfigError(f"[{section}] needs one of: {', '.join(keys)}")
+    return _read(cp, section, given[0])
 
 
 def build_space(cp) -> FiniteProbSpace:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -187,8 +187,6 @@ class DecomposableSum:
     """Concrete coordinate functions on their boxes, summed blockwise."""
 
     coords: tuple[tuple[FunctionSpec, BoxDomain], ...]
-    _indices: Optional[tuple[ConvexityIndex, ...]] = field(default=None,
-                                                           repr=False)
 
     def __post_init__(self):
         self.coords = tuple((f, b) for f, b in self.coords)
@@ -231,11 +229,8 @@ class DecomposableSum:
         return FunctionSpec(dim=self.dim, fn=fn, name=name)
 
     def indices(self, **kwargs) -> tuple[ConvexityIndex, ...]:
-        """Coordinate indices, computed once and cached."""
-        if self._indices is None:
-            self._indices = tuple(compute_index(f, b, **kwargs)
-                                  for f, b in self.coords)
-        return self._indices
+        """Coordinate indices, computed with ``kwargs`` on every call."""
+        return tuple(compute_index(f, b, **kwargs) for f, b in self.coords)
 
     def index_values(self, **kwargs) -> list[float]:
         return [ix.value for ix in self.indices(**kwargs)]

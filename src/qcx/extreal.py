@@ -6,7 +6,6 @@ IEEE-754 defaults in exactly the places the library relies on:
 
 * ``0 * (+inf) = 0 * (-inf) = 0``
 * ``1 / 0 = +inf``
-* ``exp(+inf) = +inf`` and ``exp(-inf) = 0``
 
 Subtraction of two infinities of the same sign has no canonical value; the
 helpers below resolve ``(+inf) - (+inf)`` to ``+inf`` together with a
@@ -18,26 +17,18 @@ from __future__ import annotations
 
 import math
 
-# Type alias: extended reals are floats, with +-inf allowed and NaN forbidden.
-ExtReal = float
-
-POS_INF: ExtReal = math.inf
-NEG_INF: ExtReal = -math.inf
+POS_INF = math.inf
+NEG_INF = -math.inf
 
 
-def is_ext(v: float) -> bool:
-    """True when ``v`` is a valid extended real (any float except NaN)."""
-    return not math.isnan(v)
-
-
-def ext_mul(a: ExtReal, b: ExtReal) -> ExtReal:
+def ext_mul(a: float, b: float) -> float:
     """Product under the convention ``0 * (+-inf) = 0``."""
     if a == 0.0 or b == 0.0:
         return 0.0
     return a * b
 
 
-def ext_inv(a: ExtReal) -> ExtReal:
+def ext_inv(a: float) -> float:
     """Reciprocal under the conventions ``1/0 = +inf`` and ``1/(+-inf) = 0``."""
     if a == 0.0:
         return POS_INF
@@ -46,32 +37,7 @@ def ext_inv(a: ExtReal) -> ExtReal:
     return 1.0 / a
 
 
-def ext_exp(z: ExtReal) -> ExtReal:
-    """Exponential extended by ``exp(+inf) = +inf`` and ``exp(-inf) = 0``."""
-    if z == POS_INF:
-        return POS_INF
-    if z == NEG_INF:
-        return 0.0
-    try:
-        return math.exp(z)
-    except OverflowError:
-        return POS_INF
-
-
-def ext_exp_neg(lam: float, v: ExtReal) -> ExtReal:
-    """Evaluate ``exp(-lam * v)`` under the extended conventions.
-
-    The product ``-lam * v`` uses ``0 * inf = 0``, so ``lam = 0`` yields 1
-    even when ``v`` is infinite.
-    """
-    if math.isnan(lam) or math.isinf(lam):
-        raise ValueError("lam must be a finite real")
-    if not is_ext(v):
-        raise ValueError("v must be an extended real, not NaN")
-    return ext_exp(ext_mul(-lam, v))
-
-
-def ext_sub(a: ExtReal, b: ExtReal) -> tuple[ExtReal, bool]:
+def ext_sub(a: float, b: float) -> tuple[float, bool]:
     """Difference ``a - b`` with a degeneracy flag.
 
     Returns ``(value, degenerate)``. When both operands are infinite with the
@@ -83,7 +49,7 @@ def ext_sub(a: ExtReal, b: ExtReal) -> tuple[ExtReal, bool]:
     return a - b, False
 
 
-def ext_combo(eta: float, a: ExtReal, b: ExtReal) -> ExtReal:
+def ext_combo(eta: float, a: float, b: float) -> float:
     """Convex combination ``eta*a + (1-eta)*b`` under ``0 * inf = 0``.
 
     Assumes neither operand is ``-inf`` with the other ``+inf`` and positive

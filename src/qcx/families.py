@@ -13,7 +13,15 @@ import numpy as np
 from .extcore import FunctionSpec, scale_function
 
 
+def _require_finite(**params) -> None:
+    """Reject a NaN or infinite parameter (or table entry) by name."""
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def affine(a: float = 1.0, b: float = 0.0) -> FunctionSpec:
+    _require_finite(a=a, b=b)
     return FunctionSpec(
         1, lambda p: a * p[:, 0] + b,
         grad=lambda p: np.full(len(p), float(a)),
@@ -64,6 +72,7 @@ def exp() -> FunctionSpec:
 
 
 def const(c: float = 0.0) -> FunctionSpec:
+    _require_finite(c=c)
     return FunctionSpec(
         1, lambda p: np.full(len(p), float(c)),
         grad=lambda p: np.zeros(len(p)),
@@ -77,6 +86,7 @@ def piecewise(xs, ys) -> FunctionSpec:
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
         raise ValueError("piecewise needs matching x/y tables of length >= 2")
+    _require_finite(xs=xs, ys=ys)
     if not (np.diff(xs) > 0).all():
         raise ValueError("piecewise x table must be strictly increasing")
     return FunctionSpec(

@@ -16,7 +16,7 @@ preorder for one-dimensional e-blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,46 +25,34 @@ from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, PropertyReport,
                           RiskMeasureOracle, _each_triple, _excess_check,
                           _first_failure, _jensen_bound, _mu_feasibility, _rng,
                           _stacked, _triple_table, _vec)
-from .spaces import (FiniteProbSpace, PartitionSigma, conditional_expectation,
-                     parse_partition_text)
+from .spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
 
 #: Orthonormality residual required of every block structure.
 ORTHO_TOL = 1e-12
 
 
-def gram_schmidt(vectors: Sequence[np.ndarray], space: FiniteProbSpace,
-                 rank_tol: float = 1e-10, return_transform: bool = False):
+def gram_schmidt(vectors: Sequence[np.ndarray],
+                 space: FiniteProbSpace) -> list[np.ndarray]:
     """Orthonormalize under the probability-weighted inner product.
 
     Raises :class:`qcx.errors.RankDeficientError` with the offending input
-    index when a vector lies in the span of its predecessors. With
-    ``return_transform=True`` also returns the lower-triangular coefficient
-    matrix ``T`` with ``output_i = sum_j T[i, j] * input_j``, which makes the
-    construction reproducible from the raw generators.
+    index when a vector lies in the span of its predecessors.
     """
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     out: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
     for i, v in enumerate(vecs):
         w = v.copy()
-        row = np.zeros(len(vecs))
-        row[i] = 1.0
-        for j, u in enumerate(out):
-            c = space.inner(w, u)
-            w = w - c * u
-            row -= c * rows[j]
+        for u in out:
+            w = w - space.inner(w, u) * u
         nrm = space.norm(w)
-        if nrm <= rank_tol:
+        if nrm <= 1e-10:
             raise RankDeficientError(i)
         out.append(w / nrm)
-        rows.append(row / nrm)
     # same-span verification: every input must reconstruct from the output
     for i, v in enumerate(vecs):
         recon = sum(space.inner(v, u) * u for u in out)
         if space.norm(v - recon) > 1e-10 * max(1.0, space.norm(v)):
             raise RankDeficientError(i)
-    if return_transform:
-        return out, np.array(rows)
     return out
 
 
@@ -83,8 +71,6 @@ class BlockStructure:
     cells: tuple[tuple[int, ...], ...]
     e_blocks: tuple[tuple[np.ndarray, ...], ...]
     beta_blocks: tuple[tuple[np.ndarray, ...], ...]
-    transforms: Optional[tuple[np.ndarray, ...]] = field(default=None,
-                                                         compare=False)
     ortho_residual: float = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -169,7 +155,6 @@ def blocks_from_generators(space: FiniteProbSpace,
     """
     e_blocks: list[tuple[np.ndarray, ...]] = []
     beta_blocks: list[tuple[np.ndarray, ...]] = []
-    transforms: list[np.ndarray] = []
     for ci, cell in enumerate(cells):
         gens = [np.asarray(v, dtype=float) for v in e_generators[ci]]
         n_e = len(gens)
@@ -185,13 +170,11 @@ def blocks_from_generators(space: FiniteProbSpace,
                 except RankDeficientError:
                     continue
                 gens.append(probe)
-        ortho, t = gram_schmidt(gens, space, return_transform=True)
+        ortho = gram_schmidt(gens, space)
         e_blocks.append(tuple(ortho[:n_e]))
         beta_blocks.append(tuple(ortho[n_e:]))
-        transforms.append(t)
     return BlockStructure(space, tuple(tuple(c) for c in cells),
-                          tuple(e_blocks), tuple(beta_blocks),
-                          transforms=tuple(transforms))
+                          tuple(e_blocks), tuple(beta_blocks))
 
 
 def build_example_10pt() -> BlockStructure:
@@ -200,8 +183,8 @@ def build_example_10pt() -> BlockStructure:
     Each e-block is the normalized cell indicator; the beta-blocks come from
     the printed generator lists, orthonormalized within each cell (the third
     generator of the first cell is not orthogonal to the indicator as
-    printed, so the recorded transform is what makes the construction
-    reproducible). Block dimensions: e = (1, 1, 1), beta = (3, 2, 2).
+    printed, so Gram-Schmidt changes it). Block dimensions: e = (1, 1, 1),
+    beta = (3, 2, 2).
     """
     space = FiniteProbSpace.uniform(10)
     cells = ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9))
@@ -394,58 +377,3 @@ def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
             "basis_local": loc.passed,
             "implication_holds": (not hypotheses) or conv.passed,
         })
-
-
-# ---------------------------------------------------------------------------
-# structure files
-# ---------------------------------------------------------------------------
-
-def load_block_structure(path, space: Optional[FiniteProbSpace] = None
-                         ) -> BlockStructure:
-    """Read cells and raw generators from a line-oriented text file.
-
-    Format: a ``cells:`` line with semicolon-separated 1-based index lists,
-    then ``e CELL: v1 v2 ...`` and ``beta CELL: v1 v2 ...`` generator lines
-    (full-length vectors). Missing beta dimensions are completed with
-    outcome indicators. Without an explicit space the uniform one is used.
-    """
-    cells: Optional[list[tuple[int, ...]]] = None
-    e_gens: dict[int, list[np.ndarray]] = {}
-    b_gens: dict[int, list[np.ndarray]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, rest = line.partition(":")
-            key = key.strip().lower()
-            if key == "cells":
-                cells = list(parse_partition_text(rest).atoms)
-            elif key.startswith("e ") or key.startswith("beta "):
-                kind, idx = key.split()
-                vec = np.array([float(t) for t in rest.split()])
-                target = e_gens if kind == "e" else b_gens
-                target.setdefault(int(idx) - 1, []).append(vec)
-            else:
-                raise ValueError(f"unrecognized structure line: {line!r}")
-    if cells is None:
-        raise ValueError("structure file has no cells: line")
-    for gens in (e_gens, b_gens):
-        for idx in gens:
-            if not 0 <= idx < len(cells):
-                raise ValueError(f"generator references cell {idx + 1}, "
-                                 f"but only {len(cells)} cells are declared")
-    sigma = PartitionSigma(tuple(cells))
-    sp = space or FiniteProbSpace.uniform(sigma.n)
-    e_list = [e_gens.get(i) or [sigma.indicator(i)] for i in range(len(cells))]
-    b_list = [b_gens.get(i, []) for i in range(len(cells))]
-    return blocks_from_generators(sp, cells, e_list, b_list, complete=True)
-
-
-def save_basis_matrix(path, block: BlockStructure) -> None:
-    """Write the orthonormalized basis as a plain numeric matrix."""
-    rows = []
-    for ci in range(block.k):
-        rows.extend(block.e_blocks[ci])
-        rows.extend(block.beta_blocks[ci])
-    np.savetxt(path, np.array(rows), fmt="%.17g")

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +502,35 @@ class TestDeterminismAndErrors:
         key = list(changes)[-1]
         assert f"[{section}] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes,key", [
+        ({"family": "affine", "a": "nan"}, "a"),
+        ({"family": "affine", "b": "-inf"}, "b"),
+        ({"family": "const", "c": "nan"}, "c"),
+        ({"family": "piecewise", "xs": "0 1 2", "ys": "0 nan 1"}, "ys"),
+        ({"family": "piecewise", "xs": "0 1 inf", "ys": "0 1 2"}, "xs"),
+    ])
+    def test_non_finite_family_parameter_is_config_error(
+            self, tmp_path, capsys, changes, key):
+        """A NaN or infinite family parameter exits 64 and names the
+        function and the parameter, instead of failing in the oracle."""
+        assert run_changed(tmp_path, "index", "function s", changes) == 64
+        err = capsys.readouterr().err
+        assert "[function s]" in err and f"{key} must be finite" in err
+
+    @pytest.mark.parametrize("section,changes,given", [
+        ("space", {"probs": "0.1 " * 10}, "uniform and probs"),
+        ("space", {"file": "scen.txt"}, "uniform and file"),
+        ("space", {"probs": "0.1 " * 10, "file": "scen.txt"},
+         "uniform and probs and file"),
+        ("partition", {"file": "part.txt"}, "atoms and file"),
+    ])
+    def test_conflicting_key_sets_are_config_error(self, tmp_path, capsys,
+                                                   section, changes, given):
+        """A space or partition given by more than one key set exits 64
+        and names the section and the keys, instead of using the first."""
+        assert run_changed(tmp_path, "risk-check", section, changes) == 64
+        assert f"[{section}] {given}: conflicting" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, tmp_path, capsys, threads):
         cfg = write_config(tmp_path)
@@ -574,6 +604,19 @@ class TestDeterminismAndErrors:
                         assert section.partition(" ")[0] in CONFIG_KEYS
                         for key in cp.options(section):
                             _read(cp, section, key)
+
+    def test_bench_verifier_loads(self, monkeypatch):
+        """``bench/verify.py`` loads: every library name the benchmark's
+        correctness gate imports still exists."""
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        # its ``import workloads`` registers a module; drop it afterwards
+        monkeypatch.setitem(sys.modules, "workloads", None)
+        monkeypatch.delitem(sys.modules, "workloads")
+        spec = importlib.util.spec_from_file_location(
+            "verify", ROOT / "bench" / "verify.py")
+        verify = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(verify)
+        assert callable(verify.check_job)
 
     def test_read_names_a_missing_required_key(self, tmp_path):
         cfg = tmp_path / "r.ini"

@@ -8,7 +8,8 @@ from qcx import families
 from qcx.decomp import (DecomposableSum, SumDecision, brute_force_sum_quasiconvex,
                         characterize, harmonic_index, index_sum_criterion,
                         infinite_sum_criterion)
-from qcx.errors import BudgetExceededError, InfiniteIndexError, NegativeIndexError
+from qcx.errors import (BudgetExceededError, CapTooSmallWarning,
+                        InfiniteIndexError, NegativeIndexError)
 from qcx.extcore import BoxDomain
 from qcx.extreal import POS_INF
 
@@ -185,12 +186,22 @@ class TestBruteForce:
             brute_force_sum_quasiconvex(sum_sqrt_neglog(1.0, m=64),
                                         pair_budget=10_000)
 
-    def test_indices_cached_and_correct(self):
+    def test_indices_correct(self):
         ds = sum_sqrt_neglog(2.0)
         vals = ds.index_values(tol=1e-4)
         assert vals[0] == pytest.approx(-1.0, abs=2e-3)
         assert vals[1] == pytest.approx(0.5, abs=2e-3)
-        assert ds.indices() is ds.indices()
+
+    def test_indices_recomputed_for_other_arguments(self):
+        """A second call with another cap computes its own indices, not the
+        first call's."""
+        ds = DecomposableSum(((families.sqrt(), BoxDomain.of(1, 4, 9)),
+                              (families.neglog(), BoxDomain.of(1, 4, 9))))
+        wide = ds.index_values(lambda_cap=1e4)
+        assert wide[0] == pytest.approx(-1.0, abs=1e-3)
+        assert wide[1] == pytest.approx(1.0, abs=1e-3)
+        with pytest.warns(CapTooSmallWarning):
+            assert ds.index_values(lambda_cap=1e-3) == [-math.inf, math.inf]
 
     def test_agreement_between_criterion_and_oracle(self):
         for a in (0.5, 2.0):

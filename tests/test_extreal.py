@@ -1,15 +1,6 @@
-import math
-
 import pytest
-from hypothesis import given, strategies as st
 
-from qcx.extreal import (NEG_INF, POS_INF, ext_combo, ext_exp, ext_exp_neg,
-                         ext_inv, ext_mul, ext_sub, is_ext)
-
-ext_values = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False, width=64),
-    st.sampled_from([POS_INF, NEG_INF]),
-)
+from qcx.extreal import NEG_INF, POS_INF, ext_combo, ext_inv, ext_mul, ext_sub
 
 
 def test_conventions():
@@ -19,25 +10,6 @@ def test_conventions():
     assert ext_inv(0.0) == POS_INF
     assert ext_inv(POS_INF) == 0.0
     assert ext_inv(NEG_INF) == 0.0
-    assert ext_exp(POS_INF) == POS_INF
-    assert ext_exp(NEG_INF) == 0.0
-
-
-def test_exp_neg_examples():
-    assert ext_exp_neg(1.0, POS_INF) == 0.0
-    assert ext_exp_neg(-1.0, POS_INF) == POS_INF
-    assert ext_exp_neg(0.0, POS_INF) == 1.0
-    assert ext_exp_neg(0.0, NEG_INF) == 1.0
-    assert ext_exp_neg(2.0, 1.0) == pytest.approx(math.exp(-2.0))
-
-
-def test_exp_neg_rejects_bad_lambda():
-    with pytest.raises(ValueError):
-        ext_exp_neg(math.inf, 1.0)
-    with pytest.raises(ValueError):
-        ext_exp_neg(math.nan, 1.0)
-    with pytest.raises(ValueError):
-        ext_exp_neg(1.0, math.nan)
 
 
 def test_sub_degeneracy():
@@ -53,19 +25,3 @@ def test_combo_weights():
     assert ext_combo(1.0, POS_INF, 2.0) == POS_INF
     assert ext_combo(0.5, POS_INF, 2.0) == POS_INF
     assert ext_combo(0.25, 4.0, 8.0) == pytest.approx(7.0)
-
-
-@given(lam=st.floats(min_value=1e-6, max_value=1e3),
-       a=ext_values, b=ext_values)
-def test_exp_neg_monotone(lam, a, b):
-    """Nonincreasing in v for lam > 0, nondecreasing for lam < 0."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    assert ext_exp_neg(lam, lo) >= ext_exp_neg(lam, hi)
-    assert ext_exp_neg(-lam, lo) <= ext_exp_neg(-lam, hi)
-
-
-@given(v=ext_values)
-def test_exp_neg_always_valid(v):
-    out = ext_exp_neg(1.0, v)
-    assert is_ext(out)
-    assert out >= 0.0

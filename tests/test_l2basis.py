@@ -8,9 +8,8 @@ from qcx.l2basis import (BlockStructure, blocks_from_generators,
                          build_example_10pt, build_example_10pt_split,
                          check_basis_locality, check_cone_self_dual,
                          check_convexity_wrt_preorder, check_nqc_wrt_preorder,
-                         cone_leq, gram_schmidt, load_block_structure,
-                         project_G_complement, refined_partition_10pt,
-                         save_basis_matrix)
+                         cone_leq, gram_schmidt, project_G_complement,
+                         refined_partition_10pt)
 from qcx.riskmeasure import (FiniteProbSpace, PartitionSigma,
                              RiskMeasureOracle, check_locality,
                              check_natural_quasiconvexity,
@@ -65,14 +64,6 @@ class TestGramSchmidt:
                           np.array([2.0, 0.0, 0.0])], space)
         assert exc.value.index == 1
 
-    def test_transform_reconstructs(self):
-        space = FiniteProbSpace.uniform(4)
-        gens = [np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0, 4.0])]
-        out, t = gram_schmidt(gens, space, return_transform=True)
-        for i, o in enumerate(out):
-            recon = sum(t[i, j] * gens[j] for j in range(len(gens)))
-            np.testing.assert_allclose(o, recon, atol=1e-12)
-
 
 class TestExampleStructure:
     def test_dimensions(self, block):
@@ -97,10 +88,6 @@ class TestExampleStructure:
             x = rng.normal(size=10)
             coeffs = block.coordinates(x)
             assert abs(block.space.inner(x, x) - np.sum(coeffs ** 2)) < 1e-10
-
-    def test_transform_recorded(self, block):
-        assert block.transforms is not None
-        assert block.transforms[0].shape == (4, 4)
 
     def test_structure_validation(self):
         space = FiniteProbSpace.uniform(4)
@@ -240,39 +227,3 @@ class TestPreorderNQC:
         rho = neg_conditional_expectation(refined_partition_10pt(), split.space)
         with pytest.raises(AssumptionViolatedError):
             check_nqc_wrt_preorder(rho, split, triples=triples)
-
-
-class TestStructureIO:
-    def test_roundtrip(self, tmp_path, block):
-        path = tmp_path / "structure.txt"
-        path.write_text(
-            "cells: 1-4; 5-7; 8-10\n"
-            "e 1: 1 1 1 1 0 0 0 0 0 0\n"
-            "beta 1: 1 1 -1 -1 0 0 0 0 0 0\n"
-            "beta 1: 1 -1 1 -1 0 0 0 0 0 0\n"
-            "beta 1: -1 0 0 -1 0 0 0 0 0 0\n"
-            "e 2: 0 0 0 0 1 1 1 0 0 0\n"
-            "e 3: 0 0 0 0 0 0 0 1 1 1\n")
-        loaded = load_block_structure(path)
-        assert loaded.e_dims() == (1, 1, 1)
-        np.testing.assert_allclose(loaded.e_blocks[0][0],
-                                   block.e_blocks[0][0])
-        out = tmp_path / "basis.txt"
-        save_basis_matrix(out, loaded)
-        mat = np.loadtxt(out)
-        assert mat.shape == (10, 10)
-        p = loaded.space.p
-        gram = (mat * p) @ mat.T
-        assert np.abs(gram - np.eye(10)).max() < 1e-12
-
-    def test_missing_cells_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("e 1: 1 0\n")
-        with pytest.raises(ValueError):
-            load_block_structure(path)
-
-    def test_out_of_range_cell_reference(self, tmp_path):
-        path = tmp_path / "bad2.txt"
-        path.write_text("cells: 1-2; 3-4\ne 3: 1 1 1 1\n")
-        with pytest.raises(ValueError, match="cell 3"):
-            load_block_structure(path)
