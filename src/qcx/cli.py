@@ -33,7 +33,8 @@ from .cindex import (DEFAULT_BRACKET_TOL, DEFAULT_LAMBDA_CAP, ConvexityIndex,
 from .decomp import (DecomposableSum, SumDecision, SumVerdict,
                      brute_force_sum_quasiconvex, characterize,
                      harmonic_index, index_sum_criterion)
-from .errors import ConfigError, NotGMeasurableError, NotNormalizedError, QcxError
+from .errors import (ConfigError, ImproperFunctionError, NotGMeasurableError,
+                     NotNormalizedError, QcxError)
 from .extcore import (BoxDomain, CertResult, FunctionSpec, Verdict, Witness,
                       scale_function)
 from .families import make_function
@@ -353,7 +354,16 @@ def build_function(cp, name: str) -> tuple[FunctionSpec, BoxDomain]:
     f.name = name
     lo, hi = _read(cp, section, "domain")
     grid = _read(cp, section, "grid")
-    return f, _apply(section, "domain", BoxDomain.of, lo, hi, grid)
+    box = _apply(section, "domain", BoxDomain.of, lo, hi, grid)
+    # every later evaluation lies in the box; a domain that leaves the
+    # family's own is caught here, on the grid, not as NaN in a scan
+    try:
+        with np.errstate(all="ignore"):
+            f(box.points())
+    except (ValueError, ImproperFunctionError) as e:
+        raise ConfigError(f"[{section}] domain: {family} is not defined on "
+                          f"all of [{lo!r}, {hi!r}] ({e})") from e
+    return f, box
 
 
 def build_measure(cp, name: str, sigma: PartitionSigma,

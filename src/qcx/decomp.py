@@ -212,21 +212,23 @@ class DecomposableSum:
         return BoxDomain(tuple(lo), tuple(hi), tuple(m))
 
     def as_function(self) -> FunctionSpec:
-        """The sum as a single function of the stacked coordinates."""
-        spans = []
+        """The sum as a single function of the stacked coordinates, with its
+        terms declared (see :class:`qcx.extcore.FunctionSpec`)."""
+        terms = []
         start = 0
         for f, b in self.coords:
-            spans.append((f, start, start + b.dim))
+            terms.append((f, start, start + b.dim))
             start += b.dim
+        terms = tuple(terms)
 
         def fn(pts: np.ndarray) -> np.ndarray:
             total = np.zeros(len(pts))
-            for f, s, e in spans:
-                total = total + f(pts[:, s:e])
+            for f, s, e in terms:
+                total += f(pts[:, s:e])
             return total
 
         name = " + ".join(f.name or f"f{k}" for k, (f, _) in enumerate(self.coords))
-        return FunctionSpec(dim=self.dim, fn=fn, name=name)
+        return FunctionSpec(dim=self.dim, fn=fn, name=name, terms=terms)
 
     def indices(self, **kwargs) -> tuple[ConvexityIndex, ...]:
         """Coordinate indices, computed with ``kwargs`` on every call."""
@@ -247,6 +249,13 @@ def brute_force_sum_quasiconvex(dsum: DecomposableSum, tol: float = 1e-9,
     The scan streams the pairs in fixed blocks (see
     :func:`qcx.extcore.certify_quasiconvex`), so its memory does not grow
     with the pair count and ``pair_budget`` bounds time, not memory.
+
+    The sum declares its terms (:meth:`DecomposableSum.as_function`), so a
+    grid pair's mix value is looked up in per-term tables of the term values
+    at the mixes of two cells: the oracle evaluates the grid, ``7 M_k^2``
+    mixes per term and the local pairs, not every mix of the product. A
+    term with more than ``SCAN_BLOCK`` cell pairs turns the tables off and
+    every mix is evaluated; the result is the same bit for bit either way.
     """
     box = dsum.product_box(m_override)
     return certify_quasiconvex(dsum.as_function(), box, tol=tol, etas=etas,

@@ -21,7 +21,10 @@ fixes its break-even point.
 :class:`PairTable` streams the pairs in blocks of :data:`SCAN_BLOCK` and
 keeps no pair: every pass rebuilds each block and evaluates its mixes one
 weight at a time, so memory is O(block + grid) and ``pair_budget`` bounds
-time, not memory. The certifiers make one gap scan. The convexity index
+time, not memory. The certifiers make one gap scan; on a declared separable
+sum (:attr:`FunctionSpec.terms`) its grid pairs' mix values are looked up in
+per-term tables of O(block) entries, built once per table, and only the
+local pairs' mixes are evaluated. The convexity index
 makes the same scan, then a seed pass that ranks each block's pairs by
 their estimated crossings (in case I it tests the lambda cap first), then
 one whole-table probe per round of its solve that runs out of candidates;
@@ -175,10 +178,15 @@ class BoxDomain:
 class FunctionSpec:
     """An extended-real function on a box, given by a vectorized oracle.
 
-    ``fn`` maps an ``(N, dim)`` array to an ``(N,)`` float array; ``+inf``
-    entries are allowed, ``-inf`` and NaN are not (proper functions). The
-    optional ``grad`` and ``hess`` oracles have the same calling convention
-    and are only consulted by the smooth 1-D cross-check.
+    ``fn`` maps an ``(N, dim)`` array to an ``(N,)`` float array, point by
+    point; ``+inf`` entries are allowed, ``-inf`` and NaN are not (proper
+    functions). The optional ``grad`` and ``hess`` oracles have the same
+    calling convention and are only consulted by the smooth 1-D cross-check.
+
+    ``terms`` declares a separable sum: ``((f_k, first, stop), ...)`` says
+    that ``fn`` is ``0 + f_1(x[:, first_1:stop_1]) + f_2(...) + ...``, summed
+    in that order. :class:`PairTable` then looks the grid pairs' mix values
+    up in per-term tables instead of evaluating ``fn`` at every mix.
     """
 
     dim: int
@@ -187,12 +195,16 @@ class FunctionSpec:
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     proper: bool = True
     name: str = ""
+    terms: tuple[tuple["FunctionSpec", int, int], ...] = ()
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.dim)
-        vals = np.asarray(self.fn(pts), dtype=float).reshape(-1)
+        return self.check(np.asarray(self.fn(pts), dtype=float).reshape(-1))
+
+    def check(self, vals: np.ndarray) -> np.ndarray:
+        """``vals``, once no entry is NaN and, if proper, none is ``-inf``."""
         low = vals.min(initial=math.inf)  # NaN propagates through min
         if math.isnan(low):
             raise ValueError(f"oracle for {self.name or 'function'} returned NaN")
@@ -375,6 +387,13 @@ def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
     return pos, t_fail, key
 
 
+def _mix_points(a, b, eta):
+    """The mixes ``eta a + (1 - eta) b``, in the arithmetic of every scan."""
+    m = np.multiply(a, eta)
+    m += np.multiply(b, 1 - eta)
+    return m
+
+
 class PairTable:
     """The pair set of a box grid, streamed in blocks of :data:`SCAN_BLOCK`.
 
@@ -386,6 +405,17 @@ class PairTable:
     block and evaluates its mixes one weight at a time, so a pass holds one
     block. The passes are gap scans, the mix-normalized exponential-transform
     test and its exact break-even solve, which the convexity index uses.
+
+    For a function that declares separable ``terms``, the table also keeps
+    per weight and term the values ``T_k[p, q] = f_k(eta c_p + (1 - eta)
+    c_q)`` at the mixes of every two cells ``c_p``, ``c_q`` of the term's
+    sub-grid. The mix of a grid pair along the term's axes depends only on
+    its two cells there, so the pair's mix value is ``0 + T_1[...] + T_2[...]
+    + ...``: the sum's own arithmetic on the same term values, looked up
+    instead of evaluated. Local pairs, whose far endpoint lies off the grid,
+    are still evaluated. The tables are kept only when every term has at
+    most ``SCAN_BLOCK`` cell pairs, so they stay O(block) per weight and
+    term; otherwise every mix is evaluated.
     """
 
     def __init__(self, g: FunctionSpec, box: BoxDomain,
@@ -417,6 +447,32 @@ class PairTable:
         self.blocks = [(s, min(s + SCAN_BLOCK, count))
                        for s in range(0, count, SCAN_BLOCK)]
         self.a = range(count)  # pair positions; bench/spans.py counts len(a)
+        self.terms = self._term_tables(box) if g.terms else None
+
+    def _term_tables(self, box):
+        """Per term, ``(cells, M, tables)``: each grid point's cell on the
+        term's sub-grid of ``M`` points, and per weight ``tables[which][M * p
+        + q]``, the term's value at the mix of cells ``p`` and ``q``. None
+        when a term has more than ``SCAN_BLOCK`` cell pairs."""
+        spans = [(f, first, stop, math.prod(box.m[first:stop]))
+                 for f, first, stop in self.g.terms]
+        if any(size * size > SCAN_BLOCK for *_, size in spans):
+            return None
+        # C order: point i lies in cell i // stride % M of the term's axes
+        point = np.arange(len(self.pts))
+        terms = []
+        for f, first, stop, size in spans:
+            cells = point // math.prod(box.m[stop:]) % size
+            sub = BoxDomain(box.lo[first:stop], box.hi[first:stop],
+                            box.m[first:stop]).points()
+            a, b = np.repeat(sub, size, axis=0), np.tile(sub, (size, 1))
+            with np.errstate(all="ignore"):
+                tables = [f(_mix_points(a, b, eta)) for eta in self.etas]
+            # kept for the table's lifetime, so in the narrowest type that
+            # holds a key M * p + q < SCAN_BLOCK
+            terms.append((cells.astype(np.min_scalar_type(SCAN_BLOCK)), size,
+                          tables))
+        return terms
 
     def _local(self, axis, step, lo, hi):
         moved = np.clip(self.pts[:, axis] + step, lo, hi)
@@ -425,28 +481,40 @@ class PairTable:
 
     def _build(self, block):
         """``(a, b, fa, fb)`` of the pairs at positions ``block[0]`` up to
-        ``block[1]``."""
+        ``block[1]``, filled in one run of pairs at a time."""
         start, stop = block
-        parts = []
+        out, at = None, 0
+        for run in self._runs(start, stop):
+            if out is None:
+                if len(run[2]) == stop - start:
+                    return run
+                out = tuple(np.empty((stop - start,) + x.shape[1:]) for x in run)
+            for whole, x in zip(out, run):
+                whole[at:at + len(x)] = x
+            at += len(run[2])
+        return out
+
+    def _runs(self, start, stop):
+        """``(a, b, fa, fb)`` of each run of pairs between positions
+        ``start`` and ``stop``: the grid pairs, then each local run."""
         if start < self.grid_pairs:
-            parts.append(self._grid(start, min(stop, self.grid_pairs)))
+            i, j = self._grid(start, min(stop, self.grid_pairs))
+            yield (np.take(self.pts, i, axis=0), np.take(self.pts, j, axis=0),
+                   self.grid_values[i], self.grid_values[j])
         for first, size, local in self.local:
             lo, hi = max(start - first, 0), min(stop - first, size)
             if lo < hi:
-                parts.append(self._steps(local, lo, hi))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(map(np.concatenate, zip(*parts)))
+                yield self._steps(local, lo, hi)
 
     def _grid(self, start, stop):
-        """Endpoints and values of the grid pairs ``start`` up to ``stop``."""
+        """Point indices ``(i, j)`` of the grid pairs ``start`` up to
+        ``stop``."""
         first = int(np.searchsorted(self.row_start, start, side="right")) - 1
         rows = np.arange(first, np.searchsorted(self.row_start, stop))
         counts = np.diff(np.clip(self.row_start[first:rows[-1] + 2], start, stop))
         i = np.repeat(rows, counts)
         j = np.arange(start, stop) + i + 1 - np.repeat(self.row_start[rows], counts)
-        return (np.take(self.pts, i, axis=0), np.take(self.pts, j, axis=0),
-                self.grid_values[i], self.grid_values[j])
+        return i, j
 
     def _steps(self, local, lo, hi):
         """Endpoints and values of steps ``lo`` up to ``hi`` of a local run."""
@@ -459,18 +527,51 @@ class PairTable:
             return near, far, f_near, f_far
         return far, near, f_far, f_near
 
-    def _mix(self, a, b, eta):
-        """The values at the mixes ``eta a + (1 - eta) b``."""
-        m = np.multiply(a, eta)
-        m += np.multiply(b, 1 - eta)
-        return self.g(m)
+    def _block(self, block):
+        """``(fa, fb, mix, ends)`` of the pairs at positions ``block[0]`` up
+        to ``block[1]``: ``mix(which)`` gives their values at the mixes of
+        weight ``etas[which]`` and ``ends(k)`` the endpoints of pair ``k`` as
+        tuples. With term tables, the grid pairs' mix values are looked up
+        and their endpoints gathered only by ``ends``."""
+        start, stop = block
+        if self.terms is None or start >= self.grid_pairs:
+            a, b, fa, fb = self._build(block)
+            return (fa, fb,
+                    lambda which: self.g(_mix_points(a, b, self.etas[which])),
+                    lambda k: (tuple(map(float, a[k])), tuple(map(float, b[k]))))
+        split = min(stop, self.grid_pairs)
+        i, j = self._grid(start, split)
+        keys = [(cells[i] * size + cells[j]).astype(np.intp)
+                for cells, size, _ in self.terms]
+        fa, fb = self.grid_values[i], self.grid_values[j]
+        if split < stop:
+            a, b, local_fa, local_fb = self._build((split, stop))
+            fa = np.concatenate([fa, local_fa])
+            fb = np.concatenate([fb, local_fb])
+
+        def mix(which):
+            fm = np.zeros(len(i))
+            for key, (_, _, tables) in zip(keys, self.terms):
+                fm += tables[which][key]
+            self.g.check(fm)
+            if split == stop:
+                return fm
+            local = self.g(_mix_points(a, b, self.etas[which]))
+            return np.concatenate([fm, local])
+
+        def ends(k):
+            x1, x2 = ((self.pts[i[k]], self.pts[j[k]]) if k < len(i)
+                      else (a[k - len(i)], b[k - len(i)]))
+            return tuple(map(float, x1)), tuple(map(float, x2))
+
+        return fa, fb, mix, ends
 
     def _diffs(self, block):
         """Per weight ``(eta, fa - fm, fb - fm)`` of the block's pairs, the
-        mix values ``fm`` evaluated one weight at a time."""
-        a, b, fa, fb = self._build(block)
-        for eta in self.etas:
-            fm = self._mix(a, b, eta)
+        mix values ``fm`` made one weight at a time."""
+        fa, fb, mix, _ = self._block(block)
+        for which, eta in enumerate(self.etas):
+            fm = mix(which)
             yield eta, fa - fm, fb - fm
 
     # -- absolute gap scans --------------------------------------------------
@@ -490,17 +591,16 @@ class PairTable:
         def work(block):
             worst, arg, degen = -math.inf, None, False
             with np.errstate(all="ignore"):
-                a, b, fa, fb = self._build(block)
+                fa, fb, mix, ends = self._block(block)
                 for which, eta in enumerate(self.etas):
-                    gap = sign * (self._mix(a, b, eta) - ref(eta, fa, fb))
+                    gap = sign * (mix(which) - ref(eta, fa, fb))
                     bad = np.isnan(gap)
                     degen = degen or bool(bad.any())
                     gap[bad] = -math.inf
                     k = int(np.argmax(gap))
                     if gap[k] > worst:
                         worst = float(gap[k])
-                        arg = (-which, -(block[0] + k), tuple(map(float, a[k])),
-                               tuple(map(float, b[k])), float(eta))
+                        arg = (-which, -(block[0] + k), *ends(k), float(eta))
             return (worst, *arg) if arg else None, degen
 
         results = list(map(work, self.blocks))

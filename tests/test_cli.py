@@ -517,6 +517,19 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert "[function s]" in err and f"{key} must be finite" in err
 
+    @pytest.mark.parametrize("command", ["index", "sum-check"])
+    @pytest.mark.parametrize("section,changes", [
+        ("function s", {"domain": "-1 4"}),
+        ("function l", {"domain": "-2 2.718281828459045"}),
+    ])
+    def test_domain_outside_the_family_is_config_error(
+            self, tmp_path, capsys, command, section, changes):
+        """A domain where the family is undefined (NaN) exits 64 and names
+        the function's domain, instead of failing in the oracle."""
+        assert run_changed(tmp_path, command, section, changes) == 64
+        err = capsys.readouterr().err
+        assert f"[{section}] domain" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("section,changes,given", [
         ("space", {"probs": "0.1 " * 10}, "uniform and probs"),
         ("space", {"file": "scen.txt"}, "uniform and file"),

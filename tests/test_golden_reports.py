@@ -1,12 +1,15 @@
 """Committed JSON reports that every later change must reproduce byte for byte.
 
 ``risk-check`` runs all nine properties on the four benchmark measures at
-k = 4 atoms of three outcomes each with a budget of 40, and ``l2-demo``
-runs on its three fixture and measure pairs. The reports under
+k = 4 atoms of three outcomes each with a budget of 40, ``l2-demo`` runs
+on its three fixture and measure pairs, and ``sum-check`` runs the
+product-grid brute-force oracle on the certified and the refuted
+two-factor sum and on a three-factor sum. The risk and l2 reports under
 ``tests/golden`` were written by the implementation that evaluated one
-oracle call per position, so batching work is held to byte identity here
-without running the benchmark. To write them anew (only when a report is
-meant to change)::
+oracle call per position, and the sum-check reports by the one that
+evaluated the sum at every mix of the product grid, so batching and
+lookups are held to byte identity here without running the benchmark. To
+write them anew (only when a report is meant to change)::
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -47,6 +50,35 @@ budget = 40
 samples = 60
 """
 
+SUM_FUNCTION = """\
+[function {name}]
+family = {family}
+weight = {weight}
+domain = {domain}
+grid = 33
+"""
+
+SUM_CHECK = """\
+[sum-check]
+functions = {names}
+brute = true
+pair_budget = 2500000
+brute_grid = {grid}
+"""
+
+
+def sum_check(coords, grid: str) -> tuple[str, str]:
+    """A ``sum-check`` job over ``(name, family, weight, domain)`` coordinates."""
+    sections = [SUM_FUNCTION.format(name=n, family=f, weight=w, domain=d)
+                for n, f, w, d in coords]
+    names = " ".join(c[0] for c in coords)
+    return "sum-check", "\n".join(
+        sections + [SUM_CHECK.format(names=names, grid=grid)])
+
+
+SQRT = ("s", "sqrt", 1.0, "1 4")
+NEGLOG_DOMAIN = "1 2.718281828459045"
+
 JOBS = {
     **{f"risk-check-{kind}": ("risk-check", RISK.format(probs=PROBS, kind=kind))
        for kind in ("entropic", "cubed_mean", "sqrt_log", "mean_broadcast")},
@@ -55,6 +87,13 @@ JOBS = {
        for fixture, kind in (("paper10pt", "entropic"),
                              ("paper10pt", "sqrt_log"),
                              ("paper10pt-split", "coarse_cond_exp"))},
+    "sum-check-sqrt-neglog-certified": sum_check(
+        [SQRT, ("l", "neglog", 0.7, NEGLOG_DOMAIN)], "41 41"),
+    "sum-check-sqrt-neglog-refuted": sum_check(
+        [SQRT, ("l", "neglog", 1.6, NEGLOG_DOMAIN)], "41 41"),
+    "sum-check-sqrt-neglog-square": sum_check(
+        [SQRT, ("l", "neglog", 1.2, NEGLOG_DOMAIN),
+         ("q", "square", 1.0, "1 2")], "13 13 13"),
 }
 
 

@@ -1,0 +1,188 @@
+"""The term tables of a separable sum against direct evaluation of the sum.
+
+A :class:`qcx.decomp.DecomposableSum` declares its terms, and
+:class:`qcx.extcore.PairTable` then looks each grid pair's mix value up in
+per-term tables instead of evaluating the sum at the mix. The lookup must
+give the bits that direct evaluation gives, pair by pair and weight by
+weight, so the scan must return exactly what ``oracle_scan`` returns. The
+evaluation counts show the lookup at work, and its fallback when a term's
+table would exceed ``SCAN_BLOCK`` entries.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from qcx import extcore, families
+from qcx.decomp import DecomposableSum, brute_force_sum_quasiconvex
+from qcx.extcore import (DEFAULT_ETAS, BoxDomain, FunctionSpec, PairTable,
+                         certify_quasiconvex, default_gap_tol)
+
+from test_scan_oracle import KINDS, oracle_scan
+
+E = math.e
+
+
+def _capped_square():
+    """x^2 on [0, 1], +inf beyond: the table holds +inf entries."""
+    return FunctionSpec(1, lambda p: np.where(p[:, 0] <= 1.0, p[:, 0] ** 2,
+                                              np.inf), name="capped")
+
+
+def _saddle():
+    """A 2-D term that is not itself separable."""
+    return FunctionSpec(2, lambda p: np.sqrt(p[:, 0] * p[:, 1])
+                        - 0.3 * p[:, 0] ** 2, name="saddle")
+
+
+#: Term makers: ``rng -> (term, lo, hi)`` with the term's box bounds.
+TERMS = (
+    lambda rng: (families.sqrt(), (rng.uniform(0.5, 1.5),), (4.0,)),
+    lambda rng: (families.make_function("neglog",
+                                        weight=round(rng.uniform(0.3, 2), 3)),
+                 (1.0,), (E,)),
+    lambda rng: (families.square(), (rng.uniform(-1, 0),), (2.0,)),
+    lambda rng: (families.make_function("exp", weight=0.5), (-1.0,), (1.0,)),
+    lambda rng: (families.piecewise([0, 0.7, 1.3, 2], [1, -0.5, 0.2, 2]),
+                 (0.0,), (2.0,)),
+    lambda rng: (_capped_square(), (0.0,), (rng.uniform(1.2, 2),)),
+    lambda rng: (_saddle(), (1.0, 1.0), (3.0, 2.0)),
+)
+
+
+def random_sum(seed: int) -> tuple[DecomposableSum, BoxDomain]:
+    """Two or three random terms and a scanned box of at most ~150 points."""
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(TERMS), size=int(rng.integers(2, 4)), replace=False)
+    coords, m = [], []
+    for k in picks:
+        f, lo, hi = TERMS[k](rng)
+        grid = [int(rng.integers(3, 5 if len(picks) == 3 else 7))
+                for _ in lo]
+        coords.append((f, BoxDomain(lo, hi, tuple(grid))))
+        m += [int(rng.integers(3, 6 if len(picks) == 3 else 8)) for _ in lo]
+    dsum = DecomposableSum(tuple(coords))
+    return dsum, dsum.product_box(m)
+
+
+SEEDS = range(12)
+
+
+def _terms_block(dsum: DecomposableSum, box: BoxDomain) -> int:
+    """A few-pair block that still keeps the tables: the largest term's
+    cell-pair count."""
+    return max(math.prod(box.m[s:e]) ** 2
+               for _, s, e in dsum.as_function().terms)
+
+
+def test_random_sums_cover_the_term_kinds():
+    terms = [f for seed in SEEDS for f, _ in random_sum(seed)[0].coords]
+    names = {f.name for f in terms}
+    assert {f.dim for f in terms} == {1, 2}
+    assert {"capped", "saddle", "piecewise[4]"} <= names
+    assert any("*" in name for name in names)  # a weighted term
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("block", ["default", "few"])
+def test_looked_up_mixes_are_the_evaluated_bits(seed, block, monkeypatch):
+    """Per block and weight, the table's mix values equal ``g`` evaluated at
+    ``eta a + (1 - eta) b``, as int64 bit patterns."""
+    dsum, box = random_sum(seed)
+    if block == "few":
+        monkeypatch.setattr(extcore, "SCAN_BLOCK", _terms_block(dsum, box))
+    g = dsum.as_function()
+    table = PairTable(g, box)
+    assert table.terms is not None
+    for span in table.blocks:
+        a, b, _, _ = table._build(span)
+        _, _, mix, _ = table._block(span)
+        with np.errstate(all="ignore"):
+            for which, eta in enumerate(DEFAULT_ETAS):
+                want = g(eta * a + (1 - eta) * b)
+                got = mix(which)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), (span, eta)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("block", ["default", "few"])
+def test_scan_with_term_tables_matches_oracle(seed, block, monkeypatch):
+    dsum, box = random_sum(seed)
+    if block == "few":
+        monkeypatch.setattr(extcore, "SCAN_BLOCK", _terms_block(dsum, box))
+    g = dsum.as_function()
+    table = PairTable(g, box)
+    assert table.terms is not None and (block == "default"
+                                        or len(table.blocks) > 10)
+    for kind in KINDS:
+        tol = default_gap_tol(g)
+        assert table.scan(kind, tol) == oracle_scan(g, box, kind, tol), kind
+
+
+def _count_points(monkeypatch) -> list[int]:
+    """Count the points of every outermost ``FunctionSpec.__call__``; the
+    terms a sum evaluates inside its own call are not counted again."""
+    count, depth = [0], [0]
+    call = FunctionSpec.__call__
+
+    def counted(self, pts):
+        depth[0] += 1
+        try:
+            vals = call(self, pts)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            count[0] += len(vals)
+        return vals
+
+    monkeypatch.setattr(FunctionSpec, "__call__", counted)
+    return count
+
+
+def _untabled(g: FunctionSpec) -> FunctionSpec:
+    return dataclasses.replace(g, terms=())
+
+
+def test_brute_force_evaluates_the_tables_and_local_pairs_only(monkeypatch):
+    """On the 41 x 41 sum, the oracle evaluates the grid, 7 tables of 41^2
+    mixes per term and the local pairs (far endpoint and 7 mixes each),
+    and certifies as the evaluation of every mix does."""
+    dsum = DecomposableSum(((families.sqrt(), BoxDomain.of(1, 4, 41)),
+                            (families.make_function("neglog", weight=0.7),
+                             BoxDomain.of(1, E, 41))))
+    box = dsum.product_box()
+    table = PairTable(dsum.as_function(), box)
+    local_pairs = len(table.a) - table.grid_pairs
+    count = _count_points(monkeypatch)
+    got = brute_force_sum_quasiconvex(dsum, pair_budget=1_500_000)
+    n = len(DEFAULT_ETAS)
+    assert count[0] == (box.grid_count + n * (41 ** 2 + 41 ** 2)
+                        + (1 + n) * local_pairs)
+    count[0] = 0
+    want = certify_quasiconvex(_untabled(dsum.as_function()), box,
+                               tol=1e-9, pair_budget=1_500_000)
+    assert count[0] == box.grid_count + (1 + n) * local_pairs + n * table.grid_pairs
+    assert got == want and got.certified
+
+
+def test_term_over_the_block_falls_back_to_evaluation(monkeypatch):
+    """A 2-D term of 10 x 10 cells has 10^4 > SCAN_BLOCK cell pairs: no
+    tables, every mix evaluated (and the witness replayed at its three
+    points), the same result as an undeclared sum."""
+    dsum = DecomposableSum(((_saddle(), BoxDomain.of((1, 1), (3, 2), (10, 10))),
+                            (families.neglog(), BoxDomain.of(1, E, 5))))
+    g, box = dsum.as_function(), dsum.product_box()
+    table = PairTable(g, box)
+    assert 100 ** 2 > extcore.SCAN_BLOCK and table.terms is None
+    local_pairs = len(table.a) - table.grid_pairs
+    count = _count_points(monkeypatch)
+    got = certify_quasiconvex(g, box)
+    n = len(DEFAULT_ETAS)
+    old = box.grid_count + (1 + n) * local_pairs + n * table.grid_pairs + 3
+    assert got.refuted and count[0] == old
+    count[0] = 0
+    assert certify_quasiconvex(_untabled(g), box) == got
+    assert count[0] == old
