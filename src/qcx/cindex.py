@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapTooSmallWarning, MissingDerivativesError
-from .extcore import (BoxDomain, DEFAULT_ETAS, FunctionSpec, PairTable,
+from .extcore import (CONSTANT_SPREAD, BoxDomain, FunctionSpec, PairTable,
                       Witness, default_gap_tol)
 from .extreal import POS_INF, NEG_INF
 
@@ -116,8 +116,7 @@ def r_lambda(f: FunctionSpec, lam: float) -> FunctionSpec:
 
 def compute_index(f: FunctionSpec, box: BoxDomain,
                   lambda_cap: float = DEFAULT_LAMBDA_CAP,
-                  tol: float = DEFAULT_BRACKET_TOL,
-                  etas=DEFAULT_ETAS) -> ConvexityIndex:
+                  tol: float = DEFAULT_BRACKET_TOL) -> ConvexityIndex:
     """The exact grid convexity index of ``f`` on the box grid.
 
     The value is the break-even lambda of the grid transform family, the
@@ -130,17 +129,18 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     use the mix-normalized relative test, which is immune to overflow at
     extreme lambda.
 
-    Near-constant inputs (grid range spread below 1e-10) classify as
-    constant, index ``+inf``, without probing. A ``+-inf`` result obtained
-    because the cap probe did not flip carries ``cap_probe=True`` and emits
-    :class:`qcx.errors.CapTooSmallWarning`. Every pass streams the pairs
-    block by block, and the result does not depend on the block size.
+    Near-constant inputs (grid range spread below ``CONSTANT_SPREAD``)
+    classify as constant, index ``+inf``, without probing. A ``+-inf``
+    result obtained because the cap probe did not flip carries
+    ``cap_probe=True`` and emits :class:`qcx.errors.CapTooSmallWarning`.
+    Every pass streams the pairs block by block, and the result does not
+    depend on the block size.
     """
     if lambda_cap <= 0 or tol <= 0:
         raise ValueError("lambda_cap and tol must be positive")
-    table = PairTable(f, box, etas=etas)
+    table = PairTable(f, box)
     spread = float(np.max(table.grid_values) - np.min(table.grid_values))
-    if spread < 1e-10:
+    if spread < CONSTANT_SPREAD:
         return ConvexityIndex(POS_INF, None, IndexCase.CASE_II, lambda_cap,
                               constant_shortcut=True)
     base_worst, base_witness, _ = table.scan("convex", default_gap_tol(f))

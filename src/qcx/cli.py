@@ -11,7 +11,7 @@ names ``[section] key``.
 Exit codes: 0 when everything passed or was decided, 2 on any failure
 (including an oracle disagreement), 3 when some result is inconclusive,
 64 on configuration and usage errors (a flag argparse rejects, a missing
-``--config``).
+``--config``, a negative ``--seed``).
 """
 
 from __future__ import annotations
@@ -652,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="at least 0")
         p.add_argument("--threads", type=int, default=1,
                        help="at least 1; accepted, has no effect")
         if name == "sum-check":
@@ -664,7 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy seeds its streams with nonnegative integers
+        parser.error(f"argument --seed: must be at least 0, got {args.seed}")
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, "

@@ -24,8 +24,7 @@ import numpy as np
 
 from .cindex import ConvexityIndex, compute_index
 from .errors import InfiniteIndexError, NegativeIndexError
-from .extcore import (BoxDomain, CertResult, DEFAULT_ETAS, FunctionSpec,
-                      certify_quasiconvex)
+from .extcore import BoxDomain, CertResult, FunctionSpec, certify_quasiconvex
 from .extreal import ext_inv
 
 #: Verdict margins closer to zero than this are flagged as boundary cases.
@@ -42,8 +41,8 @@ class SumDecision(enum.Enum):
 class SumVerdict:
     """Decision, the rule that fired, and the distance from its threshold.
 
-    ``boundary`` is set when the margin is within the configured band of the
-    threshold; the decision then follows the inclusive reading (a margin of
+    ``boundary`` is set when the margin is within
+    :data:`DEFAULT_BOUNDARY_MARGIN` of the threshold; the decision then follows the inclusive reading (a margin of
     exactly zero counts as quasiconvex) but should be treated as fragile.
     """
 
@@ -67,13 +66,12 @@ def _require_finite(indices: Sequence[float]) -> list[float]:
     return out
 
 
-def index_sum_criterion(indices: Sequence[float],
-                        boundary_margin: float = DEFAULT_BOUNDARY_MARGIN) -> SumVerdict:
+def index_sum_criterion(indices: Sequence[float]) -> SumVerdict:
     """Decide quasiconvexity from the sign of the index sum.
 
-    The margin is ``sum(indices)``; within ``boundary_margin`` of zero the
-    verdict follows the sign (zero inclusive as quasiconvex) with the
-    boundary flag set, since grid resolution makes an exact zero
+    The margin is ``sum(indices)``; within :data:`DEFAULT_BOUNDARY_MARGIN`
+    of zero the verdict follows the sign (zero inclusive as quasiconvex)
+    with the boundary flag set, since grid resolution makes an exact zero
     untrustworthy.
 
     The sign form is exact for two coordinates. With three or more
@@ -83,14 +81,13 @@ def index_sum_criterion(indices: Sequence[float],
     """
     cs = _require_finite(indices)
     total = sum(cs)
-    boundary = abs(total) < boundary_margin
+    boundary = abs(total) < DEFAULT_BOUNDARY_MARGIN
     if total >= 0:
         return SumVerdict(SumDecision.QUASICONVEX, "index-sum", total, boundary)
     return SumVerdict(SumDecision.NOT_QUASICONVEX, "index-sum", total, boundary)
 
 
-def characterize(indices: Sequence[float],
-                 boundary_margin: float = DEFAULT_BOUNDARY_MARGIN) -> SumVerdict:
+def characterize(indices: Sequence[float]) -> SumVerdict:
     """Decide via the structural characterization.
 
     All coordinates convex: quasiconvex (rule ``all-convex``). Exactly one
@@ -109,7 +106,7 @@ def characterize(indices: Sequence[float],
                           sum(negatives))
     recip = sum(ext_inv(c) for c in cs)
     margin = -recip  # quasiconvex iff recip <= 0
-    boundary = abs(recip) < boundary_margin if math.isfinite(recip) else False
+    boundary = math.isfinite(recip) and abs(recip) < DEFAULT_BOUNDARY_MARGIN
     if recip <= 0:
         return SumVerdict(SumDecision.QUASICONVEX, "one-exception-reciprocal",
                           margin, boundary)
@@ -238,15 +235,14 @@ class DecomposableSum:
         return [ix.value for ix in self.indices(**kwargs)]
 
 
-def brute_force_sum_quasiconvex(dsum: DecomposableSum, tol: float = 1e-9,
-                                pair_budget: int = 10 ** 6,
-                                m_override: Optional[Sequence[int]] = None,
-                                etas=DEFAULT_ETAS) -> CertResult:
+def brute_force_sum_quasiconvex(dsum: DecomposableSum, pair_budget: int = 10 ** 6,
+                                m_override: Optional[Sequence[int]] = None
+                                ) -> CertResult:
     """Certify quasiconvexity of the sum on the full product grid.
 
-    Pairs are drawn across the whole product (not coordinatewise); the scan
-    refuses to start if the all-pairs count would exceed ``pair_budget``.
-    The scan streams the pairs in fixed blocks (see
+    A gap above 1e-9 refutes. Pairs are drawn across the whole product (not
+    coordinatewise); the scan refuses to start if the all-pairs count would
+    exceed ``pair_budget``. The scan streams the pairs in fixed blocks (see
     :func:`qcx.extcore.certify_quasiconvex`), so its memory does not grow
     with the pair count and ``pair_budget`` bounds time, not memory.
 
@@ -258,5 +254,5 @@ def brute_force_sum_quasiconvex(dsum: DecomposableSum, tol: float = 1e-9,
     every mix is evaluated; the result is the same bit for bit either way.
     """
     box = dsum.product_box(m_override)
-    return certify_quasiconvex(dsum.as_function(), box, tol=tol, etas=etas,
+    return certify_quasiconvex(dsum.as_function(), box, tol=1e-9,
                                pair_budget=pair_budget)

@@ -51,13 +51,13 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, ImproperFunctionError
 
-#: Default interpolation weights; midpoint alone misses asymmetric violations.
+#: The interpolation weights k/8; midpoint alone misses asymmetric violations.
 DEFAULT_ETAS: tuple[float, ...] = tuple(k / 8 for k in range(1, 8))
 
 #: Number of geometric refinement scales for local pairs (h, h/2, ..., h/2^8).
@@ -223,7 +223,7 @@ def default_gap_tol(g: FunctionSpec) -> float:
     return 1e-9 if g.smooth else 1e-6
 
 
-def scale_function(g: FunctionSpec, w: float, name: str = "") -> FunctionSpec:
+def scale_function(g: FunctionSpec, w: float) -> FunctionSpec:
     """The function ``w * g`` with derivatives scaled alongside."""
     if not 0 <= w < math.inf:
         raise ValueError(f"scale weight must be finite and nonnegative, "
@@ -234,7 +234,7 @@ def scale_function(g: FunctionSpec, w: float, name: str = "") -> FunctionSpec:
         grad=(lambda p: w * g.grad(p)) if g.grad is not None else None,
         hess=(lambda p: w * g.hess(p)) if g.hess is not None else None,
         proper=g.proper,
-        name=name or (f"{w:g}*{g.name}" if g.name else ""),
+        name=f"{w:g}*{g.name}" if g.name else "",
     )
 
 
@@ -419,11 +419,10 @@ class PairTable:
     """
 
     def __init__(self, g: FunctionSpec, box: BoxDomain,
-                 etas: Sequence[float] = DEFAULT_ETAS,
                  pair_budget: Optional[int] = None):
         if g.dim != box.dim:
             raise ValueError(f"function dim {g.dim} != box dim {box.dim}")
-        self.g, self.etas = g, tuple(etas)
+        self.g = g
         self.pts = box.points()
         self.grid_values = g(self.pts)
         if np.isposinf(self.grid_values).all():
@@ -467,7 +466,7 @@ class PairTable:
                             box.m[first:stop]).points()
             a, b = np.repeat(sub, size, axis=0), np.tile(sub, (size, 1))
             with np.errstate(all="ignore"):
-                tables = [f(_mix_points(a, b, eta)) for eta in self.etas]
+                tables = [f(_mix_points(a, b, eta)) for eta in DEFAULT_ETAS]
             # kept for the table's lifetime, so in the narrowest type that
             # holds a key M * p + q < SCAN_BLOCK
             terms.append((cells.astype(np.min_scalar_type(SCAN_BLOCK)), size,
@@ -530,14 +529,14 @@ class PairTable:
     def _block(self, block):
         """``(fa, fb, mix, ends)`` of the pairs at positions ``block[0]`` up
         to ``block[1]``: ``mix(which)`` gives their values at the mixes of
-        weight ``etas[which]`` and ``ends(k)`` the endpoints of pair ``k`` as
-        tuples. With term tables, the grid pairs' mix values are looked up
-        and their endpoints gathered only by ``ends``."""
+        weight ``DEFAULT_ETAS[which]`` and ``ends(k)`` the endpoints of pair
+        ``k`` as tuples. With term tables, the grid pairs' mix values are
+        looked up and their endpoints gathered only by ``ends``."""
         start, stop = block
         if self.terms is None or start >= self.grid_pairs:
             a, b, fa, fb = self._build(block)
             return (fa, fb,
-                    lambda which: self.g(_mix_points(a, b, self.etas[which])),
+                    lambda which: self.g(_mix_points(a, b, DEFAULT_ETAS[which])),
                     lambda k: (tuple(map(float, a[k])), tuple(map(float, b[k]))))
         split = min(stop, self.grid_pairs)
         i, j = self._grid(start, split)
@@ -556,7 +555,7 @@ class PairTable:
             self.g.check(fm)
             if split == stop:
                 return fm
-            local = self.g(_mix_points(a, b, self.etas[which]))
+            local = self.g(_mix_points(a, b, DEFAULT_ETAS[which]))
             return np.concatenate([fm, local])
 
         def ends(k):
@@ -570,7 +569,7 @@ class PairTable:
         """Per weight ``(eta, fa - fm, fb - fm)`` of the block's pairs, the
         mix values ``fm`` made one weight at a time."""
         fa, fb, mix, _ = self._block(block)
-        for which, eta in enumerate(self.etas):
+        for which, eta in enumerate(DEFAULT_ETAS):
             fm = mix(which)
             yield eta, fa - fm, fb - fm
 
@@ -587,30 +586,23 @@ class PairTable:
         on the block size.
         """
         sign, ref = GAP_FORMS[kind]
-
-        def work(block):
-            worst, arg, degen = -math.inf, None, False
-            with np.errstate(all="ignore"):
+        # (gap, -which, -position) of the running best; no key of a -inf
+        # gap (all pairs degenerate) exceeds the initial one
+        best, degen = (-math.inf, 0, 0), False
+        with np.errstate(all="ignore"):
+            for block in self.blocks:
                 fa, fb, mix, ends = self._block(block)
-                for which, eta in enumerate(self.etas):
+                for which, eta in enumerate(DEFAULT_ETAS):
                     gap = sign * (mix(which) - ref(eta, fa, fb))
                     bad = np.isnan(gap)
                     degen = degen or bool(bad.any())
                     gap[bad] = -math.inf
                     k = int(np.argmax(gap))
-                    if gap[k] > worst:
-                        worst = float(gap[k])
-                        arg = (-which, -(block[0] + k), *ends(k), float(eta))
-            return (worst, *arg) if arg else None, degen
-
-        results = list(map(work, self.blocks))
-        degen = any(r[1] for r in results)
-        best = max((r[0] for r in results if r[0]), key=lambda r: r[:3],
-                   default=None)
-        if best is None:
-            return -math.inf, None, degen
-        worst, _, _, x1, x2, eta = best
-        return worst, Witness(x1, x2, eta, worst) if worst > tol else None, degen
+                    key = (float(gap[k]), -which, -(block[0] + k))
+                    if key > best:
+                        best, at = key, (*ends(k), float(eta))
+        worst = best[0]
+        return worst, Witness(*at, worst) if worst > tol else None, degen
 
     # -- mix-normalized exponential scan --------------------------------------
 
@@ -699,7 +691,7 @@ class PairTable:
         # Once a weight holds SOLVE_BATCH pairs, a later pair enters only
         # below its largest key (a later pair loses ties). For sign=+1 the
         # same pass tests the cap first.
-        seed = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3] * len(self.etas)
+        seed = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3] * len(DEFAULT_ETAS)
         for block in self.blocks:
             for which, (eta, da, db) in enumerate(self._diffs(block)):
                 with np.errstate(all="ignore"):
@@ -722,7 +714,7 @@ class PairTable:
         left = sum(len(rows[0]) for rows in cands)
         while True:
             found = []
-            for eta, (idx, da, db) in zip(self.etas, cands):
+            for eta, (idx, da, db) in zip(DEFAULT_ETAS, cands):
                 with np.errstate(all="ignore"):
                     pos, t_fail, key = _prune(da, db, eta, t_hat, sign,
                                               tol_rel, lam_cap)
@@ -765,7 +757,7 @@ class PairTable:
                        for w, d_a, d_b in self._diffs(block)):
                 raise RuntimeError("break-even upper end does not replay")
         probes.append((hi, False))
-        eta = self.etas[which]
+        eta = DEFAULT_ETAS[which]
         with np.errstate(all="ignore"):
             excess = sign * (1.0 - _exp_combo(np.array([da]), np.array([db]),
                                               eta, -sign * t_fail))
@@ -787,7 +779,7 @@ class PairTable:
         which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
         idx, da, db, t_fail = (np.concatenate(c) for c in
                                zip(*(p[1:] for p in picks)))
-        eta = np.asarray(self.etas)[which]
+        eta = np.asarray(DEFAULT_ETAS)[which]
         pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
         fail_bits = t_fail.view(np.int64).copy()
         with np.errstate(all="ignore"):
@@ -816,13 +808,12 @@ class PairTable:
 # ---------------------------------------------------------------------------
 
 def _certify(g: FunctionSpec, box: BoxDomain, kind: str, replay,
-             tol: Optional[float], etas: Sequence[float],
-             pair_budget: Optional[int]) -> CertResult:
+             tol: Optional[float], pair_budget: Optional[int]) -> CertResult:
     if tol is None:
         tol = default_gap_tol(g)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    table = PairTable(g, box, etas=etas, pair_budget=pair_budget)
+    table = PairTable(g, box, pair_budget=pair_budget)
     _, witness, degen = table.scan(kind, tol)
     if witness is None:
         return CertResult(Verdict.CERTIFIED, None, tol, degen)
@@ -834,23 +825,18 @@ def _certify(g: FunctionSpec, box: BoxDomain, kind: str, replay,
 
 
 def certify_convex(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = None,
-                   etas: Sequence[float] = DEFAULT_ETAS,
                    pair_budget: Optional[int] = None) -> CertResult:
     """Scan for Jensen-inequality violations of ``g`` on the box grid."""
-    return _certify(g, box, "convex", convexity_gap, tol, etas, pair_budget)
+    return _certify(g, box, "convex", convexity_gap, tol, pair_budget)
 
 
 def certify_concave(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = None,
-                    etas: Sequence[float] = DEFAULT_ETAS,
                     pair_budget: Optional[int] = None) -> CertResult:
     """Concavity counterpart of :func:`certify_convex`."""
-    return _certify(g, box, "concave", partial(_gap, "concave"), tol, etas,
-                    pair_budget)
+    return _certify(g, box, "concave", partial(_gap, "concave"), tol, pair_budget)
 
 
 def certify_quasiconvex(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = None,
-                        etas: Sequence[float] = DEFAULT_ETAS,
                         pair_budget: Optional[int] = None) -> CertResult:
     """Scan for ``g(mix) > max(g(x1), g(x2)) + tol`` over the pair set."""
-    return _certify(g, box, "quasiconvex", quasiconvexity_gap, tol, etas,
-                    pair_budget)
+    return _certify(g, box, "quasiconvex", quasiconvexity_gap, tol, pair_budget)

@@ -30,6 +30,9 @@ from .spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
 #: Orthonormality residual required of every block structure.
 ORTHO_TOL = 1e-12
 
+#: Inner-product slack of the cone self-duality check.
+CONE_TOL = 1e-10
+
 
 def gram_schmidt(vectors: Sequence[np.ndarray],
                  space: FiniteProbSpace) -> list[np.ndarray]:
@@ -271,21 +274,20 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
 # the cone preorder
 # ---------------------------------------------------------------------------
 
-def cone_leq(y: np.ndarray, v: np.ndarray, block: BlockStructure,
-             tol: float = 1e-12) -> bool:
-    """``y`` below ``v`` in the preorder: every e-coordinate gap >= -tol."""
+def cone_leq(y: np.ndarray, v: np.ndarray, block: BlockStructure) -> bool:
+    """``y`` below ``v`` in the preorder: every e-coordinate gap >= -1e-12."""
     ey = block.e_coordinates(y)
     ev = block.e_coordinates(v)
-    return bool(np.all(ev - ey >= -tol))
+    return bool(np.all(ev - ey >= -1e-12))
 
 
 def check_cone_self_dual(block: BlockStructure, budget: int = 200,
-                         rng=0, tol: float = 1e-10) -> PropertyReport:
+                         rng=0) -> PropertyReport:
     """Spot-check that the ordering cone equals its dual cone.
 
-    Nonnegative-coordinate samples must have nonnegative inner products with
-    each other; a sample with a negative coordinate must be excluded from
-    the dual cone by the corresponding e-vector itself.
+    Nonnegative-coordinate samples must have inner products of at least
+    ``-CONE_TOL`` with each other; a sample with a negative coordinate must
+    be excluded from the dual cone by the corresponding e-vector itself.
     """
     gen = _rng(rng)
     if any(len(e) != 1 for e in block.e_blocks):
@@ -299,12 +301,12 @@ def check_cone_self_dual(block: BlockStructure, budget: int = 200,
         y = sum(c * e for c, e in zip(y_coords, es))
         v = sum(c * e for c, e in zip(v_coords, es))
         checked += 1
-        if block.space.inner(y, v) < -tol:
+        if block.space.inner(y, v) < -CONE_TOL:
             return PropertyReport(
                 "cone-self-dual", CheckVerdict.FAIL,
                 witness={"y_coords": _vec(y_coords), "v_coords": _vec(v_coords),
                          "inner": block.space.inner(y, v)},
-                samples=checked, tol=tol)
+                samples=checked, tol=CONE_TOL)
         neg_coords = gen.uniform(0.0, 3.0, k)
         j = int(gen.integers(0, k))
         neg_coords[j] = -gen.uniform(0.5, 2.0)
@@ -315,9 +317,9 @@ def check_cone_self_dual(block: BlockStructure, budget: int = 200,
                 "cone-self-dual", CheckVerdict.FAIL,
                 witness={"y_coords": _vec(neg_coords), "witness_cell": j,
                          "inner": block.space.inner(yneg, es[j])},
-                samples=checked, tol=tol)
+                samples=checked, tol=CONE_TOL)
     return PropertyReport("cone-self-dual", CheckVerdict.PASS, samples=checked,
-                          tol=tol)
+                          tol=CONE_TOL)
 
 
 def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,

@@ -33,7 +33,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,8 +49,15 @@ from .spaces import (MEASURABILITY_TOL, FiniteProbSpace, PartitionSigma,
 #: which in turn guarantees a separating dual vector with margin > 1e-6.
 DEFAULT_CHECK_TOL = 1e-6
 
+#: Mixing weights of the sampled triples, k/8.
 DEFAULT_LAMBDA_GRID = tuple(k / 8 for k in range(1, 8))
 DEFAULT_SAMPLE_RANGE = (-3.0, 3.0)
+
+#: The sensitivity check charges 32 events and needs an output above 1e-12;
+#: the non-constancy check tries 16 probe pairs per atom and needs two
+#: values more than 1e-9 apart.
+SENSITIVITY_EVENTS, SENSITIVITY_TOL = 32, 1e-12
+NONCONSTANT_PROBES, NONCONSTANT_TOL = 16, 1e-9
 
 #: Points at which a certainty equivalent's declared loss inverse is checked.
 INVERSE_PROBES = np.linspace(-6.0, 6.0, 25)
@@ -255,13 +262,13 @@ class PropertyReport:
         return self.verdict is CheckVerdict.FAIL
 
 
-def sample_triples(space: FiniteProbSpace, rng, count: int,
-                   lam_grid: Sequence[float] = DEFAULT_LAMBDA_GRID
+def sample_triples(space: FiniteProbSpace, rng, count: int
                    ) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Deterministic (X, Y, lambda) triples for the triple checkers."""
+    """Deterministic (X, Y, lambda) triples for the triple checkers, lambda
+    drawn from :data:`DEFAULT_LAMBDA_GRID`."""
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
-    grid = [float(lam) for lam in lam_grid]
+    grid = DEFAULT_LAMBDA_GRID
     out = []
     for _ in range(count):
         x = gen.uniform(lo, hi, space.n)
@@ -743,13 +750,13 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle, *, triples,
 # sensitivity and the non-constancy hypothesis
 # ---------------------------------------------------------------------------
 
-def check_sensitivity(rho: RiskMeasureOracle, budget: int = 32, rng=0,
-                      tol: float = 1e-12) -> PropertyReport:
+def check_sensitivity(rho: RiskMeasureOracle, rng=0) -> PropertyReport:
     """Charging any nonnull event must create risk somewhere.
 
     Requires a normalized measure (``rho(0) = 0``). Events are outcome index
     sets: every singleton, every atom, the whole space, and random events up
-    to the budget, each charged ``eps`` = 0.01, 0.1 and 1. The events of one
+    to :data:`SENSITIVITY_EVENTS`, each charged ``eps`` = 0.01, 0.1 and 1;
+    some output must exceed :data:`SENSITIVITY_TOL`. The events of one
     ``eps`` are one stacked call.
     """
     zero = rho(np.zeros(rho.space.n))
@@ -761,7 +768,7 @@ def check_sensitivity(rho: RiskMeasureOracle, budget: int = 32, rng=0,
     events: list[tuple[int, ...]] = [(i,) for i in range(n)]
     events.extend(tuple(a) for a in rho.sigma.atoms)
     events.append(tuple(range(n)))
-    while len(events) < budget:
+    while len(events) < SENSITIVITY_EVENTS:
         mask = gen.integers(0, 2, n).astype(bool)
         if mask.any():
             events.append(tuple(np.flatnonzero(mask)))
@@ -771,26 +778,26 @@ def check_sensitivity(rho: RiskMeasureOracle, budget: int = 32, rng=0,
     checked = 0
     for eps in (0.01, 0.1, 1.0):
         out, error = _stacked(rho, -eps * inds)
-        j = _first_failure(~(out > tol).any(axis=1), error)
+        j = _first_failure(~(out > SENSITIVITY_TOL).any(axis=1), error)
         if j is not None:
             return PropertyReport(
                 "sensitivity", CheckVerdict.FAIL,
                 witness={"eps": float(eps), "event": list(map(int, events[j])),
                          "max_output": float(np.max(out[j]))},
-                samples=checked + j + 1, tol=tol)
+                samples=checked + j + 1, tol=SENSITIVITY_TOL)
         checked += len(events)
     return PropertyReport("sensitivity", CheckVerdict.PASS, samples=checked,
-                          tol=tol)
+                          tol=SENSITIVITY_TOL)
 
 
-def check_assumption_nonconstant(rho: RiskMeasureOracle, budget: int = 16,
-                                 tol: float = 1e-9, rng=0) -> PropertyReport:
+def check_assumption_nonconstant(rho: RiskMeasureOracle, rng=0) -> PropertyReport:
     """Each atom scalarization ``X -> E[rho(X) 1_A]`` must be non-constant.
 
     Atoms suffice: the scalarization is additive over disjoint measurable
-    events. Constant probes are tried first, then random pairs up to the
-    budget of each atom. ``samples`` counts the probe pairs tried, summed
-    over atoms.
+    events. Constant probes are tried first, then random pairs, up to
+    :data:`NONCONSTANT_PROBES` per atom, until two values differ by more
+    than :data:`NONCONSTANT_TOL`. ``samples`` counts the probe pairs tried,
+    summed over atoms.
     """
     gen = _rng(rng)
     p = rho.space.p
@@ -806,19 +813,19 @@ def check_assumption_nonconstant(rho: RiskMeasureOracle, budget: int = 16,
         tried = 0
         for x1, x2 in [(0.0, 1.0), (0.0, -1.0), (-1.0, 2.0)]:
             tried += 1
-            if abs(scal(x1 * ones) - scal(x2 * ones)) > tol:
+            if abs(scal(x1 * ones) - scal(x2 * ones)) > NONCONSTANT_TOL:
                 found = True
                 break
-        while not found and tried < budget:
+        while not found and tried < NONCONSTANT_PROBES:
             a = gen.uniform(-3, 3, rho.space.n)
             b = gen.uniform(-3, 3, rho.space.n)
-            if abs(scal(a) - scal(b)) > tol:
+            if abs(scal(a) - scal(b)) > NONCONSTANT_TOL:
                 found = True
             tried += 1
         checked += tried
         if not found:
             return PropertyReport(
                 "assumption-nonconstant", CheckVerdict.FAIL,
-                witness={"atom": ai}, samples=checked, tol=tol)
+                witness={"atom": ai}, samples=checked, tol=NONCONSTANT_TOL)
     return PropertyReport("assumption-nonconstant", CheckVerdict.PASS,
-                          samples=checked, tol=tol)
+                          samples=checked, tol=NONCONSTANT_TOL)

@@ -145,8 +145,8 @@ class PartitionSigma:
         return np.fmax(np.maximum.reduceat(xs, self._starts, axis=-1)
                        - np.minimum.reduceat(xs, self._starts, axis=-1), 0.0)
 
-    def is_measurable(self, x: np.ndarray, tol: float = MEASURABILITY_TOL) -> bool:
-        return self.measurability_spread(x)[0] <= tol
+    def is_measurable(self, x: np.ndarray) -> bool:
+        return self.measurability_spread(x)[0] <= MEASURABILITY_TOL
 
     def atom_values(self, x: np.ndarray) -> np.ndarray:
         """One representative value per atom (for measurable vectors),

@@ -301,6 +301,18 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: qcx") and message in err
 
+    @pytest.mark.parametrize("command", ["index", "sum-check", "risk-check",
+                                         "l2-demo"])
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        """A negative seed exits 64 on every subcommand; risk-check and
+        l2-demo used to end in a numpy traceback, the others ran."""
+        demo = ROOT / "demos" / "cli" / "run.ini"
+        with pytest.raises(SystemExit) as exit_:
+            run([command, "--config", str(demo), "--seed", "-1"])
+        assert exit_.value.code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qcx") and "--seed" in err
+
     def test_undeclared_function(self, tmp_path):
         cfg = tmp_path / "u.ini"
         cfg.write_text("[index]\nfunction = ghost\n")

@@ -77,9 +77,8 @@ class TestCharacterize:
             rest = rng.uniform(0.05, 4.0, n - 1)
             c1 = -float(rng.uniform(0.05, 4.0))
             vec = [c1] + rest.tolist()
-            by_structure = characterize(vec, boundary_margin=0.0)
-            reduced = index_sum_criterion([c1, harmonic_index(rest)],
-                                          boundary_margin=0.0)
+            by_structure = characterize(vec)
+            reduced = index_sum_criterion([c1, harmonic_index(rest)])
             assert by_structure.decision == reduced.decision
 
     def test_two_factor_all_criteria_agree(self):
@@ -87,8 +86,8 @@ class TestCharacterize:
         for _ in range(200):
             c1 = -float(rng.uniform(0.05, 4.0))
             c2 = float(rng.uniform(0.05, 4.0))
-            a = index_sum_criterion([c1, c2], boundary_margin=0.0)
-            b = characterize([c1, c2], boundary_margin=0.0)
+            a = index_sum_criterion([c1, c2])
+            b = characterize([c1, c2])
             assert a.decision == b.decision
 
 

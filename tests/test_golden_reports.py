@@ -4,18 +4,23 @@
 k = 4 atoms of three outcomes each with a budget of 40, ``l2-demo`` runs
 on its three fixture and measure pairs, and ``sum-check`` runs the
 product-grid brute-force oracle on the certified and the refuted
-two-factor sum and on a three-factor sum. The risk and l2 reports under
+two-factor sum and on a three-factor sum. ``index`` runs on a case-I
+function (``sqrt``) and a case-II function (``neglog``), and its ``--csv``
+probe sweep is held next to its report. The risk and l2 reports under
 ``tests/golden`` were written by the implementation that evaluated one
-oracle call per position, and the sum-check reports by the one that
-evaluated the sum at every mix of the product grid, so batching and
-lookups are held to byte identity here without running the benchmark. To
-write them anew (only when a report is meant to change)::
+oracle call per position, the sum-check reports by the one that evaluated
+the sum at every mix of the product grid, and the index reports and sweeps
+by the one whose pair table and ``compute_index`` still took the
+interpolation weights as a parameter, so batching, lookups and fixed
+constants are held to byte identity here without running the benchmark.
+To write them anew (only when a report is meant to change)::
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -79,6 +84,21 @@ def sum_check(coords, grid: str) -> tuple[str, str]:
 SQRT = ("s", "sqrt", 1.0, "1 4")
 NEGLOG_DOMAIN = "1 2.718281828459045"
 
+INDEX = """\
+[function f]
+family = {family}
+weight = {weight}
+domain = {domain}
+grid = 257
+
+[index]
+function = f
+tol = 1e-4
+"""
+
+#: Commands that also write a ``--csv`` file, held as ``NAME.csv``.
+CSV_COMMANDS = ("index",)
+
 JOBS = {
     **{f"risk-check-{kind}": ("risk-check", RISK.format(probs=PROBS, kind=kind))
        for kind in ("entropic", "cubed_mean", "sqrt_log", "mean_broadcast")},
@@ -87,6 +107,10 @@ JOBS = {
        for fixture, kind in (("paper10pt", "entropic"),
                              ("paper10pt", "sqrt_log"),
                              ("paper10pt-split", "coarse_cond_exp"))},
+    "index-sqrt-case-i": ("index", INDEX.format(
+        family="sqrt", weight=1.0, domain="1 4")),
+    "index-neglog-case-ii": ("index", INDEX.format(
+        family="neglog", weight=0.5, domain=NEGLOG_DOMAIN)),
     "sum-check-sqrt-neglog-certified": sum_check(
         [SQRT, ("l", "neglog", 0.7, NEGLOG_DOMAIN)], "41 41"),
     "sum-check-sqrt-neglog-refuted": sum_check(
@@ -97,21 +121,26 @@ JOBS = {
 }
 
 
-def run_job(name: str, workdir: Path) -> tuple[int, bytes]:
-    """The exit code and JSON report of one job, run in ``workdir``."""
+def run_job(name: str, workdir: Path) -> tuple[int, bytes, Optional[bytes]]:
+    """The exit code, JSON report and CSV file (``None`` for a command
+    without one) of one job, run in ``workdir``."""
     command, config = JOBS[name]
     cfg = workdir / f"{name}.ini"
     cfg.write_text(config, encoding="utf-8")
     out = workdir / f"{name}.json"
+    csv = workdir / f"{name}.csv"
+    extra = ["--csv", str(csv)] if command in CSV_COMMANDS else []
     code = main([command, "--config", str(cfg), "--out", str(out),
-                 "--seed", str(SEED)])
-    return code, out.read_bytes()
+                 "--seed", str(SEED), *extra])
+    return code, out.read_bytes(), csv.read_bytes() if extra else None
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_report_is_byte_identical(tmp_path, name):
-    code, report = run_job(name, tmp_path)
+    code, report, csv = run_job(name, tmp_path)
     assert report == (GOLDEN / f"{name}.json").read_bytes()
+    if csv is not None:
+        assert csv == (GOLDEN / f"{name}.csv").read_bytes()
     codes = dict(line.split() for line in
                  (GOLDEN / "exit_codes.txt").read_text().splitlines())
     assert code == int(codes[name])
@@ -123,8 +152,10 @@ if __name__ == "__main__":
     codes = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(JOBS):
-            code, report = run_job(name, Path(tmp))
+            code, report, csv = run_job(name, Path(tmp))
             (GOLDEN / f"{name}.json").write_bytes(report)
+            if csv is not None:
+                (GOLDEN / f"{name}.csv").write_bytes(csv)
             codes.append(f"{name} {code}\n")
     (GOLDEN / "exit_codes.txt").write_text("".join(codes))
     sys.exit(0)

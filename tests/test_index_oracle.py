@@ -46,8 +46,8 @@ E = math.e
 class CachedPairTable:
     """The earlier pair table: endpoints and mix values cached, one chunk."""
 
-    def __init__(self, g: FunctionSpec, box: BoxDomain, etas=DEFAULT_ETAS):
-        self.g, self.box, self.etas = g, box, tuple(etas)
+    def __init__(self, g: FunctionSpec, box: BoxDomain):
+        self.g, self.box, self.etas = g, box, DEFAULT_ETAS
         self.grid_values = g(box.points())
         self.a, self.b = _pair_arrays(box)
         with np.errstate(all="ignore"):
@@ -194,8 +194,8 @@ def _bisect(table, lo: float, hi: float, sign: int, tol: float,
     return lo, hi
 
 
-def certify_index_bracket(f: FunctionSpec, box: BoxDomain, idx: ConvexityIndex,
-                          etas=DEFAULT_ETAS) -> tuple[CertResult, CertResult]:
+def certify_index_bracket(f: FunctionSpec, box: BoxDomain, idx: ConvexityIndex
+                          ) -> tuple[CertResult, CertResult]:
     """Re-certify both bracket ends of a finite index (consistency check).
 
     Case I: the transform at the lower end must certify convex and at the
@@ -204,7 +204,7 @@ def certify_index_bracket(f: FunctionSpec, box: BoxDomain, idx: ConvexityIndex,
     """
     if idx.bracket is None:
         raise ValueError("bracket is absent for infinite indices")
-    table = PairTable(f, box, etas=etas)
+    table = PairTable(f, box)
     sign = +1 if idx.case is IndexCase.CASE_I else -1
     lo_ok = table.exp_transform_ok(idx.bracket[0], sign, REL_GAP_TOL)
     hi_ok = table.exp_transform_ok(idx.bracket[1], sign, REL_GAP_TOL)

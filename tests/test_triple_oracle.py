@@ -409,22 +409,21 @@ def test_table_of_another_measure_is_refused():
                         triples=table)
 
 
-def ref_sample_triples(space, rng, count, lam_grid):
+def ref_sample_triples(space, rng, count):
     gen = np.random.default_rng(rng)
+    lam_grid = np.array([0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875])
     out = []
     for _ in range(count):
         x = gen.uniform(-3.0, 3.0, space.n)
         y = gen.uniform(-3.0, 3.0, space.n)
-        out.append((x, y, float(gen.choice(np.asarray(lam_grid)))))
+        out.append((x, y, float(gen.choice(lam_grid))))
     return out
 
 
-@pytest.mark.parametrize("lam_grid", [(0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
-                                       0.875), [0.3], np.linspace(0, 1, 11)])
-def test_lambda_draw_keeps_the_stream(lam_grid):
+def test_lambda_draw_keeps_the_stream():
     space = FiniteProbSpace.uniform(7)
     for seed in range(10):
-        new = sample_triples(space, seed, 60, lam_grid=lam_grid)
-        old = ref_sample_triples(space, seed, 60, lam_grid)
+        new = sample_triples(space, seed, 60)
+        old = ref_sample_triples(space, seed, 60)
         assert repr(new) == repr(old)
         assert all(type(lam) is float for _, _, lam in new)
