@@ -39,7 +39,6 @@ import numpy as np
 from .errors import CapTooSmallWarning, MissingDerivativesError
 from .extcore import (CONSTANT_SPREAD, BoxDomain, FunctionSpec, PairTable,
                       Witness, default_gap_tol)
-from .extreal import POS_INF, NEG_INF
 
 #: Relative tolerance of the mix-normalized exponential-transform test.
 REL_GAP_TOL = 1e-12
@@ -141,7 +140,7 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     table = PairTable(f, box)
     spread = float(np.max(table.grid_values) - np.min(table.grid_values))
     if spread < CONSTANT_SPREAD:
-        return ConvexityIndex(POS_INF, None, IndexCase.CASE_II, lambda_cap,
+        return ConvexityIndex(math.inf, None, IndexCase.CASE_II, lambda_cap,
                               constant_shortcut=True)
     base_worst, base_witness, _ = table.scan("convex", default_gap_tol(f))
     if base_witness is not None:
@@ -149,10 +148,10 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
         # pass makes the cap probe
         case = IndexCase.CASE_I
         be = table.exp_break_even(+1, REL_GAP_TOL, lambda_cap)
-        if be.lo == NEG_INF:
+        if be.lo == -math.inf:
             warnings.warn("index is -inf at the probe cap; increase lambda_cap "
                           "to look further", CapTooSmallWarning)
-            return ConvexityIndex(NEG_INF, None, case, lambda_cap,
+            return ConvexityIndex(-math.inf, None, case, lambda_cap,
                                   cap_probe=True, probes=be.probes)
         probes = be.probes
     else:
@@ -161,7 +160,7 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
         if table.exp_transform_ok(lambda_cap, -1, REL_GAP_TOL):
             warnings.warn("index is +inf at the probe cap; the function may be "
                           "constant or the cap too small", CapTooSmallWarning)
-            return ConvexityIndex(POS_INF, None, case, lambda_cap,
+            return ConvexityIndex(math.inf, None, case, lambda_cap,
                                   cap_probe=True, probes=((lambda_cap, True),))
         be = table.exp_break_even(-1, REL_GAP_TOL, lambda_cap)
         probes = ((lambda_cap, False),) + be.probes
@@ -188,8 +187,8 @@ def smooth_index_1d(f: FunctionSpec, box: BoxDomain) -> float:
     stationary = fp == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = fpp / fp ** 2
-    ratio = np.where(stationary & (fpp < 0), NEG_INF, ratio)
-    ratio = np.where(stationary & (fpp >= 0), POS_INF, ratio)
+    ratio = np.where(stationary & (fpp < 0), -math.inf, ratio)
+    ratio = np.where(stationary & (fpp >= 0), math.inf, ratio)
     return float(np.min(ratio))
 
 
@@ -201,7 +200,7 @@ def scale_index(c: float, w: float) -> float:
     if w < 0:
         raise ValueError("w must be nonnegative")
     if w == 0.0:
-        return POS_INF
+        return math.inf
     if math.isinf(c):
         return c
     return c / w
@@ -216,4 +215,4 @@ def classify(c) -> Classification:
     """
     value = c.value if isinstance(c, ConvexityIndex) else float(c)
     return Classification(convex=bool(value >= 0),
-                          constant=bool(value == POS_INF))
+                          constant=bool(value == math.inf))

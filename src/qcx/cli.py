@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -397,8 +398,11 @@ def build_measure(cp, name: str, sigma: PartitionSigma,
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_index(cp, seed: int, csv_path: Optional[str]) -> dict:
+def cmd_index(cp, seed: int, csv: Optional[TextIO]) -> dict:
     names = _read(cp, "index", "function")
+    twice = [name for i, name in enumerate(names) if name in names[:i]]
+    if twice:  # results are keyed by name
+        raise ConfigError(f"[index] function: {twice[0]!r} is listed twice")
     lambda_cap = _read(cp, "index", "lambda_cap")
     tol = _read(cp, "index", "tol")
     results = {}
@@ -411,16 +415,14 @@ def cmd_index(cp, seed: int, csv_path: Optional[str]) -> dict:
             smooth = smooth_index_1d(f, box)
         results[name] = index_to_dict(ix, smooth)
         sweeps.extend((name, lam, ok) for lam, ok in ix.probes)
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("function,lambda,transform_ok\n")
-            for name, lam, ok in sweeps:
-                fh.write(f"{name},{lam!r},{int(ok)}\n")
+    if csv is not None:
+        csv.write("function,lambda,transform_ok\n")
+        for name, lam, ok in sweeps:
+            csv.write(f"{name},{lam!r},{int(ok)}\n")
     return {"functions": results}
 
 
-def cmd_sum_check(cp, seed: int, brute: bool,
-                  csv_path: Optional[str]) -> dict:
+def cmd_sum_check(cp, seed: int, brute: bool, csv: Optional[TextIO]) -> dict:
     names = _read(cp, "sum-check", "functions")
     if len(names) < 2:
         raise ConfigError("[sum-check] needs at least two functions")
@@ -460,13 +462,12 @@ def cmd_sum_check(cp, seed: int, brute: bool,
         result["brute_force"] = cert_to_dict(oracle)
         # the structural characterization is the decisive criterion
         result["oracle_agrees"] = oracle_decision == by_structure.decision
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("x1,x2,eta,violation\n")
-            witness = result.get("brute_force", {}).get("witness")
-            if witness is not None:
-                fh.write(f"\"{witness['x1']!r}\",\"{witness['x2']!r}\","
-                         f"{witness['eta']!r},{witness['violation']!r}\n")
+    if csv is not None:
+        csv.write("x1,x2,eta,violation\n")
+        witness = result.get("brute_force", {}).get("witness")
+        if witness is not None:
+            csv.write(f"\"{witness['x1']!r}\",\"{witness['x2']!r}\","
+                      f"{witness['eta']!r},{witness['violation']!r}\n")
     return result
 
 
@@ -668,39 +669,52 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:  # numpy seeds its streams with nonnegative integers
         parser.error(f"argument --seed: must be at least 0, got {args.seed}")
-    try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, "
-                              f"got {args.threads}")
-        cp = load_config(args.config)
-        if args.command == "index":
-            results = cmd_index(cp, args.seed, args.csv)
-        elif args.command == "sum-check":
-            results = cmd_sum_check(cp, args.seed, args.brute, args.csv)
-        elif args.command == "risk-check":
-            results = cmd_risk_check(cp, args.seed)
-        else:
-            results = cmd_l2_demo(cp, args.seed)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NotGMeasurableError as e:
-        print(f"measure error: {e}", file=sys.stderr)
-        return EXIT_FAIL
-    except QcxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "seed": args.seed,
-        "results": results,
-    }
-    sys.stdout.write(render_text(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_json(report))
-    return exit_code_for(report)
+    with contextlib.ExitStack() as opened:
+        # the output files open before anything is computed, so an
+        # unwritable path is a usage error and not a lost result
+        files = dict.fromkeys(("out", "csv"))
+        for flag in files:
+            path = getattr(args, flag, None)
+            try:
+                if path:
+                    files[flag] = opened.enter_context(
+                        open(path, "w", encoding="utf-8"))
+            except OSError as e:
+                parser.error(f"argument --{flag}: cannot write {path!r}: "
+                             f"{e.strerror}")
+        try:
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be at least 1, "
+                                  f"got {args.threads}")
+            cp = load_config(args.config)
+            if args.command == "index":
+                results = cmd_index(cp, args.seed, files["csv"])
+            elif args.command == "sum-check":
+                results = cmd_sum_check(cp, args.seed, args.brute,
+                                        files["csv"])
+            elif args.command == "risk-check":
+                results = cmd_risk_check(cp, args.seed)
+            else:
+                results = cmd_l2_demo(cp, args.seed)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NotGMeasurableError as e:
+            print(f"measure error: {e}", file=sys.stderr)
+            return EXIT_FAIL
+        except QcxError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_FAIL
+        report = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "seed": args.seed,
+            "results": results,
+        }
+        sys.stdout.write(render_text(report))
+        if files["out"] is not None:
+            files["out"].write(render_json(report))
+        return exit_code_for(report)
 
 
 if __name__ == "__main__":

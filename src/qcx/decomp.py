@@ -25,10 +25,14 @@ import numpy as np
 from .cindex import ConvexityIndex, compute_index
 from .errors import InfiniteIndexError, NegativeIndexError
 from .extcore import BoxDomain, CertResult, FunctionSpec, certify_quasiconvex
-from .extreal import ext_inv
 
 #: Verdict margins closer to zero than this are flagged as boundary cases.
 DEFAULT_BOUNDARY_MARGIN = 1e-3
+
+
+def _inv(c: float) -> float:
+    """Reciprocal with ``1/0 = +inf`` (``1/+inf`` is already 0)."""
+    return math.inf if c == 0 else 1.0 / c
 
 
 class SumDecision(enum.Enum):
@@ -104,7 +108,7 @@ def characterize(indices: Sequence[float]) -> SumVerdict:
     if len(negatives) >= 2:
         return SumVerdict(SumDecision.NOT_QUASICONVEX, "multiple-exceptions",
                           sum(negatives))
-    recip = sum(ext_inv(c) for c in cs)
+    recip = sum(_inv(c) for c in cs)
     margin = -recip  # quasiconvex iff recip <= 0
     boundary = math.isfinite(recip) and abs(recip) < DEFAULT_BOUNDARY_MARGIN
     if recip <= 0:
@@ -127,8 +131,8 @@ def harmonic_index(indices: Sequence[float]) -> float:
             raise NegativeIndexError(
                 f"coordinate {k} has index {c}; the harmonic formula needs "
                 "convex coordinates")
-        total += ext_inv(c)
-    return ext_inv(total)
+        total += _inv(c)
+    return _inv(total)
 
 
 def infinite_sum_criterion(index_stream: Iterable[float], n_max: int,
@@ -162,7 +166,7 @@ def infinite_sum_criterion(index_stream: Iterable[float], n_max: int,
             if seen_negative >= 2:
                 return SumVerdict(SumDecision.NOT_QUASICONVEX,
                                   "multiple-exceptions", a)
-        a += ext_inv(c)
+        a += _inv(c)
         if seen_negative == 1:
             if a > 0:
                 return SumVerdict(SumDecision.NOT_QUASICONVEX,

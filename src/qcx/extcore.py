@@ -166,13 +166,6 @@ class BoxDomain:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=1)
 
-    @property
-    def grid_count(self) -> int:
-        n = 1
-        for k in self.m:
-            n *= k
-        return n
-
 
 @dataclass
 class FunctionSpec:

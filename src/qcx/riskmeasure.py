@@ -2,9 +2,9 @@
 
 A conditional risk measure is an oracle mapping position vectors to vectors
 constant on each atom of a partition (checked on every call); the spaces,
-partitions and the conditional expectation live in :mod:`qcx.spaces` and
-are re-exported here. Oracles are row-wise: a stack of positions ``(m, n)``
-is evaluated in one call and gives each row the bits of its own call.
+partitions and the conditional expectation live in :mod:`qcx.spaces`.
+Oracles are row-wise: a stack of positions ``(m, n)`` is evaluated in one
+call and gives each row the bits of its own call.
 
 The property checkers sample positions and mixing weights, so a ``Pass`` is
 always "no violation found at this tolerance on these samples" while a
@@ -39,10 +39,10 @@ import numpy as np
 
 from .errors import (InverseMismatchError, NotGMeasurableError,
                      NotNormalizedError, QcxError)
-# re-exported, loaders included: scripts and tests import them from here
+# parse_partition_text is imported only to be re-exported: bench/verify.py
+# reads it from here (ROADMAP item 2 moves that import to qcx.spaces)
 from .spaces import (MEASURABILITY_TOL, FiniteProbSpace, PartitionSigma,
-                     conditional_expectation, load_partition,
-                     load_scenario_table, parse_partition_text)
+                     conditional_expectation, parse_partition_text)
 
 #: Default tolerance of the sampled checks. Kept at 1e-6 so that every
 #: declared natural-quasiconvexity failure has infeasibility depth above it,
@@ -300,11 +300,6 @@ class TripleTable:
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    @property
-    def filled(self) -> int:
-        """The number of triples evaluated so far."""
-        return sum(map(len, self._risks))
 
     def chunks(self):
         """Yield ``(start, risks)`` chunk by chunk, evaluating each chunk on
@@ -649,16 +644,6 @@ def _best_dual(r_x, r_y, r_mix, atom_probs) -> tuple[np.ndarray, float]:
     return best, min(float(np.dot(p * best, u)), float(np.dot(p * best, v)))
 
 
-def infeasibility_depth(r_x: np.ndarray, r_y: np.ndarray,
-                        r_mix: np.ndarray) -> float:
-    """Minimax depth ``min_mu max_a (r_mix - mu r_x - (1-mu) r_y)_a``.
-
-    Positive exactly when no mixing weight dominates the mixed risk. By LP
-    duality it equals the best margin of a normalized nonnegative dual vector.
-    """
-    return _best_dual(r_x, r_y, r_mix, np.ones(len(r_x)))[1]
-
-
 def separating_dual_witness(r_x, r_y, r_mix, atom_probs,
                             tol: float = DEFAULT_CHECK_TOL
                             ) -> Optional[tuple[np.ndarray, float]]:
@@ -666,7 +651,8 @@ def separating_dual_witness(r_x, r_y, r_mix, atom_probs,
 
     ``Z`` is normalized to ``E[Z] = 1``; its margin is ``E[Z r_mix] -
     max(E[Z r_x], E[Z r_y])``. The result is the exact LP optimum, a vertex
-    or two-atom basic solution, so the margin equals the infeasibility depth.
+    or two-atom basic solution, so by LP duality the margin equals the
+    infeasibility depth ``min_mu max_a (r_mix - mu r_x - (1-mu) r_y)_a``.
     Returns ``None`` when the feasibility interval is nonempty (nothing to
     separate) or when rounding leaves the best margin nonpositive.
     """

@@ -105,10 +105,6 @@ class PartitionSigma:
         object.__setattr__(self, "_atom_probs", {})
 
     @staticmethod
-    def trivial(n: int) -> "PartitionSigma":
-        return PartitionSigma((tuple(range(n)),))
-
-    @staticmethod
     def of(*atoms: Iterable[int]) -> "PartitionSigma":
         return PartitionSigma(tuple(tuple(a) for a in atoms))
 
@@ -144,9 +140,6 @@ class PartitionSigma:
         xs = np.asarray(x, dtype=float)[..., self._order]
         return np.fmax(np.maximum.reduceat(xs, self._starts, axis=-1)
                        - np.minimum.reduceat(xs, self._starts, axis=-1), 0.0)
-
-    def is_measurable(self, x: np.ndarray) -> bool:
-        return self.measurability_spread(x)[0] <= MEASURABILITY_TOL
 
     def atom_values(self, x: np.ndarray) -> np.ndarray:
         """One representative value per atom (for measurable vectors),

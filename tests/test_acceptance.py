@@ -20,12 +20,10 @@ from qcx.decomp import (DecomposableSum, SumDecision,
 from qcx.errors import CapTooSmallWarning
 from qcx.extcore import (BoxDomain, FunctionSpec, certify_convex,
                          quasiconvexity_gap, scale_function)
-from qcx.extreal import NEG_INF, POS_INF
 from qcx.l2basis import (build_example_10pt, build_example_10pt_split,
                          check_basis_locality, check_cone_self_dual,
                          refined_partition_10pt)
-from qcx.riskmeasure import (FiniteProbSpace, PartitionSigma,
-                             check_convexity, check_locality,
+from qcx.riskmeasure import (check_convexity, check_locality,
                              check_natural_quasiconvexity,
                              check_quasiconvexity, check_star_quasiconvexity,
                              conditional_expectation_map, cubed_mean_map,
@@ -33,6 +31,7 @@ from qcx.riskmeasure import (FiniteProbSpace, PartitionSigma,
                              neg_conditional_expectation, nqc_mu_interval,
                              sample_triples, separating_dual_witness,
                              sqrt_log_map)
+from qcx.spaces import FiniteProbSpace, PartitionSigma
 
 E = math.e
 SEED = 2024
@@ -64,13 +63,13 @@ def test_criterion_1_index_exactness():
         smooth = smooth_index_1d(f, box)
         assert abs(ix.value - smooth) <= 1e-3, (name, ix.value, smooth)
     ix = compute_index(families.const(3.0), BoxDomain.of(0, 1, 33))
-    assert ix.value == POS_INF
-    assert smooth_index_1d(families.const(3.0), BoxDomain.of(0, 1, 33)) == POS_INF
+    assert ix.value == math.inf
+    assert smooth_index_1d(families.const(3.0), BoxDomain.of(0, 1, 33)) == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CapTooSmallWarning)
         ix = compute_index(families.negsquare(), BoxDomain.of(-1, 1, 129))
-    assert ix.value == NEG_INF
-    assert smooth_index_1d(families.negsquare(), BoxDomain.of(-1, 1, 129)) == NEG_INF
+    assert ix.value == -math.inf
+    assert smooth_index_1d(families.negsquare(), BoxDomain.of(-1, 1, 129)) == -math.inf
     report(1, "index exactness on the fixture set", True,
            f"max finite-index error {worst:.2e}")
 

@@ -313,6 +313,27 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: qcx") and "--seed" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
+        """An output path that cannot be opened exits 64 before anything
+        is computed; it used to end in a traceback after the whole run."""
+        demo = ROOT / "demos" / "cli" / "run.ini"
+        with pytest.raises(SystemExit) as exit_:
+            run(["index", "--config", str(demo),
+                 flag, str(tmp_path / "missing" / "o")])
+        assert exit_.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: cannot write" in captured.err
+
+    def test_repeated_index_function(self, tmp_path, capsys):
+        """A function named twice in ``[index] function`` is a config
+        error; it used to be computed twice and reported once."""
+        assert run_changed(tmp_path, "index", "index",
+                           {"function": "s l s"}) == 64
+        err = capsys.readouterr().err
+        assert "[index] function" in err and "'s' is listed twice" in err
+
     def test_undeclared_function(self, tmp_path):
         cfg = tmp_path / "u.ini"
         cfg.write_text("[index]\nfunction = ghost\n")
@@ -629,6 +650,30 @@ class TestDeterminismAndErrors:
                         assert section.partition(" ")[0] in CONFIG_KEYS
                         for key in cp.options(section):
                             _read(cp, section, key)
+
+    def test_bench_risk_reports_keep_the_verdict_lattice(self, tmp_path):
+        """Per triple, convex implies nqc and star, and each of those implies
+        quasiconvex. The four checks read one triple table in one order, so
+        a weaker property fails no earlier than a stronger one. A failure
+        counts at its ``samples``, a pass at ``samples + 1``."""
+        cfg, out = tmp_path / "job.ini", tmp_path / "r.json"
+        reports = 0
+        for seed in range(101, 111):
+            for job in workloads.generate("risk", seed):
+                if job["command"] != "risk-check":
+                    continue
+                cfg.write_text(job["config"])
+                run([job["command"], "--config", str(cfg),
+                     "--seed", str(job["seed"]), *job["extra"],
+                     "--out", str(out)])
+                props = json.loads(out.read_text())["results"]["properties"]
+                first = {p: props[p]["samples"] + (props[p]["verdict"] == "pass")
+                         for p in ("convexity", "nqc", "star", "quasiconvexity")}
+                for middle in ("nqc", "star"):
+                    assert (first["convexity"] <= first[middle]
+                            <= first["quasiconvexity"]), (seed, job["name"], first)
+                reports += 1
+        assert reports == 120
 
     def test_bench_verifier_loads(self, monkeypatch):
         """``bench/verify.py`` loads: every library name the benchmark's

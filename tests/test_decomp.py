@@ -11,7 +11,6 @@ from qcx.decomp import (DecomposableSum, SumDecision, brute_force_sum_quasiconve
 from qcx.errors import (BudgetExceededError, CapTooSmallWarning,
                         InfiniteIndexError, NegativeIndexError)
 from qcx.extcore import BoxDomain
-from qcx.extreal import POS_INF
 
 E = math.e
 
@@ -41,7 +40,7 @@ class TestIndexSumCriterion:
 
     def test_infinite_rejected(self):
         with pytest.raises(InfiniteIndexError):
-            index_sum_criterion([1.0, POS_INF])
+            index_sum_criterion([1.0, math.inf])
 
 
 class TestCharacterize:
@@ -95,12 +94,22 @@ class TestHarmonicIndex:
     def test_examples(self):
         assert harmonic_index([0.125, 1.0]) == pytest.approx(1.0 / 9.0)
         assert harmonic_index([0.0, 1.0]) == 0.0
-        assert harmonic_index([POS_INF, 2.0]) == pytest.approx(2.0)
-        assert harmonic_index([POS_INF, POS_INF]) == POS_INF
+        assert harmonic_index([math.inf, 2.0]) == pytest.approx(2.0)
+        assert harmonic_index([math.inf, math.inf]) == math.inf
+
+    def test_zero_and_infinite_reciprocals(self):
+        """``1/0 = +inf`` and ``1/+inf = 0``, exactly."""
+        assert harmonic_index([0.0]) == 0.0
+        assert harmonic_index([0.0, 0.0]) == 0.0
+        assert harmonic_index([0.0, math.inf]) == 0.0
+        assert harmonic_index([math.inf]) == math.inf
+        assert harmonic_index([math.inf, 4.0]) == 4.0
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeIndexError):
             harmonic_index([-0.1, 1.0])
+        with pytest.raises(NegativeIndexError):
+            harmonic_index([-math.inf, 1.0])
 
     @given(st.lists(st.floats(min_value=0.01, max_value=100.0),
                     min_size=2, max_size=6))
@@ -141,7 +150,7 @@ class TestInfiniteSum:
 
     def test_constants_rejected(self):
         with pytest.raises(InfiniteIndexError):
-            infinite_sum_criterion(iter([POS_INF, POS_INF]), n_max=5)
+            infinite_sum_criterion(iter([math.inf, math.inf]), n_max=5)
 
     def test_two_exceptions_immediate(self):
         v = infinite_sum_criterion(iter([-1.0, -2.0, 1.0]), n_max=10)

@@ -26,7 +26,6 @@ class TestBoxDomain:
     def test_of_scalars(self):
         box = BoxDomain.of(0, 1, 5)
         assert box.dim == 1
-        assert box.grid_count == 5
         np.testing.assert_allclose(box.axes()[0], [0, 0.25, 0.5, 0.75, 1.0])
 
     def test_endpoints_included(self):

@@ -10,14 +10,13 @@ from qcx.l2basis import (BlockStructure, blocks_from_generators,
                          check_convexity_wrt_preorder, check_nqc_wrt_preorder,
                          cone_leq, gram_schmidt, project_G_complement,
                          refined_partition_10pt)
-from qcx.riskmeasure import (FiniteProbSpace, PartitionSigma,
-                             RiskMeasureOracle, check_locality,
+from qcx.riskmeasure import (RiskMeasureOracle, check_locality,
                              check_natural_quasiconvexity,
-                             conditional_expectation,
                              conditional_expectation_map,
                              entropic_certainty_equivalent, mean_broadcast_map,
                              neg_conditional_expectation, sample_triples,
                              sqrt_log_map)
+from qcx.spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +110,7 @@ class TestProjection:
     def test_two_point_trivial(self):
         space = FiniteProbSpace.uniform(2)
         got = project_G_complement(np.array([1.0, -1.0]),
-                                   PartitionSigma.trivial(2), space)
+                                   PartitionSigma.of(range(2)), space)
         np.testing.assert_allclose(got, [1.0, -1.0])
 
     def test_ten_point_pattern(self, block):

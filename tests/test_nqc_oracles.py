@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from qcx.riskmeasure import (DEFAULT_CHECK_TOL, _dual_candidates,
-                             _mu_feasibility, infeasibility_depth,
-                             nqc_mu_interval, separating_dual_witness)
+                             _mu_feasibility, nqc_mu_interval,
+                             separating_dual_witness)
 from test_triple_oracle import _simplex_grid
 
 TRIPLES_PER_K = 300
@@ -141,9 +141,6 @@ def check_against_references(r_x, r_y, r_mix, atom_probs, tol):
         assert repr(certificate) == repr(ref_certificate(r_x, r_y, r_mix, tol))
     else:
         assert certificate is None
-    depth = infeasibility_depth(r_x, r_y, r_mix)
-    assert depth == pytest.approx(ref_depth(r_x, r_y, r_mix),
-                                  rel=1e-9, abs=1e-12)
     np.testing.assert_array_equal(
         _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs),
         ref_candidates(r_x, r_y, r_mix, atom_probs))
@@ -154,7 +151,8 @@ def check_against_references(r_x, r_y, r_mix, atom_probs, tol):
     assert found is not None
     z, margin = found
     assert (z >= 0).all() and float(np.dot(atom_probs, z)) == pytest.approx(1.0)
-    assert margin == pytest.approx(depth, rel=1e-9, abs=1e-12)
+    assert margin == pytest.approx(ref_depth(r_x, r_y, r_mix),
+                                   rel=1e-9, abs=1e-12)
     searched = ref_search(r_x, r_y, r_mix, atom_probs, tol)
     assert searched is not None and margin >= searched[1] - 1e-15
     return True

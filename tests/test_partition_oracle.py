@@ -16,8 +16,8 @@ that cancels to near zero keeps that absolute error.
 import numpy as np
 import pytest
 
-from qcx.riskmeasure import (FiniteProbSpace, PartitionSigma,
-                             conditional_expectation, sqrt_log_map)
+from qcx.riskmeasure import sqrt_log_map
+from qcx.spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
 
 CASES = 120
 RTOL, ATOL = 1e-14, 1e-15

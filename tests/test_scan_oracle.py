@@ -4,7 +4,9 @@
 ``_pair_arrays`` (``np.triu_indices`` plus the local pairs), both endpoints
 and every mix evaluated on the whole arrays, and one full-array pass per
 weight. ``oracle_certify`` adds the earlier witness replay through the
-extended-real helpers. They live here only as oracles. The one change
+scalar extended-real helpers ``ext_mul``, ``ext_sub`` and ``ext_combo``
+(``0 * inf = 0``, a same-sign ``inf - inf`` flagged as degenerate). They
+live here only as oracles. The one change
 carried over from the streamed generator is that a clipped local step that
 lands back on its base point is skipped.
 
@@ -27,7 +29,6 @@ from qcx.extcore import (DEFAULT_ETAS, LOCAL_SCALES, BoxDomain, CertResult,
                          FunctionSpec, PairTable, Verdict, Witness,
                          certify_concave, certify_convex, certify_quasiconvex,
                          default_gap_tol)
-from qcx.extreal import ext_combo, ext_sub
 
 from test_acceptance import FIXTURES
 
@@ -35,6 +36,52 @@ E = math.e
 KINDS = ("convex", "concave", "quasiconvex")
 CERTIFIERS = {"convex": certify_convex, "concave": certify_concave,
               "quasiconvex": certify_quasiconvex}
+
+
+def ext_mul(a: float, b: float) -> float:
+    """Product under the convention ``0 * (+-inf) = 0``."""
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    return a * b
+
+
+def ext_sub(a: float, b: float) -> tuple[float, bool]:
+    """``(a - b, degenerate)``: a same-sign ``inf - inf`` has no value, so it
+    reads ``(+inf, True)``."""
+    if math.isinf(a) and math.isinf(b) and (a > 0) == (b > 0):
+        return math.inf, True
+    return a - b, False
+
+
+def ext_combo(eta: float, a: float, b: float) -> float:
+    """``eta*a + (1-eta)*b`` under ``0 * inf = 0``; opposite infinities
+    cannot occur for proper functions (never ``-inf``) and raise."""
+    left = ext_mul(eta, a)
+    right = ext_mul(1.0 - eta, b)
+    if math.isinf(left) and math.isinf(right) and (left > 0) != (right > 0):
+        raise ValueError("combination of opposite infinities is undefined")
+    return left + right
+
+
+def test_ext_mul_zero_times_infinity():
+    assert ext_mul(0.0, math.inf) == 0.0
+    assert ext_mul(0.0, -math.inf) == 0.0
+    assert ext_mul(math.inf, 0.0) == 0.0
+
+
+def test_ext_sub_degeneracy():
+    assert ext_sub(math.inf, math.inf) == (math.inf, True)
+    assert ext_sub(-math.inf, -math.inf) == (math.inf, True)
+    assert ext_sub(math.inf, 1.0) == (math.inf, False)
+    assert ext_sub(1.0, math.inf) == (-math.inf, False)
+    assert ext_sub(3.0, 1.0) == (2.0, False)
+
+
+def test_ext_combo_weights():
+    assert ext_combo(0.0, math.inf, 2.0) == 2.0
+    assert ext_combo(1.0, math.inf, 2.0) == math.inf
+    assert ext_combo(0.5, math.inf, 2.0) == math.inf
+    assert ext_combo(0.25, 4.0, 8.0) == pytest.approx(7.0)
 
 
 def _pair_arrays(box: BoxDomain) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +206,7 @@ def _oracle(case: str, kind: str):
 
 def _few(box: BoxDomain) -> int:
     """A block of about 1/20 of the grid pairs, at least 3."""
-    n = box.grid_count
+    n = math.prod(box.m)
     return max(3, n * (n - 1) // 40)
 
 

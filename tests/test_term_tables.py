@@ -159,12 +159,12 @@ def test_brute_force_evaluates_the_tables_and_local_pairs_only(monkeypatch):
     count = _count_points(monkeypatch)
     got = brute_force_sum_quasiconvex(dsum, pair_budget=1_500_000)
     n = len(DEFAULT_ETAS)
-    assert count[0] == (box.grid_count + n * (41 ** 2 + 41 ** 2)
+    assert count[0] == (math.prod(box.m) + n * (41 ** 2 + 41 ** 2)
                         + (1 + n) * local_pairs)
     count[0] = 0
     want = certify_quasiconvex(_untabled(dsum.as_function()), box,
                                tol=1e-9, pair_budget=1_500_000)
-    assert count[0] == box.grid_count + (1 + n) * local_pairs + n * table.grid_pairs
+    assert count[0] == math.prod(box.m) + (1 + n) * local_pairs + n * table.grid_pairs
     assert got == want and got.certified
 
 
@@ -181,7 +181,7 @@ def test_term_over_the_block_falls_back_to_evaluation(monkeypatch):
     count = _count_points(monkeypatch)
     got = certify_quasiconvex(g, box)
     n = len(DEFAULT_ETAS)
-    old = box.grid_count + (1 + n) * local_pairs + n * table.grid_pairs + 3
+    old = math.prod(box.m) + (1 + n) * local_pairs + n * table.grid_pairs + 3
     assert got.refuted and count[0] == old
     count[0] = 0
     assert certify_quasiconvex(_untabled(g), box) == got
