@@ -429,6 +429,7 @@ def cmd_sum_check(cp, seed: int, brute: bool, csv: Optional[TextIO]) -> dict:
     lambda_cap = _read(cp, "sum-check", "lambda_cap")
     tol = _read(cp, "sum-check", "tol")
     brute = _read(cp, "sum-check", "brute") or brute
+    dsum = DecomposableSum(tuple(build_function(cp, n) for n in names))
     if brute:
         budget = _read(cp, "sum-check", "pair_budget")
         m_override = _read(cp, "sum-check", "brute_grid")
@@ -436,8 +437,10 @@ def cmd_sum_check(cp, seed: int, brute: bool, csv: Optional[TextIO]) -> dict:
             raise ConfigError(f"[sum-check] brute_grid needs one grid size "
                               f"per function, {len(names)}, got "
                               f"{len(m_override)}")
-    coords = [build_function(cp, n) for n in names]
-    dsum = DecomposableSum(tuple(coords))
+        pairs = math.comb(math.prod(dsum.product_box(m_override).m), 2)
+        if pairs > budget:
+            raise ConfigError(f"[sum-check] pair_budget = {budget} is below "
+                              f"the {pairs} pairs of the brute force grid")
     indices = dsum.indices(lambda_cap=lambda_cap, tol=tol)
     values = [ix.value for ix in indices]
     for name, v in zip(names, values):

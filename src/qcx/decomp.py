@@ -246,16 +246,17 @@ def brute_force_sum_quasiconvex(dsum: DecomposableSum, pair_budget: int = 10 ** 
 
     A gap above 1e-9 refutes. Pairs are drawn across the whole product (not
     coordinatewise); the scan refuses to start if the all-pairs count would
-    exceed ``pair_budget``. The scan streams the pairs in fixed blocks (see
-    :func:`qcx.extcore.certify_quasiconvex`), so its memory does not grow
+    exceed ``pair_budget``. The scan streams the pairs in bounded chunks and
+    blocks (see :class:`qcx.extcore.PairTable`), so its memory does not grow
     with the pair count and ``pair_budget`` bounds time, not memory.
 
-    The sum declares its terms (:meth:`DecomposableSum.as_function`), so a
-    grid pair's mix value is looked up in per-term tables of the term values
-    at the mixes of two cells: the oracle evaluates the grid, ``7 M_k^2``
-    mixes per term and the local pairs, not every mix of the product. A
-    term with more than ``SCAN_BLOCK`` cell pairs turns the tables off and
-    every mix is evaluated; the result is the same bit for bit either way.
+    The sum declares its terms (:meth:`DecomposableSum.as_function`), so the
+    grid pairs' mix values, a chunk of whole grid rows at a time, are outer
+    sums of per-term tables of the term values at the mixes of two cells:
+    the oracle evaluates the grid, ``7 M_k^2`` mixes per term and the local
+    pairs, not every mix of the product. A term with more than
+    ``SCAN_BLOCK`` cell pairs turns the tables off and every mix is
+    evaluated; the result is the same bit for bit either way.
     """
     box = dsum.product_box(m_override)
     return certify_quasiconvex(dsum.as_function(), box, tol=1e-9,

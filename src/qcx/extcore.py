@@ -21,14 +21,14 @@ fixes its break-even point.
 :class:`PairTable` streams the pairs in blocks of :data:`SCAN_BLOCK` and
 keeps no pair: every pass rebuilds each block and evaluates its mixes one
 weight at a time, so memory is O(block + grid) and ``pair_budget`` bounds
-time, not memory. The certifiers make one gap scan; on a declared separable
-sum (:attr:`FunctionSpec.terms`) its grid pairs' mix values are looked up in
-per-term tables of O(block) entries, built once per table, and only the
-local pairs' mixes are evaluated. The convexity index
-makes the same scan, then a seed pass that ranks each block's pairs by
-their estimated crossings (in case I it tests the lambda cap first), then
-one whole-table probe per round of its solve that runs out of candidates;
-the upper bracket end replays on the binding pair's block alone.
+time, not memory. On a declared separable sum (:attr:`FunctionSpec.terms`)
+the grid pairs stream in chunks of whole rows, whose mix values are outer
+sums of per-term tables of O(block) entries, built once per table; only the
+local pairs' mixes are evaluated. The certifiers make one gap scan. The
+convexity index makes the same scan, then a seed pass that ranks each
+block's pairs by their estimated crossings (in case I it tests the lambda
+cap first), then one whole-table probe per round of its solve that runs out
+of candidates; the upper bracket end replays on the binding pair's block.
 
 The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
 mix-normalized form (:meth:`PairTable.exp_transform_ok`), and
@@ -176,10 +176,10 @@ class FunctionSpec:
     functions). The optional ``grad`` and ``hess`` oracles have the same
     calling convention and are only consulted by the smooth 1-D cross-check.
 
-    ``terms`` declares a separable sum: ``((f_k, first, stop), ...)`` says
-    that ``fn`` is ``0 + f_1(x[:, first_1:stop_1]) + f_2(...) + ...``, summed
-    in that order. :class:`PairTable` then looks the grid pairs' mix values
-    up in per-term tables instead of evaluating ``fn`` at every mix.
+    ``terms`` declares a separable sum, its axis ranges in order: ``((f_k,
+    first, stop), ...)`` says that ``fn`` is ``0 + f_1(x[:, first_1:stop_1])
+    + f_2(...) + ...``, summed in that order. :class:`PairTable` then looks
+    the grid pairs' mix values up in per-term tables instead of evaluating.
     """
 
     dim: int
@@ -235,24 +235,29 @@ def scale_function(g: FunctionSpec, w: float) -> FunctionSpec:
 # gap forms and the block scan
 # ---------------------------------------------------------------------------
 
-def _combo(eta, fa, fb):
-    return eta * fa + (1 - eta) * fb
+def _combos(fa, fb):
+    return lambda eta: eta * fa + (1 - eta) * fb
 
 
-#: ``(sign, ref)`` per scan kind: ``gap = sign * (fm - ref(eta, fa, fb))`` at
-#: the mix value ``fm``; a NaN gap (both sides +inf) is degenerate.
-GAP_FORMS = {"convex": (1.0, _combo), "concave": (-1.0, _combo),
-             "quasiconvex": (1.0, lambda eta, fa, fb: np.maximum(fa, fb))}
+def _peaks(fa, fb):
+    peak = np.maximum(fa, fb)  # the same at every weight
+    return lambda eta: peak
+
+
+#: ``(sign, refs)`` per scan kind: ``gap = sign * (fm - refs(fa, fb)(eta))``
+#: at the mix value ``fm``; a NaN gap (both sides +inf) is degenerate.
+GAP_FORMS = {"convex": (1.0, _combos), "concave": (-1.0, _combos),
+             "quasiconvex": (1.0, _peaks)}
 
 
 def _gap(kind: str, g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool]:
     """The gap of form ``kind`` at one triple, in the arithmetic of the scan,
     with a degeneracy flag; an undetermined gap is ``+inf``."""
-    sign, ref = GAP_FORMS[kind]
+    sign, refs = GAP_FORMS[kind]
     x1, x2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (x1, x2))
     v1, v2, vm = g(np.stack([x1, x2, eta * x1 + (1 - eta) * x2]))
     with np.errstate(all="ignore"):
-        gap = sign * (vm - ref(eta, v1, v2))
+        gap = sign * (vm - refs(v1, v2)(eta))
     return (math.inf, True) if math.isnan(gap) else (float(gap), False)
 
 
@@ -402,13 +407,14 @@ class PairTable:
     For a function that declares separable ``terms``, the table also keeps
     per weight and term the values ``T_k[p, q] = f_k(eta c_p + (1 - eta)
     c_q)`` at the mixes of every two cells ``c_p``, ``c_q`` of the term's
-    sub-grid. The mix of a grid pair along the term's axes depends only on
-    its two cells there, so the pair's mix value is ``0 + T_1[...] + T_2[...]
-    + ...``: the sum's own arithmetic on the same term values, looked up
-    instead of evaluated. Local pairs, whose far endpoint lies off the grid,
-    are still evaluated. The tables are kept only when every term has at
-    most ``SCAN_BLOCK`` cell pairs, so they stay O(block) per weight and
-    term; otherwise every mix is evaluated.
+    sub-grid, and streams the grid pairs in chunks of whole rows
+    (:meth:`_chunk`). A grid pair's mix along the term's axes depends only on
+    its two cells there, so a chunk's mix values are the outer sum ``0 + T_1
+    + T_2 + ...``: the sum's own arithmetic on the same term values. Local
+    pairs, whose far endpoint lies off the grid, are evaluated, in blocks.
+    The tables are kept only when every term has at most ``SCAN_BLOCK`` cell
+    pairs, so they stay O(block) per weight and term; otherwise every mix is
+    evaluated.
     """
 
     def __init__(self, g: FunctionSpec, box: BoxDomain,
@@ -436,35 +442,45 @@ class PairTable:
                 size = len(self._local(*local)[0])
                 self.local += [(count, size, local)] if size else []
                 count += size
-        self.blocks = [(s, min(s + SCAN_BLOCK, count))
-                       for s in range(0, count, SCAN_BLOCK)]
         self.a = range(count)  # pair positions; bench/spans.py counts len(a)
         self.terms = self._term_tables(box) if g.terms else None
+        first = 0 if self.terms is None else self.grid_pairs
+        self.blocks = ([] if self.terms is None else self._chunks()) + [
+            (s, min(s + SCAN_BLOCK, count))
+            for s in range(first, count, SCAN_BLOCK)]
 
     def _term_tables(self, box):
-        """Per term, ``(cells, M, tables)``: each grid point's cell on the
-        term's sub-grid of ``M`` points, and per weight ``tables[which][M * p
-        + q]``, the term's value at the mix of cells ``p`` and ``q``. None
-        when a term has more than ``SCAN_BLOCK`` cell pairs."""
+        """Per term, ``(stride, M, tables)``: grid point ``i`` lies in cell
+        ``i // stride % M`` of the term's sub-grid of ``M`` points, and per
+        weight ``tables[which][p, q]`` is the term's value at the mix of cells
+        ``p`` and ``q``. None when a term has over ``SCAN_BLOCK`` cell pairs."""
+        if [x for _, s, e in self.g.terms for x in range(s, e)] != [*range(box.dim)]:
+            raise ValueError("terms must cover the axes in order")
         spans = [(f, first, stop, math.prod(box.m[first:stop]))
                  for f, first, stop in self.g.terms]
         if any(size * size > SCAN_BLOCK for *_, size in spans):
             return None
-        # C order: point i lies in cell i // stride % M of the term's axes
-        point = np.arange(len(self.pts))
         terms = []
         for f, first, stop, size in spans:
-            cells = point // math.prod(box.m[stop:]) % size
             sub = BoxDomain(box.lo[first:stop], box.hi[first:stop],
                             box.m[first:stop]).points()
             a, b = np.repeat(sub, size, axis=0), np.tile(sub, (size, 1))
             with np.errstate(all="ignore"):
-                tables = [f(_mix_points(a, b, eta)) for eta in DEFAULT_ETAS]
-            # kept for the table's lifetime, so in the narrowest type that
-            # holds a key M * p + q < SCAN_BLOCK
-            terms.append((cells.astype(np.min_scalar_type(SCAN_BLOCK)), size,
-                          tables))
+                tables = [f(_mix_points(a, b, eta)).reshape(size, size)
+                          for eta in DEFAULT_ETAS]
+            terms.append((math.prod(box.m[stop:]), size, tables))
         return terms
+
+    def _chunks(self):
+        """Position ranges of runs of whole rows in one cell of the leading
+        term, of at most ``4 * SCAN_BLOCK`` entries of :meth:`_chunk` or one row."""
+        n, cell = len(self.pts), self.terms[0][0]
+        rows = []
+        for c0 in range(0, n, cell):
+            step = max(1, 4 * SCAN_BLOCK // (n - c0))
+            rows += range(c0, min(c0 + cell, n - 1), step)
+        bounds = [int(self.row_start[i]) for i in rows] + [self.grid_pairs]
+        return list(zip(bounds, bounds[1:]))
 
     def _local(self, axis, step, lo, hi):
         moved = np.clip(self.pts[:, axis] + step, lo, hi)
@@ -520,51 +536,59 @@ class PairTable:
         return far, near, f_far, f_near
 
     def _block(self, block):
-        """``(fa, fb, mix, ends)`` of the pairs at positions ``block[0]`` up
-        to ``block[1]``: ``mix(which)`` gives their values at the mixes of
-        weight ``DEFAULT_ETAS[which]`` and ``ends(k)`` the endpoints of pair
-        ``k`` as tuples. With term tables, the grid pairs' mix values are
-        looked up and their endpoints gathered only by ``ends``."""
-        start, stop = block
-        if self.terms is None or start >= self.grid_pairs:
-            a, b, fa, fb = self._build(block)
-            return (fa, fb,
-                    lambda which: self.g(_mix_points(a, b, DEFAULT_ETAS[which])),
-                    lambda k: (tuple(map(float, a[k])), tuple(map(float, b[k]))))
-        split = min(stop, self.grid_pairs)
-        i, j = self._grid(start, split)
-        keys = [(cells[i] * size + cells[j]).astype(np.intp)
-                for cells, size, _ in self.terms]
-        fa, fb = self.grid_values[i], self.grid_values[j]
-        if split < stop:
-            a, b, local_fa, local_fb = self._build((split, stop))
-            fa = np.concatenate([fa, local_fa])
-            fb = np.concatenate([fb, local_fb])
+        """``(fa, fb, mix, skip, pair)`` of the pairs at positions
+        ``block[0]`` up to ``block[1]``: ``mix(which)`` gives their values at
+        the mixes of weight ``DEFAULT_ETAS[which]``, aligned with ``fa`` and
+        ``fb``, and ``pair(k)`` the position and endpoints of its entry ``k``
+        in C order. ``skip`` is None, or for a chunk (:meth:`_chunk`) it
+        marks the entries that are no pair."""
+        if self.terms is not None and block[0] < self.grid_pairs:
+            return self._chunk(block)
+        a, b, fa, fb = self._build(block)
+        return (fa, fb,
+                lambda which: self.g(_mix_points(a, b, DEFAULT_ETAS[which])),
+                None, lambda k: (block[0] + k, a[k], b[k]))
+
+    def _chunk(self, block):
+        """A chunk's grid pairs as matrices: rows ``i`` share the leading
+        term's cell ``p``, columns ``j`` run from that cell's first point to
+        the end of the grid, and ``skip`` marks the entries ``j <= i``.
+        ``mix(which)`` is the broadcast outer sum ``0 + T_1[p, p:] + T_2[cell
+        of i, :] + ...``, which adds as the sum does: the evaluated bits."""
+        i0, i1 = (int(i) for i in np.searchsorted(self.row_start, block))
+        p = i0 // self.terms[0][0]  # the rows' cell of the leading term
+        c0 = p * self.terms[0][0]
+        rows, cols = np.arange(i0, i1), len(self.pts) - c0
+        skip = np.arange(c0, len(self.pts)) <= rows[:, None]
+        cells = [(rows // stride % size, tables)
+                 for stride, size, tables in self.terms]
+        shape = (len(rows),) + (1,) * len(cells)
 
         def mix(which):
-            fm = np.zeros(len(i))
-            for key, (_, _, tables) in zip(keys, self.terms):
-                fm += tables[which][key]
-            self.g.check(fm)
-            if split == stop:
-                return fm
-            local = self.g(_mix_points(a, b, DEFAULT_ETAS[which]))
-            return np.concatenate([fm, local])
+            fm = 0.0
+            for t, (q, tables) in enumerate(cells):
+                part = tables[which][q, p if t == 0 else 0:]
+                fm = fm + part.reshape(shape[:t + 1] + (-1,) + shape[t + 2:])
+            fm = fm.reshape(len(rows), -1)
+            if not fm.min() > -math.inf:  # a NaN or -inf, maybe in no pair
+                self.g.check(fm[~skip])
+            return fm
 
-        def ends(k):
-            x1, x2 = ((self.pts[i[k]], self.pts[j[k]]) if k < len(i)
-                      else (a[k - len(i)], b[k - len(i)]))
-            return tuple(map(float, x1)), tuple(map(float, x2))
+        def pair(k):
+            i, j = i0 + k // cols, c0 + k % cols
+            return int(self.row_start[i]) + j - i - 1, self.pts[i], self.pts[j]
 
-        return fa, fb, mix, ends
+        return (self.grid_values[i0:i1, None], self.grid_values[None, c0:],
+                mix, skip, pair)
 
     def _diffs(self, block):
-        """Per weight ``(eta, fa - fm, fb - fm)`` of the block's pairs, the
-        mix values ``fm`` made one weight at a time."""
-        fa, fb, mix, _ = self._block(block)
+        """Per weight ``(eta, fa - fm, fb - fm)`` of the block's pairs, in
+        position order, the mix values ``fm`` made one weight at a time."""
+        fa, fb, mix, skip, _ = self._block(block)
+        keep = slice(None) if skip is None else ~skip
         for which, eta in enumerate(DEFAULT_ETAS):
             fm = mix(which)
-            yield eta, fa - fm, fb - fm
+            yield eta, (fa - fm)[keep], (fb - fm)[keep]
 
     # -- absolute gap scans --------------------------------------------------
 
@@ -578,22 +602,33 @@ class PairTable:
         pair index, within and across blocks, so the result does not depend
         on the block size.
         """
-        sign, ref = GAP_FORMS[kind]
-        # (gap, -which, -position) of the running best; no key of a -inf
-        # gap (all pairs degenerate) exceeds the initial one
+        sign, refs = GAP_FORMS[kind]
+        # (gap, -which, -position) of the running best; a -inf gap (no pair
+        # or all degenerate) is never kept
         best, degen = (-math.inf, 0, 0), False
         with np.errstate(all="ignore"):
             for block in self.blocks:
-                fa, fb, mix, ends = self._block(block)
+                fa, fb, mix, skip, pair = self._block(block)
+                ref = refs(fa, fb)
                 for which, eta in enumerate(DEFAULT_ETAS):
-                    gap = sign * (mix(which) - ref(eta, fa, fb))
-                    bad = np.isnan(gap)
-                    degen = degen or bool(bad.any())
-                    gap[bad] = -math.inf
+                    gap = mix(which)  # a chunk's own array; an oracle's maybe not
+                    gap = np.subtract(gap, ref(eta),
+                                      out=None if skip is None else gap)
+                    if sign < 0:
+                        np.negative(gap, out=gap)
+                    if skip is not None:
+                        np.copyto(gap, -math.inf, where=skip)
+                    # argmax finds a NaN (degenerate pair) if there is one
                     k = int(np.argmax(gap))
-                    key = (float(gap[k]), -which, -(block[0] + k))
-                    if key > best:
-                        best, at = key, (*ends(k), float(eta))
+                    if math.isnan(gap.flat[k]):
+                        degen = True
+                        gap[np.isnan(gap)] = -math.inf
+                        k = int(np.argmax(gap))
+                    pos, x1, x2 = pair(k)
+                    key = (float(gap.flat[k]), -which, -pos)
+                    if key[0] > -math.inf and key > best:
+                        best, at = key, (tuple(map(float, x1)),
+                                         tuple(map(float, x2)), float(eta))
         worst = best[0]
         return worst, Witness(*at, worst) if worst > tol else None, degen
 

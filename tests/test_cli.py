@@ -8,6 +8,7 @@ import pytest
 
 from qcx.cindex import REL_GAP_TOL
 from qcx.cli import CONFIG_KEYS, _read, build_function, load_config, main
+from qcx.decomp import DecomposableSum
 from qcx.errors import ConfigError
 from qcx.extcore import PairTable, quasiconvexity_gap
 
@@ -598,6 +599,28 @@ class TestDeterminismAndErrors:
                                {"brute_grid": value}) == 64
             assert "[sum-check] brute_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes,pairs", [
+        ({"brute_grid": "9 9", "pair_budget": "100"}, 3240),
+        ({"pair_budget": "1000"}, 461280)])
+    def test_pair_budget_below_the_brute_grid_is_config_error(
+            self, tmp_path, capsys, monkeypatch, changes, pairs):
+        """A pair budget below the brute-force grid's pair count (from
+        ``brute_grid``, else the functions' 31-point grids) exits 64 before
+        any coordinate index is computed."""
+        import qcx.decomp
+
+        def no_index(*args, **kwargs):
+            raise AssertionError("an index was computed")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(qcx.decomp, "compute_index", no_index)
+            assert run_changed(tmp_path, "sum-check", "sum-check",
+                               changes) == 64
+        err = capsys.readouterr().err
+        assert "[sum-check] pair_budget" in err and str(pairs) in err
+        changes = {**changes, "pair_budget": str(pairs)}
+        assert run_changed(tmp_path, "sum-check", "sum-check", changes) != 64
+
     @pytest.mark.parametrize("command,section,changes", [
         ("risk-check", "risk-check", {"budgte": "7"}),
         ("index", "function s", {"gird": "31"}),
@@ -650,6 +673,23 @@ class TestDeterminismAndErrors:
                         assert section.partition(" ")[0] in CONFIG_KEYS
                         for key in cp.options(section):
                             _read(cp, section, key)
+
+    def test_bench_brute_jobs_keep_term_tables(self, tmp_path):
+        """Every ``brute`` job of the benchmark scans a sum whose term
+        tables are kept, so it runs the chunked outer-sum scan."""
+        cfg = tmp_path / "job.ini"
+        jobs = 0
+        for seed in range(101, 111):
+            for job in workloads.generate("brute", seed):
+                cfg.write_text(job["config"])
+                cp = load_config(str(cfg))
+                names = _read(cp, "sum-check", "functions")
+                dsum = DecomposableSum(tuple(build_function(cp, name)
+                                             for name in names))
+                box = dsum.product_box(_read(cp, "sum-check", "brute_grid"))
+                assert PairTable(dsum.as_function(), box).terms is not None
+                jobs += 1
+        assert jobs == 30
 
     def test_bench_risk_reports_keep_the_verdict_lattice(self, tmp_path):
         """Per triple, convex implies nqc and star, and each of those implies

@@ -267,16 +267,24 @@ def test_table_pairs_match_oracle(monkeypatch):
             assert len(table.a) == len(a)
 
 
-def test_brute_force_memory_is_bounded_by_the_block():
-    """A 41x41 product (1.4 M grid pairs) scans in a few MB, not 191 MB."""
-    ds = DecomposableSum(((families.sqrt(), BoxDomain.of(1, 4, 41)),
-                          (families.make_function("neglog", weight=0.7),
-                           BoxDomain.of(1, E, 41))))
+@pytest.mark.parametrize("coords,certified", [
+    (((families.sqrt(), BoxDomain.of(1, 4, 41)),
+      (families.make_function("neglog", weight=0.7), BoxDomain.of(1, E, 41))),
+     True),
+    (((families.sqrt(), BoxDomain.of(1, 4, 13)),
+      (families.make_function("neglog", weight=0.7), BoxDomain.of(1, E, 13)),
+      (families.square(), BoxDomain.of(1, 2, 13))), False),
+], ids=["41x41", "13x13x13"])
+def test_brute_force_memory_is_bounded_by_the_block(coords, certified):
+    """1.4 M and 2.4 M grid pairs scan in a few MB: chunks of whole rows
+    hold at most 4 * SCAN_BLOCK entries, where a whole N x N matrix of mix
+    values would take 22 and 38 MB."""
     tracemalloc.start()
     try:
-        res = brute_force_sum_quasiconvex(ds, pair_budget=1_500_000)
+        res = brute_force_sum_quasiconvex(DecomposableSum(coords),
+                                          pair_budget=2_500_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.certified
-    assert peak < 32 * 2 ** 20, peak / 2 ** 20
+    assert res.certified == certified and res.refuted != certified
+    assert peak < 4 * 2 ** 20, peak / 2 ** 20

@@ -23,6 +23,7 @@ from qcx.extcore import (DEFAULT_ETAS, BoxDomain, FunctionSpec, PairTable,
 from test_scan_oracle import KINDS, oracle_scan
 
 E = math.e
+DEFAULT_BLOCK = extcore.SCAN_BLOCK
 
 
 def _capped_square():
@@ -85,26 +86,40 @@ def test_random_sums_cover_the_term_kinds():
     assert any("*" in name for name in names)  # a weighted term
 
 
+def _pairs_of(fm: np.ndarray, skip) -> np.ndarray:
+    """The entries of a block's mix values that are pairs, in position
+    order: a chunk's matrix without the entries ``skip`` marks."""
+    if skip is None:
+        return fm
+    keep = np.ones(fm.shape, dtype=bool)
+    keep[:, :skip.shape[1]] = ~skip
+    return fm[keep]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("block", ["default", "few"])
 def test_looked_up_mixes_are_the_evaluated_bits(seed, block, monkeypatch):
-    """Per block and weight, the table's mix values equal ``g`` evaluated at
-    ``eta a + (1 - eta) b``, as int64 bit patterns."""
+    """Per chunk and weight, the outer sums of the term tables equal ``g``
+    evaluated at ``eta a + (1 - eta) b`` of each pair, as int64 bit
+    patterns; the local blocks after the chunks evaluate ``g`` itself."""
     dsum, box = random_sum(seed)
     if block == "few":
         monkeypatch.setattr(extcore, "SCAN_BLOCK", _terms_block(dsum, box))
     g = dsum.as_function()
     table = PairTable(g, box)
     assert table.terms is not None
+    chunks = 0
     for span in table.blocks:
         a, b, _, _ = table._build(span)
-        _, _, mix, _ = table._block(span)
+        _, _, mix, skip, _ = table._block(span)
+        chunks += skip is not None
         with np.errstate(all="ignore"):
             for which, eta in enumerate(DEFAULT_ETAS):
                 want = g(eta * a + (1 - eta) * b)
-                got = mix(which)
+                got = _pairs_of(mix(which), skip)
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), (span, eta)
+    assert chunks > 1 and table.blocks[chunks][0] == table.grid_pairs
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -186,3 +201,68 @@ def test_term_over_the_block_falls_back_to_evaluation(monkeypatch):
     count[0] = 0
     assert certify_quasiconvex(_untabled(g), box) == got
     assert count[0] == old
+
+
+def _steps_sum() -> DecomposableSum:
+    """Three step-valued terms: ``x`` off the integers is 1 and on them 0,
+    so every grid pair's mix has a gap of 1 on that axis and gaps tie
+    across the whole grid; the other two floors make the sums differ."""
+    off = FunctionSpec(1, lambda p: np.ceil(p[:, 0]) - np.floor(p[:, 0]),
+                       name="off-integer")
+    floor2 = FunctionSpec(1, lambda p: np.floor(2 * p[:, 0]), name="floor2")
+    floor = FunctionSpec(1, lambda p: np.floor(p[:, 0]), name="floor")
+    return DecomposableSum(((off, BoxDomain.of(0, 4, 5)),
+                            (floor2, BoxDomain.of(0, 1, 3)),
+                            (floor, BoxDomain.of(0, 2, 3))))
+
+
+def _scan_bits(scan) -> tuple:
+    worst, witness, degen = scan
+    if witness is not None:
+        witness = tuple(float(x).hex() for x in (*witness.x1, *witness.x2,
+                                                 witness.eta, witness.violation))
+    return worst.hex(), witness, degen
+
+
+@pytest.mark.parametrize("size", [extcore.SCAN_BLOCK, 1, 2, 3, 7])
+def test_chunked_scan_does_not_depend_on_the_chunk_size(size, monkeypatch):
+    """At every block size the chunked scan of the step sum returns the bits
+    of the evaluated scan: worst gap, witness and degenerate flag. The tables
+    are built at the default block size, so a block of 1 to 7 pairs streams
+    chunks of one row and more with the tables kept."""
+    dsum = _steps_sum()
+    g, box = dsum.as_function(), dsum.product_box()
+    want = {kind: _scan_bits(PairTable(_untabled(g), box).scan(kind, 1e-6))
+            for kind in KINDS}
+    build = PairTable._term_tables
+
+    def at_default(self, box):
+        with monkeypatch.context() as default:
+            default.setattr(extcore, "SCAN_BLOCK", DEFAULT_BLOCK)
+            return build(self, box)
+
+    monkeypatch.setattr(PairTable, "_term_tables", at_default)
+    monkeypatch.setattr(extcore, "SCAN_BLOCK", size)
+    table = PairTable(g, box)
+    assert table.terms is not None
+    for kind in KINDS:
+        assert _scan_bits(table.scan(kind, 1e-6)) == want[kind], kind
+    worst = table.scan("quasiconvex", 1e-6)[0]
+    tied = sum(any((-np.maximum(da, db) == worst).any()
+                   for _, da, db in table._diffs(block))
+               for block in table.blocks if block[0] < table.grid_pairs)
+    assert worst == 1.0 and tied > 1
+
+
+def test_terms_must_cover_the_axes_in_order():
+    """The chunk kernel reads a grid point's cells in C order, so declared
+    terms out of order, overlapping or leaving an axis out are refused."""
+    f = families.sqrt()
+    box = BoxDomain.of((1.0, 1.0), (4.0, 4.0), (3, 3))
+    for terms in (((f, 1, 2), (f, 0, 1)), ((f, 0, 1), (f, 0, 1)),
+                  ((f, 0, 1),)):
+        g = FunctionSpec(2, lambda p: np.sqrt(p[:, 0]) + np.sqrt(p[:, 1]),
+                         terms=terms)
+        with pytest.raises(ValueError, match="cover the axes in order"):
+            PairTable(g, box)
+    PairTable(dataclasses.replace(g, terms=((f, 0, 1), (f, 1, 2))), box)
