@@ -10,7 +10,8 @@ On top of the block basis this module provides: locality of a risk measure
 with respect to the basis (an inner-product analogue of the classical
 locality on events), the preorder induced by the e-block coordinates, its
 self-dual ordering cone, and natural quasiconvexity with respect to that
-preorder for one-dimensional e-blocks.
+preorder for one-dimensional e-blocks. The preorder checks decide all the
+triples of a shared :class:`qcx.riskmeasure.TripleTable` at once.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import AssumptionViolatedError, RankDeficientError
 from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, PropertyReport,
-                          RiskMeasureOracle, _each_triple, _excess_check,
-                          _first_failure, _jensen_bound, _mu_feasibility, _rng,
+                          RiskMeasureOracle, _excess_check, _first_failure,
+                          _jensen_bound, _mu_feasibility, _mu_infeasible, _rng,
                           _stacked, _triple_table, _vec)
 from .spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
 
@@ -328,15 +329,15 @@ def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
     """Jensen inequality in every e-coordinate over the triples."""
     table = _triple_table(rho, triples)
     return _excess_check("convexity-wrt-preorder", table,
-                         _e_coordinate_chunks(block, table), _jensen_bound, tol)
+                         *_e_coordinates(block, table), _jensen_bound, tol)
 
 
-def _e_coordinate_chunks(block: BlockStructure, table):
-    """:meth:`TripleTable.chunks` with each output replaced by its
+def _e_coordinates(block: BlockStructure, table):
+    """:meth:`TripleTable.read` with each output replaced by its
     e-coordinates (one inner product per cell and output)."""
-    for start, risks in table.chunks():
-        yield start, np.array([[block.e_coordinates(r) for r in triple]
-                               for triple in risks])
+    risks, error = table.read()
+    return np.array([[block.e_coordinates(r) for r in triple]
+                     for triple in risks]).reshape(-1, 3, block.k), error
 
 
 def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
@@ -356,16 +357,17 @@ def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
         raise AssumptionViolatedError(
             "the preorder feasibility check needs 1-dimensional e-blocks")
     table = _triple_table(rho, triples)
-    for i, (ex, ey, em) in _each_triple(_e_coordinate_chunks(block, table)):
-        certificate = _mu_feasibility(ex, ey, em, tol)[1]
-        if certificate is not None:
-            x, y, lam = table.triples[i - 1]
-            return PropertyReport(
-                "nqc-wrt-preorder", CheckVerdict.FAIL,
-                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
-                         "e_x": _vec(ex), "e_y": _vec(ey), "e_mix": _vec(em),
-                         "certificate": certificate},
-                samples=i, tol=tol)
+    values, error = _e_coordinates(block, table)
+    i = _first_failure(_mu_infeasible(*values.transpose(1, 0, 2), tol), error)
+    if i is not None:
+        ex, ey, em = values[i]
+        x, y, lam = table.triples[i]
+        return PropertyReport(
+            "nqc-wrt-preorder", CheckVerdict.FAIL,
+            witness={"x": _vec(x), "y": _vec(y), "lam": lam,
+                     "e_x": _vec(ex), "e_y": _vec(ey), "e_mix": _vec(em),
+                     "certificate": _mu_feasibility(ex, ey, em, tol)[1]},
+            samples=i + 1, tol=tol)
     conv = check_convexity_wrt_preorder(rho, block, triples=table, tol=tol)
     zero = rho(np.zeros(block.space.n))
     normalized = bool(np.max(np.abs(zero)) <= 1e-9)

@@ -17,14 +17,16 @@ star check is exact per triple too: the best nonnegative dual vector solves
 a linear program with two inequality rows, so it tests only that program's
 basic solutions (atom vertices and two-atom edge points).
 
-Every sampled checker evaluates stacked rows: one oracle call per chunk of
-samples or events, in the order of single calls, with the first failure
-taken from a violation mask, so reports equal those of one call per row.
-The six triple checkers (convexity, quasiconvexity, natural and star
-quasiconvexity here, and the two preorder checks of :mod:`qcx.l2basis`) take
-the caller's triples, ``triples=`` a list from :func:`sample_triples` or a
-shared :class:`TripleTable`: ``rho`` of every ``X``, ``Y`` and mix, evaluated
-once per triple, only as far as some checker reads.
+Every sampled checker evaluates stacked rows: one oracle call for all its
+samples (per locality round, per sensitivity ``eps``), in the order of
+single calls, with the first failure taken from a violation mask, so
+reports equal those of one call per row. The six triple checkers
+(convexity, quasiconvexity, natural and star quasiconvexity here, and the
+two preorder checks of :mod:`qcx.l2basis`) take the caller's triples,
+``triples=`` a list from :func:`sample_triples` or a shared
+:class:`TripleTable`: ``rho`` of every ``X``, ``Y`` and mix, evaluated in
+one call when a checker first reads it. All but the star check decide every
+triple at once.
 """
 
 from __future__ import annotations
@@ -277,51 +279,38 @@ def sample_triples(space: FiniteProbSpace, rng, count: int
     return out
 
 
-#: Triples, samples or events per stacked oracle call of a sampled checker.
-TRIPLE_CHUNK = 64
-
-
 class TripleTable:
     """``rho(X)``, ``rho(Y)`` and ``rho(mix)`` of a list of ``(X, Y, lam)``
     triples, evaluated once and shared by the triple checkers.
 
-    The table fills lazily, :data:`TRIPLE_CHUNK` triples at a time, through
-    one stacked oracle call per chunk with rows in call order ``X_1, Y_1,
-    mix_1, X_2, ...``; the mix is ``lam X + (1 - lam) Y``. Reading the
-    triple of a failing row raises its error (see :func:`_stacked`).
+    The first checker to read the table evaluates every triple in one
+    stacked oracle call with rows in call order ``X_1, Y_1, mix_1, X_2,
+    ...``; the mix is ``lam X + (1 - lam) Y``. A table that no checker reads
+    makes no call.
     """
 
     def __init__(self, rho: RiskMeasureOracle, triples):
         self.rho = rho
         self.triples = list(triples)
         self.lam = np.array([lam for _, _, lam in self.triples], dtype=float)
-        self._risks: list[np.ndarray] = []  # one (c, 3, n) array per chunk
-        self._error: Optional[Exception] = None
+        self._read: Optional[tuple[np.ndarray, Optional[Exception]]] = None
 
     def __len__(self) -> int:
         return len(self.triples)
 
-    def chunks(self):
-        """Yield ``(start, risks)`` chunk by chunk, evaluating each chunk on
-        first use: ``risks[j]`` holds ``rho(X)``, ``rho(Y)`` and ``rho(mix)``
-        of triple ``start + j``."""
-        for c, start in enumerate(range(0, len(self), TRIPLE_CHUNK)):
-            if c == len(self._risks):
-                self._risks.append(self._evaluate(start))
-            if len(self._risks[c]):
-                yield start, self._risks[c]
-            if self._error is not None and c == len(self._risks) - 1:
-                raise self._error
-
-    def _evaluate(self, start: int) -> np.ndarray:
-        stop = min(start + TRIPLE_CHUNK, len(self))
-        n = self.rho.sigma.n
-        xy = np.array([t[:2] for t in self.triples[start:stop]], dtype=float)
-        lam = self.lam[start:stop, None, None]
-        mix = lam * xy[:, :1] + (1 - lam) * xy[:, 1:]
-        risks, self._error = _stacked(
-            self.rho, np.concatenate([xy, mix], axis=1).reshape(-1, n))
-        return risks[:len(risks) // 3 * 3].reshape(-1, 3, n)
+    def read(self) -> tuple[np.ndarray, Optional[Exception]]:
+        """``(risks, error)``: ``risks[j]`` holds ``rho(X)``, ``rho(Y)`` and
+        ``rho(mix)`` of triple ``j``, for the triples before the first
+        failing row, whose error is ``error`` (see :func:`_stacked`)."""
+        if self._read is None:
+            n = self.rho.sigma.n
+            rows = np.empty((len(self), 3, n))
+            rows[:, :2] = np.reshape([t[:2] for t in self.triples], (-1, 2, n))
+            lam = self.lam[:, None]
+            rows[:, 2] = lam * rows[:, 0] + (1 - lam) * rows[:, 1]
+            risks, error = _stacked(self.rho, rows.reshape(-1, n))
+            self._read = risks[:len(risks) // 3 * 3].reshape(-1, 3, n), error
+        return self._read
 
 
 def _stacked(rho: RiskMeasureOracle, rows: np.ndarray
@@ -368,29 +357,27 @@ def _triple_table(rho: RiskMeasureOracle, triples) -> TripleTable:
     return triples
 
 
-def _excess_check(prop: str, table: TripleTable, chunks, bound: Callable,
+def _excess_check(prop: str, table: TripleTable, values: np.ndarray,
+                  error: Optional[Exception], bound: Callable,
                   tol: float) -> PropertyReport:
     """Fail at the first triple whose mixed value exceeds
     ``bound(lam, v_x, v_y)`` by more than ``tol`` in some coordinate,
-    reporting the largest excess; one vectorized pass per chunk.
+    reporting the largest excess.
 
-    ``chunks`` yields ``(start, values)`` as :meth:`TripleTable.chunks`
-    does, ``values[j]`` holding ``v_x``, ``v_y`` and ``v_mix`` of triple
-    ``start + j``.
+    ``values, error`` are as :meth:`TripleTable.read` gives them, or
+    transformed row by row: ``values[j]`` holds ``v_x``, ``v_y`` and
+    ``v_mix`` of triple ``j``.
     """
-    for start, values in chunks:
-        v_x, v_y, v_mix = values.transpose(1, 0, 2)
-        lam = table.lam[start:start + len(values), None]
-        worst = (v_mix - bound(lam, v_x, v_y)).max(axis=1)
-        bad = np.flatnonzero(worst > tol)
-        if bad.size:
-            i = start + int(bad[0])
-            x, y, lam = table.triples[i]
-            return PropertyReport(
-                prop, CheckVerdict.FAIL,
-                witness={"x": _vec(x), "y": _vec(y), "lam": lam,
-                         "violation": float(worst[bad[0]])},
-                samples=i + 1, tol=tol)
+    v_x, v_y, v_mix = values.transpose(1, 0, 2)
+    worst = (v_mix - bound(table.lam[:len(values), None], v_x, v_y)).max(axis=1)
+    i = _first_failure(worst > tol, error)
+    if i is not None:
+        x, y, lam = table.triples[i]
+        return PropertyReport(
+            prop, CheckVerdict.FAIL,
+            witness={"x": _vec(x), "y": _vec(y), "lam": lam,
+                     "violation": float(worst[i])},
+            samples=i + 1, tol=tol)
     return PropertyReport(prop, CheckVerdict.PASS, samples=len(table), tol=tol)
 
 
@@ -406,7 +393,7 @@ def _atom_events(k: int) -> list[tuple[int, ...]]:
 
 def _sampled_events(k: int, budget: int, gen) -> list[tuple[int, ...]]:
     """Atoms, atom complements and the whole space, then distinct random
-    unions up to ``budget`` events (there must be more unions than that)."""
+    unions, cut at ``budget`` events (there must be more unions than that)."""
     structural = [(a,) for a in range(k)]
     structural += [tuple(b for b in range(k) if b != a) for a in range(k)]
     structural.append(tuple(range(k)))
@@ -415,7 +402,7 @@ def _sampled_events(k: int, budget: int, gen) -> list[tuple[int, ...]]:
         ev = tuple(int(a) for a in np.flatnonzero(gen.integers(0, 2, k)))
         if ev:
             events[ev] = None
-    return list(events)
+    return list(events)[:budget]
 
 
 # ---------------------------------------------------------------------------
@@ -426,28 +413,25 @@ def check_monotonicity(rho: RiskMeasureOracle, budget: int = 200,
                        tol: float = DEFAULT_CHECK_TOL, rng=0) -> PropertyReport:
     """Larger positions must not carry larger risk: X <= Y => rho(X) >= rho(Y).
 
-    One stacked call per :data:`TRIPLE_CHUNK` samples, drawn in sample order
-    (a caller's generator advances by whole chunks), rows ``X``, ``Y``.
+    All samples are drawn first, in sample order, and evaluated in one
+    stacked call, rows ``X``, ``Y``.
     """
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
     n = rho.space.n
-    for start in range(0, budget, TRIPLE_CHUNK):
-        x, delta = np.array([
-            (gen.uniform(lo, hi, n), gen.uniform(0.0, 2.0, n))
-            for _ in range(min(TRIPLE_CHUNK, budget - start))]).swapaxes(0, 1)
-        out, error = _stacked(rho, np.stack([x, x + delta], 1).reshape(-1, n))
-        rx, ry = out[:len(out) // 2 * 2].reshape(-1, 2, n).swapaxes(0, 1)
-        viol = rx - (ry - tol)
-        j = _first_failure((viol < 0).any(axis=1), error)
-        if j is not None:
-            i = int(np.argmin(viol[j]))
-            return PropertyReport(
-                "monotonicity", CheckVerdict.FAIL,
-                witness={"x": _vec(x[j]), "delta": _vec(delta[j]),
-                         "outcome": i,
-                         "violation": float(ry[j, i] - rx[j, i])},
-                samples=start + j + 1, tol=tol)
+    x, delta = np.array([(gen.uniform(lo, hi, n), gen.uniform(0.0, 2.0, n))
+                         for _ in range(budget)]).reshape(-1, 2, n).swapaxes(0, 1)
+    out, error = _stacked(rho, np.stack([x, x + delta], 1).reshape(-1, n))
+    rx, ry = out[:len(out) // 2 * 2].reshape(-1, 2, n).swapaxes(0, 1)
+    viol = rx - (ry - tol)
+    j = _first_failure((viol < 0).any(axis=1), error)
+    if j is not None:
+        i = int(np.argmin(viol[j]))
+        return PropertyReport(
+            "monotonicity", CheckVerdict.FAIL,
+            witness={"x": _vec(x[j]), "delta": _vec(delta[j]), "outcome": i,
+                     "violation": float(ry[j, i] - rx[j, i])},
+            samples=j + 1, tol=tol)
     return PropertyReport("monotonicity", CheckVerdict.PASS, samples=budget, tol=tol)
 
 
@@ -455,26 +439,25 @@ def check_translativity(rho: RiskMeasureOracle, budget: int = 200,
                         tol: float = DEFAULT_CHECK_TOL, rng=0) -> PropertyReport:
     """Adding a measurable position Z shifts the risk by exactly -Z.
 
-    Chunked as :func:`check_monotonicity` is, rows ``X + Z``, ``X``.
+    Stacked as :func:`check_monotonicity` is, rows ``X + Z``, ``X``.
     """
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
     n = rho.space.n
-    for start in range(0, budget, TRIPLE_CHUNK):
-        x, z = np.array([
-            (gen.uniform(lo, hi, n),
-             rho.sigma.from_atom_values(gen.uniform(-2.0, 2.0, rho.sigma.k)))
-            for _ in range(min(TRIPLE_CHUNK, budget - start))]).swapaxes(0, 1)
-        out, error = _stacked(rho, np.stack([x + z, x], 1).reshape(-1, n))
-        lhs, rx = out[:len(out) // 2 * 2].reshape(-1, 2, n).swapaxes(0, 1)
-        err = np.abs(lhs - (rx - z[:len(rx)])).max(axis=1)
-        j = _first_failure(err > tol, error)
-        if j is not None:
-            return PropertyReport(
-                "translativity", CheckVerdict.FAIL,
-                witness={"x": _vec(x[j]), "z": _vec(z[j]),
-                         "violation": float(err[j])},
-                samples=start + j + 1, tol=tol)
+    x, z = np.array([
+        (gen.uniform(lo, hi, n),
+         rho.sigma.from_atom_values(gen.uniform(-2.0, 2.0, rho.sigma.k)))
+        for _ in range(budget)]).reshape(-1, 2, n).swapaxes(0, 1)
+    out, error = _stacked(rho, np.stack([x + z, x], 1).reshape(-1, n))
+    lhs, rx = out[:len(out) // 2 * 2].reshape(-1, 2, n).swapaxes(0, 1)
+    err = np.abs(lhs - (rx - z[:len(rx)])).max(axis=1)
+    j = _first_failure(err > tol, error)
+    if j is not None:
+        return PropertyReport(
+            "translativity", CheckVerdict.FAIL,
+            witness={"x": _vec(x[j]), "z": _vec(z[j]),
+                     "violation": float(err[j])},
+            samples=j + 1, tol=tol)
     return PropertyReport("translativity", CheckVerdict.PASS, samples=budget, tol=tol)
 
 
@@ -488,11 +471,10 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
     When all ``2^k - 1`` atom unions fit in the budget, each round of fresh
     X, U checks every union, for ``budget // (2^k - 1)`` rounds. Otherwise
     one round checks the atoms, their complements, the whole space and then
-    distinct random unions up to the budget. ``samples`` counts the events
-    checked. A round is one stacked call per :data:`TRIPLE_CHUNK` events,
-    rows in the order of single calls: ``X`` and ``U`` first, then per event
-    the definition form and, unless the event is the whole space, the
-    two-sided form.
+    distinct random unions, ``budget`` events in all. ``samples`` counts the
+    events checked. A round is one stacked call, rows in the order of single
+    calls: ``X`` and ``U`` first, then per event the definition form and,
+    unless the event is the whole space, the two-sided form.
     """
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
@@ -503,42 +485,43 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
         events, rounds = _atom_events(k), budget // n_unions
     else:
         events, rounds = _sampled_events(k, budget, gen), 1
-    inds = np.array([rho.sigma.event_indicator(ev) for ev in events])
     # row slot 2 e + f is event e in form f (0 definition, 1 two-sided; the
-    # whole space has no two-sided form), cut into chunks of events
+    # whole space has no two-sided form)
     slots = np.flatnonzero([f == 0 or len(ev) < k
                             for ev in events for f in (0, 1)])
-    chunks = np.split(slots, np.searchsorted(
-        slots, np.arange(2 * TRIPLE_CHUNK, 2 * len(events), 2 * TRIPLE_CHUNK)))
+    two = slots % 2 == 1
+    ind = np.array([rho.sigma.event_indicator(ev) for ev in events]
+                   ).reshape(-1, n)[slots // 2]
+    off = 1 - ind[two]
+
+    def glued(a, b):
+        """``a 1_A`` per row, plus ``b 1_{A^c}`` in a two-sided row."""
+        rows = a * ind
+        rows[two] += b * off
+        return rows
+
     for r in range(rounds):
         if r:
             x, u = gen.uniform(lo, hi, n), gen.uniform(lo, hi, n)
-        for c, slot in enumerate(chunks):
-            two, ind = slot % 2 == 1, inds[slot // 2]
-            rows = np.where(two[:, None], x * ind + u * (1 - ind), x * ind)
-            if c == 0:
-                out, error = _stacked(rho, np.vstack([x, u, rows]))
-                if len(out) < 2:
-                    raise error
-                rx, ru, out = out[0], out[1], out[2:]
-            else:
-                out, error = _stacked(rho, rows)
-            two, ind = two[:len(out)], ind[:len(out)]
-            err = np.where(two[:, None],
-                           np.abs(out - (rx * ind + ru * (1 - ind))),
-                           np.abs(out * ind - rx * ind)).max(axis=1)
-            j = _first_failure(err > tol, error)
-            if j is not None:
-                e = int(slot[j] // 2)
-                witness = {"x": _vec(x)}
-                if two[j]:
-                    witness["u"] = _vec(u)
-                witness.update(event_atoms=list(events[e]),
-                               form="two-sided" if two[j] else "definition",
-                               violation=float(err[j]))
-                return PropertyReport("locality", CheckVerdict.FAIL,
-                                      witness=witness,
-                                      samples=r * len(events) + e + 1, tol=tol)
+        out, error = _stacked(rho, np.vstack([x, u, glued(x, u)]))
+        if len(out) < 2:
+            raise error
+        rx, ru, out = out[0], out[1], out[2:]
+        m = len(out)
+        got = np.where(two[:m, None], out, out * ind[:m])
+        err = np.abs(got - glued(rx, ru)[:m]).max(axis=1)
+        j = _first_failure(err > tol, error)
+        if j is not None:
+            e = int(slots[j] // 2)
+            witness = {"x": _vec(x)}
+            if two[j]:
+                witness["u"] = _vec(u)
+            witness.update(event_atoms=list(events[e]),
+                           form="two-sided" if two[j] else "definition",
+                           violation=float(err[j]))
+            return PropertyReport("locality", CheckVerdict.FAIL,
+                                  witness=witness,
+                                  samples=r * len(events) + e + 1, tol=tol)
     return PropertyReport("locality", CheckVerdict.PASS,
                           samples=rounds * len(events), tol=tol)
 
@@ -547,15 +530,14 @@ def check_convexity(rho: RiskMeasureOracle, *, triples,
                     tol: float = DEFAULT_CHECK_TOL) -> PropertyReport:
     """Componentwise Jensen inequality over the triples."""
     table = _triple_table(rho, triples)
-    return _excess_check("convexity", table, table.chunks(), _jensen_bound,
-                         tol)
+    return _excess_check("convexity", table, *table.read(), _jensen_bound, tol)
 
 
 def check_quasiconvexity(rho: RiskMeasureOracle, *, triples,
                          tol: float = DEFAULT_CHECK_TOL) -> PropertyReport:
     """Componentwise max inequality over the triples."""
     table = _triple_table(rho, triples)
-    return _excess_check("quasiconvexity", table, table.chunks(),
+    return _excess_check("quasiconvexity", table, *table.read(),
                          lambda lam, v_x, v_y: np.maximum(v_x, v_y), tol)
 
 
@@ -563,23 +545,38 @@ def check_quasiconvexity(rho: RiskMeasureOracle, *, triples,
 # natural quasiconvexity and dual scalarizations
 # ---------------------------------------------------------------------------
 
+def _mu_slopes(r_x, r_y, r_mix, tol: float):
+    """Row-wise on ``(..., k)``: the excess ``c = r_mix - r_y - tol`` that
+    each atom's half-line ``mu (r_x - r_y) >= c`` asks for, the zero-slope
+    atoms that no weight satisfies, and the lower and upper bound that each
+    atom puts on the weight (infinite where it puts none)."""
+    r_y = np.asarray(r_y, dtype=float)
+    d = np.asarray(r_x, dtype=float) - r_y
+    c = np.asarray(r_mix, dtype=float) - r_y - tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = c / d
+    return (c, (d == 0.0) & (c > 0.0), np.where(d > 0.0, q, -np.inf),
+            np.where(d < 0.0, q, np.inf))
+
+
+def _mu_infeasible(r_x, r_y, r_mix, tol: float) -> np.ndarray:
+    """Row-wise on ``(..., k)``: no mixing weight in [0, 1] satisfies every
+    atom (the mask of :func:`_mu_feasibility`'s certificates)."""
+    _, blocked, lower, upper = _mu_slopes(r_x, r_y, r_mix, tol)
+    return blocked.any(axis=-1) | (lower.max(axis=-1, initial=0.0)
+                                   > upper.min(axis=-1, initial=1.0))
+
+
 def _mu_feasibility(r_x, r_y, r_mix, tol: float
                     ) -> tuple[Optional[tuple[float, float]], Optional[dict]]:
     """The :func:`nqc_mu_interval` and ``None``, or ``None`` and a certificate:
     the first zero-slope atom no weight satisfies, or the crossing bounds with
     their binding atoms (``None`` where [0, 1] binds). Ties go to the lowest
     atom; 0 and 1 yield only to strictly tighter bounds."""
-    r_y = np.asarray(r_y, dtype=float)
-    d = np.asarray(r_x, dtype=float) - r_y
-    c = np.asarray(r_mix, dtype=float) - r_y - tol
-    blocked = np.flatnonzero((d == 0.0) & (c > 0.0))
-    if blocked.size:
-        a = int(blocked[0])
+    c, blocked, lower, upper = _mu_slopes(r_x, r_y, r_mix, tol)
+    if blocked.any():
+        a = int(np.argmax(blocked))
         return None, {"kind": "single-atom", "atom": a, "excess": float(c[a])}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = c / d
-    lower = np.where(d > 0.0, q, -np.inf)
-    upper = np.where(d < 0.0, q, np.inf)
     a, b = int(np.argmax(lower)), int(np.argmin(upper))
     lo, lo_atom = (float(lower[a]), a) if lower[a] > 0.0 else (0.0, None)
     hi, hi_atom = (float(upper[b]), b) if upper[b] < 1.0 else (1.0, None)
@@ -662,13 +659,6 @@ def separating_dual_witness(r_x, r_y, r_mix, atom_probs,
     return (best, margin) if margin > 0.0 else None
 
 
-def _each_triple(chunks):
-    """``(i, values)`` per triple of :meth:`TripleTable.chunks`, ``i``
-    counted from 1."""
-    for start, values in chunks:
-        yield from enumerate(values, start + 1)
-
-
 def check_natural_quasiconvexity(rho: RiskMeasureOracle, *, triples,
                                  tol: float = DEFAULT_CHECK_TOL
                                  ) -> PropertyReport:
@@ -679,26 +669,27 @@ def check_natural_quasiconvexity(rho: RiskMeasureOracle, *, triples,
     with its margin.
     """
     table = _triple_table(rho, triples)
-    atom_probs = rho.sigma.atom_probs(rho.space)
-    for i, risks in _each_triple(table.chunks()):
-        r_x, r_y, r_mix = rho.sigma.atom_values(risks)
-        certificate = _mu_feasibility(r_x, r_y, r_mix, tol)[1]
-        if certificate is not None:
-            x, y, lam = table.triples[i - 1]
-            witness = {
-                "x": _vec(x), "y": _vec(y), "lam": lam,
-                "r_x": _vec(r_x), "r_y": _vec(r_y), "r_mix": _vec(r_mix),
-                "certificate": certificate,
-            }
-            found = separating_dual_witness(r_x, r_y, r_mix, atom_probs, tol)
-            if found is not None:
-                z, m = found
-                witness["separating_dual"] = _vec(z)
-                witness["separating_margin"] = m
-            return PropertyReport("natural-quasiconvexity", CheckVerdict.FAIL,
-                                  witness=witness, samples=i, tol=tol)
-    return PropertyReport("natural-quasiconvexity", CheckVerdict.PASS,
-                          samples=len(table), tol=tol)
+    risks, error = table.read()
+    values = rho.sigma.atom_values(risks)
+    i = _first_failure(_mu_infeasible(*values.transpose(1, 0, 2), tol), error)
+    if i is None:
+        return PropertyReport("natural-quasiconvexity", CheckVerdict.PASS,
+                              samples=len(table), tol=tol)
+    r_x, r_y, r_mix = values[i]
+    x, y, lam = table.triples[i]
+    witness = {
+        "x": _vec(x), "y": _vec(y), "lam": lam,
+        "r_x": _vec(r_x), "r_y": _vec(r_y), "r_mix": _vec(r_mix),
+        "certificate": _mu_feasibility(r_x, r_y, r_mix, tol)[1],
+    }
+    found = separating_dual_witness(r_x, r_y, r_mix,
+                                    rho.sigma.atom_probs(rho.space), tol)
+    if found is not None:
+        z, m = found
+        witness["separating_dual"] = _vec(z)
+        witness["separating_margin"] = m
+    return PropertyReport("natural-quasiconvexity", CheckVerdict.FAIL,
+                          witness=witness, samples=i + 1, tol=tol)
 
 
 def check_star_quasiconvexity(rho: RiskMeasureOracle, *, triples,
@@ -714,8 +705,9 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle, *, triples,
     """
     table = _triple_table(rho, triples)
     atom_probs = rho.sigma.atom_probs(rho.space)
-    for i, risks in _each_triple(table.chunks()):
-        r_x, r_y, r_mix = rho.sigma.atom_values(risks)
+    risks, error = table.read()
+    for i, triple in enumerate(risks, 1):
+        r_x, r_y, r_mix = rho.sigma.atom_values(triple)
         z = _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs)
         weighted = z * atom_probs
         viol = (weighted @ r_mix
@@ -728,6 +720,8 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle, *, triples,
                 witness={"z": _vec(z[j]), "x": _vec(x), "y": _vec(y),
                          "lam": lam, "violation": float(viol[j] + tol)},
                 samples=i, tol=tol)
+    if error is not None:
+        raise error
     return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
                           samples=len(table), tol=tol)
 

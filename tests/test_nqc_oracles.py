@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qcx.riskmeasure import (DEFAULT_CHECK_TOL, _dual_candidates,
-                             _mu_feasibility, nqc_mu_interval,
+                             _mu_feasibility, _mu_infeasible, nqc_mu_interval,
                              separating_dual_witness)
 from test_triple_oracle import _simplex_grid
 
@@ -187,6 +187,26 @@ def test_lattice_triples(k):
     for _ in range(100):
         r_x, r_y, r_mix = rng.integers(-2, 3, size=(3, k)).astype(float)
         check_against_references(r_x, r_y, r_mix, atom_probs, 0.0)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_row_wise_mask_matches_the_intervals(k):
+    """One call of the row-wise mask on a stack of rows marks exactly the
+    rows whose interval is empty: small integers at tol 0 (zero slopes,
+    ties, bounds at 0 and 1) and shifted mixes as in the random triples."""
+    rng = np.random.default_rng(300 + k)
+    lattice = rng.integers(-2, 3, size=(3, 500, k)).astype(float)
+    r_x, r_y = rng.normal(size=(2, 500, k))
+    lam = rng.uniform(size=(500, 1))
+    r_mix = (lam * r_x + (1 - lam) * r_y + rng.normal(scale=0.3, size=(500, k))
+             - rng.uniform(-0.3, 0.9, size=(500, 1)))
+    seen = set()
+    for rows, tol in ((lattice, 0.0), ((r_x, r_y, r_mix), DEFAULT_CHECK_TOL)):
+        mask = _mu_infeasible(*rows, tol)
+        assert mask.tolist() == [ref_mu_interval(*row, tol) is None
+                                 for row in zip(*rows)]
+        seen.update(mask.tolist())
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("r_x, r_y, r_mix, tol, kind", [

@@ -191,9 +191,22 @@ class TestElementaryChecks:
             [{a} for a in range(k)]
         assert events[2 * k] == tuple(range(k))
         assert all(ev and ev == tuple(sorted(ev)) for ev in events)
-        # fewer unions than structural events: each is listed once
-        assert sorted(_sampled_events(2, 2, np.random.default_rng(0))) == \
-            [(0,), (0, 1), (1,)]
+        # a budget below the structural events cuts them, in order
+        assert _sampled_events(2, 2, np.random.default_rng(0)) == [(0,), (1,)]
+        assert _sampled_events(3, 5, np.random.default_rng(0)) == \
+            [(0,), (1,), (2,), (1, 2), (0, 2)]
+
+    def test_locality_budget_below_the_structural_events(self):
+        """The budget bounds the events checked even when the atoms, their
+        complements and the whole space alone outnumber it."""
+        space = FiniteProbSpace.uniform(30)
+        sigma = PartitionSigma.of(*[tuple(range(3 * i, 3 * i + 3))
+                                    for i in range(10)])
+        rep = check_locality(neg_conditional_expectation(sigma, space),
+                             budget=5)
+        assert rep.passed and rep.samples == 5
+        rep = check_locality(mean_broadcast_map(sigma, space), budget=5)
+        assert rep.failed and rep.samples == 1
 
     def test_convexity(self, space10, sigma10, triples):
         assert check_convexity(entropic_certainty_equivalent(sigma10, space10),

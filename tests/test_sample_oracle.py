@@ -5,7 +5,7 @@ translativity, locality, sensitivity and basis locality: one oracle call
 per position, in sampling order. They live here only as oracles. On random
 spaces and shuffled partitions (2-12 atoms of 1-4 outcomes, random
 probabilities), for every built-in measure and for probe measures that fail
-late, in the first or a later chunk and at the two-sided locality form, the
+early or late (past the 64th sample) and at the two-sided locality form, the
 stacked checkers must give the loops' reports, compared by ``repr`` so that
 float bits count. An oracle that raises partway through a stacked call must
 give the loop's report when a failure comes first, and the loop's error
@@ -20,13 +20,15 @@ import pytest
 from qcx.errors import NotNormalizedError, QcxError
 from qcx.l2basis import build_example_10pt, check_basis_locality
 from qcx.riskmeasure import (DEFAULT_CHECK_TOL, DEFAULT_SAMPLE_RANGE,
-                             TRIPLE_CHUNK, CheckVerdict, PropertyReport,
+                             CheckVerdict, PropertyReport,
                              RiskMeasureOracle, _atom_events, _rng,
                              _sampled_events, _vec, blind_spot_map,
                              check_locality, check_monotonicity,
                              check_sensitivity, check_translativity,
                              mean_broadcast_map, neg_conditional_expectation)
 from test_triple_oracle import indicator_block, measures, random_case
+
+LATE = 64  # a failure past this many samples or events counts as late
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +280,10 @@ def test_checkers_match_the_loops(k, seed):
             assert outcome(new) == outcome(old), (name, prop)
 
 
-def test_failures_reach_later_chunks():
-    """The cases above fail in a later chunk of samples, in the second
-    chunk of a locality round, at the two-sided form and at a later
-    ``eps``, besides failing at once."""
+def test_failures_come_early_and_late():
+    """The cases above fail past the 64th sample, past the 64th event of a
+    locality round, at the two-sided form and at a later ``eps``, besides
+    failing at once."""
     seen = set()
     for k, seed in CASES:
         space, sigma, rng = random_case(k, seed)
@@ -295,10 +297,10 @@ def test_failures_reach_later_chunks():
                 except NotNormalizedError:
                     continue
                 if rep.failed:
-                    chunk = (rep.samples - 1) // TRIPLE_CHUNK
+                    late = rep.samples > LATE
                     if prop == "locality":
-                        chunk = (rep.samples - 1) % n_events // TRIPLE_CHUNK
-                    seen.add((prop, chunk > 0, rep.witness.get("form")))
+                        late = (rep.samples - 1) % n_events >= LATE
+                    seen.add((prop, late, rep.witness.get("form")))
     for prop in ("monotonicity", "translativity", "sensitivity"):
         assert {(prop, False, None), (prop, True, None)} <= seen, prop
     assert {("locality", False, "definition"), ("locality", True, "definition"),

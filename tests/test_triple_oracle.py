@@ -24,19 +24,22 @@ import pytest
 from qcx.errors import NotGMeasurableError
 from qcx.l2basis import (blocks_from_generators, check_basis_locality,
                          check_convexity_wrt_preorder, check_nqc_wrt_preorder)
-from qcx.riskmeasure import (DEFAULT_CHECK_TOL, TRIPLE_CHUNK, CheckVerdict,
+from qcx.riskmeasure import (DEFAULT_CHECK_TOL, CheckVerdict,
                              PropertyReport, RiskMeasureOracle, TripleTable,
                              _dual_candidates, _mu_feasibility, _rng, _vec,
                              blind_spot_map, certainty_equivalent,
                              check_convexity, check_natural_quasiconvexity,
                              check_quasiconvexity, check_star_quasiconvexity,
-                             conditional_expectation_map, cubed_mean_map,
-                             entropic_certainty_equivalent, mean_broadcast_map,
-                             neg_conditional_expectation, sample_triples,
-                             separating_dual_witness, sqrt_log_map)
+                             check_locality, check_monotonicity,
+                             check_translativity, conditional_expectation_map,
+                             cubed_mean_map, entropic_certainty_equivalent,
+                             mean_broadcast_map, neg_conditional_expectation,
+                             sample_triples, separating_dual_witness,
+                             sqrt_log_map)
 from qcx.spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
 
-TRIPLES = 70  # two chunks
+TRIPLES = 70
+LATE = 64  # a failure past this many triples counts as late
 TOL = DEFAULT_CHECK_TOL
 
 
@@ -233,7 +236,7 @@ def indicator_block(space, sigma):
 
 def triple_lists(space, rng):
     """Sampled triples, and the same after 70 triples with ``X == Y`` (no
-    check can fail there), so that a first failure lands in chunk two."""
+    check can fail there), so that a first failure comes late."""
     triples = sample_triples(space, rng, TRIPLES)
     flat = [(x, x.copy(), lam) for x, _, lam in sample_triples(space, rng, 70)]
     return {"sampled": triples, "late": flat + triples[:30]}
@@ -246,6 +249,11 @@ def star_fields(rep):
     """What the star check reports, compared by ``repr``: ``details`` is
     left out, as only ``ref_star`` counts its dual samples there."""
     return repr((rep.prop, rep.verdict, rep.samples, rep.witness, rep.tol))
+
+
+def _first_fail(rep):
+    """The triple a report fails at, a pass counting as one past the last."""
+    return rep.samples + rep.passed
 
 
 @pytest.mark.parametrize("k,seed", CASES)
@@ -274,12 +282,16 @@ def test_checkers_match_the_loops(k, seed):
                     (check_convexity_wrt_preorder(rho, block, triples=table),
                      ref_convexity_wrt_preorder(rho, block, triples)),
                 ]
+                # convex implies nqc per triple, in e-coordinates too, so
+                # the preorder convexity check fails no later
+                nqc, conv = (new for new, _ in pairs[-2:])
+                assert _first_fail(conv) <= _first_fail(nqc), (name, kind)
             for new, old in pairs:
                 same = (star_fields if new.prop == "star-quasiconvexity"
                         else repr)
                 assert same(new) == same(old), (name, kind, new.prop)
-                verdicts.add((new.verdict, kind, new.samples > TRIPLE_CHUNK))
-    # both verdicts are exercised, and failures beyond the first chunk too
+                verdicts.add((new.verdict, kind, new.samples > LATE))
+    # both verdicts are exercised, and late failures too
     assert (CheckVerdict.PASS, "sampled", True) in verdicts
     assert (CheckVerdict.FAIL, "sampled", False) in verdicts
     assert (CheckVerdict.FAIL, "late", True) in verdicts
@@ -371,6 +383,18 @@ def test_bad_triple_raises_when_read():
     # star fails before triple 101, from the partly filled table
     assert star_fields(check_star_quasiconvexity(bad, triples=table)) == \
         star_fields(ref_star(bad, triples))
+    # on a convex measure every check reaches the bad triple and raises
+    convex = RiskMeasureOracle("marked-neg-cond-exp", lambda v: np.where(
+        v[..., :1] > 100, v, -conditional_expectation(v, sigma, space)),
+        sigma, space)
+    table = TripleTable(convex, triples)
+    for check, ref in ((check_convexity, ref_convexity),
+                       (check_quasiconvexity, ref_quasiconvexity),
+                       (check_natural_quasiconvexity, ref_nqc),
+                       (check_star_quasiconvexity, ref_star)):
+        expected = _raised(lambda: ref(convex, triples))
+        assert expected[0] is NotGMeasurableError
+        assert _raised(lambda: check(convex, triples=table)) == expected
     # a measure that is bad on every X is bad at the first row
     assert _raised(lambda: check_convexity(marked, triples=[
         (np.full(sigma.n, 2000.0), y, lam)]))[0] is ValueError
@@ -378,30 +402,40 @@ def test_bad_triple_raises_when_read():
 
 def _filled(table: TripleTable) -> int:
     """The number of triples the table has evaluated so far."""
-    return sum(map(len, table._risks))
+    return 0 if table._read is None else len(table._read[0])
 
 
-def test_early_failure_evaluates_one_chunk():
-    space, sigma, _ = random_case(4, 3)
+def _counted(rho):
+    """``rho`` with a list of the rows of each oracle call."""
     calls = []
 
     def fn(x):
-        calls.append(x.size // sigma.n)
-        return cubed_mean_map(sigma, space).fn(x)
+        calls.append(x.size // rho.sigma.n)
+        return rho.fn(x)
 
-    rho = RiskMeasureOracle("counted", fn, sigma, space)
-    rng = np.random.default_rng(0)
-    flat = [(x, x.copy(), 0.5) for x, _, _ in sample_triples(space, rng, 2)]
-    bad = next(t for t in sample_triples(space, rng, 50)
-               if ref_convexity(rho, [t]).failed)
-    triples = flat + [bad] + sample_triples(space, rng, 300)
+    return RiskMeasureOracle("counted", fn, rho.sigma, rho.space), calls
+
+
+def test_each_check_makes_one_oracle_call():
+    """At k = 10 and budget 200, monotonicity, translativity, a locality
+    round and the triple table each make one stacked oracle call, also when
+    a check fails early; a table that no check reads makes none."""
+    space, sigma, _ = random_case(10, 3)
+    rho, calls = _counted(cubed_mean_map(sigma, space))
+    for check in (check_monotonicity, check_translativity, check_locality):
+        calls.clear()
+        check(rho, budget=200)
+        assert len(calls) == 1, check.__name__
+    assert calls == [2 + 2 * 200 - 1]  # X, U, 200 events, 199 two-sided
     calls.clear()
-    table = TripleTable(rho, triples)
-    rep = check_convexity(rho, triples=table)
-    assert rep.failed and rep.samples == 3
-    assert calls == [3 * TRIPLE_CHUNK] and _filled(table) == TRIPLE_CHUNK
-    assert check_natural_quasiconvexity(rho, triples=table).samples <= 3
-    assert calls == [3 * TRIPLE_CHUNK]
+    table = TripleTable(rho, sample_triples(space, 0, 200))
+    assert calls == [] and _filled(table) == 0
+    reports = [check(rho, triples=table) for check in (
+        check_convexity, check_quasiconvexity, check_natural_quasiconvexity,
+        check_star_quasiconvexity)]
+    # convexity fails early, and the table is still read whole, once
+    assert reports[0].failed and reports[0].samples < 10
+    assert calls == [3 * 200] and _filled(table) == 200
 
 
 def test_table_of_another_measure_is_refused():
