@@ -313,6 +313,15 @@ def _read(cp, section: str, key: str):
     raise ConfigError(f"missing key {key!r} in [{section}]")
 
 
+def _read_distinct(cp, section: str, key: str) -> list:
+    """:func:`_read` of names that key the report: a repeat is an error."""
+    values = _read(cp, section, key)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"[{section}] {key}: {value!r} is listed twice")
+    return values
+
+
 def _one_of(cp, section: str, keys: tuple[str, ...]):
     """The value of the one of ``keys`` that ``[section]`` sets; setting
     none of them, or more than one, is an error."""
@@ -399,10 +408,7 @@ def build_measure(cp, name: str, sigma: PartitionSigma,
 # ---------------------------------------------------------------------------
 
 def cmd_index(cp, seed: int, csv: Optional[TextIO]) -> dict:
-    names = _read(cp, "index", "function")
-    twice = [name for i, name in enumerate(names) if name in names[:i]]
-    if twice:  # results are keyed by name
-        raise ConfigError(f"[index] function: {twice[0]!r} is listed twice")
+    names = _read_distinct(cp, "index", "function")
     lambda_cap = _read(cp, "index", "lambda_cap")
     tol = _read(cp, "index", "tol")
     results = {}
@@ -478,7 +484,7 @@ def cmd_risk_check(cp, seed: int) -> dict:
     space = build_space(cp)
     sigma = build_partition(cp, space.n)
     rho = build_measure(cp, _read(cp, "risk-check", "measure"), sigma, space)
-    props = _read(cp, "risk-check", "properties")
+    props = _read_distinct(cp, "risk-check", "properties")
     budget = _read(cp, "risk-check", "budget")
     tol = _read(cp, "risk-check", "tol")
     # one table: the four triple checks evaluate each triple once

@@ -13,9 +13,9 @@ exact per sampled triple: feasibility of the mixing weight reduces to an
 interval intersection, and infeasibility is certified either by a
 contradictory pair of atom constraints or by a separating nonnegative dual
 vector whose scalarization violates quasiconvexity at the same triple. The
-star check is exact per triple too: the best nonnegative dual vector solves
-a linear program with two inequality rows, so it tests only that program's
-basic solutions (atom vertices and two-atom edge points).
+star check is exact per triple too: the best such vector solves a linear
+program with two inequality rows, whose basic solutions (atom vertices and
+two-atom edge points) it tests, their values in closed form.
 
 Every sampled checker evaluates stacked rows: one oracle call for all its
 samples (per locality round, per sensitivity ``eps``), in the order of
@@ -25,8 +25,7 @@ reports equal those of one call per row. The six triple checkers
 two preorder checks of :mod:`qcx.l2basis`) take the caller's triples,
 ``triples=`` a list from :func:`sample_triples` or a shared
 :class:`TripleTable`: ``rho`` of every ``X``, ``Y`` and mix, evaluated in
-one call when a checker first reads it. All but the star check decide every
-triple at once.
+one call when a checker first reads it. Each decides every triple at once.
 """
 
 from __future__ import annotations
@@ -599,46 +598,41 @@ def nqc_mu_interval(r_x: np.ndarray, r_y: np.ndarray, r_mix: np.ndarray,
 
 
 @functools.lru_cache(maxsize=64)
-def _atom_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(k, 1)``, computed once per ``k`` and read-only."""
-    pairs = np.triu_indices(k, 1)
-    for a in pairs:
+def _candidate_atoms(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms ``a``, ``b`` of each dual candidate: ``(a, a)`` for each
+    vertex, then each pair ``a < b`` in ``np.triu_indices`` order. Computed
+    once per ``k`` and read-only."""
+    atoms = tuple(np.concatenate([np.arange(k), pair])
+                  for pair in np.triu_indices(k, 1))
+    for a in atoms:
         a.setflags(write=False)
-    return pairs
+    return atoms
 
 
-def _dual_candidates(u, v, p) -> np.ndarray:
-    """Vertices plus two-atom kink points of the piecewise-linear margin.
-
-    Rows are normalized by the atom probabilities to ``sum_a p_a z_a = 1``:
-    each vertex ``e_a / p_a``, then for each pair ``a < b`` the edge point
-    where ``E[Z u] = E[Z v]`` (``u = r_mix - r_x``, ``v = r_mix - r_y``).
-    Maximizing ``min(E[Z u], E[Z v])`` over the simplex is a linear program
-    with two inequality rows, so these basic solutions contain an optimum.
-    """
-    k = len(p)
+def _dual_values(u, v, *rs) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Row-wise on ``(..., k)``, the basic solutions of ``max_Z min(E[Z u],
+    E[Z v])`` over ``Z >= 0``, ``E[Z] = 1``, which contain an optimum: per
+    :func:`_candidate_atoms` pair the point ``s e_a / p_a + (1 - s) e_b /
+    p_b``, at ``s = 1`` for a vertex and where ``E[Z u] = E[Z v]`` for an
+    edge. Returns ``s`` (NaN off the edge) and, for each ``r`` of ``rs``,
+    every candidate's ``E[Z r] = s r_a + (1 - s) r_b``."""
+    k = u.shape[-1]
+    a, b = _candidate_atoms(k)
     w = u - v
-    a, b = _atom_pairs(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = (v[b] - u[b]) / (w[a] - w[b])
-    on_edge = (s >= 0.0) & (s <= 1.0)  # a zero denominator gives inf or nan
-    a, b, s = a[on_edge], b[on_edge], s[on_edge]
-    z = np.zeros((k + len(s), k))
-    z[np.arange(k), np.arange(k)] = 1.0 / p
-    rows = np.arange(k, k + len(s))
-    z[rows, a] = s / p[a]
-    z[rows, b] = (1.0 - s) / p[b]
+        s = (v[..., b] - u[..., b]) / (w[..., a] - w[..., b])
+    s[..., :k] = 1.0
+    s[~((s >= 0.0) & (s <= 1.0))] = np.nan  # a zero denominator too
+    return s, [s * r[..., a] + (1.0 - s) * r[..., b] for r in rs]
+
+
+def _dual_vector(j: int, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Candidate ``j`` of :func:`_dual_values`, given its row of ``s``."""
+    a, b = (atoms[j] for atoms in _candidate_atoms(len(p)))
+    z = np.zeros(len(p))
+    z[b] = (1.0 - s[j]) / p[b]
+    z[a] = s[j] / p[a]  # a vertex has a == b
     return z
-
-
-def _best_dual(r_x, r_y, r_mix, atom_probs) -> tuple[np.ndarray, float]:
-    """The candidate maximizing ``min(E[Z u], E[Z v])``, with that margin."""
-    p = np.asarray(atom_probs, dtype=float)
-    u = np.asarray(r_mix) - np.asarray(r_x)
-    v = np.asarray(r_mix) - np.asarray(r_y)
-    z = _dual_candidates(u, v, p)
-    best = z[int(np.argmax(np.minimum((z * p) @ u, (z * p) @ v)))]
-    return best, min(float(np.dot(p * best, u)), float(np.dot(p * best, v)))
 
 
 def separating_dual_witness(r_x, r_y, r_mix, atom_probs,
@@ -655,8 +649,15 @@ def separating_dual_witness(r_x, r_y, r_mix, atom_probs,
     """
     if nqc_mu_interval(r_x, r_y, r_mix, tol) is not None:
         return None
-    best, margin = _best_dual(r_x, r_y, r_mix, atom_probs)
-    return (best, margin) if margin > 0.0 else None
+    u = np.asarray(r_mix, dtype=float) - r_x
+    v = np.asarray(r_mix, dtype=float) - r_y
+    s, (e_u, e_v) = _dual_values(u, v, u, v)
+    margins = np.minimum(e_u, e_v)
+    if not np.fmax.reduce(margins) > 0.0:  # NaN off the edge
+        return None
+    j = int(np.nanargmax(margins))
+    return (_dual_vector(j, s, np.asarray(atom_probs, dtype=float)),
+            float(margins[j]))
 
 
 def check_natural_quasiconvexity(rho: RiskMeasureOracle, *, triples,
@@ -699,31 +700,29 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle, *, triples,
     A dual vector ``Z >= 0``, normalized to ``E[Z] = 1``, violates
     quasiconvexity at a triple by ``E[Z r_mix] - max(E[Z r_x], E[Z r_y])``.
     Maximizing that over ``Z`` is a linear program with two inequality rows,
-    so its basic solutions (:func:`_dual_candidates`: the atom vertices and
-    the two-atom edge points) contain an optimum, and testing them tests
-    every ``Z``. The witness is the first candidate of largest violation.
+    so its basic solutions (:func:`_dual_values`: the atom vertices and the
+    two-atom edge points) contain an optimum, and testing them tests every
+    ``Z``. All triples are decided at once; the witness is the first
+    candidate of largest violation at the first failing triple.
     """
     table = _triple_table(rho, triples)
-    atom_probs = rho.sigma.atom_probs(rho.space)
     risks, error = table.read()
-    for i, triple in enumerate(risks, 1):
-        r_x, r_y, r_mix = rho.sigma.atom_values(triple)
-        z = _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs)
-        weighted = z * atom_probs
-        viol = (weighted @ r_mix
-                - np.maximum(weighted @ r_x, weighted @ r_y) - tol)
-        j = int(np.argmax(viol))
-        if viol[j] > 0:
-            x, y, lam = table.triples[i - 1]
-            return PropertyReport(
-                "star-quasiconvexity", CheckVerdict.FAIL,
-                witness={"z": _vec(z[j]), "x": _vec(x), "y": _vec(y),
-                         "lam": lam, "violation": float(viol[j] + tol)},
-                samples=i, tol=tol)
-    if error is not None:
-        raise error
-    return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
-                          samples=len(table), tol=tol)
+    r_x, r_y, r_mix = rho.sigma.atom_values(risks).transpose(1, 0, 2)
+    s, (e_x, e_y, e_mix) = _dual_values(r_mix - r_x, r_mix - r_y,
+                                        r_x, r_y, r_mix)
+    viol = e_mix - np.maximum(e_x, e_y) - tol  # NaN off the edge
+    i = _first_failure(np.fmax.reduce(viol, axis=-1) > 0, error)
+    if i is None:
+        return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
+                              samples=len(table), tol=tol)
+    j = int(np.nanargmax(viol[i]))
+    z = _dual_vector(j, s[i], rho.sigma.atom_probs(rho.space))
+    x, y, lam = table.triples[i]
+    return PropertyReport(
+        "star-quasiconvexity", CheckVerdict.FAIL,
+        witness={"z": _vec(z), "x": _vec(x), "y": _vec(y), "lam": lam,
+                 "violation": float(viol[i, j] + tol)},
+        samples=i + 1, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -780,30 +779,21 @@ def check_assumption_nonconstant(rho: RiskMeasureOracle, rng=0) -> PropertyRepor
     summed over atoms.
     """
     gen = _rng(rng)
-    p = rho.space.p
-    ones = np.ones(rho.space.n)
+    p, n = rho.space.p, rho.space.n
+    constant = [(c * np.ones(n), d * np.ones(n))
+                for c, d in ((0.0, 1.0), (0.0, -1.0), (-1.0, 2.0))]
     checked = 0
     for ai in range(rho.sigma.k):
         ind = rho.sigma.indicator(ai)
-
-        def scal(x: np.ndarray) -> float:
-            return float(np.dot(p, rho(x) * ind))
-
-        found = False
-        tried = 0
-        for x1, x2 in [(0.0, 1.0), (0.0, -1.0), (-1.0, 2.0)]:
-            tried += 1
-            if abs(scal(x1 * ones) - scal(x2 * ones)) > NONCONSTANT_TOL:
-                found = True
+        drawn = ((gen.uniform(-3, 3, n), gen.uniform(-3, 3, n))
+                 for _ in itertools.count())  # drawn only when reached
+        for pair in itertools.islice(itertools.chain(constant, drawn),
+                                     NONCONSTANT_PROBES):
+            checked += 1
+            a, b = (float(np.dot(p, rho(x) * ind)) for x in pair)
+            if abs(a - b) > NONCONSTANT_TOL:
                 break
-        while not found and tried < NONCONSTANT_PROBES:
-            a = gen.uniform(-3, 3, rho.space.n)
-            b = gen.uniform(-3, 3, rho.space.n)
-            if abs(scal(a) - scal(b)) > NONCONSTANT_TOL:
-                found = True
-            tried += 1
-        checked += tried
-        if not found:
+        else:
             return PropertyReport(
                 "assumption-nonconstant", CheckVerdict.FAIL,
                 witness={"atom": ai}, samples=checked, tol=NONCONSTANT_TOL)

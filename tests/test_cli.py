@@ -335,6 +335,16 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert "[index] function" in err and "'s' is listed twice" in err
 
+    def test_repeated_risk_check_property(self, tmp_path, capsys):
+        """A property named twice in ``[risk-check] properties`` is a config
+        error; it used to run twice on two streams and keep the second
+        report only, so a failure of the first run was lost."""
+        assert run_changed(tmp_path, "risk-check", "risk-check", {
+            "properties": "monotonicity monotonicity star"}) == 64
+        err = capsys.readouterr().err
+        assert ("[risk-check] properties: 'monotonicity' is listed twice"
+                in err)
+
     def test_undeclared_function(self, tmp_path):
         cfg = tmp_path / "u.ini"
         cfg.write_text("[index]\nfunction = ghost\n")

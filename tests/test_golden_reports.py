@@ -13,6 +13,10 @@ the sum at every mix of the product grid, and the index reports and sweeps
 by the one whose pair table and ``compute_index`` still took the
 interpolation weights as a parameter, so batching, lookups and fixed
 constants are held to byte identity here without running the benchmark.
+The one exception is the nqc ``separating_margin`` of the cubed-mean and
+sqrt-log reports, rewritten once when the dual candidates' values moved
+from matrix products to closed form (it moved by at most 2.1e-16
+relative).
 To write them anew (only when a report is meant to change)::
 
     PYTHONPATH=src python tests/test_golden_reports.py

@@ -1,9 +1,9 @@
-"""Every public name of ``src/qcx`` has a caller outside the test suite.
+"""Every name that ``src/qcx`` defines has a caller outside the test suite.
 
-A public module-level function or class, or a public method, must be named
-somewhere in ``src/qcx``, ``demos/`` or ``bench/`` besides its own
-definition. A name that only tests call is a test-side reference and lives
-next to the test that uses it. Names count as they appear in code: as a
+A module-level function or class, public or private, or a public method,
+must be named somewhere in ``src/qcx``, ``demos/`` or ``bench/`` besides its
+own definition. A name that only tests call is a test-side reference and
+lives next to the test that uses it. Names count as they appear in code: as a
 name, an attribute, an import, or a word of a string constant (the traced
 benchmark declares its spans as strings); docstrings do not count.
 """
@@ -16,16 +16,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qcx"
 
 
-def public_definitions() -> list[str]:
-    """``module:name`` and ``module:Class.method`` for every public
-    definition in the package."""
+def definitions() -> list[str]:
+    """``module:name`` for every module-level function and class of the
+    package, and ``module:Class.method`` for every public method."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_"):
-                found.append(f"{path.stem}:{node.name}")
+            found.append(f"{path.stem}:{node.name}")
             if isinstance(node, ast.ClassDef):
                 found += [f"{path.stem}:{node.name}.{sub.name}"
                           for sub in node.body
@@ -63,8 +62,19 @@ def used_names() -> set[str]:
     return used
 
 
-def test_every_public_name_has_a_caller_outside_tests():
+def unused(private: bool) -> list[str]:
+    """The definitions, private or public, that nothing outside the tests
+    names."""
     used = used_names()
-    unused = [d for d in public_definitions()
-              if d.partition(":")[2].rpartition(".")[2] not in used]
-    assert unused == []
+    names = [(d, d.partition(":")[2].rpartition(".")[2])
+             for d in definitions()]
+    return [d for d, name in names
+            if name.startswith("_") == private and name not in used]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    assert unused(private=False) == []
+
+
+def test_every_private_name_has_a_caller_outside_tests():
+    assert unused(private=True) == []

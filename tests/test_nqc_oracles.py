@@ -2,18 +2,20 @@
 
 The reference functions below are the earlier loop implementations of the
 mixing-weight interval, the infeasibility certificate, the minimax depth
-(enumeration of pairwise crossing weights), the dual candidate list and the
-grid/Dirichlet/blend-refinement search for a separating dual vector. They
-live here only as oracles.
+(enumeration of pairwise crossing weights), the dual candidates as a matrix
+of dual vectors (the star check's reference in ``test_triple_oracle`` uses
+it too) and the grid/Dirichlet/blend-refinement search for a separating dual
+vector. They live here only as oracles. The closed-form candidate values
+must match the matrix products within rel 1e-9, and the chosen dual vector
+the matrix row bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from qcx.riskmeasure import (DEFAULT_CHECK_TOL, _dual_candidates,
+from qcx.riskmeasure import (DEFAULT_CHECK_TOL, _dual_values, _dual_vector,
                              _mu_feasibility, _mu_infeasible, nqc_mu_interval,
                              separating_dual_witness)
-from test_triple_oracle import _simplex_grid
 
 TRIPLES_PER_K = 300
 
@@ -69,7 +71,27 @@ def ref_depth(r_x, r_y, r_mix):
                for mu in mus)
 
 
+def _simplex_grid(k: int, per_edge: int) -> np.ndarray:
+    """Lattice points of the unit simplex in R^k (plain coordinates)."""
+    if k == 1:
+        return np.array([[1.0]])
+    if k == 2:
+        t = np.linspace(0.0, 1.0, per_edge)
+        return np.stack([t, 1 - t], axis=1)
+    if k == 3:
+        pts = []
+        for i in range(per_edge):
+            for j in range(per_edge - i):
+                a = i / (per_edge - 1)
+                b = j / (per_edge - 1)
+                pts.append((a, b, 1.0 - a - b))
+        return np.array(pts)
+    raise ValueError("grid construction is used for at most 3 atoms")
+
+
 def ref_candidates(r_x, r_y, r_mix, atom_probs):
+    """The LP basic solutions as a matrix of dual vectors, one per row: the
+    vertices ``e_a / p_a``, then the on-edge points of each pair ``a < b``."""
     k = len(atom_probs)
     u = r_mix - r_x
     v = r_mix - r_y
@@ -130,6 +152,23 @@ def ref_search(r_x, r_y, r_mix, atom_probs, tol, per_edge=33,
     return best, best_margin
 
 
+def check_candidates(r_x, r_y, r_mix, atom_probs):
+    """The closed-form kernel against the matrix of dual vectors: the
+    on-edge candidates are the matrix rows bit for bit, and each value
+    ``E[Z r]`` is ``(z * p) @ r`` within rel 1e-9."""
+    u, v = r_mix - r_x, r_mix - r_y
+    rs = (r_x, r_y, r_mix, u, v)
+    s, values = _dual_values(u, v, *rs)
+    kept = np.flatnonzero(~np.isnan(s))
+    assert all(np.array_equal(np.isnan(e), np.isnan(s)) for e in values)
+    cands = ref_candidates(r_x, r_y, r_mix, atom_probs)
+    assert np.array([_dual_vector(j, s, atom_probs) for j in kept]
+                    ).reshape(cands.shape).tobytes() == cands.tobytes()
+    for r, e in zip(rs, values):
+        np.testing.assert_allclose(e[kept], (cands * atom_probs) @ r,
+                                   rtol=1e-9, atol=1e-12)
+
+
 def check_against_references(r_x, r_y, r_mix, atom_probs, tol):
     """Assert every kernel output equals its reference; True if infeasible."""
     interval = nqc_mu_interval(r_x, r_y, r_mix, tol)
@@ -141,15 +180,24 @@ def check_against_references(r_x, r_y, r_mix, atom_probs, tol):
         assert repr(certificate) == repr(ref_certificate(r_x, r_y, r_mix, tol))
     else:
         assert certificate is None
-    np.testing.assert_array_equal(
-        _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs),
-        ref_candidates(r_x, r_y, r_mix, atom_probs))
+    check_candidates(r_x, r_y, r_mix, atom_probs)
     found = separating_dual_witness(r_x, r_y, r_mix, atom_probs, tol)
     if interval is not None:
         assert found is None
         return False
     assert found is not None
     z, margin = found
+    # the chosen vector is the matrix argmax bit for bit, or, where the
+    # best margins tie in exact arithmetic and the products' rounding picks
+    # among them, one of the tied rows
+    u, v = r_mix - r_x, r_mix - r_y
+    cands = ref_candidates(r_x, r_y, r_mix, atom_probs)
+    weighted = cands * atom_probs
+    margins = np.minimum(weighted @ u, weighted @ v)
+    tied = {row.tobytes() for row in cands[margins >= margins.max() - 1e-12]}
+    assert z.tobytes() in tied
+    if len(tied) == 1:
+        assert z.tobytes() == cands[int(np.argmax(margins))].tobytes()
     assert (z >= 0).all() and float(np.dot(atom_probs, z)) == pytest.approx(1.0)
     assert margin == pytest.approx(ref_depth(r_x, r_y, r_mix),
                                    rel=1e-9, abs=1e-12)

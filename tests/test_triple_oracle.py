@@ -3,7 +3,7 @@
 The ``ref_*`` checkers are the earlier implementations of the six triple
 checkers: one Python iteration per triple, calling ``rho`` on ``X``, ``Y``
 and the mix each time. They live here only as oracles. On random spaces and
-shuffled partitions (2-12 atoms of 1-4 outcomes, random probabilities) and
+shuffled partitions (2-14 atoms of 1-4 outcomes, random probabilities) and
 for every built-in measure, the table-based checkers must give the loops'
 reports, compared by ``repr`` so that float bits count, both when a check
 passes and when it fails early (the two preorder checks up to 4 atoms, as
@@ -13,10 +13,15 @@ raise what its own call raises.
 
 ``ref_star`` also keeps the earlier dual set: a 51-per-edge simplex grid
 through 3 atoms, the vertices and 512 Dirichlet draws beyond, tested beside
-each triple's LP basic solutions. The star check tests only the basic
-solutions, so it must match ``ref_star`` on verdict, ``samples``, witness
-and ``tol``; the sampled set never finds a larger violation.
+each triple's LP basic solutions, all as rows of one matrix of dual vectors
+(``ref_candidates``) with matrix-vector products. The star check tests only
+the basic solutions and takes their values in closed form, so it must match
+``ref_star`` on verdict, ``samples``, ``tol`` and the witness ``z``, ``x``,
+``y`` and ``lam`` by ``repr``, and on the witness ``violation`` within rel
+1e-9; the sampled set never finds a larger violation.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from qcx.l2basis import (blocks_from_generators, check_basis_locality,
                          check_convexity_wrt_preorder, check_nqc_wrt_preorder)
 from qcx.riskmeasure import (DEFAULT_CHECK_TOL, CheckVerdict,
                              PropertyReport, RiskMeasureOracle, TripleTable,
-                             _dual_candidates, _mu_feasibility, _rng, _vec,
+                             _dual_values, _mu_feasibility, _rng, _vec,
                              blind_spot_map, certainty_equivalent,
                              check_convexity, check_natural_quasiconvexity,
                              check_quasiconvexity, check_star_quasiconvexity,
@@ -37,6 +42,8 @@ from qcx.riskmeasure import (DEFAULT_CHECK_TOL, CheckVerdict,
                              sample_triples, separating_dual_witness,
                              sqrt_log_map)
 from qcx.spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
+from test_nqc_oracles import (_simplex_grid, check_against_references,
+                              ref_candidates)
 
 TRIPLES = 70
 LATE = 64  # a failure past this many triples counts as late
@@ -101,24 +108,6 @@ def ref_nqc(rho, triples, tol=TOL):
                           samples=len(triples), tol=tol)
 
 
-def _simplex_grid(k: int, per_edge: int) -> np.ndarray:
-    """Lattice points of the unit simplex in R^k (plain coordinates)."""
-    if k == 1:
-        return np.array([[1.0]])
-    if k == 2:
-        t = np.linspace(0.0, 1.0, per_edge)
-        return np.stack([t, 1 - t], axis=1)
-    if k == 3:
-        pts = []
-        for i in range(per_edge):
-            for j in range(per_edge - i):
-                a = i / (per_edge - 1)
-                b = j / (per_edge - 1)
-                pts.append((a, b, 1.0 - a - b))
-        return np.array(pts)
-    raise ValueError("grid construction is used for at most 3 atoms")
-
-
 def ref_star(rho, triples, tol=TOL, rng=0, budget_z=512):
     atom_probs = rho.sigma.atom_probs(rho.space)
     k = rho.sigma.k
@@ -132,7 +121,7 @@ def ref_star(rho, triples, tol=TOL, rng=0, budget_z=512):
         r_x = rho.atom_values(x)
         r_y = rho.atom_values(y)
         r_mix = rho.atom_values(lam * x + (1 - lam) * y)
-        kinks = _dual_candidates(r_mix - r_x, r_mix - r_y, atom_probs)
+        kinks = ref_candidates(r_x, r_y, r_mix, atom_probs)
         zs = np.vstack([z_set, kinks])
         weighted = np.vstack([weighted_set, kinks * atom_probs])
         viol = weighted @ r_mix - np.maximum(weighted @ r_x, weighted @ r_y) - tol
@@ -242,13 +231,27 @@ def triple_lists(space, rng):
     return {"sampled": triples, "late": flat + triples[:30]}
 
 
-CASES = [(k, 500 + k) for k in (2, 3, 4, 6, 8, 10, 12)]
+CASES = [(k, 500 + k) for k in (2, 3, 4, 6, 8, 10, 12, 14)]
 
 
 def star_fields(rep):
-    """What the star check reports, compared by ``repr``: ``details`` is
-    left out, as only ``ref_star`` counts its dual samples there."""
-    return repr((rep.prop, rep.verdict, rep.samples, rep.witness, rep.tol))
+    """What the star check reports but the witness ``violation``, by
+    ``repr``, and that violation. ``details`` is left out, as only
+    ``ref_star`` counts its dual samples there."""
+    witness = dict(rep.witness) if rep.witness else None
+    violation = witness.pop("violation") if witness else None
+    fields = (rep.prop, rep.verdict, rep.samples, witness, rep.tol)
+    return repr(fields), violation
+
+
+def same_star(new, old) -> bool:
+    """Equal star reports, the violation within rel 1e-9: the check takes
+    ``E[Z r]`` in closed form, the reference from matrix products."""
+    (fields, violation), (ref_fields, ref_violation) = (star_fields(new),
+                                                       star_fields(old))
+    return fields == ref_fields and (
+        violation == ref_violation
+        or math.isclose(violation, ref_violation, rel_tol=1e-9))
 
 
 def _first_fail(rep):
@@ -287,14 +290,125 @@ def test_checkers_match_the_loops(k, seed):
                 nqc, conv = (new for new, _ in pairs[-2:])
                 assert _first_fail(conv) <= _first_fail(nqc), (name, kind)
             for new, old in pairs:
-                same = (star_fields if new.prop == "star-quasiconvexity"
-                        else repr)
-                assert same(new) == same(old), (name, kind, new.prop)
+                if new.prop == "star-quasiconvexity":
+                    assert same_star(new, old), (name, kind)
+                else:
+                    assert repr(new) == repr(old), (name, kind, new.prop)
                 verdicts.add((new.verdict, kind, new.samples > LATE))
     # both verdicts are exercised, and late failures too
     assert (CheckVerdict.PASS, "sampled", True) in verdicts
     assert (CheckVerdict.FAIL, "sampled", False) in verdicts
     assert (CheckVerdict.FAIL, "late", True) in verdicts
+
+
+def _squared_gap_measure(sigma, space, atom, pair):
+    """``-E[X|G]``, except ``-(X_i - X_j)^2`` on ``atom`` for the outcome
+    ``pair = (i, j)``: not quasiconvex there, and equal at ``X`` and ``Y``
+    whenever their gaps are opposite."""
+    i, j = pair
+    on_atom = sigma.labels == atom
+
+    def fn(x):
+        gap = -(x[..., i:i + 1] - x[..., j:j + 1]) ** 2
+        out = -conditional_expectation(x, sigma, space)
+        return np.where(on_atom, gap, out)
+
+    return RiskMeasureOracle("squared-gap", fn, sigma, space)
+
+
+def test_star_on_one_atom():
+    """One atom has no edge points: the star check is the quasiconvexity
+    check of the atom value, and matches the reference."""
+    space, sigma, rng = random_case(1, 601)
+    assert space.n > 1
+    triples = sample_triples(space, rng, TRIPLES)
+    seen = set()
+    for rho in (neg_conditional_expectation(sigma, space),
+                cubed_mean_map(sigma, space),
+                entropic_certainty_equivalent(sigma, space),
+                _squared_gap_measure(sigma, space, 0, (0, 1))):
+        star = check_star_quasiconvexity(rho, triples=triples)
+        assert same_star(star, ref_star(rho, triples))
+        quasi = check_quasiconvexity(rho, triples=triples)
+        assert (star.verdict, star.samples) == (quasi.verdict, quasi.samples)
+        seen.add(star.verdict)
+    assert seen == {CheckVerdict.PASS, CheckVerdict.FAIL}
+
+
+@pytest.mark.parametrize("k,seed", [(2, 612), (3, 613), (8, 618)])
+def test_equal_positions_have_no_edge_points(k, seed):
+    """``X == Y``: every edge denominator is zero, so only the vertices
+    remain; the star check passes as the reference does, and a mix that
+    exceeds both risks is separated by its best vertex."""
+    space, sigma, rng = random_case(k, seed)
+    triples = [(x, x.copy(), lam)
+               for x, _, lam in sample_triples(space, rng, 40)]
+    for name, rho in measures(space, sigma, rng).items():
+        star = check_star_quasiconvexity(rho, triples=triples)
+        assert star.passed and same_star(star, ref_star(rho, triples)), name
+    atom_probs = sigma.atom_probs(space)
+    for _ in range(20):
+        r = rng.normal(size=k)
+        r_mix = r + rng.uniform(-0.5, 1.0, k)
+        s, _ = _dual_values(r_mix - r, r_mix - r)
+        assert (s[:k] == 1.0).all() and np.isnan(s[k:]).all()
+        check_against_references(r, r.copy(), r_mix, atom_probs,
+                                 DEFAULT_CHECK_TOL)
+
+
+def test_vertex_tied_with_edge_points():
+    """``r_x == r_y`` on atom 1: its edge points with the atoms before it
+    sit at ``s = 0`` and those with the atoms after it at ``s = 1``, both on
+    vertex 1, which is also the best candidate. The vertex comes first and
+    is the witness, as in the reference."""
+    sigma = PartitionSigma(((0,), (1, 2), (3, 4), (5,)))
+    space = FiniteProbSpace((0.1, 0.2, 0.15, 0.25, 0.1, 0.2))
+    rho = _squared_gap_measure(sigma, space, 1, (1, 2))
+    x = np.array([0.3, 1.5, 0.5, -0.2, 0.7, 1.1])
+    y = np.array([-0.4, 0.5, 1.5, 0.9, 0.2, -1.3])
+    triples = [(x, y, 0.5)]
+    r_x, r_y, r_mix = rho.atom_values(np.array([x, y, (x + y) / 2]))
+    s, _ = _dual_values(r_mix - r_x, r_mix - r_y)
+    assert r_x[1] == r_y[1] < r_mix[1]
+    # after the 4 vertices, the pairs (0, 1), (1, 2) and (1, 3)
+    assert s[[4, 7, 8]].tolist() == [0.0, 1.0, 1.0]
+    star = check_star_quasiconvexity(rho, triples=triples)
+    assert star.failed and same_star(star, ref_star(rho, triples))
+    atom_probs = sigma.atom_probs(space)
+    assert star.witness["z"] == [0.0, 1.0 / atom_probs[1], 0.0, 0.0]
+    assert check_against_references(r_x, r_y, r_mix, atom_probs, TOL)
+    z, _ = separating_dual_witness(r_x, r_y, r_mix, atom_probs)
+    assert z.tolist() == star.witness["z"]
+
+
+@pytest.mark.parametrize("k,seed", CASES)
+def test_star_reads_each_triple_alone(k, seed):
+    """A star check that fails within the first ``m`` triples reports the
+    same on those ``m`` triples as on the whole table, bit for bit."""
+    space, sigma, rng = random_case(k, seed)
+    triples = sample_triples(space, rng, TRIPLES)
+    failed = 0
+    for name, rho in measures(space, sigma, rng).items():
+        whole = check_star_quasiconvexity(rho, triples=triples)
+        if whole.passed:
+            continue
+        failed += 1
+        for m in (whole.samples, whole.samples + 1, len(triples) - 1):
+            head = check_star_quasiconvexity(rho, triples=triples[:m])
+            assert repr(head) == repr(whole), (name, m)
+    assert failed
+
+
+def test_star_matches_the_loop_on_the_acceptance_fixture():
+    """The acceptance suite's space, partition, triples and measures."""
+    space = FiniteProbSpace.uniform(10)
+    sigma = PartitionSigma.of(range(0, 4), range(4, 7), range(7, 10))
+    triples = sample_triples(space, 2024, 200)
+    for make in (neg_conditional_expectation, entropic_certainty_equivalent,
+                 cubed_mean_map, sqrt_log_map):
+        rho = make(sigma, space)
+        assert same_star(check_star_quasiconvexity(rho, triples=triples),
+                         ref_star(rho, triples)), make.__name__
 
 
 @pytest.mark.parametrize("k,seed", CASES)
@@ -381,8 +495,8 @@ def test_bad_triple_raises_when_read():
     assert _raised(lambda: check_quasiconvexity(bad, triples=table)) == expected
     assert _filled(table) == 100
     # star fails before triple 101, from the partly filled table
-    assert star_fields(check_star_quasiconvexity(bad, triples=table)) == \
-        star_fields(ref_star(bad, triples))
+    assert same_star(check_star_quasiconvexity(bad, triples=table),
+                     ref_star(bad, triples))
     # on a convex measure every check reaches the bad triple and raises
     convex = RiskMeasureOracle("marked-neg-cond-exp", lambda v: np.where(
         v[..., :1] > 100, v, -conditional_expectation(v, sigma, space)),
