@@ -21,16 +21,21 @@ block = build_example_10pt()
 space = block.space
 print("== the ten-point block structure ==")
 print(f"cells: {block.cells}")
-print(f"e-block dims {block.e_dims()}, beta-block dims "
-      f"{tuple(len(b) for b in block.beta_blocks)}")
-vecs = block.all_vectors()
-gram = np.array([[space.inner(a, b) for b in vecs] for a in vecs])
+print(f"e-block dims {block.e_dims}, beta-block dims "
+      f"{tuple(len(c) - d for c, d in zip(block.cells, block.e_dims))}")
+# one basis vector per row: the e-vectors cell by cell, then the beta-vectors
+gram = (block.basis * space.p) @ block.basis.T
 print(f"orthonormality residual: {np.abs(gram - np.eye(10)).max():.2e}")
 rng = np.random.default_rng(0)
 x = rng.normal(size=10)
 coeffs = block.coordinates(x)
 print(f"pythagoras residual on a random vector: "
       f"{abs(space.inner(x, x) - np.sum(coeffs ** 2)):.2e}")
+# a cell's basis vectors span all that lives on it: projecting is restricting
+on = block.row_cells == 0
+restricted = np.where(block.sigma().labels == 0, x, 0.0)
+print(f"projection onto the first cell minus x 1_C: "
+      f"{np.abs(coeffs[on] @ block.basis[on] - restricted).max():.1e}")
 xa = np.arange(1.0, 11.0)
 print(f"measurable complement of (1..10): "
       f"{project_G_complement(xa, block.sigma(), space)}")
@@ -57,7 +62,7 @@ print(f"  classical locality: {rep_classic.verdict.value} "
       f"(event atoms {rep_classic.witness['event_atoms']})")
 
 print("\n== the cone preorder from the e-coordinates ==")
-e1 = block.e_blocks[0][0]
+e1 = block.basis[0]
 y = rng.normal(size=10)
 print(f"y <= y + e1: {cone_leq(y, y + e1, block)}; "
       f"y <= y - e1: {cone_leq(y, y - e1, block)}")

@@ -525,17 +525,14 @@ def cmd_l2_demo(cp, seed: int) -> dict:
         rho = PLAIN_MEASURES[kind](declared, space)
     budget = _read(cp, "l2-demo", "budget")
     samples = _read(cp, "l2-demo", "samples")
-    rng = np.random.default_rng([seed, 7])
-    pyth = 0.0
-    for _ in range(100):
-        x = rng.normal(size=space.n)
-        coeffs = block.coordinates(x)
-        pyth = max(pyth, abs(space.inner(x, x) - float(np.sum(coeffs ** 2))))
+    x = np.random.default_rng([seed, 7]).normal(size=(100, space.n))
+    pyth = float(np.abs(np.sum(x * x * space.p, axis=1)
+                        - np.sum(block.coordinates(x) ** 2, axis=1)).max())
     result = {
         "fixture": fixture,
         "measure": rho.name,
-        "basis_size": len(block.all_vectors()),
-        "e_dims": list(block.e_dims()),
+        "basis_size": len(block.basis),
+        "e_dims": list(block.e_dims),
         "orthonormality_residual": block.ortho_residual,
         "pythagoras_residual": pyth,
         "classical_locality": report_to_dict(
@@ -545,7 +542,7 @@ def cmd_l2_demo(cp, seed: int) -> dict:
             check_basis_locality(rho, block, budget=samples,
                                  rng=np.random.default_rng([seed, 3]))),
     }
-    if all(d == 1 for d in block.e_dims()):
+    if all(d == 1 for d in block.e_dims):
         result["cone_self_dual"] = report_to_dict(
             check_cone_self_dual(block, budget=budget,
                                  rng=np.random.default_rng([seed, 4])))

@@ -4,19 +4,24 @@ The outcome set is partitioned into cells. For each cell the vectors living
 on it (zero outside) form a subspace; an "e-block" spans the measurable side
 of that subspace and a "beta-block" spans its orthogonal complement within
 the cell. All orthogonality is with respect to the probability-weighted
-inner product.
+inner product. The basis is one ``n x n`` matrix, a vector per row, and
+coordinates come from one row-wise kernel.
 
 On top of the block basis this module provides: locality of a risk measure
 with respect to the basis (an inner-product analogue of the classical
 locality on events), the preorder induced by the e-block coordinates, its
 self-dual ordering cone, and natural quasiconvexity with respect to that
-preorder for one-dimensional e-blocks. The preorder checks decide all the
-triples of a shared :class:`qcx.riskmeasure.TripleTable` at once.
+preorder for one-dimensional e-blocks. A cell's basis vectors span all that
+lives on it, so projecting ``X`` onto them gives exactly ``X 1_C``: basis
+locality evaluates its positions and their restrictions in one stacked
+call, and the preorder checks decide all the triples of a shared
+:class:`qcx.riskmeasure.TripleTable` at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,43 +65,65 @@ def gram_schmidt(vectors: Sequence[np.ndarray],
     return out
 
 
-@dataclass(frozen=True)
+def _inner_rows(x: np.ndarray, y: np.ndarray,
+                space: FiniteProbSpace) -> np.ndarray:
+    """``E[x y]`` along the last axis, broadcast over the others.
+
+    Elementwise products and one sum, with no matrix product: no BLAS, so a
+    row alone and the same row in a stack get the same bits.
+    """
+    return np.sum(x * y * space.p, axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
 class BlockStructure:
     """Cells with per-cell e-blocks and beta-blocks, jointly orthonormal.
 
-    Invariants, checked on construction: the cells partition the outcome
-    set; every basis vector vanishes outside its cell; all vectors are
-    pairwise orthonormal to 1e-12; within each cell the two blocks together
-    span everything supported on the cell (their sizes add up to the cell
-    size). ``ortho_residual`` is the largest entry of ``|Gram - I|``.
+    Built from per-cell blocks of vectors, it stores them as one matrix:
+    ``basis`` has the e-vectors cell by cell, then the beta-vectors cell by
+    cell, one per row; ``row_cells`` is each row's cell and ``e_dims`` each
+    cell's e-block size. Invariants, checked on construction: the cells
+    partition the outcome set; the basis is square, ``n x n``; every row
+    vanishes outside its cell; the rows are orthonormal to 1e-12. Together
+    these make the rows of each cell span everything supported on it.
+    ``ortho_residual`` is the largest entry of ``|Gram - I|``.
     """
 
     space: FiniteProbSpace
     cells: tuple[tuple[int, ...], ...]
-    e_blocks: tuple[tuple[np.ndarray, ...], ...]
-    beta_blocks: tuple[tuple[np.ndarray, ...], ...]
-    ortho_residual: float = field(init=False, compare=False)
+    e_blocks: InitVar[Sequence[Sequence[np.ndarray]]]
+    beta_blocks: InitVar[Sequence[Sequence[np.ndarray]]]
+    basis: np.ndarray = field(init=False, repr=False)
+    row_cells: np.ndarray = field(init=False, repr=False)
+    e_dims: tuple[int, ...] = field(init=False)
+    ortho_residual: float = field(init=False)
 
-    def __post_init__(self):
-        PartitionSigma(self.cells)  # validates the disjoint cover
-        if not (len(self.cells) == len(self.e_blocks) == len(self.beta_blocks)):
+    def __post_init__(self, e_blocks, beta_blocks):
+        sigma = PartitionSigma(self.cells)  # validates the disjoint cover
+        if not (sigma.k == len(e_blocks) == len(beta_blocks)):
             raise ValueError("blocks must align with cells")
         n = self.space.n
-        for ci, cell in enumerate(self.cells):
-            outside = np.ones(n, dtype=bool)
-            outside[list(cell)] = False
-            for v in list(self.e_blocks[ci]) + list(self.beta_blocks[ci]):
-                if len(v) != n:
-                    raise ValueError("basis vector length mismatch")
-                if np.abs(np.asarray(v)[outside]).max(initial=0.0) > ORTHO_TOL:
-                    raise ValueError(f"vector does not vanish outside cell {ci}")
-            if len(self.e_blocks[ci]) + len(self.beta_blocks[ci]) != len(cell):
-                raise ValueError(f"blocks of cell {ci} do not span the cell")
-        allv = self.all_vectors()
-        gram = np.array([[self.space.inner(a, b) for b in allv] for a in allv])
-        resid = float(np.abs(gram - np.eye(len(allv))).max())
-        if resid > ORTHO_TOL:
+        basis = np.array(list(itertools.chain(*e_blocks, *beta_blocks)),
+                         dtype=float)
+        if sigma.n != n or basis.shape != (n, n):
+            raise ValueError(
+                f"the basis must be {n} x {n}, on cells covering all {n} "
+                f"outcomes: got shape {basis.shape}, cells covering {sigma.n}")
+        row_cells = np.repeat(np.tile(np.arange(sigma.k), 2),
+                              [len(b) for b in (*e_blocks, *beta_blocks)])
+        spill = np.where(sigma.labels != row_cells[:, None], basis, 0.0)
+        bad = np.flatnonzero(~(np.abs(spill).max(axis=1) <= ORTHO_TOL))
+        if bad.size:
+            raise ValueError(f"basis vector {bad[0]} does not vanish outside "
+                             f"cell {row_cells[bad[0]]}")
+        gram = (basis * self.space.p) @ basis.T
+        resid = float(np.abs(gram - np.eye(n)).max())
+        if not resid <= ORTHO_TOL:
             raise ValueError(f"basis is not orthonormal: residual {resid:.3e}")
+        for name, value in (("basis", basis), ("row_cells", row_cells)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "e_dims", tuple(len(e) for e in e_blocks))
         object.__setattr__(self, "ortho_residual", resid)
 
     @property
@@ -106,36 +133,20 @@ class BlockStructure:
     def sigma(self) -> PartitionSigma:
         return PartitionSigma(self.cells)
 
-    def all_vectors(self) -> list[np.ndarray]:
-        out = []
-        for e in self.e_blocks:
-            out.extend(e)
-        for b in self.beta_blocks:
-            out.extend(b)
-        return out
-
-    def e_dims(self) -> tuple[int, ...]:
-        return tuple(len(e) for e in self.e_blocks)
-
     def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of ``x`` along every basis vector (e then beta)."""
-        return np.array([self.space.inner(x, v) for v in self.all_vectors()])
+        """Coefficients of ``x`` along every basis row (e then beta),
+        row-wise: ``(..., n)`` to ``(..., n)``."""
+        return _inner_rows(np.asarray(x, dtype=float)[..., None, :],
+                           self.basis, self.space)
 
     def e_coordinates(self, x: np.ndarray) -> np.ndarray:
-        """One coordinate per cell; requires one-dimensional e-blocks."""
-        if any(len(e) != 1 for e in self.e_blocks):
+        """One coordinate per cell, row-wise: ``(..., n)`` to ``(..., k)``;
+        requires one-dimensional e-blocks."""
+        if any(d != 1 for d in self.e_dims):
             raise AssumptionViolatedError(
                 "e-coordinates need one-dimensional e-blocks per cell")
-        return np.array([self.space.inner(x, e[0]) for e in self.e_blocks])
-
-    def cell_projection_argument(self, x: np.ndarray, cell: int) -> np.ndarray:
-        """``sum_k <x, e^i_k> e^i_k + x-perp-within-the-cell`` for cell i."""
-        out = np.zeros(self.space.n)
-        for v in self.e_blocks[cell]:
-            out += self.space.inner(x, v) * v
-        for v in self.beta_blocks[cell]:
-            out += self.space.inner(x, v) * v
-        return out
+        return _inner_rows(np.asarray(x, dtype=float)[..., None, :],
+                           self.basis[:self.k], self.space)
 
 
 def project_G_complement(x: np.ndarray, sigma: PartitionSigma,
@@ -157,8 +168,7 @@ def blocks_from_generators(space: FiniteProbSpace,
     ``complete=True`` any dimension missing from the beta-block is filled
     with outcome indicators of the cell (deterministically).
     """
-    e_blocks: list[tuple[np.ndarray, ...]] = []
-    beta_blocks: list[tuple[np.ndarray, ...]] = []
+    e_blocks, beta_blocks = [], []
     for ci, cell in enumerate(cells):
         gens = [np.asarray(v, dtype=float) for v in e_generators[ci]]
         n_e = len(gens)
@@ -175,10 +185,10 @@ def blocks_from_generators(space: FiniteProbSpace,
                     continue
                 gens.append(probe)
         ortho = gram_schmidt(gens, space)
-        e_blocks.append(tuple(ortho[:n_e]))
-        beta_blocks.append(tuple(ortho[n_e:]))
-    return BlockStructure(space, tuple(tuple(c) for c in cells),
-                          tuple(e_blocks), tuple(beta_blocks))
+        e_blocks.append(ortho[:n_e])
+        beta_blocks.append(ortho[n_e:])
+    return BlockStructure(space, tuple(tuple(c) for c in cells), e_blocks,
+                          beta_blocks)
 
 
 def build_example_10pt() -> BlockStructure:
@@ -238,37 +248,41 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
                          rng=0) -> PropertyReport:
     """Locality with respect to the e-block coordinates.
 
-    For each sampled position, each cell i and each e-vector e^i_k, the
+    For each sampled position X, each cell i and each e-vector e^i_k, the
     coordinate ``<rho(X), e^i_k>`` must be unchanged when X is replaced by
-    its projection onto the cell (e-part plus beta-part). ``samples`` counts
-    the e-vector comparisons made. Each position and its cell projections
-    are one stacked call.
+    its projection onto the cell's basis vectors, which is exactly the
+    restriction ``X 1_{C_i}``. A round makes one comparison per e-vector,
+    and ``samples`` counts the comparisons made, at most ``budget`` (but at
+    least one round). All rounds are drawn first and evaluated in one
+    stacked call, rows ``X, X 1_{C_1}, ..., X 1_{C_k}`` per round.
     """
     gen = _rng(rng)
-    inner = block.space.inner
-    rounds = max(1, budget // max(1, block.k))
-    # the comparisons of one round, in order: (cell, e_index, e-vector)
-    comparisons = [(ci, ki, e) for ci, eb in enumerate(block.e_blocks)
-                   for ki, e in enumerate(eb)]
-    for r in range(rounds):
-        x = gen.uniform(-3.0, 3.0, block.space.n)
-        out, error = _stacked(rho, np.array(
-            [x] + [block.cell_projection_argument(x, ci)
-                   for ci in range(block.k)]))
-        if not len(out):
-            raise error
-        gaps = np.array([abs(inner(out[0], e) - inner(out[1 + ci], e))
-                         for ci, _, e in comparisons if ci < len(out) - 1])
-        j = _first_failure(gaps > tol, error)
-        if j is not None:
-            ci, ki, _ = comparisons[j]
-            return PropertyReport(
-                "basis-locality", CheckVerdict.FAIL,
-                witness={"x": _vec(x), "cell": ci, "e_index": ki,
-                         "violation": float(gaps[j])},
-                samples=r * len(comparisons) + j + 1, tol=tol)
+    n, k, m = block.space.n, block.k, sum(block.e_dims)
+    rounds = max(1, budget // m)
+    x = gen.uniform(-3.0, 3.0, (rounds, n))
+    keep = np.vstack([np.ones(n, bool),
+                      block.sigma().labels == np.arange(k)[:, None]])
+    rows = np.where(keep, x[:, None, :], 0.0).reshape(-1, n)
+    out, error = _stacked(rho, rows)
+    # rows past an oracle error stay NaN, and a NaN gap is no violation
+    risks = np.full(rows.shape, np.nan)
+    risks[:len(out)] = out
+    risks = risks.reshape(rounds, k + 1, n)
+    e, e_cells = block.basis[:m], block.row_cells[:m]
+    gaps = np.abs(_inner_rows(risks[:, :1], e, block.space)
+                  - _inner_rows(risks[:, 1 + e_cells], e, block.space))
+    j = _first_failure(gaps.ravel() > tol, error)
+    if j is not None:
+        r, i = divmod(j, m)
+        cell = int(e_cells[i])
+        return PropertyReport(
+            "basis-locality", CheckVerdict.FAIL,
+            witness={"x": _vec(x[r]), "cell": cell,
+                     "e_index": i - sum(block.e_dims[:cell]),
+                     "violation": float(gaps[r, i])},
+            samples=j + 1, tol=tol)
     return PropertyReport("basis-locality", CheckVerdict.PASS,
-                          samples=rounds * len(comparisons), tol=tol)
+                          samples=rounds * m, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +305,30 @@ def check_cone_self_dual(block: BlockStructure, budget: int = 200,
     be excluded from the dual cone by the corresponding e-vector itself.
     """
     gen = _rng(rng)
-    if any(len(e) != 1 for e in block.e_blocks):
+    if any(d != 1 for d in block.e_dims):
         raise AssumptionViolatedError("cone checks need 1-dimensional e-blocks")
-    es = [e[0] for e in block.e_blocks]
-    k = block.k
-    checked = 0
-    for _ in range(budget):
-        y_coords = gen.uniform(0.0, 3.0, k)
-        v_coords = gen.uniform(0.0, 3.0, k)
-        y = sum(c * e for c, e in zip(y_coords, es))
-        v = sum(c * e for c, e in zip(v_coords, es))
-        checked += 1
-        if block.space.inner(y, v) < -CONE_TOL:
+    k, es = block.k, block.basis[:block.k]
+    for s in range(budget):
+        y_coords, v_coords = gen.uniform(0.0, 3.0, (2, k))
+        inner = block.space.inner(y_coords @ es, v_coords @ es)
+        if inner < -CONE_TOL:
             return PropertyReport(
                 "cone-self-dual", CheckVerdict.FAIL,
                 witness={"y_coords": _vec(y_coords), "v_coords": _vec(v_coords),
-                         "inner": block.space.inner(y, v)},
-                samples=checked, tol=CONE_TOL)
+                         "inner": inner},
+                samples=2 * s + 1, tol=CONE_TOL)
         neg_coords = gen.uniform(0.0, 3.0, k)
         j = int(gen.integers(0, k))
         neg_coords[j] = -gen.uniform(0.5, 2.0)
-        yneg = sum(c * e for c, e in zip(neg_coords, es))
-        checked += 1
-        if block.space.inner(yneg, es[j]) >= 0.0:
+        inner = block.space.inner(neg_coords @ es, es[j])
+        if inner >= 0.0:
             return PropertyReport(
                 "cone-self-dual", CheckVerdict.FAIL,
                 witness={"y_coords": _vec(neg_coords), "witness_cell": j,
-                         "inner": block.space.inner(yneg, es[j])},
-                samples=checked, tol=CONE_TOL)
-    return PropertyReport("cone-self-dual", CheckVerdict.PASS, samples=checked,
-                          tol=CONE_TOL)
+                         "inner": inner},
+                samples=2 * s + 2, tol=CONE_TOL)
+    return PropertyReport("cone-self-dual", CheckVerdict.PASS,
+                          samples=2 * budget, tol=CONE_TOL)
 
 
 def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
@@ -328,16 +336,9 @@ def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
                                  ) -> PropertyReport:
     """Jensen inequality in every e-coordinate over the triples."""
     table = _triple_table(rho, triples)
-    return _excess_check("convexity-wrt-preorder", table,
-                         *_e_coordinates(block, table), _jensen_bound, tol)
-
-
-def _e_coordinates(block: BlockStructure, table):
-    """:meth:`TripleTable.read` with each output replaced by its
-    e-coordinates (one inner product per cell and output)."""
     risks, error = table.read()
-    return np.array([[block.e_coordinates(r) for r in triple]
-                     for triple in risks]).reshape(-1, 3, block.k), error
+    return _excess_check("convexity-wrt-preorder", table,
+                         block.e_coordinates(risks), error, _jensen_bound, tol)
 
 
 def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
@@ -353,11 +354,12 @@ def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
     24 drawn from ``rng``), so the implication "naturally quasiconvex and
     local and normalized implies convex" can be read off the report.
     """
-    if any(len(e) != 1 for e in block.e_blocks):
+    if any(d != 1 for d in block.e_dims):
         raise AssumptionViolatedError(
             "the preorder feasibility check needs 1-dimensional e-blocks")
     table = _triple_table(rho, triples)
-    values, error = _e_coordinates(block, table)
+    risks, error = table.read()
+    values = block.e_coordinates(risks)  # all outputs in one kernel call
     i = _first_failure(_mu_infeasible(*values.transpose(1, 0, 2), tol), error)
     if i is not None:
         ex, ey, em = values[i]

@@ -261,7 +261,7 @@ def test_criterion_9_nqc_iff_convexity(space10, sigma10, triples200):
 
 def test_criterion_10_l2_fixture():
     block = build_example_10pt()
-    vecs = block.all_vectors()
+    vecs = block.basis
     gram = np.array([[block.space.inner(a, b) for b in vecs] for a in vecs])
     resid = float(np.abs(gram - np.eye(10)).max())
     ok_basis = len(vecs) == 10 and resid < 1e-12

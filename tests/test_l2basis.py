@@ -29,6 +29,12 @@ def triples(block):
     return sample_triples(block.space, 11, 150)
 
 
+def ref_coordinates(block, x):
+    """The coordinates one inner product per basis vector, as they were
+    computed before the row-wise kernel."""
+    return np.array([block.space.inner(x, v) for v in block.basis])
+
+
 class TestGramSchmidt:
     def test_two_point_example(self):
         space = FiniteProbSpace.uniform(2)
@@ -66,20 +72,23 @@ class TestGramSchmidt:
 
 class TestExampleStructure:
     def test_dimensions(self, block):
-        assert block.e_dims() == (1, 1, 1)
-        assert tuple(len(b) for b in block.beta_blocks) == (3, 2, 2)
-        assert len(block.all_vectors()) == 10
+        assert block.e_dims == (1, 1, 1)
+        assert block.basis.shape == (10, 10)
+        # the e-vectors cell by cell, then the beta-vectors cell by cell
+        assert block.row_cells.tolist() == [0, 1, 2] + [0] * 3 + [1] * 2 + [2] * 2
 
     def test_e_vectors_are_normalized_indicators(self, block):
-        e1 = block.e_blocks[0][0]
+        e1 = block.basis[0]
         want = np.zeros(10)
         want[:4] = 1.0 / math.sqrt(0.4)
         np.testing.assert_allclose(e1, want)
 
     def test_orthonormality_residual(self, block):
-        vecs = block.all_vectors()
+        vecs = block.basis
         gram = np.array([[block.space.inner(a, b) for b in vecs] for a in vecs])
         assert np.abs(gram - np.eye(10)).max() < 1e-12
+        assert block.ortho_residual == pytest.approx(
+            np.abs(gram - np.eye(10)).max(), abs=1e-15)
 
     def test_pythagoras(self, block):
         rng = np.random.default_rng(0)
@@ -90,14 +99,51 @@ class TestExampleStructure:
 
     def test_structure_validation(self):
         space = FiniteProbSpace.uniform(4)
-        good = blocks_from_generators(
-            space, [(0, 1), (2, 3)],
-            [[np.array([1.0, 1.0, 0, 0])], [np.array([0, 0, 1.0, 1.0])]],
-            [[], []], complete=True)
-        assert good.e_dims() == (1, 1)
-        with pytest.raises(ValueError):
-            BlockStructure(space, ((0, 1), (2, 3)),
-                           good.e_blocks, (good.beta_blocks[0], ()))
+        r2 = math.sqrt(2.0)
+        e = ((np.array([r2, r2, 0, 0]),), (np.array([0, 0, r2, r2]),))
+        beta = ((np.array([r2, -r2, 0, 0]),), (np.array([0, 0, r2, -r2]),))
+        good = BlockStructure(space, ((0, 1), (2, 3)), e, beta)
+        assert good.e_dims == (1, 1)
+        assert good.row_cells.tolist() == [0, 1, 0, 1]
+        bad = [
+            # a cell short of a vector
+            (((0, 1), (2, 3)), e, (beta[0], ()), "must be 4 x 4"),
+            # cells that leave outcomes 2 and 3 out: a 2 x 4 basis
+            (((0, 1),), e[:1], beta[:1], "must be 4 x 4"),
+            # a vector that leaks out of its cell
+            (((0, 1), (2, 3)), e, ((np.array([r2, -r2, 1e-6, 0]),), beta[1]),
+             "vector 2 does not vanish outside cell 0"),
+            # two cells swapped: each vector lives outside its cell
+            (((0, 1), (2, 3)), e[::-1], beta[::-1], "does not vanish"),
+            (((0, 1), (2, 3)), e, ((2 * beta[0][0],), beta[1]),
+             "not orthonormal"),
+            (((0, 1), (2, 3)), e[:1], beta, "align"),
+        ]
+        for cells, e_blocks, beta_blocks, why in bad:
+            with pytest.raises(ValueError, match=why):
+                BlockStructure(space, cells, e_blocks, beta_blocks)
+
+    def test_coordinates_match_the_inner_products(self, block):
+        split = build_example_10pt_split()
+        rng = np.random.default_rng(3)
+        for b in (block, split):
+            for x in rng.normal(size=(50, 10)):
+                np.testing.assert_allclose(b.coordinates(x),
+                                           ref_coordinates(b, x),
+                                           rtol=0, atol=1e-14)
+        for x in rng.normal(size=(50, 10)):
+            np.testing.assert_array_equal(block.e_coordinates(x),
+                                          block.coordinates(x)[:3])
+
+    def test_coordinates_are_row_wise(self, block):
+        """A row alone and the same row in a stack get the same bits."""
+        stack = np.random.default_rng(4).uniform(-3.0, 3.0, (6, 5, 10))
+        for kernel in (block.coordinates, block.e_coordinates):
+            whole = kernel(stack)
+            flat = kernel(stack.reshape(-1, 10)).reshape(whole.shape)
+            assert whole.tobytes() == flat.tobytes()
+            for idx in np.ndindex(stack.shape[:2]):
+                assert kernel(stack[idx]).tobytes() == whole[idx].tobytes()
 
 
 class TestProjection:
@@ -118,7 +164,7 @@ class TestProjection:
         got = project_G_complement(x, block.sigma(), block.space)
         want = x - np.array([2.5] * 4 + [6.0] * 3 + [9.0] * 3)
         np.testing.assert_allclose(got, want, atol=1e-12)
-        for e in (v for eb in block.e_blocks for v in eb):
+        for e in block.basis[:3]:
             assert abs(block.space.inner(got, e)) < 1e-12
 
 
@@ -135,7 +181,7 @@ class TestBasisLocality:
         assert rep.witness["violation"] > rep.tol
 
     def test_e_coordinate_projection_map_passes(self, block):
-        es = [e[0] for e in block.e_blocks]
+        es = block.basis[:3]
 
         def fn(x):
             return -sum(block.space.inner(x, e) * e for e in es)
@@ -166,13 +212,24 @@ class TestSplitFixture:
         refined = refined_partition_10pt()
         rho = conditional_expectation_map(PartitionSigma(split.cells),
                                           split.space, declared_sigma=refined)
-        assert split.e_dims() == (2, 1, 1)
+        assert split.e_dims == (2, 1, 1)
         rep = check_basis_locality(rho, split, budget=120)
-        assert rep.passed and rep.samples == 40 * 4  # one per e-vector
+        assert rep.passed and rep.samples == 30 * 4  # one per e-vector
         rep = check_locality(rho, budget=120)
         assert rep.failed
         # the violating event lives inside the split cell
         assert set(rep.witness["event_atoms"]) <= {0, 1}
+
+    def test_budget_bounds_the_comparisons(self):
+        """A round compares one coordinate per e-vector, four here, and the
+        rounds stop before the comparisons pass the budget."""
+        split = build_example_10pt_split()
+        rho = neg_conditional_expectation(split.sigma(), split.space)
+        for budget in (24, 60, 61, 63, 120, 500):
+            rep = check_basis_locality(rho, split, budget=budget)
+            assert rep.passed and budget - 4 < rep.samples <= budget
+        # at least one round
+        assert check_basis_locality(rho, split, budget=2).samples == 4
 
     def test_e_coordinates_require_one_dim(self):
         split = build_example_10pt_split()
@@ -184,7 +241,7 @@ class TestCone:
     def test_cone_leq(self, block):
         rng = np.random.default_rng(1)
         y = rng.normal(size=10)
-        e1 = block.e_blocks[0][0]
+        e1 = block.basis[0]
         assert cone_leq(y, y, block)
         assert cone_leq(y, y + e1, block)
         assert not cone_leq(y, y - e1, block)

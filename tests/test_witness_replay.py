@@ -29,6 +29,7 @@ from qcx.riskmeasure import (SENSITIVITY_TOL, RiskMeasureOracle,
                              conditional_expectation_map, mean_broadcast_map,
                              nqc_mu_interval, sample_triples)
 from qcx.spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
+from test_sample_oracle import ref_cell_projection
 
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
@@ -138,14 +139,14 @@ def _assumption(rho, block, w, tol):
 
 def _basis_locality(rho, block, w, tol):
     x, ci = np.array(w["x"]), w["cell"]
-    e = block.e_blocks[ci][w["e_index"]]
+    e = block.basis[block.row_cells == ci][w["e_index"]]
     inner = block.space.inner
     return abs(inner(rho(x), e)
-               - inner(rho(block.cell_projection_argument(x, ci)), e))
+               - inner(rho(ref_cell_projection(block, x, ci)), e))
 
 
 def _cone_self_dual(rho, block, w, tol):
-    es = [e[0] for e in block.e_blocks]
+    es = list(block.basis[:block.k])
     y = sum(c * e for c, e in zip(w["y_coords"], es))
     if "v_coords" in w:
         v = sum(c * e for c, e in zip(w["v_coords"], es))
