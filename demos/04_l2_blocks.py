@@ -66,8 +66,8 @@ e1 = block.basis[0]
 y = rng.normal(size=10)
 print(f"y <= y + e1: {cone_leq(y, y + e1, block)}; "
       f"y <= y - e1: {cone_leq(y, y - e1, block)}")
-print(f"self-duality spot checks: "
-      f"{check_cone_self_dual(block, budget=200).verdict.value}")
+print(f"self-duality from the e-Gram matrix: "
+      f"{check_cone_self_dual(block).verdict.value}")
 
 print("\n== natural quasiconvexity with respect to the preorder ==")
 triples = sample_triples(space, 0, 150)

@@ -543,9 +543,7 @@ def cmd_l2_demo(cp, seed: int) -> dict:
                                  rng=np.random.default_rng([seed, 3]))),
     }
     if all(d == 1 for d in block.e_dims):
-        result["cone_self_dual"] = report_to_dict(
-            check_cone_self_dual(block, budget=budget,
-                                 rng=np.random.default_rng([seed, 4])))
+        result["cone_self_dual"] = report_to_dict(check_cone_self_dual(block))
         # the triples first, then basis locality, from one stream
         rng = np.random.default_rng([seed, 5])
         triples = sample_triples(space, rng, budget)
@@ -558,28 +556,25 @@ def cmd_l2_demo(cp, seed: int) -> dict:
 # rendering and exit codes
 # ---------------------------------------------------------------------------
 
-def _collect_verdicts(obj, out: list):
+def _verdicts(obj):
+    """Every ``verdict`` and ``decision`` string of a JSON-ready report."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             if k in ("verdict", "decision") and isinstance(v, str):
-                out.append(v)
+                yield v
             else:
-                _collect_verdicts(v, out)
-    elif isinstance(obj, (list, tuple)):
+                yield from _verdicts(v)
+    elif isinstance(obj, list):
         for v in obj:
-            _collect_verdicts(v, out)
+            yield from _verdicts(v)
 
 
 def exit_code_for(report: dict) -> int:
-    verdicts: list[str] = []
-    _collect_verdicts(_jsonify(report), verdicts)
-    if report.get("results", {}).get("oracle_agrees") is False:
+    verdicts = set(_verdicts(_jsonify(report)))
+    if ("fail" in verdicts
+            or report.get("results", {}).get("oracle_agrees") is False):
         return EXIT_FAIL
-    if any(v == "fail" for v in verdicts):
-        return EXIT_FAIL
-    if any(v == "inconclusive" for v in verdicts):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if "inconclusive" in verdicts else EXIT_OK
 
 
 def render_text(report: dict) -> str:

@@ -97,6 +97,7 @@ class BlockStructure:
     row_cells: np.ndarray = field(init=False, repr=False)
     e_dims: tuple[int, ...] = field(init=False)
     ortho_residual: float = field(init=False)
+    _sigma: PartitionSigma = field(init=False, repr=False)
 
     def __post_init__(self, e_blocks, beta_blocks):
         sigma = PartitionSigma(self.cells)  # validates the disjoint cover
@@ -123,6 +124,7 @@ class BlockStructure:
         for name, value in (("basis", basis), ("row_cells", row_cells)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_sigma", sigma)
         object.__setattr__(self, "e_dims", tuple(len(e) for e in e_blocks))
         object.__setattr__(self, "ortho_residual", resid)
 
@@ -131,7 +133,7 @@ class BlockStructure:
         return len(self.cells)
 
     def sigma(self) -> PartitionSigma:
-        return PartitionSigma(self.cells)
+        return self._sigma
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of ``x`` along every basis row (e then beta),
@@ -296,39 +298,29 @@ def cone_leq(y: np.ndarray, v: np.ndarray, block: BlockStructure) -> bool:
     return bool(np.all(ev - ey >= -1e-12))
 
 
-def check_cone_self_dual(block: BlockStructure, budget: int = 200,
-                         rng=0) -> PropertyReport:
-    """Spot-check that the ordering cone equals its dual cone.
+def check_cone_self_dual(block: BlockStructure) -> PropertyReport:
+    """Decide exactly that the ordering cone ``{sum_i c_i e_i : c >= 0}``
+    is its own dual within ``span(e)``, from the e-Gram matrix ``G``.
 
-    Nonnegative-coordinate samples must have inner products of at least
-    ``-CONE_TOL`` with each other; a sample with a negative coordinate must
-    be excluded from the dual cone by the corresponding e-vector itself.
+    The cone lies in its dual iff ``G >= 0`` entrywise, and the dual in the
+    cone iff ``inv(G) >= 0``, at slack ``CONE_TOL``; ``samples`` counts the
+    entries decided. Every valid structure passes: its one-dimensional
+    e-vectors live on disjoint cells, orthonormal to 1e-12 as the
+    constructor checks, so ``G`` is within 1e-12 of the identity.
     """
-    gen = _rng(rng)
-    if any(d != 1 for d in block.e_dims):
-        raise AssumptionViolatedError("cone checks need 1-dimensional e-blocks")
-    k, es = block.k, block.basis[:block.k]
-    for s in range(budget):
-        y_coords, v_coords = gen.uniform(0.0, 3.0, (2, k))
-        inner = block.space.inner(y_coords @ es, v_coords @ es)
-        if inner < -CONE_TOL:
-            return PropertyReport(
-                "cone-self-dual", CheckVerdict.FAIL,
-                witness={"y_coords": _vec(y_coords), "v_coords": _vec(v_coords),
-                         "inner": inner},
-                samples=2 * s + 1, tol=CONE_TOL)
-        neg_coords = gen.uniform(0.0, 3.0, k)
-        j = int(gen.integers(0, k))
-        neg_coords[j] = -gen.uniform(0.5, 2.0)
-        inner = block.space.inner(neg_coords @ es, es[j])
-        if inner >= 0.0:
-            return PropertyReport(
-                "cone-self-dual", CheckVerdict.FAIL,
-                witness={"y_coords": _vec(neg_coords), "witness_cell": j,
-                         "inner": inner},
-                samples=2 * s + 2, tol=CONE_TOL)
+    # the e-coordinates of the e-vectors: row-wise, no BLAS; 1-D blocks only
+    gram = block.e_coordinates(block.basis[:block.k])
+    entries = np.stack([gram, np.linalg.inv(gram)])
+    bad = np.flatnonzero(~(entries >= -CONE_TOL))
+    if bad.size:
+        which, i, j = map(int, np.unravel_index(bad[0], entries.shape))
+        return PropertyReport(
+            "cone-self-dual", CheckVerdict.FAIL,
+            witness={"inclusion": ("cone-in-dual", "dual-in-cone")[which],
+                     "entry": [i, j], "value": float(entries[which, i, j])},
+            samples=int(bad[0]) + 1, tol=CONE_TOL)
     return PropertyReport("cone-self-dual", CheckVerdict.PASS,
-                          samples=2 * budget, tol=CONE_TOL)
+                          samples=entries.size, tol=CONE_TOL)
 
 
 def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,

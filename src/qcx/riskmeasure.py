@@ -17,15 +17,16 @@ star check is exact per triple too: the best such vector solves a linear
 program with two inequality rows, whose basic solutions (atom vertices and
 two-atom edge points) it tests, their values in closed form.
 
-Every sampled checker evaluates stacked rows: one oracle call for all its
-samples (per locality round, per sensitivity ``eps``), in the order of
-single calls, with the first failure taken from a violation mask, so
-reports equal those of one call per row. The six triple checkers
-(convexity, quasiconvexity, natural and star quasiconvexity here, and the
-two preorder checks of :mod:`qcx.l2basis`) take the caller's triples,
-``triples=`` a list from :func:`sample_triples` or a shared
-:class:`TripleTable`: ``rho`` of every ``X``, ``Y`` and mix, evaluated in
-one call when a checker first reads it. Each decides every triple at once.
+The sampled checkers evaluate stacked rows: one oracle call for all their
+samples (per locality round, per sensitivity ``eps``; the non-constancy
+check makes one per probe position), in the order of single calls, with
+the first failure taken from a violation mask, so reports equal those of
+one call per row. The six triple checkers (convexity, quasiconvexity,
+natural and star quasiconvexity here, and the two preorder checks of
+:mod:`qcx.l2basis`) take the caller's triples, ``triples=`` a list from
+:func:`sample_triples` or a shared :class:`TripleTable`: ``rho`` of every
+``X``, ``Y`` and mix, evaluated in one call when a checker first reads it.
+Each decides its triples with violation masks, the star check in blocks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import (InverseMismatchError, NotGMeasurableError,
                      NotNormalizedError, QcxError)
 # parse_partition_text is imported only to be re-exported: bench/verify.py
-# reads it from here (ROADMAP item 2 moves that import to qcx.spaces)
+# reads it from here (ROADMAP item 5 moves that import to qcx.spaces)
 from .spaces import (MEASURABILITY_TOL, FiniteProbSpace, PartitionSigma,
                      conditional_expectation, parse_partition_text)
 
@@ -59,6 +60,9 @@ DEFAULT_SAMPLE_RANGE = (-3.0, 3.0)
 #: values more than 1e-9 apart.
 SENSITIVITY_EVENTS, SENSITIVITY_TOL = 32, 1e-12
 NONCONSTANT_PROBES, NONCONSTANT_TOL = 16, 1e-9
+
+#: Dual candidate values the star check decides per block of triples.
+STAR_BLOCK = 2 ** 13
 
 #: Points at which a certainty equivalent's declared loss inverse is checked.
 INVERSE_PROBES = np.linspace(-6.0, 6.0, 25)
@@ -270,12 +274,8 @@ def sample_triples(space: FiniteProbSpace, rng, count: int
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
     grid = DEFAULT_LAMBDA_GRID
-    out = []
-    for _ in range(count):
-        x = gen.uniform(lo, hi, space.n)
-        y = gen.uniform(lo, hi, space.n)
-        out.append((x, y, grid[gen.integers(len(grid))]))
-    return out
+    return [(gen.uniform(lo, hi, space.n), gen.uniform(lo, hi, space.n),
+             grid[gen.integers(len(grid))]) for _ in range(count)]
 
 
 class TripleTable:
@@ -702,27 +702,35 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle, *, triples,
     Maximizing that over ``Z`` is a linear program with two inequality rows,
     so its basic solutions (:func:`_dual_values`: the atom vertices and the
     two-atom edge points) contain an optimum, and testing them tests every
-    ``Z``. All triples are decided at once; the witness is the first
-    candidate of largest violation at the first failing triple.
+    ``Z``. Blocks of :data:`STAR_BLOCK` candidate values, decided in turn up
+    to the first failure, bound the memory; the kernel is row-wise, so they
+    move no bits. The witness is the first candidate of largest violation
+    at the first failing triple.
     """
     table = _triple_table(rho, triples)
     risks, error = table.read()
-    r_x, r_y, r_mix = rho.sigma.atom_values(risks).transpose(1, 0, 2)
-    s, (e_x, e_y, e_mix) = _dual_values(r_mix - r_x, r_mix - r_y,
-                                        r_x, r_y, r_mix)
-    viol = e_mix - np.maximum(e_x, e_y) - tol  # NaN off the edge
-    i = _first_failure(np.fmax.reduce(viol, axis=-1) > 0, error)
-    if i is None:
+    values = rho.sigma.atom_values(risks)
+    step = max(1, STAR_BLOCK // len(_candidate_atoms(rho.sigma.k)[0]))
+    for start in range(0, len(values) or 1, step):  # one block if none
+        r_x, r_y, r_mix = values[start:start + step].transpose(1, 0, 2)
+        s, (e_x, e_y, e_mix) = _dual_values(r_mix - r_x, r_mix - r_y,
+                                            r_x, r_y, r_mix)
+        viol = e_mix - np.maximum(e_x, e_y) - tol  # NaN off the edge
+        i = _first_failure(np.fmax.reduce(viol, axis=-1) > 0,
+                           None if start + step < len(values) else error)
+        if i is not None:
+            break
+    else:
         return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
                               samples=len(table), tol=tol)
     j = int(np.nanargmax(viol[i]))
     z = _dual_vector(j, s[i], rho.sigma.atom_probs(rho.space))
-    x, y, lam = table.triples[i]
+    x, y, lam = table.triples[start + i]
     return PropertyReport(
         "star-quasiconvexity", CheckVerdict.FAIL,
         witness={"z": _vec(z), "x": _vec(x), "y": _vec(y), "lam": lam,
                  "violation": float(viol[i, j] + tol)},
-        samples=i + 1, tol=tol)
+        samples=start + i + 1, tol=tol)
 
 
 # ---------------------------------------------------------------------------

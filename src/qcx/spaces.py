@@ -103,6 +103,7 @@ class PartitionSigma:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "atoms", tuple(norm))
         object.__setattr__(self, "_atom_probs", {})
+        object.__setattr__(self, "_stacked", [labels])
 
     @staticmethod
     def of(*atoms: Iterable[int]) -> "PartitionSigma":
@@ -168,8 +169,9 @@ def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
     row-wise on ``(..., n)``.
 
     A stack of ``m`` rows is one ``bincount`` over the labels offset by
-    ``k`` per row. Each bin still adds its terms in outcome order, so every
-    row gets the bits of its own call.
+    ``k`` per row; the partition keeps them for its largest stack so far,
+    and a smaller stack reads their prefix. Each bin still adds its terms in
+    outcome order, so every row gets the bits of its own call.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -177,8 +179,11 @@ def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
         return (sums / sigma.atom_probs(space))[sigma.labels]
     rows = x.reshape(-1, sigma.n)
     m, k = len(rows), sigma.k
-    labels = (sigma.labels + k * np.arange(m)[:, None]).ravel()
-    sums = np.bincount(labels, (space.p * rows).ravel(), m * k)
+    labels = sigma._stacked[0]
+    if len(labels) < m * sigma.n:  # kept for the largest stack
+        labels = (sigma.labels + k * np.arange(m)[:, None]).ravel()
+        sigma._stacked[0] = labels
+    sums = np.bincount(labels[:m * sigma.n], (space.p * rows).ravel(), m * k)
     means = sums.reshape(m, k) / sigma.atom_probs(space)
     return np.take(means, sigma.labels, axis=1).reshape(x.shape)
 
@@ -187,18 +192,23 @@ def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
 # scenario and partition files
 # ---------------------------------------------------------------------------
 
+def _data_lines(path):
+    """The lines of a data file, without comments and blank lines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield line
+
+
 def load_scenario_table(path) -> tuple[FiniteProbSpace, list[str]]:
     """One outcome per row: probability, then an optional label."""
     probs: list[float] = []
     labels: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            probs.append(float(parts[0]))
-            labels.append(parts[1] if len(parts) > 1 else f"w{len(probs)}")
+    for line in _data_lines(path):
+        parts = line.split()
+        probs.append(float(parts[0]))
+        labels.append(parts[1] if len(parts) > 1 else f"w{len(probs)}")
     return FiniteProbSpace(tuple(probs)), labels
 
 
@@ -216,14 +226,8 @@ def _parse_index_list(text: str) -> list[int]:
 
 def load_partition(path) -> PartitionSigma:
     """One atom per row, as 1-based outcome indices or ranges."""
-    atoms: list[tuple[int, ...]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            atoms.append(tuple(_parse_index_list(line)))
-    return PartitionSigma(tuple(atoms))
+    return PartitionSigma(tuple(tuple(_parse_index_list(line))
+                                for line in _data_lines(path)))
 
 
 def parse_partition_text(text: str) -> PartitionSigma:

@@ -282,7 +282,7 @@ def test_criterion_10_l2_fixture():
               f"event atoms {counter.witness['event_atoms']}, "
               f"violation {counter.witness['violation']:.3e}")
 
-    ok_cone = check_cone_self_dual(block, budget=200, rng=5).passed
+    ok_cone = check_cone_self_dual(block).passed
     report(10, "block-basis fixture: orthonormality, locality, cone", bool(
         ok_basis and ok_loc and ok_counter and ok_cone),
         f"residual {resid:.1e}")

@@ -22,6 +22,9 @@ kernel, the split fixture's ``basis_locality`` ``samples`` went from 80 to
 60), its ``orthonormality_residual`` moved by 8.3e-18 absolute, and the
 sqrt-log report's nqc-wrt-preorder ``e_x`` and certificate ``mu_upper``
 moved by at most 5.9e-15 relative; the entropic l2 report did not move.
+When the cone self-duality check became an exact decision on the e-Gram
+matrix, the two ``paper10pt`` reports' ``cone_self_dual`` ``samples`` went
+from 80 sampled tests to 18, the entries of ``G`` and ``inv(G)``.
 To write them anew (only when a report is meant to change)::
 
     PYTHONPATH=src python tests/test_golden_reports.py

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from qcx.l2basis import (BlockStructure, blocks_from_generators,
                          build_example_10pt, build_example_10pt_split,
                          check_basis_locality, check_cone_self_dual,
                          check_convexity_wrt_preorder, check_nqc_wrt_preorder,
-                         cone_leq, gram_schmidt, project_G_complement,
-                         refined_partition_10pt)
-from qcx.riskmeasure import (RiskMeasureOracle, check_locality,
+                         CONE_TOL, cone_leq, gram_schmidt,
+                         project_G_complement, refined_partition_10pt)
+from qcx.riskmeasure import (CheckVerdict, RiskMeasureOracle, check_locality,
                              check_natural_quasiconvexity,
                              conditional_expectation_map,
                              entropic_certainty_equivalent, mean_broadcast_map,
@@ -27,6 +28,37 @@ def block():
 @pytest.fixture(scope="module")
 def triples(block):
     return sample_triples(block.space, 11, 150)
+
+
+def ref_cone_self_dual(block, budget=200, rng=0):
+    """The sampled cone check the exact one replaced, kept as an oracle:
+    ``(verdict, kind)``, where ``kind`` is the inclusion a failing sample
+    refutes. Pairs of nonnegative-coordinate samples must have inner
+    products of at least ``-CONE_TOL``; a sample with one negative
+    coordinate must be excluded from the dual by that e-vector."""
+    gen = np.random.default_rng(rng)
+    k, es = block.k, block.basis[:block.k]
+    for _ in range(budget):
+        y_coords, v_coords = gen.uniform(0.0, 3.0, (2, k))
+        if block.space.inner(y_coords @ es, v_coords @ es) < -CONE_TOL:
+            return CheckVerdict.FAIL, "cone-in-dual"
+        neg_coords = gen.uniform(0.0, 3.0, k)
+        j = int(gen.integers(0, k))
+        neg_coords[j] = -gen.uniform(0.5, 2.0)
+        if block.space.inner(neg_coords @ es, es[j]) >= 0.0:
+            return CheckVerdict.FAIL, "dual-in-cone"
+    return CheckVerdict.PASS, None
+
+
+def skewed(block, off):
+    """``block`` with its second e-vector ``e_1`` replaced by ``e_1 + off
+    e_0``, which puts ``off`` at (0, 1) and (1, 0) of the e-Gram matrix and
+    ``1 + off^2`` at (1, 1). No constructor would accept it."""
+    basis = block.basis.copy()
+    basis[1] += off * basis[0]
+    out = copy.copy(block)
+    object.__setattr__(out, "basis", basis)
+    return out
 
 
 def ref_coordinates(block, x):
@@ -71,6 +103,10 @@ class TestGramSchmidt:
 
 
 class TestExampleStructure:
+    def test_sigma_is_built_once(self, block):
+        assert block.sigma() is block.sigma()
+        assert block.sigma().atoms == block.cells
+
     def test_dimensions(self, block):
         assert block.e_dims == (1, 1, 1)
         assert block.basis.shape == (10, 10)
@@ -247,7 +283,54 @@ class TestCone:
         assert not cone_leq(y, y - e1, block)
 
     def test_self_dual(self, block):
-        assert check_cone_self_dual(block, budget=200).passed
+        rep = check_cone_self_dual(block)
+        assert rep.passed and rep.samples == 2 * 3 * 3
+        assert rep.tol == CONE_TOL
+
+    def test_matches_the_sampled_check(self, block):
+        """The exact check gives the sampled check's verdict on the
+        fixture and on random one-dimensional e-generators."""
+        assert ref_cone_self_dual(block) == (CheckVerdict.PASS, None)
+        rng = np.random.default_rng(8)
+        for k in (1, 2, 4, 7):
+            sizes = rng.integers(1, 4, k)
+            cells = np.split(rng.permutation(int(sizes.sum())),
+                             np.cumsum(sizes)[:-1])
+            raw = rng.uniform(0.5, 2.0, int(sizes.sum()))
+            space = FiniteProbSpace(tuple(raw / raw.sum()))
+            gens = []
+            for cell in cells:
+                v = np.zeros(space.n)
+                v[cell] = rng.normal(size=len(cell))
+                gens.append([v])
+            random_block = blocks_from_generators(
+                space, cells, gens, [[] for _ in cells], complete=True)
+            rep = check_cone_self_dual(random_block)
+            assert rep.passed and rep.samples == 2 * k * k
+            assert ref_cone_self_dual(random_block, rng=k)[0] == rep.verdict
+
+    def test_skewed_bases_are_refuted(self, block):
+        """An obtuse pair of e-vectors leaves the cone outside its dual;
+        an acute pair makes the dual larger than the cone. Both checks
+        refute each, and name the same inclusion."""
+        # the first bad entry is (0, 1), row-major, of G or after all of G
+        for off, inclusion, samples in ((-0.5, "cone-in-dual", 2),
+                                        (0.5, "dual-in-cone", 9 + 2)):
+            bad = skewed(block, off)
+            rep = check_cone_self_dual(bad)
+            assert rep.failed and rep.tol == CONE_TOL
+            assert rep.witness["inclusion"] == inclusion
+            assert rep.witness["entry"] == [0, 1]
+            assert rep.samples == samples
+            gram = np.array([[1, off, 0], [off, 1 + off ** 2, 0], [0, 0, 1]])
+            want = gram if off < 0 else np.linalg.inv(gram)
+            assert rep.witness["value"] == pytest.approx(want[0, 1],
+                                                         abs=1e-12)
+            assert ref_cone_self_dual(bad) == (CheckVerdict.FAIL, inclusion)
+
+    def test_requires_one_dim_blocks(self):
+        with pytest.raises(AssumptionViolatedError):
+            check_cone_self_dual(build_example_10pt_split())
 
 
 class TestPreorderNQC:

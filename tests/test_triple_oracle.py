@@ -22,10 +22,12 @@ the basic solutions and takes their values in closed form, so it must match
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qcx import riskmeasure
 from qcx.errors import NotGMeasurableError
 from qcx.l2basis import (blocks_from_generators, check_basis_locality,
                          check_convexity_wrt_preorder, check_nqc_wrt_preorder)
@@ -399,6 +401,47 @@ def test_star_reads_each_triple_alone(k, seed):
     assert failed
 
 
+@pytest.mark.parametrize("k,seed", CASES)
+def test_star_blocks_do_not_move_bits(k, seed, monkeypatch):
+    """One triple per block, seven, and all triples in one block give the
+    same star report, bit for bit."""
+    space, sigma, rng = random_case(k, seed)
+    candidates = k + k * (k - 1) // 2
+    for name, rho in measures(space, sigma, rng).items():
+        for kind, triples in triple_lists(space, rng).items():
+            table = TripleTable(rho, triples)
+            reports = set()
+            for block in (1, 7 * candidates, 10 ** 9):
+                monkeypatch.setattr(riskmeasure, "STAR_BLOCK", block)
+                reports.add(repr(check_star_quasiconvexity(rho,
+                                                           triples=table)))
+            assert len(reports) == 1, (name, kind)
+
+
+def test_star_memory_is_bounded_by_its_blocks():
+    """At k = 40 (820 dual candidates per triple) and 200 triples, the
+    star check on a read table peaks below 2 MB, on a pass and on a
+    failure; deciding every triple at once peaked at 8.3 MB."""
+    k = 40
+    space = FiniteProbSpace.uniform(3 * k)
+    sigma = PartitionSigma(tuple(tuple(range(3 * a, 3 * a + 3))
+                                 for a in range(k)))
+    triples = sample_triples(space, 0, 200)
+    for make, passed in ((entropic_certainty_equivalent, True),
+                         (cubed_mean_map, False)):
+        rho = make(sigma, space)
+        table = TripleTable(rho, triples)
+        table.read()
+        tracemalloc.start()
+        try:
+            rep = check_star_quasiconvexity(rho, triples=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed is passed
+        assert peak < 2e6, (make.__name__, peak)
+
+
 def test_star_matches_the_loop_on_the_acceptance_fixture():
     """The acceptance suite's space, partition, triples and measures."""
     space = FiniteProbSpace.uniform(10)
@@ -435,6 +478,24 @@ def test_stacked_conditional_expectation_is_c_contiguous():
     assert got.flags.c_contiguous
     single = [conditional_expectation(row, sigma, space) for row in rows]
     assert got.tobytes() == np.array(single).tobytes()
+
+
+def test_stack_labels_are_kept_for_the_largest_stack():
+    """The offset labels of a stack are built once and kept; a smaller
+    stack reads their prefix, a larger one rebuilds them, and every row
+    gets its own call's bits throughout."""
+    space, sigma, rng = random_case(5, 506)
+    rows = rng.uniform(-3, 3, (12, sigma.n))
+    single = np.array([conditional_expectation(row, sigma, space)
+                       for row in rows])
+    for m in (7, 3, 7, 12, 1):
+        got = conditional_expectation(rows[:m], sigma, space)
+        assert got.tobytes() == single[:m].tobytes(), m
+    kept = sigma._stacked[0]
+    assert kept.tolist() == [a + sigma.k * r for r in range(12)
+                             for a in sigma.labels]
+    conditional_expectation(rows[:4], sigma, space)
+    assert sigma._stacked[0] is kept
 
 
 def _marked_measure(sigma, space):
@@ -509,6 +570,15 @@ def test_bad_triple_raises_when_read():
         expected = _raised(lambda: ref(convex, triples))
         assert expected[0] is NotGMeasurableError
         assert _raised(lambda: check(convex, triples=table)) == expected
+    # blocks of one triple: the error surfaces after the last block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riskmeasure, "STAR_BLOCK", 1)
+        table = TripleTable(convex, triples)
+        assert _raised(lambda: check_star_quasiconvexity(
+            convex, triples=table)) == _raised(lambda: ref_star(convex,
+                                                                triples))
+        assert same_star(check_star_quasiconvexity(bad, triples=triples),
+                         ref_star(bad, triples))
     # a measure that is bad on every X is bad at the first row
     assert _raised(lambda: check_convexity(marked, triples=[
         (np.full(sigma.n, 2000.0), y, lam)]))[0] is ValueError

@@ -2,12 +2,13 @@
 
 :func:`replay` re-evaluates each failing check's witness through a fresh
 oracle, recomputes the numbers the report gives (a violation, outputs,
-e-coordinates, a dual margin) and compares them within
+e-coordinates, a dual margin, an e-Gram entry) and compares them within
 :data:`REPLAY_TOL`; it also checks that the replayed values violate the
 property at the report's tolerance. It runs on every ``risk`` job of the
 benchmark at seeds 101-110, and on library reports of the checks that no
-benchmark job fails (quasiconvexity, sensitivity, non-constancy and basis
-locality). A forged witness must not replay.
+benchmark job fails (quasiconvexity, sensitivity, non-constancy, basis
+locality, and cone self-duality on skewed bases). A forged witness must not
+replay.
 """
 
 import importlib.util
@@ -22,13 +23,14 @@ from qcx.cli import (PLAIN_MEASURES, _read, build_measure, build_partition,
                      build_space, load_config, main, report_to_dict)
 from qcx.l2basis import (CONE_TOL, build_example_10pt,
                          build_example_10pt_split, check_basis_locality,
-                         refined_partition_10pt)
+                         check_cone_self_dual, refined_partition_10pt)
 from qcx.riskmeasure import (SENSITIVITY_TOL, RiskMeasureOracle,
                              blind_spot_map, check_assumption_nonconstant,
                              check_quasiconvexity, check_sensitivity,
                              conditional_expectation_map, mean_broadcast_map,
                              nqc_mu_interval, sample_triples)
 from qcx.spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
+from test_l2basis import skewed
 from test_sample_oracle import ref_cell_projection
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -146,15 +148,15 @@ def _basis_locality(rho, block, w, tol):
 
 
 def _cone_self_dual(rho, block, w, tol):
-    es = list(block.basis[:block.k])
-    y = sum(c * e for c, e in zip(w["y_coords"], es))
-    if "v_coords" in w:
-        v = sum(c * e for c, e in zip(w["v_coords"], es))
-        assert block.space.inner(y, v) < -CONE_TOL
-    else:
-        assert block.space.inner(y, es[w["witness_cell"]]) >= 0.0
-        v = es[w["witness_cell"]]
-    _close(block.space.inner(y, v), w["inner"], "inner")
+    """The reported entry of the e-Gram matrix, or of its inverse,
+    recomputed one inner product at a time."""
+    es = block.basis[:block.k]
+    gram = np.array([[block.space.inner(a, b) for b in es] for a in es])
+    entries = {"cone-in-dual": gram,
+               "dual-in-cone": np.linalg.inv(gram)}[w["inclusion"]]
+    value = entries[tuple(w["entry"])]
+    _close(value, w["value"], "value")
+    assert value < -tol
     return None
 
 
@@ -276,9 +278,19 @@ def test_forged_witnesses_do_not_replay():
     rep["witness"]["violation"] *= 1.5
     with pytest.raises(AssertionError):
         replay({"results": {"basis_locality": rep}}, rho, block)
-    # a cone sample pair with a nonnegative inner product separates nothing
+    # the fixture's e-vectors are orthogonal: G[0, 1] is 0, not -1
     forged = {"verdict": "fail", "tol": CONE_TOL,
-              "witness": {"y_coords": [1.0, 0.5, 2.0],
-                          "v_coords": [0.5, 1.0, 1.0], "inner": -1.0}}
+              "witness": {"inclusion": "cone-in-dual", "entry": [0, 1],
+                          "value": -1.0}}
     with pytest.raises(AssertionError):
         replay({"results": {"cone_self_dual": forged}}, rho, block)
+
+
+def test_cone_witnesses_of_skewed_bases_replay():
+    block = build_example_10pt()
+    rho = mean_broadcast_map(block.sigma(), block.space)
+    for off in (-0.5, 0.5):
+        bad = skewed(block, off)
+        rep = report_to_dict(check_cone_self_dual(bad))
+        assert replay({"results": {"cone_self_dual": rep}}, rho, bad) == [
+            "cone_self_dual"]
