@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional, TextIO
 
 import numpy as np
@@ -36,7 +35,7 @@ from .decomp import (DecomposableSum, SumDecision, SumVerdict,
                      harmonic_index, index_sum_criterion)
 from .errors import (ConfigError, ImproperFunctionError, NotGMeasurableError,
                      NotNormalizedError, QcxError)
-from .extcore import (BoxDomain, CertResult, FunctionSpec, Verdict, Witness,
+from .extcore import (BoxDomain, CertResult, FunctionSpec, Witness,
                       scale_function)
 from .families import make_function
 from .l2basis import (build_example_10pt, build_example_10pt_split,
@@ -68,15 +67,12 @@ EXIT_CONFIG = 64
 # ---------------------------------------------------------------------------
 
 def _jsonify(obj):
-    """Canonical JSON-friendly form: enums by value, infinities as strings."""
+    """Canonical JSON-friendly form of a report built by the ``*_to_dict``
+    converters: numpy scalars as Python numbers, infinities as strings."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (Verdict, CheckVerdict, SumDecision)):
-        return obj.value
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         if math.isinf(f):
@@ -84,8 +80,6 @@ def _jsonify(obj):
         return f
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if hasattr(obj, "__dataclass_fields__"):
-        return _jsonify(asdict(obj))
     return obj
 
 
@@ -252,7 +246,6 @@ CONFIG_KEYS = {
                 "negate": (_flag, False)},
     "index": {"function": (_words(), REQUIRED), **_BRACKET},
     "sum-check": {"functions": (_words(), REQUIRED), **_BRACKET,
-                  "brute": (_flag, False),
                   "pair_budget": (_count(), 1000000),
                   "brute_grid": (_words(_count(3)), None)},
     "risk-check": {"measure": (str, REQUIRED),
@@ -407,7 +400,7 @@ def build_measure(cp, name: str, sigma: PartitionSigma,
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_index(cp, seed: int, csv: Optional[TextIO]) -> dict:
+def cmd_index(cp, csv: Optional[TextIO]) -> dict:
     names = _read_distinct(cp, "index", "function")
     lambda_cap = _read(cp, "index", "lambda_cap")
     tol = _read(cp, "index", "tol")
@@ -428,13 +421,12 @@ def cmd_index(cp, seed: int, csv: Optional[TextIO]) -> dict:
     return {"functions": results}
 
 
-def cmd_sum_check(cp, seed: int, brute: bool, csv: Optional[TextIO]) -> dict:
+def cmd_sum_check(cp, brute: bool, csv: Optional[TextIO]) -> dict:
     names = _read(cp, "sum-check", "functions")
     if len(names) < 2:
         raise ConfigError("[sum-check] needs at least two functions")
     lambda_cap = _read(cp, "sum-check", "lambda_cap")
     tol = _read(cp, "sum-check", "tol")
-    brute = _read(cp, "sum-check", "brute") or brute
     dsum = DecomposableSum(tuple(build_function(cp, n) for n in names))
     if brute:
         budget = _read(cp, "sum-check", "pair_budget")
@@ -689,10 +681,9 @@ def main(argv=None) -> int:
                                   f"got {args.threads}")
             cp = load_config(args.config)
             if args.command == "index":
-                results = cmd_index(cp, args.seed, files["csv"])
+                results = cmd_index(cp, files["csv"])
             elif args.command == "sum-check":
-                results = cmd_sum_check(cp, args.seed, args.brute,
-                                        files["csv"])
+                results = cmd_sum_check(cp, args.brute, files["csv"])
             elif args.command == "risk-check":
                 results = cmd_risk_check(cp, args.seed)
             else:

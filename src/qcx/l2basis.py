@@ -266,10 +266,7 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
                       block.sigma().labels == np.arange(k)[:, None]])
     rows = np.where(keep, x[:, None, :], 0.0).reshape(-1, n)
     out, error = _stacked(rho, rows)
-    # rows past an oracle error stay NaN, and a NaN gap is no violation
-    risks = np.full(rows.shape, np.nan)
-    risks[:len(out)] = out
-    risks = risks.reshape(rounds, k + 1, n)
+    risks = out.reshape(rounds, k + 1, n)
     e, e_cells = block.basis[:m], block.row_cells[:m]
     gaps = np.abs(_inner_rows(risks[:, :1], e, block.space)
                   - _inner_rows(risks[:, 1 + e_cells], e, block.space))

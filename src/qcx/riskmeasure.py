@@ -21,12 +21,16 @@ The sampled checkers evaluate stacked rows: one oracle call for all their
 samples (per locality round, per sensitivity ``eps``; the non-constancy
 check makes one per probe position), in the order of single calls, with
 the first failure taken from a violation mask, so reports equal those of
-one call per row. The six triple checkers (convexity, quasiconvexity,
-natural and star quasiconvexity here, and the two preorder checks of
-:mod:`qcx.l2basis`) take the caller's triples, ``triples=`` a list from
-:func:`sample_triples` or a shared :class:`TripleTable`: ``rho`` of every
-``X``, ``Y`` and mix, evaluated in one call when a checker first reads it.
-Each decides its triples with violation masks, the star check in blocks.
+one call per row. When a stacked call raises, :func:`_stacked` alone
+decides what a checker sees: the rows from the first failing one on are
+NaN, which no mask flags, so a check reports a failure found before that
+row and otherwise raises its error. The six triple checkers (convexity,
+quasiconvexity, natural and star quasiconvexity here, and the two preorder
+checks of :mod:`qcx.l2basis`) take the caller's triples, ``triples=`` a
+list from :func:`sample_triples` or a shared :class:`TripleTable`: ``rho``
+of every ``X``, ``Y`` and mix, evaluated in one call when a checker first
+reads it. Each decides its triples with violation masks, the star check in
+blocks.
 """
 
 from __future__ import annotations
@@ -298,9 +302,9 @@ class TripleTable:
         return len(self.triples)
 
     def read(self) -> tuple[np.ndarray, Optional[Exception]]:
-        """``(risks, error)``: ``risks[j]`` holds ``rho(X)``, ``rho(Y)`` and
-        ``rho(mix)`` of triple ``j``, for the triples before the first
-        failing row, whose error is ``error`` (see :func:`_stacked`)."""
+        """``(risks, error)`` as :func:`_stacked` gives them: ``risks[j]``
+        holds ``rho(X)``, ``rho(Y)`` and ``rho(mix)`` of triple ``j``, NaN
+        from the first failing row on, whose error is ``error``."""
         if self._read is None:
             n = self.rho.sigma.n
             rows = np.empty((len(self), 3, n))
@@ -308,7 +312,7 @@ class TripleTable:
             lam = self.lam[:, None]
             rows[:, 2] = lam * rows[:, 0] + (1 - lam) * rows[:, 1]
             risks, error = _stacked(self.rho, rows.reshape(-1, n))
-            self._read = risks[:len(risks) // 3 * 3].reshape(-1, 3, n), error
+            self._read = risks.reshape(-1, 3, n), error
         return self._read
 
 
@@ -316,28 +320,29 @@ def _stacked(rho: RiskMeasureOracle, rows: np.ndarray
              ) -> tuple[np.ndarray, Optional[Exception]]:
     """``rho`` of a stack of rows ``(m, n)`` in one call, and ``None``.
 
-    When that call raises, the rows are evaluated one at a time: the result
-    holds the outputs of the rows before the first failing one, and that
-    row's error. A checker raises the error once it needs a row past those
-    outputs, as the calls of one row each would have raised it there.
+    When that call raises, the rows are evaluated one at a time, and the
+    result keeps the stack's shape: the rows before the first failing one
+    hold their outputs, that row and every later one are NaN, and that
+    row's error comes back beside them. A violation mask is False on NaN,
+    so a checker stops where calls of one row each would have stopped.
     """
     try:
         return rho(rows), None
     except (ValueError, QcxError):
-        done = []
-        for row in rows:
+        out = np.full(rows.shape, np.nan)
+        for i, row in enumerate(rows):
             try:
-                done.append(rho(row))
+                out[i] = rho(row)
             except (ValueError, QcxError) as e:
-                return np.reshape(done, (-1, rows.shape[-1])), e
-        return np.reshape(done, rows.shape), None
+                return out, e
+        return out, None
 
 
 def _first_failure(mask: np.ndarray, error: Optional[Exception]
                    ) -> Optional[int]:
-    """The index of the first ``True`` of a violation mask over the rows
-    :func:`_stacked` evaluated; ``None`` when there is none, unless the rows
-    stopped at ``error``, which is then raised."""
+    """The index of the first ``True`` of a violation mask over the rows of
+    :func:`_stacked`, False on its NaN rows; ``None`` when there is none,
+    unless the rows stopped at ``error``, which is then raised."""
     bad = np.flatnonzero(mask)
     if bad.size:
         return int(bad[0])
@@ -368,7 +373,7 @@ def _excess_check(prop: str, table: TripleTable, values: np.ndarray,
     ``v_mix`` of triple ``j``.
     """
     v_x, v_y, v_mix = values.transpose(1, 0, 2)
-    worst = (v_mix - bound(table.lam[:len(values), None], v_x, v_y)).max(axis=1)
+    worst = (v_mix - bound(table.lam[:, None], v_x, v_y)).max(axis=1)
     i = _first_failure(worst > tol, error)
     if i is not None:
         x, y, lam = table.triples[i]
@@ -412,16 +417,16 @@ def check_monotonicity(rho: RiskMeasureOracle, budget: int = 200,
                        tol: float = DEFAULT_CHECK_TOL, rng=0) -> PropertyReport:
     """Larger positions must not carry larger risk: X <= Y => rho(X) >= rho(Y).
 
-    All samples are drawn first, in sample order, and evaluated in one
-    stacked call, rows ``X``, ``Y``.
+    All samples come from one draw, in the order of one ``X`` and one
+    ``delta`` call per sample, and are evaluated in one stacked call, rows
+    ``X``, ``Y``.
     """
-    gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
     n = rho.space.n
-    x, delta = np.array([(gen.uniform(lo, hi, n), gen.uniform(0.0, 2.0, n))
-                         for _ in range(budget)]).reshape(-1, 2, n).swapaxes(0, 1)
+    x, delta = _rng(rng).uniform([[lo], [0.0]], [[hi], [2.0]],
+                                 (budget, 2, n)).swapaxes(0, 1)
     out, error = _stacked(rho, np.stack([x, x + delta], 1).reshape(-1, n))
-    rx, ry = out[:len(out) // 2 * 2].reshape(-1, 2, n).swapaxes(0, 1)
+    rx, ry = out.reshape(-1, 2, n).swapaxes(0, 1)
     viol = rx - (ry - tol)
     j = _first_failure((viol < 0).any(axis=1), error)
     if j is not None:
@@ -438,18 +443,17 @@ def check_translativity(rho: RiskMeasureOracle, budget: int = 200,
                         tol: float = DEFAULT_CHECK_TOL, rng=0) -> PropertyReport:
     """Adding a measurable position Z shifts the risk by exactly -Z.
 
-    Stacked as :func:`check_monotonicity` is, rows ``X + Z``, ``X``.
+    Drawn and stacked as :func:`check_monotonicity` is, ``X`` and the atom
+    values of ``Z`` per sample, rows ``X + Z``, ``X``.
     """
-    gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
-    n = rho.space.n
-    x, z = np.array([
-        (gen.uniform(lo, hi, n),
-         rho.sigma.from_atom_values(gen.uniform(-2.0, 2.0, rho.sigma.k)))
-        for _ in range(budget)]).reshape(-1, 2, n).swapaxes(0, 1)
+    n, k = rho.space.n, rho.sigma.k
+    draws = _rng(rng).uniform([lo] * n + [-2.0] * k, [hi] * n + [2.0] * k,
+                              (budget, n + k))
+    x, z = draws[:, :n], rho.sigma.from_atom_values(draws[:, n:])
     out, error = _stacked(rho, np.stack([x + z, x], 1).reshape(-1, n))
-    lhs, rx = out[:len(out) // 2 * 2].reshape(-1, 2, n).swapaxes(0, 1)
-    err = np.abs(lhs - (rx - z[:len(rx)])).max(axis=1)
+    lhs, rx = out.reshape(-1, 2, n).swapaxes(0, 1)
+    err = np.abs(lhs - (rx - z)).max(axis=1)
     j = _first_failure(err > tol, error)
     if j is not None:
         return PropertyReport(
@@ -479,11 +483,9 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
     lo, hi = DEFAULT_SAMPLE_RANGE
     k, n = rho.sigma.k, rho.space.n
     x, u = gen.uniform(lo, hi, n), gen.uniform(lo, hi, n)
-    n_unions = 2 ** k - 1
-    if n_unions <= budget:
-        events, rounds = _atom_events(k), budget // n_unions
-    else:
-        events, rounds = _sampled_events(k, budget, gen), 1
+    events = (_atom_events(k) if 2 ** k - 1 <= budget
+              else _sampled_events(k, budget, gen))
+    rounds = budget // max(1, len(events))  # no events at budget 0
     # row slot 2 e + f is event e in form f (0 definition, 1 two-sided; the
     # whole space has no two-sided form)
     slots = np.flatnonzero([f == 0 or len(ev) < k
@@ -503,12 +505,9 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
         if r:
             x, u = gen.uniform(lo, hi, n), gen.uniform(lo, hi, n)
         out, error = _stacked(rho, np.vstack([x, u, glued(x, u)]))
-        if len(out) < 2:
-            raise error
         rx, ru, out = out[0], out[1], out[2:]
-        m = len(out)
-        got = np.where(two[:m, None], out, out * ind[:m])
-        err = np.abs(got - glued(rx, ru)[:m]).max(axis=1)
+        got = np.where(two[:, None], out, out * ind)
+        err = np.abs(got - glued(rx, ru)).max(axis=1)
         j = _first_failure(err > tol, error)
         if j is not None:
             e = int(slots[j] // 2)
@@ -765,7 +764,7 @@ def check_sensitivity(rho: RiskMeasureOracle, rng=0) -> PropertyReport:
     checked = 0
     for eps in (0.01, 0.1, 1.0):
         out, error = _stacked(rho, -eps * inds)
-        j = _first_failure(~(out > SENSITIVITY_TOL).any(axis=1), error)
+        j = _first_failure((out <= SENSITIVITY_TOL).all(axis=1), error)
         if j is not None:
             return PropertyReport(
                 "sensitivity", CheckVerdict.FAIL,

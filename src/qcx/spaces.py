@@ -148,7 +148,9 @@ class PartitionSigma:
         return np.asarray(x, dtype=float)[..., self._first]
 
     def from_atom_values(self, vals: Sequence[float]) -> np.ndarray:
-        return np.asarray(vals, dtype=float)[self.labels]
+        """Each atom's value on its outcomes, row-wise: ``(..., k)`` to
+        ``(..., n)``."""
+        return np.asarray(vals, dtype=float)[..., self.labels]
 
     def indicator(self, atom_index: int) -> np.ndarray:
         return self.event_indicator((atom_index,))
@@ -168,15 +170,13 @@ def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
     """Per-atom probability-weighted mean, broadcast back to outcomes;
     row-wise on ``(..., n)``.
 
-    A stack of ``m`` rows is one ``bincount`` over the labels offset by
-    ``k`` per row; the partition keeps them for its largest stack so far,
-    and a smaller stack reads their prefix. Each bin still adds its terms in
-    outcome order, so every row gets the bits of its own call.
+    Any input is a stack of ``m`` rows (a single row is a stack of one),
+    evaluated by one ``bincount`` over the labels offset by ``k`` per row;
+    the partition keeps them for its largest stack so far, and a smaller
+    stack reads their prefix. Each bin adds its terms in outcome order, and
+    there is no other path, so every row gets the bits of its own call.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        sums = np.bincount(sigma.labels, space.p * x, sigma.k)
-        return (sums / sigma.atom_probs(space))[sigma.labels]
     rows = x.reshape(-1, sigma.n)
     m, k = len(rows), sigma.k
     labels = sigma._stacked[0]

@@ -484,7 +484,6 @@ class TestDeterminismAndErrors:
         ("index", "function s", {"family": "piecewise", "xs": "0 1 2",
                                  "ys": "0 1 oops"}),
         ("risk-check", "partition", {"atoms": "1-4; 5-x; 8-10"}),
-        ("sum-check", "sum-check", {"brute": "maybe"}),
         ("risk-check", "measure m", {"kind": "coarse_cond_exp",
                                      "target": "1-7; 8-10", "negate": "ture"}),
         ("risk-check", "measure m", {"kind": "coarse_cond_exp",
@@ -635,6 +634,7 @@ class TestDeterminismAndErrors:
         ("risk-check", "risk-check", {"budgte": "7"}),
         ("index", "function s", {"gird": "31"}),
         ("l2-demo", "l2-demo", {"loss": "exp"}),
+        ("sum-check", "sum-check", {"brute": "true"}),  # --brute asks for it
     ])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, command,
                                          section, changes):

@@ -78,7 +78,6 @@ grid = 33
 SUM_CHECK = """\
 [sum-check]
 functions = {names}
-brute = true
 pair_budget = 2500000
 brute_grid = {grid}
 """
@@ -142,8 +141,9 @@ def run_job(name: str, workdir: Path) -> tuple[int, bytes, Optional[bytes]]:
     out = workdir / f"{name}.json"
     csv = workdir / f"{name}.csv"
     extra = ["--csv", str(csv)] if command in CSV_COMMANDS else []
+    brute = ["--brute"] if command == "sum-check" else []
     code = main([command, "--config", str(cfg), "--out", str(out),
-                 "--seed", str(SEED), *extra])
+                 "--seed", str(SEED), *brute, *extra])
     return code, out.read_bytes(), csv.read_bytes() if extra else None
 
 

@@ -11,8 +11,11 @@ float bits count. The one exception is basis locality: its loop projects
 onto a cell's basis vectors one inner product at a time, the checker
 restricts to the cell exactly, and its violation moves by a few ulps, so
 it is compared within :data:`BASIS_REL`. An oracle that raises partway
-through a stacked call must give the loop's report when a failure comes
-first, and the loop's error otherwise.
+through a stacked call, also at the first, a middle or the last row of
+any stacked call of these checks or of the six triple checks, must give
+the loop's report when a failure comes first, and the loop's error
+otherwise. Monotonicity and translativity draw all their samples in one
+call, which must give the rows of one call per sample and part.
 """
 
 from __future__ import annotations
@@ -26,16 +29,25 @@ import pytest
 from qcx.errors import NotNormalizedError, QcxError
 from qcx.l2basis import (build_example_10pt, build_example_10pt_split,
                          check_basis_locality, refined_partition_10pt)
+from qcx.l2basis import (check_convexity_wrt_preorder,
+                         check_nqc_wrt_preorder)
 from qcx.riskmeasure import (DEFAULT_CHECK_TOL, DEFAULT_SAMPLE_RANGE,
                              CheckVerdict, PropertyReport,
                              RiskMeasureOracle, _atom_events, _rng,
                              _sampled_events, _vec, blind_spot_map,
-                             check_locality, check_monotonicity,
-                             check_sensitivity, check_translativity,
+                             check_convexity, check_locality,
+                             check_monotonicity,
+                             check_natural_quasiconvexity,
+                             check_quasiconvexity, check_sensitivity,
+                             check_star_quasiconvexity, check_translativity,
                              conditional_expectation_map, mean_broadcast_map,
-                             neg_conditional_expectation)
+                             neg_conditional_expectation, sample_triples)
 from qcx.spaces import conditional_expectation
-from test_triple_oracle import indicator_block, measures, random_case
+from test_triple_oracle import (_squared_gap_measure, indicator_block,
+                                measures, random_case, ref_convexity,
+                                ref_convexity_wrt_preorder, ref_nqc,
+                                ref_nqc_wrt_preorder, ref_quasiconvexity,
+                                ref_star, same_star)
 
 LATE = 64  # a failure past this many samples or events counts as late
 BASIS_REL = 1e-12  # relative slack of a basis-locality violation
@@ -271,9 +283,12 @@ def outcome(call):
 
 def same(new, old) -> bool:
     """Equal outcomes: reports by ``repr``, except that a basis-locality
-    violation only has to agree within :data:`BASIS_REL`."""
+    violation only has to agree within :data:`BASIS_REL`, and star reports
+    as :func:`same_star` compares them."""
     if not isinstance(new, PropertyReport) or not isinstance(old, PropertyReport):
         return new == old
+    if new.prop == "star-quasiconvexity":
+        return same_star(new, old)
     if new.prop == "basis-locality" and new.failed and old.failed:
         a, b = new.witness["violation"], old.witness["violation"]
         if not math.isclose(a, b, rel_tol=BASIS_REL):
@@ -409,9 +424,94 @@ def raising_cases():
     ]
 
 
+def _poisoned(base, row):
+    """``base``, except a NaN output, so an error, on the rows within 1e-12
+    of ``row``: the same rows for a checker and its loop, whose projection
+    onto a cell lies a few ulps from the checker's restriction."""
+    def fn(x):
+        hit = (np.abs(x - row) <= 1e-12).all(axis=-1)
+        return np.where(hit[..., None], np.nan, base.fn(x))
+
+    return RiskMeasureOracle(f"poisoned-{base.name}", fn, base.sigma,
+                             base.space)
+
+
+def _stacks(check, base):
+    """The rows of each stacked oracle call that ``check`` makes on
+    ``base``."""
+    stacks = []
+
+    def fn(x):
+        if x.ndim == 2:
+            stacks.append(x.copy())
+        return base.fn(x)
+
+    outcome(lambda: check(RiskMeasureOracle(base.name, fn, base.sigma,
+                                            base.space)))
+    return stacks
+
+
+def positional_cases():
+    """``(checker, stacked, loop, bases)`` for every check that stacks its
+    rows, each with a base measure that fails early and one that passes
+    (or fails late)."""
+    space, sigma, rng = random_case(4, 43)
+    block, ten = indicator_block(space, sigma), build_example_10pt()
+    zoo = measures(space, sigma, rng)
+    base, cubed = zoo["neg-cond-exp"], zoo["cubed-mean"]
+    atom = next(a for a, outs in enumerate(sigma.atoms) if len(outs) > 1)
+    gap = _squared_gap_measure(sigma, space, atom, sigma.atoms[atom][:2])
+    triples = sample_triples(space, rng, 30)
+
+    def budgeted(check, budget):
+        return lambda rho: check(rho, budget=budget, rng=5)
+
+    cases = [
+        ("monotonicity", budgeted(check_monotonicity, 40),
+         budgeted(ref_monotonicity, 40), (_posmean(base), base)),
+        ("translativity", budgeted(check_translativity, 40),
+         budgeted(ref_translativity, 40), (cubed, base)),
+        # 15 unions: every union in two rounds, or 10 sampled events
+        ("locality-unions", budgeted(check_locality, 40),
+         budgeted(ref_locality, 40), (zoo["mean-broadcast"], base)),
+        ("locality-sampled", budgeted(check_locality, 10),
+         budgeted(ref_locality, 10), (zoo["mean-broadcast"], base)),
+        ("sensitivity", lambda rho: check_sensitivity(rho, rng=5),
+         lambda rho: ref_sensitivity(rho, rng=5), (zoo["blind-spot"], base)),
+        ("basis-locality",
+         lambda rho: check_basis_locality(rho, ten, budget=30, rng=5),
+         lambda rho: ref_basis_locality(rho, ten, budget=30, rng=5),
+         (mean_broadcast_map(ten.sigma(), ten.space),
+          neg_conditional_expectation(ten.sigma(), ten.space))),
+    ]
+    for prop, check, ref, fails in (
+            ("convexity", check_convexity, ref_convexity, cubed),
+            ("quasiconvexity", check_quasiconvexity, ref_quasiconvexity, gap),
+            ("natural-quasiconvexity", check_natural_quasiconvexity, ref_nqc,
+             cubed),
+            ("star-quasiconvexity", check_star_quasiconvexity, ref_star,
+             cubed)):
+        cases.append((prop, lambda rho, f=check: f(rho, triples=triples),
+                      lambda rho, g=ref: g(rho, triples), (fails, base)))
+    cases += [
+        ("convexity-wrt-preorder",
+         lambda rho: check_convexity_wrt_preorder(rho, block, triples=triples),
+         lambda rho: ref_convexity_wrt_preorder(rho, block, triples),
+         (cubed, base)),
+        ("nqc-wrt-preorder",
+         lambda rho: check_nqc_wrt_preorder(rho, block, triples=triples,
+                                            rng=5),
+         lambda rho: ref_nqc_wrt_preorder(rho, block, triples, rng=5),
+         (cubed, base)),
+    ]
+    return cases
+
+
 def test_raising_row_inside_a_stacked_call():
     """A failure before the raising row gives the loop's report; reaching
-    that row raises the loop's error."""
+    that row raises the loop's error. Rows that raise by a rule, and the
+    first, a middle and the last row of each stacked call of every check
+    that stacks its rows."""
     seen = set()
     for prop, new, old, base, bad in raising_cases():
         for seed in range(3):
@@ -424,6 +524,18 @@ def test_raising_row_inside_a_stacked_call():
                  "basis-locality"):
         # a report although a stacked call raised, and the error
         assert {(prop, True, True), (prop, False, True)} <= seen, prop
+    seen, cases = set(), positional_cases()
+    for prop, new, old, bases in cases:
+        for base in bases:
+            for stack in _stacks(new, base):
+                for row in stack[[0, len(stack) // 2, -1]]:
+                    rho = _poisoned(base, row)
+                    got = outcome(lambda: new(rho))
+                    assert same(got, outcome(lambda: old(rho))), (
+                        prop, base.name)
+                    seen.add((prop, isinstance(got, PropertyReport)))
+    assert seen == {(case[0], report) for case in cases
+                    for report in (True, False)}
 
 
 def test_locality_makes_one_call_per_round():
@@ -483,3 +595,57 @@ def test_two_dimensional_e_blocks_match_the_loop():
     rep = check_basis_locality(leak, split, budget=60)
     assert rep.failed and rep.samples == 2
     assert (rep.witness["cell"], rep.witness["e_index"]) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the draws
+# ---------------------------------------------------------------------------
+
+def _drawn_rows(check, rho, seed):
+    """The rows of ``check``'s stacked call and the next draw of its
+    generator after the check."""
+    gen = np.random.default_rng(seed)
+    (rows,) = _stacks(lambda r: check(r, budget=50, rng=gen), rho)
+    return rows, gen.random()
+
+
+@pytest.mark.parametrize("k,seed", [(1, 801), (4, 804), (9, 809)])
+def test_one_call_draws_keep_the_per_sample_stream(k, seed):
+    """Monotonicity and translativity draw all samples in one call; the rows
+    they evaluate, and the generator's position after them, equal those of
+    one call per sample and part. A passing report shows no sample, so the
+    rows are compared directly."""
+    space, sigma, _ = random_case(k, seed)
+    rho = neg_conditional_expectation(sigma, space)
+    lo, hi = DEFAULT_SAMPLE_RANGE
+    n = space.n
+    for s in range(20):
+        gen = np.random.default_rng(s)
+        mono, trans = [], []
+        for _ in range(50):
+            x, delta = gen.uniform(lo, hi, n), gen.uniform(0.0, 2.0, n)
+            mono += [x, x + delta]
+        after_mono = gen.random()
+        gen = np.random.default_rng(s)
+        for _ in range(50):
+            x = gen.uniform(lo, hi, n)
+            z = sigma.from_atom_values(gen.uniform(-2.0, 2.0, k))
+            trans += [x + z, x]
+        after_trans = gen.random()
+        for check, rows, after in ((check_monotonicity, mono, after_mono),
+                                   (check_translativity, trans, after_trans)):
+            got, got_after = _drawn_rows(check, rho, s)
+            assert got.tobytes() == np.array(rows).tobytes(), check.__name__
+            assert got_after == after, check.__name__
+
+
+def test_atom_values_spread_row_wise():
+    """``from_atom_values`` maps a stack of atom values ``(..., k)`` to
+    ``(..., n)``, each row as its own call maps it."""
+    space, sigma, rng = random_case(5, 811)
+    vals = rng.uniform(-2.0, 2.0, (3, 4, sigma.k))
+    got = sigma.from_atom_values(vals)
+    assert got.shape == (3, 4, sigma.n)
+    single = [[sigma.from_atom_values(v) for v in block] for block in vals]
+    assert got.tobytes() == np.array(single).tobytes()
+    assert (sigma.atom_values(got) == vals).all()

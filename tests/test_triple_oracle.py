@@ -585,8 +585,11 @@ def test_bad_triple_raises_when_read():
 
 
 def _filled(table: TripleTable) -> int:
-    """The number of triples the table has evaluated so far."""
-    return 0 if table._read is None else len(table._read[0])
+    """The number of triples the table has evaluated so far: those without
+    a NaN row."""
+    if table._read is None:
+        return 0
+    return int((~np.isnan(table._read[0]).any(axis=(1, 2))).sum())
 
 
 def _counted(rho):
