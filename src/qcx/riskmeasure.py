@@ -48,7 +48,8 @@ from .errors import (InverseMismatchError, NotGMeasurableError,
 # parse_partition_text is imported only to be re-exported: bench/verify.py
 # reads it from here (ROADMAP item 5 moves that import to qcx.spaces)
 from .spaces import (MEASURABILITY_TOL, FiniteProbSpace, PartitionSigma,
-                     conditional_expectation, parse_partition_text)
+                     atom_means, conditional_expectation,
+                     parse_partition_text)
 
 #: Default tolerance of the sampled checks. Kept at 1e-6 so that every
 #: declared natural-quasiconvexity failure has infeasibility depth above it,
@@ -166,9 +167,10 @@ def entropic_certainty_equivalent(sigma: PartitionSigma,
 
 def cubed_mean_map(sigma: PartitionSigma,
                    space: FiniteProbSpace) -> RiskMeasureOracle:
-    """``(-E[X|G])^3``: quasiconvex but neither convex nor translative."""
+    """``(-E[X|G])^3``: quasiconvex but neither convex nor translative.
+    The ``k`` atom means are cubed before the broadcast, with the same bits."""
     def fn(x: np.ndarray) -> np.ndarray:
-        return (-conditional_expectation(x, sigma, space)) ** 3
+        return sigma.from_atom_values((-atom_means(x, sigma, space)) ** 3)
 
     return RiskMeasureOracle("cubed-mean", fn, sigma, space,
                              claims=("monotone", "local", "quasiconvex"))
@@ -274,11 +276,13 @@ class PropertyReport:
 def sample_triples(space: FiniteProbSpace, rng, count: int
                    ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Deterministic (X, Y, lambda) triples for the triple checkers, lambda
-    drawn from :data:`DEFAULT_LAMBDA_GRID`."""
+    drawn from :data:`DEFAULT_LAMBDA_GRID`. ``X`` and ``Y`` are one ``(2, n)``
+    draw, the doubles of two calls; lambda is drawn per triple, since one
+    call for all would reorder the 32-bit halves the generator buffers."""
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
     grid = DEFAULT_LAMBDA_GRID
-    return [(gen.uniform(lo, hi, space.n), gen.uniform(lo, hi, space.n),
+    return [(*gen.uniform(lo, hi, (2, space.n)),
              grid[gen.integers(len(grid))]) for _ in range(count)]
 
 
@@ -397,16 +401,23 @@ def _atom_events(k: int) -> list[tuple[int, ...]]:
 
 def _sampled_events(k: int, budget: int, gen) -> list[tuple[int, ...]]:
     """Atoms, atom complements and the whole space, then distinct random
-    unions, cut at ``budget`` events (there must be more unions than that)."""
-    structural = [(a,) for a in range(k)]
-    structural += [tuple(b for b in range(k) if b != a) for a in range(k)]
-    structural.append(tuple(range(k)))
-    events = dict.fromkeys(ev for ev in structural if ev)  # ordered set
-    while len(events) < budget:
-        ev = tuple(int(a) for a in np.flatnonzero(gen.integers(0, 2, k)))
-        if ev:
-            events[ev] = None
-    return list(events)[:budget]
+    unions, cut at ``budget <= 2^k - 1`` events. The unions still missing
+    are drawn as 0/1 atom rows in one call, the rows of one call per union,
+    so the events are those of one draw per union; the generator may stop
+    up to one block past the last kept union."""
+    if budget > 2 ** k - 1:
+        raise ValueError(f"{budget} events asked of {2 ** k - 1} unions")
+    eye = np.eye(k, dtype=np.int64)
+    rows = np.vstack([eye, 1 - eye, np.ones((1, k), np.int64)])
+    seen, events = {bytes(8 * k)}, []  # the empty union is no event
+    while True:
+        for row in rows:
+            if (key := row.tobytes()) not in seen:  # exact for every k
+                seen.add(key)
+                events.append(tuple(np.flatnonzero(row).tolist()))
+        if len(events) >= budget:
+            return events[:budget]
+        rows = gen.integers(0, 2, (budget - len(events), k))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +488,8 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
     distinct random unions, ``budget`` events in all. ``samples`` counts the
     events checked. A round is one stacked call, rows in the order of single
     calls: ``X`` and ``U`` first, then per event the definition form and,
-    unless the event is the whole space, the two-sided form.
+    unless the event is the whole space, the two-sided form; the indicators
+    are the events' 0/1 atom matrix, indexed by the atom labels.
     """
     gen = _rng(rng)
     lo, hi = DEFAULT_SAMPLE_RANGE
@@ -491,8 +503,10 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
     slots = np.flatnonzero([f == 0 or len(ev) < k
                             for ev in events for f in (0, 1)])
     two = slots % 2 == 1
-    ind = np.array([rho.sigma.event_indicator(ev) for ev in events]
-                   ).reshape(-1, n)[slots // 2]
+    on = np.zeros((len(events), k))  # the events' 0/1 atom rows
+    on[np.repeat(np.arange(len(events)), [len(ev) for ev in events]),
+       list(itertools.chain.from_iterable(events))] = 1.0
+    ind = rho.sigma.from_atom_values(on[slots // 2])  # C-contiguous rows
     off = 1 - ind[two]
 
     def glued(a, b):
@@ -743,24 +757,20 @@ def check_sensitivity(rho: RiskMeasureOracle, rng=0) -> PropertyReport:
     sets: every singleton, every atom, the whole space, and random events up
     to :data:`SENSITIVITY_EVENTS`, each charged ``eps`` = 0.01, 0.1 and 1;
     some output must exceed :data:`SENSITIVITY_TOL`. The events of one
-    ``eps`` are one stacked call.
+    ``eps`` are one stacked call. The missing random events are drawn in one
+    call, the rows and the stream of one call per event.
     """
     zero = rho(np.zeros(rho.space.n))
     if np.max(np.abs(zero)) > 1e-9:
         raise NotNormalizedError(f"{rho.name}: rho(0) has norm "
                                  f"{np.max(np.abs(zero)):.3e}")
-    n = rho.space.n
+    n, k = rho.space.n, rho.sigma.k
     gen = _rng(rng)
-    events: list[tuple[int, ...]] = [(i,) for i in range(n)]
-    events.extend(tuple(a) for a in rho.sigma.atoms)
-    events.append(tuple(range(n)))
-    while len(events) < SENSITIVITY_EVENTS:
-        mask = gen.integers(0, 2, n).astype(bool)
-        if mask.any():
-            events.append(tuple(np.flatnonzero(mask)))
-    inds = np.zeros((len(events), n))
-    for row, event in zip(inds, events):
-        row[list(event)] = 1.0
+    inds = np.vstack([np.eye(n), rho.sigma.from_atom_values(np.eye(k)),
+                      np.ones((1, n))])
+    while len(inds) < SENSITIVITY_EVENTS:
+        drawn = gen.integers(0, 2, (SENSITIVITY_EVENTS - len(inds), n))
+        inds = np.vstack([inds, drawn[drawn.any(axis=1)]])
     checked = 0
     for eps in (0.01, 0.1, 1.0):
         out, error = _stacked(rho, -eps * inds)
@@ -768,10 +778,11 @@ def check_sensitivity(rho: RiskMeasureOracle, rng=0) -> PropertyReport:
         if j is not None:
             return PropertyReport(
                 "sensitivity", CheckVerdict.FAIL,
-                witness={"eps": float(eps), "event": list(map(int, events[j])),
+                witness={"eps": float(eps),
+                         "event": np.flatnonzero(inds[j]).tolist(),
                          "max_output": float(np.max(out[j]))},
                 samples=checked + j + 1, tol=SENSITIVITY_TOL)
-        checked += len(events)
+        checked += len(inds)
     return PropertyReport("sensitivity", CheckVerdict.PASS, samples=checked,
                           tol=SENSITIVITY_TOL)
 

@@ -149,8 +149,8 @@ class PartitionSigma:
 
     def from_atom_values(self, vals: Sequence[float]) -> np.ndarray:
         """Each atom's value on its outcomes, row-wise: ``(..., k)`` to
-        ``(..., n)``."""
-        return np.asarray(vals, dtype=float)[..., self.labels]
+        ``(..., n)``, C-contiguous."""
+        return np.take(np.asarray(vals, dtype=float), self.labels, axis=-1)
 
     def indicator(self, atom_index: int) -> np.ndarray:
         return self.event_indicator((atom_index,))
@@ -165,10 +165,9 @@ class PartitionSigma:
         return all(any(set(a) <= set(b) for b in other.atoms) for a in self.atoms)
 
 
-def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
-                            space: FiniteProbSpace) -> np.ndarray:
-    """Per-atom probability-weighted mean, broadcast back to outcomes;
-    row-wise on ``(..., n)``.
+def atom_means(x: np.ndarray, sigma: PartitionSigma,
+               space: FiniteProbSpace) -> np.ndarray:
+    """Atom means ``E[X 1_A] / P(A)``, row-wise: ``(..., n)`` to ``(..., k)``.
 
     Any input is a stack of ``m`` rows (a single row is a stack of one),
     evaluated by one ``bincount`` over the labels offset by ``k`` per row;
@@ -185,7 +184,14 @@ def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
         sigma._stacked[0] = labels
     sums = np.bincount(labels[:m * sigma.n], (space.p * rows).ravel(), m * k)
     means = sums.reshape(m, k) / sigma.atom_probs(space)
-    return np.take(means, sigma.labels, axis=1).reshape(x.shape)
+    return means.reshape(x.shape[:-1] + (k,))
+
+
+def conditional_expectation(x: np.ndarray, sigma: PartitionSigma,
+                            space: FiniteProbSpace) -> np.ndarray:
+    """:func:`atom_means` broadcast back to the outcomes, row-wise on
+    ``(..., n)``; a map of the means can apply itself before the broadcast."""
+    return sigma.from_atom_values(atom_means(x, sigma, space))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from qcx.riskmeasure import (
     cubed_mean_map, entropic_certainty_equivalent, mean_broadcast_map,
     neg_conditional_expectation, nqc_mu_interval, sample_triples,
     separating_dual_witness, sqrt_log_map)
-from qcx.riskmeasure import _sampled_events
+from qcx.riskmeasure import _atom_events, _sampled_events
 from qcx.spaces import (MEASURABILITY_TOL, FiniteProbSpace, PartitionSigma,
                         conditional_expectation, load_partition,
                         load_scenario_table, parse_partition_text)
@@ -195,6 +195,16 @@ class TestElementaryChecks:
         assert _sampled_events(2, 2, np.random.default_rng(0)) == [(0,), (1,)]
         assert _sampled_events(3, 5, np.random.default_rng(0)) == \
             [(0,), (1,), (2,), (1, 2), (0, 2)]
+
+    def test_sampled_events_budget_beyond_the_unions(self):
+        """Three atoms have seven nonempty unions: a budget of seven gets
+        each once, a budget of eight is refused instead of drawing forever."""
+        events = _sampled_events(3, 7, np.random.default_rng(0))
+        assert sorted(events) == sorted(_atom_events(3))
+        with pytest.raises(ValueError, match="8 events asked of 7 unions"):
+            _sampled_events(3, 8, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            _sampled_events(1, 2, np.random.default_rng(0))
 
     def test_locality_budget_below_the_structural_events(self):
         """The budget bounds the events checked even when the atoms, their

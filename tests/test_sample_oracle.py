@@ -16,6 +16,13 @@ any stacked call of these checks or of the six triple checks, must give
 the loop's report when a failure comes first, and the loop's error
 otherwise. Monotonicity and translativity draw all their samples in one
 call, which must give the rows of one call per sample and part.
+
+The block draws and matrices keep their per-row forms here too: the
+sampled locality unions drawn one per call, the triples drawn in three
+calls, the locality indicators built one event at a time, the sensitivity
+events drawn one per call and the cubed mean cubed on every outcome. Each
+must give the production bytes, and the numpy stream facts they rest on
+are pinned on their own.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from qcx.l2basis import (build_example_10pt, build_example_10pt_split,
                          check_basis_locality, refined_partition_10pt)
 from qcx.l2basis import (check_convexity_wrt_preorder,
                          check_nqc_wrt_preorder)
-from qcx.riskmeasure import (DEFAULT_CHECK_TOL, DEFAULT_SAMPLE_RANGE,
+from qcx.riskmeasure import (DEFAULT_CHECK_TOL, DEFAULT_LAMBDA_GRID,
+                             DEFAULT_SAMPLE_RANGE,
                              CheckVerdict, PropertyReport,
                              RiskMeasureOracle, _atom_events, _rng,
                              _sampled_events, _vec, blind_spot_map,
@@ -40,7 +48,8 @@ from qcx.riskmeasure import (DEFAULT_CHECK_TOL, DEFAULT_SAMPLE_RANGE,
                              check_natural_quasiconvexity,
                              check_quasiconvexity, check_sensitivity,
                              check_star_quasiconvexity, check_translativity,
-                             conditional_expectation_map, mean_broadcast_map,
+                             conditional_expectation_map, cubed_mean_map,
+                             mean_broadcast_map,
                              neg_conditional_expectation, sample_triples)
 from qcx.spaces import conditional_expectation
 from test_triple_oracle import (_squared_gap_measure, indicator_block,
@@ -56,6 +65,55 @@ BASIS_REL = 1e-12  # relative slack of a basis-locality violation
 # ---------------------------------------------------------------------------
 # the per-sample loops
 # ---------------------------------------------------------------------------
+
+def ref_sampled_events(k: int, budget: int, gen) -> list[tuple[int, ...]]:
+    """Atoms, atom complements and the whole space, then distinct random
+    unions, one ``gen.integers(0, 2, k)`` call each, cut at ``budget``
+    events (there must be more unions than that)."""
+    structural = [(a,) for a in range(k)]
+    structural += [tuple(b for b in range(k) if b != a) for a in range(k)]
+    structural.append(tuple(range(k)))
+    events = dict.fromkeys(ev for ev in structural if ev)  # ordered set
+    while len(events) < budget:
+        ev = tuple(int(a) for a in np.flatnonzero(gen.integers(0, 2, k)))
+        if ev:
+            events[ev] = None
+    return list(events)[:budget]
+
+
+def ref_event_indicators(sigma, events) -> np.ndarray:
+    """The outcome indicators of atom unions, one event at a time."""
+    return np.array([sigma.event_indicator(ev) for ev in events]
+                    ).reshape(-1, sigma.n)
+
+
+def ref_sensitivity_events(rho, budget: int, gen):
+    """Every singleton, every atom, the whole space, then random outcome
+    sets up to ``budget``, one ``gen.integers(0, 2, n)`` call each."""
+    n = rho.space.n
+    ev: list[tuple[int, ...]] = [(i,) for i in range(n)]
+    ev.extend(tuple(a) for a in rho.sigma.atoms)
+    ev.append(tuple(range(n)))
+    while len(ev) < budget:
+        mask = gen.integers(0, 2, n).astype(bool)
+        if mask.any():
+            ev.append(tuple(np.flatnonzero(mask)))
+    return ev
+
+
+def ref_three_call_triples(space, rng, count):
+    """``X``, ``Y`` and the lambda index of each triple, one call each."""
+    gen = _rng(rng)
+    lo, hi = DEFAULT_SAMPLE_RANGE
+    grid = DEFAULT_LAMBDA_GRID
+    return [(gen.uniform(lo, hi, space.n), gen.uniform(lo, hi, space.n),
+             grid[gen.integers(len(grid))]) for _ in range(count)]
+
+
+def ref_cubed_mean(x, sigma, space) -> np.ndarray:
+    """``(-E[X|G])^3`` cubed on every outcome."""
+    return (-conditional_expectation(x, sigma, space)) ** 3
+
 
 def ref_monotonicity(rho: RiskMeasureOracle, budget: int = 200,
                      tol: float = DEFAULT_CHECK_TOL, rng=0) -> PropertyReport:
@@ -118,7 +176,7 @@ def ref_locality(rho: RiskMeasureOracle, budget: int = 200,
     if n_unions <= budget:
         events, rounds = _atom_events(k), budget // n_unions
     else:
-        events, rounds = _sampled_events(k, budget, gen), 1
+        events, rounds = ref_sampled_events(k, budget, gen), 1
     checked = 0
     for r in range(rounds):
         if r:
@@ -165,15 +223,7 @@ def ref_sensitivity(rho: RiskMeasureOracle,
                                  f"{np.max(np.abs(zero)):.3e}")
     n = rho.space.n
     if events is None:
-        gen = _rng(rng)
-        ev: list[tuple[int, ...]] = [(i,) for i in range(n)]
-        ev.extend(tuple(a) for a in rho.sigma.atoms)
-        ev.append(tuple(range(n)))
-        while len(ev) < budget:
-            mask = gen.integers(0, 2, n).astype(bool)
-            if mask.any():
-                ev.append(tuple(np.flatnonzero(mask)))
-        events = ev
+        events = ref_sensitivity_events(rho, budget, _rng(rng))
     checked = 0
     for eps in eps_list:
         if eps <= 0:
@@ -649,3 +699,90 @@ def test_atom_values_spread_row_wise():
     single = [[sigma.from_atom_values(v) for v in block] for block in vals]
     assert got.tobytes() == np.array(single).tobytes()
     assert (sigma.atom_values(got) == vals).all()
+
+
+def ref_locality_round(rho, budget: int, gen) -> np.ndarray:
+    """The rows of the first stacked locality call, built as before the
+    block draws: the unions drawn one per call, then the indicators one
+    event at a time."""
+    lo, hi = DEFAULT_SAMPLE_RANGE
+    k, n = rho.sigma.k, rho.space.n
+    x, u = gen.uniform(lo, hi, n), gen.uniform(lo, hi, n)
+    events = (_atom_events(k) if 2 ** k - 1 <= budget
+              else ref_sampled_events(k, budget, gen))
+    rows = [x, u]
+    for ev, ind in zip(events, ref_event_indicators(rho.sigma, events)):
+        rows.append(x * ind)
+        if len(ev) < k:
+            rows.append(x * ind + u * (1 - ind))
+    return np.array(rows)
+
+
+def _triple_bytes(triples):
+    return [(x.tobytes(), y.tobytes(), lam) for x, y, lam in triples]
+
+
+@pytest.mark.parametrize("k", range(2, 15))
+def test_block_draws_match_the_per_row_forms(k):
+    """Every block draw and matrix against its per-row form, by bytes, on
+    20 seeds: the sampled unions at budgets up to ``2^k - 1``; the triples
+    and the generator after them; the first locality round, unions sampled
+    from ``k = 8`` on; the sensitivity rows of each ``eps`` and the
+    generator after them; the cubed mean of a row and of stacks."""
+    space, sigma, rng = random_case(k, 1000 + k)
+    rho, cubed = (neg_conditional_expectation(sigma, space),
+                  cubed_mean_map(sigma, space))
+    budgets = {0, 1, min(2 * k + 1, 2 ** k - 1), min(200, 2 ** k - 1)}
+    if k <= 8:
+        budgets.add(2 ** k - 1)
+    for seed in range(20):
+        for budget in sorted(budgets):
+            assert (_sampled_events(k, budget, np.random.default_rng(seed))
+                    == ref_sampled_events(k, budget,
+                                          np.random.default_rng(seed))), budget
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (_triple_bytes(sample_triples(space, new, 30))
+                == _triple_bytes(ref_three_call_triples(space, old, 30)))
+        assert new.random() == old.random()
+        first = _stacks(lambda r: check_locality(r, rng=seed), rho)[0]
+        want = ref_locality_round(rho, 200, np.random.default_rng(seed))
+        assert first.tobytes() == want.tobytes()
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacks = _stacks(lambda r: check_sensitivity(r, rng=new), rho)
+        events = ref_sensitivity_events(rho, 32, old)
+        ind = np.zeros((len(events), space.n))
+        for row, event in zip(ind, events):
+            row[list(event)] = 1.0
+        assert ([s.tobytes() for s in stacks]
+                == [(-eps * ind).tobytes() for eps in (0.01, 0.1, 1.0)])
+        assert new.random() == old.random()
+        x = rng.uniform(-3.0, 3.0, (3, 5, space.n))
+        for arg in (x[0, 0], x[0], x):
+            assert (cubed.fn(arg).tobytes()
+                    == ref_cubed_mean(arg, sigma, space).tobytes())
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_numpy_block_draws_keep_the_stream(k):
+    """The numpy facts the block draws rest on, after a few ``uniform``
+    draws and with or without a spare 32-bit half in the bit generator:
+    ``m`` rows of one ``integers(0, 2, (m, k))`` call are ``m`` calls of
+    ``integers(0, 2, k)``, odd ``k`` too, and one ``uniform(lo, hi, (2,
+    n))`` call is two ``(n,)`` calls; the next draw after each agrees."""
+    lo, hi = DEFAULT_SAMPLE_RANGE
+    for seed in range(4):
+        for before in range(1, 5):
+            block, single = (np.random.default_rng(seed) for _ in range(2))
+            for gen in (block, single):
+                gen.uniform(lo, hi, before)
+                if before % 2:
+                    gen.integers(7)  # leaves a spare 32-bit half
+            m = 3 + seed
+            rows = [single.integers(0, 2, k) for _ in range(m)]
+            assert (block.integers(0, 2, (m, k)).tobytes()
+                    == np.array(rows).tobytes())
+            assert block.integers(7) == single.integers(7)
+            pair = [single.uniform(lo, hi, k) for _ in range(2)]
+            assert (block.uniform(lo, hi, (2, k)).tobytes()
+                    == np.array(pair).tobytes())
+            assert block.random() == single.random()
