@@ -1,13 +1,13 @@
 """The layer ladder: each risk-measure property check timed over the atom
 count ``k``, written to ``BENCH_ladder.json``.
 
-Usage: ``python3 perf/ladder.py [--out PATH] [--runs N] [--ks 3,6,10,14,40]``
+Usage: ``python3 perf/ladder.py [--out PATH]``
 
 A rung is one of the nine checks of ``qcx risk-check`` on one measure
 (entropic or cubed mean) at one ``k``: a uniform space of ``n = 3k``
 outcomes in atoms of three, budget and triples 200, seed 0. The measure is
 built outside the timing. A triple check's call draws its triples and reads
-their table. A rung's ``best_s`` is the best of ``--runs`` calls, one per
+their table. A rung's ``best_s`` is the best of ``RUNS`` calls, one per
 pass over all rungs, and its ``peak_mb`` the ``tracemalloc`` peak of one
 more call, made apart so that tracing slows no timed call; ``verdict`` is
 that call's. The file records the commit, the cores, Python, numpy and the
@@ -36,6 +36,7 @@ from qcx.spaces import FiniteProbSpace, PartitionSigma  # noqa: E402
 
 COMMITTED = ROOT / "BENCH_ladder.json"
 KS = (3, 6, 10, 14, 40)
+RUNS = 10
 BUDGET = 200
 MEASURES = {"entropic": riskmeasure.entropic_certainty_equivalent,
             "cubed_mean": riskmeasure.cubed_mean_map}
@@ -89,16 +90,10 @@ def rungs(ks, runs: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=COMMITTED)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--ks", default=",".join(map(str, KS)),
-                        help="comma-separated atom counts")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     before = (json.loads(COMMITTED.read_text(encoding="utf-8"))["rungs"]
               if COMMITTED.is_file() else {})
-    result = {"metadata": metadata(), "runs": args.runs,
-              "rungs": rungs([int(k) for k in args.ks.split(",")], args.runs)}
+    result = {"metadata": metadata(), "runs": RUNS, "rungs": rungs(KS, RUNS)}
     for name, rung in result["rungs"].items():
         old = before.get(name)
         ratio = (f"{rung['best_s'] / old['best_s']:6.3f}x committed"

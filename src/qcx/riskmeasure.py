@@ -402,9 +402,9 @@ def _atom_events(k: int) -> list[tuple[int, ...]]:
 def _sampled_events(k: int, budget: int, gen) -> list[tuple[int, ...]]:
     """Atoms, atom complements and the whole space, then distinct random
     unions, cut at ``budget <= 2^k - 1`` events. The unions still missing
-    are drawn as 0/1 atom rows in one call, the rows of one call per union,
-    so the events are those of one draw per union; the generator may stop
-    up to one block past the last kept union."""
+    are drawn as 0/1 atom rows in one call, the rows of one call per union;
+    a row adds at most one event, so the budget is met only on a block's
+    last row, and events and generator are those of one draw per union."""
     if budget > 2 ** k - 1:
         raise ValueError(f"{budget} events asked of {2 ** k - 1} unions")
     eye = np.eye(k, dtype=np.int64)

@@ -33,9 +33,11 @@ def check_schema(data, ks):
         assert rung["verdict"] in ("pass", "fail", "inconclusive")
 
 
-def test_smallest_rungs_write_the_schema(tmp_path, capsys):
+def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ladder, "KS", (3,))
+    monkeypatch.setattr(ladder, "RUNS", 1)
     out = tmp_path / "ladder.json"
-    assert ladder.main(["--out", str(out), "--runs", "1", "--ks", "3"]) == 0
+    assert ladder.main(["--out", str(out)]) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     check_schema(data, [3])
     assert data["runs"] == 1

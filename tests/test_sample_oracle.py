@@ -725,8 +725,8 @@ def _triple_bytes(triples):
 @pytest.mark.parametrize("k", range(2, 15))
 def test_block_draws_match_the_per_row_forms(k):
     """Every block draw and matrix against its per-row form, by bytes, on
-    20 seeds: the sampled unions at budgets up to ``2^k - 1``; the triples
-    and the generator after them; the first locality round, unions sampled
+    20 seeds: the sampled unions at budgets up to ``2^k - 1``, the triples,
+    and the generator after each; the first locality round, unions sampled
     from ``k = 8`` on; the sensitivity rows of each ``eps`` and the
     generator after them; the cubed mean of a row and of stacks."""
     space, sigma, rng = random_case(k, 1000 + k)
@@ -737,9 +737,10 @@ def test_block_draws_match_the_per_row_forms(k):
         budgets.add(2 ** k - 1)
     for seed in range(20):
         for budget in sorted(budgets):
-            assert (_sampled_events(k, budget, np.random.default_rng(seed))
-                    == ref_sampled_events(k, budget,
-                                          np.random.default_rng(seed))), budget
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (_sampled_events(k, budget, new)
+                    == ref_sampled_events(k, budget, old)), budget
+            assert new.random() == old.random(), budget
         new, old = np.random.default_rng(seed), np.random.default_rng(seed)
         assert (_triple_bytes(sample_triples(space, new, 30))
                 == _triple_bytes(ref_three_call_triples(space, old, 30)))
