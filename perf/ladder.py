@@ -1,26 +1,30 @@
 """The layer ladder: each risk-measure property check timed over the atom
-count ``k``, written to ``BENCH_ladder.json``.
+count ``k``, and the 1-D convexity index over the grid size, written to
+``BENCH_ladder.json``.
 
 Usage: ``python3 perf/ladder.py [--out PATH]``
 
-A rung is one of the nine checks of ``qcx risk-check`` on one measure
+A risk rung is one of the nine checks of ``qcx risk-check`` on one measure
 (entropic or cubed mean) at one ``k``: a uniform space of ``n = 3k``
 outcomes in atoms of three, budget and triples 200, seed 0. The measure is
 built outside the timing. A triple check's call draws its triples and reads
-their table. A rung's ``best_s`` is the best of ``RUNS`` calls, one per
-pass over all rungs, and its ``peak_mb`` the ``tracemalloc`` peak of one
-more call, made apart so that tracing slows no timed call; ``verdict`` is
-that call's. The file records the commit, the cores, Python, numpy and the
-line count of ``src/qcx`` through ``metadata()`` of ``bench/run.py``. Each
-rung's time is printed with its ratio to the same rung of the committed
-``BENCH_ladder.json``; nothing gates on seconds. The index, brute-force and
-L2 rungs are not here yet.
+their table. An index rung is ``compute_index`` of ``sqrt`` on [1, 4] (case
+I) or ``neglog`` on [1, e] (case II) at ``m`` grid points, the table build
+included. A rung's ``best_s`` is the best of ``RUNS`` calls, one per pass
+over all rungs, and its ``peak_mb`` the ``tracemalloc`` peak of one more
+call, made apart so that tracing slows no timed call; ``verdict`` is that
+call's check verdict, or its index value. The file records the commit, the
+cores, Python, numpy and the line count of ``src/qcx`` through
+``metadata()`` of ``bench/run.py``. Each rung's time is printed with its
+ratio to the same rung of the committed ``BENCH_ladder.json``; nothing
+gates on seconds. The brute-force and L2 rungs are not here yet.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -31,11 +35,16 @@ sys.path.insert(0, str(ROOT / "bench"))
 from run import metadata  # noqa: E402  (puts src/ on the path too)
 from spans import CHECKERS  # noqa: E402
 
-from qcx import riskmeasure  # noqa: E402
+from qcx import families, riskmeasure  # noqa: E402
+from qcx.cindex import compute_index  # noqa: E402
+from qcx.extcore import BoxDomain  # noqa: E402
 from qcx.spaces import FiniteProbSpace, PartitionSigma  # noqa: E402
 
 COMMITTED = ROOT / "BENCH_ladder.json"
 KS = (3, 6, 10, 14, 40)
+POINTS = (257, 513, 1025, 2049)
+INDEX_FUNCTIONS = {"sqrt": (families.sqrt, 1.0, 4.0),
+                   "neglog": (families.neglog, 1.0, math.e)}
 RUNS = 10
 BUDGET = 200
 MEASURES = {"entropic": riskmeasure.entropic_certainty_equivalent,
@@ -55,18 +64,28 @@ def check_call(prop: str, rho):
     return lambda: check(rho, rng=0)
 
 
+def index_call(name: str, m: int):
+    """The call of one index rung."""
+    make, lo, hi = INDEX_FUNCTIONS[name]
+    f, box = make(), BoxDomain.of(lo, hi, m)
+    return lambda: compute_index(f, box)
+
+
 def traced(call) -> dict:
-    """The ``tracemalloc`` peak of one call, in MB, and its verdict."""
+    """The ``tracemalloc`` peak of one call, in MB, and its verdict or
+    index value."""
     tracemalloc.start()
     try:
-        report = call()
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"peak_mb": peak / 2 ** 20, "verdict": report.verdict.value}
+    verdict = getattr(result, "verdict", None)
+    return {"peak_mb": peak / 2 ** 20,
+            "verdict": result.value if verdict is None else verdict.value}
 
 
-def rungs(ks, runs: int) -> dict:
+def rungs(ks, points, runs: int) -> dict:
     """Every rung, timed in ``runs`` passes over all rungs, so that a
     drift of the host's speed reaches every rung alike."""
     calls = {}
@@ -77,6 +96,9 @@ def rungs(ks, runs: int) -> dict:
             rho = make(sigma, space)
             for prop in CHECKERS:
                 calls[f"risk.{prop}.{measure}.k{k}"] = check_call(prop, rho)
+    for m in points:
+        for name in INDEX_FUNCTIONS:
+            calls[f"index.{name}.m{m}"] = index_call(name, m)
     best = dict.fromkeys(calls, float("inf"))
     for _ in range(runs):
         for name, call in calls.items():
@@ -93,7 +115,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     before = (json.loads(COMMITTED.read_text(encoding="utf-8"))["rungs"]
               if COMMITTED.is_file() else {})
-    result = {"metadata": metadata(), "runs": RUNS, "rungs": rungs(KS, RUNS)}
+    result = {"metadata": metadata(), "runs": RUNS, "rungs": rungs(KS, POINTS, RUNS)}
     for name, rung in result["rungs"].items():
         old = before.get(name)
         ratio = (f"{rung['best_s'] / old['best_s']:6.3f}x committed"

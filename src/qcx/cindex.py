@@ -37,8 +37,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapTooSmallWarning, MissingDerivativesError
-from .extcore import (CONSTANT_SPREAD, BoxDomain, FunctionSpec, PairTable,
-                      Witness, default_gap_tol)
+from .extcore import (CONSTANT_SPREAD, BoxDomain, BreakEvenSeed, FunctionSpec,
+                      PairTable, Witness, default_gap_tol)
 
 #: Relative tolerance of the mix-normalized exponential-transform test.
 REL_GAP_TOL = 1e-12
@@ -70,7 +70,8 @@ class ConvexityIndex:
     the transform as ``(lambda, ok)``: the cap probe first, then each
     whole-table probe of the solve, then the upper bracket end, which is
     replayed on the binding pair's block only. In case I the cap probe is
-    made block by block in the solve's seed pass.
+    made block by block in the entry pass, which scans ``f`` and seeds the
+    solve in one read of the table.
     """
 
     value: float
@@ -142,30 +143,27 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     if spread < CONSTANT_SPREAD:
         return ConvexityIndex(math.inf, None, IndexCase.CASE_II, lambda_cap,
                               constant_shortcut=True)
-    base_worst, base_witness, _ = table.scan("convex", default_gap_tol(f))
-    if base_witness is not None:
-        # case I: f is not convex, the index is negative; the solve's seed
-        # pass makes the cap probe
-        case = IndexCase.CASE_I
-        be = table.exp_break_even(+1, REL_GAP_TOL, lambda_cap)
-        if be.lo == -math.inf:
-            warnings.warn("index is -inf at the probe cap; increase lambda_cap "
-                          "to look further", CapTooSmallWarning)
-            return ConvexityIndex(-math.inf, None, case, lambda_cap,
-                                  cap_probe=True, probes=be.probes)
-        probes = be.probes
-    else:
-        # case II: f certified convex, the index is nonnegative
-        case = IndexCase.CASE_II
-        if table.exp_transform_ok(lambda_cap, -1, REL_GAP_TOL):
+    # the entry pass certifies f and seeds the solve; a refuted f switches
+    # the seed to case I (index < 0), whose folds make the cap probe
+    seed = BreakEvenSeed(table, REL_GAP_TOL, lambda_cap)
+    table.scan("convex", default_gap_tol(f), fold=seed)
+    case, probes = IndexCase.CASE_I if seed.sign > 0 else IndexCase.CASE_II, ()
+    if case is IndexCase.CASE_II:  # f certified convex, the index is >= 0
+        probes = ((lambda_cap, table.exp_transform_ok(lambda_cap, -1,
+                                                      REL_GAP_TOL)),)
+        if probes[0][1]:
             warnings.warn("index is +inf at the probe cap; the function may be "
                           "constant or the cap too small", CapTooSmallWarning)
             return ConvexityIndex(math.inf, None, case, lambda_cap,
-                                  cap_probe=True, probes=((lambda_cap, True),))
-        be = table.exp_break_even(-1, REL_GAP_TOL, lambda_cap)
-        probes = ((lambda_cap, False),) + be.probes
+                                  cap_probe=True, probes=probes)
+    be = table.exp_break_even(seed)
+    if be.lo == -math.inf:
+        warnings.warn("index is -inf at the probe cap; increase lambda_cap "
+                      "to look further", CapTooSmallWarning)
+        return ConvexityIndex(-math.inf, None, case, lambda_cap,
+                              cap_probe=True, probes=be.probes)
     return ConvexityIndex(be.lo, (be.lo, be.hi), case, lambda_cap,
-                          binding=be.binding, probes=probes)
+                          binding=be.binding, probes=probes + be.probes)
 
 
 def smooth_index_1d(f: FunctionSpec, box: BoxDomain) -> float:

@@ -23,21 +23,20 @@ keeps no pair: every pass rebuilds each block and evaluates its mixes one
 weight at a time, so memory is O(block + grid) and ``pair_budget`` bounds
 time, not memory. On a declared separable sum (:attr:`FunctionSpec.terms`)
 the grid pairs stream in chunks of whole rows, whose mix values are outer
-sums of per-term tables of O(block) entries, built once per table; only the
-local pairs' mixes are evaluated. The certifiers make one gap scan. The
-convexity index makes the same scan, then a seed pass that ranks each
-block's pairs by their estimated crossings (in case I it tests the lambda
-cap first), then one whole-table probe per round of its solve that runs out
-of candidates; the upper bracket end replays on the binding pair's block.
+sums of per-term tables of O(block) entries; only the local pairs' mixes
+are evaluated. The certifiers make one gap scan. The convexity index reads
+every block in its gap scan, which also folds the pairs into the seed of its
+solve (:class:`BreakEvenSeed`, which in case I makes the cap probe), and
+once per whole-table probe of :meth:`PairTable.exp_break_even` (usually
+one); the upper bracket end replays on the binding pair's block.
 
 The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
 mix-normalized form (:meth:`PairTable.exp_transform_ok`), and
-:meth:`PairTable.exp_break_even` solves the same test exactly for the
-break-even lambda of the whole table: each pair's crossing is found to
-adjacent floats, and pairs that cannot beat the running extremum are pruned
-by one probe per round. At the lambda cap of case I, a pair with a term
-``eta e^{cap da}`` or ``(1-eta) e^{cap db}`` of about 4 or more cannot
-violate, so its exponentials are skipped.
+``exp_break_even`` solves the same test exactly: each pair's crossing is
+found to adjacent floats, and pairs that cannot beat the running extremum
+are pruned by one probe per round. Kernels skip the exponentials or logs
+of pairs that provably cannot matter (:func:`_cap_violation`,
+:func:`_rising`).
 
 Every pass walks the blocks in order, one at a time, so the evaluation
 oracle is never called concurrently and need not be reentrant. Ties between
@@ -71,6 +70,9 @@ SOLVE_BATCH = 32
 
 #: Pairs per block of a streamed pass; a pass holds one block at a time.
 SCAN_BLOCK = 8192
+
+#: No pair: ``(index, da, db, t_fail, key)`` of none.
+_NONE = (np.empty(0, dtype=np.intp),) + (np.empty(0),) * 4
 
 
 class Verdict(enum.Enum):
@@ -276,27 +278,34 @@ def quasiconvexity_gap(g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool
 # exponential-transform kernels
 # ---------------------------------------------------------------------------
 
+def _exp_terms(da, db, eta, lam):
+    """The terms ``eta e^{-lam da}`` and ``(1-eta) e^{-lam db}`` of ``combo``."""
+    ta, tb = np.multiply(-lam, da), np.multiply(-lam, db)
+    np.exp(ta, out=ta)
+    np.exp(tb, out=tb)
+    ta *= eta
+    tb *= 1 - eta
+    return ta, tb
+
+
 def _exp_combo(da, db, eta, lam):
     """``eta e^{-lam da} + (1-eta) e^{-lam db}``, the mix-normalized transform."""
-    combo = np.multiply(-lam, da)
-    np.exp(combo, out=combo)
-    combo *= eta
-    other = np.multiply(-lam, db)
-    np.exp(other, out=other)
-    other *= 1 - eta
-    combo += other
-    return combo
+    ta, tb = _exp_terms(da, db, eta, lam)
+    ta += tb
+    return ta
 
 
-def _exp_violation(da, db, eta, lam, sign: int, tol_rel: float) -> np.ndarray:
+def _exp_violation(da, db, eta, lam, sign: int, tol_rel: float,
+                   combo=None) -> np.ndarray:
     """Per pair: ``sign * (1 - combo) > tol_rel``.
 
     Undetermined pairs (combo NaN) compare false, so they never violate.
-    ``eta`` and ``lam`` are scalars or arrays matching ``da``. Every
+    ``eta`` and ``lam`` are scalars or arrays matching ``da``; ``combo``, if
+    given, is the transform already made, and is overwritten. Every
     exponential-transform test goes through here, so all of them agree bit
     for bit.
     """
-    excess = _exp_combo(da, db, eta, lam)
+    excess = _exp_combo(da, db, eta, lam) if combo is None else combo
     excess -= 1.0  # c - 1, which is exactly -(1 - c)
     if sign > 0:
         np.negative(excess, out=excess)
@@ -358,31 +367,57 @@ def _smallest(key: np.ndarray, k: int) -> np.ndarray:
     return np.sort(pos)
 
 
-def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
-           lam_cap: float):
-    """The pairs that can still beat the running extremum ``t``.
-
-    Returns their positions (ascending), a ``t`` at which each fails (``t``
-    itself or a minimizer beyond it) and their crossing estimates.
+def _rising(da, db, ta, tb) -> np.ndarray:
+    """Per pair: does the float ``t_min`` of :func:`_prune` provably lie at
+    or below ``t``? ``ta``, ``tb`` are the terms of ``phi`` at ``t > 0``;
+    its slope ``da ta + db tb`` is positive iff the exact minimizer is below
+    ``t``. Marked: a float slope of at least ``2^-28 |da ta - db tb| +
+    2^-1000`` and both terms at least ``2^-1000``, never a NaN or infinite
+    slope. Bound, libm within 2 ulp: only ``da``, ``db`` of opposite signs
+    give a finite ``t_min = log(q) / (da - db)``; a mark puts ``t`` over
+    ``2^-28.01 / |da - db|`` above the exact minimizer, and ``t_min`` within
+    ``2^-29 / |da - db|`` of it: the ratio ``q``'s three roundings add under
+    ``3 * 2^-31`` to ``log q`` (operands and ``q`` of at least ``2^-1044``,
+    else a term is under a floor or the slope ratio over ``2^39``), and the
+    log and the last two steps under ``745 * 2^-50``, as ``|log q| < 745``
+    for a finite ``q``.
     """
-    fail = _exp_violation(da, db, eta, -sign * t, sign, tol_rel)
-    pos = np.flatnonzero(fail)
-    t_fail = np.full(len(pos), t)
-    if sign > 0:
-        t_min = db * (eta - 1)
-        t_min /= eta * da
-        np.log(t_min, out=t_min)
-        t_min /= da - db
-        beyond = np.flatnonzero((t_min > t) & (t_min < lam_cap) & ~fail)
-        del fail
-        t_min = t_min[beyond]
-        hit = _exp_violation(da[beyond], db[beyond], eta, -t_min, sign, tol_rel)
-        pos = np.concatenate([pos, beyond[hit]])
-        t_fail = np.concatenate([t_fail, t_min[hit]])
-        order = np.argsort(pos, kind="stable")
-        pos, t_fail = pos[order], t_fail[order]
-    key = _crossing_estimate(da[pos], db[pos], eta, sign, tol_rel)
-    return pos, t_fail, key
+    a, b = np.multiply(da, ta), np.multiply(db, tb)
+    slope = a + b
+    a -= b
+    slope -= np.abs(a, out=a) * 2.0 ** -28 + 2.0 ** -1000  # NaN: inf - inf
+    return (slope >= 0.0) & (np.minimum(ta, tb) >= 2.0 ** -1000)
+
+
+def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
+           lam_cap: float, at=0):
+    """The pairs that can still beat the running extremum ``t``: in position
+    order, their indices (``at`` plus their positions, or an array ``at`` at
+    them), ``da``, ``db``, a ``t`` at which each fails (``t`` or, for
+    sign=+1, a minimizer in ``(t, lam_cap)``; only pairs not
+    :func:`_rising` get one) and their crossing estimates."""
+    if sign < 0:
+        pos = np.flatnonzero(_exp_violation(da, db, eta, t, sign, tol_rel))
+        t_min = _NONE[3]
+    else:
+        ta, tb = _exp_terms(da, db, eta, -t)
+        fail = _exp_violation(da, db, eta, -t, sign, tol_rel, ta + tb)
+        beyond = np.flatnonzero(~(_rising(da, db, ta, tb) | fail))
+        d_a, d_b = da[beyond], db[beyond]
+        t_min = np.log(d_b * (eta - 1) / (eta * d_a)) / (d_a - d_b)
+        hit = (t_min > t) & (t_min < lam_cap)
+        hit[hit] = _exp_violation(d_a[hit], d_b[hit], eta, -t_min[hit], sign,
+                                  tol_rel)
+        pos = np.concatenate([np.flatnonzero(fail), beyond[hit]])
+        t_min = t_min[hit]
+    if not len(pos):
+        return _NONE
+    order = np.argsort(pos, kind="stable")
+    t_fail = np.concatenate([np.full(len(pos) - len(t_min), t), t_min])[order]
+    pos = pos[order]
+    da, db = da[pos], db[pos]
+    return (at[pos] if np.ndim(at) else at + pos, da, db, t_fail,
+            _crossing_estimate(da, db, eta, sign, tol_rel))
 
 
 def _mix_points(a, b, eta):
@@ -390,6 +425,53 @@ def _mix_points(a, b, eta):
     m = np.multiply(a, eta)
     m += np.multiply(b, 1 - eta)
     return m
+
+
+class BreakEvenSeed:
+    """The seed of :meth:`PairTable.exp_break_even`, folded block by block:
+    per weight, ``rows`` holds the ``SOLVE_BATCH`` pairs of least
+    :func:`_crossing_estimate` as ``(index, da, db, key)`` in index order (a
+    later pair loses ties). For sign=+1 a fold first makes the cap test
+    (:func:`_cap_violation`); once a pair fails it, ``capped`` is set and
+    folding stops. As the ``fold`` of :meth:`PairTable.scan` it seeds case
+    II (sign=-1) until the scan sees a gap above its tolerance, then case I,
+    refolding the blocks passed so that each weight folds them in order.
+    """
+
+    def __init__(self, table: "PairTable", tol_rel: float, lam_cap: float,
+                 sign: int = -1):
+        self.table, self.tol_rel, self.lam_cap = table, tol_rel, lam_cap
+        self.sign, self.capped = sign, False
+        self.rows = [_NONE[:4] for _ in DEFAULT_ETAS]
+
+    def __call__(self, block, which: int, eta: float, da, db,
+                 refuted: bool = False) -> bool:
+        """Fold the pairs of ``block`` at weight ``which``; false if capped."""
+        if refuted and self.sign < 0:
+            self.sign, self.rows = +1, [_NONE[:4] for _ in DEFAULT_ETAS]
+            self.refold(self.table.blocks.index(block), which)
+        if self.capped or self.sign > 0 and _cap_violation(
+                da, db, eta, self.lam_cap, self.tol_rel).any():
+            self.capped = True
+            return False
+        key = _crossing_estimate(da, db, eta, self.sign, self.tol_rel)
+        rows = self.rows[which]
+        pos = (np.flatnonzero(key < rows[-1].max())
+               if len(rows[0]) == SOLVE_BATCH else np.arange(len(key)))
+        if len(pos):
+            rows = tuple(map(np.concatenate, zip(
+                rows, (block[0] + pos, da[pos], db[pos], key[pos]))))
+            take = _smallest(rows[-1], SOLVE_BATCH)
+            self.rows[which] = tuple(x[take] for x in rows)
+        return True
+
+    def refold(self, n: int, which: int = 0):
+        """Fold the blocks before ``n``, then block ``n`` up to ``which``."""
+        for at, block in enumerate(self.table.blocks[:n + 1]):
+            weights = range(which if at == n else len(DEFAULT_ETAS))
+            for w, (eta, da, db) in zip(weights, self.table._diffs(block)):
+                if not self(block, w, eta, da, db):
+                    return
 
 
 class PairTable:
@@ -592,7 +674,7 @@ class PairTable:
 
     # -- absolute gap scans --------------------------------------------------
 
-    def scan(self, kind: str, tol: float):
+    def scan(self, kind: str, tol: float, fold=None):
         """Largest non-degenerate gap of the given kind over the table.
 
         kind is one of ``convex``, ``concave``, ``quasiconvex`` (see
@@ -600,7 +682,10 @@ class PairTable:
         degenerate_seen)`` where the witness is reported only when the worst
         gap exceeds ``tol``. Ties go to the earlier weight, then the lower
         pair index, within and across blocks, so the result does not depend
-        on the block size.
+        on the block size. ``fold``, if given, gets after each weight of
+        each block the differences :meth:`_diffs` yields and whether a gap
+        above ``tol`` has been seen: ``fold(block, which, eta, da, db,
+        refuted)``. Once it returns false, the scan stops calling it.
         """
         sign, refs = GAP_FORMS[kind]
         # (gap, -which, -position) of the running best; a -inf gap (no pair
@@ -612,6 +697,9 @@ class PairTable:
                 ref = refs(fa, fb)
                 for which, eta in enumerate(DEFAULT_ETAS):
                     gap = mix(which)  # a chunk's own array; an oracle's maybe not
+                    if fold is not None:
+                        keep = slice(None) if skip is None else ~skip
+                        diffs = (fa - gap)[keep], (fb - gap)[keep]
                     gap = np.subtract(gap, ref(eta),
                                       out=None if skip is None else gap)
                     if sign < 0:
@@ -629,6 +717,9 @@ class PairTable:
                     if key[0] > -math.inf and key > best:
                         best, at = key, (tuple(map(float, x1)),
                                          tuple(map(float, x2)), float(eta))
+                    if fold and not fold(block, which, eta, *diffs,
+                                         best[0] > tol):
+                        fold = None
         worst = best[0]
         return worst, Witness(*at, worst) if worst > tol else None, degen
 
@@ -658,18 +749,14 @@ class PairTable:
 
         return all(map(work, self.blocks))
 
-    def exp_break_even(self, sign: int, tol_rel: float,
-                       lam_cap: float) -> "BreakEven":
-        """The exact break-even lambda of :meth:`exp_transform_ok`.
-
-        For sign=-1, call it once the cap probe ``exp_transform_ok(lam_cap)``
-        has failed, so that a break-even point lies inside the cap. For
-        sign=+1 the seed pass makes the cap probe at ``-lam_cap`` itself,
-        block by block; if it fails, the result is ``lo = -inf``,
-        ``hi = -lam_cap`` with the probe ``(-lam_cap, False)`` alone. Write
-        ``lam = -sign * t`` with ``t >= 0``; per pair,
-        ``phi(t) = eta e^{-lam da} + (1-eta) e^{-lam db}`` is convex with
-        ``phi(0) = 1``.
+    def exp_break_even(self, seed: BreakEvenSeed) -> "BreakEven":
+        """The exact break-even lambda of :meth:`exp_transform_ok` (see
+        :class:`BreakEven`), solved from a ``seed`` folded over every block,
+        at its sign, ``tol_rel`` and ``lam_cap``. For sign=-1, call it once
+        the cap probe ``exp_transform_ok(lam_cap)`` has failed; for sign=+1
+        the seed made it. Write ``lam = -sign * t`` with ``t >= 0``; per
+        pair, ``phi(t) = eta e^{-lam da} + (1-eta) e^{-lam db}`` is convex
+        with ``phi(0) = 1``.
 
         * sign=-1 (concavity, ``lam = t``): a pair passes on ``[0, t*]``, a
           sublevel set of ``phi``, and the index is the least ``t*``. A pair
@@ -681,77 +768,39 @@ class PairTable:
           when that lies in ``(t^, lam_cap)``; beyond the cap every pair
           passes.
 
-        The seed pass keeps the ``SOLVE_BATCH`` pairs of least second-order
-        crossing estimate per weight. Rounds alternate an exact solve of a
-        small batch, ranked by that estimate, with a probe at the running
-        extremum; the pairs that fail the probe form the next, smaller
-        candidate set, each carrying its ``(index, da, db)``. When none is
-        left the whole table is probed, and a whole-table probe that finds
-        no candidate certifies the lower bracket end. Each round must move
-        the extremum or shrink the candidate count strictly, or the solve
-        raises ``RuntimeError``. The upper end, one float above, is replayed
-        on the binding pair's block, rebuilt as the whole-table probes built
-        it. ``probes`` records the cap probe (sign=+1), each whole-table
-        probe and the upper end as ``(lam, transform ok at lam)``. Ties go
-        to the earlier weight, then the lower pair index, so the result
-        does not depend on the block size.
+        Rounds alternate an exact solve of a small batch, ranked by the
+        crossing estimates, with a probe at the running extremum; the pairs
+        that fail it, with their ``(index, da, db)``, are the next candidates.
+        When none is left the whole table is probed, and a whole-table probe
+        that finds no candidate certifies the lower bracket end. A round that
+        neither moves the extremum nor shrinks the candidate count raises
+        ``RuntimeError``. The upper end, one float above, is replayed on the
+        binding pair's block. Ties go to the earlier weight, then the lower
+        pair index.
         """
+        sign, tol_rel, lam_cap = seed.sign, seed.tol_rel, seed.lam_cap
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
         best = None  # (lam_pass, which, idx, t_pass, t_fail, da, db)
-        probes: list[tuple[float, bool]] = []
+        probes = [(-lam_cap, True)] if sign > 0 else []  # the seed's cap probe
 
-        def concat(parts):
-            """Per weight, the rows of per-block results joined in block
-            order."""
-            return [tuple(map(np.concatenate, zip(*rows))) for rows in zip(*parts)]
-
-        def probe_table(t, block):
-            """Per weight, the block's pairs that can beat ``t``."""
-            out = []
-            with np.errstate(all="ignore"):
-                for eta, da, db in self._diffs(block):
-                    pos, t_fail, key = _prune(da, db, eta, t, sign, tol_rel,
-                                              lam_cap)
-                    out.append((block[0] + pos, da[pos], db[pos], t_fail, key))
-            return out
-
-        # seed: the best-ranked pairs of every weight, folded block by block.
-        # Once a weight holds SOLVE_BATCH pairs, a later pair enters only
-        # below its largest key (a later pair loses ties). For sign=+1 the
-        # same pass tests the cap first.
-        seed = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3] * len(DEFAULT_ETAS)
-        for block in self.blocks:
-            for which, (eta, da, db) in enumerate(self._diffs(block)):
-                with np.errstate(all="ignore"):
-                    if sign > 0 and _cap_violation(da, db, eta, lam_cap,
-                                                   tol_rel).any():
-                        return BreakEven(-math.inf, -lam_cap, None,
-                                         ((-lam_cap, False),))
-                    key = _crossing_estimate(da, db, eta, sign, tol_rel)
-                rows = seed[which]
-                pos = (np.flatnonzero(key < rows[-1].max())
-                       if len(rows[0]) == SOLVE_BATCH else np.arange(len(key)))
-                part = (block[0] + pos, da[pos], db[pos], key[pos])
-                rows = tuple(map(np.concatenate, zip(rows, part)))
-                take = _smallest(rows[-1], SOLVE_BATCH)
-                seed[which] = tuple(x[take] for x in rows)
-        if sign > 0:
-            probes.append((-lam_cap, True))
-
-        cands = [rows[:3] for rows in seed]
+        if seed.capped:
+            return BreakEven(-math.inf, -lam_cap, None, ((-lam_cap, False),))
+        cands = [rows[:3] for rows in seed.rows]
         left = sum(len(rows[0]) for rows in cands)
         while True:
-            found = []
-            for eta, (idx, da, db) in zip(DEFAULT_ETAS, cands):
-                with np.errstate(all="ignore"):
-                    pos, t_fail, key = _prune(da, db, eta, t_hat, sign,
-                                              tol_rel, lam_cap)
-                found.append((idx[pos], da[pos], db[pos], t_fail, key))
+            with np.errstate(all="ignore"):
+                found = [_prune(da, db, eta, t_hat, sign, tol_rel, lam_cap, idx)
+                         for eta, (idx, da, db) in zip(DEFAULT_ETAS, cands)]
             if not any(len(f[0]) for f in found):
                 # re-probe the whole table at the new extremum; failures
                 # beyond t_hat are recorded at their own t
-                found = concat([probe_table(t_hat, block)
-                                for block in self.blocks])
+                with np.errstate(all="ignore"):
+                    parts = [[_prune(da, db, eta, t_hat, sign, tol_rel,
+                                     lam_cap, b[0])
+                              for eta, da, db in self._diffs(b)]
+                             for b in self.blocks]
+                found = [tuple(map(np.concatenate, zip(*rows)))
+                         for rows in zip(*parts)]
                 probes.append((-sign * t_hat,
                                not any((f[3] == t_hat).any() for f in found)))
                 if not any(len(f[0]) for f in found):

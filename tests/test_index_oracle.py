@@ -14,6 +14,10 @@ replays both bracket ends of an index on a fresh table. On every case the
 exact value must lie inside the bisection bracket, the new bracket must
 re-certify at its lower end and refute at its upper end, and it must be
 float-tight.
+
+``unmasked_prune`` is the earlier ``_prune`` of the whole-table probe,
+which computes every pair's minimizer; the cached table prunes with it, and
+the masked ``_prune`` must keep the same pairs with the same bits.
 """
 
 import functools
@@ -28,9 +32,10 @@ from qcx import families
 from qcx.cindex import REL_GAP_TOL, ConvexityIndex, IndexCase, compute_index
 from qcx.errors import CapTooSmallWarning
 from qcx.extcore import (DEFAULT_ETAS, SOLVE_BATCH, BoxDomain, BreakEven,
-                         CertResult, FunctionSpec, PairTable, Verdict, Witness,
-                         _cap_violation, _crossing_estimate, _exp_combo,
-                         _exp_violation, _prune, _smallest, default_gap_tol)
+                         BreakEvenSeed, CertResult, FunctionSpec, PairTable,
+                         Verdict, Witness, _cap_violation, _crossing_estimate,
+                         _exp_combo, _exp_terms, _exp_violation, _prune,
+                         _rising, _smallest, default_gap_tol)
 
 from test_acceptance import FIXTURES, SEED, _random_suite
 from test_scan_oracle import _pair_arrays, _set_block, oracle_scan
@@ -41,6 +46,32 @@ MAX_BISECT_ITERS = 60
 ORACLE_TOL = 1e-4
 CAP = 1e4
 E = math.e
+
+
+def unmasked_prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
+                   lam_cap: float):
+    """The earlier ``_prune``: every pair's minimizer ``t_min`` is computed.
+
+    Returns the positions (ascending) of the pairs that can still beat
+    ``t``, a ``t`` at which each fails and their crossing estimates.
+    """
+    fail = _exp_violation(da, db, eta, -sign * t, sign, tol_rel)
+    pos = np.flatnonzero(fail)
+    t_fail = np.full(len(pos), t)
+    if sign > 0:
+        t_min = db * (eta - 1)
+        t_min /= eta * da
+        np.log(t_min, out=t_min)
+        t_min /= da - db
+        beyond = np.flatnonzero((t_min > t) & (t_min < lam_cap) & ~fail)
+        t_min = t_min[beyond]
+        hit = _exp_violation(da[beyond], db[beyond], eta, -t_min, sign, tol_rel)
+        pos = np.concatenate([pos, beyond[hit]])
+        t_fail = np.concatenate([t_fail, t_min[hit]])
+        order = np.argsort(pos, kind="stable")
+        pos, t_fail = pos[order], t_fail[order]
+    key = _crossing_estimate(da[pos], db[pos], eta, sign, tol_rel)
+    return pos, t_fail, key
 
 
 class CachedPairTable:
@@ -86,9 +117,9 @@ class CachedPairTable:
             pool = [everything] * len(self.etas) if cands is None else cands
             for which, idx in enumerate(pool):
                 with np.errstate(all="ignore"):
-                    pos, t_fail, key = _prune(*self._diffs(which, idx),
-                                              self.etas[which], t_hat, sign,
-                                              tol_rel, lam_cap)
+                    pos, t_fail, key = unmasked_prune(
+                        *self._diffs(which, idx), self.etas[which], t_hat,
+                        sign, tol_rel, lam_cap)
                 found.append((idx[pos], t_fail, key))
             if cands is None:
                 ok = not any((t_fail == t_hat).any() for _, t_fail, _ in found)
@@ -423,6 +454,94 @@ def test_cap_mask_at_its_threshold():
             assert np.array_equal(got, want), eta
 
 
+def _prunes_alike(da, db, eta, t, sign):
+    """Masked and unmasked pruning keep the same pairs with the same bits.
+    Returns how many pairs the mask spared the minimizer for."""
+    with np.errstate(all="ignore"):
+        got = _prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
+        pos, t_fail, key = unmasked_prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
+        spared = 0 if sign < 0 else int(np.count_nonzero(
+            _rising(da, db, *_exp_terms(da, db, eta, -t))))
+    for g, w in zip(got, (pos, da[pos], db[pos], t_fail, key)):
+        assert np.array_equal(g, w, equal_nan=True), (eta, t, sign)
+    return spared
+
+
+#: Differences from the smallest subnormal to the largest float.
+MAGNITUDES = (5e-324, 1e-310, 2.0 ** -1000, 1e-300, 1e-8, 0.3, 1.0, 7.0,
+              700.0, 1e8, 1e300, 1.7e308)
+
+
+def test_probe_mask_matches_the_unmasked_prune_on_adversarial_pairs():
+    """Every sign pattern and scale of differences, infinite and NaN ones,
+    at ``t`` from the smallest float to past the cap (``t d`` overflows
+    ``exp``), and at a few floats either side of each pair's minimizer."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    values += [s * m for m in MAGNITUDES for s in (1.0, -1.0)]
+    da, db = (np.array(v) for v in zip(*[(x, y) for x in values for y in values]))
+    spared = 0
+    for eta in DEFAULT_ETAS:
+        for t in (math.ulp(0.0), 1e-300, 1e-8, 0.5, 1.0, 2.0, 700.0, CAP, 1e300):
+            for sign in (+1, -1):
+                spared += _prunes_alike(da, db, eta, t, sign)
+    assert spared > 0
+    rng = np.random.default_rng(SEED)
+    scale = 10.0 ** rng.uniform(-300, 300, (2, 40))
+    pairs = [(a, -b) for a, b in zip(*scale)] + [(-a, b) for a, b in zip(*scale)]
+    pairs += [(1.0, -1e-300), (-1.0, 1e-300), (-8e300, 1e-10), (1e-310, -2e-310)]
+    for eta in DEFAULT_ETAS[::3]:
+        for a, b in pairs:
+            da, db = np.array([a]), np.array([b])
+            with np.errstate(all="ignore"):
+                t_min = float(np.log(b * (eta - 1) / (eta * a)) / (a - b))
+            if not 0 < t_min < math.inf:
+                continue
+            near = [t_min]
+            for _ in range(4):
+                near += [math.nextafter(near[-1], math.inf)]
+                near.insert(0, math.nextafter(near[0], 0.0))
+            for t in near:
+                _prunes_alike(da, db, eta, t, +1)
+    # pairs whose dip ``s^2 / 2q`` (mean s, second moment q) lies near the
+    # tolerance, probed just below their failing interval: they pass at
+    # ``t``, fail at their minimizer and keep it as the failing ``t``
+    beyond = 0
+    for eta in DEFAULT_ETAS:
+        for scale in (1e-3, 1.0, 1e3):
+            for c in np.linspace(1.40, 1.60, 9):
+                da = np.array([scale])
+                db = (-c * 1e-6 * scale - eta * da) / (1 - eta)
+                t_min = c * 1e-6 / (scale * scale * (eta + (1 - eta) * eta ** 2
+                                                     / (1 - eta) ** 2))
+                for k in range(1, 40):
+                    t = t_min * (1 - 2.0 ** -k)
+                    _prunes_alike(da, db, eta, t, +1)
+                    with np.errstate(all="ignore"):
+                        kept = _prune(da, db, eta, t, +1, REL_GAP_TOL, CAP)
+                    beyond += bool((kept[3] > t).any())
+    assert beyond > 0
+
+
+@pytest.mark.parametrize("family,lo,hi", [("sqrt", 1.0, 4.0), ("exp", 0.0, 1.0),
+                                          ("piecewise", 0.0, 4.0)])
+def test_probe_mask_matches_the_unmasked_prune_on_tables(family, lo, hi):
+    """Every block and weight of three tables, at the final extremum and the
+    upper bracket end of the index, in the index's case and in case I."""
+    params = ({"xs": (0, 1, 2, 3, 4), "ys": (0, 1, 4, 9, 16)}
+              if family == "piecewise" else {})
+    f, box = families.make_function(family, **params), BoxDomain.of(lo, hi, 257)
+    ix = compute_index(f, box)
+    table = PairTable(f, box)
+    sign = +1 if ix.case is IndexCase.CASE_I else -1
+    spared = 0
+    for block in table.blocks:
+        for eta, da, db in table._diffs(block):
+            for t in (abs(ix.bracket[0]), abs(ix.bracket[1])):
+                for s in {sign, +1}:
+                    spared += _prunes_alike(da, db, eta, t, s)
+    assert spared > 0
+
+
 def _count_passes(monkeypatch):
     """Record every block build, and the builds each ``exp_transform_ok``
     call made."""
@@ -445,9 +564,11 @@ def _count_passes(monkeypatch):
 
 
 def test_case_one_block_passes(monkeypatch):
-    """Case I reads every block in the entry scan, in the seed pass (which
-    makes the cap probe) and in each whole-table probe; then it rebuilds the
-    binding pair's block for the upper end and the pair for the witness."""
+    """Case I reads every block in the entry pass, which scans, seeds the
+    solve and makes the cap probe, and in each whole-table probe; then it
+    rebuilds the binding pair's block for the upper end and the pair for the
+    witness. Its first gap above tolerance lies in block 0, weight 0, so the
+    entry pass rebuilds nothing."""
     f, box = families.sqrt(), BoxDomain.of(1.0, 4.0, 1025)
     blocks = PairTable(f, box).blocks
     builds, probes = _count_passes(monkeypatch)
@@ -455,20 +576,78 @@ def test_case_one_block_passes(monkeypatch):
     assert ix.case is IndexCase.CASE_I and ix.binding is not None
     whole = len(ix.probes) - 2  # not the cap probe, not the upper end
     assert whole >= 1 and ix.probes[0] == (-CAP, True)
-    assert len(builds) == (2 + whole) * len(blocks) + 2
+    assert len(builds) == (1 + whole) * len(blocks) + 2
+    assert builds[:len(blocks)] == blocks
     idx = builds[-1][0]
     assert builds[-1] == (idx, idx + 1)
     assert builds[-2] == next(b for b in blocks if idx < b[1])
     assert probes == []
 
 
-def test_case_two_cap_probe_stops_in_the_first_block(monkeypatch):
+def test_case_two_block_passes(monkeypatch):
+    """Case II reads every block in the entry pass, the first block in the
+    cap probe, every block in each whole-table probe, then the binding
+    pair's block and the pair."""
     f, box = families.neglog(), BoxDomain.of(1.0, E, 1025)
-    assert len(PairTable(f, box).blocks) > 1
+    blocks = PairTable(f, box).blocks
     builds, probes = _count_passes(monkeypatch)
     ix = compute_index(f, box)
-    assert ix.case is IndexCase.CASE_II and ix.probes[0] == (CAP, False)
+    assert ix.case is IndexCase.CASE_II and ix.binding is not None
+    whole = len(ix.probes) - 2  # not the cap probe, not the upper end
+    assert whole >= 1 and ix.probes[0] == (CAP, False)
+    assert len(builds) == (1 + whole) * len(blocks) + 3
+    assert builds[:len(blocks) + 1] == blocks + blocks[:1]
+    idx = builds[-1][0]
+    assert builds[-1] == (idx, idx + 1)
+    assert builds[-2] == next(b for b in blocks if idx < b[1])
     assert probes == [1]
+
+
+def _late_refuted():
+    """Increasing, convex up to 0.95 and concave beyond: long chords into
+    the concave end stay above the function, so the first gap above
+    tolerance lies in block 9 of 18."""
+    f = FunctionSpec(1, lambda p: p[:, 0] ** 2 / 2 + p[:, 0]
+                     - 10 * np.maximum(p[:, 0] - 0.95, 0.0) ** 2,
+                     name="late-concave")
+    return f, BoxDomain.of(0.0, 1.0, 513)
+
+
+def test_case_one_late_switch_rebuilds_the_passed_blocks(monkeypatch):
+    """The entry pass seeds case II until the first gap above tolerance,
+    then rebuilds the blocks already passed to seed case I; the index equals
+    the cached table's."""
+    f, box = _late_refuted()
+    blocks = PairTable(f, box).blocks
+    passed = 9
+    want = oracle_index(f, box)
+    builds, probes = _count_passes(monkeypatch)
+    ix = compute_index(f, box)
+    assert ix == want and ix.case is IndexCase.CASE_I
+    assert ix.binding is not None and ix.probes[0] == (-CAP, True)
+    whole = len(ix.probes) - 2
+    assert builds[:passed + 1] == blocks[:passed + 1]
+    assert builds[passed + 1:2 * passed + 1] == blocks[:passed]
+    assert len(builds) == (1 + whole) * len(blocks) + passed + 2
+    assert probes == []
+
+
+@pytest.mark.parametrize("which", [0, 3, 6])
+def test_seed_switch_equals_a_fresh_case_one_seed(which):
+    """A switch to case I at any block and weight leaves the seed a fresh
+    case-I pass over the whole table folds."""
+    f, box = _late_refuted()
+    table = PairTable(f, box)
+    fresh = BreakEvenSeed(table, REL_GAP_TOL, CAP, +1)
+    with np.errstate(all="ignore"):
+        fresh.refold(len(table.blocks))
+    for n in (0, 4, len(table.blocks) - 1):
+        seed = BreakEvenSeed(table, REL_GAP_TOL, CAP)
+        table.scan("convex", 1.0, fold=lambda b, w, eta, da, db, _: seed(
+            b, w, eta, da, db, (table.blocks.index(b), w) >= (n, which)))
+        assert seed.sign == +1 and not seed.capped
+        for got, want in zip(seed.rows, fresh.rows):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("f,box", [

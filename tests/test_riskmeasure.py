@@ -395,6 +395,37 @@ class TestSensitivityAndAssumption:
         assert rep.failed and rep.witness["atom"] == 0
         assert rep.samples == 16  # the whole budget of atom 0
 
+    def test_assumption_evaluates_each_constant_probe_once(self):
+        """A passing measure at k = 40 separates every atom with its first
+        constant pair, so two oracle calls serve all 40 atoms."""
+        space = FiniteProbSpace.uniform(120)
+        sigma = PartitionSigma.of(*(range(3 * a, 3 * a + 3) for a in range(40)))
+        for make in (entropic_certainty_equivalent, cubed_mean_map):
+            rho, calls = make(sigma, space), []
+            counted = RiskMeasureOracle(
+                "counted", lambda x, fn=rho.fn: calls.append(x) or fn(x),
+                sigma, space)
+            rep = check_assumption_nonconstant(counted)
+            assert rep.passed and rep.samples == 40
+            assert len(calls) == 2
+            assert rep == check_assumption_nonconstant(rho)
+
+
+def test_oracle_gives_the_per_row_bits_for_any_stack_layout():
+    """Fortran-ordered and strided stacks reach ``fn`` C-contiguous, so a
+    map with one dot per row gives each row's own bits."""
+    space = FiniteProbSpace.uniform(12)
+    sigma = PartitionSigma.of(range(0, 5), range(5, 12))
+    rho = mean_broadcast_map(sigma, space)
+    wide = np.random.default_rng(0).uniform(-3.0, 3.0, (40, 24))
+    for stack in (np.asfortranarray(wide[:, :12]), wide[:, ::2], wide[::2, 1::2]):
+        seen = []
+        probe = RiskMeasureOracle("seen", lambda x: seen.append(x) or rho.fn(x),
+                                  sigma, space)
+        got = probe(stack)
+        assert seen[0].flags.c_contiguous
+        assert np.array_equal(got, [rho(np.array(row)) for row in stack])
+
 
 class TestFileFormats:
     def test_scenario_roundtrip(self, tmp_path):
