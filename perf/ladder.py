@@ -9,15 +9,19 @@ A risk rung is one of the nine checks of ``qcx risk-check`` on one measure
 outcomes in atoms of three, budget and triples 200, seed 0. The measure is
 built outside the timing. A triple check's call draws its triples and reads
 their table. An index rung is ``compute_index`` of ``sqrt`` on [1, 4] (case
-I) or ``neglog`` on [1, e] (case II) at ``m`` grid points, the table build
-included. A rung's ``best_s`` is the best of ``RUNS`` calls, one per pass
-over all rungs, and its ``peak_mb`` the ``tracemalloc`` peak of one more
-call, made apart so that tracing slows no timed call; ``verdict`` is that
-call's check verdict, or its index value. The file records the commit, the
-cores, Python, numpy and the line count of ``src/qcx`` through
-``metadata()`` of ``bench/run.py``. Each rung's time is printed with its
-ratio to the same rung of the committed ``BENCH_ladder.json``; nothing
-gates on seconds. The brute-force and L2 rungs are not here yet.
+I), ``neglog`` on [1, e] (case II) or ``late_concave`` on [0, 1] at ``m``
+grid points, the table build included. ``late_concave`` is case I, but its
+entry scan first sees a gap above tolerance 40-60% of the way through the
+blocks, where the index's seed fold switches from case II to case I and
+refolds the blocks already passed; ``sqrt`` switches in its first block. A
+rung's ``best_s`` is the best of ``RUNS`` calls, one per pass over all
+rungs, and its ``peak_mb`` the ``tracemalloc`` peak of one more call, made
+apart so that tracing slows no timed call; ``outcome`` is that call's
+check verdict, or its index value. The file records the commit, the cores,
+Python, numpy and the line count of ``src/qcx`` through ``metadata()`` of
+``bench/run.py``. Each rung's time is printed with its ratio to the same
+rung of the committed ``BENCH_ladder.json``; nothing gates on seconds.
+The brute-force and L2 rungs are not here yet.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 from run import metadata  # noqa: E402  (puts src/ on the path too)
@@ -37,14 +43,24 @@ from spans import CHECKERS  # noqa: E402
 
 from qcx import families, riskmeasure  # noqa: E402
 from qcx.cindex import compute_index  # noqa: E402
-from qcx.extcore import BoxDomain  # noqa: E402
+from qcx.extcore import BoxDomain, FunctionSpec  # noqa: E402
 from qcx.spaces import FiniteProbSpace, PartitionSigma  # noqa: E402
 
 COMMITTED = ROOT / "BENCH_ladder.json"
 KS = (3, 6, 10, 14, 40)
 POINTS = (257, 513, 1025, 2049)
+
+
+def late_concave() -> FunctionSpec:
+    """Increasing, convex up to 0.95 and concave beyond."""
+    return FunctionSpec(1, lambda p: p[:, 0] ** 2 / 2 + p[:, 0]
+                        - 10 * np.maximum(p[:, 0] - 0.95, 0.0) ** 2,
+                        name="late_concave")
+
+
 INDEX_FUNCTIONS = {"sqrt": (families.sqrt, 1.0, 4.0),
-                   "neglog": (families.neglog, 1.0, math.e)}
+                   "neglog": (families.neglog, 1.0, math.e),
+                   "late_concave": (late_concave, 0.0, 1.0)}
 RUNS = 10
 BUDGET = 200
 MEASURES = {"entropic": riskmeasure.entropic_certainty_equivalent,
@@ -54,35 +70,33 @@ BUDGETED_CHECKS = {"monotonicity", "translativity", "locality"}
 
 
 def check_call(prop: str, rho):
-    """The call of one rung, as ``qcx risk-check`` makes it, seed 0."""
+    """The call of one rung, as ``qcx risk-check`` makes it, seed 0; it
+    returns the verdict."""
     check = getattr(riskmeasure, CHECKERS[prop])
     if prop in TRIPLE_CHECKS:
         return lambda: check(rho, triples=riskmeasure.sample_triples(
-            rho.space, 0, BUDGET))
+            rho.space, 0, BUDGET)).verdict.value
     if prop in BUDGETED_CHECKS:
-        return lambda: check(rho, budget=BUDGET, rng=0)
-    return lambda: check(rho, rng=0)
+        return lambda: check(rho, budget=BUDGET, rng=0).verdict.value
+    return lambda: check(rho, rng=0).verdict.value
 
 
 def index_call(name: str, m: int):
-    """The call of one index rung."""
+    """The call of one index rung; it returns the index value."""
     make, lo, hi = INDEX_FUNCTIONS[name]
     f, box = make(), BoxDomain.of(lo, hi, m)
-    return lambda: compute_index(f, box)
+    return lambda: compute_index(f, box).value
 
 
 def traced(call) -> dict:
-    """The ``tracemalloc`` peak of one call, in MB, and its verdict or
-    index value."""
+    """The ``tracemalloc`` peak of one call, in MB, and its outcome."""
     tracemalloc.start()
     try:
-        result = call()
+        outcome = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    verdict = getattr(result, "verdict", None)
-    return {"peak_mb": peak / 2 ** 20,
-            "verdict": result.value if verdict is None else verdict.value}
+    return {"peak_mb": peak / 2 ** 20, "outcome": outcome}
 
 
 def rungs(ks, points, runs: int) -> dict:

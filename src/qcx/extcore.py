@@ -279,7 +279,8 @@ def quasiconvexity_gap(g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool
 # ---------------------------------------------------------------------------
 
 def _exp_terms(da, db, eta, lam):
-    """The terms ``eta e^{-lam da}`` and ``(1-eta) e^{-lam db}`` of ``combo``."""
+    """The terms ``eta e^{-lam da}`` and ``(1-eta) e^{-lam db}`` of the
+    mix-normalized transform ``combo``, their sum."""
     ta, tb = np.multiply(-lam, da), np.multiply(-lam, db)
     np.exp(ta, out=ta)
     np.exp(tb, out=tb)
@@ -288,16 +289,9 @@ def _exp_terms(da, db, eta, lam):
     return ta, tb
 
 
-def _exp_combo(da, db, eta, lam):
-    """``eta e^{-lam da} + (1-eta) e^{-lam db}``, the mix-normalized transform."""
-    ta, tb = _exp_terms(da, db, eta, lam)
-    ta += tb
-    return ta
-
-
 def _exp_violation(da, db, eta, lam, sign: int, tol_rel: float,
                    combo=None) -> np.ndarray:
-    """Per pair: ``sign * (1 - combo) > tol_rel``.
+    """Per pair: ``sign * (1 - combo) > tol_rel`` (see :func:`_exp_terms`).
 
     Undetermined pairs (combo NaN) compare false, so they never violate.
     ``eta`` and ``lam`` are scalars or arrays matching ``da``; ``combo``, if
@@ -305,7 +299,7 @@ def _exp_violation(da, db, eta, lam, sign: int, tol_rel: float,
     exponential-transform test goes through here, so all of them agree bit
     for bit.
     """
-    excess = _exp_combo(da, db, eta, lam) if combo is None else combo
+    excess = np.add(*_exp_terms(da, db, eta, lam)) if combo is None else combo
     excess -= 1.0  # c - 1, which is exactly -(1 - c)
     if sign > 0:
         np.negative(excess, out=excess)
@@ -369,19 +363,17 @@ def _smallest(key: np.ndarray, k: int) -> np.ndarray:
 
 def _rising(da, db, ta, tb) -> np.ndarray:
     """Per pair: does the float ``t_min`` of :func:`_prune` provably lie at
-    or below ``t``? ``ta``, ``tb`` are the terms of ``phi`` at ``t > 0``;
-    its slope ``da ta + db tb`` is positive iff the exact minimizer is below
-    ``t``. Marked: a float slope of at least ``2^-28 |da ta - db tb| +
-    2^-1000`` and both terms at least ``2^-1000``, never a NaN or infinite
-    slope. Bound, libm within 2 ulp: only ``da``, ``db`` of opposite signs
-    give a finite ``t_min = log(q) / (da - db)``; a mark puts ``t`` over
-    ``2^-28.01 / |da - db|`` above the exact minimizer, and ``t_min`` within
-    ``2^-29 / |da - db|`` of it: the ratio ``q``'s three roundings add under
-    ``3 * 2^-31`` to ``log q`` (operands and ``q`` of at least ``2^-1044``,
-    else a term is under a floor or the slope ratio over ``2^39``), and the
-    log and the last two steps under ``745 * 2^-50``, as ``|log q| < 745``
-    for a finite ``q``.
-    """
+    or below ``t``? With the terms ``ta``, ``tb`` of ``phi`` at ``t > 0``,
+    the slope ``da ta + db tb`` is positive iff the exact minimizer is below
+    ``t``. Marked: a float slope ``>= 2^-28 |da ta - db tb| + 2^-1000`` and
+    both terms ``>= 2^-1000``; never a NaN or infinite slope. Bound, libm
+    within 2 ulp: only ``da``, ``db`` of opposite signs give a finite
+    ``t_min = log(q) / (da - db)``; a mark puts ``t`` over ``2^-28.01 / |da
+    - db|`` above the exact minimizer, and ``t_min`` within ``2^-29 / |da -
+    db|`` of it: ``q``'s three roundings add under ``3 * 2^-31`` to ``log
+    q`` (operands and ``q`` of at least ``2^-1044``, else a term is under a
+    floor or the slope ratio over ``2^39``), and the log and the last two
+    steps under ``745 * 2^-50``, as ``|log q| < 745`` for a finite ``q``."""
     a, b = np.multiply(da, ta), np.multiply(db, tb)
     slope = a + b
     a -= b
@@ -390,12 +382,12 @@ def _rising(da, db, ta, tb) -> np.ndarray:
 
 
 def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
-           lam_cap: float, at=0):
-    """The pairs that can still beat the running extremum ``t``: in position
-    order, their indices (``at`` plus their positions, or an array ``at`` at
-    them), ``da``, ``db``, a ``t`` at which each fails (``t`` or, for
-    sign=+1, a minimizer in ``(t, lam_cap)``; only pairs not
-    :func:`_rising` get one) and their crossing estimates."""
+           lam_cap: float, idx):
+    """The pairs that can still beat the running extremum ``t``: in index
+    order, their indices (``idx`` holds every pair's), ``da``, ``db``, a
+    ``t`` at which each fails (``t`` or, for sign=+1, a minimizer in ``(t,
+    lam_cap)``; only pairs not :func:`_rising` get one) and their crossing
+    estimates."""
     if sign < 0:
         pos = np.flatnonzero(_exp_violation(da, db, eta, t, sign, tol_rel))
         t_min = _NONE[3]
@@ -416,8 +408,8 @@ def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
     t_fail = np.concatenate([np.full(len(pos) - len(t_min), t), t_min])[order]
     pos = pos[order]
     da, db = da[pos], db[pos]
-    return (at[pos] if np.ndim(at) else at + pos, da, db, t_fail,
-            _crossing_estimate(da, db, eta, sign, tol_rel))
+    return idx[pos], da, db, t_fail, _crossing_estimate(da, db, eta, sign,
+                                                        tol_rel)
 
 
 def _mix_points(a, b, eta):
@@ -428,28 +420,30 @@ def _mix_points(a, b, eta):
 
 
 class BreakEvenSeed:
-    """The seed of :meth:`PairTable.exp_break_even`, folded block by block:
-    per weight, ``rows`` holds the ``SOLVE_BATCH`` pairs of least
-    :func:`_crossing_estimate` as ``(index, da, db, key)`` in index order (a
-    later pair loses ties). For sign=+1 a fold first makes the cap test
-    (:func:`_cap_violation`); once a pair fails it, ``capped`` is set and
-    folding stops. As the ``fold`` of :meth:`PairTable.scan` it seeds case
-    II (sign=-1) until the scan sees a gap above its tolerance, then case I,
-    refolding the blocks passed so that each weight folds them in order.
-    """
+    """The seed of :meth:`PairTable.exp_break_even`, folded block by block
+    as the ``fold`` of :meth:`PairTable.scan`: per weight, ``rows`` holds
+    the ``SOLVE_BATCH`` pairs of least :func:`_crossing_estimate` as
+    ``(index, da, db, key)`` in index order (a later pair loses ties). It
+    seeds case II (sign=-1) until the scan sees a gap above its tolerance,
+    then case I, refolding the blocks passed so that each weight folds them
+    in order. A case-I fold first makes the cap test (:func:`_cap_violation`);
+    once a pair fails it, ``capped`` is set and folding stops."""
 
-    def __init__(self, table: "PairTable", tol_rel: float, lam_cap: float,
-                 sign: int = -1):
+    def __init__(self, table: "PairTable", tol_rel: float, lam_cap: float):
         self.table, self.tol_rel, self.lam_cap = table, tol_rel, lam_cap
-        self.sign, self.capped = sign, False
+        self.sign, self.capped = -1, False
         self.rows = [_NONE[:4] for _ in DEFAULT_ETAS]
 
     def __call__(self, block, which: int, eta: float, da, db,
                  refuted: bool = False) -> bool:
         """Fold the pairs of ``block`` at weight ``which``; false if capped."""
-        if refuted and self.sign < 0:
+        if refuted and self.sign < 0:  # refold the blocks and weights passed
             self.sign, self.rows = +1, [_NONE[:4] for _ in DEFAULT_ETAS]
-            self.refold(self.table.blocks.index(block), which)
+            for b in self.table.blocks[:self.table.blocks.index(block) + 1]:
+                weights = range(which if b == block else len(DEFAULT_ETAS))
+                for w, diffs in zip(weights, self.table._diffs(b)):
+                    if not self(b, w, *diffs):
+                        return False
         if self.capped or self.sign > 0 and _cap_violation(
                 da, db, eta, self.lam_cap, self.tol_rel).any():
             self.capped = True
@@ -464,14 +458,6 @@ class BreakEvenSeed:
             take = _smallest(rows[-1], SOLVE_BATCH)
             self.rows[which] = tuple(x[take] for x in rows)
         return True
-
-    def refold(self, n: int, which: int = 0):
-        """Fold the blocks before ``n``, then block ``n`` up to ``which``."""
-        for at, block in enumerate(self.table.blocks[:n + 1]):
-            weights = range(which if at == n else len(DEFAULT_ETAS))
-            for w, (eta, da, db) in zip(weights, self.table._diffs(block)):
-                if not self(block, w, eta, da, db):
-                    return
 
 
 class PairTable:
@@ -684,10 +670,9 @@ class PairTable:
         degenerate_seen)`` where the witness is reported only when the worst
         gap exceeds ``tol``. Ties go to the earlier weight, then the lower
         pair index, within and across blocks, so the result does not depend
-        on the block size. ``fold``, if given, gets after each weight of
-        each block the differences :meth:`_diffs` yields and whether a gap
-        above ``tol`` has been seen: ``fold(block, which, eta, da, db,
-        refuted)``. Once it returns false, the scan stops calling it.
+        on the block size. ``fold(block, which, eta, da, db, refuted)``, if
+        given, gets each block and weight's :meth:`_diffs` and whether a gap
+        above ``tol`` was seen so far, until it returns false.
         """
         sign, refs = GAP_FORMS[kind]
         # (gap, -which, -position) of the running best; a -inf gap (no pair
@@ -742,14 +727,10 @@ class PairTable:
         """
         if lam == 0.0:
             return True  # exp(0) == 1 is both convex and concave
-
-        def work(block):
-            with np.errstate(all="ignore"):
-                return not any(_exp_violation(da, db, eta, lam, sign,
-                                              tol_rel).any()
-                               for eta, da, db in self._diffs(block))
-
-        return all(map(work, self.blocks))
+        with np.errstate(all="ignore"):
+            return not any(_exp_violation(da, db, eta, lam, sign, tol_rel).any()
+                           for block in self.blocks
+                           for eta, da, db in self._diffs(block))
 
     def exp_break_even(self, seed: BreakEvenSeed) -> "BreakEven":
         """The exact break-even lambda of :meth:`exp_transform_ok` (see
@@ -784,7 +765,6 @@ class PairTable:
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
         best = None  # (lam_pass, which, idx, t_pass, t_fail, da, db)
         probes = [(-lam_cap, True)] if sign > 0 else []  # the seed's cap probe
-
         if seed.capped:
             return BreakEven(-math.inf, -lam_cap, None, ((-lam_cap, False),))
         cands = [rows[:3] for rows in seed.rows]
@@ -798,9 +778,9 @@ class PairTable:
                 # beyond t_hat are recorded at their own t
                 with np.errstate(all="ignore"):
                     parts = [[_prune(da, db, eta, t_hat, sign, tol_rel,
-                                     lam_cap, b[0])
+                                     lam_cap, at)
                               for eta, da, db in self._diffs(b)]
-                             for b in self.blocks]
+                             for b in self.blocks for at in [np.arange(*b)]]
                 found = [tuple(map(np.concatenate, zip(*rows)))
                          for rows in zip(*parts)]
                 probes.append((-sign * t_hat,
@@ -831,15 +811,14 @@ class PairTable:
         # replay the upper end on the binding pair's block, rebuilt exactly
         # as the whole-table probes built it
         block = next(b for b in self.blocks if idx < b[1])
+        eta = DEFAULT_ETAS[which]
         with np.errstate(all="ignore"):
             if not any(_exp_violation(d_a, d_b, w, hi, sign, tol_rel).any()
                        for w, d_a, d_b in self._diffs(block)):
                 raise RuntimeError("break-even upper end does not replay")
+            excess = sign * (1.0 - np.add(*_exp_terms(
+                np.array([da]), np.array([db]), eta, -sign * t_fail)))
         probes.append((hi, False))
-        eta = DEFAULT_ETAS[which]
-        with np.errstate(all="ignore"):
-            excess = sign * (1.0 - _exp_combo(np.array([da]), np.array([db]),
-                                              eta, -sign * t_fail))
         a, b, _, _ = self._build((idx, idx + 1))
         binding = Witness(x1=tuple(map(float, a[0])), x2=tuple(map(float, b[0])),
                           eta=float(eta), violation=float(excess[0]))

@@ -34,7 +34,7 @@ from qcx.errors import CapTooSmallWarning
 from qcx.extcore import (DEFAULT_ETAS, SOLVE_BATCH, BoxDomain, BreakEven,
                          BreakEvenSeed, CertResult, FunctionSpec, PairTable,
                          Verdict, Witness, _cap_violation, _crossing_estimate,
-                         _exp_combo, _exp_terms, _exp_violation, _prune,
+                         _exp_terms, _exp_violation, _prune,
                          _rising, _smallest, default_gap_tol)
 
 from test_acceptance import FIXTURES, SEED, _random_suite
@@ -148,7 +148,7 @@ class CachedPairTable:
         da, db = self._diffs(which, np.array([idx]))
         eta = self.etas[which]
         with np.errstate(all="ignore"):
-            excess = sign * (1.0 - _exp_combo(da, db, eta, -sign * t_fail))
+            excess = sign * (1.0 - np.add(*_exp_terms(da, db, eta, -sign * t_fail)))
         binding = Witness(x1=tuple(float(v) for v in self.a[idx]),
                           x2=tuple(float(v) for v in self.b[idx]),
                           eta=float(eta), violation=float(excess[0]))
@@ -458,7 +458,7 @@ def _prunes_alike(da, db, eta, t, sign):
     """Masked and unmasked pruning keep the same pairs with the same bits.
     Returns how many pairs the mask spared the minimizer for."""
     with np.errstate(all="ignore"):
-        got = _prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
+        got = _prune(da, db, eta, t, sign, REL_GAP_TOL, CAP, np.arange(len(da)))
         pos, t_fail, key = unmasked_prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
         spared = 0 if sign < 0 else int(np.count_nonzero(
             _rising(da, db, *_exp_terms(da, db, eta, -t))))
@@ -517,7 +517,7 @@ def test_probe_mask_matches_the_unmasked_prune_on_adversarial_pairs():
                     t = t_min * (1 - 2.0 ** -k)
                     _prunes_alike(da, db, eta, t, +1)
                     with np.errstate(all="ignore"):
-                        kept = _prune(da, db, eta, t, +1, REL_GAP_TOL, CAP)
+                        kept = _prune(da, db, eta, t, +1, REL_GAP_TOL, CAP, np.arange(1))
                     beyond += bool((kept[3] > t).any())
     assert beyond > 0
 
@@ -638,9 +638,12 @@ def test_seed_switch_equals_a_fresh_case_one_seed(which):
     case-I pass over the whole table folds."""
     f, box = _late_refuted()
     table = PairTable(f, box)
-    fresh = BreakEvenSeed(table, REL_GAP_TOL, CAP, +1)
+    fresh = BreakEvenSeed(table, REL_GAP_TOL, CAP)
+    fresh.sign = +1
     with np.errstate(all="ignore"):
-        fresh.refold(len(table.blocks))
+        for b in table.blocks:
+            for w, diffs in enumerate(table._diffs(b)):
+                assert fresh(b, w, *diffs)
     for n in (0, 4, len(table.blocks) - 1):
         seed = BreakEvenSeed(table, REL_GAP_TOL, CAP)
         table.scan("convex", 1.0, fold=lambda b, w, eta, da, db, _: seed(

@@ -30,12 +30,14 @@ def check_schema(data, ks, points):
     assert data["metadata"]["src_qcx_lines"] > 0
     assert set(data["rungs"]) == rung_names(ks, points)
     for name, rung in data["rungs"].items():
-        assert set(rung) == {"best_s", "peak_mb", "verdict"}
+        assert set(rung) == {"best_s", "peak_mb", "outcome"}
         assert rung["best_s"] > 0 and rung["peak_mb"] > 0
         if name.startswith("risk."):
-            assert rung["verdict"] in ("pass", "fail", "inconclusive")
-        else:  # sqrt is case I, neglog case II; both indices near -1 and 1
-            assert abs(abs(rung["verdict"]) - 1.0) < 1e-3
+            assert rung["outcome"] in ("pass", "fail", "inconclusive")
+        elif name.startswith("index.late_concave."):  # f''/f'^2 = -19 at 1
+            assert abs(rung["outcome"] + 19.0) < 1e-2
+        else:  # sqrt is case I, neglog case II, indices near -1 and 1
+            assert abs(abs(rung["outcome"]) - 1.0) < 1e-3
 
 
 def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
@@ -46,13 +48,13 @@ def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
     assert ladder.main(["--out", str(out)]) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     check_schema(data, [3], [257])
-    assert data["rungs"]["index.sqrt.m257"]["verdict"] < 0
+    assert data["rungs"]["index.sqrt.m257"]["outcome"] < 0
     assert data["runs"] == 1
     # the cubed mean is neither translative nor convex
-    assert data["rungs"]["risk.translativity.cubed_mean.k3"]["verdict"] == "fail"
-    assert data["rungs"]["risk.locality.entropic.k3"]["verdict"] == "pass"
+    assert data["rungs"]["risk.translativity.cubed_mean.k3"]["outcome"] == "fail"
+    assert data["rungs"]["risk.locality.entropic.k3"]["outcome"] == "pass"
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 20
+    assert len(printed) == 21
     assert all("committed" in line for line in printed)
 
 
