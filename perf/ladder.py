@@ -12,8 +12,9 @@ their table. An index rung is ``compute_index`` of ``sqrt`` on [1, 4] (case
 I), ``neglog`` on [1, e] (case II) or ``late_concave`` on [0, 1] at ``m``
 grid points, the table build included. ``late_concave`` is case I, but its
 entry scan first sees a gap above tolerance 40-60% of the way through the
-blocks, where the index's seed fold switches from case II to case I and
-refolds the blocks already passed; ``sqrt`` switches in its first block. A
+blocks, where the index's seed fold restarts from case II at case I; the
+blocks already passed reach the solve through its whole-table probe.
+``sqrt`` switches in its first block. A
 rung's ``best_s`` is the best of ``RUNS`` calls, one per pass over all
 rungs, and its ``peak_mb`` the ``tracemalloc`` peak of one more call, made
 apart so that tracing slows no timed call; ``outcome`` is that call's

@@ -17,13 +17,13 @@ scales as ``index(w * f) = index(f) / w`` for ``w >= 0``.
 
 On a grid the break-even point is exact. For a pair ``(a, b, eta)``
 the mix-normalized transform ``eta e^{-lam (fa-fm)} + (1-eta) e^{-lam (fb-fm)}``
-is convex in ``lam`` and equals 1 at ``lam = 0``, so each pair has its own
-crossing of ``1 +- REL_GAP_TOL`` and the grid index is the extremum of those
-crossings. :meth:`qcx.extcore.PairTable.exp_break_even` solves it to
-adjacent floats and names the pair that fixes it; like every pass over the
-pairs, it streams them in blocks and keeps no table. The value inherits the
-grid semantics: it is the break-even point of the *grid* transform family,
-reported with a float-tight bracket whose ends re-certify.
+is convex in ``lam`` and equals 1 at ``lam = 0``, so each pair has one
+crossing of ``1 +- REL_GAP_TOL``, fixed to adjacent floats by a canonical
+bisection, and the grid index is the extremum of those crossings, whatever
+order :meth:`qcx.extcore.PairTable.exp_break_even` solves them in. It names
+the pair that fixes the index and, like every pass over the pairs, streams
+them in blocks. The value is the break-even point of the *grid* transform
+family, reported with a float-tight bracket.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class ConvexityIndex:
     the transform as ``(lambda, ok)``: the cap probe first, then each
     whole-table probe of the solve, then the upper bracket end, which is
     replayed on the binding pair's block only. In case I the cap probe is
-    made block by block in the entry pass, which scans ``f`` and seeds the
-    solve in one read of the table.
+    made in the entry pass, which scans ``f`` and seeds the solve, from the
+    block where its gap first exceeds the tolerance, and on the blocks
+    before in the solve's first whole-table probe.
     """
 
     value: float
@@ -145,7 +146,7 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
                               constant_shortcut=True)
     # the entry pass certifies f and seeds the solve; a refuted f switches
     # the seed to case I (index < 0), whose folds make the cap probe
-    seed = BreakEvenSeed(table, REL_GAP_TOL, lambda_cap)
+    seed = BreakEvenSeed(REL_GAP_TOL, lambda_cap)
     table.scan("convex", default_gap_tol(f), fold=seed)
     case, probes = IndexCase.CASE_I if seed.sign > 0 else IndexCase.CASE_II, ()
     if case is IndexCase.CASE_II:  # f certified convex, the index is >= 0

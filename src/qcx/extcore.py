@@ -31,12 +31,11 @@ once per whole-table probe of :meth:`PairTable.exp_break_even` (usually
 one); the upper bracket end replays on the binding pair's block.
 
 The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
-mix-normalized form (:meth:`PairTable.exp_transform_ok`), and
-``exp_break_even`` solves the same test exactly: each pair's crossing is
-found to adjacent floats, and pairs that cannot beat the running extremum
-are pruned by one probe per round. Kernels skip the exponentials or logs
-of pairs that provably cannot matter (:func:`_cap_violation`,
-:func:`_rising`).
+mix-normalized ``expm1`` form by one kernel, :func:`_excess`, and the index
+is the extremum of each pair's canonical crossing
+(:meth:`PairTable.exp_break_even`), so no solve schedule can move it.
+Kernels skip the exponentials or logs of pairs that provably cannot matter
+(:func:`_cap_violation`, :func:`_prune`).
 
 Every pass walks the blocks in order, one at a time, so the evaluation
 oracle is never called concurrently and need not be reentrant. Ties between
@@ -71,8 +70,9 @@ SOLVE_BATCH = 32
 #: Pairs per block of a streamed pass; a pass holds one block at a time.
 SCAN_BLOCK = 8192
 
-#: No pair: ``(index, da, db, t_fail, key)`` of none.
-_NONE = (np.empty(0, dtype=np.intp),) + (np.empty(0),) * 4
+#: No pair: ``(index, da, db, key, fails)`` of none.
+_NONE = (np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3 + (
+    np.empty(0, dtype=bool),)
 
 
 class Verdict(enum.Enum):
@@ -111,14 +111,16 @@ class CertResult:
 class BreakEven:
     """Adjacent floats ``lo < hi`` around the break-even lambda of a table.
 
-    The transform passes on the whole table at ``lo`` and the ``binding``
-    pair fails at ``hi``. ``probes`` lists the probes as ``(lam, transform
-    ok)``: on the convexity side first the cap, then the whole-table
-    probes, ending with the two bracket ends. Without a binding pair
-    (convexity side only: no pair fails inside the cap), ``lo`` is the
-    negative float nearest 0, ``hi`` is 0 and ``lo`` is the last probe. If
-    the convexity-side transform fails at the cap, ``lo`` is ``-inf``,
-    ``hi`` is ``-lam_cap`` and the cap is the only probe.
+    They are the ``binding`` pair's crossing, the table's extremum: it
+    passes at ``lo`` and fails at ``hi``, and but for float flips within
+    the kernel's error so does the transform (see
+    :meth:`PairTable.exp_break_even`). ``probes`` lists the probes as
+    ``(lam, transform ok)``: on the convexity side first the cap, then the
+    whole-table probes, ending with the two bracket ends. Without a
+    binding pair (convexity side only: no pair fails inside the cap),
+    ``lo`` is the negative float nearest 0, ``hi`` is 0 and ``lo`` is the
+    last probe. If the convexity-side transform fails at the cap, ``lo`` is
+    ``-inf``, ``hi`` is ``-lam_cap`` and the cap is the only probe.
     """
 
     lo: float
@@ -278,42 +280,49 @@ def quasiconvexity_gap(g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool
 # exponential-transform kernels
 # ---------------------------------------------------------------------------
 
-def _exp_terms(da, db, eta, lam):
-    """The terms ``eta e^{-lam da}`` and ``(1-eta) e^{-lam db}`` of the
-    mix-normalized transform ``combo``, their sum."""
-    ta, tb = np.multiply(-lam, da), np.multiply(-lam, db)
-    np.exp(ta, out=ta)
-    np.exp(tb, out=tb)
-    ta *= eta
-    tb *= 1 - eta
-    return ta, tb
+#: Over twice the error of :func:`_excess` plus one float step of ``t``.
+EXCESS_MARGIN = 2.0 ** -46
 
 
-def _exp_violation(da, db, eta, lam, sign: int, tol_rel: float,
-                   combo=None) -> np.ndarray:
-    """Per pair: ``sign * (1 - combo) > tol_rel`` (see :func:`_exp_terms`).
+def _excess(da, db, eta, lam, sign: int) -> np.ndarray:
+    """Per pair, ``-sign (eta expm1(-lam da) + (1-eta) expm1(-lam db))``:
+    ``-sign (phi - 1)`` for ``phi = eta e^{-lam da} + (1-eta) e^{-lam db}``.
+    Every exponential-transform test uses it; NaN never violates.
 
-    Undetermined pairs (combo NaN) compare false, so they never violate.
-    ``eta`` and ``lam`` are scalars or arrays matching ``da``; ``combo``, if
-    given, is the transform already made, and is overwritten. Every
-    exponential-transform test goes through here, so all of them agree bit
-    for bit.
+    Error, with ``u = 2^-53`` and ``expm1`` within 2 ulp: where the exact
+    ``phi <= 2``, each term has ``w e^x <= 2`` (``x <= log 16``), so the
+    product ``x = -lam d`` adds at most ``u sum w |x| e^x <= 6u``,
+    ``expm1`` and the weight ``5u sum w |expm1 x| <= 15u`` and the sum
+    ``u``: under ``22u``. A float step of ``t = |lam|`` moves the exact
+    excess by at most ``2u sum w |x| e^x <= 12u`` (``2^-49`` among
+    subnormals). Where ``phi > 2`` the error is under ``716u phi``: the
+    float excess fails (sign=-1) or passes (sign=+1) any ``tol_rel`` in
+    ``(2^-45, 1/2)``, as the exact one does.
     """
-    excess = np.add(*_exp_terms(da, db, eta, lam)) if combo is None else combo
-    excess -= 1.0  # c - 1, which is exactly -(1 - c)
-    if sign > 0:
-        np.negative(excess, out=excess)
-    return excess > tol_rel
+    ea, eb = np.multiply(-lam, da), np.multiply(-lam, db)
+    np.expm1(ea, out=ea)
+    np.expm1(eb, out=eb)
+    ea *= eta
+    eb *= 1 - eta
+    ea += eb
+    return np.negative(ea, out=ea) if sign > 0 else ea
+
+
+def _exp_violation(da, db, eta, lam, sign: int, tol_rel: float) -> np.ndarray:
+    """Per pair: is :func:`_excess` above ``tol_rel``? NaN never is."""
+    return _excess(da, db, eta, lam, sign) > tol_rel
 
 
 def _cap_violation(da, db, eta: float, cap: float, tol_rel: float) -> np.ndarray:
     """``_exp_violation(da, db, eta, -cap, +1, tol_rel)``, skipping the
     exponentials of the pairs that cannot violate.
 
-    A pair with ``cap * da >= log(4 / eta)`` has ``eta e^{cap da} ~ 4`` after
-    rounding, so ``combo >= 1`` whatever the other term; likewise for ``db``.
-    A pair with a NaN difference is skipped as well: its combo is NaN, which
-    never violates.
+    The mask forms ``cap * da`` as the kernel does. Where it is at least
+    the float ``log(4 / eta)``, ``expm1`` gives over ``4 / eta - 1.01``, so
+    ``eta expm1 > 3.1`` while the other term is at least ``-(1 - eta)``
+    (``expm1 >= -1``): the excess is negative or NaN. Likewise for ``db``.
+    A pair with a NaN difference is skipped as well: its excess is NaN,
+    which never violates.
     """
     keep = np.multiply(cap, da) < math.log(4 / eta)
     keep &= np.multiply(cap, db) < math.log(4 / (1 - eta))
@@ -326,8 +335,8 @@ def _crossing_estimate(da, db, eta, sign: int, tol_rel: float) -> np.ndarray:
     """Second-order estimate of each pair's break-even lambda (+inf: none).
 
     With ``s = eta da + (1-eta) db`` and ``q = eta da^2 + (1-eta) db^2``,
-    ``combo(lam) ~ 1 - s lam + q lam^2 / 2``; the estimate is the root of
-    ``combo = 1 -/+ tol_rel`` that bounds the pair's passing set. Smaller is
+    ``phi(lam) ~ 1 - s lam + q lam^2 / 2``; the estimate is the root of
+    ``phi = 1 -/+ tol_rel`` that bounds the pair's passing set. Smaller is
     more binding for both signs; the estimate only orders the work.
     """
     s = eta * da
@@ -361,55 +370,46 @@ def _smallest(key: np.ndarray, k: int) -> np.ndarray:
     return np.sort(pos)
 
 
-def _rising(da, db, ta, tb) -> np.ndarray:
-    """Per pair: does the float ``t_min`` of :func:`_prune` provably lie at
-    or below ``t``? With the terms ``ta``, ``tb`` of ``phi`` at ``t > 0``,
-    the slope ``da ta + db tb`` is positive iff the exact minimizer is below
-    ``t``. Marked: a float slope ``>= 2^-28 |da ta - db tb| + 2^-1000`` and
-    both terms ``>= 2^-1000``; never a NaN or infinite slope. Bound, libm
-    within 2 ulp: only ``da``, ``db`` of opposite signs give a finite
-    ``t_min = log(q) / (da - db)``; a mark puts ``t`` over ``2^-28.01 / |da
-    - db|`` above the exact minimizer, and ``t_min`` within ``2^-29 / |da -
-    db|`` of it: ``q``'s three roundings add under ``3 * 2^-31`` to ``log
-    q`` (operands and ``q`` of at least ``2^-1044``, else a term is under a
-    floor or the slope ratio over ``2^39``), and the log and the last two
-    steps under ``745 * 2^-50``, as ``|log q| < 745`` for a finite ``q``."""
-    a, b = np.multiply(da, ta), np.multiply(db, tb)
-    slope = a + b
-    a -= b
-    slope -= np.abs(a, out=a) * 2.0 ** -28 + 2.0 ** -1000  # NaN: inf - inf
-    return (slope >= 0.0) & (np.minimum(ta, tb) >= 2.0 ** -1000)
+def _fail_end(da, db, eta, sign: int, tol_rel: float, lam_cap: float):
+    """Each pair's canonical failing ``t`` and whether it fails there: the
+    cap for sign=-1, the minimizer ``log(-(1-eta) db / (eta da)) / (da -
+    db)`` of ``phi`` if inside ``(0, lam_cap)`` for sign=+1."""
+    t = (np.full(len(da), lam_cap) if sign < 0 else
+         np.log(db * (eta - 1) / (eta * da)) / (da - db))
+    return t, (t > 0) & (t <= lam_cap) & _exp_violation(
+        da, db, eta, -sign * t, sign, tol_rel)
 
 
 def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
            lam_cap: float, idx):
-    """The pairs that can still beat the running extremum ``t``: in index
-    order, their indices (``idx`` holds every pair's), ``da``, ``db``, a
-    ``t`` at which each fails (``t`` or, for sign=+1, a minimizer in ``(t,
-    lam_cap)``; only pairs not :func:`_rising` get one) and their crossing
-    estimates."""
-    if sign < 0:
-        pos = np.flatnonzero(_exp_violation(da, db, eta, t, sign, tol_rel))
-        t_min = _NONE[3]
-    else:
-        ta, tb = _exp_terms(da, db, eta, -t)
-        fail = _exp_violation(da, db, eta, -t, sign, tol_rel, ta + tb)
-        beyond = np.flatnonzero(~(_rising(da, db, ta, tb) | fail))
-        d_a, d_b = da[beyond], db[beyond]
-        t_min = np.log(d_b * (eta - 1) / (eta * d_a)) / (d_a - d_b)
-        hit = (t_min > t) & (t_min < lam_cap)
-        hit[hit] = _exp_violation(d_a[hit], d_b[hit], eta, -t_min[hit], sign,
-                                  tol_rel)
-        pos = np.concatenate([np.flatnonzero(fail), beyond[hit]])
-        t_min = t_min[hit]
+    """The pairs whose crossing can beat or tie the running extremum ``t``:
+    in index order, their indices (``idx`` holds every pair's), ``da``,
+    ``db``, crossing estimates and whether each fails at ``t``.
+
+    Dropped: an excess at ``t`` under ``tol_rel - EXCESS_MARGIN``, for
+    sign=+1 under ``-EXCESS_MARGIN``, or in between with no crossing
+    (:func:`_fail_end`). With the bounds of :func:`_excess`, a dropped pair
+    passes at every midpoint its bisection can reach past ``t``:
+
+    * sign=-1: the exact excess is under ``tol_rel - EXCESS_MARGIN + 34u``
+      up to a float above ``t``, and by convexity of ``phi`` (``phi(0) =
+      1``) below that or 0 on ``[0, t]``; the bisection ends above ``t``.
+    * sign=+1: ``phi(t) > 1``, so ``phi`` rises beyond ``t`` (slope at
+      least ``(phi(t) - 1) / t``) and is over 1 from a float below ``t``;
+      the bisection down from the cap ends below ``t``.
+    """
+    excess = _excess(da, db, eta, -sign * t, sign)
+    keep = excess > tol_rel - EXCESS_MARGIN
+    if sign > 0:
+        middle = np.flatnonzero(~keep & (excess >= -EXCESS_MARGIN))
+        keep[middle] = _fail_end(da[middle], db[middle], eta, sign, tol_rel,
+                                 lam_cap)[1]
+    pos = np.flatnonzero(keep)
     if not len(pos):
         return _NONE
-    order = np.argsort(pos, kind="stable")
-    t_fail = np.concatenate([np.full(len(pos) - len(t_min), t), t_min])[order]
-    pos = pos[order]
     da, db = da[pos], db[pos]
-    return idx[pos], da, db, t_fail, _crossing_estimate(da, db, eta, sign,
-                                                        tol_rel)
+    return (idx[pos], da, db, _crossing_estimate(da, db, eta, sign, tol_rel),
+            excess[pos] > tol_rel)
 
 
 def _mix_points(a, b, eta):
@@ -423,29 +423,26 @@ class BreakEvenSeed:
     """The seed of :meth:`PairTable.exp_break_even`, folded block by block
     as the ``fold`` of :meth:`PairTable.scan`: per weight, ``rows`` holds
     the ``SOLVE_BATCH`` pairs of least :func:`_crossing_estimate` as
-    ``(index, da, db, key)`` in index order (a later pair loses ties). It
+    ``(index, da, db, key)`` in fold order (a later pair loses ties). It
     seeds case II (sign=-1) until the scan sees a gap above its tolerance,
-    then case I, refolding the blocks passed so that each weight folds them
-    in order. A case-I fold first makes the cap test (:func:`_cap_violation`);
+    then restarts at case I from that block and weight; ``skipped`` counts
+    the folds before, whose pairs reach the solve through its whole-table
+    probes. A case-I fold first makes the cap test (:func:`_cap_violation`);
     once a pair fails it, ``capped`` is set and folding stops."""
 
-    def __init__(self, table: "PairTable", tol_rel: float, lam_cap: float):
-        self.table, self.tol_rel, self.lam_cap = table, tol_rel, lam_cap
-        self.sign, self.capped = -1, False
+    def __init__(self, tol_rel: float, lam_cap: float):
+        self.tol_rel, self.lam_cap = tol_rel, lam_cap
+        self.sign, self.capped, self.skipped = -1, False, 0
         self.rows = [_NONE[:4] for _ in DEFAULT_ETAS]
 
     def __call__(self, block, which: int, eta: float, da, db,
                  refuted: bool = False) -> bool:
         """Fold the pairs of ``block`` at weight ``which``; false if capped."""
-        if refuted and self.sign < 0:  # refold the blocks and weights passed
+        if self.sign < 0 and refuted:
             self.sign, self.rows = +1, [_NONE[:4] for _ in DEFAULT_ETAS]
-            for b in self.table.blocks[:self.table.blocks.index(block) + 1]:
-                weights = range(which if b == block else len(DEFAULT_ETAS))
-                for w, diffs in zip(weights, self.table._diffs(b)):
-                    if not self(b, w, *diffs):
-                        return False
-        if self.capped or self.sign > 0 and _cap_violation(
-                da, db, eta, self.lam_cap, self.tol_rel).any():
+        self.skipped += self.sign < 0
+        if self.sign > 0 and _cap_violation(da, db, eta, self.lam_cap,
+                                            self.tol_rel).any():
             self.capped = True
             return False
         key = _crossing_estimate(da, db, eta, self.sign, self.tol_rel)
@@ -718,9 +715,10 @@ class PairTable:
         Each pair is tested in a form normalized by the value at the mix
         point: with ``c = eta e^{-lam (fa - fm)} + (1-eta) e^{-lam (fb - fm)}``
         a convexity violation is ``1 - c > tol_rel`` and a concavity violation
-        is ``c - 1 > tol_rel``. The normalization keeps the test exact when
-        ``exp(-lam * g)`` itself would overflow or underflow, which happens at
-        the lambda cap of the index. Pairs where the normalized differences
+        is ``c - 1 > tol_rel``, formed from ``expm1`` terms (:func:`_excess`).
+        The normalization keeps the test exact when ``exp(-lam * g)`` itself
+        would overflow or underflow, which happens at the lambda cap of the
+        index. Pairs where the normalized differences
         are undetermined (both values +inf) are skipped. The test is the one
         :meth:`exp_break_even` solves, so its bracket ends replay here. The
         scan stops at the first failing block.
@@ -737,87 +735,88 @@ class PairTable:
         :class:`BreakEven`), solved from a ``seed`` folded over every block,
         at its sign, ``tol_rel`` and ``lam_cap``. For sign=-1, call it once
         the cap probe ``exp_transform_ok(lam_cap)`` has failed; for sign=+1
-        the seed made it. Write ``lam = -sign * t`` with ``t >= 0``; per
-        pair, ``phi(t) = eta e^{-lam da} + (1-eta) e^{-lam db}`` is convex
-        with ``phi(0) = 1``.
+        the seed made it, but for its ``skipped`` folds, which the first
+        whole-table probe tests. Write ``lam = -sign * t`` with ``t >= 0``;
+        per pair, ``phi(t) = eta e^{-lam da} + (1-eta) e^{-lam db}`` is
+        convex with ``phi(0) = 1``. A pair passes at ``t = 0``, and at the
+        cap for sign=+1.
 
-        * sign=-1 (concavity, ``lam = t``): a pair passes on ``[0, t*]``, a
-          sublevel set of ``phi``, and the index is the least ``t*``. A pair
-          that passes at the running minimum cannot bind below it.
-        * sign=+1 (convexity, ``lam = -t``): a pair fails on an interval
-          ``(t1, t2)`` and the index is ``-max t2``. A pair can beat the
-          running maximum ``t^`` only if it fails at ``t^`` or at its
-          analytic minimizer ``log(-(1-eta) db / (eta da)) / (da - db)``
-          when that lies in ``(t^, lam_cap)``; beyond the cap every pair
-          passes.
+        The index is the extremum of each pair's canonical crossing, ties
+        to the earlier weight, then the lower pair index: the adjacent
+        floats that a bisection on the float bit patterns reaches from the
+        pair's failing end (:func:`_fail_end`) to its passing end. A pair
+        that does not fail at its failing end has none; in exact arithmetic
+        it fails nowhere, or only within the error of :func:`_excess`.
 
-        Rounds alternate an exact solve of a small batch, ranked by the
-        crossing estimates, with a probe at the running extremum; the pairs
-        that fail it, with their ``(index, da, db)``, are the next candidates.
-        When none is left the whole table is probed, and a whole-table probe
-        that finds no candidate certifies the lower bracket end. A round that
-        neither moves the extremum nor shrinks the candidate count raises
-        ``RuntimeError``. The upper end, one float above, is replayed on the
-        binding pair's block. Ties go to the earlier weight, then the lower
-        pair index.
+        * sign=-1 (concavity, ``lam = t``): a pair passes on ``[0, t*]``;
+          the index is the least crossing, bisected from ``[0, lam_cap]``.
+        * sign=+1 (convexity, ``lam = -t``): a pair fails around the
+          minimizer of ``phi``; the index is minus the greatest crossing,
+          bisected from the minimizer to the cap.
+
+        Rounds alternate an exact solve of a batch ranked by crossing
+        estimate with a :func:`_prune` of the rest at the extremum, and of
+        the whole table (a probe) when none is left. Once a probe's new
+        candidates leave the extremum, no pair can beat it; the transform
+        passes there unless a float test flips within the kernel's error,
+        as the probe records. The upper end replays on the binding block.
         """
         sign, tol_rel, lam_cap = seed.sign, seed.tol_rel, seed.lam_cap
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
-        best = None  # (lam_pass, which, idx, t_pass, t_fail, da, db)
+        best = probed = None  # best: (lam_pass, which, idx, t_pass, t_fail, da, db)
         probes = [(-lam_cap, True)] if sign > 0 else []  # the seed's cap probe
+        capped = BreakEven(-math.inf, -lam_cap, None, ((-lam_cap, False),))
         if seed.capped:
-            return BreakEven(-math.inf, -lam_cap, None, ((-lam_cap, False),))
-        cands = [rows[:3] for rows in seed.rows]
-        left = sum(len(rows[0]) for rows in cands)
-        while True:
-            with np.errstate(all="ignore"):
+            return capped
+        uncapped = seed.skipped if sign > 0 else 0
+        cands, solved = [r[:3] for r in seed.rows], [np.array([-1])] * len(seed.rows)
+        with np.errstate(all="ignore"):
+            while True:
                 found = [_prune(da, db, eta, t_hat, sign, tol_rel, lam_cap, idx)
                          for eta, (idx, da, db) in zip(DEFAULT_ETAS, cands)]
-            if not any(len(f[0]) for f in found):
-                # re-probe the whole table at the new extremum; failures
-                # beyond t_hat are recorded at their own t
-                with np.errstate(all="ignore"):
-                    parts = [[_prune(da, db, eta, t_hat, sign, tol_rel,
-                                     lam_cap, at)
-                              for eta, da, db in self._diffs(b)]
-                             for b in self.blocks for at in [np.arange(*b)]]
-                found = [tuple(map(np.concatenate, zip(*rows)))
-                         for rows in zip(*parts)]
-                probes.append((-sign * t_hat,
-                               not any((f[3] == t_hat).any() for f in found)))
                 if not any(len(f[0]) for f in found):
-                    break
-            picks, cands = [], []
-            for which, (idx, da, db, t_fail, key) in enumerate(found):
-                take = _smallest(key, SOLVE_BATCH)
-                rest = np.ones(len(idx), dtype=bool)
-                rest[take] = False
-                picks.append((which, idx[take], da[take], db[take], t_fail[take]))
-                cands.append((idx[rest], da[rest], db[rest]))
-            solved = self._solve(picks, best, sign, tol_rel, lam_cap)
-            t_next = t_hat if solved is None else solved[3]
-            was, left = left, sum(len(rows[0]) for rows in cands)
-            if sign * (t_next - t_hat) <= 0 and left >= was:
-                raise RuntimeError("break-even round moved neither the "
-                                   "extremum nor the candidate count")
-            best, t_hat = solved, t_next
+                    if t_hat == probed:
+                        break
+                    parts, probed = [], t_hat  # per block and weight, in order
+                    for b in self.blocks:
+                        at = np.arange(*b)
+                        for eta, da, db in self._diffs(b):
+                            if len(parts) < uncapped and _cap_violation(
+                                    da, db, eta, lam_cap, tol_rel).any():
+                                return capped
+                            parts.append(_prune(da, db, eta, t_hat, sign, tol_rel,
+                                                lam_cap, at))
+                    uncapped, k = 0, len(DEFAULT_ETAS)  # the cap test is made
+                    found = [tuple(map(np.concatenate, zip(*parts[w::k])))
+                             for w in range(k)]
+                    probes.append((-sign * t_hat, not any(f[4].any() for f in found)))
+                    new = [s[np.searchsorted(s, f[0]).clip(max=len(s) - 1)] != f[0]
+                           for f, s in zip(found, solved)]  # sorted, solved pairs
+                    found = [tuple(x[n] for x in f) for f, n in zip(found, new)]
+                    if not any(len(f[0]) for f in found):
+                        break
+                picks, cands = [], []
+                for which, (idx, da, db, key, _) in enumerate(found):
+                    take = np.zeros(len(idx), dtype=bool)
+                    take[_smallest(key, SOLVE_BATCH)] = True
+                    picks.append((which, idx[take], da[take], db[take]))
+                    cands.append((idx[~take], da[~take], db[~take]))
+                    solved[which] = np.sort(np.concatenate([solved[which], idx[take]]))
+                best = self._solve(picks, best, sign, tol_rel, lam_cap)
+                t_hat = t_hat if best is None else best[3]
 
-        if best is None:
-            # sign=+1 only: no pair fails in [-lam_cap, 0), so the transform
-            # passes up to the negative float nearest 0
-            return BreakEven(-t_hat, 0.0, None, tuple(probes))
-        lam_pass, which, idx, _, t_fail, da, db = best
-        hi = -sign * t_fail
-        # replay the upper end on the binding pair's block, rebuilt exactly
-        # as the whole-table probes built it
-        block = next(b for b in self.blocks if idx < b[1])
-        eta = DEFAULT_ETAS[which]
-        with np.errstate(all="ignore"):
+            if best is None:  # sign=+1 only: no pair fails in [-lam_cap, 0)
+                return BreakEven(-t_hat, 0.0, None, tuple(probes))
+            lam_pass, which, idx, _, t_fail, da, db = best
+            hi = -sign * t_fail
+            # replay the upper end on the binding pair's block, rebuilt
+            # exactly as the whole-table probes built it
+            block = next(b for b in self.blocks if b[0] <= idx < b[1])
+            eta = DEFAULT_ETAS[which]
             if not any(_exp_violation(d_a, d_b, w, hi, sign, tol_rel).any()
                        for w, d_a, d_b in self._diffs(block)):
                 raise RuntimeError("break-even upper end does not replay")
-            excess = sign * (1.0 - np.add(*_exp_terms(
-                np.array([da]), np.array([db]), eta, -sign * t_fail)))
+            excess = _excess(np.array([da]), np.array([db]), eta, hi, sign)
         probes.append((hi, False))
         a, b, _, _ = self._build((idx, idx + 1))
         binding = Witness(x1=tuple(map(float, a[0])), x2=tuple(map(float, b[0])),
@@ -825,22 +824,21 @@ class PairTable:
         return BreakEven(lam_pass, hi, binding, tuple(probes))
 
     def _solve(self, picks, best, sign: int, tol_rel: float, lam_cap: float):
-        """Solve each picked pair's crossing to adjacent floats.
-
-        ``picks`` holds ``(which, pair indices, da, db, failing t)`` per
-        weight. A pair passes at ``t = 0`` when sign=-1 and at the cap when
-        sign=+1, and a bisection on the float bit patterns keeps one end
-        passing and the other failing. Returns the better of ``best`` and
-        the best solved pair as ``(lam_pass, which, idx, t_pass, t_fail, da,
-        db)``.
-        """
+        """Solve the crossings of ``picks``, ``(which, pair indices, da,
+        db)`` per weight, from :func:`_fail_end` to 0 (sign=-1) or the cap
+        (sign=+1); return the better of ``best`` and the best solved pair as
+        ``(lam_pass, which, idx, t_pass, t_fail, da, db)``."""
         which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
-        idx, da, db, t_fail = (np.concatenate(c) for c in
-                               zip(*(p[1:] for p in picks)))
+        idx, da, db = (np.concatenate(c) for c in zip(*(p[1:] for p in picks)))
         eta = np.asarray(DEFAULT_ETAS)[which]
-        pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
-        fail_bits = t_fail.view(np.int64).copy()
         with np.errstate(all="ignore"):
+            t_fail, has = _fail_end(da, db, eta, sign, tol_rel, lam_cap)
+            if not has.any():
+                return best
+            which, idx, da, db, eta, t_fail = (
+                x[has] for x in (which, idx, da, db, eta, t_fail))
+            pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
+            fail_bits = t_fail.view(np.int64).copy()
             while True:
                 step = fail_bits - pass_bits
                 if not (np.abs(step) > 1).any():

@@ -3,8 +3,8 @@
 ``CachedPairTable`` is the earlier ``PairTable``: every pair's endpoints and
 all seven mix values cached at once, and each pass a full-array pass over
 the cache. ``oracle_index`` is ``compute_index`` on that table. The streamed
-index must equal it field for field (value, bracket, binding pair and
-probes) for any block size.
+index must equal it field for field (value, bracket, binding pair and, where
+both seed the solve alike, probes) for any block size.
 
 ``bisect_index`` is the ``compute_index`` before the exact solve: the same
 constant shortcut, entry certification and cap probe, then a bisection of
@@ -15,11 +15,19 @@ exact value must lie inside the bisection bracket, the new bracket must
 re-certify at its lower end and refute at its upper end, and it must be
 float-tight.
 
-``unmasked_prune`` is the earlier ``_prune`` of the whole-table probe,
-which computes every pair's minimizer; the cached table prunes with it, and
-the masked ``_prune`` must keep the same pairs with the same bits.
+``unmasked_prune`` is ``_prune`` without its mask: it finds every pair's
+canonical failing end; the cached table prunes with it, and the masked
+``_prune`` must keep the same pairs with the same bits.
+
+The index is a function of the pair table, so other solve schedules
+(``SOLVE_BATCH`` 1 and 4096, the blocks in reverse order, and the one-pass
+``stream_break_even``) must give the same value, bracket and binding pair,
+and ``exact_excess`` checks each binding pair's bracket against the exact
+crossing of its float differences, in 40-digit decimal arithmetic.
 """
 
+import dataclasses
+import decimal
 import functools
 import math
 import tracemalloc
@@ -28,14 +36,14 @@ import warnings
 import numpy as np
 import pytest
 
-from qcx import families
+from qcx import cindex, extcore, families
 from qcx.cindex import REL_GAP_TOL, ConvexityIndex, IndexCase, compute_index
 from qcx.errors import CapTooSmallWarning
-from qcx.extcore import (DEFAULT_ETAS, SOLVE_BATCH, BoxDomain, BreakEven,
-                         BreakEvenSeed, CertResult, FunctionSpec, PairTable,
-                         Verdict, Witness, _cap_violation, _crossing_estimate,
-                         _exp_terms, _exp_violation, _prune,
-                         _rising, _smallest, default_gap_tol)
+from qcx.extcore import (DEFAULT_ETAS, EXCESS_MARGIN, SOLVE_BATCH, BoxDomain,
+                         BreakEven, BreakEvenSeed, CertResult, FunctionSpec,
+                         PairTable, Verdict, Witness, _cap_violation,
+                         _crossing_estimate, _excess, _exp_violation,
+                         _fail_end, _prune, _smallest, default_gap_tol)
 
 from test_acceptance import FIXTURES, SEED, _random_suite
 from test_scan_oracle import _pair_arrays, _set_block, oracle_scan
@@ -50,28 +58,22 @@ E = math.e
 
 def unmasked_prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
                    lam_cap: float):
-    """The earlier ``_prune``: every pair's minimizer ``t_min`` is computed.
+    """``_prune`` without its mask: every pair's canonical failing end is
+    found, and a pair is kept if it fails at ``t``, passes within
+    ``EXCESS_MARGIN``, or (sign=+1) has a crossing and ``phi(t)`` is not
+    provably over 1.
 
-    Returns the positions (ascending) of the pairs that can still beat
-    ``t``, a ``t`` at which each fails and their crossing estimates.
+    Returns the positions (ascending) of the kept pairs, their crossing
+    estimates and whether each fails at ``t``.
     """
-    fail = _exp_violation(da, db, eta, -sign * t, sign, tol_rel)
-    pos = np.flatnonzero(fail)
-    t_fail = np.full(len(pos), t)
+    excess = _excess(da, db, eta, -sign * t, sign)
+    keep = excess > tol_rel - EXCESS_MARGIN
     if sign > 0:
-        t_min = db * (eta - 1)
-        t_min /= eta * da
-        np.log(t_min, out=t_min)
-        t_min /= da - db
-        beyond = np.flatnonzero((t_min > t) & (t_min < lam_cap) & ~fail)
-        t_min = t_min[beyond]
-        hit = _exp_violation(da[beyond], db[beyond], eta, -t_min, sign, tol_rel)
-        pos = np.concatenate([pos, beyond[hit]])
-        t_fail = np.concatenate([t_fail, t_min[hit]])
-        order = np.argsort(pos, kind="stable")
-        pos, t_fail = pos[order], t_fail[order]
+        keep |= (_fail_end(da, db, eta, sign, tol_rel, lam_cap)[1]
+                 & (excess >= -EXCESS_MARGIN))
+    pos = np.flatnonzero(keep)
     key = _crossing_estimate(da[pos], db[pos], eta, sign, tol_rel)
-    return pos, t_fail, key
+    return pos, key, excess[pos] > tol_rel
 
 
 class CachedPairTable:
@@ -104,7 +106,7 @@ class CachedPairTable:
     def exp_break_even(self, sign: int, tol_rel: float,
                        lam_cap: float) -> BreakEven:
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
-        best = None  # (lam_pass, which, idx, t_pass, t_fail)
+        best = probed = None  # (lam_pass, which, idx, t_pass, t_fail)
         probes: list[tuple[float, bool]] = []
         everything = np.arange(len(self.a))
         with np.errstate(all="ignore"):
@@ -114,30 +116,35 @@ class CachedPairTable:
                      for which, eta in enumerate(self.etas)]
         while True:
             found = []
-            pool = [everything] * len(self.etas) if cands is None else cands
-            for which, idx in enumerate(pool):
+            for which, idx in enumerate(cands):
                 with np.errstate(all="ignore"):
-                    pos, t_fail, key = unmasked_prune(
+                    pos, key, fails = unmasked_prune(
                         *self._diffs(which, idx), self.etas[which], t_hat,
                         sign, tol_rel, lam_cap)
-                found.append((idx[pos], t_fail, key))
-            if cands is None:
-                ok = not any((t_fail == t_hat).any() for _, t_fail, _ in found)
-                probes.append((-sign * t_hat, ok))
+                found.append((idx[pos], key, fails))
             if not any(len(f[0]) for f in found):
-                if cands is None:
+                if t_hat == probed:
                     break
-                cands = None
-                continue
+                probed, found = t_hat, []
+                for which, eta in enumerate(self.etas):
+                    with np.errstate(all="ignore"):
+                        pos, key, fails = unmasked_prune(
+                            *self._diffs(which, everything), eta, t_hat, sign,
+                            tol_rel, lam_cap)
+                    found.append((pos, key, fails))
+                probes.append((-sign * t_hat,
+                               not any(f[2].any() for f in found)))
+                if not any(len(f[0]) for f in found):
+                    break
             picks, cands = [], []
-            for which, (idx, t_fail, key) in enumerate(found):
+            for which, (idx, key, _) in enumerate(found):
                 take = _smallest(key, SOLVE_BATCH)
                 rest = np.ones(len(idx), dtype=bool)
                 rest[take] = False
-                picks.append((which, idx[take], t_fail[take]))
+                picks.append((which, idx[take]))
                 cands.append(idx[rest])
             best = self._solve(picks, best, sign, tol_rel, lam_cap)
-            t_hat = best[3]
+            t_hat = t_hat if best is None else best[3]
         if best is None:
             return BreakEven(-t_hat, 0.0, None, tuple(probes))
         lam_pass, which, idx, _, t_fail = best
@@ -148,19 +155,24 @@ class CachedPairTable:
         da, db = self._diffs(which, np.array([idx]))
         eta = self.etas[which]
         with np.errstate(all="ignore"):
-            excess = sign * (1.0 - np.add(*_exp_terms(da, db, eta, -sign * t_fail)))
+            excess = _excess(da, db, eta, hi, sign)
         binding = Witness(x1=tuple(float(v) for v in self.a[idx]),
                           x2=tuple(float(v) for v in self.b[idx]),
                           eta=float(eta), violation=float(excess[0]))
         return BreakEven(lam_pass, hi, binding, tuple(probes))
 
     def _solve(self, picks, best, sign: int, tol_rel: float, lam_cap: float):
-        which = np.concatenate([np.full(len(i), w) for w, i, _ in picks])
-        idx = np.concatenate([i for _, i, _ in picks])
-        t_fail = np.concatenate([t for _, _, t in picks])
+        which = np.concatenate([np.full(len(i), w) for w, i in picks])
+        idx = np.concatenate([i for _, i in picks])
         eta = np.asarray(self.etas)[which]
         da, db = (np.concatenate(d) for d in
-                  zip(*(self._diffs(w, i) for w, i, _ in picks)))
+                  zip(*(self._diffs(w, i) for w, i in picks)))
+        with np.errstate(all="ignore"):
+            t_fail, has = _fail_end(da, db, eta, sign, tol_rel, lam_cap)
+        if not has.any():
+            return best
+        which, idx, eta, da, db, t_fail = (x[has] for x in
+                                           (which, idx, eta, da, db, t_fail))
         pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
         fail_bits = t_fail.view(np.int64).copy()
         with np.errstate(all="ignore"):
@@ -374,18 +386,37 @@ def _oracle_indices(group: str) -> list[ConvexityIndex]:
     return [oracle_index(f, box) for f, box in CASES[group]()]
 
 
+def _recording_seeds(monkeypatch) -> list[BreakEvenSeed]:
+    """Every ``BreakEvenSeed`` that ``compute_index`` makes, in order."""
+    seeds = []
+
+    class Recorded(BreakEvenSeed):
+        def __init__(self, *args):
+            super().__init__(*args)
+            seeds.append(self)
+
+    monkeypatch.setattr(cindex, "BreakEvenSeed", Recorded)
+    return seeds
+
+
 @pytest.mark.parametrize("group", STREAMED_GROUPS)
 @pytest.mark.parametrize("block,split", SETTINGS)
 def test_streamed_index_matches_cached_oracle(group, block, split,
                                               monkeypatch):
-    """Value, bracket, binding pair and probes equal the cached table's."""
+    """Value, bracket and binding pair equal the cached table's, and so do
+    the probes wherever the streamed seed is the cached one: in case II,
+    and in case I when the entry scan switches at block 0, weight 0."""
     finite = 0
+    seeds = _recording_seeds(monkeypatch)
     for (f, box), want in zip(CASES[group](), _oracle_indices(group)):
         _set_block(monkeypatch, box, block, split)
+        seeds.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CapTooSmallWarning)
             got = compute_index(f, box)
-        assert got == want, (f.name, got, want)  # probes included
+        if seeds and seeds[0].sign > 0 and seeds[0].skipped:
+            got = dataclasses.replace(got, probes=want.probes)
+        assert got == want, (f.name, got, want)
         finite += got.binding is not None
     assert finite > 0
 
@@ -456,13 +487,13 @@ def test_cap_mask_at_its_threshold():
 
 def _prunes_alike(da, db, eta, t, sign):
     """Masked and unmasked pruning keep the same pairs with the same bits.
-    Returns how many pairs the mask spared the minimizer for."""
+    Returns how many pairs the mask spared the failing end for."""
     with np.errstate(all="ignore"):
         got = _prune(da, db, eta, t, sign, REL_GAP_TOL, CAP, np.arange(len(da)))
-        pos, t_fail, key = unmasked_prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
+        pos, key, fails = unmasked_prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
         spared = 0 if sign < 0 else int(np.count_nonzero(
-            _rising(da, db, *_exp_terms(da, db, eta, -t))))
-    for g, w in zip(got, (pos, da[pos], db[pos], t_fail, key)):
+            _excess(da, db, eta, -t, sign) < -EXCESS_MARGIN))
+    for g, w in zip(got, (pos, da[pos], db[pos], key, fails)):
         assert np.array_equal(g, w, equal_nan=True), (eta, t, sign)
     return spared
 
@@ -504,7 +535,7 @@ def test_probe_mask_matches_the_unmasked_prune_on_adversarial_pairs():
                 _prunes_alike(da, db, eta, t, +1)
     # pairs whose dip ``s^2 / 2q`` (mean s, second moment q) lies near the
     # tolerance, probed just below their failing interval: they pass at
-    # ``t``, fail at their minimizer and keep it as the failing ``t``
+    # ``t``, fail at their minimizer and are kept
     beyond = 0
     for eta in DEFAULT_ETAS:
         for scale in (1e-3, 1.0, 1e3):
@@ -518,7 +549,7 @@ def test_probe_mask_matches_the_unmasked_prune_on_adversarial_pairs():
                     _prunes_alike(da, db, eta, t, +1)
                     with np.errstate(all="ignore"):
                         kept = _prune(da, db, eta, t, +1, REL_GAP_TOL, CAP, np.arange(1))
-                    beyond += bool((kept[3] > t).any())
+                    beyond += bool(len(kept[0])) and not kept[4].any()
     assert beyond > 0
 
 
@@ -540,6 +571,28 @@ def test_probe_mask_matches_the_unmasked_prune_on_tables(family, lo, hi):
                 for s in {sign, +1}:
                     spared += _prunes_alike(da, db, eta, t, s)
     assert spared > 0
+
+
+@pytest.mark.parametrize("family,lo,hi,sign", [("neglog", 1.0, E, -1),
+                                               ("sqrt", 1.0, 4.0, +1)])
+def test_prune_keeps_every_pair_at_its_own_crossing(family, lo, hi, sign):
+    """A pair pruned at the extremum ``t`` could not tie it, so ``_prune``
+    keeps every pair at the passing end of its own crossing, where it
+    passes the float test, up to ``EXCESS_MARGIN``."""
+    table = PairTable(families.make_function(family), BoxDomain.of(lo, hi, 33))
+    kept = 0
+    for which, (eta, da, db) in enumerate(table._diffs(table.blocks[0])):
+        with np.errstate(all="ignore"):
+            has = np.flatnonzero(_fail_end(da, db, eta, sign, REL_GAP_TOL,
+                                           CAP)[1])
+            for k in has[::40]:
+                d_a, d_b, at = da[k:k + 1], db[k:k + 1], np.array([k])
+                _, _, _, t_pass, *_ = table._solve(
+                    [(which, at, d_a, d_b)], None, sign, REL_GAP_TOL, CAP)
+                assert len(_prune(d_a, d_b, eta, t_pass, sign, REL_GAP_TOL,
+                                  CAP, at)[0]) == 1, (eta, k, t_pass)
+                kept += 1
+    assert kept > 20
 
 
 def _count_passes(monkeypatch):
@@ -613,54 +666,227 @@ def _late_refuted():
     return f, BoxDomain.of(0.0, 1.0, 513)
 
 
-def test_case_one_late_switch_rebuilds_the_passed_blocks(monkeypatch):
+def test_case_one_late_switch_rebuilds_no_passed_block(monkeypatch):
     """The entry pass seeds case II until the first gap above tolerance,
-    then rebuilds the blocks already passed to seed case I; the index equals
-    the cached table's."""
+    then restarts at case I from there. No block is rebuilt for the seed:
+    the pairs of the blocks passed reach the solve through the whole-table
+    probe. Value, bracket and binding pair equal the cached table's."""
     f, box = _late_refuted()
     blocks = PairTable(f, box).blocks
-    passed = 9
     want = oracle_index(f, box)
+    seeds = _recording_seeds(monkeypatch)
     builds, probes = _count_passes(monkeypatch)
     ix = compute_index(f, box)
-    assert ix == want and ix.case is IndexCase.CASE_I
+    assert (ix.value, ix.bracket, ix.binding) == (want.value, want.bracket,
+                                                  want.binding)
+    assert ix.case is IndexCase.CASE_I and seeds[0].skipped // 7 == 9
     assert ix.binding is not None and ix.probes[0] == (-CAP, True)
     whole = len(ix.probes) - 2
-    assert builds[:passed + 1] == blocks[:passed + 1]
-    assert builds[passed + 1:2 * passed + 1] == blocks[:passed]
-    assert len(builds) == (1 + whole) * len(blocks) + passed + 2
+    assert builds[:len(blocks)] == blocks
+    assert len(builds) == (1 + whole) * len(blocks) + 2
     assert probes == []
 
 
-@pytest.mark.parametrize("which", [0, 3, 6])
-def test_seed_switch_equals_a_fresh_case_one_seed(which):
-    """A switch to case I at any block and weight leaves the seed a fresh
-    case-I pass over the whole table folds."""
-    f, box = _late_refuted()
-    table = PairTable(f, box)
-    fresh = BreakEvenSeed(table, REL_GAP_TOL, CAP)
-    fresh.sign = +1
-    with np.errstate(all="ignore"):
-        for b in table.blocks:
-            for w, diffs in enumerate(table._diffs(b)):
-                assert fresh(b, w, *diffs)
-    for n in (0, 4, len(table.blocks) - 1):
-        seed = BreakEvenSeed(table, REL_GAP_TOL, CAP)
-        table.scan("convex", 1.0, fold=lambda b, w, eta, da, db, _: seed(
-            b, w, eta, da, db, (table.blocks.index(b), w) >= (n, which)))
-        assert seed.sign == +1 and not seed.capped
-        for got, want in zip(seed.rows, fresh.rows):
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+def test_case_one_late_switch_caps_the_passed_blocks(monkeypatch):
+    """A spike of 5e-7 at one grid point of a flat stretch, under the gap
+    tolerance, fails the transform at the cap only in grid pairs whose mix
+    is that point, all in blocks before the switch; no local pair's mix is
+    a grid point. The first whole-table probe makes their cap test, and the
+    index is -inf."""
+    x = lambda p: p[:, 0]  # noqa: E731
+    f = FunctionSpec(1, lambda p: np.maximum(x(p) - 0.5, 0.0) ** 2
+                     - 5 * np.maximum(x(p) - 0.95, 0.0) ** 2
+                     + np.where(x(p) == 52 / 512, 5e-7, 0.0),
+                     name="spike-late-concave")
+    box = BoxDomain.of(0.0, 1.0, 513)
+    seeds = _recording_seeds(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapTooSmallWarning)
+        ix = compute_index(f, box)
+        want = oracle_index(f, box)
+    assert seeds[0].skipped > 0 and not seeds[0].capped
+    assert ix == want and ix.value == -math.inf and ix.cap_probe
 
 
 @pytest.mark.parametrize("f,box", [
     (families.sqrt(), BoxDomain.of(1.0, 4.0, 65)),
     (families.neglog(), BoxDomain.of(1.0, E, 65)),
 ], ids=["case-I", "case-II"])
-def test_solve_that_makes_no_progress_raises(f, box, monkeypatch):
-    """A solve that keeps the running best would re-probe the same pairs
-    for ever; the round check stops it."""
+def test_solve_that_keeps_the_best_ends_after_one_probe(f, box, monkeypatch):
+    """Once a whole-table probe's candidates are solved without moving the
+    extremum, no pair can beat it and the solve ends: a solve that keeps
+    the running best cannot make it re-probe the same pairs for ever."""
+    table = PairTable(f, box)
+    seed = BreakEvenSeed(REL_GAP_TOL, CAP)
+    table.scan("convex", default_gap_tol(f), fold=seed)
     monkeypatch.setattr(PairTable, "_solve",
                         lambda self, picks, best, *args: best)
-    with pytest.raises(RuntimeError, match="moved neither"):
-        compute_index(f, box)
+    be = table.exp_break_even(seed)
+    assert be.binding is None and len(be.probes) == (2 if seed.sign > 0 else 1)
+
+
+def stream_break_even(self, seed: BreakEvenSeed) -> BreakEven:
+    """The one-pass stream, a schedule of ``PairTable.exp_break_even`` that
+    ignores the seed's rows: each block and weight is pruned at the running
+    extremum and its survivors solved in ranked batches as the pass goes,
+    making the cap test for sign=+1; then whole-table probes until one
+    moves nothing. Its probes are the cap and the bracket ends only."""
+    sign, tol_rel, cap = seed.sign, seed.tol_rel, seed.lam_cap
+    capped = BreakEven(-math.inf, -cap, None, ((-cap, False),))
+    t_hat = cap if sign < 0 else math.ulp(0.0)
+    best = None
+
+    def solve(found):
+        nonlocal best, t_hat
+        while any(len(f[0]) for f in found):
+            picks, rest = [], []
+            for which, (idx, da, db, key, _) in enumerate(found):
+                take = np.isin(np.arange(len(idx)), _smallest(key, SOLVE_BATCH))
+                picks.append((which, idx[take], da[take], db[take]))
+                rest.append((idx[~take], da[~take], db[~take]))
+            best = self._solve(picks, best, sign, tol_rel, cap)
+            t_hat = t_hat if best is None else best[3]
+            found = [_prune(da, db, eta, t_hat, sign, tol_rel, cap, idx)
+                     for eta, (idx, da, db) in zip(DEFAULT_ETAS, rest)]
+
+    if seed.capped:
+        return capped
+    with np.errstate(all="ignore"):
+        for probe in range(len(self.blocks) + 1):
+            probed = t_hat
+            for b in self.blocks:
+                found = []
+                for eta, da, db in self._diffs(b):
+                    if sign > 0 and not probe and _cap_violation(
+                            da, db, eta, cap, tol_rel).any():
+                        return capped
+                    found.append(_prune(da, db, eta, t_hat, sign, tol_rel, cap,
+                                        np.arange(*b)))
+                solve(found)
+            if probe and t_hat == probed:
+                break
+    probes = ((-cap, True),) if sign > 0 else ()
+    if best is None:
+        return BreakEven(-t_hat, 0.0, None, probes + ((-t_hat, True),))
+    lam_pass, which, idx, _, t_fail, da, db = best
+    a, b, _, _ = self._build((idx, idx + 1))
+    with np.errstate(all="ignore"):
+        excess = _excess(np.array([da]), np.array([db]), DEFAULT_ETAS[which],
+                         -sign * t_fail, sign)
+    binding = Witness(tuple(map(float, a[0])), tuple(map(float, b[0])),
+                      DEFAULT_ETAS[which], float(excess[0]))
+    return BreakEven(lam_pass, -sign * t_fail, binding,
+                     probes + ((lam_pass, True), (-sign * t_fail, False)))
+
+
+def _reversed_blocks(monkeypatch):
+    init = PairTable.__init__
+
+    def reversed_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.blocks.reverse()
+
+    monkeypatch.setattr(PairTable, "__init__", reversed_init)
+
+
+#: Test-side solve schedules, each set up on a monkeypatch.
+SCHEDULES = {
+    "batch-1": lambda mp: mp.setattr(extcore, "SOLVE_BATCH", 1),
+    "batch-4096": lambda mp: mp.setattr(extcore, "SOLVE_BATCH", 4096),
+    "reversed-blocks": _reversed_blocks,
+    "one-pass-stream": lambda mp: mp.setattr(PairTable, "exp_break_even",
+                                             stream_break_even),
+}
+
+#: The functions of the two golden ``index`` reports.
+GOLDEN_INDEX = [(families.make_function("sqrt", weight=1.0),
+                 BoxDomain.of(1.0, 4.0, 257)),
+                (families.make_function("neglog", weight=0.5),
+                 BoxDomain.of(1.0, E, 257))]
+
+
+def _fixed(f, box) -> ConvexityIndex:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapTooSmallWarning)
+        return compute_index(f, box)
+
+
+@functools.lru_cache(maxsize=None)
+def _production(group: str) -> list[ConvexityIndex]:
+    cases = GOLDEN_INDEX if group == "golden" else CASES[group]()
+    return [_fixed(f, box) for f, box in cases]
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("group", sorted(CASES) + ["golden"])
+def test_index_does_not_depend_on_the_solve_schedule(group, schedule,
+                                                     monkeypatch):
+    """Value, bracket, binding pair, case and cap flag are the production
+    schedule's on all 157 inputs and both golden ``index`` configs."""
+    cases = GOLDEN_INDEX if group == "golden" else CASES[group]()
+    want = _production(group)
+    SCHEDULES[schedule](monkeypatch)
+    finite = 0
+    for (f, box), w in zip(cases, want):
+        got = _fixed(f, box)
+        fields = [(x.value, x.bracket, x.binding, x.case, x.cap_probe)
+                  for x in (got, w)]
+        assert fields[0] == fields[1], (f.name, schedule, got, w)
+        finite += w.binding is not None
+    assert finite > 0
+
+
+def exact_excess(da: float, db: float, eta: float, lam: float,
+                 sign: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """``-sign (eta (e^{-lam da} - 1) + (1-eta) (e^{-lam db} - 1))`` of the
+    float inputs in 40-digit decimal arithmetic (the products ``lam d`` are
+    exact at 40 digits), and the error bound of the float kernel there:
+    ``2^-53 (sum w |x| e^x + 5 sum w |e^x - 1| + |excess|)`` with ``x = -lam
+    d``, from the proof in ``extcore._excess``."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        terms = [(w, -D(lam) * D(d)) for w, d in ((D(eta), da), (1 - D(eta), db))]
+        excess = -sign * sum(w * (x.exp() - 1) for w, x in terms)
+        bound = (sum(w * abs(x) * x.exp() + 5 * w * abs(x.exp() - 1)
+                     for w, x in terms) + abs(excess)) * D(2) ** -53
+        return excess, bound
+
+
+def _binding_diffs(f, box, ix) -> tuple[float, float]:
+    """The binding pair's ``(da, db)`` as the table's passes compute them."""
+    table = PairTable(f, box)
+    for block in table.blocks:
+        a, b, _, _ = table._build(block)
+        k = np.flatnonzero((a == ix.binding.x1).all(axis=1)
+                           & (b == ix.binding.x2).all(axis=1))
+        if len(k):
+            _, da, db = list(table._diffs(block))[
+                DEFAULT_ETAS.index(ix.binding.eta)]
+            return float(da[k[0]]), float(db[k[0]])
+    raise AssertionError("binding pair not in the table")
+
+
+@pytest.mark.parametrize("group", sorted(CASES) + ["golden"])
+def test_binding_bracket_holds_the_exact_crossing(group):
+    """The exact crossing of each binding pair's float ``(da, db, eta)`` lies
+    in ``[lo, hi]`` (its exact excess is at most the tolerance at ``lo``
+    and above it at ``hi``), or the exact excess at the end on the wrong
+    side is within the float kernel's error bound there of the tolerance:
+    the float test cannot place the crossing closer. Where the two terms
+    cancel, that bound is far above the change of the excess over one
+    float step of ``lam``, so a crossing usually lies just outside its
+    float bracket."""
+    cases = GOLDEN_INDEX if group == "golden" else CASES[group]()
+    tol, checked = decimal.Decimal(REL_GAP_TOL), 0
+    for (f, box), ix in zip(cases, _production(group)):
+        if ix.binding is None:
+            continue
+        da, db = _binding_diffs(f, box, ix)
+        sign = +1 if ix.case is IndexCase.CASE_I else -1
+        (lo, lo_err), (hi, hi_err) = (
+            exact_excess(da, db, ix.binding.eta, lam, sign) for lam in ix.bracket)
+        assert lo - tol <= lo_err and hi - tol > -hi_err, (f.name, lo, hi)
+        assert lo_err < 2.0 ** -48 and hi_err < 2.0 ** -48
+        checked += 1
+    assert checked > 0
