@@ -791,7 +791,7 @@ class PairTable:
                              for w in range(k)]
                     probes.append((-sign * t_hat, not any(f[4].any() for f in found)))
                     new = [s[np.searchsorted(s, f[0]).clip(max=len(s) - 1)] != f[0]
-                           for f, s in zip(found, solved)]  # sorted, solved pairs
+                           for f, s in zip(found, solved)]  # unsolved; s is sorted
                     found = [tuple(x[n] for x in f) for f, n in zip(found, new)]
                     if not any(len(f[0]) for f in found):
                         break
