@@ -466,10 +466,10 @@ class PairTable:
     skipped (its mix may round an ulp away from it). The table keeps only the
     grid points, their values and the block list; every pass rebuilds each
     block and evaluates its mixes one weight at a time, so a pass holds one
-    block. The passes are gap scans, the mix-normalized exponential-transform
-    test and the whole-table probes of its exact break-even solve; the
-    convexity index's gap scan also folds the solve's seed, so the index
-    reads the table twice when its solve makes one whole-table probe.
+    block. The passes are gap scans, the ``expm1`` exponential-transform
+    test and the whole-table probes of its break-even solve; the index's
+    gap scan also folds the solve's seed, so the index reads the table twice
+    when its solve makes one whole-table probe, wherever its case is found.
 
     For a function that declares separable ``terms``, the table also keeps
     per weight and term the values ``T_k[p, q] = f_k(eta c_p + (1 - eta)
