@@ -29,6 +29,7 @@ crossing of its float differences, in 40-digit decimal arithmetic.
 import dataclasses
 import decimal
 import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -752,7 +753,7 @@ def stream_break_even(self, seed: BreakEvenSeed) -> BreakEven:
     if seed.capped:
         return capped
     with np.errstate(all="ignore"):
-        for probe in range(len(self.blocks) + 1):
+        for probe in itertools.count():
             probed = t_hat
             for b in self.blocks:
                 found = []
