@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapTooSmallWarning, MissingDerivativesError
-from .extcore import (CONSTANT_SPREAD, BoxDomain, BreakEvenSeed, FunctionSpec,
+from .extcore import (CONSTANT_SPREAD, BoxDomain, BreakEvenStream, FunctionSpec,
                       PairTable, Witness, default_gap_tol)
 
 #: Relative tolerance of the mix-normalized exponential-transform test.
@@ -66,13 +66,13 @@ class ConvexityIndex:
     flip; ``constant_shortcut`` marks +inf values detected from a flat grid
     before any probing. ``binding`` is the pair that fixes a finite index:
     it passes at the lower bracket end and fails at the upper one, where its
-    ``violation`` is the normalized excess. ``probes`` lists the probes of
-    the transform as ``(lambda, ok)``: the cap probe first, then each
-    whole-table probe of the solve, then the upper bracket end, which is
-    replayed on the binding pair's block only. In case I the cap probe is
-    made in the entry pass, which scans ``f`` and seeds the solve, from the
-    block where its gap first exceeds the tolerance, and on the blocks
-    before in the solve's first whole-table probe.
+    ``violation`` is the normalized excess. ``probes`` lists the tests of
+    the transform that were made, as ``(lambda, ok)``: the cap probe, then
+    the upper bracket end, which is replayed on the binding pair's block
+    only. In case I the cap test is made pair by pair in the entry pass,
+    which scans ``f`` and streams the solve, from the block where its gap
+    first exceeds the tolerance, and on the blocks before when the solve
+    re-reads them.
     """
 
     value: float
@@ -144,11 +144,11 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     if spread < CONSTANT_SPREAD:
         return ConvexityIndex(math.inf, None, IndexCase.CASE_II, lambda_cap,
                               constant_shortcut=True)
-    # the entry pass certifies f and seeds the solve; a refuted f switches
-    # the seed to case I (index < 0), whose folds make the cap probe
-    seed = BreakEvenSeed(REL_GAP_TOL, lambda_cap)
-    table.scan("convex", default_gap_tol(f), fold=seed)
-    case, probes = IndexCase.CASE_I if seed.sign > 0 else IndexCase.CASE_II, ()
+    # the entry pass certifies f and streams the solve; a refuted f restarts
+    # the stream at case I (index < 0), whose folds make the cap test
+    stream = BreakEvenStream(REL_GAP_TOL, lambda_cap)
+    table.scan("convex", default_gap_tol(f), fold=stream)
+    case, probes = IndexCase.CASE_I if stream.sign > 0 else IndexCase.CASE_II, ()
     if case is IndexCase.CASE_II:  # f certified convex, the index is >= 0
         probes = ((lambda_cap, table.exp_transform_ok(lambda_cap, -1,
                                                       REL_GAP_TOL)),)
@@ -157,7 +157,7 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
                           "constant or the cap too small", CapTooSmallWarning)
             return ConvexityIndex(math.inf, None, case, lambda_cap,
                                   cap_probe=True, probes=probes)
-    be = table.exp_break_even(seed)
+    be = table.exp_break_even(stream)
     if be.lo == -math.inf:
         warnings.warn("index is -inf at the probe cap; increase lambda_cap "
                       "to look further", CapTooSmallWarning)

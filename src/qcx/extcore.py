@@ -25,17 +25,19 @@ time, not memory. On a declared separable sum (:attr:`FunctionSpec.terms`)
 the grid pairs stream in chunks of whole rows, whose mix values are outer
 sums of per-term tables of O(block) entries; only the local pairs' mixes
 are evaluated. The certifiers make one gap scan. The convexity index reads
-every block in its gap scan, which also folds the pairs into the seed of its
-solve (:class:`BreakEvenSeed`, which in case I makes the cap probe), and
-once per whole-table probe of :meth:`PairTable.exp_break_even` (usually
-one); the upper bracket end replays on the binding pair's block.
+every block once, in its gap scan, which also streams the pairs through its
+break-even solve (:class:`BreakEvenStream`, which in case I makes the cap
+test); a case switch after the first block and weight re-reads what the
+scan passed before it, the case-II cap probe reads up to its first failing
+block, and the upper bracket end replays on the binding pair's block.
 
 The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
 mix-normalized ``expm1`` form by one kernel, :func:`_excess`, and the index
 is the extremum of each pair's canonical crossing
 (:meth:`PairTable.exp_break_even`), so no solve schedule can move it.
 Kernels skip the exponentials or logs of pairs that provably cannot matter
-(:func:`_cap_violation`, :func:`_prune`).
+(:func:`_cap_violation`, :func:`_prune`), and a pair pruned at one running
+extremum can beat no later one, so no pass verifies the result.
 
 Every pass walks the blocks in order, one at a time, so the evaluation
 oracle is never called concurrently and need not be reentrant. Ties between
@@ -64,15 +66,17 @@ LOCAL_SCALES = 9
 #: Range spread below which a grid of values is treated as constant.
 CONSTANT_SPREAD = 1e-10
 
-#: Pairs per interpolation weight solved exactly in each break-even round.
+#: Pairs per weight solved in a break-even burst's first round; it doubles.
 SOLVE_BATCH = 32
+
+#: Candidates per weight that set off a burst, which leaves at most half.
+SOLVE_PILE = 256
 
 #: Pairs per block of a streamed pass; a pass holds one block at a time.
 SCAN_BLOCK = 8192
 
-#: No pair: ``(index, da, db, key, fails)`` of none.
-_NONE = (np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3 + (
-    np.empty(0, dtype=bool),)
+#: No pair: ``(index, da, db, key)`` of none.
+_NONE = (np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3
 
 
 class Verdict(enum.Enum):
@@ -112,15 +116,14 @@ class BreakEven:
     """Adjacent floats ``lo < hi`` around the break-even lambda of a table.
 
     They are the ``binding`` pair's crossing, the table's extremum: it
-    passes at ``lo`` and fails at ``hi``, and but for float flips within
-    the kernel's error so does the transform (see
-    :meth:`PairTable.exp_break_even`). ``probes`` lists the probes as
-    ``(lam, transform ok)``: on the convexity side first the cap, then the
-    whole-table probes, ending with the two bracket ends. Without a
-    binding pair (convexity side only: no pair fails inside the cap),
-    ``lo`` is the negative float nearest 0, ``hi`` is 0 and ``lo`` is the
-    last probe. If the convexity-side transform fails at the cap, ``lo`` is
-    ``-inf``, ``hi`` is ``-lam_cap`` and the cap is the only probe.
+    passes at ``lo`` and fails at ``hi``, and but for float flips within the
+    kernel's error so does the transform, by the proof of :func:`_prune`.
+    ``probes`` lists the tests made, as ``(lam, transform ok)``: on the
+    convexity side the cap test of every pair, then the upper end, replayed
+    on the binding block. Without a binding pair (convexity side only: no
+    pair fails inside the cap), ``lo`` is the negative float nearest 0 and
+    ``hi`` is 0; if the transform fails at the cap, ``lo`` is ``-inf`` and
+    ``hi`` is ``-lam_cap``.
     """
 
     lo: float
@@ -331,43 +334,22 @@ def _cap_violation(da, db, eta: float, cap: float, tol_rel: float) -> np.ndarray
     return fail
 
 
-def _crossing_estimate(da, db, eta, sign: int, tol_rel: float) -> np.ndarray:
-    """Second-order estimate of each pair's break-even lambda (+inf: none).
-
-    With ``s = eta da + (1-eta) db`` and ``q = eta da^2 + (1-eta) db^2``,
-    ``phi(lam) ~ 1 - s lam + q lam^2 / 2``; the estimate is the root of
-    ``phi = 1 -/+ tol_rel`` that bounds the pair's passing set. Smaller is
-    more binding for both signs; the estimate only orders the work.
-    """
-    s = eta * da
-    s += (1 - eta) * db
-    q = da * da
-    q *= eta
-    db2 = db * db
-    db2 *= 1 - eta
-    q += db2
-    key = s * s
-    key -= (sign * 2.0 * tol_rel) * q
-    np.sqrt(key, out=key)
-    if sign > 0:
-        np.subtract(s, key, out=key)
-    else:
-        key += s
-    key /= q
+def _crossing_estimate(da, db, eta, sign: int, tol_rel: float, t: float = 0.0,
+                       excess=0.0) -> np.ndarray:
+    """Second-order estimate of each pair's break-even lambda (+inf: none)
+    at ``t``, where its excess is ``excess``: with ``w_a = eta e^{sign t
+    da}``, ``w_b = (1-eta) e^{sign t db}``, ``s = w_a da + w_b db`` and ``q
+    = w_a da^2 + w_b db^2``, ``phi(t + h) ~ phi(t) + sign s h + q h^2 / 2``;
+    it is ``-sign`` times the root ``t + h`` of ``phi = 1 -/+ tol_rel`` that
+    bounds the passing set. Smaller is more binding; it only orders work."""
+    wa, wb = eta, 1 - eta
+    if t:
+        wa = np.exp(np.multiply(sign * t, da)) * eta
+        wb = np.exp(np.multiply(sign * t, db)) * (1 - eta)
+    s, q = wa * da + wb * db, wa * da * da + wb * db * db
+    root = np.sqrt(s * s - (sign * 2.0) * (tol_rel - excess) * q)
+    key = (s - root if sign > 0 else s + root) / q - sign * t
     return np.fmin(key, math.inf, out=key)  # NaN (no crossing) -> +inf
-
-
-def _smallest(key: np.ndarray, k: int) -> np.ndarray:
-    """Positions (ascending) of the ``k`` smallest keys, ties to the lower
-    position, so per-chunk picks merge to the same set for any chunking."""
-    if len(key) > k:
-        kth = np.partition(key, k - 1)[k - 1]
-        below = np.flatnonzero(key < kth)
-        ties = np.flatnonzero(key == kth)[:k - len(below)]
-        pos = np.concatenate([below, ties])
-    else:
-        pos = np.arange(len(key))
-    return np.sort(pos)
 
 
 def _fail_end(da, db, eta, sign: int, tol_rel: float, lam_cap: float):
@@ -376,40 +358,76 @@ def _fail_end(da, db, eta, sign: int, tol_rel: float, lam_cap: float):
     db)`` of ``phi`` if inside ``(0, lam_cap)`` for sign=+1."""
     t = (np.full(len(da), lam_cap) if sign < 0 else
          np.log(db * (eta - 1) / (eta * da)) / (da - db))
-    return t, (t > 0) & (t <= lam_cap) & _exp_violation(
-        da, db, eta, -sign * t, sign, tol_rel)
+    fails = (t > 0) & (t <= lam_cap)  # the test only where that holds
+    at, eta = np.flatnonzero(fails), np.broadcast_to(eta, t.shape)
+    fails[at] = _exp_violation(da[at], db[at], eta[at], -sign * t[at], sign, tol_rel)
+    return t, fails
+
+
+def _past_minimizer(da, db, eta: float, t: float) -> np.ndarray:
+    """Per pair: is ``t > 0`` provably above the minimizer ``t_min`` of
+    ``phi(t) = eta e^{t da} + (1-eta) e^{t db}`` (sign=+1)?
+
+    Where ``da`` and ``db`` have opposite signs, ``r = t |da - db| - sgn(da)
+    log q``, with ``q = (1-eta) |db| / (eta |da|)``, is ``(t - t_min) |da -
+    db|``. Marked: a float ``r`` over ``2^-40 P + 2^-39``, ``P = t |da| + t
+    |db|`` as formed. With ``u = 2^-53`` and libm's ``log`` within 2 ulp,
+    the three logs (each under 745, so within ``2^-42``) and their two sums
+    (under 1492) err by under ``2^-40``, ``P`` by ``2.01u t |da - db| +
+    2^-1073`` (it overflows only where ``r`` is huge) and the subtraction by
+    ``u |r|``: a mark means ``r > 0``. Where the signs agree, ``phi`` never
+    falls below 1 or :func:`_fail_end` finds no crossing, so a mark drops
+    nothing that counts; a zero or infinite difference is never marked.
+    """
+    r = np.abs(da) * t + np.abs(db) * t
+    log_q = np.log(np.abs(db)) - np.log(np.abs(da)) + math.log((1 - eta) / eta)
+    return r - np.sign(da) * log_q > r * 2.0 ** -40 + 2.0 ** -39
 
 
 def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
            lam_cap: float, idx):
     """The pairs whose crossing can beat or tie the running extremum ``t``:
     in index order, their indices (``idx`` holds every pair's), ``da``,
-    ``db``, crossing estimates and whether each fails at ``t``.
+    ``db`` and crossing estimates, made at ``t`` (at 0 while ``t`` is the
+    cap).
 
     Dropped: an excess at ``t`` under ``tol_rel - EXCESS_MARGIN``, for
-    sign=+1 under ``-EXCESS_MARGIN``, or in between with no crossing
-    (:func:`_fail_end`). With the bounds of :func:`_excess`, a dropped pair
-    passes at every midpoint its bisection can reach past ``t``:
+    sign=+1 under ``-EXCESS_MARGIN``, or in between with ``t`` past the
+    minimizer (:func:`_past_minimizer`; not tested at the least positive
+    ``t``, past which lies no positive minimizer) or no crossing
+    (:func:`_fail_end`).
+    With the bounds of :func:`_excess` (``EXCESS_MARGIN`` is ``128u``), a
+    dropped pair passes at every midpoint its bisection can reach past
+    ``t``, so its crossing is worse than ``t``:
 
     * sign=-1: the exact excess is under ``tol_rel - EXCESS_MARGIN + 34u``
       up to a float above ``t``, and by convexity of ``phi`` (``phi(0) =
       1``) below that or 0 on ``[0, t]``; the bisection ends above ``t``.
-    * sign=+1: ``phi(t) > 1``, so ``phi`` rises beyond ``t`` (slope at
-      least ``(phi(t) - 1) / t``) and is over 1 from a float below ``t``;
-      the bisection down from the cap ends below ``t``.
+    * sign=+1: ``phi`` rises beyond ``t``, where ``phi(t) > 1`` (slope at
+      least ``(phi(t) - 1) / t``) or past the minimizer, so the exact
+      excess is under ``tol_rel - EXCESS_MARGIN + 34u`` from a float below
+      ``t`` on; the bisection down from the cap ends below ``t``.
+
+    The running extremum only falls for sign=-1 and only rises for sign=+1,
+    so a drop holds at every later extremum too: one prune of each pair at
+    the extremum of its turn finds the index, and no probe need confirm it.
     """
     excess = _excess(da, db, eta, -sign * t, sign)
     keep = excess > tol_rel - EXCESS_MARGIN
     if sign > 0:
         middle = np.flatnonzero(~keep & (excess >= -EXCESS_MARGIN))
-        keep[middle] = _fail_end(da[middle], db[middle], eta, sign, tol_rel,
-                                 lam_cap)[1]
+        if len(middle) and t > math.ulp(0.0):
+            middle = middle[~_past_minimizer(da[middle], db[middle], eta, t)]
+        if len(middle):
+            keep[middle] = _fail_end(da[middle], db[middle], eta, sign,
+                                     tol_rel, lam_cap)[1]
     pos = np.flatnonzero(keep)
     if not len(pos):
         return _NONE
     da, db = da[pos], db[pos]
-    return (idx[pos], da, db, _crossing_estimate(da, db, eta, sign, tol_rel),
-            excess[pos] > tol_rel)
+    at = t if t < lam_cap else 0.0  # the cap is no solved crossing
+    return idx[pos], da, db, _crossing_estimate(da, db, eta, sign, tol_rel, at,
+                                                excess[pos] if at else 0.0)
 
 
 def _mix_points(a, b, eta):
@@ -419,42 +437,93 @@ def _mix_points(a, b, eta):
     return m
 
 
-class BreakEvenSeed:
-    """The seed of :meth:`PairTable.exp_break_even`, folded block by block
-    as the ``fold`` of :meth:`PairTable.scan`: per weight, ``rows`` holds
-    the ``SOLVE_BATCH`` pairs of least :func:`_crossing_estimate` as
-    ``(index, da, db, key)`` in fold order (a later pair loses ties). It
-    seeds case II (sign=-1) until the scan sees a gap above its tolerance,
-    then restarts at case I from that block and weight; ``skipped`` counts
-    the folds before, whose pairs reach the solve through its whole-table
-    probes. A case-I fold first makes the cap test (:func:`_cap_violation`);
+def _solve(picks, best, sign: int, tol_rel: float, lam_cap: float):
+    """Solve the crossings of ``picks``, ``(which, pair indices, da, db)``
+    per weight, from :func:`_fail_end` to 0 (sign=-1) or the cap
+    (sign=+1); return the better of ``best`` and the best solved pair as
+    ``(lam_pass, which, idx, t_pass, t_fail, da, db)``."""
+    which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
+    idx, da, db = (np.concatenate(c) for c in zip(*(p[1:] for p in picks)))
+    eta = np.asarray(DEFAULT_ETAS)[which]
+    t_fail, has = _fail_end(da, db, eta, sign, tol_rel, lam_cap)
+    if not has.any():
+        return best
+    which, idx, da, db, eta, t_fail = (
+        x[has] for x in (which, idx, da, db, eta, t_fail))
+    pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
+    fail_bits = t_fail.view(np.int64).copy()
+    while (np.abs(fail_bits - pass_bits) > 1).any():
+        mid = pass_bits + (fail_bits - pass_bits) // 2
+        bad = _exp_violation(da, db, eta, -sign * mid.view(np.float64), sign,
+                             tol_rel)
+        fail_bits = np.where(bad, mid, fail_bits)
+        pass_bits = np.where(bad, pass_bits, mid)
+    t_pass = pass_bits.view(np.float64)
+    lam_pass = -sign * t_pass
+    k = np.lexsort((idx, which, lam_pass))[0]
+    cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
+            float(t_pass[k]), float(fail_bits.view(np.float64)[k]),
+            float(da[k]), float(db[k]))
+    return cand if best is None or cand[:3] < best[:3] else best
+
+
+class BreakEvenStream:
+    """The solve of :meth:`PairTable.exp_break_even`, fed block by block as
+    the ``fold`` of :meth:`PairTable.scan`: each block and weight is pruned
+    at the running extremum ``t`` (:func:`_prune`) onto a pile of that
+    weight, and a pile of over :data:`SOLVE_PILE` pairs sets off a
+    :meth:`burst`. It starts at case II (sign=-1, ``t = lam_cap``); at the
+    scan's first gap above its tolerance it drops its piles and restarts at
+    case I (sign=+1, ``t = ulp(0)``) from the block and weight in
+    ``switch``. A case-I fold first makes the cap test (:func:`_cap_violation`);
     once a pair fails it, ``capped`` is set and folding stops."""
 
     def __init__(self, tol_rel: float, lam_cap: float):
-        self.tol_rel, self.lam_cap = tol_rel, lam_cap
-        self.sign, self.capped, self.skipped = -1, False, 0
-        self.rows = [_NONE[:4] for _ in DEFAULT_ETAS]
+        self.tol_rel, self.lam_cap, self.sign, self.t = tol_rel, lam_cap, -1, lam_cap
+        self.best, self.capped, self.switch = None, False, None
+        self.piles = [[_NONE] for _ in DEFAULT_ETAS]  # _prune results per weight
 
     def __call__(self, block, which: int, eta: float, da, db,
                  refuted: bool = False) -> bool:
-        """Fold the pairs of ``block`` at weight ``which``; false if capped."""
+        """Stream a block's pairs at one weight; false once capped."""
         if self.sign < 0 and refuted:
-            self.sign, self.rows = +1, [_NONE[:4] for _ in DEFAULT_ETAS]
-        self.skipped += self.sign < 0
-        if self.sign > 0 and _cap_violation(da, db, eta, self.lam_cap,
-                                            self.tol_rel).any():
-            self.capped = True
+            self.__init__(self.tol_rel, self.lam_cap)
+            self.sign, self.t, self.switch = +1, math.ulp(0.0), (block, which)
+        self.capped = self.sign > 0 and bool(_cap_violation(
+            da, db, eta, self.lam_cap, self.tol_rel).any())
+        if self.capped:
             return False
-        key = _crossing_estimate(da, db, eta, self.sign, self.tol_rel)
-        rows = self.rows[which]
-        pos = (np.flatnonzero(key < rows[-1].max())
-               if len(rows[0]) == SOLVE_BATCH else np.arange(len(key)))
-        if len(pos):
-            rows = tuple(map(np.concatenate, zip(
-                rows, (block[0] + pos, da[pos], db[pos], key[pos]))))
-            take = _smallest(rows[-1], SOLVE_BATCH)
-            self.rows[which] = tuple(x[take] for x in rows)
+        found = _prune(da, db, eta, self.t, self.sign, self.tol_rel,
+                       self.lam_cap, np.arange(*block))
+        pile = self.piles[which]
+        pile += [found] if len(found[0]) else []
+        if sum(len(p[0]) for p in pile) > SOLVE_PILE:
+            self.burst(SOLVE_PILE // 2)
         return True
+
+    def burst(self, most: int):
+        """Solve rounds until no pile holds over ``most`` pairs: each solves
+        the ``batch`` pairs of least :func:`_crossing_estimate` of every pile
+        in one :func:`_solve`, ``batch`` doubling from ``SOLVE_BATCH``, and
+        prunes the rest at the extremum if it moved."""
+        piles = [tuple(map(np.concatenate, zip(*p))) for p in self.piles]
+        batch = SOLVE_BATCH
+        while max(len(p[0]) for p in piles) > most:
+            picks, rest = [], []
+            for which, (idx, da, db, key) in enumerate(piles):
+                take = np.zeros(len(idx), dtype=bool)
+                take[np.argsort(key, kind="stable")[:batch]] = True
+                picks.append((which, idx[take], da[take], db[take]))
+                rest.append(tuple(x[~take] for x in (idx, da, db, key)))
+            self.best = _solve(picks, self.best, self.sign, self.tol_rel,
+                               self.lam_cap)
+            piles, batch = rest, 2 * batch
+            if self.best is not None and self.best[3] != self.t:
+                self.t = self.best[3]
+                piles = [_prune(da, db, eta, self.t, self.sign, self.tol_rel,
+                                self.lam_cap, idx)
+                         for eta, (idx, da, db, _) in zip(DEFAULT_ETAS, piles)]
+        self.piles = [[p] for p in piles]
 
 
 class PairTable:
@@ -466,10 +535,10 @@ class PairTable:
     skipped (its mix may round an ulp away from it). The table keeps only the
     grid points, their values and the block list; every pass rebuilds each
     block and evaluates its mixes one weight at a time, so a pass holds one
-    block. The passes are gap scans, the ``expm1`` exponential-transform
-    test and the whole-table probes of its break-even solve; the index's
-    gap scan also folds the solve's seed, so the index reads the table twice
-    when its solve makes one whole-table probe, wherever its case is found.
+    block. The passes are gap scans and the ``expm1`` exponential-transform
+    test. The index's gap scan also streams its break-even solve, so the
+    index reads each block once, and once more the blocks that the scan
+    passed before a case switch.
 
     For a function that declares separable ``terms``, the table also keeps
     per weight and term the values ``T_k[p, q] = f_k(eta c_p + (1 - eta)
@@ -730,16 +799,14 @@ class PairTable:
                            for block in self.blocks
                            for eta, da, db in self._diffs(block))
 
-    def exp_break_even(self, seed: BreakEvenSeed) -> "BreakEven":
+    def exp_break_even(self, stream: BreakEvenStream) -> "BreakEven":
         """The exact break-even lambda of :meth:`exp_transform_ok` (see
-        :class:`BreakEven`), solved from a ``seed`` folded over every block,
-        at its sign, ``tol_rel`` and ``lam_cap``. For sign=-1, call it once
-        the cap probe ``exp_transform_ok(lam_cap)`` has failed; for sign=+1
-        the seed made it, but for its ``skipped`` folds, which the first
-        whole-table probe tests. Write ``lam = -sign * t`` with ``t >= 0``;
-        per pair, ``phi(t) = eta e^{-lam da} + (1-eta) e^{-lam db}`` is
-        convex with ``phi(0) = 1``. A pair passes at ``t = 0``, and at the
-        cap for sign=+1.
+        :class:`BreakEven`), finishing a ``stream`` that the entry scan fed
+        every block, at its sign, ``tol_rel`` and ``lam_cap``. For sign=-1,
+        call it once the cap probe ``exp_transform_ok(lam_cap)`` has
+        failed. Write ``lam = -sign * t`` with ``t >= 0``; per pair, ``phi(t)
+        = eta e^{-lam da} + (1-eta) e^{-lam db}`` is convex with ``phi(0) =
+        1``. A pair passes at ``t = 0``, and at the cap for sign=+1.
 
         The index is the extremum of each pair's canonical crossing, ties
         to the earlier weight, then the lower pair index: the adjacent
@@ -754,109 +821,40 @@ class PairTable:
           minimizer of ``phi``; the index is minus the greatest crossing,
           bisected from the minimizer to the cap.
 
-        Rounds alternate an exact solve of a batch ranked by crossing
-        estimate with a :func:`_prune` of the rest at the extremum, and of
-        the whole table (a probe) when none is left. Once a probe's new
-        candidates leave the extremum, no pair can beat it; the transform
-        passes there unless a float test flips within the kernel's error,
-        as the probe records. The upper end replays on the binding block.
+        The stream gets the blocks and weights that the scan passed before a
+        case switch again, then bursts until no candidate is left. By the
+        proof of :func:`_prune` no pair dropped on the way can beat the
+        extremum, and the transform passes there but for float flips within
+        the kernel's error.
         """
-        sign, tol_rel, lam_cap = seed.sign, seed.tol_rel, seed.lam_cap
-        t_hat = lam_cap if sign < 0 else math.ulp(0.0)
-        best = probed = None  # best: (lam_pass, which, idx, t_pass, t_fail, da, db)
-        probes = [(-lam_cap, True)] if sign > 0 else []  # the seed's cap probe
-        capped = BreakEven(-math.inf, -lam_cap, None, ((-lam_cap, False),))
-        if seed.capped:
-            return capped
-        uncapped = seed.skipped if sign > 0 else 0
-        cands, solved = [r[:3] for r in seed.rows], [np.array([-1])] * len(seed.rows)
+        sign, tol_rel, lam_cap = stream.sign, stream.tol_rel, stream.lam_cap
         with np.errstate(all="ignore"):
-            while True:
-                found = [_prune(da, db, eta, t_hat, sign, tol_rel, lam_cap, idx)
-                         for eta, (idx, da, db) in zip(DEFAULT_ETAS, cands)]
-                if not any(len(f[0]) for f in found):
-                    if t_hat == probed:
+            if stream.switch is not None and not stream.capped:
+                block, which = stream.switch
+                for b in self.blocks[:self.blocks.index(block) + 1]:
+                    n = which if b == block else len(DEFAULT_ETAS)
+                    if not all(stream(b, w, *diffs) for w, diffs in
+                               zip(range(n), self._diffs(b))):
                         break
-                    parts, probed = [], t_hat  # per block and weight, in order
-                    for b in self.blocks:
-                        at = np.arange(*b)
-                        for eta, da, db in self._diffs(b):
-                            if len(parts) < uncapped and _cap_violation(
-                                    da, db, eta, lam_cap, tol_rel).any():
-                                return capped
-                            parts.append(_prune(da, db, eta, t_hat, sign, tol_rel,
-                                                lam_cap, at))
-                    uncapped, k = 0, len(DEFAULT_ETAS)  # the cap test is made
-                    found = [tuple(map(np.concatenate, zip(*parts[w::k])))
-                             for w in range(k)]
-                    probes.append((-sign * t_hat, not any(f[4].any() for f in found)))
-                    new = [s[np.searchsorted(s, f[0]).clip(max=len(s) - 1)] != f[0]
-                           for f, s in zip(found, solved)]  # unsolved; s is sorted
-                    found = [tuple(x[n] for x in f) for f, n in zip(found, new)]
-                    if not any(len(f[0]) for f in found):
-                        break
-                picks, cands = [], []
-                for which, (idx, da, db, key, _) in enumerate(found):
-                    take = np.zeros(len(idx), dtype=bool)
-                    take[_smallest(key, SOLVE_BATCH)] = True
-                    picks.append((which, idx[take], da[take], db[take]))
-                    cands.append((idx[~take], da[~take], db[~take]))
-                    solved[which] = np.sort(np.concatenate([solved[which], idx[take]]))
-                best = self._solve(picks, best, sign, tol_rel, lam_cap)
-                t_hat = t_hat if best is None else best[3]
-
-            if best is None:  # sign=+1 only: no pair fails in [-lam_cap, 0)
-                return BreakEven(-t_hat, 0.0, None, tuple(probes))
-            lam_pass, which, idx, _, t_fail, da, db = best
+            if stream.capped:
+                return BreakEven(-math.inf, -lam_cap, None, ((-lam_cap, False),))
+            stream.burst(0)
+            probes = ((-lam_cap, True),) if sign > 0 else ()  # the cap test
+            if stream.best is None:  # sign=+1 only: no pair fails in [-lam_cap, 0)
+                return BreakEven(-stream.t, 0.0, None, probes)
+            lam_pass, which, idx, _, t_fail, da, db = stream.best
             hi = -sign * t_fail
-            # replay the upper end on the binding pair's block, rebuilt
-            # exactly as the whole-table probes built it
+            # replay the upper end on the binding block, rebuilt as scanned
             block = next(b for b in self.blocks if b[0] <= idx < b[1])
             eta = DEFAULT_ETAS[which]
             if not any(_exp_violation(d_a, d_b, w, hi, sign, tol_rel).any()
                        for w, d_a, d_b in self._diffs(block)):
                 raise RuntimeError("break-even upper end does not replay")
             excess = _excess(np.array([da]), np.array([db]), eta, hi, sign)
-        probes.append((hi, False))
         a, b, _, _ = self._build((idx, idx + 1))
         binding = Witness(x1=tuple(map(float, a[0])), x2=tuple(map(float, b[0])),
                           eta=float(eta), violation=float(excess[0]))
-        return BreakEven(lam_pass, hi, binding, tuple(probes))
-
-    def _solve(self, picks, best, sign: int, tol_rel: float, lam_cap: float):
-        """Solve the crossings of ``picks``, ``(which, pair indices, da,
-        db)`` per weight, from :func:`_fail_end` to 0 (sign=-1) or the cap
-        (sign=+1); return the better of ``best`` and the best solved pair as
-        ``(lam_pass, which, idx, t_pass, t_fail, da, db)``."""
-        which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
-        idx, da, db = (np.concatenate(c) for c in zip(*(p[1:] for p in picks)))
-        eta = np.asarray(DEFAULT_ETAS)[which]
-        with np.errstate(all="ignore"):
-            t_fail, has = _fail_end(da, db, eta, sign, tol_rel, lam_cap)
-            if not has.any():
-                return best
-            which, idx, da, db, eta, t_fail = (
-                x[has] for x in (which, idx, da, db, eta, t_fail))
-            pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
-            fail_bits = t_fail.view(np.int64).copy()
-            while True:
-                step = fail_bits - pass_bits
-                if not (np.abs(step) > 1).any():
-                    break
-                mid = pass_bits + step // 2
-                bad = _exp_violation(da, db, eta, -sign * mid.view(np.float64),
-                                     sign, tol_rel)
-                fail_bits = np.where(bad, mid, fail_bits)
-                pass_bits = np.where(bad, pass_bits, mid)
-        t_pass = pass_bits.view(np.float64)
-        lam_pass = -sign * t_pass
-        k = np.lexsort((idx, which, lam_pass))[0]
-        cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
-                float(t_pass[k]), float(fail_bits.view(np.float64)[k]),
-                float(da[k]), float(db[k]))
-        if best is None or cand[:3] < best[:3]:
-            return cand
-        return best
+        return BreakEven(lam_pass, hi, binding, probes + ((hi, False),))
 
 
 # ---------------------------------------------------------------------------

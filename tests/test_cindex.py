@@ -163,8 +163,8 @@ class TestComputeIndex:
     def test_probes_end_with_the_bracket(self):
         ix = compute_index(families.sqrt(), box1(1, 4))
         lo, hi = ix.bracket
-        assert ix.probes[0] == (-1e4, True)  # the cap probe
-        assert ix.probes[-2:] == ((lo, True), (hi, False))
+        # the cap test and the upper end; the lower end rests on the prune
+        assert ix.probes == ((-1e4, True), (hi, False))
 
     def test_validation(self):
         with pytest.raises(ValueError):

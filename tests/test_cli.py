@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcx.cindex import REL_GAP_TOL
+from qcx.cindex import DEFAULT_LAMBDA_CAP, REL_GAP_TOL
 from qcx.cli import CONFIG_KEYS, _read, build_function, load_config, main
 from qcx.decomp import DecomposableSum
 from qcx.errors import ConfigError
@@ -124,7 +124,8 @@ class TestIndexCommand:
 
     def test_csv_sweep(self, tmp_path):
         """Every probe row replays on a fresh table; each function's rows
-        end with its bracket ends."""
+        are its cap probe and its upper bracket end, and the transform
+        passes at the lower end, which the solve proves without a probe."""
         cfg = write_config(tmp_path)
         csv = tmp_path / "sweep.csv"
         out = tmp_path / "r.json"
@@ -142,7 +143,9 @@ class TestIndexCommand:
             for lam, ok in mine:
                 assert table.exp_transform_ok(lam, sign, REL_GAP_TOL) == ok
             lo, hi = r["bracket"]
-            assert mine[-2:] == [(lo, True), (hi, False)]
+            assert mine == [(-sign * DEFAULT_LAMBDA_CAP, r["case"] == "I"),
+                            (hi, False)]
+            assert table.exp_transform_ok(lo, sign, REL_GAP_TOL)
 
 
 class TestSumCheckCommand:

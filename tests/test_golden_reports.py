@@ -30,6 +30,9 @@ When the index became the extremum of canonical per-pair crossings on an
 reports moved in their index values (by at most 1.3e-8 relative), the
 margins made from them (5.7e-8) and the binding ``violation`` (8.9e-5);
 no binding pair, case, decision, rule or witness moved.
+When the index solve became one stream with no whole-table probe, each
+index sweep lost its lower-end row, which that probe had made; no report
+moved.
 To write them anew (only when a report is meant to change)::
 
     PYTHONPATH=src python tests/test_golden_reports.py

@@ -20,13 +20,15 @@ canonical failing end; the cached table prunes with it, and the masked
 ``_prune`` must keep the same pairs with the same bits.
 
 The index is a function of the pair table, so other solve schedules
-(``SOLVE_BATCH`` 1 and 4096, the blocks in reverse order, and the one-pass
-``stream_break_even``) must give the same value, bracket and binding pair,
-and ``exact_excess`` checks each binding pair's bracket against the exact
+(``SOLVE_BATCH`` 1 and 4096, the blocks in reverse order, the earlier
+production schedule ``seed_break_even``, which folds a seed of crossing
+estimates in the entry scan and probes the whole table until a probe moves
+nothing, and ``stream_break_even``, a stream without piles that probes the
+same way) must give the same value, bracket and binding pair, and
+``exact_excess`` checks each binding pair's bracket against the exact
 crossing of its float differences, in 40-digit decimal arithmetic.
 """
 
-import dataclasses
 import decimal
 import functools
 import itertools
@@ -40,11 +42,12 @@ import pytest
 from qcx import cindex, extcore, families
 from qcx.cindex import REL_GAP_TOL, ConvexityIndex, IndexCase, compute_index
 from qcx.errors import CapTooSmallWarning
-from qcx.extcore import (DEFAULT_ETAS, EXCESS_MARGIN, SOLVE_BATCH, BoxDomain,
-                         BreakEven, BreakEvenSeed, CertResult, FunctionSpec,
-                         PairTable, Verdict, Witness, _cap_violation,
-                         _crossing_estimate, _excess, _exp_violation,
-                         _fail_end, _prune, _smallest, default_gap_tol)
+from qcx.extcore import (_NONE, DEFAULT_ETAS, EXCESS_MARGIN, SOLVE_BATCH,
+                         BoxDomain, BreakEven, BreakEvenStream, CertResult,
+                         FunctionSpec, PairTable, Verdict, Witness,
+                         _cap_violation, _crossing_estimate, _excess,
+                         _exp_violation, _fail_end, _past_minimizer, _prune,
+                         _solve, default_gap_tol)
 
 from test_acceptance import FIXTURES, SEED, _random_suite
 from test_scan_oracle import _pair_arrays, _set_block, oracle_scan
@@ -57,24 +60,40 @@ CAP = 1e4
 E = math.e
 
 
+def _smallest(key: np.ndarray, k: int) -> np.ndarray:
+    """Positions (ascending) of the ``k`` smallest keys, ties to the lower
+    position, so per-chunk picks merge to the same set for any chunking."""
+    if len(key) > k:
+        kth = np.partition(key, k - 1)[k - 1]
+        below = np.flatnonzero(key < kth)
+        ties = np.flatnonzero(key == kth)[:k - len(below)]
+        pos = np.concatenate([below, ties])
+    else:
+        pos = np.arange(len(key))
+    return np.sort(pos)
+
+
 def unmasked_prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
                    lam_cap: float):
     """``_prune`` without its mask: every pair's canonical failing end is
     found, and a pair is kept if it fails at ``t``, passes within
-    ``EXCESS_MARGIN``, or (sign=+1) has a crossing and ``phi(t)`` is not
-    provably over 1.
+    ``EXCESS_MARGIN``, or (sign=+1) has a crossing, ``phi(t)`` is not
+    provably over 1 and ``t`` is not provably past the minimizer of ``phi``.
 
-    Returns the positions (ascending) of the kept pairs, their crossing
-    estimates and whether each fails at ``t``.
+    Returns the positions (ascending) of the kept pairs and their crossing
+    estimates, made at ``t`` (at 0 where ``t`` is the cap).
     """
     excess = _excess(da, db, eta, -sign * t, sign)
     keep = excess > tol_rel - EXCESS_MARGIN
     if sign > 0:
         keep |= (_fail_end(da, db, eta, sign, tol_rel, lam_cap)[1]
-                 & (excess >= -EXCESS_MARGIN))
+                 & (excess >= -EXCESS_MARGIN)
+                 & ~_past_minimizer(da, db, eta, t))
     pos = np.flatnonzero(keep)
-    key = _crossing_estimate(da[pos], db[pos], eta, sign, tol_rel)
-    return pos, key, excess[pos] > tol_rel
+    at = t if t < lam_cap else 0.0
+    key = _crossing_estimate(da[pos], db[pos], eta, sign, tol_rel, at,
+                             excess[pos] if at else 0.0)
+    return pos, key
 
 
 class CachedPairTable:
@@ -108,7 +127,6 @@ class CachedPairTable:
                        lam_cap: float) -> BreakEven:
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
         best = probed = None  # (lam_pass, which, idx, t_pass, t_fail)
-        probes: list[tuple[float, bool]] = []
         everything = np.arange(len(self.a))
         with np.errstate(all="ignore"):
             cands = [_smallest(_crossing_estimate(*self._diffs(which, everything),
@@ -119,26 +137,23 @@ class CachedPairTable:
             found = []
             for which, idx in enumerate(cands):
                 with np.errstate(all="ignore"):
-                    pos, key, fails = unmasked_prune(
+                    pos, key = unmasked_prune(
                         *self._diffs(which, idx), self.etas[which], t_hat,
                         sign, tol_rel, lam_cap)
-                found.append((idx[pos], key, fails))
+                found.append((idx[pos], key))
             if not any(len(f[0]) for f in found):
                 if t_hat == probed:
                     break
                 probed, found = t_hat, []
                 for which, eta in enumerate(self.etas):
                     with np.errstate(all="ignore"):
-                        pos, key, fails = unmasked_prune(
+                        found.append(unmasked_prune(
                             *self._diffs(which, everything), eta, t_hat, sign,
-                            tol_rel, lam_cap)
-                    found.append((pos, key, fails))
-                probes.append((-sign * t_hat,
-                               not any(f[2].any() for f in found)))
+                            tol_rel, lam_cap))
                 if not any(len(f[0]) for f in found):
                     break
             picks, cands = [], []
-            for which, (idx, key, _) in enumerate(found):
+            for which, (idx, key) in enumerate(found):
                 take = _smallest(key, SOLVE_BATCH)
                 rest = np.ones(len(idx), dtype=bool)
                 rest[take] = False
@@ -147,11 +162,10 @@ class CachedPairTable:
             best = self._solve(picks, best, sign, tol_rel, lam_cap)
             t_hat = t_hat if best is None else best[3]
         if best is None:
-            return BreakEven(-t_hat, 0.0, None, tuple(probes))
+            return BreakEven(-t_hat, 0.0, None, ())
         lam_pass, which, idx, _, t_fail = best
         hi = -sign * t_fail
         hi_ok = self.exp_transform_ok(hi, sign, tol_rel)
-        probes.append((hi, hi_ok))
         assert not hi_ok
         da, db = self._diffs(which, np.array([idx]))
         eta = self.etas[which]
@@ -160,7 +174,7 @@ class CachedPairTable:
         binding = Witness(x1=tuple(float(v) for v in self.a[idx]),
                           x2=tuple(float(v) for v in self.b[idx]),
                           eta=float(eta), violation=float(excess[0]))
-        return BreakEven(lam_pass, hi, binding, tuple(probes))
+        return BreakEven(lam_pass, hi, binding, ((hi, hi_ok),))
 
     def _solve(self, picks, best, sign: int, tol_rel: float, lam_cap: float):
         which = np.concatenate([np.full(len(i), w) for w, i in picks])
@@ -311,11 +325,28 @@ def _two_d():
     return cases
 
 
+def _log(c: float, a: float) -> FunctionSpec:
+    return FunctionSpec(1, lambda p: c * np.log(p[:, 0] + a),
+                        name=f"{c:g}log(x+{a:g})")
+
+
+def _ties():
+    """``c log(x + a)`` (case I) and ``-c log(x + a)`` (case II): every pair
+    of ``log`` crosses 1 at lambda = -1/c (case I) or 1/c (case II), so the
+    crossings of the tolerance lie within a few parts in 10^12."""
+    return [(_log(s * c, a), BoxDomain.of(lo, hi, m))
+            for c, a, lo, hi, m in ((1.0, 0.0, 1.0, E, 257),
+                                    (2.0, 3.0, -1.0, 1.0, 129),
+                                    (0.5, 1.0, 0.0, 2.0, 65))
+            for s in (1.0, -1.0)]
+
+
 CASES = {
     "fixtures": lambda: [(f, box) for _, f, box, _ in FIXTURES],
     "index-families": _index_families,
     "random-suite": lambda: [(f, BoxDomain.of(-1.0, 1.0, 65))
                              for f in _random_suite(np.random.default_rng(SEED), 130)],
+    "ties": _ties,
     "two-d": _two_d,
 }
 
@@ -352,7 +383,7 @@ def test_case_one_without_a_failing_pair():
     assert ix.value == -math.ulp(0.0) and ix.bracket == (ix.value, 0.0)
     assert bracket[0] <= ix.value <= bracket[1]
     assert ix.binding is None
-    assert ix.probes[-1] == (ix.value, True)
+    assert ix.probes == ((-CAP, True),)
 
 
 def test_clipped_local_pairs_are_skipped():
@@ -387,36 +418,31 @@ def _oracle_indices(group: str) -> list[ConvexityIndex]:
     return [oracle_index(f, box) for f, box in CASES[group]()]
 
 
-def _recording_seeds(monkeypatch) -> list[BreakEvenSeed]:
-    """Every ``BreakEvenSeed`` that ``compute_index`` makes, in order."""
-    seeds = []
+def _recording_streams(monkeypatch) -> list[BreakEvenStream]:
+    """Every ``BreakEvenStream`` that ``compute_index`` makes, in order."""
+    streams = []
 
-    class Recorded(BreakEvenSeed):
+    class Recorded(BreakEvenStream):
         def __init__(self, *args):
             super().__init__(*args)
-            seeds.append(self)
+            streams.append(self)
 
-    monkeypatch.setattr(cindex, "BreakEvenSeed", Recorded)
-    return seeds
+    monkeypatch.setattr(cindex, "BreakEvenStream", Recorded)
+    return streams
 
 
 @pytest.mark.parametrize("group", STREAMED_GROUPS)
 @pytest.mark.parametrize("block,split", SETTINGS)
 def test_streamed_index_matches_cached_oracle(group, block, split,
                                               monkeypatch):
-    """Value, bracket and binding pair equal the cached table's, and so do
-    the probes wherever the streamed seed is the cached one: in case II,
-    and in case I when the entry scan switches at block 0, weight 0."""
+    """Value, bracket, binding pair and probes (the cap and the upper end)
+    equal the cached table's."""
     finite = 0
-    seeds = _recording_seeds(monkeypatch)
     for (f, box), want in zip(CASES[group](), _oracle_indices(group)):
         _set_block(monkeypatch, box, block, split)
-        seeds.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CapTooSmallWarning)
             got = compute_index(f, box)
-        if seeds and seeds[0].sign > 0 and seeds[0].skipped:
-            got = dataclasses.replace(got, probes=want.probes)
         assert got == want, (f.name, got, want)
         finite += got.binding is not None
     assert finite > 0
@@ -439,6 +465,40 @@ def test_index_memory_is_bounded_by_the_block(f, box):
         tracemalloc.stop()
     assert ix.binding is not None
     assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("f,box", [
+    (families.neglog(), BoxDomain.of(1.0, E, 1025)),
+    (_log(1.0, 0.0), BoxDomain.of(1.0, E, 1025)),
+], ids=["neglog-1025", "log-1025"])
+def test_index_piles_stay_small(f, box):
+    """The stream's piles and bursts hold a few hundred pairs per weight
+    beside the block, also where every pair ties (``log``)."""
+    tracemalloc.start()
+    try:
+        ix = compute_index(f, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ix.binding is not None
+    assert peak <= 2.5 * 2 ** 20, peak / 2 ** 20
+
+
+def test_tie_solves_few_pairs(monkeypatch):
+    """On ``log x`` over [1, e] every pair's excess at the extremum lies
+    within the tolerance, so only the proven drop past the minimizer
+    (``_past_minimizer``) keeps the solve from bisecting every pair: 262,528
+    pairs and weights at 257 points. Counted, not timed."""
+    solved = []
+
+    def counted(picks, *args):
+        solved.append(sum(len(p[1]) for p in picks))
+        return _solve(picks, *args)
+
+    monkeypatch.setattr(extcore, "_solve", counted)
+    ix = compute_index(_log(1.0, 0.0), BoxDomain.of(1.0, E, 257))
+    assert ix.binding is not None and ix.value == pytest.approx(-1.0)
+    assert sum(solved) <= 4096, sum(solved)
 
 
 #: The lambda cap and a ladder of negative lambdas for the masked cap test.
@@ -491,10 +551,10 @@ def _prunes_alike(da, db, eta, t, sign):
     Returns how many pairs the mask spared the failing end for."""
     with np.errstate(all="ignore"):
         got = _prune(da, db, eta, t, sign, REL_GAP_TOL, CAP, np.arange(len(da)))
-        pos, key, fails = unmasked_prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
+        pos, key = unmasked_prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
         spared = 0 if sign < 0 else int(np.count_nonzero(
             _excess(da, db, eta, -t, sign) < -EXCESS_MARGIN))
-    for g, w in zip(got, (pos, da[pos], db[pos], key, fails)):
+    for g, w in zip(got, (pos, da[pos], db[pos], key)):
         assert np.array_equal(g, w, equal_nan=True), (eta, t, sign)
     return spared
 
@@ -550,8 +610,57 @@ def test_probe_mask_matches_the_unmasked_prune_on_adversarial_pairs():
                     _prunes_alike(da, db, eta, t, +1)
                     with np.errstate(all="ignore"):
                         kept = _prune(da, db, eta, t, +1, REL_GAP_TOL, CAP, np.arange(1))
-                    beyond += bool(len(kept[0])) and not kept[4].any()
+                        fails = _exp_violation(da, db, eta, -t, +1, REL_GAP_TOL)
+                    beyond += bool(len(kept[0])) and not fails.any()
     assert beyond > 0
+
+
+def test_past_minimizer_marks_only_pairs_past_the_exact_minimizer():
+    """A marked pair's exact minimizer ``log q / (da - db)``, in 40-digit
+    decimal arithmetic, lies below ``t``: at floats a few steps either side
+    of it, for differences from subnormal to the largest floats, in both
+    sign orders and of one sign; and a ``t`` a part in 2^20 past it is
+    marked for ordinary differences."""
+    D = decimal.Decimal
+    rng = np.random.default_rng(SEED)
+    scale = np.hstack([10.0 ** rng.uniform(-300, 300, (2, 30)),
+                       10.0 ** rng.uniform(-5, 5, (2, 30))])
+    pairs = [(a, -b) for a, b in zip(*scale)] + [(-a, b) for a, b in zip(*scale)]
+    pairs += [(1.0, -1.0), (1.0, -1e-300), (-5e-324, 1.0), (-1e-310, 2e-310),
+              (1.7e308, -1.7e308), (2.0, 3.0), (-2.0, -3.0), (0.0, -1.0)]
+    marked = past = 0
+    for eta in DEFAULT_ETAS:
+        for a, b in pairs:
+            if not (a < 0 < b or b < 0 < a):
+                # a mark must drop nothing that could count
+                with np.errstate(all="ignore"):
+                    has = _fail_end(np.array([a]), np.array([b]), eta, +1,
+                                    REL_GAP_TOL, CAP)[1][0]
+                exact = D(-math.inf) if a >= 0 and b >= 0 or not has else None
+            else:
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 40
+                    exact = ((D(1 - eta) * D(abs(b)) / (D(eta) * D(abs(a)))).ln()
+                             / (D(a) - D(b)))
+            near = float(exact) if exact is not None and exact > 0 else 1.0
+            ts = [near]
+            for _ in range(4):
+                ts += [math.nextafter(ts[-1], math.inf)]
+                ts.insert(0, math.nextafter(ts[0], 0.0))
+            for t in ts + [near * (1 + 2.0 ** -20), 2 * near]:
+                if not 0 < t < math.inf:
+                    continue
+                with np.errstate(all="ignore"):
+                    got = _past_minimizer(np.array([a]), np.array([b]), eta, t)[0]
+                if got:
+                    assert exact is not None and D(t) > exact, (eta, a, b, t)
+                    marked += 1
+            if (1e-100 < abs(a) < 1e100 and 1e-100 < abs(b) < 1e100
+                    and exact is not None and exact > 0):
+                with np.errstate(all="ignore"):
+                    past += bool(_past_minimizer(np.array([a]), np.array([b]), eta,
+                                                 near * (1 + 2.0 ** -20))[0])
+    assert marked > 100 and past > 100, (marked, past)
 
 
 @pytest.mark.parametrize("family,lo,hi", [("sqrt", 1.0, 4.0), ("exp", 0.0, 1.0),
@@ -588,7 +697,7 @@ def test_prune_keeps_every_pair_at_its_own_crossing(family, lo, hi, sign):
                                            CAP)[1])
             for k in has[::40]:
                 d_a, d_b, at = da[k:k + 1], db[k:k + 1], np.array([k])
-                _, _, _, t_pass, *_ = table._solve(
+                _, _, _, t_pass, *_ = _solve(
                     [(which, at, d_a, d_b)], None, sign, REL_GAP_TOL, CAP)
                 assert len(_prune(d_a, d_b, eta, t_pass, sign, REL_GAP_TOL,
                                   CAP, at)[0]) == 1, (eta, k, t_pass)
@@ -617,43 +726,37 @@ def _count_passes(monkeypatch):
     return builds, probes
 
 
+def _binding_block(blocks, builds):
+    """The last two builds: the binding pair's block and the pair."""
+    idx = builds[-1][0]
+    return [next(b for b in blocks if idx < b[1]), (idx, idx + 1)]
+
+
 def test_case_one_block_passes(monkeypatch):
-    """Case I reads every block in the entry pass, which scans, seeds the
-    solve and makes the cap probe, and in each whole-table probe; then it
-    rebuilds the binding pair's block for the upper end and the pair for the
-    witness. Its first gap above tolerance lies in block 0, weight 0, so the
-    entry pass rebuilds nothing."""
+    """Case I reads every block once, in the entry pass, which scans,
+    streams the solve and makes the cap test; then it rebuilds the binding
+    pair's block for the upper end and the pair for the witness. Its first
+    gap above tolerance lies in block 0, weight 0, so nothing is re-read."""
     f, box = families.sqrt(), BoxDomain.of(1.0, 4.0, 1025)
     blocks = PairTable(f, box).blocks
     builds, probes = _count_passes(monkeypatch)
     ix = compute_index(f, box)
     assert ix.case is IndexCase.CASE_I and ix.binding is not None
-    whole = len(ix.probes) - 2  # not the cap probe, not the upper end
-    assert whole >= 1 and ix.probes[0] == (-CAP, True)
-    assert len(builds) == (1 + whole) * len(blocks) + 2
-    assert builds[:len(blocks)] == blocks
-    idx = builds[-1][0]
-    assert builds[-1] == (idx, idx + 1)
-    assert builds[-2] == next(b for b in blocks if idx < b[1])
+    assert ix.probes == ((-CAP, True), (ix.bracket[1], False))
+    assert builds == blocks + _binding_block(blocks, builds)
     assert probes == []
 
 
 def test_case_two_block_passes(monkeypatch):
-    """Case II reads every block in the entry pass, the first block in the
-    cap probe, every block in each whole-table probe, then the binding
-    pair's block and the pair."""
+    """Case II reads every block once in the entry pass, the first block in
+    the cap probe, then the binding pair's block and the pair."""
     f, box = families.neglog(), BoxDomain.of(1.0, E, 1025)
     blocks = PairTable(f, box).blocks
     builds, probes = _count_passes(monkeypatch)
     ix = compute_index(f, box)
     assert ix.case is IndexCase.CASE_II and ix.binding is not None
-    whole = len(ix.probes) - 2  # not the cap probe, not the upper end
-    assert whole >= 1 and ix.probes[0] == (CAP, False)
-    assert len(builds) == (1 + whole) * len(blocks) + 3
-    assert builds[:len(blocks) + 1] == blocks + blocks[:1]
-    idx = builds[-1][0]
-    assert builds[-1] == (idx, idx + 1)
-    assert builds[-2] == next(b for b in blocks if idx < b[1])
+    assert ix.probes == ((CAP, False), (ix.bracket[1], False))
+    assert builds == blocks + blocks[:1] + _binding_block(blocks, builds)
     assert probes == [1]
 
 
@@ -667,24 +770,25 @@ def _late_refuted():
     return f, BoxDomain.of(0.0, 1.0, 513)
 
 
-def test_case_one_late_switch_rebuilds_no_passed_block(monkeypatch):
-    """The entry pass seeds case II until the first gap above tolerance,
-    then restarts at case I from there. No block is rebuilt for the seed:
-    the pairs of the blocks passed reach the solve through the whole-table
-    probe. Value, bracket and binding pair equal the cached table's."""
+def test_case_one_late_switch_rereads_the_passed_blocks(monkeypatch):
+    """The stream runs case II until the first gap above tolerance, then
+    restarts at case I from there; after the scan it re-reads the blocks
+    passed before, and the switching block if its switch came after weight
+    0, once. Value, bracket and binding pair equal the cached table's."""
     f, box = _late_refuted()
     blocks = PairTable(f, box).blocks
     want = oracle_index(f, box)
-    seeds = _recording_seeds(monkeypatch)
+    streams = _recording_streams(monkeypatch)
     builds, probes = _count_passes(monkeypatch)
     ix = compute_index(f, box)
     assert (ix.value, ix.bracket, ix.binding) == (want.value, want.bracket,
                                                   want.binding)
-    assert ix.case is IndexCase.CASE_I and seeds[0].skipped // 7 == 9
-    assert ix.binding is not None and ix.probes[0] == (-CAP, True)
-    whole = len(ix.probes) - 2
-    assert builds[:len(blocks)] == blocks
-    assert len(builds) == (1 + whole) * len(blocks) + 2
+    block, which = streams[0].switch
+    k = blocks.index(block)
+    assert ix.case is IndexCase.CASE_I and k == 9
+    assert ix.probes == ((-CAP, True), (ix.bracket[1], False))
+    assert builds == (blocks + blocks[:k + (which > 0)]
+                      + _binding_block(blocks, builds))
     assert probes == []
 
 
@@ -692,7 +796,7 @@ def test_case_one_late_switch_caps_the_passed_blocks(monkeypatch):
     """A spike of 5e-7 at one grid point of a flat stretch, under the gap
     tolerance, fails the transform at the cap only in grid pairs whose mix
     is that point, all in blocks before the switch; no local pair's mix is
-    a grid point. The first whole-table probe makes their cap test, and the
+    a grid point. The re-read of those blocks makes their cap test, and the
     index is -inf."""
     x = lambda p: p[:, 0]  # noqa: E731
     f = FunctionSpec(1, lambda p: np.maximum(x(p) - 0.5, 0.0) ** 2
@@ -700,12 +804,13 @@ def test_case_one_late_switch_caps_the_passed_blocks(monkeypatch):
                      + np.where(x(p) == 52 / 512, 5e-7, 0.0),
                      name="spike-late-concave")
     box = BoxDomain.of(0.0, 1.0, 513)
-    seeds = _recording_seeds(monkeypatch)
+    streams = _recording_streams(monkeypatch)
+    blocks = PairTable(f, box).blocks
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CapTooSmallWarning)
         ix = compute_index(f, box)
         want = oracle_index(f, box)
-    assert seeds[0].skipped > 0 and not seeds[0].capped
+    assert streams[0].switch[0] != blocks[0] and streams[0].capped
     assert ix == want and ix.value == -math.inf and ix.cap_probe
 
 
@@ -713,62 +818,65 @@ def test_case_one_late_switch_caps_the_passed_blocks(monkeypatch):
     (families.sqrt(), BoxDomain.of(1.0, 4.0, 65)),
     (families.neglog(), BoxDomain.of(1.0, E, 65)),
 ], ids=["case-I", "case-II"])
-def test_solve_that_keeps_the_best_ends_after_one_probe(f, box, monkeypatch):
-    """Once a whole-table probe's candidates are solved without moving the
-    extremum, no pair can beat it and the solve ends: a solve that keeps
-    the running best cannot make it re-probe the same pairs for ever."""
+def test_solve_that_keeps_the_best_reads_each_block_once(f, box, monkeypatch):
+    """Every burst round takes its batch off the piles, so a solve that
+    never improves on the running best still empties them: the stream ends
+    after the entry scan's one read of each block, with no binding pair to
+    replay and the cap test as its only probe in case I."""
     table = PairTable(f, box)
-    seed = BreakEvenSeed(REL_GAP_TOL, CAP)
-    table.scan("convex", default_gap_tol(f), fold=seed)
-    monkeypatch.setattr(PairTable, "_solve",
-                        lambda self, picks, best, *args: best)
-    be = table.exp_break_even(seed)
-    assert be.binding is None and len(be.probes) == (2 if seed.sign > 0 else 1)
+    stream = BreakEvenStream(REL_GAP_TOL, CAP)
+    monkeypatch.setattr(extcore, "_solve", lambda picks, best, *args: best)
+    builds, probes = _count_passes(monkeypatch)
+    table.scan("convex", default_gap_tol(f), fold=stream)
+    be = table.exp_break_even(stream)
+    assert not any(len(part[0]) for pile in stream.piles for part in pile)
+    assert be.binding is None and builds == table.blocks and probes == []
+    assert be.probes == (((-CAP, True),) if stream.sign > 0 else ())
 
 
-def stream_break_even(self, seed: BreakEvenSeed) -> BreakEven:
-    """The one-pass stream, a schedule of ``PairTable.exp_break_even`` that
-    ignores the seed's rows: each block and weight is pruned at the running
-    extremum and its survivors solved in ranked batches as the pass goes,
-    making the cap test for sign=+1; then whole-table probes until one
-    moves nothing. Its probes are the cap and the bracket ends only."""
-    sign, tol_rel, cap = seed.sign, seed.tol_rel, seed.lam_cap
-    capped = BreakEven(-math.inf, -cap, None, ((-cap, False),))
-    t_hat = cap if sign < 0 else math.ulp(0.0)
-    best = None
+class BreakEvenSeed:
+    """The seed of the earlier solve, folded block by block as the ``fold``
+    of ``PairTable.scan``: per weight, ``rows`` holds the ``SOLVE_BATCH``
+    pairs of least ``_crossing_estimate`` as ``(index, da, db, key)`` in
+    fold order. It seeds case II until the scan sees a gap above its
+    tolerance, then restarts at case I from that block and weight;
+    ``skipped`` counts the folds before, whose pairs reach the solve
+    through its whole-table probes. A case-I fold first makes the cap test;
+    once a pair fails it, ``capped`` is set and folding stops."""
 
-    def solve(found):
-        nonlocal best, t_hat
-        while any(len(f[0]) for f in found):
-            picks, rest = [], []
-            for which, (idx, da, db, key, _) in enumerate(found):
-                take = np.isin(np.arange(len(idx)), _smallest(key, SOLVE_BATCH))
-                picks.append((which, idx[take], da[take], db[take]))
-                rest.append((idx[~take], da[~take], db[~take]))
-            best = self._solve(picks, best, sign, tol_rel, cap)
-            t_hat = t_hat if best is None else best[3]
-            found = [_prune(da, db, eta, t_hat, sign, tol_rel, cap, idx)
-                     for eta, (idx, da, db) in zip(DEFAULT_ETAS, rest)]
+    def __init__(self, tol_rel: float, lam_cap: float):
+        self.tol_rel, self.lam_cap = tol_rel, lam_cap
+        self.sign, self.capped, self.skipped = -1, False, 0
+        self.rows = [_NONE for _ in DEFAULT_ETAS]
 
-    if seed.capped:
-        return capped
-    with np.errstate(all="ignore"):
-        for probe in itertools.count():
-            probed = t_hat
-            for b in self.blocks:
-                found = []
-                for eta, da, db in self._diffs(b):
-                    if sign > 0 and not probe and _cap_violation(
-                            da, db, eta, cap, tol_rel).any():
-                        return capped
-                    found.append(_prune(da, db, eta, t_hat, sign, tol_rel, cap,
-                                        np.arange(*b)))
-                solve(found)
-            if probe and t_hat == probed:
-                break
+    def __call__(self, block, which: int, eta: float, da, db,
+                 refuted: bool = False) -> bool:
+        if self.sign < 0 and refuted:
+            self.sign, self.rows = +1, [_NONE for _ in DEFAULT_ETAS]
+        self.skipped += self.sign < 0
+        if self.sign > 0 and _cap_violation(da, db, eta, self.lam_cap,
+                                            self.tol_rel).any():
+            self.capped = True
+            return False
+        key = _crossing_estimate(da, db, eta, self.sign, self.tol_rel)
+        rows = self.rows[which]
+        pos = (np.flatnonzero(key < rows[-1].max())
+               if len(rows[0]) == SOLVE_BATCH else np.arange(len(key)))
+        if len(pos):
+            rows = tuple(map(np.concatenate, zip(
+                rows, (block[0] + pos, da[pos], db[pos], key[pos]))))
+            take = _smallest(rows[-1], SOLVE_BATCH)
+            self.rows[which] = tuple(x[take] for x in rows)
+        return True
+
+
+def _seeded_result(self, seed, best, t_hat) -> BreakEven:
+    """The bracket of a test-side schedule's best pair, probes as the
+    production solve lists them."""
+    sign, cap = seed.sign, seed.lam_cap
     probes = ((-cap, True),) if sign > 0 else ()
     if best is None:
-        return BreakEven(-t_hat, 0.0, None, probes + ((-t_hat, True),))
+        return BreakEven(-t_hat, 0.0, None, probes)
     lam_pass, which, idx, _, t_fail, da, db = best
     a, b, _, _ = self._build((idx, idx + 1))
     with np.errstate(all="ignore"):
@@ -777,7 +885,99 @@ def stream_break_even(self, seed: BreakEvenSeed) -> BreakEven:
     binding = Witness(tuple(map(float, a[0])), tuple(map(float, b[0])),
                       DEFAULT_ETAS[which], float(excess[0]))
     return BreakEven(lam_pass, -sign * t_fail, binding,
-                     probes + ((lam_pass, True), (-sign * t_fail, False)))
+                     probes + ((-sign * t_fail, False),))
+
+
+def seed_break_even(self, seed: BreakEvenSeed) -> BreakEven:
+    """The earlier production solve, from a ``BreakEvenSeed``: rounds
+    alternate an exact solve of ``SOLVE_BATCH`` pairs per weight, ranked by
+    crossing estimate, with a prune of the rest at the extremum, and of the
+    whole table (a probe, whose first pass makes the cap test of the folds
+    the seed skipped) when none is left, until a probe's unsolved
+    candidates are none."""
+    sign, tol_rel, cap = seed.sign, seed.tol_rel, seed.lam_cap
+    t_hat = cap if sign < 0 else math.ulp(0.0)
+    best = probed = None
+    if seed.capped:
+        return BreakEven(-math.inf, -cap, None, ((-cap, False),))
+    uncapped = seed.skipped if sign > 0 else 0
+    cands, solved = [r[:3] for r in seed.rows], [np.array([-1])] * len(seed.rows)
+    with np.errstate(all="ignore"):
+        while True:
+            found = [_prune(da, db, eta, t_hat, sign, tol_rel, cap, idx)
+                     for eta, (idx, da, db) in zip(DEFAULT_ETAS, cands)]
+            if not any(len(f[0]) for f in found):
+                if t_hat == probed:
+                    break
+                parts, probed = [], t_hat  # per block and weight, in order
+                for b in self.blocks:
+                    for eta, da, db in self._diffs(b):
+                        if len(parts) < uncapped and _cap_violation(
+                                da, db, eta, cap, tol_rel).any():
+                            return BreakEven(-math.inf, -cap, None,
+                                             ((-cap, False),))
+                        parts.append(_prune(da, db, eta, t_hat, sign, tol_rel,
+                                            cap, np.arange(*b)))
+                uncapped, k = 0, len(DEFAULT_ETAS)
+                found = [tuple(map(np.concatenate, zip(*parts[w::k])))
+                         for w in range(k)]
+                new = [s[np.searchsorted(s, f[0]).clip(max=len(s) - 1)] != f[0]
+                       for f, s in zip(found, solved)]  # unsolved; s is sorted
+                found = [tuple(x[n] for x in f) for f, n in zip(found, new)]
+                if not any(len(f[0]) for f in found):
+                    break
+            picks, cands = [], []
+            for which, (idx, da, db, key) in enumerate(found):
+                take = np.zeros(len(idx), dtype=bool)
+                take[_smallest(key, SOLVE_BATCH)] = True
+                picks.append((which, idx[take], da[take], db[take]))
+                cands.append((idx[~take], da[~take], db[~take]))
+                solved[which] = np.sort(np.concatenate([solved[which], idx[take]]))
+            best = _solve(picks, best, sign, tol_rel, cap)
+            t_hat = t_hat if best is None else best[3]
+    return _seeded_result(self, seed, best, t_hat)
+
+
+def stream_break_even(self, seed: BreakEvenSeed) -> BreakEven:
+    """A stream without piles that ignores the seed's rows: each block and
+    weight is pruned at the running extremum and its survivors solved in
+    ranked batches of ``SOLVE_BATCH`` at once, making the cap test for
+    sign=+1; then whole-table probes until one moves nothing."""
+    sign, tol_rel, cap = seed.sign, seed.tol_rel, seed.lam_cap
+    t_hat = cap if sign < 0 else math.ulp(0.0)
+    best = None
+
+    def solve(found):
+        nonlocal best, t_hat
+        while any(len(f[0]) for f in found):
+            picks, rest = [], []
+            for which, (idx, da, db, key) in enumerate(found):
+                take = np.isin(np.arange(len(idx)), _smallest(key, SOLVE_BATCH))
+                picks.append((which, idx[take], da[take], db[take]))
+                rest.append((idx[~take], da[~take], db[~take]))
+            best = _solve(picks, best, sign, tol_rel, cap)
+            t_hat = t_hat if best is None else best[3]
+            found = [_prune(da, db, eta, t_hat, sign, tol_rel, cap, idx)
+                     for eta, (idx, da, db) in zip(DEFAULT_ETAS, rest)]
+
+    if seed.capped:
+        return BreakEven(-math.inf, -cap, None, ((-cap, False),))
+    with np.errstate(all="ignore"):
+        for probe in itertools.count():
+            probed = t_hat
+            for b in self.blocks:
+                found = []
+                for eta, da, db in self._diffs(b):
+                    if sign > 0 and not probe and _cap_violation(
+                            da, db, eta, cap, tol_rel).any():
+                        return BreakEven(-math.inf, -cap, None,
+                                         ((-cap, False),))
+                    found.append(_prune(da, db, eta, t_hat, sign, tol_rel, cap,
+                                        np.arange(*b)))
+                solve(found)
+            if probe and t_hat == probed:
+                break
+    return _seeded_result(self, seed, best, t_hat)
 
 
 def _reversed_blocks(monkeypatch):
@@ -790,14 +990,22 @@ def _reversed_blocks(monkeypatch):
     monkeypatch.setattr(PairTable, "__init__", reversed_init)
 
 
+def _seeded(break_even, monkeypatch):
+    """``compute_index`` folds a ``BreakEvenSeed`` and solves from it with
+    ``break_even``."""
+    monkeypatch.setattr(cindex, "BreakEvenStream", BreakEvenSeed)
+    monkeypatch.setattr(PairTable, "exp_break_even", break_even)
+
+
 #: Test-side solve schedules, each set up on a monkeypatch.
 SCHEDULES = {
     "batch-1": lambda mp: mp.setattr(extcore, "SOLVE_BATCH", 1),
     "batch-4096": lambda mp: mp.setattr(extcore, "SOLVE_BATCH", 4096),
     "reversed-blocks": _reversed_blocks,
-    "one-pass-stream": lambda mp: mp.setattr(PairTable, "exp_break_even",
-                                             stream_break_even),
+    "seed-and-probe": functools.partial(_seeded, seed_break_even),
+    "one-pass-stream": functools.partial(_seeded, stream_break_even),
 }
+
 
 #: The functions of the two golden ``index`` reports.
 GOLDEN_INDEX = [(families.make_function("sqrt", weight=1.0),
@@ -823,7 +1031,7 @@ def _production(group: str) -> list[ConvexityIndex]:
 def test_index_does_not_depend_on_the_solve_schedule(group, schedule,
                                                      monkeypatch):
     """Value, bracket, binding pair, case and cap flag are the production
-    schedule's on all 157 inputs and both golden ``index`` configs."""
+    schedule's on all 163 inputs and both golden ``index`` configs."""
     cases = GOLDEN_INDEX if group == "golden" else CASES[group]()
     want = _production(group)
     SCHEDULES[schedule](monkeypatch)

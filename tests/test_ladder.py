@@ -36,7 +36,7 @@ def check_schema(data, ks, points):
             assert rung["outcome"] in ("pass", "fail", "inconclusive")
         elif name.startswith("index.late_concave."):  # f''/f'^2 = -19 at 1
             assert abs(rung["outcome"] + 19.0) < 1e-2
-        else:  # sqrt is case I, neglog case II, indices near -1 and 1
+        else:  # sqrt and log are case I, neglog case II, indices near -1, 1
             assert abs(abs(rung["outcome"]) - 1.0) < 1e-3
 
 
@@ -49,12 +49,13 @@ def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
     data = json.loads(out.read_text(encoding="utf-8"))
     check_schema(data, [3], [257])
     assert data["rungs"]["index.sqrt.m257"]["outcome"] < 0
+    assert data["rungs"]["index.log.m257"]["outcome"] < 0
     assert data["runs"] == 1
     # the cubed mean is neither translative nor convex
     assert data["rungs"]["risk.translativity.cubed_mean.k3"]["outcome"] == "fail"
     assert data["rungs"]["risk.locality.entropic.k3"]["outcome"] == "pass"
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 21
+    assert len(printed) == 22
     assert all("committed" in line for line in printed)
 
 
