@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -66,33 +66,37 @@ class ConvexityIndex:
     flip; ``constant_shortcut`` marks +inf values detected from a flat grid
     before any probing. ``binding`` is the pair that fixes a finite index:
     it passes at the lower bracket end and fails at the upper one, where its
-    ``violation`` is the normalized excess. ``probes`` lists the tests of
-    the transform that were made, as ``(lambda, ok)``: the cap probe, then
-    the upper bracket end, which is replayed on the binding pair's block
-    only. In case I the cap test is made pair by pair in the entry pass,
-    which scans ``f`` and streams the solve, from the block where its gap
-    first exceeds the tolerance, and on the blocks before when the solve
-    re-reads them.
+    ``violation`` is the normalized excess. ``case`` is the sign of
+    ``value``, and ``probes`` is derived from the other fields.
     """
 
     value: float
     bracket: Optional[tuple[float, float]]
-    case: IndexCase
     lambda_cap: float
     cap_probe: bool = False
     constant_shortcut: bool = False
     binding: Optional[Witness] = None
-    probes: tuple[tuple[float, bool], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        if self.case is IndexCase.CASE_I and not (self.value < 0):
-            raise ValueError("case I index must be negative")
-        if self.case is IndexCase.CASE_II and not (self.value >= 0):
-            raise ValueError("case II index must be nonnegative")
         if self.bracket is not None:
             lo, hi = self.bracket
             if not (lo <= self.value <= hi):
                 raise ValueError("bracket must contain the value")
+
+    @property
+    def case(self) -> IndexCase:
+        return IndexCase.CASE_I if self.value < 0 else IndexCase.CASE_II
+
+    @property
+    def probes(self) -> tuple[tuple[float, bool], ...]:
+        """The tests of the transform that were made, as ``(lambda, ok)``:
+        none for the constant shortcut, else the cap probe, then the upper
+        bracket end where a pair binds."""
+        if self.constant_shortcut:
+            return ()
+        cap = ((-self.lambda_cap, not self.cap_probe) if self.value < 0
+               else (self.lambda_cap, self.cap_probe))
+        return (cap,) + (((self.bracket[1], False),) if self.binding else ())
 
 
 def r_lambda(f: FunctionSpec, lam: float) -> FunctionSpec:
@@ -137,34 +141,27 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     Every pass streams the pairs block by block, and the result does not
     depend on the block size.
     """
-    if lambda_cap <= 0 or tol <= 0:
-        raise ValueError("lambda_cap and tol must be positive")
+    if not (0 < lambda_cap < math.inf and 0 < tol < math.inf):
+        raise ValueError("lambda_cap and tol must be positive and finite")
     table = PairTable(f, box)
     spread = float(np.max(table.grid_values) - np.min(table.grid_values))
     if spread < CONSTANT_SPREAD:
-        return ConvexityIndex(math.inf, None, IndexCase.CASE_II, lambda_cap,
-                              constant_shortcut=True)
+        return ConvexityIndex(math.inf, None, lambda_cap, constant_shortcut=True)
     # the entry pass certifies f and streams the solve; a refuted f restarts
     # the stream at case I (index < 0), whose folds make the cap test
     stream = BreakEvenStream(REL_GAP_TOL, lambda_cap)
     table.scan("convex", default_gap_tol(f), fold=stream)
-    case, probes = IndexCase.CASE_I if stream.sign > 0 else IndexCase.CASE_II, ()
-    if case is IndexCase.CASE_II:  # f certified convex, the index is >= 0
-        probes = ((lambda_cap, table.exp_transform_ok(lambda_cap, -1,
-                                                      REL_GAP_TOL)),)
-        if probes[0][1]:
-            warnings.warn("index is +inf at the probe cap; the function may be "
-                          "constant or the cap too small", CapTooSmallWarning)
-            return ConvexityIndex(math.inf, None, case, lambda_cap,
-                                  cap_probe=True, probes=probes)
-    be = table.exp_break_even(stream)
-    if be.lo == -math.inf:
+    # f certified convex (case II): the index is >= 0
+    if stream.sign < 0 and table.exp_transform_ok(lambda_cap, -1, REL_GAP_TOL):
+        warnings.warn("index is +inf at the probe cap; the function may be "
+                      "constant or the cap too small", CapTooSmallWarning)
+        return ConvexityIndex(math.inf, None, lambda_cap, cap_probe=True)
+    lo, hi, binding = table.exp_break_even(stream)
+    if lo == -math.inf:
         warnings.warn("index is -inf at the probe cap; increase lambda_cap "
                       "to look further", CapTooSmallWarning)
-        return ConvexityIndex(-math.inf, None, case, lambda_cap,
-                              cap_probe=True, probes=be.probes)
-    return ConvexityIndex(be.lo, (be.lo, be.hi), case, lambda_cap,
-                          binding=be.binding, probes=probes + be.probes)
+        return ConvexityIndex(-math.inf, None, lambda_cap, cap_probe=True)
+    return ConvexityIndex(lo, (lo, hi), lambda_cap, binding=binding)
 
 
 def smooth_index_1d(f: FunctionSpec, box: BoxDomain) -> float:

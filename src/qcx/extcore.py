@@ -112,27 +112,6 @@ class CertResult:
 
 
 @dataclass(frozen=True)
-class BreakEven:
-    """Adjacent floats ``lo < hi`` around the break-even lambda of a table.
-
-    They are the ``binding`` pair's crossing, the table's extremum: it
-    passes at ``lo`` and fails at ``hi``, and but for float flips within the
-    kernel's error so does the transform, by the proof of :func:`_prune`.
-    ``probes`` lists the tests made, as ``(lam, transform ok)``: on the
-    convexity side the cap test of every pair, then the upper end, replayed
-    on the binding block. Without a binding pair (convexity side only: no
-    pair fails inside the cap), ``lo`` is the negative float nearest 0 and
-    ``hi`` is 0; if the transform fails at the cap, ``lo`` is ``-inf`` and
-    ``hi`` is ``-lam_cap``.
-    """
-
-    lo: float
-    hi: float
-    binding: Optional[Witness]
-    probes: tuple[tuple[float, bool], ...]
-
-
-@dataclass(frozen=True)
 class BoxDomain:
     """Axis-aligned box with a per-axis grid resolution.
 
@@ -799,14 +778,23 @@ class PairTable:
                            for block in self.blocks
                            for eta, da, db in self._diffs(block))
 
-    def exp_break_even(self, stream: BreakEvenStream) -> "BreakEven":
-        """The exact break-even lambda of :meth:`exp_transform_ok` (see
-        :class:`BreakEven`), finishing a ``stream`` that the entry scan fed
-        every block, at its sign, ``tol_rel`` and ``lam_cap``. For sign=-1,
-        call it once the cap probe ``exp_transform_ok(lam_cap)`` has
-        failed. Write ``lam = -sign * t`` with ``t >= 0``; per pair, ``phi(t)
-        = eta e^{-lam da} + (1-eta) e^{-lam db}`` is convex with ``phi(0) =
-        1``. A pair passes at ``t = 0``, and at the cap for sign=+1.
+    def exp_break_even(self, stream: BreakEvenStream
+                       ) -> tuple[float, float, Optional[Witness]]:
+        """The exact break-even lambda of :meth:`exp_transform_ok`,
+        finishing a ``stream`` that the entry scan fed every block, at its
+        sign, ``tol_rel`` and ``lam_cap``. For sign=-1, call it once the cap
+        probe ``exp_transform_ok(lam_cap)`` has failed. Write ``lam = -sign
+        * t`` with ``t >= 0``; per pair, ``phi(t) = eta e^{-lam da} +
+        (1-eta) e^{-lam db}`` is convex with ``phi(0) = 1``. A pair passes
+        at ``t = 0``, and at the cap for sign=+1.
+
+        Returns ``(lo, hi, binding)``: adjacent floats around the break-even
+        lambda, the crossing of the ``binding`` pair, which passes at ``lo``
+        and fails at ``hi``; but for float flips within the kernel's error
+        so does the transform, by the proof of :func:`_prune`. Without a
+        binding pair (sign=+1 only: no pair fails inside the cap), ``lo`` is
+        the negative float nearest 0 and ``hi`` is 0; if the transform fails
+        at the cap, ``lo`` is ``-inf`` and ``hi`` is ``-lam_cap``.
 
         The index is the extremum of each pair's canonical crossing, ties
         to the earlier weight, then the lower pair index: the adjacent
@@ -837,11 +825,10 @@ class PairTable:
                                zip(range(n), self._diffs(b))):
                         break
             if stream.capped:
-                return BreakEven(-math.inf, -lam_cap, None, ((-lam_cap, False),))
+                return -math.inf, -lam_cap, None
             stream.burst(0)
-            probes = ((-lam_cap, True),) if sign > 0 else ()  # the cap test
             if stream.best is None:  # sign=+1 only: no pair fails in [-lam_cap, 0)
-                return BreakEven(-stream.t, 0.0, None, probes)
+                return -stream.t, 0.0, None
             lam_pass, which, idx, _, t_fail, da, db = stream.best
             hi = -sign * t_fail
             # replay the upper end on the binding block, rebuilt as scanned
@@ -854,7 +841,7 @@ class PairTable:
         a, b, _, _ = self._build((idx, idx + 1))
         binding = Witness(x1=tuple(map(float, a[0])), x2=tuple(map(float, b[0])),
                           eta=float(eta), violation=float(excess[0]))
-        return BreakEven(lam_pass, hi, binding, probes + ((hi, False),))
+        return lam_pass, hi, binding
 
 
 # ---------------------------------------------------------------------------

@@ -98,13 +98,11 @@ class RiskMeasureOracle:
     """
 
     def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray],
-                 sigma: PartitionSigma, space: FiniteProbSpace,
-                 claims: tuple[str, ...] = ()):
+                 sigma: PartitionSigma, space: FiniteProbSpace):
         self.name = name
         self.fn = fn
         self.sigma = sigma
         self.space = space
-        self.claims = claims
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """``rho`` of one position ``(n,)`` or of a stack ``(m, n)``.
@@ -135,7 +133,7 @@ def neg_conditional_expectation(sigma: PartitionSigma,
                                 space: FiniteProbSpace) -> RiskMeasureOracle:
     return RiskMeasureOracle(
         "neg-cond-exp", lambda x: -conditional_expectation(x, sigma, space),
-        sigma, space, claims=("monotone", "translative", "local", "convex"))
+        sigma, space)
 
 
 def certainty_equivalent(loss: Callable[[np.ndarray], np.ndarray],
@@ -155,16 +153,13 @@ def certainty_equivalent(loss: Callable[[np.ndarray], np.ndarray],
     def fn(x: np.ndarray) -> np.ndarray:
         return loss_inv(conditional_expectation(loss(-x), sigma, space))
 
-    return RiskMeasureOracle(name, fn, sigma, space,
-                             claims=("monotone", "translative", "local"))
+    return RiskMeasureOracle(name, fn, sigma, space)
 
 
 def entropic_certainty_equivalent(sigma: PartitionSigma,
                                   space: FiniteProbSpace) -> RiskMeasureOracle:
     """Exponential loss: ``rho(X) = log E[exp(-X) | G]``."""
-    ce = certainty_equivalent(np.exp, np.log, sigma, space, name="entropic-ce")
-    ce.claims = ("monotone", "translative", "local", "convex")
-    return ce
+    return certainty_equivalent(np.exp, np.log, sigma, space, name="entropic-ce")
 
 
 def cubed_mean_map(sigma: PartitionSigma,
@@ -174,8 +169,7 @@ def cubed_mean_map(sigma: PartitionSigma,
     def fn(x: np.ndarray) -> np.ndarray:
         return sigma.from_atom_values((-atom_means(x, sigma, space)) ** 3)
 
-    return RiskMeasureOracle("cubed-mean", fn, sigma, space,
-                             claims=("monotone", "local", "quasiconvex"))
+    return RiskMeasureOracle("cubed-mean", fn, sigma, space)
 
 
 def sqrt_log_map(sigma: PartitionSigma,
@@ -199,8 +193,7 @@ def sqrt_log_map(sigma: PartitionSigma,
         return np.where(in_atom0, np.sqrt(np.maximum(ce + 4.0, floor)),
                         -np.log(np.maximum(ce + 5.0, floor)))
 
-    return RiskMeasureOracle("sqrt-log", fn, sigma, space,
-                             claims=("local", "quasiconvex"))
+    return RiskMeasureOracle("sqrt-log", fn, sigma, space)
 
 
 def mean_broadcast_map(sigma: PartitionSigma,
@@ -211,8 +204,7 @@ def mean_broadcast_map(sigma: PartitionSigma,
         means = [-space.expectation(row) for row in x.reshape(-1, space.n)]
         return np.repeat(means, space.n).reshape(x.shape)
 
-    return RiskMeasureOracle("mean-broadcast", fn, sigma, space,
-                             claims=("monotone", "convex"))
+    return RiskMeasureOracle("mean-broadcast", fn, sigma, space)
 
 
 def blind_spot_map(sigma: PartitionSigma, space: FiniteProbSpace,

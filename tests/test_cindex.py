@@ -167,10 +167,15 @@ class TestComputeIndex:
         assert ix.probes == ((-1e4, True), (hi, False))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            compute_index(families.square(), box1(0, 1), lambda_cap=-1.0)
-        with pytest.raises(ValueError):
-            compute_index(families.square(), box1(0, 1), tol=0.0)
+        for bad in ({"lambda_cap": -1.0}, {"tol": 0.0}, {"lambda_cap": math.nan},
+                    {"lambda_cap": math.inf}, {"tol": math.nan},
+                    {"tol": math.inf}):
+            with pytest.raises(ValueError):
+                compute_index(families.square(), box1(0, 1), **bad)
+        # a NaN cap passed the sign test and gave wrong indices
+        for f, lo, hi in ((families.sqrt(), 1, 4), (families.neglog(), 1, E)):
+            with pytest.raises(ValueError):
+                compute_index(f, box1(lo, hi, 65), lambda_cap=math.nan)
 
 
 class TestSmoothIndex:
@@ -229,16 +234,12 @@ class TestScaleAndClassify:
         assert classify(0.125).convex and not classify(0.125).constant
         assert not classify(-1.0).convex
         assert classify(math.inf).convex and classify(math.inf).constant
-        ix = ConvexityIndex(-0.5, (-0.6, -0.4), IndexCase.CASE_I, 1e4)
-        assert not classify(ix).convex
+        ix = ConvexityIndex(-0.5, (-0.6, -0.4), 1e4)
+        assert not classify(ix).convex and ix.case is IndexCase.CASE_I
 
     def test_index_invariants(self):
         with pytest.raises(ValueError):
-            ConvexityIndex(0.5, (0.4, 0.6), IndexCase.CASE_I, 1e4)
-        with pytest.raises(ValueError):
-            ConvexityIndex(-0.5, (-0.6, -0.4), IndexCase.CASE_II, 1e4)
-        with pytest.raises(ValueError):
-            ConvexityIndex(0.5, (0.6, 0.7), IndexCase.CASE_II, 1e4)
+            ConvexityIndex(0.5, (0.6, 0.7), 1e4)
 
 
 class TestSignAgreement:

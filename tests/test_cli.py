@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from qcx.cindex import DEFAULT_LAMBDA_CAP, REL_GAP_TOL
 from qcx.cli import CONFIG_KEYS, _read, build_function, load_config, main
 from qcx.decomp import DecomposableSum
-from qcx.errors import ConfigError
+from qcx.errors import CapTooSmallWarning, ConfigError
 from qcx.extcore import PairTable, quasiconvexity_gap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,30 +123,52 @@ class TestIndexCommand:
         k = report["results"]["functions"]["k"]
         assert k["value"] == "inf" and k["constant"] is True
 
-    def test_csv_sweep(self, tmp_path):
-        """Every probe row replays on a fresh table; each function's rows
-        are its cap probe and its upper bracket end, and the transform
-        passes at the lower end, which the solve proves without a probe."""
-        cfg = write_config(tmp_path)
-        csv = tmp_path / "sweep.csv"
-        out = tmp_path / "r.json"
-        run(["index", "--config", cfg, "--csv", str(csv), "--out", str(out)])
+    @staticmethod
+    def _sweep(tmp_path, cfg):
+        """Run ``index`` with ``--csv``; every row must replay on a fresh
+        table. Returns the rows, the report's functions and the config."""
+        csv, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        assert run(["index", "--config", cfg, "--csv", str(csv),
+                    "--out", str(out)]) == 0
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "function,lambda,transform_ok"
         functions = json.loads(out.read_text())["results"]["functions"]
         cp = load_config(cfg)
-        rows = [line.split(",") for line in lines[1:]]
+        for name, lam, ok in (line.split(",") for line in lines[1:]):
+            f, box = build_function(cp, name)
+            sign = +1 if functions[name]["case"] == "I" else -1
+            assert PairTable(f, box).exp_transform_ok(
+                float(lam), sign, REL_GAP_TOL) == (ok == "1")
+        return lines[1:], functions, cp
+
+    def test_csv_sweep(self, tmp_path):
+        """Each function's rows are its cap probe and its upper bracket end,
+        and the transform passes at the lower end, which the solve proves
+        without a probe. An infinite index has its cap probe as its only
+        row, and a constant has none."""
+        rows, functions, cp = self._sweep(tmp_path, write_config(tmp_path))
         for name, r in functions.items():
             f, box = build_function(cp, name)
-            table = PairTable(f, box)
             sign = +1 if r["case"] == "I" else -1
-            mine = [(float(lam), ok == "1") for n, lam, ok in rows if n == name]
-            for lam, ok in mine:
-                assert table.exp_transform_ok(lam, sign, REL_GAP_TOL) == ok
+            mine = [(float(lam), ok == "1") for n, lam, ok in
+                    (row.split(",") for row in rows) if n == name]
             lo, hi = r["bracket"]
             assert mine == [(-sign * DEFAULT_LAMBDA_CAP, r["case"] == "I"),
                             (hi, False)]
-            assert table.exp_transform_ok(lo, sign, REL_GAP_TOL)
+            assert PairTable(f, box).exp_transform_ok(lo, sign, REL_GAP_TOL)
+        cp = load_config(write_config(tmp_path, weight=1.0))
+        cp.read_string("[function k]\nfamily = const\nc = 3\ndomain = 0 1\n")
+        cp.set("index", "function", "s l k")
+        cp.set("index", "lambda_cap", "0.001")
+        cfg = tmp_path / "inf.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CapTooSmallWarning)
+            rows, functions, _ = self._sweep(tmp_path, str(cfg))
+        assert rows == ["s,-0.001,0", "l,0.001,1"]
+        assert {n: (r["value"], r["cap_probe"]) for n, r in functions.items()} \
+            == {"s": ("-inf", True), "l": ("inf", True), "k": ("inf", False)}
 
 
 class TestSumCheckCommand:
@@ -514,6 +537,7 @@ class TestDeterminismAndErrors:
             cp.set("measure m", key, value)
         cp.set("risk-check", "properties", "locality")
         cfg = tmp_path / "changed.ini"
+        cfg = tmp_path / "inf.ini"
         with open(cfg, "w", encoding="utf-8") as fh:
             cp.write(fh)
         out = tmp_path / "r.json"
@@ -656,6 +680,7 @@ class TestDeterminismAndErrors:
         cp = load_config(str(cfg))
         cp.set("measure m", "loss", "identity")
         cp.set("measure m", "ignored_atom", "2")
+        cfg = tmp_path / "inf.ini"
         with open(cfg, "w", encoding="utf-8") as fh:
             cp.write(fh)
         assert run(["risk-check", "--config", str(cfg)]) == 0

@@ -3,8 +3,8 @@
 ``CachedPairTable`` is the earlier ``PairTable``: every pair's endpoints and
 all seven mix values cached at once, and each pass a full-array pass over
 the cache. ``oracle_index`` is ``compute_index`` on that table. The streamed
-index must equal it field for field (value, bracket, binding pair and, where
-both seed the solve alike, probes) for any block size.
+index must equal it field for field (value, bracket, binding pair and cap
+flag, from which its case and probes follow) for any block size.
 
 ``bisect_index`` is the ``compute_index`` before the exact solve: the same
 constant shortcut, entry certification and cap probe, then a bisection of
@@ -43,7 +43,7 @@ from qcx import cindex, extcore, families
 from qcx.cindex import REL_GAP_TOL, ConvexityIndex, IndexCase, compute_index
 from qcx.errors import CapTooSmallWarning
 from qcx.extcore import (_NONE, DEFAULT_ETAS, EXCESS_MARGIN, SOLVE_BATCH,
-                         BoxDomain, BreakEven, BreakEvenStream, CertResult,
+                         BoxDomain, BreakEvenStream, CertResult,
                          FunctionSpec, PairTable, Verdict, Witness,
                          _cap_violation, _crossing_estimate, _excess,
                          _exp_violation, _fail_end, _past_minimizer, _prune,
@@ -123,8 +123,7 @@ class CachedPairTable:
                                sign, tol_rel).any()
                 for which, eta in enumerate(self.etas))
 
-    def exp_break_even(self, sign: int, tol_rel: float,
-                       lam_cap: float) -> BreakEven:
+    def exp_break_even(self, sign: int, tol_rel: float, lam_cap: float):
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
         best = probed = None  # (lam_pass, which, idx, t_pass, t_fail)
         everything = np.arange(len(self.a))
@@ -162,11 +161,10 @@ class CachedPairTable:
             best = self._solve(picks, best, sign, tol_rel, lam_cap)
             t_hat = t_hat if best is None else best[3]
         if best is None:
-            return BreakEven(-t_hat, 0.0, None, ())
+            return -t_hat, 0.0, None
         lam_pass, which, idx, _, t_fail = best
         hi = -sign * t_fail
-        hi_ok = self.exp_transform_ok(hi, sign, tol_rel)
-        assert not hi_ok
+        assert not self.exp_transform_ok(hi, sign, tol_rel)
         da, db = self._diffs(which, np.array([idx]))
         eta = self.etas[which]
         with np.errstate(all="ignore"):
@@ -174,7 +172,7 @@ class CachedPairTable:
         binding = Witness(x1=tuple(float(v) for v in self.a[idx]),
                           x2=tuple(float(v) for v in self.b[idx]),
                           eta=float(eta), violation=float(excess[0]))
-        return BreakEven(lam_pass, hi, binding, ((hi, hi_ok),))
+        return lam_pass, hi, binding
 
     def _solve(self, picks, best, sign: int, tol_rel: float, lam_cap: float):
         which = np.concatenate([np.full(len(i), w) for w, i in picks])
@@ -215,21 +213,14 @@ def oracle_index(f: FunctionSpec, box: BoxDomain,
     """``compute_index`` on the cached table, without the cap warnings."""
     table = CachedPairTable(f, box)
     if np.ptp(table.grid_values) < 1e-10:
-        return ConvexityIndex(math.inf, None, IndexCase.CASE_II, lambda_cap,
-                              constant_shortcut=True)
+        return ConvexityIndex(math.inf, None, lambda_cap, constant_shortcut=True)
     _, witness, _ = table.scan("convex", default_gap_tol(f))
-    if witness is not None:
-        case, sign, flat = IndexCase.CASE_I, +1, -math.inf
-    else:
-        case, sign, flat = IndexCase.CASE_II, -1, math.inf
+    sign, flat = (+1, -math.inf) if witness is not None else (-1, math.inf)
     ok = table.exp_transform_ok(-sign * lambda_cap, sign, REL_GAP_TOL)
     if ok == (flat > 0):  # the cap probe did not flip
-        return ConvexityIndex(flat, None, case, lambda_cap, cap_probe=True,
-                              probes=((-sign * lambda_cap, ok),))
-    be = table.exp_break_even(sign, REL_GAP_TOL, lambda_cap)
-    return ConvexityIndex(be.lo, (be.lo, be.hi), case, lambda_cap,
-                          binding=be.binding,
-                          probes=((-sign * lambda_cap, ok),) + be.probes)
+        return ConvexityIndex(flat, None, lambda_cap, cap_probe=True)
+    lo, hi, binding = table.exp_break_even(sign, REL_GAP_TOL, lambda_cap)
+    return ConvexityIndex(lo, (lo, hi), lambda_cap, binding=binding)
 
 
 def _bisect(table, lo: float, hi: float, sign: int, tol: float,
@@ -435,8 +426,7 @@ def _recording_streams(monkeypatch) -> list[BreakEvenStream]:
 @pytest.mark.parametrize("block,split", SETTINGS)
 def test_streamed_index_matches_cached_oracle(group, block, split,
                                               monkeypatch):
-    """Value, bracket, binding pair and probes (the cap and the upper end)
-    equal the cached table's."""
+    """Value, bracket, binding pair and cap flag equal the cached table's."""
     finite = 0
     for (f, box), want in zip(CASES[group](), _oracle_indices(group)):
         _set_block(monkeypatch, box, block, split)
@@ -822,16 +812,15 @@ def test_solve_that_keeps_the_best_reads_each_block_once(f, box, monkeypatch):
     """Every burst round takes its batch off the piles, so a solve that
     never improves on the running best still empties them: the stream ends
     after the entry scan's one read of each block, with no binding pair to
-    replay and the cap test as its only probe in case I."""
+    replay."""
     table = PairTable(f, box)
     stream = BreakEvenStream(REL_GAP_TOL, CAP)
     monkeypatch.setattr(extcore, "_solve", lambda picks, best, *args: best)
     builds, probes = _count_passes(monkeypatch)
     table.scan("convex", default_gap_tol(f), fold=stream)
-    be = table.exp_break_even(stream)
+    _, _, binding = table.exp_break_even(stream)
     assert not any(len(part[0]) for pile in stream.piles for part in pile)
-    assert be.binding is None and builds == table.blocks and probes == []
-    assert be.probes == (((-CAP, True),) if stream.sign > 0 else ())
+    assert binding is None and builds == table.blocks and probes == []
 
 
 class BreakEvenSeed:
@@ -870,13 +859,12 @@ class BreakEvenSeed:
         return True
 
 
-def _seeded_result(self, seed, best, t_hat) -> BreakEven:
-    """The bracket of a test-side schedule's best pair, probes as the
-    production solve lists them."""
-    sign, cap = seed.sign, seed.lam_cap
-    probes = ((-cap, True),) if sign > 0 else ()
+def _seeded_result(self, seed, best, t_hat):
+    """The bracket and binding pair of a test-side schedule's best pair, as
+    ``PairTable.exp_break_even`` returns them."""
+    sign = seed.sign
     if best is None:
-        return BreakEven(-t_hat, 0.0, None, probes)
+        return -t_hat, 0.0, None
     lam_pass, which, idx, _, t_fail, da, db = best
     a, b, _, _ = self._build((idx, idx + 1))
     with np.errstate(all="ignore"):
@@ -884,11 +872,10 @@ def _seeded_result(self, seed, best, t_hat) -> BreakEven:
                          -sign * t_fail, sign)
     binding = Witness(tuple(map(float, a[0])), tuple(map(float, b[0])),
                       DEFAULT_ETAS[which], float(excess[0]))
-    return BreakEven(lam_pass, -sign * t_fail, binding,
-                     probes + ((-sign * t_fail, False),))
+    return lam_pass, -sign * t_fail, binding
 
 
-def seed_break_even(self, seed: BreakEvenSeed) -> BreakEven:
+def seed_break_even(self, seed: BreakEvenSeed):
     """The earlier production solve, from a ``BreakEvenSeed``: rounds
     alternate an exact solve of ``SOLVE_BATCH`` pairs per weight, ranked by
     crossing estimate, with a prune of the rest at the extremum, and of the
@@ -899,7 +886,7 @@ def seed_break_even(self, seed: BreakEvenSeed) -> BreakEven:
     t_hat = cap if sign < 0 else math.ulp(0.0)
     best = probed = None
     if seed.capped:
-        return BreakEven(-math.inf, -cap, None, ((-cap, False),))
+        return -math.inf, -cap, None
     uncapped = seed.skipped if sign > 0 else 0
     cands, solved = [r[:3] for r in seed.rows], [np.array([-1])] * len(seed.rows)
     with np.errstate(all="ignore"):
@@ -914,8 +901,7 @@ def seed_break_even(self, seed: BreakEvenSeed) -> BreakEven:
                     for eta, da, db in self._diffs(b):
                         if len(parts) < uncapped and _cap_violation(
                                 da, db, eta, cap, tol_rel).any():
-                            return BreakEven(-math.inf, -cap, None,
-                                             ((-cap, False),))
+                            return -math.inf, -cap, None
                         parts.append(_prune(da, db, eta, t_hat, sign, tol_rel,
                                             cap, np.arange(*b)))
                 uncapped, k = 0, len(DEFAULT_ETAS)
@@ -938,7 +924,7 @@ def seed_break_even(self, seed: BreakEvenSeed) -> BreakEven:
     return _seeded_result(self, seed, best, t_hat)
 
 
-def stream_break_even(self, seed: BreakEvenSeed) -> BreakEven:
+def stream_break_even(self, seed: BreakEvenSeed):
     """A stream without piles that ignores the seed's rows: each block and
     weight is pruned at the running extremum and its survivors solved in
     ranked batches of ``SOLVE_BATCH`` at once, making the cap test for
@@ -961,7 +947,7 @@ def stream_break_even(self, seed: BreakEvenSeed) -> BreakEven:
                      for eta, (idx, da, db) in zip(DEFAULT_ETAS, rest)]
 
     if seed.capped:
-        return BreakEven(-math.inf, -cap, None, ((-cap, False),))
+        return -math.inf, -cap, None
     with np.errstate(all="ignore"):
         for probe in itertools.count():
             probed = t_hat
@@ -970,8 +956,7 @@ def stream_break_even(self, seed: BreakEvenSeed) -> BreakEven:
                 for eta, da, db in self._diffs(b):
                     if sign > 0 and not probe and _cap_violation(
                             da, db, eta, cap, tol_rel).any():
-                        return BreakEven(-math.inf, -cap, None,
-                                         ((-cap, False),))
+                        return -math.inf, -cap, None
                     found.append(_prune(da, db, eta, t_hat, sign, tol_rel, cap,
                                         np.arange(*b)))
                 solve(found)

@@ -1,0 +1,31 @@
+"""The report-digest tool (``perf/reports.py``) on one ``risk`` seed: two
+runs write the same file byte for byte, and every job exits as its
+workload expects."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("reports",
+                                               ROOT / "perf" / "reports.py")
+reports = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(reports)
+
+
+def test_two_runs_write_the_same_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(reports, "WORKLOADS", ("risk",))
+    monkeypatch.setattr(reports, "SEEDS", (101,))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert reports.main([str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    jobs = json.loads(outs[0].read_text(encoding="utf-8"))["jobs"]
+    expected = reports.workloads.generate("risk", 101)
+    assert [job["name"] for job in jobs] == [job["name"] for job in expected]
+    assert [job["exit"] for job in jobs] == [job["expect"]["exit"]
+                                             for job in expected]
+    assert all(job["report"] and job["stdout"] and job["csv"] is None
+               for job in jobs)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"{len(jobs)} jobs, 0 with an unexpected exit code")
