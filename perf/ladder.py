@@ -9,15 +9,16 @@ A risk rung is one of the nine checks of ``qcx risk-check`` on one measure
 outcomes in atoms of three, budget and triples 200, seed 0. The measure is
 built outside the timing. A triple check's call draws its triples and reads
 their table. An index rung is ``compute_index`` of ``sqrt`` on [1, 4] (case
-I), ``neglog`` on [1, e] (case II), ``log`` on [1, e] (case I, where every
-pair crosses at lambda = -1, so the crossings of the tolerance all but
-tie) or ``late_concave`` on [0, 1] at ``m`` grid points, the table build
-included. ``late_concave`` is case I, but its entry scan first sees a gap
-above tolerance 40-60% of the way through the blocks, where the index's
-solve stream restarts from case II at case I and re-reads the blocks
-already passed once the scan ends. ``sqrt`` and ``log`` switch in their
-first block. A rung's ``best_s`` is the best of ``RUNS`` calls, one per pass over all
-rungs, and its ``peak_mb`` the ``tracemalloc`` peak of one more call, made
+I), ``neglog`` on [1, e] (case II), ``square`` on [1, 2] (case II, index
+1/8 at the right end, whose solve bursts most), ``log`` on [1, e] (case
+I, where every pair crosses at lambda = -1, so the crossings of the
+tolerance all but tie) or ``late_concave`` on [0, 1] at ``m`` grid
+points, the table build included. ``late_concave`` is case I, but its
+entry scan first sees a gap above tolerance 40-60% of the way through the
+blocks, where the index's solve stream restarts from case II at case I
+and re-reads the blocks already passed once the scan ends. ``sqrt`` and
+``log`` switch in their first block. A rung's ``best_s`` is the best of
+``RUNS`` calls, one per pass over all rungs, and its ``peak_mb`` the ``tracemalloc`` peak of one more call, made
 apart so that tracing slows no timed call; ``outcome`` is that call's
 check verdict, or its index value. The file records the commit, the cores,
 Python, numpy and the line count of ``src/qcx`` through ``metadata()`` of
@@ -67,6 +68,7 @@ def log() -> FunctionSpec:
 
 INDEX_FUNCTIONS = {"sqrt": (families.sqrt, 1.0, 4.0),
                    "neglog": (families.neglog, 1.0, math.e),
+                   "square": (families.square, 1.0, 2.0),
                    "log": (log, 1.0, math.e),
                    "late_concave": (late_concave, 0.0, 1.0)}
 RUNS = 10

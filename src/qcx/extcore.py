@@ -26,10 +26,13 @@ the grid pairs stream in chunks of whole rows, whose mix values are outer
 sums of per-term tables of O(block) entries; only the local pairs' mixes
 are evaluated. The certifiers make one gap scan. The convexity index reads
 every block once, in its gap scan, which also streams the pairs through its
-break-even solve (:class:`BreakEvenStream`, which in case I makes the cap
-test); a case switch after the first block and weight re-reads what the
-scan passed before it, the case-II cap probe reads up to its first failing
-block, and the upper bracket end replays on the binding pair's block.
+break-even solve (:class:`BreakEvenStream`, whose case-I prune makes the cap
+test where it cannot clear a pair) and forms no gap after the first above
+its tolerance; a case switch after the first block and weight re-reads what
+the scan passed before it, the case-II cap probe reads up to its first
+failing block, and the upper bracket end replays on the binding pair's
+block. The solve bisects each batch in a fixed count of rounds, each one
+kernel call over the stacked differences.
 
 The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
 mix-normalized ``expm1`` form by one kernel, :func:`_excess`, and the index
@@ -75,7 +78,7 @@ SOLVE_PILE = 256
 #: Pairs per block of a streamed pass; a pass holds one block at a time.
 SCAN_BLOCK = 8192
 
-#: No pair: ``(index, da, db, key)`` of none.
+#: No pair: ``(position, da, db, key)`` of none.
 _NONE = (np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3
 
 
@@ -269,7 +272,11 @@ EXCESS_MARGIN = 2.0 ** -46
 def _excess(da, db, eta, lam, sign: int) -> np.ndarray:
     """Per pair, ``-sign (eta expm1(-lam da) + (1-eta) expm1(-lam db))``:
     ``-sign (phi - 1)`` for ``phi = eta e^{-lam da} + (1-eta) e^{-lam db}``.
-    Every exponential-transform test uses it; NaN never violates.
+    Every exponential-transform test uses it; NaN never violates. With
+    ``db`` None, ``da`` stacks both differences, ``(2, n)``, and ``eta``
+    both weights, ``(eta, 1 - eta)``, as :func:`_solve` forms them once per
+    batch: the same operations pair by pair, in one product, one ``expm1``
+    and one weight product over the stack.
 
     Error, with ``u = 2^-53`` and ``expm1`` within 2 ulp: where the exact
     ``phi <= 2``, each term has ``w e^x <= 2`` (``x <= log 16``), so the
@@ -281,11 +288,17 @@ def _excess(da, db, eta, lam, sign: int) -> np.ndarray:
     float excess fails (sign=-1) or passes (sign=+1) any ``tol_rel`` in
     ``(2^-45, 1/2)``, as the exact one does.
     """
-    ea, eb = np.multiply(-lam, da), np.multiply(-lam, db)
-    np.expm1(ea, out=ea)
-    np.expm1(eb, out=eb)
-    ea *= eta
-    eb *= 1 - eta
+    if db is None:
+        x = np.multiply(-lam, da)
+        np.expm1(x, out=x)
+        x *= eta
+        ea, eb = x
+    else:
+        ea, eb = np.multiply(-lam, da), np.multiply(-lam, db)
+        np.expm1(ea, out=ea)
+        np.expm1(eb, out=eb)
+        ea *= eta
+        eb *= 1 - eta
     ea += eb
     return np.negative(ea, out=ea) if sign > 0 else ea
 
@@ -364,11 +377,13 @@ def _past_minimizer(da, db, eta: float, t: float) -> np.ndarray:
 
 
 def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
-           lam_cap: float, idx):
+           lam_cap: float, cap_test: bool = False):
     """The pairs whose crossing can beat or tie the running extremum ``t``:
-    in index order, their indices (``idx`` holds every pair's), ``da``,
-    ``db`` and crossing estimates, made at ``t`` (at 0 while ``t`` is the
-    cap).
+    their positions in the input (ascending), ``da``, ``db`` and crossing
+    estimates, made at ``t`` (at 0 while ``t`` is the cap). With
+    ``cap_test`` (sign=+1), None instead if a pair fails the cap test
+    (:func:`_cap_violation`), which it makes only on the pairs whose excess
+    at ``t`` is at least ``-EXCESS_MARGIN``.
 
     Dropped: an excess at ``t`` under ``tol_rel - EXCESS_MARGIN``, for
     sign=+1 under ``-EXCESS_MARGIN``, or in between with ``t`` past the
@@ -390,11 +405,26 @@ def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
     The running extremum only falls for sign=-1 and only rises for sign=+1,
     so a drop holds at every later extremum too: one prune of each pair at
     the extremum of its turn finds the index, and no probe need confirm it.
+
+    The cap test skips no failing pair (sign=+1, ``t <= lam_cap``, both
+    ends exact floats). A float excess under ``-EXCESS_MARGIN`` at ``t``
+    puts the exact one under ``-EXCESS_MARGIN + 22u < 0`` where ``phi(t) <=
+    2``, so ``phi(t) > 1`` either way. As ``phi`` is convex with ``phi(0) =
+    1``, it does not fall from ``t`` on, so ``phi > 1`` at every ``lambda``
+    from ``-t`` to ``-lam_cap``: the pair passes there exactly, and at the
+    cap in floats too, its float excess under ``22u`` where ``phi <= 2``
+    and passing any ``tol_rel`` in ``(2^-45, 1/2)`` where ``phi > 2``. A NaN
+    excess at ``t`` (a NaN difference; ``t > 0`` is finite) is NaN at the
+    cap too, which never violates.
     """
     excess = _excess(da, db, eta, -sign * t, sign)
     keep = excess > tol_rel - EXCESS_MARGIN
     if sign > 0:
-        middle = np.flatnonzero(~keep & (excess >= -EXCESS_MARGIN))
+        near = np.flatnonzero(excess >= -EXCESS_MARGIN)
+        if cap_test and _cap_violation(da[near], db[near], eta, lam_cap,
+                                       tol_rel).any():
+            return None
+        middle = near[~keep[near]]
         if len(middle) and t > math.ulp(0.0):
             middle = middle[~_past_minimizer(da[middle], db[middle], eta, t)]
         if len(middle):
@@ -405,8 +435,8 @@ def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
         return _NONE
     da, db = da[pos], db[pos]
     at = t if t < lam_cap else 0.0  # the cap is no solved crossing
-    return idx[pos], da, db, _crossing_estimate(da, db, eta, sign, tol_rel, at,
-                                                excess[pos] if at else 0.0)
+    return pos, da, db, _crossing_estimate(da, db, eta, sign, tol_rel, at,
+                                           excess[pos] if at else 0.0)
 
 
 def _mix_points(a, b, eta):
@@ -420,29 +450,42 @@ def _solve(picks, best, sign: int, tol_rel: float, lam_cap: float):
     """Solve the crossings of ``picks``, ``(which, pair indices, da, db)``
     per weight, from :func:`_fail_end` to 0 (sign=-1) or the cap
     (sign=+1); return the better of ``best`` and the best solved pair as
-    ``(lam_pass, which, idx, t_pass, t_fail, da, db)``."""
+    ``(lam_pass, which, idx, t_pass, t_fail, da, db)``.
+
+    The bisection on float bit patterns halves every bracket in each of
+    a fixed count of rounds, the ``ceil(log2)`` of the widest bracket, with
+    no convergence test: a round is one :func:`_excess` over the stacked
+    differences and weights at the midpoints, one comparison and the two
+    bracket updates. A bracket already one float wide (or none) re-tests
+    its passing end (sign=-1) or its failing end (sign=+1) with the same
+    operands, so the round moves nothing in it."""
     which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
-    idx, da, db = (np.concatenate(c) for c in zip(*(p[1:] for p in picks)))
+    idx = np.concatenate([p[1] for p in picks])
+    d = np.concatenate([p[2:] for p in picks], axis=1)  # da and db, stacked
     eta = np.asarray(DEFAULT_ETAS)[which]
-    t_fail, has = _fail_end(da, db, eta, sign, tol_rel, lam_cap)
+    t_fail, has = _fail_end(*d, eta, sign, tol_rel, lam_cap)
     if not has.any():
         return best
-    which, idx, da, db, eta, t_fail = (
-        x[has] for x in (which, idx, da, db, eta, t_fail))
+    which, idx, eta, t_fail = (x[has] for x in (which, idx, eta, t_fail))
+    d = d[:, has]
+    w = np.stack((eta, 1 - eta))
     pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
-    fail_bits = t_fail.view(np.int64).copy()
-    while (np.abs(fail_bits - pass_bits) > 1).any():
-        mid = pass_bits + (fail_bits - pass_bits) // 2
-        bad = _exp_violation(da, db, eta, -sign * mid.view(np.float64), sign,
-                             tol_rel)
-        fail_bits = np.where(bad, mid, fail_bits)
-        pass_bits = np.where(bad, pass_bits, mid)
+    fail_bits = t_fail.view(np.int64)  # t_fail is bisected in place
+    width = int(np.abs(fail_bits - pass_bits).max())
+    for _ in range(max(width - 1, 0).bit_length()):
+        mid = fail_bits - pass_bits
+        mid >>= 1  # floors, as // 2 does
+        mid += pass_bits
+        t = mid.view(np.float64)
+        bad = _excess(d, None, w, t if sign < 0 else -t, sign) > tol_rel
+        np.putmask(fail_bits, bad, mid)
+        np.putmask(mid, bad, pass_bits)  # mid is the new passing end
+        pass_bits = mid
     t_pass = pass_bits.view(np.float64)
     lam_pass = -sign * t_pass
     k = np.lexsort((idx, which, lam_pass))[0]
     cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
-            float(t_pass[k]), float(fail_bits.view(np.float64)[k]),
-            float(da[k]), float(db[k]))
+            float(t_pass[k]), float(t_fail[k]), float(d[0, k]), float(d[1, k]))
     return cand if best is None or cand[:3] < best[:3] else best
 
 
@@ -450,12 +493,13 @@ class BreakEvenStream:
     """The solve of :meth:`PairTable.exp_break_even`, fed block by block as
     the ``fold`` of :meth:`PairTable.scan`: each block and weight is pruned
     at the running extremum ``t`` (:func:`_prune`) onto a pile of that
-    weight, and a pile of over :data:`SOLVE_PILE` pairs sets off a
-    :meth:`burst`. It starts at case II (sign=-1, ``t = lam_cap``); at the
-    scan's first gap above its tolerance it drops its piles and restarts at
-    case I (sign=+1, ``t = ulp(0)``) from the block and weight in
-    ``switch``. A case-I fold first makes the cap test (:func:`_cap_violation`);
-    once a pair fails it, ``capped`` is set and folding stops."""
+    weight, as pair positions and the prune's arrays, and a pile of over
+    :data:`SOLVE_PILE` pairs sets off a :meth:`burst`. It starts at case II
+    (sign=-1, ``t = lam_cap``); at the scan's first gap above its tolerance
+    it drops its piles and restarts at case I (sign=+1, ``t = ulp(0)``) from
+    the block and weight in ``switch``. A case-I prune also makes the cap
+    test, on the pairs it cannot clear at ``t``; once a pair fails it,
+    ``capped`` is set and folding stops."""
 
     def __init__(self, tol_rel: float, lam_cap: float):
         self.tol_rel, self.lam_cap, self.sign, self.t = tol_rel, lam_cap, -1, lam_cap
@@ -468,14 +512,15 @@ class BreakEvenStream:
         if self.sign < 0 and refuted:
             self.__init__(self.tol_rel, self.lam_cap)
             self.sign, self.t, self.switch = +1, math.ulp(0.0), (block, which)
-        self.capped = self.sign > 0 and bool(_cap_violation(
-            da, db, eta, self.lam_cap, self.tol_rel).any())
+        found = _prune(da, db, eta, self.t, self.sign, self.tol_rel,
+                       self.lam_cap, cap_test=self.sign > 0)
+        self.capped = found is None
         if self.capped:
             return False
-        found = _prune(da, db, eta, self.t, self.sign, self.tol_rel,
-                       self.lam_cap, np.arange(*block))
         pile = self.piles[which]
-        pile += [found] if len(found[0]) else []
+        if len(found[0]):
+            np.add(found[0], block[0], out=found[0])  # positions in the table
+            pile.append(found)
         if sum(len(p[0]) for p in pile) > SOLVE_PILE:
             self.burst(SOLVE_PILE // 2)
         return True
@@ -499,9 +544,10 @@ class BreakEvenStream:
             piles, batch = rest, 2 * batch
             if self.best is not None and self.best[3] != self.t:
                 self.t = self.best[3]
-                piles = [_prune(da, db, eta, self.t, self.sign, self.tol_rel,
-                                self.lam_cap, idx)
-                         for eta, (idx, da, db, _) in zip(DEFAULT_ETAS, piles)]
+                kept = [_prune(da, db, eta, self.t, self.sign, self.tol_rel,
+                               self.lam_cap)
+                        for eta, (_, da, db, _) in zip(DEFAULT_ETAS, piles)]
+                piles = [(p[0][k[0]],) + k[1:] for p, k in zip(piles, kept)]
         self.piles = [[p] for p in piles]
 
 
@@ -517,7 +563,8 @@ class PairTable:
     block. The passes are gap scans and the ``expm1`` exponential-transform
     test. The index's gap scan also streams its break-even solve, so the
     index reads each block once, and once more the blocks that the scan
-    passed before a case switch.
+    passed before a case switch; that scan only decides whether a gap
+    exceeds its tolerance, and stops forming gaps once one does.
 
     For a function that declares separable ``terms``, the table also keeps
     per weight and term the values ``T_k[p, q] = f_k(eta c_p + (1 - eta)
@@ -715,14 +762,19 @@ class PairTable:
         degenerate_seen)`` where the witness is reported only when the worst
         gap exceeds ``tol``. Ties go to the earlier weight, then the lower
         pair index, within and across blocks, so the result does not depend
-        on the block size. ``fold(block, which, eta, da, db, refuted)``, if
-        given, gets each block and weight's :meth:`_diffs` and whether a gap
-        above ``tol`` was seen so far, until it returns false.
+        on the block size.
+
+        ``fold(block, which, eta, da, db, refuted)``, if given, gets each
+        block and weight's :meth:`_diffs` and whether a gap above ``tol``
+        was seen so far, until it returns false, which ends the scan. A scan
+        with a fold only decides whether such a gap exists: it forms no gap
+        once it has seen one, and no witness, and returns ``(inf, None,
+        False)`` if it has seen one and ``(-inf, None, False)`` if not.
         """
         sign, refs = GAP_FORMS[kind]
         # (gap, -which, -position) of the running best; a -inf gap (no pair
         # or all degenerate) is never kept
-        best, degen = (-math.inf, 0, 0), False
+        best, degen, refuted = (-math.inf, 0, 0), False, False
         with np.errstate(all="ignore"):
             for block in self.blocks:
                 fa, fb, mix, skip, pair = self._block(block)
@@ -732,12 +784,18 @@ class PairTable:
                     if fold is not None:
                         keep = slice(None) if skip is None else ~skip
                         diffs = (fa - gap)[keep], (fb - gap)[keep]
-                    gap = np.subtract(gap, ref(eta),
-                                      out=None if skip is None else gap)
-                    if sign < 0:
-                        np.negative(gap, out=gap)
-                    if skip is not None:
-                        np.copyto(gap, -math.inf, where=skip)
+                    if not refuted:
+                        gap = np.subtract(gap, ref(eta),
+                                          out=None if skip is None else gap)
+                        if sign < 0:
+                            np.negative(gap, out=gap)
+                        if skip is not None:
+                            np.copyto(gap, -math.inf, where=skip)
+                    if fold is not None:
+                        refuted = refuted or bool((gap > tol).any())
+                        if not fold(block, which, eta, *diffs, refuted):
+                            return math.inf if refuted else -math.inf, None, False
+                        continue
                     # argmax finds a NaN (degenerate pair) if there is one
                     k = int(np.argmax(gap))
                     if math.isnan(gap.flat[k]):
@@ -749,9 +807,8 @@ class PairTable:
                     if key[0] > -math.inf and key > best:
                         best, at = key, (tuple(map(float, x1)),
                                          tuple(map(float, x2)), float(eta))
-                    if fold and not fold(block, which, eta, *diffs,
-                                         best[0] > tol):
-                        fold = None
+        if fold is not None:
+            return math.inf if refuted else -math.inf, None, False
         worst = best[0]
         return worst, Witness(*at, worst) if worst > tol else None, degen
 

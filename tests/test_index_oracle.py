@@ -17,7 +17,11 @@ float-tight.
 
 ``unmasked_prune`` is ``_prune`` without its mask: it finds every pair's
 canonical failing end; the cached table prunes with it, and the masked
-``_prune`` must keep the same pairs with the same bits.
+``_prune`` must keep the same pairs with the same bits. ``ref_solve`` is
+``_solve`` with a convergence test in each round; the fixed-round solve
+must return its tuple on adversarial batches. The case-I cap test, which
+the prune makes only on the pairs it cannot clear, must flag what the
+whole table flags.
 
 The index is a function of the pair table, so other solve schedules
 (``SOLVE_BATCH`` 1 and 4096, the blocks in reverse order, the earlier
@@ -540,7 +544,7 @@ def _prunes_alike(da, db, eta, t, sign):
     """Masked and unmasked pruning keep the same pairs with the same bits.
     Returns how many pairs the mask spared the failing end for."""
     with np.errstate(all="ignore"):
-        got = _prune(da, db, eta, t, sign, REL_GAP_TOL, CAP, np.arange(len(da)))
+        got = _prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
         pos, key = unmasked_prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
         spared = 0 if sign < 0 else int(np.count_nonzero(
             _excess(da, db, eta, -t, sign) < -EXCESS_MARGIN))
@@ -599,7 +603,7 @@ def test_probe_mask_matches_the_unmasked_prune_on_adversarial_pairs():
                     t = t_min * (1 - 2.0 ** -k)
                     _prunes_alike(da, db, eta, t, +1)
                     with np.errstate(all="ignore"):
-                        kept = _prune(da, db, eta, t, +1, REL_GAP_TOL, CAP, np.arange(1))
+                        kept = _prune(da, db, eta, t, +1, REL_GAP_TOL, CAP)
                         fails = _exp_violation(da, db, eta, -t, +1, REL_GAP_TOL)
                     beyond += bool(len(kept[0])) and not fails.any()
     assert beyond > 0
@@ -690,9 +694,134 @@ def test_prune_keeps_every_pair_at_its_own_crossing(family, lo, hi, sign):
                 _, _, _, t_pass, *_ = _solve(
                     [(which, at, d_a, d_b)], None, sign, REL_GAP_TOL, CAP)
                 assert len(_prune(d_a, d_b, eta, t_pass, sign, REL_GAP_TOL,
-                                  CAP, at)[0]) == 1, (eta, k, t_pass)
+                                  CAP)[0]) == 1, (eta, k, t_pass)
                 kept += 1
     assert kept > 20
+
+
+def ref_solve(picks, best, sign: int, tol_rel: float, lam_cap: float):
+    """``_solve`` before its rounds were fixed: a convergence test in each
+    round, and ``np.where`` updates of both bracket ends."""
+    which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
+    idx, da, db = (np.concatenate(c) for c in zip(*(p[1:] for p in picks)))
+    eta = np.asarray(DEFAULT_ETAS)[which]
+    t_fail, has = _fail_end(da, db, eta, sign, tol_rel, lam_cap)
+    if not has.any():
+        return best
+    which, idx, da, db, eta, t_fail = (
+        x[has] for x in (which, idx, da, db, eta, t_fail))
+    pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
+    fail_bits = t_fail.view(np.int64).copy()
+    while (np.abs(fail_bits - pass_bits) > 1).any():
+        mid = pass_bits + (fail_bits - pass_bits) // 2
+        bad = _exp_violation(da, db, eta, -sign * mid.view(np.float64), sign,
+                             tol_rel)
+        fail_bits = np.where(bad, mid, fail_bits)
+        pass_bits = np.where(bad, pass_bits, mid)
+    t_pass = pass_bits.view(np.float64)
+    lam_pass = -sign * t_pass
+    k = np.lexsort((idx, which, lam_pass))[0]
+    cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
+            float(t_pass[k]), float(fail_bits.view(np.float64)[k]),
+            float(da[k]), float(db[k]))
+    return cand if best is None or cand[:3] < best[:3] else best
+
+
+def _solves_alike(pairs, sign, cap, size):
+    """``_solve`` and ``ref_solve`` on ``(which, da, db)`` in batches of
+    ``size``: the same tuple per batch. Returns how many batches solved a
+    pair."""
+    solved = 0
+    for s in range(0, len(pairs), size):
+        which, da, db = (np.array(x) for x in zip(*pairs[s:s + size]))
+        picks = [(w, np.flatnonzero(which == w) + s, da[which == w],
+                  db[which == w]) for w in range(len(DEFAULT_ETAS))]
+        picks = [p for p in picks if len(p[1])]
+        with np.errstate(all="ignore"):
+            got = _solve(picks, None, sign, REL_GAP_TOL, cap)
+            want = ref_solve(picks, None, sign, REL_GAP_TOL, cap)
+        assert got == want, (sign, cap, s, got, want)
+        solved += got is not None
+    return solved
+
+
+def test_stacked_solve_matches_the_parent_bisection():
+    """Every pair of signed ``MAGNITUDES`` differences, and of those with
+    infinite and NaN partners, at every weight and both signs, solved in
+    batches of 1 (a subset), 32 and 4096, gives the tuple of the bisection
+    with a convergence test. So do batches whose brackets start zero or one
+    float wide (sign=+1 with the cap at or one float above a pair's
+    minimizer) beside wider ones."""
+    values = [s * m for m in MAGNITUDES for s in (1.0, -1.0)]
+    values += [math.inf, -math.inf, math.nan]
+    pairs = [(w, a, b) for w in range(len(DEFAULT_ETAS))
+             for a in values for b in values]
+    solved = 0
+    for sign in (+1, -1):
+        for size in (32, 4096):
+            solved += _solves_alike(pairs, sign, CAP, size)
+        solved += _solves_alike(pairs[::37], sign, CAP, 1)
+    assert solved > 0
+    narrow = 0
+    for which, a, b in pairs[::60]:
+        da, db = np.array([a]), np.array([b])
+        with np.errstate(all="ignore"):
+            t, fails = _fail_end(da, db, DEFAULT_ETAS[which], +1, REL_GAP_TOL,
+                                 CAP)
+        if fails[0]:
+            for cap in (float(t[0]), math.nextafter(float(t[0]), math.inf)):
+                narrow += _solves_alike(pairs, +1, cap, 4096) > 0
+    assert narrow > 0
+
+
+@pytest.mark.parametrize("group", sorted(CASES))
+def test_case_one_cap_test_matches_the_whole_table(group, monkeypatch):
+    """At every cap of ``CAP_LADDER``, a case-I stream is capped exactly
+    when ``_cap_violation`` flags a pair of some block and weight of the
+    whole table, although it tests only the pairs that its prune cannot
+    clear. A case-II stream makes no cap test; the entry scan, not the
+    cap, fixes the case, so such an input is run at one cap."""
+    streams = _recording_streams(monkeypatch)
+    capped = uncapped = 0
+    for f, box in CASES[group]():
+        table = PairTable(f, box)
+        diffs = [d for block in table.blocks for d in table._diffs(block)]
+        for cap in CAP_LADDER:
+            streams.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CapTooSmallWarning)
+                compute_index(f, box, lambda_cap=cap)
+            if not streams or streams[0].sign < 0:  # constant, or case II
+                assert not streams or not streams[0].capped
+                break
+            with np.errstate(all="ignore"):
+                want = any(_cap_violation(da, db, eta, cap, REL_GAP_TOL).any()
+                           for eta, da, db in diffs)
+            assert streams[0].capped == want, (f.name, cap)
+            capped += want
+            uncapped += not want
+    assert capped > 0 and uncapped > 0
+
+
+def test_pairs_below_the_margin_pass_at_every_cap_above():
+    """A pair whose excess at ``t`` (sign=+1) is under ``-EXCESS_MARGIN``
+    passes the transform at every cap of ``CAP_LADDER`` from ``t`` on: the
+    proof by which ``_prune`` skips its cap test, on every sign pattern
+    and scale of differences, infinite and NaN ones."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    values += [s * m for m in MAGNITUDES for s in (1.0, -1.0)]
+    da, db = (np.array(v) for v in zip(*[(x, y) for x in values for y in values]))
+    below = 0
+    for eta in DEFAULT_ETAS:
+        for t in (math.ulp(0.0), 1e-300, 1e-8, 0.5, 2.0, 700.0) + CAP_LADDER:
+            with np.errstate(all="ignore"):
+                under = _excess(da, db, eta, -t, +1) < -EXCESS_MARGIN
+                for cap in CAP_LADDER:
+                    if cap >= t:
+                        assert not _exp_violation(da[under], db[under], eta,
+                                                  -cap, +1, REL_GAP_TOL).any()
+            below += int(under.sum())
+    assert below > 0
 
 
 def _count_passes(monkeypatch):
@@ -875,6 +1004,12 @@ def _seeded_result(self, seed, best, t_hat):
     return lam_pass, -sign * t_fail, binding
 
 
+def _prune_at(idx, da, db, *args):
+    """``_prune(da, db, *args)`` with its positions taken from ``idx``."""
+    pos, *kept = _prune(da, db, *args)
+    return (idx[pos], *kept)
+
+
 def seed_break_even(self, seed: BreakEvenSeed):
     """The earlier production solve, from a ``BreakEvenSeed``: rounds
     alternate an exact solve of ``SOLVE_BATCH`` pairs per weight, ranked by
@@ -891,7 +1026,7 @@ def seed_break_even(self, seed: BreakEvenSeed):
     cands, solved = [r[:3] for r in seed.rows], [np.array([-1])] * len(seed.rows)
     with np.errstate(all="ignore"):
         while True:
-            found = [_prune(da, db, eta, t_hat, sign, tol_rel, cap, idx)
+            found = [_prune_at(idx, da, db, eta, t_hat, sign, tol_rel, cap)
                      for eta, (idx, da, db) in zip(DEFAULT_ETAS, cands)]
             if not any(len(f[0]) for f in found):
                 if t_hat == probed:
@@ -902,8 +1037,8 @@ def seed_break_even(self, seed: BreakEvenSeed):
                         if len(parts) < uncapped and _cap_violation(
                                 da, db, eta, cap, tol_rel).any():
                             return -math.inf, -cap, None
-                        parts.append(_prune(da, db, eta, t_hat, sign, tol_rel,
-                                            cap, np.arange(*b)))
+                        parts.append(_prune_at(np.arange(*b), da, db, eta,
+                                               t_hat, sign, tol_rel, cap))
                 uncapped, k = 0, len(DEFAULT_ETAS)
                 found = [tuple(map(np.concatenate, zip(*parts[w::k])))
                          for w in range(k)]
@@ -943,7 +1078,7 @@ def stream_break_even(self, seed: BreakEvenSeed):
                 rest.append((idx[~take], da[~take], db[~take]))
             best = _solve(picks, best, sign, tol_rel, cap)
             t_hat = t_hat if best is None else best[3]
-            found = [_prune(da, db, eta, t_hat, sign, tol_rel, cap, idx)
+            found = [_prune_at(idx, da, db, eta, t_hat, sign, tol_rel, cap)
                      for eta, (idx, da, db) in zip(DEFAULT_ETAS, rest)]
 
     if seed.capped:
@@ -957,8 +1092,8 @@ def stream_break_even(self, seed: BreakEvenSeed):
                     if sign > 0 and not probe and _cap_violation(
                             da, db, eta, cap, tol_rel).any():
                         return -math.inf, -cap, None
-                    found.append(_prune(da, db, eta, t_hat, sign, tol_rel, cap,
-                                        np.arange(*b)))
+                    found.append(_prune_at(np.arange(*b), da, db, eta, t_hat,
+                                           sign, tol_rel, cap))
                 solve(found)
             if probe and t_hat == probed:
                 break

@@ -36,6 +36,8 @@ def check_schema(data, ks, points):
             assert rung["outcome"] in ("pass", "fail", "inconclusive")
         elif name.startswith("index.late_concave."):  # f''/f'^2 = -19 at 1
             assert abs(rung["outcome"] + 19.0) < 1e-2
+        elif name.startswith("index.square."):  # f''/f'^2 = 1/8 at 2
+            assert abs(rung["outcome"] - 0.125) < 1e-3
         else:  # sqrt and log are case I, neglog case II, indices near -1, 1
             assert abs(abs(rung["outcome"]) - 1.0) < 1e-3
 
@@ -55,7 +57,7 @@ def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
     assert data["rungs"]["risk.translativity.cubed_mean.k3"]["outcome"] == "fail"
     assert data["rungs"]["risk.locality.entropic.k3"]["outcome"] == "pass"
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 22
+    assert len(printed) == 23
     assert all("committed" in line for line in printed)
 
 

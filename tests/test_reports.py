@@ -1,6 +1,8 @@
 """The report-digest tool (``perf/reports.py``) on one ``risk`` seed: two
 runs write the same file byte for byte, and every job exits as its
-workload expects."""
+workload expects. On the ``index`` jobs of seed 101 it must write the
+committed ``tests/golden/index-digests-101.json``, which holds every index
+value, bracket, binding pair and probe sweep of those jobs to the bit."""
 
 import importlib.util
 import json
@@ -29,3 +31,15 @@ def test_two_runs_write_the_same_digests(tmp_path, monkeypatch, capsys):
                for job in jobs)
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"{len(jobs)} jobs, 0 with an unexpected exit code")
+
+
+def test_index_digests_hold(tmp_path, monkeypatch, capsys):
+    """Every ``index`` job of seed 101 writes the bytes whose digests
+    ``tests/golden/index-digests-101.json`` holds: the report, the ``--csv``
+    probe sweep and standard output of each index case, I and II."""
+    monkeypatch.setattr(reports, "WORKLOADS", ("index",))
+    monkeypatch.setattr(reports, "SEEDS", (101,))
+    out = tmp_path / "index.json"
+    assert reports.main([str(out)]) == 0
+    golden = ROOT / "tests" / "golden" / "index-digests-101.json"
+    assert out.read_bytes() == golden.read_bytes()
