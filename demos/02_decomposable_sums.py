@@ -22,7 +22,7 @@ for a in (0.5, 0.9, 1.1, 2.0):
         (families.sqrt(), BoxDomain.of(1, 4, 31)),
         (families.make_function("neglog", weight=a), BoxDomain.of(1, E, 31)),
     ))
-    values = ds.index_values(tol=1e-4)
+    values = ds.index_values()
     verdict = index_sum_criterion(values)
     oracle = brute_force_sum_quasiconvex(ds)
     agree = "agrees" if ((verdict.decision.value == "quasiconvex")
@@ -43,7 +43,7 @@ from qcx import FunctionSpec, compute_index
 joint = FunctionSpec(2, lambda p: p[:, 0] ** 2 - np.log(p[:, 1]))
 joint_box = BoxDomain.of((1, 1), (2, E), (21, 21))
 direct = compute_index(joint, joint_box).value
-print(f"block indices: {ds.index_values(tol=1e-4)}")
+print(f"block indices: {ds.index_values()}")
 print(f"harmonic formula: {harmonic_index([0.125, 1.0]):.5f} = 1/9")
 print(f"direct 2-D grid index: {direct:.5f}")
 

@@ -1,5 +1,6 @@
 """The layer ladder: each risk-measure property check timed over the atom
-count ``k``, and the 1-D convexity index over the grid size, written to
+count ``k``, the convexity index and the brute-force sum oracle over the
+grid size, and the L2 checks on their fixtures, written to
 ``BENCH_ladder.json``.
 
 Usage: ``python3 perf/ladder.py [--out PATH]``
@@ -13,18 +14,27 @@ I), ``neglog`` on [1, e] (case II), ``square`` on [1, 2] (case II, index
 1/8 at the right end, whose solve bursts most), ``log`` on [1, e] (case
 I, where every pair crosses at lambda = -1, so the crossings of the
 tolerance all but tie) or ``late_concave`` on [0, 1] at ``m`` grid
-points, the table build included. ``late_concave`` is case I, but its
+points, the table build included, or of the 2-D ``neglog2``, ``-log x -
+log y`` on [1, e]^2 (case II, index 1/2 by the harmonic rule), at ``m^2``
+points. ``late_concave`` is case I, but its
 entry scan first sees a gap above tolerance 40-60% of the way through the
 blocks, where the index's solve stream restarts from case II at case I
 and re-reads the blocks already passed once the scan ends. ``sqrt`` and
-``log`` switch in their first block. A rung's ``best_s`` is the best of
-``RUNS`` calls, one per pass over all rungs, and its ``peak_mb`` the ``tracemalloc`` peak of one more call, made
-apart so that tracing slows no timed call; ``outcome`` is that call's
-check verdict, or its index value. The file records the commit, the cores,
+``log`` switch in their first block. A brute rung is
+``brute_force_sum_quasiconvex`` of ``sqrt + 0.5 neglog`` (certified) on
+``m^2`` points or of ``sqrt + neglog + square`` (refuted) on ``m^3``
+points, the sums of the ``brute`` bench jobs; an L2 rung is one check of
+``qcx l2-demo`` on its fixture, budget 500 (``basis_locality``, entropic
+on ``paper10pt``, the coarse conditional expectation on
+``paper10pt-split``), triples 200 (``nqc_wrt_preorder``, entropic), seed
+0, or ``cone_self_dual`` on ``paper10pt``. A rung's ``best_s`` is the best
+of ``RUNS`` calls, one per pass over all rungs, and its ``peak_mb`` the
+``tracemalloc`` peak of one more call, made apart so that tracing slows no
+timed call; ``outcome`` is that call's verdict, or its index value. The
+file records the commit, the cores,
 Python, numpy and the line count of ``src/qcx`` through ``metadata()`` of
 ``bench/run.py``. Each rung's time is printed with its ratio to the same
 rung of the committed ``BENCH_ladder.json``; nothing gates on seconds.
-The brute-force and L2 rungs are not here yet.
 """
 
 from __future__ import annotations
@@ -44,14 +54,19 @@ sys.path.insert(0, str(ROOT / "bench"))
 from run import metadata  # noqa: E402  (puts src/ on the path too)
 from spans import CHECKERS  # noqa: E402
 
-from qcx import families, riskmeasure  # noqa: E402
+from qcx import families, l2basis, riskmeasure  # noqa: E402
 from qcx.cindex import compute_index  # noqa: E402
+from qcx.decomp import DecomposableSum, brute_force_sum_quasiconvex  # noqa: E402
 from qcx.extcore import BoxDomain, FunctionSpec  # noqa: E402
 from qcx.spaces import FiniteProbSpace, PartitionSigma  # noqa: E402
 
 COMMITTED = ROOT / "BENCH_ladder.json"
 KS = (3, 6, 10, 14, 40)
 POINTS = (257, 513, 1025, 2049)
+#: Points per axis of the 2-D index and the two-factor brute rungs.
+POINTS_2D = (21, 31, 41)
+#: Points per axis of the three-factor brute rungs.
+POINTS_3D = (9, 11, 13)
 
 
 def late_concave() -> FunctionSpec:
@@ -64,6 +79,12 @@ def late_concave() -> FunctionSpec:
 def log() -> FunctionSpec:
     """``log x``: concave, and ``x^t`` is concave exactly for ``0 < t < 1``."""
     return FunctionSpec(1, lambda p: np.log(p[:, 0]), name="log")
+
+
+def neglog2() -> FunctionSpec:
+    """``-log x - log y``, the sum of two ``neglog`` coordinates."""
+    return FunctionSpec(2, lambda p: -np.log(p[:, 0]) - np.log(p[:, 1]),
+                        name="neglog2")
 
 
 INDEX_FUNCTIONS = {"sqrt": (families.sqrt, 1.0, 4.0),
@@ -93,9 +114,58 @@ def check_call(prop: str, rho):
 
 def index_call(name: str, m: int):
     """The call of one index rung; it returns the index value."""
-    make, lo, hi = INDEX_FUNCTIONS[name]
-    f, box = make(), BoxDomain.of(lo, hi, m)
+    if name == "neglog2":
+        f, box = neglog2(), BoxDomain.of((1.0, 1.0), (math.e, math.e), (m, m))
+    else:
+        make, lo, hi = INDEX_FUNCTIONS[name]
+        f, box = make(), BoxDomain.of(lo, hi, m)
     return lambda: compute_index(f, box).value
+
+
+#: The brute-force sums: per coordinate, family, weight and domain.
+BRUTE_SUMS = {"sqrt_neglog": (("sqrt", 1.0, (1.0, 4.0)),
+                              ("neglog", 0.5, (1.0, math.e))),
+              "sqrt_neglog_square": (("sqrt", 1.0, (1.0, 4.0)),
+                                     ("neglog", 1.0, (1.0, math.e)),
+                                     ("square", 1.0, (1.0, 2.0)))}
+
+
+def brute_call(name: str, m: int):
+    """The call of one brute rung, ``m`` points per axis; it returns the
+    verdict."""
+    dsum = DecomposableSum(tuple(
+        (families.make_function(family, weight=w), BoxDomain.of(lo, hi, m))
+        for family, w, (lo, hi) in BRUTE_SUMS[name]))
+    return lambda: brute_force_sum_quasiconvex(
+        dsum, pair_budget=10 ** 7).verdict.value
+
+
+def l2_calls() -> dict:
+    """The L2 rungs' calls, as ``qcx l2-demo`` makes the checks, seed 0;
+    each returns the verdict."""
+    block = l2basis.build_example_10pt()
+    entropic = riskmeasure.entropic_certainty_equivalent(block.sigma(),
+                                                         block.space)
+    split = l2basis.build_example_10pt_split()
+    coarse = riskmeasure.conditional_expectation_map(
+        PartitionSigma(split.cells), split.space,
+        declared_sigma=l2basis.refined_partition_10pt())
+
+    def nqc():
+        rng = np.random.default_rng(0)
+        triples = riskmeasure.sample_triples(block.space, rng, BUDGET)
+        return l2basis.check_nqc_wrt_preorder(entropic, block, triples=triples,
+                                              rng=rng).verdict.value
+
+    return {
+        "l2.basis_locality.paper10pt": lambda: l2basis.check_basis_locality(
+            entropic, block, budget=500, rng=0).verdict.value,
+        "l2.basis_locality.paper10pt-split": lambda: l2basis.check_basis_locality(
+            coarse, split, budget=500, rng=0).verdict.value,
+        "l2.cone_self_dual.paper10pt":
+            lambda: l2basis.check_cone_self_dual(block).verdict.value,
+        "l2.nqc_wrt_preorder.paper10pt": nqc,
+    }
 
 
 def traced(call) -> dict:
@@ -109,7 +179,7 @@ def traced(call) -> dict:
     return {"peak_mb": peak / 2 ** 20, "outcome": outcome}
 
 
-def rungs(ks, points, runs: int) -> dict:
+def rungs(ks, points, points_2d, points_3d, runs: int) -> dict:
     """Every rung, timed in ``runs`` passes over all rungs, so that a
     drift of the host's speed reaches every rung alike."""
     calls = {}
@@ -123,6 +193,13 @@ def rungs(ks, points, runs: int) -> dict:
     for m in points:
         for name in INDEX_FUNCTIONS:
             calls[f"index.{name}.m{m}"] = index_call(name, m)
+    for m in points_2d:
+        calls[f"index.neglog2.m{m}"] = index_call("neglog2", m)
+        calls[f"brute.sqrt_neglog.m{m}"] = brute_call("sqrt_neglog", m)
+    for m in points_3d:
+        calls[f"brute.sqrt_neglog_square.m{m}"] = brute_call(
+            "sqrt_neglog_square", m)
+    calls.update(l2_calls())
     best = dict.fromkeys(calls, float("inf"))
     for _ in range(runs):
         for name, call in calls.items():
@@ -139,7 +216,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     before = (json.loads(COMMITTED.read_text(encoding="utf-8"))["rungs"]
               if COMMITTED.is_file() else {})
-    result = {"metadata": metadata(), "runs": RUNS, "rungs": rungs(KS, POINTS, RUNS)}
+    result = {"metadata": metadata(), "runs": RUNS,
+              "rungs": rungs(KS, POINTS, POINTS_2D, POINTS_3D, RUNS)}
     for name, rung in result["rungs"].items():
         old = before.get(name)
         ratio = (f"{rung['best_s'] / old['best_s']:6.3f}x committed"

@@ -37,14 +37,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapTooSmallWarning, MissingDerivativesError
-from .extcore import (CONSTANT_SPREAD, BoxDomain, BreakEvenStream, FunctionSpec,
-                      PairTable, Witness, default_gap_tol)
-
-#: Relative tolerance of the mix-normalized exponential-transform test.
-REL_GAP_TOL = 1e-12
+from .extcore import (CONSTANT_SPREAD, REL_GAP_TOL, BoxDomain, BreakEvenStream,
+                      FunctionSpec, PairTable, Witness, default_gap_tol)
 
 DEFAULT_LAMBDA_CAP = 1e4
-DEFAULT_BRACKET_TOL = 1e-4
 
 
 class IndexCase(enum.Enum):
@@ -120,19 +116,16 @@ def r_lambda(f: FunctionSpec, lam: float) -> FunctionSpec:
 
 
 def compute_index(f: FunctionSpec, box: BoxDomain,
-                  lambda_cap: float = DEFAULT_LAMBDA_CAP,
-                  tol: float = DEFAULT_BRACKET_TOL) -> ConvexityIndex:
+                  lambda_cap: float = DEFAULT_LAMBDA_CAP) -> ConvexityIndex:
     """The exact grid convexity index of ``f`` on the box grid.
 
     The value is the break-even lambda of the grid transform family, the
-    lower end of a float-tight bracket: the transform passes on the whole
-    table there, and the ``binding`` pair fails one float up. ``tol`` is an
-    upper bound on the bracket width; the float-tight bracket meets any
-    ``tol`` of at least one ulp of the value. The entry certification of
-    ``f`` itself uses the absolute tolerance
-    :func:`qcx.extcore.default_gap_tol`; the exponential-transform probes
-    use the mix-normalized relative test, which is immune to overflow at
-    extreme lambda.
+    lower end of a bracket of adjacent floats: the transform passes on the
+    whole table there, and the ``binding`` pair fails one float up. The
+    entry certification of ``f`` itself uses the absolute tolerance
+    :func:`qcx.extcore.default_gap_tol`; the exponential-transform tests
+    use the mix-normalized relative test against :data:`REL_GAP_TOL`, which
+    is immune to overflow at extreme lambda.
 
     Near-constant inputs (grid range spread below ``CONSTANT_SPREAD``)
     classify as constant, index ``+inf``, without probing. A ``+-inf``
@@ -141,18 +134,18 @@ def compute_index(f: FunctionSpec, box: BoxDomain,
     Every pass streams the pairs block by block, and the result does not
     depend on the block size.
     """
-    if not (0 < lambda_cap < math.inf and 0 < tol < math.inf):
-        raise ValueError("lambda_cap and tol must be positive and finite")
+    if not 0 < lambda_cap < math.inf:
+        raise ValueError("lambda_cap must be positive and finite")
     table = PairTable(f, box)
     spread = float(np.max(table.grid_values) - np.min(table.grid_values))
     if spread < CONSTANT_SPREAD:
         return ConvexityIndex(math.inf, None, lambda_cap, constant_shortcut=True)
     # the entry pass certifies f and streams the solve; a refuted f restarts
     # the stream at case I (index < 0), whose folds make the cap test
-    stream = BreakEvenStream(REL_GAP_TOL, lambda_cap)
+    stream = BreakEvenStream(lambda_cap)
     table.scan("convex", default_gap_tol(f), fold=stream)
     # f certified convex (case II): the index is >= 0
-    if stream.sign < 0 and table.exp_transform_ok(lambda_cap, -1, REL_GAP_TOL):
+    if stream.sign < 0 and table.exp_transform_ok(lambda_cap):
         warnings.warn("index is +inf at the probe cap; the function may be "
                       "constant or the cap too small", CapTooSmallWarning)
         return ConvexityIndex(math.inf, None, lambda_cap, cap_probe=True)
@@ -192,9 +185,11 @@ def scale_index(c: float, w: float) -> float:
     """Index of ``w * f`` from the index of ``f``: ``c / w`` with conventions.
 
     ``w = 0`` collapses the function to a constant, whose index is ``+inf``.
+    A NaN ``c``, or a NaN, infinite or negative ``w``, raises ``ValueError``.
     """
-    if w < 0:
-        raise ValueError("w must be nonnegative")
+    if math.isnan(c) or not 0 <= w < math.inf:
+        raise ValueError(f"need an index that is not NaN and a finite weight "
+                         f">= 0, got c={c}, w={w}")
     if w == 0.0:
         return math.inf
     if math.isinf(c):

@@ -28,8 +28,8 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import __version__
-from .cindex import (DEFAULT_BRACKET_TOL, DEFAULT_LAMBDA_CAP, ConvexityIndex,
-                     classify, compute_index, smooth_index_1d)
+from .cindex import (DEFAULT_LAMBDA_CAP, ConvexityIndex, classify,
+                     compute_index, smooth_index_1d)
 from .decomp import (DecomposableSum, SumDecision, SumVerdict,
                      brute_force_sum_quasiconvex, characterize,
                      harmonic_index, index_sum_criterion)
@@ -220,7 +220,7 @@ L2_MEASURES = (*PLAIN_MEASURES, "coarse_cond_exp")
 #: Default of a key that must be given.
 REQUIRED = object()
 _BRACKET = {"lambda_cap": (_positive, DEFAULT_LAMBDA_CAP),
-            "tol": (_positive, DEFAULT_BRACKET_TOL)}
+            "tol": (_positive, None)}  # no effect: brackets are adjacent floats
 
 #: Every config key: section kind (a ``[function NAME]`` or ``[measure
 #: NAME]`` section by its first word) -> key -> ``(parse, default)``. A
@@ -403,12 +403,12 @@ def build_measure(cp, name: str, sigma: PartitionSigma,
 def cmd_index(cp, csv: Optional[TextIO]) -> dict:
     names = _read_distinct(cp, "index", "function")
     lambda_cap = _read(cp, "index", "lambda_cap")
-    tol = _read(cp, "index", "tol")
+    _read(cp, "index", "tol")
     results = {}
     sweeps = []
     for name in names:
         f, box = build_function(cp, name)
-        ix = compute_index(f, box, lambda_cap=lambda_cap, tol=tol)
+        ix = compute_index(f, box, lambda_cap=lambda_cap)
         smooth = None
         if f.smooth and f.dim == 1 and ix.bracket is not None:
             smooth = smooth_index_1d(f, box)
@@ -426,7 +426,7 @@ def cmd_sum_check(cp, brute: bool, csv: Optional[TextIO]) -> dict:
     if len(names) < 2:
         raise ConfigError("[sum-check] needs at least two functions")
     lambda_cap = _read(cp, "sum-check", "lambda_cap")
-    tol = _read(cp, "sum-check", "tol")
+    _read(cp, "sum-check", "tol")
     dsum = DecomposableSum(tuple(build_function(cp, n) for n in names))
     if brute:
         budget = _read(cp, "sum-check", "pair_budget")
@@ -439,7 +439,7 @@ def cmd_sum_check(cp, brute: bool, csv: Optional[TextIO]) -> dict:
         if pairs > budget:
             raise ConfigError(f"[sum-check] pair_budget = {budget} is below "
                               f"the {pairs} pairs of the brute force grid")
-    indices = dsum.indices(lambda_cap=lambda_cap, tol=tol)
+    indices = dsum.indices(lambda_cap)
     values = [ix.value for ix in indices]
     for name, v in zip(names, values):
         if math.isinf(v):

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cindex import ConvexityIndex, compute_index
+from .cindex import DEFAULT_LAMBDA_CAP, ConvexityIndex, compute_index
 from .errors import InfiniteIndexError, NegativeIndexError
 from .extcore import BoxDomain, CertResult, FunctionSpec, certify_quasiconvex
 
@@ -161,6 +161,8 @@ def infinite_sum_criterion(index_stream: Iterable[float], n_max: int,
         if math.isinf(c):
             raise InfiniteIndexError(
                 f"stream index {n} is infinite; constants are excluded")
+        if math.isnan(c):
+            raise ValueError(f"stream index {n} is NaN")
         if c < 0:
             seen_negative += 1
             if seen_negative >= 2:
@@ -231,12 +233,13 @@ class DecomposableSum:
         name = " + ".join(f.name or f"f{k}" for k, (f, _) in enumerate(self.coords))
         return FunctionSpec(dim=self.dim, fn=fn, name=name, terms=terms)
 
-    def indices(self, **kwargs) -> tuple[ConvexityIndex, ...]:
-        """Coordinate indices, computed with ``kwargs`` on every call."""
-        return tuple(compute_index(f, b, **kwargs) for f, b in self.coords)
+    def indices(self, lambda_cap: float = DEFAULT_LAMBDA_CAP
+                ) -> tuple[ConvexityIndex, ...]:
+        """Coordinate indices, computed at ``lambda_cap`` on every call."""
+        return tuple(compute_index(f, b, lambda_cap) for f, b in self.coords)
 
-    def index_values(self, **kwargs) -> list[float]:
-        return [ix.value for ix in self.indices(**kwargs)]
+    def index_values(self, lambda_cap: float = DEFAULT_LAMBDA_CAP) -> list[float]:
+        return [ix.value for ix in self.indices(lambda_cap)]
 
 
 def brute_force_sum_quasiconvex(dsum: DecomposableSum, pair_budget: int = 10 ** 6,

@@ -268,6 +268,9 @@ def quasiconvexity_gap(g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool
 #: Over twice the error of :func:`_excess` plus one float step of ``t``.
 EXCESS_MARGIN = 2.0 ** -46
 
+#: Relative tolerance of the mix-normalized exponential-transform test.
+REL_GAP_TOL = 1e-12
+
 
 def _excess(da, db, eta, lam, sign: int) -> np.ndarray:
     """Per pair, ``-sign (eta expm1(-lam da) + (1-eta) expm1(-lam db))``:
@@ -285,8 +288,8 @@ def _excess(da, db, eta, lam, sign: int) -> np.ndarray:
     ``u``: under ``22u``. A float step of ``t = |lam|`` moves the exact
     excess by at most ``2u sum w |x| e^x <= 12u`` (``2^-49`` among
     subnormals). Where ``phi > 2`` the error is under ``716u phi``: the
-    float excess fails (sign=-1) or passes (sign=+1) any ``tol_rel`` in
-    ``(2^-45, 1/2)``, as the exact one does.
+    float excess fails (sign=-1) or passes (sign=+1) :data:`REL_GAP_TOL`,
+    in ``(2^-45, 1/2)``, as the exact one does.
     """
     if db is None:
         x = np.multiply(-lam, da)
@@ -303,13 +306,13 @@ def _excess(da, db, eta, lam, sign: int) -> np.ndarray:
     return np.negative(ea, out=ea) if sign > 0 else ea
 
 
-def _exp_violation(da, db, eta, lam, sign: int, tol_rel: float) -> np.ndarray:
-    """Per pair: is :func:`_excess` above ``tol_rel``? NaN never is."""
-    return _excess(da, db, eta, lam, sign) > tol_rel
+def _exp_violation(da, db, eta, lam, sign: int) -> np.ndarray:
+    """Per pair: is :func:`_excess` above :data:`REL_GAP_TOL`? NaN never is."""
+    return _excess(da, db, eta, lam, sign) > REL_GAP_TOL
 
 
-def _cap_violation(da, db, eta: float, cap: float, tol_rel: float) -> np.ndarray:
-    """``_exp_violation(da, db, eta, -cap, +1, tol_rel)``, skipping the
+def _cap_violation(da, db, eta: float, cap: float) -> np.ndarray:
+    """``_exp_violation(da, db, eta, -cap, +1)``, skipping the
     exponentials of the pairs that cannot violate.
 
     The mask forms ``cap * da`` as the kernel does. Where it is at least
@@ -322,29 +325,29 @@ def _cap_violation(da, db, eta: float, cap: float, tol_rel: float) -> np.ndarray
     keep = np.multiply(cap, da) < math.log(4 / eta)
     keep &= np.multiply(cap, db) < math.log(4 / (1 - eta))
     fail = np.zeros(len(da), dtype=bool)
-    fail[keep] = _exp_violation(da[keep], db[keep], eta, -cap, +1, tol_rel)
+    fail[keep] = _exp_violation(da[keep], db[keep], eta, -cap, +1)
     return fail
 
 
-def _crossing_estimate(da, db, eta, sign: int, tol_rel: float, t: float = 0.0,
+def _crossing_estimate(da, db, eta, sign: int, *, t: float = 0.0,
                        excess=0.0) -> np.ndarray:
     """Second-order estimate of each pair's break-even lambda (+inf: none)
     at ``t``, where its excess is ``excess``: with ``w_a = eta e^{sign t
     da}``, ``w_b = (1-eta) e^{sign t db}``, ``s = w_a da + w_b db`` and ``q
     = w_a da^2 + w_b db^2``, ``phi(t + h) ~ phi(t) + sign s h + q h^2 / 2``;
-    it is ``-sign`` times the root ``t + h`` of ``phi = 1 -/+ tol_rel`` that
-    bounds the passing set. Smaller is more binding; it only orders work."""
+    it is ``-sign`` times the root ``t + h`` of ``phi = 1 -/+ REL_GAP_TOL``
+    that bounds the passing set; smaller is more binding, it only orders work."""
     wa, wb = eta, 1 - eta
     if t:
         wa = np.exp(np.multiply(sign * t, da)) * eta
         wb = np.exp(np.multiply(sign * t, db)) * (1 - eta)
     s, q = wa * da + wb * db, wa * da * da + wb * db * db
-    root = np.sqrt(s * s - (sign * 2.0) * (tol_rel - excess) * q)
+    root = np.sqrt(s * s - (sign * 2.0) * (REL_GAP_TOL - excess) * q)
     key = (s - root if sign > 0 else s + root) / q - sign * t
     return np.fmin(key, math.inf, out=key)  # NaN (no crossing) -> +inf
 
 
-def _fail_end(da, db, eta, sign: int, tol_rel: float, lam_cap: float):
+def _fail_end(da, db, eta, sign: int, lam_cap: float):
     """Each pair's canonical failing ``t`` and whether it fails there: the
     cap for sign=-1, the minimizer ``log(-(1-eta) db / (eta da)) / (da -
     db)`` of ``phi`` if inside ``(0, lam_cap)`` for sign=+1."""
@@ -352,7 +355,7 @@ def _fail_end(da, db, eta, sign: int, tol_rel: float, lam_cap: float):
          np.log(db * (eta - 1) / (eta * da)) / (da - db))
     fails = (t > 0) & (t <= lam_cap)  # the test only where that holds
     at, eta = np.flatnonzero(fails), np.broadcast_to(eta, t.shape)
-    fails[at] = _exp_violation(da[at], db[at], eta[at], -sign * t[at], sign, tol_rel)
+    fails[at] = _exp_violation(da[at], db[at], eta[at], -sign * t[at], sign)
     return t, fails
 
 
@@ -376,16 +379,14 @@ def _past_minimizer(da, db, eta: float, t: float) -> np.ndarray:
     return r - np.sign(da) * log_q > r * 2.0 ** -40 + 2.0 ** -39
 
 
-def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
-           lam_cap: float, cap_test: bool = False):
+def _prune(da, db, eta: float, t: float, sign: int, lam_cap: float):
     """The pairs whose crossing can beat or tie the running extremum ``t``:
     their positions in the input (ascending), ``da``, ``db`` and crossing
-    estimates, made at ``t`` (at 0 while ``t`` is the cap). With
-    ``cap_test`` (sign=+1), None instead if a pair fails the cap test
-    (:func:`_cap_violation`), which it makes only on the pairs whose excess
-    at ``t`` is at least ``-EXCESS_MARGIN``.
+    estimates, made at ``t`` (at 0 while ``t`` is the cap). For sign=+1,
+    None instead if a pair fails the cap test (:func:`_cap_violation`),
+    made only on the pairs whose excess at ``t`` is at least ``-EXCESS_MARGIN``.
 
-    Dropped: an excess at ``t`` under ``tol_rel - EXCESS_MARGIN``, for
+    Dropped: an excess at ``t`` under ``REL_GAP_TOL - EXCESS_MARGIN``, for
     sign=+1 under ``-EXCESS_MARGIN``, or in between with ``t`` past the
     minimizer (:func:`_past_minimizer`; not tested at the least positive
     ``t``, past which lies no positive minimizer) or no crossing
@@ -394,13 +395,13 @@ def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
     dropped pair passes at every midpoint its bisection can reach past
     ``t``, so its crossing is worse than ``t``:
 
-    * sign=-1: the exact excess is under ``tol_rel - EXCESS_MARGIN + 34u``
+    * sign=-1: the exact excess is under ``REL_GAP_TOL - EXCESS_MARGIN + 34u``
       up to a float above ``t``, and by convexity of ``phi`` (``phi(0) =
       1``) below that or 0 on ``[0, t]``; the bisection ends above ``t``.
     * sign=+1: ``phi`` rises beyond ``t``, where ``phi(t) > 1`` (slope at
       least ``(phi(t) - 1) / t``) or past the minimizer, so the exact
-      excess is under ``tol_rel - EXCESS_MARGIN + 34u`` from a float below
-      ``t`` on; the bisection down from the cap ends below ``t``.
+      excess is under ``REL_GAP_TOL - EXCESS_MARGIN + 34u`` from a float
+      below ``t`` on; the bisection down from the cap ends below ``t``.
 
     The running extremum only falls for sign=-1 and only rises for sign=+1,
     so a drop holds at every later extremum too: one prune of each pair at
@@ -413,30 +414,33 @@ def _prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
     1``, it does not fall from ``t`` on, so ``phi > 1`` at every ``lambda``
     from ``-t`` to ``-lam_cap``: the pair passes there exactly, and at the
     cap in floats too, its float excess under ``22u`` where ``phi <= 2``
-    and passing any ``tol_rel`` in ``(2^-45, 1/2)`` where ``phi > 2``. A NaN
-    excess at ``t`` (a NaN difference; ``t > 0`` is finite) is NaN at the
-    cap too, which never violates.
+    and passing :data:`REL_GAP_TOL`, in ``(2^-45, 1/2)``, where ``phi > 2``.
+    A NaN excess at ``t`` (a NaN difference; ``t > 0`` is finite) is NaN at
+    the cap too, which never violates.
+
+    A re-prune of kept pairs (:meth:`BreakEvenStream.burst`) never returns
+    None: each kept pair's excess was over ``REL_GAP_TOL - EXCESS_MARGIN >
+    -EXCESS_MARGIN``, so it passed its cap test, which ignores ``t``.
     """
     excess = _excess(da, db, eta, -sign * t, sign)
-    keep = excess > tol_rel - EXCESS_MARGIN
+    keep = excess > REL_GAP_TOL - EXCESS_MARGIN
     if sign > 0:
         near = np.flatnonzero(excess >= -EXCESS_MARGIN)
-        if cap_test and _cap_violation(da[near], db[near], eta, lam_cap,
-                                       tol_rel).any():
+        if _cap_violation(da[near], db[near], eta, lam_cap).any():
             return None
         middle = near[~keep[near]]
         if len(middle) and t > math.ulp(0.0):
             middle = middle[~_past_minimizer(da[middle], db[middle], eta, t)]
         if len(middle):
             keep[middle] = _fail_end(da[middle], db[middle], eta, sign,
-                                     tol_rel, lam_cap)[1]
+                                     lam_cap)[1]
     pos = np.flatnonzero(keep)
     if not len(pos):
         return _NONE
     da, db = da[pos], db[pos]
     at = t if t < lam_cap else 0.0  # the cap is no solved crossing
-    return pos, da, db, _crossing_estimate(da, db, eta, sign, tol_rel, at,
-                                           excess[pos] if at else 0.0)
+    return pos, da, db, _crossing_estimate(da, db, eta, sign, t=at,
+                                           excess=excess[pos] if at else 0.0)
 
 
 def _mix_points(a, b, eta):
@@ -446,7 +450,7 @@ def _mix_points(a, b, eta):
     return m
 
 
-def _solve(picks, best, sign: int, tol_rel: float, lam_cap: float):
+def _solve(picks, best, sign: int, lam_cap: float):
     """Solve the crossings of ``picks``, ``(which, pair indices, da, db)``
     per weight, from :func:`_fail_end` to 0 (sign=-1) or the cap
     (sign=+1); return the better of ``best`` and the best solved pair as
@@ -454,16 +458,16 @@ def _solve(picks, best, sign: int, tol_rel: float, lam_cap: float):
 
     The bisection on float bit patterns halves every bracket in each of
     a fixed count of rounds, the ``ceil(log2)`` of the widest bracket, with
-    no convergence test: a round is one :func:`_excess` over the stacked
-    differences and weights at the midpoints, one comparison and the two
-    bracket updates. A bracket already one float wide (or none) re-tests
-    its passing end (sign=-1) or its failing end (sign=+1) with the same
+    no convergence test: a round is one :func:`_exp_violation` over the
+    stacked differences and weights at the midpoints and the two bracket
+    updates. A bracket already one float wide (or none) re-tests its
+    passing end (sign=-1) or its failing end (sign=+1) with the same
     operands, so the round moves nothing in it."""
     which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
     idx = np.concatenate([p[1] for p in picks])
     d = np.concatenate([p[2:] for p in picks], axis=1)  # da and db, stacked
     eta = np.asarray(DEFAULT_ETAS)[which]
-    t_fail, has = _fail_end(*d, eta, sign, tol_rel, lam_cap)
+    t_fail, has = _fail_end(*d, eta, sign, lam_cap)
     if not has.any():
         return best
     which, idx, eta, t_fail = (x[has] for x in (which, idx, eta, t_fail))
@@ -477,7 +481,7 @@ def _solve(picks, best, sign: int, tol_rel: float, lam_cap: float):
         mid >>= 1  # floors, as // 2 does
         mid += pass_bits
         t = mid.view(np.float64)
-        bad = _excess(d, None, w, t if sign < 0 else -t, sign) > tol_rel
+        bad = _exp_violation(d, None, w, t if sign < 0 else -t, sign)
         np.putmask(fail_bits, bad, mid)
         np.putmask(mid, bad, pass_bits)  # mid is the new passing end
         pass_bits = mid
@@ -501,8 +505,8 @@ class BreakEvenStream:
     test, on the pairs it cannot clear at ``t``; once a pair fails it,
     ``capped`` is set and folding stops."""
 
-    def __init__(self, tol_rel: float, lam_cap: float):
-        self.tol_rel, self.lam_cap, self.sign, self.t = tol_rel, lam_cap, -1, lam_cap
+    def __init__(self, lam_cap: float):
+        self.lam_cap, self.sign, self.t = lam_cap, -1, lam_cap
         self.best, self.capped, self.switch = None, False, None
         self.piles = [[_NONE] for _ in DEFAULT_ETAS]  # _prune results per weight
 
@@ -510,10 +514,9 @@ class BreakEvenStream:
                  refuted: bool = False) -> bool:
         """Stream a block's pairs at one weight; false once capped."""
         if self.sign < 0 and refuted:
-            self.__init__(self.tol_rel, self.lam_cap)
+            self.__init__(self.lam_cap)
             self.sign, self.t, self.switch = +1, math.ulp(0.0), (block, which)
-        found = _prune(da, db, eta, self.t, self.sign, self.tol_rel,
-                       self.lam_cap, cap_test=self.sign > 0)
+        found = _prune(da, db, eta, self.t, self.sign, self.lam_cap)
         self.capped = found is None
         if self.capped:
             return False
@@ -539,13 +542,11 @@ class BreakEvenStream:
                 take[np.argsort(key, kind="stable")[:batch]] = True
                 picks.append((which, idx[take], da[take], db[take]))
                 rest.append(tuple(x[~take] for x in (idx, da, db, key)))
-            self.best = _solve(picks, self.best, self.sign, self.tol_rel,
-                               self.lam_cap)
+            self.best = _solve(picks, self.best, self.sign, self.lam_cap)
             piles, batch = rest, 2 * batch
             if self.best is not None and self.best[3] != self.t:
                 self.t = self.best[3]
-                kept = [_prune(da, db, eta, self.t, self.sign, self.tol_rel,
-                               self.lam_cap)
+                kept = [_prune(da, db, eta, self.t, self.sign, self.lam_cap)
                         for eta, (_, da, db, _) in zip(DEFAULT_ETAS, piles)]
                 piles = [(p[0][k[0]],) + k[1:] for p, k in zip(piles, kept)]
         self.piles = [[p] for p in piles]
@@ -814,24 +815,27 @@ class PairTable:
 
     # -- mix-normalized exponential scan --------------------------------------
 
-    def exp_transform_ok(self, lam: float, sign: int, tol_rel: float) -> bool:
-        """Is ``exp(-lam * g)`` convex (sign=+1) or concave (sign=-1) on the table?
+    def exp_transform_ok(self, lam: float) -> bool:
+        """Is ``exp(-lam * g)`` convex (``lam < 0``) or concave (``lam > 0``)
+        on the table? Both at 0; a NaN or infinite ``lam`` raises ValueError.
 
         Each pair is tested in a form normalized by the value at the mix
         point: with ``c = eta e^{-lam (fa - fm)} + (1-eta) e^{-lam (fb - fm)}``
-        a convexity violation is ``1 - c > tol_rel`` and a concavity violation
-        is ``c - 1 > tol_rel``, formed from ``expm1`` terms (:func:`_excess`).
-        The normalization keeps the test exact when ``exp(-lam * g)`` itself
-        would overflow or underflow, which happens at the lambda cap of the
-        index. Pairs where the normalized differences
+        a convexity violation is ``1 - c > REL_GAP_TOL`` and a concavity
+        violation is ``c - 1 > REL_GAP_TOL``, formed from ``expm1`` terms
+        (:func:`_excess`). The normalization keeps the test exact when
+        ``exp(-lam * g)`` itself would overflow or underflow, which happens at
+        the lambda cap of the index. Pairs where the normalized differences
         are undetermined (both values +inf) are skipped. The test is the one
         :meth:`exp_break_even` solves, so its bracket ends replay here. The
         scan stops at the first failing block.
         """
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
         if lam == 0.0:
             return True  # exp(0) == 1 is both convex and concave
         with np.errstate(all="ignore"):
-            return not any(_exp_violation(da, db, eta, lam, sign, tol_rel).any()
+            return not any(_exp_violation(da, db, eta, lam, np.sign(-lam)).any()
                            for block in self.blocks
                            for eta, da, db in self._diffs(block))
 
@@ -839,9 +843,9 @@ class PairTable:
                        ) -> tuple[float, float, Optional[Witness]]:
         """The exact break-even lambda of :meth:`exp_transform_ok`,
         finishing a ``stream`` that the entry scan fed every block, at its
-        sign, ``tol_rel`` and ``lam_cap``. For sign=-1, call it once the cap
-        probe ``exp_transform_ok(lam_cap)`` has failed. Write ``lam = -sign
-        * t`` with ``t >= 0``; per pair, ``phi(t) = eta e^{-lam da} +
+        sign and ``lam_cap``. For sign=-1, call it once the cap probe
+        ``exp_transform_ok(lam_cap)`` has failed. Write ``lam = -sign * t``
+        with ``t >= 0``; per pair, ``phi(t) = eta e^{-lam da} +
         (1-eta) e^{-lam db}`` is convex with ``phi(0) = 1``. A pair passes
         at ``t = 0``, and at the cap for sign=+1.
 
@@ -867,12 +871,9 @@ class PairTable:
           bisected from the minimizer to the cap.
 
         The stream gets the blocks and weights that the scan passed before a
-        case switch again, then bursts until no candidate is left. By the
-        proof of :func:`_prune` no pair dropped on the way can beat the
-        extremum, and the transform passes there but for float flips within
-        the kernel's error.
+        case switch again, then bursts until no candidate is left.
         """
-        sign, tol_rel, lam_cap = stream.sign, stream.tol_rel, stream.lam_cap
+        sign, lam_cap = stream.sign, stream.lam_cap
         with np.errstate(all="ignore"):
             if stream.switch is not None and not stream.capped:
                 block, which = stream.switch
@@ -891,7 +892,7 @@ class PairTable:
             # replay the upper end on the binding block, rebuilt as scanned
             block = next(b for b in self.blocks if b[0] <= idx < b[1])
             eta = DEFAULT_ETAS[which]
-            if not any(_exp_violation(d_a, d_b, w, hi, sign, tol_rel).any()
+            if not any(_exp_violation(d_a, d_b, w, hi, sign).any()
                        for w, d_a, d_b in self._diffs(block)):
                 raise RuntimeError("break-even upper end does not replay")
             excess = _excess(np.array([da]), np.array([db]), eta, hi, sign)

@@ -56,7 +56,7 @@ FIXTURES = [
 def test_criterion_1_index_exactness():
     worst = 0.0
     for name, f, box, want in FIXTURES[:4]:
-        ix = compute_index(f, box, tol=1e-4)
+        ix = compute_index(f, box)
         err = abs(ix.value - want)
         worst = max(worst, err)
         assert err <= 1e-3, (name, ix.value, want)
@@ -109,7 +109,7 @@ def test_criterion_2_sign_theorem():
             break
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CapTooSmallWarning)
-            ix = compute_index(f, box, tol=1e-3)
+            ix = compute_index(f, box)
         if abs(ix.value) < 1e-3:
             continue  # boundary band excluded
         checked += 1
@@ -122,9 +122,9 @@ def test_criterion_2_sign_theorem():
 def test_criterion_3_scaling_lemma():
     worst = 0.0
     for name, f, box, want in FIXTURES:
-        base = compute_index(f, box, tol=1e-4).value
+        base = compute_index(f, box).value
         for w in (0.5, 2.0, 10.0):
-            scaled = compute_index(scale_function(f, w), box, tol=1e-4).value
+            scaled = compute_index(scale_function(f, w), box).value
             err = abs(scaled - base / w)
             worst = max(worst, err)
             assert err <= 5e-3, (name, w, scaled, base / w)
@@ -159,7 +159,7 @@ def test_criterion_5_harmonic_formula():
         return p[:, 0] ** 2 - np.log(p[:, 1])
     s = FunctionSpec(2, fn, name="square+neglog")
     box = BoxDomain.of((1.0, 1.0), (2.0, E), (21, 21))
-    ix = compute_index(s, box, tol=1e-4)
+    ix = compute_index(s, box)
     target = 1.0 / 9.0
     h = harmonic_index([0.125, 1.0])
     ok = abs(ix.value - target) <= 5e-2 and abs(ix.value - h) <= 5e-2

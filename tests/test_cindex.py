@@ -112,12 +112,12 @@ class TestComputeIndex:
         f = families.sqrt()
         box = box1(1, 4, 65)
         table = PairTable(f, box)
-        assert table.exp_transform_ok(-1.5, +1, 1e-12)
+        assert table.exp_transform_ok(-1.5)
         for lam in (-2.0, -4.0, -16.0):
-            assert table.exp_transform_ok(lam, +1, 1e-12)
-        assert not table.exp_transform_ok(-0.5, +1, 1e-12)
+            assert table.exp_transform_ok(lam)
+        assert not table.exp_transform_ok(-0.5)
         for lam in (-0.25, -0.1):
-            assert not table.exp_transform_ok(lam, +1, 1e-12)
+            assert not table.exp_transform_ok(lam)
 
     def test_downset_property_random_suite(self):
         """Same monotone structure on random non-convex functions."""
@@ -131,7 +131,7 @@ class TestComputeIndex:
                 1, lambda p, amp=amp, width=width:
                     p[:, 0] ** 2 - amp * np.exp(-width * p[:, 0] ** 2))
             table = PairTable(f, box)
-            flags = [table.exp_transform_ok(lam, +1, 1e-12) for lam in ladder]
+            flags = [table.exp_transform_ok(lam) for lam in ladder]
             # scanning upward from the most negative lambda, convexity can
             # only be lost, never regained
             for earlier, later in zip(flags, flags[1:]):
@@ -152,8 +152,8 @@ class TestComputeIndex:
             fm = f(w.eta * x1 + (1 - w.eta) * x2)
             da, db = f(x1) - fm, f(x2) - fm
             lo, hi = ix.bracket
-            assert not _exp_violation(da, db, w.eta, lo, sign, REL_GAP_TOL)[0]
-            assert _exp_violation(da, db, w.eta, hi, sign, REL_GAP_TOL)[0]
+            assert not _exp_violation(da, db, w.eta, lo, sign)[0]
+            assert _exp_violation(da, db, w.eta, hi, sign)[0]
             assert w.violation > REL_GAP_TOL
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CapTooSmallWarning)
@@ -167,9 +167,8 @@ class TestComputeIndex:
         assert ix.probes == ((-1e4, True), (hi, False))
 
     def test_validation(self):
-        for bad in ({"lambda_cap": -1.0}, {"tol": 0.0}, {"lambda_cap": math.nan},
-                    {"lambda_cap": math.inf}, {"tol": math.nan},
-                    {"tol": math.inf}):
+        for bad in ({"lambda_cap": -1.0}, {"lambda_cap": math.nan},
+                    {"lambda_cap": math.inf}):
             with pytest.raises(ValueError):
                 compute_index(families.square(), box1(0, 1), **bad)
         # a NaN cap passed the sign test and gave wrong indices
@@ -222,6 +221,19 @@ class TestScaleAndClassify:
         with pytest.raises(ValueError):
             scale_index(1.0, -1.0)
 
+    def test_scale_refuses_what_scale_function_refuses(self):
+        """A NaN or infinite weight, which ``scale_function`` refuses, gave
+        NaN and -0.0; a NaN index passed through."""
+        for w in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                scale_function(families.sqrt(), w)
+            for c in (-1.0, 1.0, -math.inf):
+                with pytest.raises(ValueError):
+                    scale_index(c, w)
+        for w in (0.0, 2.0):
+            with pytest.raises(ValueError):
+                scale_index(math.nan, w)
+
     def test_scaling_law_on_functions(self):
         f = families.sqrt()
         box = box1(1, 4)
@@ -265,7 +277,7 @@ class TestSignAgreement:
             from qcx.extcore import certify_convex
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CapTooSmallWarning)
-                ix = compute_index(f, box, tol=1e-3)
+                ix = compute_index(f, box)
             if abs(ix.value) < 1e-3:
                 continue
             assert classify(ix).convex == certify_convex(f, box).certified

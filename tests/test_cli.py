@@ -136,9 +136,7 @@ class TestIndexCommand:
         cp = load_config(cfg)
         for name, lam, ok in (line.split(",") for line in lines[1:]):
             f, box = build_function(cp, name)
-            sign = +1 if functions[name]["case"] == "I" else -1
-            assert PairTable(f, box).exp_transform_ok(
-                float(lam), sign, REL_GAP_TOL) == (ok == "1")
+            assert PairTable(f, box).exp_transform_ok(float(lam)) == (ok == "1")
         return lines[1:], functions, cp
 
     def test_csv_sweep(self, tmp_path):
@@ -155,7 +153,7 @@ class TestIndexCommand:
             lo, hi = r["bracket"]
             assert mine == [(-sign * DEFAULT_LAMBDA_CAP, r["case"] == "I"),
                             (hi, False)]
-            assert PairTable(f, box).exp_transform_ok(lo, sign, REL_GAP_TOL)
+            assert PairTable(f, box).exp_transform_ok(lo)
         cp = load_config(write_config(tmp_path, weight=1.0))
         cp.read_string("[function k]\nfamily = const\nc = 3\ndomain = 0 1\n")
         cp.set("index", "function", "s l k")

@@ -152,6 +152,11 @@ class TestInfiniteSum:
         with pytest.raises(InfiniteIndexError):
             infinite_sum_criterion(iter([math.inf, math.inf]), n_max=5)
 
+    def test_nan_rejected_at_its_position(self):
+        """A NaN gave an inconclusive verdict with margin NaN."""
+        with pytest.raises(ValueError, match="stream index 2 is NaN"):
+            infinite_sum_criterion(iter([-1.0, math.nan, 1.0]), n_max=10)
+
     def test_two_exceptions_immediate(self):
         v = infinite_sum_criterion(iter([-1.0, -2.0, 1.0]), n_max=10)
         assert v.decision is SumDecision.NOT_QUASICONVEX
@@ -196,7 +201,7 @@ class TestBruteForce:
 
     def test_indices_correct(self):
         ds = sum_sqrt_neglog(2.0)
-        vals = ds.index_values(tol=1e-4)
+        vals = ds.index_values()
         assert vals[0] == pytest.approx(-1.0, abs=2e-3)
         assert vals[1] == pytest.approx(0.5, abs=2e-3)
 
@@ -214,6 +219,6 @@ class TestBruteForce:
     def test_agreement_between_criterion_and_oracle(self):
         for a in (0.5, 2.0):
             ds = sum_sqrt_neglog(a)
-            verdict = index_sum_criterion(ds.index_values(tol=1e-4))
+            verdict = index_sum_criterion(ds.index_values())
             oracle = brute_force_sum_quasiconvex(ds)
             assert (verdict.decision is SumDecision.QUASICONVEX) == oracle.certified

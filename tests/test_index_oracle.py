@@ -23,6 +23,9 @@ must return its tuple on adversarial batches. The case-I cap test, which
 the prune makes only on the pairs it cannot clear, must flag what the
 whole table flags.
 
+``PairTable.exp_transform_ok`` takes the property it tests from the sign
+of lambda; it must equal the cached table's test with the sign explicit.
+
 The index is a function of the pair table, so other solve schedules
 (``SOLVE_BATCH`` 1 and 4096, the blocks in reverse order, the earlier
 production schedule ``seed_break_even``, which folds a seed of crossing
@@ -77,8 +80,7 @@ def _smallest(key: np.ndarray, k: int) -> np.ndarray:
     return np.sort(pos)
 
 
-def unmasked_prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
-                   lam_cap: float):
+def unmasked_prune(da, db, eta: float, t: float, sign: int, lam_cap: float):
     """``_prune`` without its mask: every pair's canonical failing end is
     found, and a pair is kept if it fails at ``t``, passes within
     ``EXCESS_MARGIN``, or (sign=+1) has a crossing, ``phi(t)`` is not
@@ -88,15 +90,15 @@ def unmasked_prune(da, db, eta: float, t: float, sign: int, tol_rel: float,
     estimates, made at ``t`` (at 0 where ``t`` is the cap).
     """
     excess = _excess(da, db, eta, -sign * t, sign)
-    keep = excess > tol_rel - EXCESS_MARGIN
+    keep = excess > REL_GAP_TOL - EXCESS_MARGIN
     if sign > 0:
-        keep |= (_fail_end(da, db, eta, sign, tol_rel, lam_cap)[1]
+        keep |= (_fail_end(da, db, eta, sign, lam_cap)[1]
                  & (excess >= -EXCESS_MARGIN)
                  & ~_past_minimizer(da, db, eta, t))
     pos = np.flatnonzero(keep)
     at = t if t < lam_cap else 0.0
-    key = _crossing_estimate(da[pos], db[pos], eta, sign, tol_rel, at,
-                             excess[pos] if at else 0.0)
+    key = _crossing_estimate(da[pos], db[pos], eta, sign, t=at,
+                             excess=excess[pos] if at else 0.0)
     return pos, key
 
 
@@ -119,21 +121,23 @@ class CachedPairTable:
         return self.fa[idx] - fm, self.fb[idx] - fm
 
     def exp_transform_ok(self, lam: float, sign: int, tol_rel: float) -> bool:
+        """The transform test with its property and tolerance explicit:
+        convexity for sign=+1, concavity for sign=-1."""
         if lam == 0.0:
             return True
         with np.errstate(all="ignore"):
             return not any(
-                _exp_violation(*self._diffs(which, slice(None)), eta, lam,
-                               sign, tol_rel).any()
+                (_excess(*self._diffs(which, slice(None)), eta, lam, sign)
+                 > tol_rel).any()
                 for which, eta in enumerate(self.etas))
 
-    def exp_break_even(self, sign: int, tol_rel: float, lam_cap: float):
+    def exp_break_even(self, sign: int, lam_cap: float):
         t_hat = lam_cap if sign < 0 else math.ulp(0.0)
         best = probed = None  # (lam_pass, which, idx, t_pass, t_fail)
         everything = np.arange(len(self.a))
         with np.errstate(all="ignore"):
             cands = [_smallest(_crossing_estimate(*self._diffs(which, everything),
-                                                  eta, sign, tol_rel),
+                                                  eta, sign),
                                SOLVE_BATCH)
                      for which, eta in enumerate(self.etas)]
         while True:
@@ -142,7 +146,7 @@ class CachedPairTable:
                 with np.errstate(all="ignore"):
                     pos, key = unmasked_prune(
                         *self._diffs(which, idx), self.etas[which], t_hat,
-                        sign, tol_rel, lam_cap)
+                        sign, lam_cap)
                 found.append((idx[pos], key))
             if not any(len(f[0]) for f in found):
                 if t_hat == probed:
@@ -152,7 +156,7 @@ class CachedPairTable:
                     with np.errstate(all="ignore"):
                         found.append(unmasked_prune(
                             *self._diffs(which, everything), eta, t_hat, sign,
-                            tol_rel, lam_cap))
+                            lam_cap))
                 if not any(len(f[0]) for f in found):
                     break
             picks, cands = [], []
@@ -162,13 +166,13 @@ class CachedPairTable:
                 rest[take] = False
                 picks.append((which, idx[take]))
                 cands.append(idx[rest])
-            best = self._solve(picks, best, sign, tol_rel, lam_cap)
+            best = self._solve(picks, best, sign, lam_cap)
             t_hat = t_hat if best is None else best[3]
         if best is None:
             return -t_hat, 0.0, None
         lam_pass, which, idx, _, t_fail = best
         hi = -sign * t_fail
-        assert not self.exp_transform_ok(hi, sign, tol_rel)
+        assert not self.exp_transform_ok(hi, sign, REL_GAP_TOL)
         da, db = self._diffs(which, np.array([idx]))
         eta = self.etas[which]
         with np.errstate(all="ignore"):
@@ -178,14 +182,14 @@ class CachedPairTable:
                           eta=float(eta), violation=float(excess[0]))
         return lam_pass, hi, binding
 
-    def _solve(self, picks, best, sign: int, tol_rel: float, lam_cap: float):
+    def _solve(self, picks, best, sign: int, lam_cap: float):
         which = np.concatenate([np.full(len(i), w) for w, i in picks])
         idx = np.concatenate([i for _, i in picks])
         eta = np.asarray(self.etas)[which]
         da, db = (np.concatenate(d) for d in
                   zip(*(self._diffs(w, i) for w, i in picks)))
         with np.errstate(all="ignore"):
-            t_fail, has = _fail_end(da, db, eta, sign, tol_rel, lam_cap)
+            t_fail, has = _fail_end(da, db, eta, sign, lam_cap)
         if not has.any():
             return best
         which, idx, eta, da, db, t_fail = (x[has] for x in
@@ -199,7 +203,7 @@ class CachedPairTable:
                     break
                 mid = pass_bits + step // 2
                 bad = _exp_violation(da, db, eta, -sign * mid.view(np.float64),
-                                     sign, tol_rel)
+                                     sign)
                 fail_bits = np.where(bad, mid, fail_bits)
                 pass_bits = np.where(bad, pass_bits, mid)
         t_pass = pass_bits.view(np.float64)
@@ -223,7 +227,7 @@ def oracle_index(f: FunctionSpec, box: BoxDomain,
     ok = table.exp_transform_ok(-sign * lambda_cap, sign, REL_GAP_TOL)
     if ok == (flat > 0):  # the cap probe did not flip
         return ConvexityIndex(flat, None, lambda_cap, cap_probe=True)
-    lo, hi, binding = table.exp_break_even(sign, REL_GAP_TOL, lambda_cap)
+    lo, hi, binding = table.exp_break_even(sign, lambda_cap)
     return ConvexityIndex(lo, (lo, hi), lambda_cap, binding=binding)
 
 
@@ -258,9 +262,7 @@ def certify_index_bracket(f: FunctionSpec, box: BoxDomain, idx: ConvexityIndex
     if idx.bracket is None:
         raise ValueError("bracket is absent for infinite indices")
     table = PairTable(f, box)
-    sign = +1 if idx.case is IndexCase.CASE_I else -1
-    lo_ok = table.exp_transform_ok(idx.bracket[0], sign, REL_GAP_TOL)
-    hi_ok = table.exp_transform_ok(idx.bracket[1], sign, REL_GAP_TOL)
+    lo_ok, hi_ok = (table.exp_transform_ok(lam) for lam in idx.bracket)
 
     def mk(ok: bool) -> CertResult:
         return CertResult(Verdict.CERTIFIED if ok else Verdict.REFUTED,
@@ -353,7 +355,7 @@ def test_exact_index_inside_bisection_bracket(group):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CapTooSmallWarning)
             want, bracket = bisect_index(f, box)
-            ix = compute_index(f, box, tol=ORACLE_TOL)
+            ix = compute_index(f, box)
         if bracket is None:
             assert ix.value == want and ix.bracket is None, f.name
             assert ix.binding is None
@@ -396,7 +398,7 @@ def test_clipped_local_pairs_are_skipped():
         a, b, _, _ = table._build(block)
         assert not (a == b).all(axis=1).any(), block
     want, bracket = bisect_index(f, box)
-    ix = compute_index(f, box, tol=ORACLE_TOL)
+    ix = compute_index(f, box)
     assert math.isfinite(ix.value) and bracket is not None
     assert bracket[0] <= ix.value <= bracket[1], (ix.value, bracket)
     assert ix.binding is not None and ix.binding.x1 != ix.binding.x2
@@ -495,6 +497,43 @@ def test_tie_solves_few_pairs(monkeypatch):
     assert sum(solved) <= 4096, sum(solved)
 
 
+def test_rel_gap_tol_lies_where_the_kernel_proofs_hold():
+    """The proofs of ``_excess`` and ``_prune`` hold for a tolerance in
+    ``(2^-45, 1/2)``; ``qcx.cindex`` re-exports the one of ``extcore``."""
+    assert 2.0 ** -45 < extcore.REL_GAP_TOL < 0.5
+    assert cindex.REL_GAP_TOL is extcore.REL_GAP_TOL
+
+
+#: Lambdas of both signs, 0 and the cap.
+LAMBDA_LADDER = (-CAP, -1.0, 0.0, 1.0, CAP)
+
+
+@pytest.mark.parametrize("group", sorted(CASES))
+def test_transform_test_takes_its_property_from_the_sign_of_lambda(group):
+    """``PairTable.exp_transform_ok(lam)`` is the cached table's test with
+    the property explicit, convexity (sign=+1) for ``lam < 0`` and
+    concavity (sign=-1) for ``lam > 0``, on a ladder of both signs, 0, the
+    cap and each index's bracket ends."""
+    seen = set()
+    for (f, box), ix in zip(CASES[group](), _production(group)):
+        table, cached = PairTable(f, box), CachedPairTable(f, box)
+        for lam in LAMBDA_LADDER + (ix.bracket or ()):
+            ok = table.exp_transform_ok(lam)
+            sign = +1 if lam < 0 else -1
+            assert ok == cached.exp_transform_ok(lam, sign, REL_GAP_TOL), (
+                f.name, lam)
+            seen.add(ok)
+    assert seen == {True, False}
+
+
+def test_transform_test_refuses_a_lambda_that_is_not_finite():
+    """A NaN ``lam`` used to pass, as a NaN excess never violates."""
+    table = PairTable(families.sqrt(), BoxDomain.of(1.0, 4.0, 17))
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            table.exp_transform_ok(lam)
+
+
 #: The lambda cap and a ladder of negative lambdas for the masked cap test.
 CAP_LADDER = (CAP, 1e3, 64.0, 3.0, 1.0, 0.25, 1e-3)
 
@@ -510,8 +549,8 @@ def test_cap_mask_matches_the_predicate_pair_for_pair(group):
             for eta, da, db in table._diffs(block):
                 for cap in CAP_LADDER:
                     with np.errstate(all="ignore"):
-                        want = _exp_violation(da, db, eta, -cap, +1, REL_GAP_TOL)
-                        got = _cap_violation(da, db, eta, cap, REL_GAP_TOL)
+                        want = _exp_violation(da, db, eta, -cap, +1)
+                        got = _cap_violation(da, db, eta, cap)
                         skipped += int(np.count_nonzero(
                             (cap * da >= math.log(4 / eta))
                             | (cap * db >= math.log(4 / (1 - eta)))))
@@ -535,19 +574,30 @@ def test_cap_mask_at_its_threshold():
                                              for y in partners + near]))
         for a, b, w in ((da, db, eta), (db, da, 1 - eta)):
             with np.errstate(all="ignore"):
-                want = _exp_violation(a, b, w, -cap, +1, REL_GAP_TOL)
-                got = _cap_violation(a, b, w, cap, REL_GAP_TOL)
+                want = _exp_violation(a, b, w, -cap, +1)
+                got = _cap_violation(a, b, w, cap)
             assert np.array_equal(got, want), eta
 
 
 def _prunes_alike(da, db, eta, t, sign):
     """Masked and unmasked pruning keep the same pairs with the same bits.
-    Returns how many pairs the mask spared the failing end for."""
+    For sign=+1, ``_prune`` returns None exactly when a pair whose excess at
+    ``t`` is at least ``-EXCESS_MARGIN`` fails the cap test, and the pairs
+    compared are those that pass it. Returns how many pairs the mask spared
+    the failing end for."""
     with np.errstate(all="ignore"):
-        got = _prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
-        pos, key = unmasked_prune(da, db, eta, t, sign, REL_GAP_TOL, CAP)
-        spared = 0 if sign < 0 else int(np.count_nonzero(
-            _excess(da, db, eta, -t, sign) < -EXCESS_MARGIN))
+        got = _prune(da, db, eta, t, sign, CAP)
+        spared = 0
+        if sign > 0:
+            excess = _excess(da, db, eta, -t, sign)
+            capped = _cap_violation(da, db, eta, CAP)
+            assert (got is None) == bool(
+                (capped & (excess >= -EXCESS_MARGIN)).any()), (eta, t)
+            if capped.any():
+                da, db, excess = da[~capped], db[~capped], excess[~capped]
+                got = _prune(da, db, eta, t, sign, CAP)
+            spared = int(np.count_nonzero(excess < -EXCESS_MARGIN))
+        pos, key = unmasked_prune(da, db, eta, t, sign, CAP)
     for g, w in zip(got, (pos, da[pos], db[pos], key)):
         assert np.array_equal(g, w, equal_nan=True), (eta, t, sign)
     return spared
@@ -603,8 +653,8 @@ def test_probe_mask_matches_the_unmasked_prune_on_adversarial_pairs():
                     t = t_min * (1 - 2.0 ** -k)
                     _prunes_alike(da, db, eta, t, +1)
                     with np.errstate(all="ignore"):
-                        kept = _prune(da, db, eta, t, +1, REL_GAP_TOL, CAP)
-                        fails = _exp_violation(da, db, eta, -t, +1, REL_GAP_TOL)
+                        kept = _prune(da, db, eta, t, +1, CAP)
+                        fails = _exp_violation(da, db, eta, -t, +1)
                     beyond += bool(len(kept[0])) and not fails.any()
     assert beyond > 0
 
@@ -629,7 +679,7 @@ def test_past_minimizer_marks_only_pairs_past_the_exact_minimizer():
                 # a mark must drop nothing that could count
                 with np.errstate(all="ignore"):
                     has = _fail_end(np.array([a]), np.array([b]), eta, +1,
-                                    REL_GAP_TOL, CAP)[1][0]
+                                    CAP)[1][0]
                 exact = D(-math.inf) if a >= 0 and b >= 0 or not has else None
             else:
                 with decimal.localcontext() as ctx:
@@ -687,25 +737,24 @@ def test_prune_keeps_every_pair_at_its_own_crossing(family, lo, hi, sign):
     kept = 0
     for which, (eta, da, db) in enumerate(table._diffs(table.blocks[0])):
         with np.errstate(all="ignore"):
-            has = np.flatnonzero(_fail_end(da, db, eta, sign, REL_GAP_TOL,
-                                           CAP)[1])
+            has = np.flatnonzero(_fail_end(da, db, eta, sign, CAP)[1])
             for k in has[::40]:
                 d_a, d_b, at = da[k:k + 1], db[k:k + 1], np.array([k])
                 _, _, _, t_pass, *_ = _solve(
-                    [(which, at, d_a, d_b)], None, sign, REL_GAP_TOL, CAP)
-                assert len(_prune(d_a, d_b, eta, t_pass, sign, REL_GAP_TOL,
-                                  CAP)[0]) == 1, (eta, k, t_pass)
+                    [(which, at, d_a, d_b)], None, sign, CAP)
+                assert len(_prune(d_a, d_b, eta, t_pass, sign, CAP)[0]) == 1, (
+                    eta, k, t_pass)
                 kept += 1
     assert kept > 20
 
 
-def ref_solve(picks, best, sign: int, tol_rel: float, lam_cap: float):
+def ref_solve(picks, best, sign: int, lam_cap: float):
     """``_solve`` before its rounds were fixed: a convergence test in each
     round, and ``np.where`` updates of both bracket ends."""
     which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
     idx, da, db = (np.concatenate(c) for c in zip(*(p[1:] for p in picks)))
     eta = np.asarray(DEFAULT_ETAS)[which]
-    t_fail, has = _fail_end(da, db, eta, sign, tol_rel, lam_cap)
+    t_fail, has = _fail_end(da, db, eta, sign, lam_cap)
     if not has.any():
         return best
     which, idx, da, db, eta, t_fail = (
@@ -714,8 +763,7 @@ def ref_solve(picks, best, sign: int, tol_rel: float, lam_cap: float):
     fail_bits = t_fail.view(np.int64).copy()
     while (np.abs(fail_bits - pass_bits) > 1).any():
         mid = pass_bits + (fail_bits - pass_bits) // 2
-        bad = _exp_violation(da, db, eta, -sign * mid.view(np.float64), sign,
-                             tol_rel)
+        bad = _exp_violation(da, db, eta, -sign * mid.view(np.float64), sign)
         fail_bits = np.where(bad, mid, fail_bits)
         pass_bits = np.where(bad, pass_bits, mid)
     t_pass = pass_bits.view(np.float64)
@@ -738,8 +786,8 @@ def _solves_alike(pairs, sign, cap, size):
                   db[which == w]) for w in range(len(DEFAULT_ETAS))]
         picks = [p for p in picks if len(p[1])]
         with np.errstate(all="ignore"):
-            got = _solve(picks, None, sign, REL_GAP_TOL, cap)
-            want = ref_solve(picks, None, sign, REL_GAP_TOL, cap)
+            got = _solve(picks, None, sign, cap)
+            want = ref_solve(picks, None, sign, cap)
         assert got == want, (sign, cap, s, got, want)
         solved += got is not None
     return solved
@@ -766,8 +814,7 @@ def test_stacked_solve_matches_the_parent_bisection():
     for which, a, b in pairs[::60]:
         da, db = np.array([a]), np.array([b])
         with np.errstate(all="ignore"):
-            t, fails = _fail_end(da, db, DEFAULT_ETAS[which], +1, REL_GAP_TOL,
-                                 CAP)
+            t, fails = _fail_end(da, db, DEFAULT_ETAS[which], +1, CAP)
         if fails[0]:
             for cap in (float(t[0]), math.nextafter(float(t[0]), math.inf)):
                 narrow += _solves_alike(pairs, +1, cap, 4096) > 0
@@ -795,7 +842,7 @@ def test_case_one_cap_test_matches_the_whole_table(group, monkeypatch):
                 assert not streams or not streams[0].capped
                 break
             with np.errstate(all="ignore"):
-                want = any(_cap_violation(da, db, eta, cap, REL_GAP_TOL).any()
+                want = any(_cap_violation(da, db, eta, cap).any()
                            for eta, da, db in diffs)
             assert streams[0].capped == want, (f.name, cap)
             capped += want
@@ -819,7 +866,7 @@ def test_pairs_below_the_margin_pass_at_every_cap_above():
                 for cap in CAP_LADDER:
                     if cap >= t:
                         assert not _exp_violation(da[under], db[under], eta,
-                                                  -cap, +1, REL_GAP_TOL).any()
+                                                  -cap, +1).any()
             below += int(under.sum())
     assert below > 0
 
@@ -943,7 +990,7 @@ def test_solve_that_keeps_the_best_reads_each_block_once(f, box, monkeypatch):
     after the entry scan's one read of each block, with no binding pair to
     replay."""
     table = PairTable(f, box)
-    stream = BreakEvenStream(REL_GAP_TOL, CAP)
+    stream = BreakEvenStream(CAP)
     monkeypatch.setattr(extcore, "_solve", lambda picks, best, *args: best)
     builds, probes = _count_passes(monkeypatch)
     table.scan("convex", default_gap_tol(f), fold=stream)
@@ -962,8 +1009,8 @@ class BreakEvenSeed:
     through its whole-table probes. A case-I fold first makes the cap test;
     once a pair fails it, ``capped`` is set and folding stops."""
 
-    def __init__(self, tol_rel: float, lam_cap: float):
-        self.tol_rel, self.lam_cap = tol_rel, lam_cap
+    def __init__(self, lam_cap: float):
+        self.lam_cap = lam_cap
         self.sign, self.capped, self.skipped = -1, False, 0
         self.rows = [_NONE for _ in DEFAULT_ETAS]
 
@@ -972,11 +1019,10 @@ class BreakEvenSeed:
         if self.sign < 0 and refuted:
             self.sign, self.rows = +1, [_NONE for _ in DEFAULT_ETAS]
         self.skipped += self.sign < 0
-        if self.sign > 0 and _cap_violation(da, db, eta, self.lam_cap,
-                                            self.tol_rel).any():
+        if self.sign > 0 and _cap_violation(da, db, eta, self.lam_cap).any():
             self.capped = True
             return False
-        key = _crossing_estimate(da, db, eta, self.sign, self.tol_rel)
+        key = _crossing_estimate(da, db, eta, self.sign)
         rows = self.rows[which]
         pos = (np.flatnonzero(key < rows[-1].max())
                if len(rows[0]) == SOLVE_BATCH else np.arange(len(key)))
@@ -1017,7 +1063,7 @@ def seed_break_even(self, seed: BreakEvenSeed):
     whole table (a probe, whose first pass makes the cap test of the folds
     the seed skipped) when none is left, until a probe's unsolved
     candidates are none."""
-    sign, tol_rel, cap = seed.sign, seed.tol_rel, seed.lam_cap
+    sign, cap = seed.sign, seed.lam_cap
     t_hat = cap if sign < 0 else math.ulp(0.0)
     best = probed = None
     if seed.capped:
@@ -1026,7 +1072,7 @@ def seed_break_even(self, seed: BreakEvenSeed):
     cands, solved = [r[:3] for r in seed.rows], [np.array([-1])] * len(seed.rows)
     with np.errstate(all="ignore"):
         while True:
-            found = [_prune_at(idx, da, db, eta, t_hat, sign, tol_rel, cap)
+            found = [_prune_at(idx, da, db, eta, t_hat, sign, cap)
                      for eta, (idx, da, db) in zip(DEFAULT_ETAS, cands)]
             if not any(len(f[0]) for f in found):
                 if t_hat == probed:
@@ -1035,10 +1081,10 @@ def seed_break_even(self, seed: BreakEvenSeed):
                 for b in self.blocks:
                     for eta, da, db in self._diffs(b):
                         if len(parts) < uncapped and _cap_violation(
-                                da, db, eta, cap, tol_rel).any():
+                                da, db, eta, cap).any():
                             return -math.inf, -cap, None
                         parts.append(_prune_at(np.arange(*b), da, db, eta,
-                                               t_hat, sign, tol_rel, cap))
+                                               t_hat, sign, cap))
                 uncapped, k = 0, len(DEFAULT_ETAS)
                 found = [tuple(map(np.concatenate, zip(*parts[w::k])))
                          for w in range(k)]
@@ -1054,7 +1100,7 @@ def seed_break_even(self, seed: BreakEvenSeed):
                 picks.append((which, idx[take], da[take], db[take]))
                 cands.append((idx[~take], da[~take], db[~take]))
                 solved[which] = np.sort(np.concatenate([solved[which], idx[take]]))
-            best = _solve(picks, best, sign, tol_rel, cap)
+            best = _solve(picks, best, sign, cap)
             t_hat = t_hat if best is None else best[3]
     return _seeded_result(self, seed, best, t_hat)
 
@@ -1064,7 +1110,7 @@ def stream_break_even(self, seed: BreakEvenSeed):
     weight is pruned at the running extremum and its survivors solved in
     ranked batches of ``SOLVE_BATCH`` at once, making the cap test for
     sign=+1; then whole-table probes until one moves nothing."""
-    sign, tol_rel, cap = seed.sign, seed.tol_rel, seed.lam_cap
+    sign, cap = seed.sign, seed.lam_cap
     t_hat = cap if sign < 0 else math.ulp(0.0)
     best = None
 
@@ -1076,9 +1122,9 @@ def stream_break_even(self, seed: BreakEvenSeed):
                 take = np.isin(np.arange(len(idx)), _smallest(key, SOLVE_BATCH))
                 picks.append((which, idx[take], da[take], db[take]))
                 rest.append((idx[~take], da[~take], db[~take]))
-            best = _solve(picks, best, sign, tol_rel, cap)
+            best = _solve(picks, best, sign, cap)
             t_hat = t_hat if best is None else best[3]
-            found = [_prune_at(idx, da, db, eta, t_hat, sign, tol_rel, cap)
+            found = [_prune_at(idx, da, db, eta, t_hat, sign, cap)
                      for eta, (idx, da, db) in zip(DEFAULT_ETAS, rest)]
 
     if seed.capped:
@@ -1090,10 +1136,10 @@ def stream_break_even(self, seed: BreakEvenSeed):
                 found = []
                 for eta, da, db in self._diffs(b):
                     if sign > 0 and not probe and _cap_violation(
-                            da, db, eta, cap, tol_rel).any():
+                            da, db, eta, cap).any():
                         return -math.inf, -cap, None
                     found.append(_prune_at(np.arange(*b), da, db, eta, t_hat,
-                                           sign, tol_rel, cap))
+                                           sign, cap))
                 solve(found)
             if probe and t_hat == probed:
                 break

@@ -1,6 +1,7 @@
 """The ladder harness (``perf/ladder.py``) and its committed file.
 
-The smallest rungs (k = 3, 257 grid points) run into a temporary file,
+The smallest rungs (k = 3, 257 grid points, 21^2 and 9^3 product grids)
+and the L2 rungs run into a temporary file,
 which must have the schema of the committed ``BENCH_ladder.json``; the
 committed file must hold every rung of the full ladder.
 """
@@ -18,22 +19,39 @@ _SPEC.loader.exec_module(ladder)
 METADATA = {"nproc", "python", "numpy", "commit", "src_qcx_lines"}
 
 
-def rung_names(ks, points):
+#: The L2 rungs, which have no size.
+L2_RUNGS = {"l2.basis_locality.paper10pt", "l2.basis_locality.paper10pt-split",
+            "l2.cone_self_dual.paper10pt", "l2.nqc_wrt_preorder.paper10pt"}
+
+
+def rung_names(ks, points, points_2d, points_3d):
     return ({f"risk.{prop}.{measure}.k{k}" for k in ks
              for measure in ladder.MEASURES for prop in ladder.CHECKERS}
             | {f"index.{name}.m{m}" for m in points
-               for name in ladder.INDEX_FUNCTIONS})
+               for name in ladder.INDEX_FUNCTIONS}
+            | {f"{kind}.m{m}" for m in points_2d
+               for kind in ("index.neglog2", "brute.sqrt_neglog")}
+            | {f"brute.sqrt_neglog_square.m{m}" for m in points_3d}
+            | L2_RUNGS)
 
 
-def check_schema(data, ks, points):
+def check_schema(data, *sizes):
     assert METADATA <= set(data["metadata"])
     assert data["metadata"]["src_qcx_lines"] > 0
-    assert set(data["rungs"]) == rung_names(ks, points)
+    assert set(data["rungs"]) == rung_names(*sizes)
     for name, rung in data["rungs"].items():
         assert set(rung) == {"best_s", "peak_mb", "outcome"}
         assert rung["best_s"] > 0 and rung["peak_mb"] > 0
         if name.startswith("risk."):
             assert rung["outcome"] in ("pass", "fail", "inconclusive")
+        elif name.startswith("l2."):  # the entropic measure passes them all
+            assert rung["outcome"] == "pass"
+        elif name.startswith("brute.sqrt_neglog."):  # -1 + 1/0.5 >= 0
+            assert rung["outcome"] == "certified"
+        elif name.startswith("brute."):  # one exception, 1/-1 + 1 + 8 > 0
+            assert rung["outcome"] == "refuted"
+        elif name.startswith("index.neglog2."):  # 1 / (1/1 + 1/1)
+            assert abs(rung["outcome"] - 0.5) < 1e-3
         elif name.startswith("index.late_concave."):  # f''/f'^2 = -19 at 1
             assert abs(rung["outcome"] + 19.0) < 1e-2
         elif name.startswith("index.square."):  # f''/f'^2 = 1/8 at 2
@@ -45,11 +63,13 @@ def check_schema(data, ks, points):
 def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ladder, "KS", (3,))
     monkeypatch.setattr(ladder, "POINTS", (257,))
+    monkeypatch.setattr(ladder, "POINTS_2D", (21,))
+    monkeypatch.setattr(ladder, "POINTS_3D", (9,))
     monkeypatch.setattr(ladder, "RUNS", 1)
     out = tmp_path / "ladder.json"
     assert ladder.main(["--out", str(out)]) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
-    check_schema(data, [3], [257])
+    check_schema(data, [3], [257], [21], [9])
     assert data["rungs"]["index.sqrt.m257"]["outcome"] < 0
     assert data["rungs"]["index.log.m257"]["outcome"] < 0
     assert data["runs"] == 1
@@ -57,10 +77,11 @@ def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
     assert data["rungs"]["risk.translativity.cubed_mean.k3"]["outcome"] == "fail"
     assert data["rungs"]["risk.locality.entropic.k3"]["outcome"] == "pass"
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 23
+    assert len(printed) == 30
     assert all("committed" in line for line in printed)
 
 
 def test_committed_file_holds_the_full_ladder():
     data = json.loads((ROOT / "BENCH_ladder.json").read_text(encoding="utf-8"))
-    check_schema(data, ladder.KS, ladder.POINTS)
+    check_schema(data, ladder.KS, ladder.POINTS, ladder.POINTS_2D,
+                 ladder.POINTS_3D)

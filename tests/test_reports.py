@@ -2,7 +2,8 @@
 runs write the same file byte for byte, and every job exits as its
 workload expects. On the ``index`` jobs of seed 101 it must write the
 committed ``tests/golden/index-digests-101.json``, which holds every index
-value, bracket, binding pair and probe sweep of those jobs to the bit."""
+value, bracket, binding pair and probe sweep of those jobs to the bit, and
+on the ``brute`` jobs ``tests/golden/brute-digests-101.json``."""
 
 import importlib.util
 import json
@@ -33,13 +34,25 @@ def test_two_runs_write_the_same_digests(tmp_path, monkeypatch, capsys):
         f"{len(jobs)} jobs, 0 with an unexpected exit code")
 
 
+def _digests_hold(workload, tmp_path, monkeypatch):
+    monkeypatch.setattr(reports, "WORKLOADS", (workload,))
+    monkeypatch.setattr(reports, "SEEDS", (101,))
+    out = tmp_path / f"{workload}.json"
+    assert reports.main([str(out)]) == 0
+    golden = ROOT / "tests" / "golden" / f"{workload}-digests-101.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_index_digests_hold(tmp_path, monkeypatch, capsys):
     """Every ``index`` job of seed 101 writes the bytes whose digests
     ``tests/golden/index-digests-101.json`` holds: the report, the ``--csv``
     probe sweep and standard output of each index case, I and II."""
-    monkeypatch.setattr(reports, "WORKLOADS", ("index",))
-    monkeypatch.setattr(reports, "SEEDS", (101,))
-    out = tmp_path / "index.json"
-    assert reports.main([str(out)]) == 0
-    golden = ROOT / "tests" / "golden" / "index-digests-101.json"
-    assert out.read_bytes() == golden.read_bytes()
+    _digests_hold("index", tmp_path, monkeypatch)
+
+
+def test_brute_digests_hold(tmp_path, monkeypatch, capsys):
+    """Every ``brute`` job of seed 101 writes the bytes whose digests
+    ``tests/golden/brute-digests-101.json`` holds: the sum-check reports,
+    with the coordinate indices and the product-grid verdicts and
+    witnesses, the ``--csv`` files and standard output."""
+    _digests_hold("brute", tmp_path, monkeypatch)
