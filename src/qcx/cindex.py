@@ -202,8 +202,10 @@ def classify(c) -> Classification:
 
     The constancy reading assumes the input function was lower
     semicontinuous, which is a declared property of the test classes this
-    library certifies.
+    library certifies. A NaN index raises ``ValueError``.
     """
     value = c.value if isinstance(c, ConvexityIndex) else float(c)
+    if math.isnan(value):
+        raise ValueError("cannot classify a NaN index")
     return Classification(convex=bool(value >= 0),
                           constant=bool(value == math.inf))

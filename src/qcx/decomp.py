@@ -56,18 +56,15 @@ class SumVerdict:
     boundary: bool = False
 
 
-def _require_finite(indices: Sequence[float]) -> list[float]:
-    out = []
-    for k, c in enumerate(indices):
-        c = float(c)
-        if math.isinf(c):
-            raise InfiniteIndexError(
-                f"coordinate {k} has infinite index; the criteria require "
-                "non-constant coordinates")
-        if math.isnan(c):
-            raise ValueError(f"coordinate {k} index is NaN")
-        out.append(c)
-    return out
+def _finite(c, where: str) -> float:
+    """``float(c)``, refusing an infinite (constant) or NaN index."""
+    c = float(c)
+    if math.isinf(c):
+        raise InfiniteIndexError(f"{where} is infinite; the criteria require "
+                                 "non-constant coordinates")
+    if math.isnan(c):
+        raise ValueError(f"{where} is NaN")
+    return c
 
 
 def index_sum_criterion(indices: Sequence[float]) -> SumVerdict:
@@ -83,7 +80,8 @@ def index_sum_criterion(indices: Sequence[float]) -> SumVerdict:
     block must first be aggregated by :func:`harmonic_index`, which is what
     :func:`characterize` does; prefer that one as the decisive criterion.
     """
-    cs = _require_finite(indices)
+    cs = [_finite(c, f"coordinate {k} index")
+          for k, c in enumerate(indices)]
     total = sum(cs)
     boundary = abs(total) < DEFAULT_BOUNDARY_MARGIN
     if total >= 0:
@@ -100,7 +98,8 @@ def characterize(indices: Sequence[float]) -> SumVerdict:
     to an exception therefore forces not-quasiconvex. Two or more negative
     indices: not quasiconvex (rule ``multiple-exceptions``).
     """
-    cs = _require_finite(indices)
+    cs = [_finite(c, f"coordinate {k} index")
+          for k, c in enumerate(indices)]
     negatives = [c for c in cs if c < 0]
     if not negatives:
         return SumVerdict(SumDecision.QUASICONVEX, "all-convex",
@@ -122,12 +121,15 @@ def harmonic_index(indices: Sequence[float]) -> float:
     """Index of a sum of convex coordinates: ``1 / sum_i (1/c_i)``.
 
     Conventions: any zero index forces 0; all-``+inf`` (all constant) gives
-    ``+inf``. Indices must be nonnegative.
+    ``+inf``. Indices must be nonnegative: a negative one raises
+    :class:`NegativeIndexError` and a NaN one ``ValueError``.
     """
     total = 0.0
     for k, c in enumerate(indices):
         c = float(c)
-        if math.isnan(c) or c < 0:
+        if math.isnan(c):
+            raise ValueError(f"coordinate {k} index is NaN")
+        if c < 0:
             raise NegativeIndexError(
                 f"coordinate {k} has index {c}; the harmonic formula needs "
                 "convex coordinates")
@@ -157,12 +159,7 @@ def infinite_sum_criterion(index_stream: Iterable[float], n_max: int,
     it: Iterator[float] = iter(index_stream)
     for c in it:
         n += 1
-        c = float(c)
-        if math.isinf(c):
-            raise InfiniteIndexError(
-                f"stream index {n} is infinite; constants are excluded")
-        if math.isnan(c):
-            raise ValueError(f"stream index {n} is NaN")
+        c = _finite(c, f"stream index {n}")
         if c < 0:
             seen_negative += 1
             if seen_negative >= 2:

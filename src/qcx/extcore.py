@@ -244,7 +244,7 @@ def _gap(kind: str, g: FunctionSpec, x1, x2, eta: float) -> tuple[float, bool]:
     with a degeneracy flag; an undetermined gap is ``+inf``."""
     sign, refs = GAP_FORMS[kind]
     x1, x2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (x1, x2))
-    v1, v2, vm = g(np.stack([x1, x2, eta * x1 + (1 - eta) * x2]))
+    v1, v2, vm = g(np.stack([x1, x2, _mix_points(x1, x2, eta)]))
     with np.errstate(all="ignore"):
         gap = sign * (vm - refs(v1, v2)(eta))
     return (math.inf, True) if math.isnan(gap) else (float(gap), False)
@@ -826,18 +826,19 @@ class PairTable:
         (:func:`_excess`). The normalization keeps the test exact when
         ``exp(-lam * g)`` itself would overflow or underflow, which happens at
         the lambda cap of the index. Pairs where the normalized differences
-        are undetermined (both values +inf) are skipped. The test is the one
-        :meth:`exp_break_even` solves, so its bracket ends replay here. The
-        scan stops at the first failing block.
+        are undetermined (both values +inf) are skipped. :meth:`exp_break_even`
+        solves this test and replays its upper end with it (:meth:`_fails`).
+        The scan stops at the first failing block.
         """
         if not math.isfinite(lam):
             raise ValueError(f"lam must be finite, got {lam}")
-        if lam == 0.0:
-            return True  # exp(0) == 1 is both convex and concave
+        return lam == 0.0 or not self._fails(lam, self.blocks)
+
+    def _fails(self, lam: float, blocks) -> bool:
+        """Does a pair of ``blocks`` fail the transform test at ``lam``?"""
         with np.errstate(all="ignore"):
-            return not any(_exp_violation(da, db, eta, lam, np.sign(-lam)).any()
-                           for block in self.blocks
-                           for eta, da, db in self._diffs(block))
+            return any(_exp_violation(da, db, eta, lam, np.sign(-lam)).any()
+                       for block in blocks for eta, da, db in self._diffs(block))
 
     def exp_break_even(self, stream: BreakEvenStream
                        ) -> tuple[float, float, Optional[Witness]]:
@@ -871,7 +872,8 @@ class PairTable:
           bisected from the minimizer to the cap.
 
         The stream gets the blocks and weights that the scan passed before a
-        case switch again, then bursts until no candidate is left.
+        case switch again, then bursts until no candidate is left. ``hi`` must
+        fail :meth:`_fails` on its block, or a RuntimeError is raised.
         """
         sign, lam_cap = stream.sign, stream.lam_cap
         with np.errstate(all="ignore"):
@@ -892,8 +894,7 @@ class PairTable:
             # replay the upper end on the binding block, rebuilt as scanned
             block = next(b for b in self.blocks if b[0] <= idx < b[1])
             eta = DEFAULT_ETAS[which]
-            if not any(_exp_violation(d_a, d_b, w, hi, sign).any()
-                       for w, d_a, d_b in self._diffs(block)):
+            if not self._fails(hi, [block]):
                 raise RuntimeError("break-even upper end does not replay")
             excess = _excess(np.array([da]), np.array([db]), eta, hi, sign)
         a, b, _, _ = self._build((idx, idx + 1))

@@ -27,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AssumptionViolatedError, RankDeficientError
-from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, PropertyReport,
-                          RiskMeasureOracle, _excess_check, _first_failure,
-                          _jensen_bound, _mu_feasibility, _mu_infeasible, _rng,
-                          _stacked, _triple_table, _vec)
+from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, DEFAULT_SAMPLE_RANGE,
+                          PropertyReport, RiskMeasureOracle, _excess_check,
+                          _first_failure, _jensen_bound, _mu_feasibility,
+                          _mu_infeasible, _rng, _stacked, _triple_table, _vec)
 from .spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
 
 #: Orthonormality residual required of every block structure.
@@ -160,32 +160,31 @@ def project_G_complement(x: np.ndarray, sigma: PartitionSigma,
 def blocks_from_generators(space: FiniteProbSpace,
                            cells: Sequence[Sequence[int]],
                            e_generators: Sequence[Sequence[np.ndarray]],
-                           beta_generators: Sequence[Sequence[np.ndarray]],
-                           complete: bool = False) -> BlockStructure:
+                           beta_generators: Sequence[Sequence[np.ndarray]]
+                           ) -> BlockStructure:
     """Orthonormalize raw per-cell generators into a block structure.
 
     Within each cell the e-generators are orthonormalized first and the
     beta-generators are orthonormalized against them, so the printed
-    generators only need to be linearly independent inside the cell. With
-    ``complete=True`` any dimension missing from the beta-block is filled
-    with outcome indicators of the cell (deterministically).
+    generators only need to be linearly independent inside the cell. A cell
+    short of vectors gets as further beta-vectors its outcome indicators, in
+    order, each one that is independent of the vectors before it.
     """
     e_blocks, beta_blocks = [], []
     for ci, cell in enumerate(cells):
         gens = [np.asarray(v, dtype=float) for v in e_generators[ci]]
         n_e = len(gens)
         gens += [np.asarray(v, dtype=float) for v in beta_generators[ci]]
-        if complete and len(gens) < len(cell):
-            for idx in cell:
-                if len(gens) >= len(cell):
-                    break
-                probe = np.zeros(space.n)
-                probe[idx] = 1.0
-                try:
-                    gram_schmidt(gens + [probe], space)
-                except RankDeficientError:
-                    continue
-                gens.append(probe)
+        for idx in cell:
+            if len(gens) >= len(cell):
+                break
+            probe = np.zeros(space.n)
+            probe[idx] = 1.0
+            try:
+                gram_schmidt(gens + [probe], space)
+            except RankDeficientError:
+                continue
+            gens.append(probe)
         ortho = gram_schmidt(gens, space)
         e_blocks.append(ortho[:n_e])
         beta_blocks.append(ortho[n_e:])
@@ -232,8 +231,7 @@ def build_example_10pt_split() -> BlockStructure:
     return blocks_from_generators(
         space, cells,
         [[e11, e12], [ind2], [ind3]],
-        [[], [], []],
-        complete=True)
+        [[], [], []])
 
 
 def refined_partition_10pt() -> PartitionSigma:
@@ -261,7 +259,7 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
     gen = _rng(rng)
     n, k, m = block.space.n, block.k, sum(block.e_dims)
     rounds = max(1, budget // m)
-    x = gen.uniform(-3.0, 3.0, (rounds, n))
+    x = gen.uniform(*DEFAULT_SAMPLE_RANGE, (rounds, n))
     keep = np.vstack([np.ones(n, bool),
                       block.sigma().labels == np.arange(k)[:, None]])
     rows = np.where(keep, x[:, None, :], 0.0).reshape(-1, n)
@@ -290,8 +288,7 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
 
 def cone_leq(y: np.ndarray, v: np.ndarray, block: BlockStructure) -> bool:
     """``y`` below ``v`` in the preorder: every e-coordinate gap >= -1e-12."""
-    ey = block.e_coordinates(y)
-    ev = block.e_coordinates(v)
+    ey, ev = block.e_coordinates(np.stack([y, v]))
     return bool(np.all(ev - ey >= -1e-12))
 
 
@@ -336,16 +333,15 @@ def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
     """Natural quasiconvexity with respect to the e-coordinate preorder.
 
     Mixing-weight feasibility runs on e-coordinate vectors exactly as the
-    atom-value check does on atom values; e-blocks must be one-dimensional.
-    When the check passes, the report details also record convexity with
-    respect to the preorder on the same triples together with the
-    normalization and basis-locality hypotheses (the latter on a budget of
-    24 drawn from ``rng``), so the implication "naturally quasiconvex and
-    local and normalized implies convex" can be read off the report.
+    atom-value check does on atom values. E-blocks must be one-dimensional:
+    :meth:`BlockStructure.e_coordinates` raises AssumptionViolatedError
+    otherwise, once the triples have been evaluated. When the check passes,
+    the report details also record convexity with respect to the preorder
+    on the same triples together with the normalization and basis-locality
+    hypotheses (the latter on a budget of 24 drawn from ``rng``), so the
+    implication "naturally quasiconvex and local and normalized implies
+    convex" can be read off the report.
     """
-    if any(d != 1 for d in block.e_dims):
-        raise AssumptionViolatedError(
-            "the preorder feasibility check needs 1-dimensional e-blocks")
     table = _triple_table(rho, triples)
     risks, error = table.read()
     values = block.e_coordinates(risks)  # all outputs in one kernel call

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import (InverseMismatchError, NotGMeasurableError,
                      NotNormalizedError, QcxError)
 # parse_partition_text is imported only to be re-exported: bench/verify.py
-# reads it from here (ROADMAP item 5 moves that import to qcx.spaces)
+# reads it from here (ROADMAP item 6 moves that import to qcx.spaces)
 from .spaces import (MEASURABILITY_TOL, FiniteProbSpace, PartitionSigma,
                      atom_means, conditional_expectation,
                      parse_partition_text)
@@ -797,7 +797,7 @@ def check_assumption_nonconstant(rho: RiskMeasureOracle, rng=0) -> PropertyRepor
     checked = 0
     for ai in range(rho.sigma.k):
         ind = rho.sigma.indicator(ai)
-        drawn = ((rho, (gen.uniform(-3, 3, n), gen.uniform(-3, 3, n)))
+        drawn = ((rho, gen.uniform(*DEFAULT_SAMPLE_RANGE, (2, n)))
                  for _ in itertools.count())  # drawn only when reached
         for value, pair in itertools.islice(itertools.chain(constant, drawn),
                                             NONCONSTANT_PROBES):

@@ -248,6 +248,8 @@ class TestScaleAndClassify:
         assert classify(math.inf).convex and classify(math.inf).constant
         ix = ConvexityIndex(-0.5, (-0.6, -0.4), 1e4)
         assert not classify(ix).convex and ix.case is IndexCase.CASE_I
+        with pytest.raises(ValueError, match="NaN"):
+            classify(math.nan)
 
     def test_index_invariants(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,13 @@ class TestHarmonicIndex:
         with pytest.raises(NegativeIndexError):
             harmonic_index([-math.inf, 1.0])
 
+    def test_nan_rejected_as_nan(self):
+        """A NaN index is no negative one: it raises ValueError, not
+        NegativeIndexError."""
+        with pytest.raises(ValueError, match="coordinate 1 index is NaN") as err:
+            harmonic_index([1.0, math.nan])
+        assert not isinstance(err.value, NegativeIndexError)
+
     @given(st.lists(st.floats(min_value=0.01, max_value=100.0),
                     min_size=2, max_size=6))
     def test_symmetric(self, xs):

@@ -304,7 +304,7 @@ class TestCone:
                 v[cell] = rng.normal(size=len(cell))
                 gens.append([v])
             random_block = blocks_from_generators(
-                space, cells, gens, [[] for _ in cells], complete=True)
+                space, cells, gens, [[] for _ in cells])
             rep = check_cone_self_dual(random_block)
             assert rep.passed and rep.samples == 2 * k * k
             assert ref_cone_self_dual(random_block, rng=k)[0] == rep.verdict

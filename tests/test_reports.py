@@ -1,9 +1,12 @@
 """The report-digest tool (``perf/reports.py``) on one ``risk`` seed: two
-runs write the same file byte for byte, and every job exits as its
-workload expects. On the ``index`` jobs of seed 101 it must write the
-committed ``tests/golden/index-digests-101.json``, which holds every index
-value, bracket, binding pair and probe sweep of those jobs to the bit, and
-on the ``brute`` jobs ``tests/golden/brute-digests-101.json``."""
+runs write the same file byte for byte, every job exits as its workload
+expects, and the file is the committed
+``tests/golden/risk-digests-101.json``. On the ``index`` jobs of seed 101
+it must write the committed ``tests/golden/index-digests-101.json``, which
+holds every index value, bracket, binding pair and probe sweep of those
+jobs to the bit, and on the ``brute`` jobs
+``tests/golden/brute-digests-101.json``. The three files pin every job of
+seed 101."""
 
 import importlib.util
 import json
@@ -23,6 +26,7 @@ def test_two_runs_write_the_same_digests(tmp_path, monkeypatch, capsys):
     for out in outs:
         assert reports.main([str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_bytes() == _golden("risk").read_bytes()
     jobs = json.loads(outs[0].read_text(encoding="utf-8"))["jobs"]
     expected = reports.workloads.generate("risk", 101)
     assert [job["name"] for job in jobs] == [job["name"] for job in expected]
@@ -34,13 +38,16 @@ def test_two_runs_write_the_same_digests(tmp_path, monkeypatch, capsys):
         f"{len(jobs)} jobs, 0 with an unexpected exit code")
 
 
+def _golden(workload):
+    return ROOT / "tests" / "golden" / f"{workload}-digests-101.json"
+
+
 def _digests_hold(workload, tmp_path, monkeypatch):
     monkeypatch.setattr(reports, "WORKLOADS", (workload,))
     monkeypatch.setattr(reports, "SEEDS", (101,))
     out = tmp_path / f"{workload}.json"
     assert reports.main([str(out)]) == 0
-    golden = ROOT / "tests" / "golden" / f"{workload}-digests-101.json"
-    assert out.read_bytes() == golden.read_bytes()
+    assert out.read_bytes() == _golden(workload).read_bytes()
 
 
 def test_index_digests_hold(tmp_path, monkeypatch, capsys):

@@ -222,7 +222,7 @@ def indicator_block(space, sigma):
     """Cells = atoms, e-blocks = atom indicators, beta-blocks completed."""
     return blocks_from_generators(
         space, sigma.atoms, [[sigma.indicator(a)] for a in range(sigma.k)],
-        [[] for _ in range(sigma.k)], complete=True)
+        [[] for _ in range(sigma.k)])
 
 
 def triple_lists(space, rng):
