@@ -1,7 +1,7 @@
 """The layer ladder: each risk-measure property check timed over the atom
-count ``k``, the convexity index and the brute-force sum oracle over the
-grid size, and the L2 checks on their fixtures, written to
-``BENCH_ladder.json``.
+count ``k``, the convexity index, its pair table, gap scan and transform
+probe and the brute-force sum oracle over the grid size, and the L2 checks
+on their fixtures, written to ``BENCH_ladder.json``.
 
 Usage: ``python3 perf/ladder.py [--out PATH]``
 
@@ -20,7 +20,13 @@ points. ``late_concave`` is case I, but its
 entry scan first sees a gap above tolerance 40-60% of the way through the
 blocks, where the index's solve stream restarts from case II at case I
 and re-reads the blocks already passed once the scan ends. ``sqrt`` and
-``log`` switch in their first block. A brute rung is
+``log`` switch in their first block. The layers of an index rung have
+rungs of their own, for the same five functions and ``m``: ``table`` is
+the ``PairTable(f, box)`` build (outcome: the pair count), ``scan`` one
+``PairTable.scan("convex", tol)`` at the default tolerance with no fold
+(outcome: the worst gap) and ``probe`` one ``exp_transform_ok`` at the
+index value, which passes, so it reads the whole table (outcome: true);
+the latter two read a table built outside the timing. A brute rung is
 ``brute_force_sum_quasiconvex`` of ``sqrt + 0.5 neglog`` (certified) on
 ``m^2`` points or of ``sqrt + neglog + square`` (refuted) on ``m^3``
 points, the sums of the ``brute`` bench jobs; an L2 rung is one check of
@@ -28,9 +34,12 @@ points, the sums of the ``brute`` bench jobs; an L2 rung is one check of
 on ``paper10pt``, the coarse conditional expectation on
 ``paper10pt-split``), triples 200 (``nqc_wrt_preorder``, entropic), seed
 0, or ``cone_self_dual`` on ``paper10pt``. A rung's ``best_s`` is the best
-of ``RUNS`` calls, one per pass over all rungs, and its ``peak_mb`` the
-``tracemalloc`` peak of one more call, made apart so that tracing slows no
-timed call; ``outcome`` is that call's verdict, or its index value. The
+of ``RUNS`` calls, one per pass over all rungs, its ``faults`` the minor
+page faults of one untimed, untraced call in a child process that has run
+no other rung (:func:`faults`), which count the allocator's fresh pages
+that ``tracemalloc`` cannot see, and its ``peak_mb`` the ``tracemalloc``
+peak of one more call, made apart so that tracing slows no timed call;
+``outcome`` is that call's verdict, or its index value. The
 file records the commit, the cores,
 Python, numpy and the line count of ``src/qcx`` through ``metadata()`` of
 ``bench/run.py``. Each rung's time is printed with its ratio to the same
@@ -42,6 +51,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import resource
 import sys
 import time
 import tracemalloc
@@ -57,7 +68,8 @@ from spans import CHECKERS  # noqa: E402
 from qcx import families, l2basis, riskmeasure  # noqa: E402
 from qcx.cindex import compute_index  # noqa: E402
 from qcx.decomp import DecomposableSum, brute_force_sum_quasiconvex  # noqa: E402
-from qcx.extcore import BoxDomain, FunctionSpec  # noqa: E402
+from qcx.extcore import (BoxDomain, FunctionSpec, PairTable,  # noqa: E402
+                         default_gap_tol)
 from qcx.spaces import FiniteProbSpace, PartitionSigma  # noqa: E402
 
 COMMITTED = ROOT / "BENCH_ladder.json"
@@ -122,6 +134,18 @@ def index_call(name: str, m: int):
     return lambda: compute_index(f, box).value
 
 
+def layer_calls(name: str, m: int) -> dict:
+    """The table, scan and probe rungs of one 1-D index function; the
+    probe's ``lam`` is the index value, the lower end of its bracket."""
+    make, lo, hi = INDEX_FUNCTIONS[name]
+    f, box = make(), BoxDomain.of(lo, hi, m)
+    table, lam = PairTable(f, box), compute_index(f, box).value
+    tol = default_gap_tol(f)
+    return {f"table.{name}.m{m}": lambda: PairTable(f, box).blocks[-1][1],
+            f"scan.{name}.m{m}": lambda: table.scan("convex", tol)[0],
+            f"probe.{name}.m{m}": lambda: table.exp_transform_ok(lam)}
+
+
 #: The brute-force sums: per coordinate, family, weight and domain.
 BRUTE_SUMS = {"sqrt_neglog": (("sqrt", 1.0, (1.0, 4.0)),
                               ("neglog", 0.5, (1.0, math.e))),
@@ -168,6 +192,30 @@ def l2_calls() -> dict:
     }
 
 
+def faults(call) -> int:
+    """The minor page faults (``ru_minflt``) of one call, made in a child
+    forked before any rung ran here, after a warm-up call there, so that
+    the child's allocator has seen this rung only: in this process a large
+    block freed by an earlier rung raises glibc's mmap and trim thresholds,
+    which hides the churn of the later rungs."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child writes the count, or nothing if a call fails
+        try:
+            call()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            call()
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            os.write(write, str(after - before).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        count = pipe.read()
+    os.waitpid(pid, 0)
+    return int(count)
+
+
 def traced(call) -> dict:
     """The ``tracemalloc`` peak of one call, in MB, and its outcome."""
     tracemalloc.start()
@@ -193,6 +241,7 @@ def rungs(ks, points, points_2d, points_3d, runs: int) -> dict:
     for m in points:
         for name in INDEX_FUNCTIONS:
             calls[f"index.{name}.m{m}"] = index_call(name, m)
+            calls.update(layer_calls(name, m))
     for m in points_2d:
         calls[f"index.neglog2.m{m}"] = index_call("neglog2", m)
         calls[f"brute.sqrt_neglog.m{m}"] = brute_call("sqrt_neglog", m)
@@ -200,13 +249,14 @@ def rungs(ks, points, points_2d, points_3d, runs: int) -> dict:
         calls[f"brute.sqrt_neglog_square.m{m}"] = brute_call(
             "sqrt_neglog_square", m)
     calls.update(l2_calls())
+    fresh = {name: faults(call) for name, call in calls.items()}
     best = dict.fromkeys(calls, float("inf"))
     for _ in range(runs):
         for name, call in calls.items():
             start = time.perf_counter()
             call()
             best[name] = min(best[name], time.perf_counter() - start)
-    return {name: {"best_s": best[name], **traced(call)}
+    return {name: {"best_s": best[name], "faults": fresh[name], **traced(call)}
             for name, call in calls.items()}
 
 
@@ -223,7 +273,7 @@ def main(argv=None) -> int:
         ratio = (f"{rung['best_s'] / old['best_s']:6.3f}x committed"
                  if old else "   new")
         print(f"{name:36s} {rung['best_s'] * 1e3:9.3f} ms "
-              f"{rung['peak_mb']:7.3f} MB  {ratio}")
+              f"{rung['peak_mb']:7.3f} MB {rung['faults']:6d} faults  {ratio}")
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -224,12 +224,12 @@ def scale_function(g: FunctionSpec, w: float) -> FunctionSpec:
 # gap forms and the block scan
 # ---------------------------------------------------------------------------
 
-def _combos(fa, fb):
-    return lambda eta: eta * fa + (1 - eta) * fb
+def _combos(fa, fb, out=None):
+    return lambda eta: np.add(eta * fa, (1 - eta) * fb, out=out)
 
 
-def _peaks(fa, fb):
-    peak = np.maximum(fa, fb)  # the same at every weight
+def _peaks(fa, fb, out=None):
+    peak = np.maximum(fa, fb, out=out)  # the same at every weight
     return lambda eta: peak
 
 
@@ -577,7 +577,9 @@ class PairTable:
     pairs, whose far endpoint lies off the grid, are evaluated, in blocks.
     The tables are kept only when every term has at most ``SCAN_BLOCK`` cell
     pairs, so they stay O(block) per weight and term; otherwise every mix is
-    evaluated.
+    evaluated. A gap scan makes three passes per chunk and weight, in one
+    buffer per scan (:meth:`scan`), and checks no sum that the tables'
+    minima prove neither NaN nor ``-inf`` (:meth:`_term_tables`).
     """
 
     def __init__(self, g: FunctionSpec, box: BoxDomain,
@@ -613,35 +615,60 @@ class PairTable:
             for s in range(first, count, SCAN_BLOCK)]
 
     def _term_tables(self, box):
-        """Per term, ``(stride, M, tables)``: grid point ``i`` lies in cell
-        ``i // stride % M`` of the term's sub-grid of ``M`` points, and per
-        weight ``tables[which][p, q]`` is the term's value at the mix of cells
-        ``p`` and ``q``. None when a term has over ``SCAN_BLOCK`` cell pairs."""
+        """Per term, ``(stride, M, tables, shape)``: grid point ``i`` lies in
+        cell ``i // stride % M`` of the term's sub-grid of ``M`` points; per
+        weight, ``tables[which][p, q]`` is ``0 +`` the term's value at the
+        mix of cells ``p`` and ``q``; ``shape`` broadcasts the rows that
+        :meth:`_chunk` takes from the tables along the term's axis of the
+        outer sum. The ``0 +`` is the sum's first addition, made once, for
+        the leading term; for the others it changes no sum, as it only makes
+        ``-0.0`` ``+0.0`` and no partial sum after ``0 + T_1`` is ``-0.0``.
+        None when a term has over ``SCAN_BLOCK`` cell pairs.
+
+        Sets ``floors``: per weight, the float sum ``0 + min T_1 + min T_2 +
+        ...`` of the tables' minima in term order. Float addition is monotone
+        (``a <= a'`` and ``b <= b'`` give ``fl(a + b) <= fl(a' + b')`` where
+        no operand is NaN), so by induction on ``k`` each partial outer sum
+        ``0 + T_1 + ... + T_k`` of a chunk is at least the same partial sum of
+        minima. A floor above ``-inf`` is no NaN, so no table holds NaN
+        (``min`` propagates it) or ``-inf`` (a partial sum of minima that is
+        ``-inf`` or NaN stays so), and no partial sum adds ``-inf`` to
+        ``+inf``: the weight's outer sums are neither NaN nor ``-inf``, and
+        :meth:`_chunk` need not check them.
+        """
         if [x for _, s, e in self.g.terms for x in range(s, e)] != [*range(box.dim)]:
             raise ValueError("terms must cover the axes in order")
         spans = [(f, first, stop, math.prod(box.m[first:stop]))
                  for f, first, stop in self.g.terms]
         if any(size * size > SCAN_BLOCK for *_, size in spans):
             return None
-        terms = []
-        for f, first, stop, size in spans:
+        terms, self.floors = [], [0.0] * len(DEFAULT_ETAS)
+        for t, (f, first, stop, size) in enumerate(spans):
             sub = BoxDomain(box.lo[first:stop], box.hi[first:stop],
                             box.m[first:stop]).points()
             a, b = np.repeat(sub, size, axis=0), np.tile(sub, (size, 1))
             with np.errstate(all="ignore"):
-                tables = [f(_mix_points(a, b, eta)).reshape(size, size)
+                tables = [0.0 + f(_mix_points(a, b, eta)).reshape(size, size)
                           for eta in DEFAULT_ETAS]
-            terms.append((math.prod(box.m[stop:]), size, tables))
+            self.floors = [x + float(table.min())
+                           for x, table in zip(self.floors, tables)]
+            # the leading term's one row, or any count of the others' rows
+            shape = [1] * (len(spans) + 1)
+            shape[0], shape[t + 1] = (-1, size) if t else (1, -1)
+            terms.append((math.prod(box.m[stop:]), size, tables, tuple(shape)))
         return terms
 
     def _chunks(self):
         """Position ranges of runs of whole rows in one cell of the leading
-        term, of at most ``4 * SCAN_BLOCK`` entries of :meth:`_chunk` or one row."""
+        term, of at most ``4 * SCAN_BLOCK`` entries of :meth:`_chunk` or one
+        row; sets ``chunk_size``, the entries of the largest."""
         n, cell = len(self.pts), self.terms[0][0]
         rows = []
         for c0 in range(0, n, cell):
             step = max(1, 4 * SCAN_BLOCK // (n - c0))
             rows += range(c0, min(c0 + cell, n - 1), step)
+        self.chunk_size = max((b - a) * (n - a + a % cell)
+                              for a, b in zip(rows, rows[1:] + [n - 1]))
         bounds = [int(self.row_start[i]) for i in rows] + [self.grid_pairs]
         return list(zip(bounds, bounds[1:]))
 
@@ -698,43 +725,52 @@ class PairTable:
             return near, far, f_near, f_far
         return far, near, f_far, f_near
 
-    def _block(self, block):
+    def _block(self, block, out=None):
         """``(fa, fb, mix, skip, pair)`` of the pairs at positions
         ``block[0]`` up to ``block[1]``: ``mix(which)`` gives their values at
         the mixes of weight ``DEFAULT_ETAS[which]``, aligned with ``fa`` and
         ``fb``, and ``pair(k)`` the position and endpoints of its entry ``k``
-        in C order. ``skip`` is None, or for a chunk (:meth:`_chunk`) it
-        marks the entries that are no pair."""
+        in C order. ``skip`` is None, or for a chunk (:meth:`_chunk`, which
+        writes its mix values into ``out`` if given) it marks the entries
+        that are no pair."""
         if self.terms is not None and block[0] < self.grid_pairs:
-            return self._chunk(block)
+            return self._chunk(block, out)
         a, b, fa, fb = self._build(block)
         return (fa, fb,
                 lambda which: self.g(_mix_points(a, b, DEFAULT_ETAS[which])),
                 None, lambda k: (block[0] + k, a[k], b[k]))
 
-    def _chunk(self, block):
+    def _chunk(self, block, out=None):
         """A chunk's grid pairs as matrices: rows ``i`` share the leading
         term's cell ``p``, columns ``j`` run from that cell's first point to
         the end of the grid, and ``skip`` marks the entries ``j <= i``.
         ``mix(which)`` is the broadcast outer sum ``0 + T_1[p, p:] + T_2[cell
-        of i, :] + ...``, which adds as the sum does: the evaluated bits."""
+        of i, :] + ...``, which adds as the sum does: the evaluated bits. The
+        partial sums keep their broadcast shapes, the leading row one row;
+        the last sum goes into ``out``, a flat buffer of at least the chunk's
+        entries, if given. Only a weight whose floor (:meth:`_term_tables`)
+        is not above ``-inf`` has its sums checked as oracle values are."""
         i0, i1 = (int(i) for i in np.searchsorted(self.row_start, block))
         p = i0 // self.terms[0][0]  # the rows' cell of the leading term
         c0 = p * self.terms[0][0]
         rows, cols = np.arange(i0, i1), len(self.pts) - c0
         skip = np.arange(c0, len(self.pts)) <= rows[:, None]
-        cells = [(rows // stride % size, tables)
-                 for stride, size, tables in self.terms]
-        shape = (len(rows),) + (1,) * len(cells)
+        *_, lead, head = self.terms[0]
+        cells = [(rows // stride % size, tables, shape)
+                 for stride, size, tables, shape in self.terms[1:]]
+        full = None if out is None else out[:skip.size].reshape(
+            len(rows), -1, *(size for _, size, *_ in self.terms[1:]))
 
         def mix(which):
-            fm = 0.0
-            for t, (q, tables) in enumerate(cells):
-                part = tables[which][q, p if t == 0 else 0:]
-                fm = fm + part.reshape(shape[:t + 1] + (-1,) + shape[t + 2:])
+            fm = lead[which][p, p:].reshape(head)  # 0 + T_1
+            for k, (q, tables, shape) in enumerate(cells, 1):
+                fm = np.add(fm, tables[which][q].reshape(shape),
+                            out=full if k == len(cells) else None)
+            if not cells:  # one term: a copy of its row
+                fm = np.positive(fm, out=full)
             fm = fm.reshape(len(rows), -1)
-            if not fm.min() > -math.inf:  # a NaN or -inf, maybe in no pair
-                self.g.check(fm[~skip])
+            if not self.floors[which] > -math.inf and not fm.min() > -math.inf:
+                self.g.check(fm[~skip])  # a NaN or -inf, maybe in no pair
             return fm
 
         def pair(k):
@@ -765,6 +801,14 @@ class PairTable:
         pair index, within and across blocks, so the result does not depend
         on the block size.
 
+        A chunk's mix values are summed into one of two buffers of
+        ``chunk_size`` entries and its reference written into the other; the
+        scan drops both before the local blocks. The reference is ``sign *
+        inf`` at the entries that are no pair, so their gaps are ``-inf``, or
+        NaN, which is not degenerate, where the mix value is ``sign * inf``.
+        The best entry is the ``argmax`` of the difference ``fm - ref``, or
+        its ``argmin`` for the concave form, whose gap is the negation.
+
         ``fold(block, which, eta, da, db, refuted)``, if given, gets each
         block and weight's :meth:`_diffs` and whether a gap above ``tol``
         was seen so far, until it returns false, which ends the scan. A scan
@@ -773,38 +817,50 @@ class PairTable:
         False)`` if it has seen one and ``(-inf, None, False)`` if not.
         """
         sign, refs = GAP_FORMS[kind]
+        # finds the best gap's entry in fm - ref, which is sign * gap
+        pick = np.ndarray.argmax if sign > 0 else np.ndarray.argmin
         # (gap, -which, -position) of the running best; a -inf gap (no pair
         # or all degenerate) is never kept
         best, degen, refuted = (-math.inf, 0, 0), False, False
+        bufs = None if self.terms is None else np.empty((2, self.chunk_size))
         with np.errstate(all="ignore"):
             for block in self.blocks:
-                fa, fb, mix, skip, pair = self._block(block)
-                ref = refs(fa, fb)
+                if bufs is not None and block[0] >= self.grid_pairs:
+                    bufs = gap = ref = mix = None  # and every view of them
+                fa, fb, mix, skip, pair = self._block(
+                    block, None if bufs is None else bufs[0])
+                ref = refs(fa, fb, None if skip is None else
+                           bufs[1, :skip.size].reshape(skip.shape))
                 for which, eta in enumerate(DEFAULT_ETAS):
-                    gap = mix(which)  # a chunk's own array; an oracle's maybe not
+                    gap = mix(which)  # a chunk's buffer; an oracle's maybe not own
                     if fold is not None:
                         keep = slice(None) if skip is None else ~skip
                         diffs = (fa - gap)[keep], (fb - gap)[keep]
                     if not refuted:
-                        gap = np.subtract(gap, ref(eta),
-                                          out=None if skip is None else gap)
-                        if sign < 0:
-                            np.negative(gap, out=gap)
-                        if skip is not None:
-                            np.copyto(gap, -math.inf, where=skip)
+                        # masked per weight, or once for a peak, which is the
+                        # same at every weight
+                        r = ref(eta)
+                        if skip is not None and (refs is _combos or which == 0):
+                            np.copyto(r, sign * math.inf, where=skip)
+                        # sign times the gap, which is -inf at no pair, or NaN
+                        # where the mix value is sign * inf
+                        gap = np.subtract(gap, r, out=None if skip is None else gap)
+                        del r
                     if fold is not None:
-                        refuted = refuted or bool((gap > tol).any())
+                        refuted = refuted or bool((gap > tol).any() if sign > 0
+                                                  else (gap < -tol).any())
                         if not fold(block, which, eta, *diffs, refuted):
                             return math.inf if refuted else -math.inf, None, False
                         continue
-                    # argmax finds a NaN (degenerate pair) if there is one
-                    k = int(np.argmax(gap))
+                    # the pick finds a NaN (degenerate if a pair) if there is one
+                    k = int(pick(gap))
                     if math.isnan(gap.flat[k]):
-                        degen = True
-                        gap[np.isnan(gap)] = -math.inf
-                        k = int(np.argmax(gap))
+                        degen = (degen or skip is None
+                                 or bool(np.isnan(gap[~skip]).any()))
+                        gap[np.isnan(gap)] = -sign * math.inf
+                        k = int(pick(gap))
                     pos, x1, x2 = pair(k)
-                    key = (float(gap.flat[k]), -which, -pos)
+                    key = (float(sign * gap.flat[k]), -which, -pos)
                     if key[0] > -math.inf and key > best:
                         best, at = key, (tuple(map(float, x1)),
                                          tuple(map(float, x2)), float(eta))

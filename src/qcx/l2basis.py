@@ -292,6 +292,24 @@ def cone_leq(y: np.ndarray, v: np.ndarray, block: BlockStructure) -> bool:
     return bool(np.all(ev - ey >= -1e-12))
 
 
+def _spd_inverse(gram: np.ndarray) -> np.ndarray:
+    """The inverse of a symmetric positive definite matrix by Gauss-Jordan
+    elimination, row operations only, so no LAPACK. Such a matrix needs no
+    pivoting: each pivot is a ratio of leading principal minors, positive.
+    A pivot that is not positive means that vector ``i`` of the Gram matrix
+    lies in the span of those before it: RankDeficientError(i)."""
+    k = len(gram)
+    work = np.hstack([gram, np.eye(k)])
+    for i in range(k):
+        if not work[i, i] > 0:
+            raise RankDeficientError(i)
+        work[i] /= work[i, i]
+        col = work[:, i].copy()
+        col[i] = 0.0
+        work -= col[:, None] * work[i]
+    return work[:, k:]
+
+
 def check_cone_self_dual(block: BlockStructure) -> PropertyReport:
     """Decide exactly that the ordering cone ``{sum_i c_i e_i : c >= 0}``
     is its own dual within ``span(e)``, from the e-Gram matrix ``G``.
@@ -301,10 +319,12 @@ def check_cone_self_dual(block: BlockStructure) -> PropertyReport:
     entries decided. Every valid structure passes: its one-dimensional
     e-vectors live on disjoint cells, orthonormal to 1e-12 as the
     constructor checks, so ``G`` is within 1e-12 of the identity.
+    ``inv(G)`` comes from :func:`_spd_inverse`; dependent e-vectors raise
+    :class:`qcx.errors.RankDeficientError`.
     """
     # the e-coordinates of the e-vectors: row-wise, no BLAS; 1-D blocks only
     gram = block.e_coordinates(block.basis[:block.k])
-    entries = np.stack([gram, np.linalg.inv(gram)])
+    entries = np.stack([gram, _spd_inverse(gram)])
     bad = np.flatnonzero(~(entries >= -CONE_TOL))
     if bad.size:
         which, i, j = map(int, np.unravel_index(bad[0], entries.shape))

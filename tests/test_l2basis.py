@@ -328,6 +328,15 @@ class TestCone:
                                                          abs=1e-12)
             assert ref_cone_self_dual(bad) == (CheckVerdict.FAIL, inclusion)
 
+    def test_dependent_e_vectors_raise(self, block):
+        """``e_1 = e_0`` makes the e-Gram matrix singular: its second pivot
+        is zero, and the inverse names e-vector 1."""
+        dependent = skewed(block, 0.0)  # a copy with a basis of its own
+        dependent.basis[1] = dependent.basis[0]
+        with pytest.raises(RankDeficientError) as exc:
+            check_cone_self_dual(dependent)
+        assert exc.value.index == 1
+
     def test_requires_one_dim_blocks(self):
         with pytest.raises(AssumptionViolatedError):
             check_cone_self_dual(build_example_10pt_split())

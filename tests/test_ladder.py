@@ -1,7 +1,8 @@
 """The ladder harness (``perf/ladder.py``) and its committed file.
 
-The smallest rungs (k = 3, 257 grid points, 21^2 and 9^3 product grids)
-and the L2 rungs run into a temporary file,
+The smallest rungs (k = 3, 257 grid points for the index and its table,
+scan and probe, 21^2 and 9^3 product grids) and the L2 rungs run into a
+temporary file,
 which must have the schema of the committed ``BENCH_ladder.json``; the
 committed file must hold every rung of the full ladder.
 """
@@ -27,8 +28,9 @@ L2_RUNGS = {"l2.basis_locality.paper10pt", "l2.basis_locality.paper10pt-split",
 def rung_names(ks, points, points_2d, points_3d):
     return ({f"risk.{prop}.{measure}.k{k}" for k in ks
              for measure in ladder.MEASURES for prop in ladder.CHECKERS}
-            | {f"index.{name}.m{m}" for m in points
-               for name in ladder.INDEX_FUNCTIONS}
+            | {f"{layer}.{name}.m{m}" for m in points
+               for name in ladder.INDEX_FUNCTIONS
+               for layer in ("index", "table", "scan", "probe")}
             | {f"{kind}.m{m}" for m in points_2d
                for kind in ("index.neglog2", "brute.sqrt_neglog")}
             | {f"brute.sqrt_neglog_square.m{m}" for m in points_3d}
@@ -40,8 +42,9 @@ def check_schema(data, *sizes):
     assert data["metadata"]["src_qcx_lines"] > 0
     assert set(data["rungs"]) == rung_names(*sizes)
     for name, rung in data["rungs"].items():
-        assert set(rung) == {"best_s", "peak_mb", "outcome"}
+        assert set(rung) == {"best_s", "faults", "peak_mb", "outcome"}
         assert rung["best_s"] > 0 and rung["peak_mb"] > 0
+        assert isinstance(rung["faults"], int) and rung["faults"] >= 0
         if name.startswith("risk."):
             assert rung["outcome"] in ("pass", "fail", "inconclusive")
         elif name.startswith("l2."):  # the entropic measure passes them all
@@ -50,6 +53,13 @@ def check_schema(data, *sizes):
             assert rung["outcome"] == "certified"
         elif name.startswith("brute."):  # one exception, 1/-1 + 1 + 8 > 0
             assert rung["outcome"] == "refuted"
+        elif name.startswith("table."):  # the pair count
+            assert isinstance(rung["outcome"], int) and rung["outcome"] > 0
+        elif name.startswith("scan."):  # the worst convexity gap
+            concave = name.split(".")[1] in ("sqrt", "log", "late_concave")
+            assert (rung["outcome"] > 1e-6) == concave
+        elif name.startswith("probe."):  # the index passes
+            assert rung["outcome"] is True
         elif name.startswith("index.neglog2."):  # 1 / (1/1 + 1/1)
             assert abs(rung["outcome"] - 0.5) < 1e-3
         elif name.startswith("index.late_concave."):  # f''/f'^2 = -19 at 1
@@ -77,7 +87,7 @@ def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
     assert data["rungs"]["risk.translativity.cubed_mean.k3"]["outcome"] == "fail"
     assert data["rungs"]["risk.locality.entropic.k3"]["outcome"] == "pass"
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 30
+    assert len(printed) == 45
     assert all("committed" in line for line in printed)
 
 

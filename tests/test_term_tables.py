@@ -17,6 +17,7 @@ import pytest
 
 from qcx import extcore, families
 from qcx.decomp import DecomposableSum, brute_force_sum_quasiconvex
+from qcx.errors import ImproperFunctionError
 from qcx.extcore import (DEFAULT_ETAS, BoxDomain, FunctionSpec, PairTable,
                          certify_quasiconvex, default_gap_tol)
 
@@ -266,3 +267,108 @@ def test_terms_must_cover_the_axes_in_order():
         with pytest.raises(ValueError, match="cover the axes in order"):
             PairTable(g, box)
     PairTable(dataclasses.replace(g, terms=((f, 0, 1), (f, 1, 2))), box)
+
+
+def _sink():
+    """``x``, but ``-inf`` on (0.6, 0.9), which holds no point of a grid of
+    step 1/2: an improper term whose tables hold ``-inf``."""
+    return FunctionSpec(1, lambda p: np.where(
+        (p[:, 0] > 0.6) & (p[:, 0] < 0.9), -np.inf, p[:, 0]),
+        proper=False, name="sink")
+
+
+def _trough():
+    """``-1.7e308 sin(pi x)^2``: finite, near 0 at the integers; two of
+    them add to ``-inf`` at half-integers."""
+    return FunctionSpec(1, lambda p: -1.7e308 * np.sin(np.pi * p[:, 0]) ** 2,
+                        name="trough")
+
+
+def _hole():
+    """``x^2``, but ``+inf`` on (1.17, 1.2). On a grid of step 1/2 that
+    holds the mix 19/16 of 1 and 3/2 at weights 3/8 and 5/8, but no grid
+    point and no local step, which lie at ``k/2 +- 2^-j``."""
+    return FunctionSpec(1, lambda p: np.where(
+        (p[:, 0] > 1.17) & (p[:, 0] < 1.2), np.inf, p[:, 0] ** 2),
+        name="hole")
+
+
+def _outcome(g: FunctionSpec, box: BoxDomain, kind: str):
+    """The bits of a scan of ``g``, or the type and message of its error."""
+    try:
+        return _scan_bits(PairTable(g, box).scan(kind, 1e-6))
+    except (ValueError, ImproperFunctionError) as err:
+        return type(err), str(err)
+
+
+def _edge_table(coords, block, monkeypatch):
+    """The declared sum of ``coords`` and its box, with the tables kept, at
+    the default block size or at a few pairs."""
+    dsum = DecomposableSum(coords)
+    g, box = dsum.as_function(), dsum.product_box()
+    if block == "few":
+        monkeypatch.setattr(extcore, "SCAN_BLOCK", _terms_block(dsum, box))
+    assert PairTable(g, box).terms is not None
+    return g, box
+
+
+@pytest.mark.parametrize("block", ["default", "few"])
+def test_improper_term_tables_hold_minus_inf(block, monkeypatch):
+    """The sink's tables hold ``-inf``, so no weight skips the check. A sum
+    declared proper raises the error of the evaluated sum; one declared
+    improper scans to the untabled bits."""
+    g, box = _edge_table(((_sink(), BoxDomain.of(0, 2, 5)),
+                          (families.sqrt(), BoxDomain.of(1, 4, 4))),
+                         block, monkeypatch)
+    improper = dataclasses.replace(g, proper=False)
+    assert PairTable(g, box).floors == [-math.inf] * len(DEFAULT_ETAS)
+    for kind in KINDS:
+        got = _outcome(g, box, kind)
+        assert got == _outcome(_untabled(g), box, kind), kind
+        assert got[0] is ImproperFunctionError
+        got = _outcome(improper, box, kind)
+        assert got == _outcome(_untabled(improper), box, kind), kind
+        assert isinstance(got[0], str)  # the worst gap's bits: no error
+
+
+@pytest.mark.parametrize("block", ["default", "few"])
+def test_finite_terms_that_overflow_raise_alike(block, monkeypatch):
+    """Each trough table is finite, but the sum of their minima is
+    ``-inf``: the chunks are checked, and raise as the evaluated sum does."""
+    g, box = _edge_table(((_trough(), BoxDomain.of(0, 4, 5)),
+                          (_trough(), BoxDomain.of(0, 4, 5))),
+                         block, monkeypatch)
+    table = PairTable(g, box)
+    assert all(np.isfinite(t).all() for _, _, tables, _ in table.terms
+               for t in tables)
+    assert table.floors == [-math.inf] * len(DEFAULT_ETAS)
+    for kind in KINDS:
+        got = _outcome(g, box, kind)
+        assert got[0] is ImproperFunctionError
+        assert got == _outcome(_untabled(g), box, kind), kind
+
+
+@pytest.mark.parametrize("block", ["default", "few"])
+@pytest.mark.parametrize("second", ["hole", "capped"])
+def test_masked_non_pairs_turn_nan(second, block, monkeypatch):
+    """A term that is ``+inf`` on some cells puts ``+inf`` at mixes of
+    entries that are no pair; their gaps against the masked reference are
+    NaN, which is not degenerate. The hole is finite on the grid, so no pair
+    is degenerate; the capped term is ``+inf`` at grid points, so some
+    pairs are. Either way the scan returns the untabled bits."""
+    term = (_hole(), BoxDomain.of(0, 2, 5)) if second == "hole" else (
+        _capped_square(), BoxDomain.of(0, 1.5, 4))
+    g, box = _edge_table(((families.sqrt(), BoxDomain.of(1, 4, 3)), term),
+                         block, monkeypatch)
+    table = PairTable(g, box)
+    masked = 0
+    for span in table.blocks:
+        if span[0] < table.grid_pairs:
+            _, _, mix, skip, _ = table._block(span)
+            masked += sum(int(np.isposinf(mix(w)[skip]).sum())
+                          for w in range(len(DEFAULT_ETAS)))
+    assert masked > 0
+    for kind in KINDS:
+        got = _outcome(g, box, kind)
+        assert got == _outcome(_untabled(g), box, kind), kind
+        assert got[2] == (second == "capped"), kind
