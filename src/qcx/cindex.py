@@ -96,11 +96,7 @@ class ConvexityIndex:
 
 
 def r_lambda(f: FunctionSpec, lam: float) -> FunctionSpec:
-    """The transform ``x -> exp(-lam * f(x))`` as a new function spec.
-
-    The result is not required to be proper (it may vanish identically where
-    ``f`` is ``+inf``), so properness checking is disabled on it.
-    """
+    """The transform ``x -> exp(-lam * f(x))`` as a new function spec."""
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
 
@@ -111,7 +107,7 @@ def r_lambda(f: FunctionSpec, lam: float) -> FunctionSpec:
         with np.errstate(all="ignore"):
             return np.exp(-lam * vals)
 
-    return FunctionSpec(dim=f.dim, fn=fn, proper=False,
+    return FunctionSpec(dim=f.dim, fn=fn,
                         name=f"exp(-{lam:g}*{f.name or 'f'})")
 
 

@@ -30,9 +30,9 @@ break-even solve (:class:`BreakEvenStream`, whose case-I prune makes the cap
 test where it cannot clear a pair) and forms no gap after the first above
 its tolerance; a case switch after the first block and weight re-reads what
 the scan passed before it, the case-II cap probe reads up to its first
-failing block, and the upper bracket end replays on the binding pair's
-block. The solve bisects each batch in a fixed count of rounds, each one
-kernel call over the stacked differences.
+failing block, and the upper bracket end replays on the binding pair
+alone. The solve bisects each batch in a fixed count of rounds, each one
+kernel call over the batch's pairs.
 
 The exponential transform ``exp(-lam * g)`` is tested pair by pair in a
 mix-normalized ``expm1`` form by one kernel, :func:`_excess`, and the index
@@ -175,7 +175,6 @@ class FunctionSpec:
     fn: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    proper: bool = True
     name: str = ""
     terms: tuple[tuple["FunctionSpec", int, int], ...] = ()
 
@@ -183,14 +182,18 @@ class FunctionSpec:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.dim)
-        return self.check(np.asarray(self.fn(pts), dtype=float).reshape(-1))
+        vals = np.asarray(self.fn(pts), dtype=float).reshape(-1)
+        if len(vals) != len(pts):
+            raise ValueError(f"oracle for {self.name or 'function'} returned "
+                             f"{len(vals)} values for {len(pts)} points")
+        return self.check(vals)
 
     def check(self, vals: np.ndarray) -> np.ndarray:
-        """``vals``, once no entry is NaN and, if proper, none is ``-inf``."""
+        """``vals``, once no entry is NaN or ``-inf``."""
         low = vals.min(initial=math.inf)  # NaN propagates through min
         if math.isnan(low):
             raise ValueError(f"oracle for {self.name or 'function'} returned NaN")
-        if self.proper and low == -math.inf:
+        if low == -math.inf:
             raise ImproperFunctionError(
                 f"{self.name or 'function'} declared proper but returned -inf")
         return vals
@@ -215,7 +218,6 @@ def scale_function(g: FunctionSpec, w: float) -> FunctionSpec:
         fn=lambda p: w * g.fn(p),
         grad=(lambda p: w * g.grad(p)) if g.grad is not None else None,
         hess=(lambda p: w * g.hess(p)) if g.hess is not None else None,
-        proper=g.proper,
         name=f"{w:g}*{g.name}" if g.name else "",
     )
 
@@ -275,11 +277,7 @@ REL_GAP_TOL = 1e-12
 def _excess(da, db, eta, lam, sign: int) -> np.ndarray:
     """Per pair, ``-sign (eta expm1(-lam da) + (1-eta) expm1(-lam db))``:
     ``-sign (phi - 1)`` for ``phi = eta e^{-lam da} + (1-eta) e^{-lam db}``.
-    Every exponential-transform test uses it; NaN never violates. With
-    ``db`` None, ``da`` stacks both differences, ``(2, n)``, and ``eta``
-    both weights, ``(eta, 1 - eta)``, as :func:`_solve` forms them once per
-    batch: the same operations pair by pair, in one product, one ``expm1``
-    and one weight product over the stack.
+    Every exponential-transform test uses it; NaN never violates.
 
     Error, with ``u = 2^-53`` and ``expm1`` within 2 ulp: where the exact
     ``phi <= 2``, each term has ``w e^x <= 2`` (``x <= log 16``), so the
@@ -291,17 +289,11 @@ def _excess(da, db, eta, lam, sign: int) -> np.ndarray:
     float excess fails (sign=-1) or passes (sign=+1) :data:`REL_GAP_TOL`,
     in ``(2^-45, 1/2)``, as the exact one does.
     """
-    if db is None:
-        x = np.multiply(-lam, da)
-        np.expm1(x, out=x)
-        x *= eta
-        ea, eb = x
-    else:
-        ea, eb = np.multiply(-lam, da), np.multiply(-lam, db)
-        np.expm1(ea, out=ea)
-        np.expm1(eb, out=eb)
-        ea *= eta
-        eb *= 1 - eta
+    ea, eb = np.multiply(-lam, da), np.multiply(-lam, db)
+    np.expm1(ea, out=ea)
+    np.expm1(eb, out=eb)
+    ea *= eta
+    eb *= 1 - eta
     ea += eb
     return np.negative(ea, out=ea) if sign > 0 else ea
 
@@ -454,25 +446,22 @@ def _solve(picks, best, sign: int, lam_cap: float):
     """Solve the crossings of ``picks``, ``(which, pair indices, da, db)``
     per weight, from :func:`_fail_end` to 0 (sign=-1) or the cap
     (sign=+1); return the better of ``best`` and the best solved pair as
-    ``(lam_pass, which, idx, t_pass, t_fail, da, db)``.
+    ``(lam_pass, which, idx, t_pass, t_fail)``.
 
     The bisection on float bit patterns halves every bracket in each of
     a fixed count of rounds, the ``ceil(log2)`` of the widest bracket, with
-    no convergence test: a round is one :func:`_exp_violation` over the
-    stacked differences and weights at the midpoints and the two bracket
-    updates. A bracket already one float wide (or none) re-tests its
-    passing end (sign=-1) or its failing end (sign=+1) with the same
-    operands, so the round moves nothing in it."""
+    no convergence test: a round is one :func:`_exp_violation` of every
+    pair at its midpoint and the two bracket updates. A bracket already one
+    float wide (or none) re-tests its passing end (sign=-1) or its failing
+    end (sign=+1) with the same operands, so it does not move."""
     which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
-    idx = np.concatenate([p[1] for p in picks])
-    d = np.concatenate([p[2:] for p in picks], axis=1)  # da and db, stacked
+    idx, da, db = (np.concatenate(c) for c in zip(*(p[1:] for p in picks)))
     eta = np.asarray(DEFAULT_ETAS)[which]
-    t_fail, has = _fail_end(*d, eta, sign, lam_cap)
+    t_fail, has = _fail_end(da, db, eta, sign, lam_cap)
     if not has.any():
         return best
-    which, idx, eta, t_fail = (x[has] for x in (which, idx, eta, t_fail))
-    d = d[:, has]
-    w = np.stack((eta, 1 - eta))
+    which, idx, da, db, eta, t_fail = (
+        x[has] for x in (which, idx, da, db, eta, t_fail))
     pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
     fail_bits = t_fail.view(np.int64)  # t_fail is bisected in place
     width = int(np.abs(fail_bits - pass_bits).max())
@@ -481,7 +470,7 @@ def _solve(picks, best, sign: int, lam_cap: float):
         mid >>= 1  # floors, as // 2 does
         mid += pass_bits
         t = mid.view(np.float64)
-        bad = _exp_violation(d, None, w, t if sign < 0 else -t, sign)
+        bad = _exp_violation(da, db, eta, t if sign < 0 else -t, sign)
         np.putmask(fail_bits, bad, mid)
         np.putmask(mid, bad, pass_bits)  # mid is the new passing end
         pass_bits = mid
@@ -489,7 +478,7 @@ def _solve(picks, best, sign: int, lam_cap: float):
     lam_pass = -sign * t_pass
     k = np.lexsort((idx, which, lam_pass))[0]
     cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
-            float(t_pass[k]), float(t_fail[k]), float(d[0, k]), float(d[1, k]))
+            float(t_pass[k]), float(t_fail[k]))
     return cand if best is None or cand[:3] < best[:3] else best
 
 
@@ -564,8 +553,9 @@ class PairTable:
     block. The passes are gap scans and the ``expm1`` exponential-transform
     test. The index's gap scan also streams its break-even solve, so the
     index reads each block once, and once more the blocks that the scan
-    passed before a case switch; that scan only decides whether a gap
-    exceeds its tolerance, and stops forming gaps once one does.
+    passed before a case switch, then only its binding pair; that scan
+    only decides whether a gap exceeds its tolerance, and stops forming
+    gaps once one does.
 
     For a function that declares separable ``terms``, the table also keeps
     per weight and term the values ``T_k[p, q] = f_k(eta c_p + (1 - eta)
@@ -883,18 +873,15 @@ class PairTable:
         ``exp(-lam * g)`` itself would overflow or underflow, which happens at
         the lambda cap of the index. Pairs where the normalized differences
         are undetermined (both values +inf) are skipped. :meth:`exp_break_even`
-        solves this test and replays its upper end with it (:meth:`_fails`).
-        The scan stops at the first failing block.
+        solves this test, pair by pair. The scan stops at the first failing
+        block.
         """
         if not math.isfinite(lam):
             raise ValueError(f"lam must be finite, got {lam}")
-        return lam == 0.0 or not self._fails(lam, self.blocks)
-
-    def _fails(self, lam: float, blocks) -> bool:
-        """Does a pair of ``blocks`` fail the transform test at ``lam``?"""
         with np.errstate(all="ignore"):
-            return any(_exp_violation(da, db, eta, lam, np.sign(-lam)).any()
-                       for block in blocks for eta, da, db in self._diffs(block))
+            return lam == 0.0 or not any(
+                _exp_violation(da, db, eta, lam, np.sign(-lam)).any()
+                for block in self.blocks for eta, da, db in self._diffs(block))
 
     def exp_break_even(self, stream: BreakEvenStream
                        ) -> tuple[float, float, Optional[Witness]]:
@@ -928,8 +915,10 @@ class PairTable:
           bisected from the minimizer to the cap.
 
         The stream gets the blocks and weights that the scan passed before a
-        case switch again, then bursts until no candidate is left. ``hi`` must
-        fail :meth:`_fails` on its block, or a RuntimeError is raised.
+        case switch again, then bursts until no candidate is left. The
+        binding pair is rebuilt and its mix evaluated as a scan does; it must
+        fail the transform test at ``hi``, or a RuntimeError is raised, and
+        its endpoints and excess there are the witness.
         """
         sign, lam_cap = stream.sign, stream.lam_cap
         with np.errstate(all="ignore"):
@@ -945,15 +934,14 @@ class PairTable:
             stream.burst(0)
             if stream.best is None:  # sign=+1 only: no pair fails in [-lam_cap, 0)
                 return -stream.t, 0.0, None
-            lam_pass, which, idx, _, t_fail, da, db = stream.best
-            hi = -sign * t_fail
-            # replay the upper end on the binding block, rebuilt as scanned
-            block = next(b for b in self.blocks if b[0] <= idx < b[1])
-            eta = DEFAULT_ETAS[which]
-            if not self._fails(hi, [block]):
+            lam_pass, which, idx, _, t_fail = stream.best
+            hi, eta = -sign * t_fail, DEFAULT_ETAS[which]
+            # replay the upper end on the binding pair, rebuilt as scanned
+            a, b, fa, fb = self._build((idx, idx + 1))
+            fm = self.g(_mix_points(a, b, eta))
+            excess = _excess(fa - fm, fb - fm, eta, hi, sign)
+            if not excess[0] > REL_GAP_TOL:
                 raise RuntimeError("break-even upper end does not replay")
-            excess = _excess(np.array([da]), np.array([db]), eta, hi, sign)
-        a, b, _, _ = self._build((idx, idx + 1))
         binding = Witness(x1=tuple(map(float, a[0])), x2=tuple(map(float, b[0])),
                           eta=float(eta), violation=float(excess[0]))
         return lam_pass, hi, binding

@@ -118,22 +118,38 @@ class TestCertifyConvex:
             certify_convex(g, BoxDomain.of(0, 1, 5))
 
     def test_oracle_output_checks(self):
-        """NaN is an error even beside -inf; -inf only for proper functions;
-        an empty output passes."""
+        """NaN is an error even beside -inf; -inf is improper; an empty
+        output passes."""
         outs = {"nan": [1.0, np.nan], "nan-neginf": [-np.inf, np.nan, 2.0],
                 "neginf": [0.0, -np.inf], "empty": []}
-        for proper in (True, False):
-            for out in outs.values():
-                g = FunctionSpec(1, lambda p, out=out: np.array(out),
-                                 proper=proper, name="g")
-                if np.isnan(out).any():
-                    with pytest.raises(ValueError, match="returned NaN"):
-                        g([[0.0]])
-                elif proper and -np.inf in out:
-                    with pytest.raises(ImproperFunctionError):
-                        g([[0.0]])
-                else:
-                    assert np.array_equal(g([[0.0]]), out)
+        for out in outs.values():
+            g = FunctionSpec(1, lambda p, out=out: np.array(out), name="g")
+            pts = np.zeros((len(out), 1))
+            if np.isnan(out).any():
+                with pytest.raises(ValueError, match="returned NaN"):
+                    g(pts)
+            elif -np.inf in out:
+                with pytest.raises(ImproperFunctionError):
+                    g(pts)
+            else:
+                assert np.array_equal(g(pts), out)
+
+    def test_oracle_output_length_checks(self):
+        """An oracle that returns one value for the grid, or one value too
+        many, is refused with both counts before its values are used; an
+        ``(N, 1)`` output passes as its column."""
+        box = BoxDomain.of(1, 4, 9)
+        one = FunctionSpec(1, lambda p: np.sqrt(p[:1, 0]).sum(), name="one")
+        with pytest.raises(ValueError,
+                           match="oracle for one returned 1 values for 9 points"):
+            certify_convex(one, box)
+        extra = FunctionSpec(1, lambda p: np.append(np.sqrt(p[:, 0]), 1.0))
+        with pytest.raises(ValueError,
+                           match="oracle for function returned 10 values for 9"):
+            certify_convex(extra, box)
+        column = FunctionSpec(1, lambda p: np.sqrt(p))
+        flat = FunctionSpec(1, lambda p: np.sqrt(p[:, 0]))
+        assert certify_convex(column, box) == certify_convex(flat, box)
 
     def test_partial_domain_still_certifies(self):
         # +inf region does not produce spurious refutations

@@ -53,8 +53,8 @@ from qcx.extcore import (_NONE, DEFAULT_ETAS, EXCESS_MARGIN, SOLVE_BATCH,
                          BoxDomain, BreakEvenStream, CertResult,
                          FunctionSpec, PairTable, Verdict, Witness,
                          _cap_violation, _crossing_estimate, _excess,
-                         _exp_violation, _fail_end, _past_minimizer, _prune,
-                         _solve, default_gap_tol)
+                         _exp_violation, _fail_end, _mix_points,
+                         _past_minimizer, _prune, _solve, default_gap_tol)
 
 from test_acceptance import FIXTURES, SEED, _random_suite
 from test_scan_oracle import _pair_arrays, _set_block, oracle_scan
@@ -770,8 +770,7 @@ def ref_solve(picks, best, sign: int, lam_cap: float):
     lam_pass = -sign * t_pass
     k = np.lexsort((idx, which, lam_pass))[0]
     cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
-            float(t_pass[k]), float(fail_bits.view(np.float64)[k]),
-            float(da[k]), float(db[k]))
+            float(t_pass[k]), float(fail_bits.view(np.float64)[k]))
     return cand if best is None or cand[:3] < best[:3] else best
 
 
@@ -793,7 +792,7 @@ def _solves_alike(pairs, sign, cap, size):
     return solved
 
 
-def test_stacked_solve_matches_the_parent_bisection():
+def test_fixed_round_solve_matches_the_parent_bisection():
     """Every pair of signed ``MAGNITUDES`` differences, and of those with
     infinite and NaN partners, at every weight and both signs, solved in
     batches of 1 (a subset), 32 and 4096, gives the tuple of the bisection
@@ -892,37 +891,38 @@ def _count_passes(monkeypatch):
     return builds, probes
 
 
-def _binding_block(blocks, builds):
-    """The last two builds: the binding pair's block and the pair."""
+def _binding_pair(builds):
+    """The last build: the binding pair, rebuilt for its replay."""
     idx = builds[-1][0]
-    return [next(b for b in blocks if idx < b[1]), (idx, idx + 1)]
+    return [(idx, idx + 1)]
 
 
 def test_case_one_block_passes(monkeypatch):
     """Case I reads every block once, in the entry pass, which scans,
     streams the solve and makes the cap test; then it rebuilds the binding
-    pair's block for the upper end and the pair for the witness. Its first
-    gap above tolerance lies in block 0, weight 0, so nothing is re-read."""
+    pair alone, which replays the upper end and gives the witness. Its
+    first gap above tolerance lies in block 0, weight 0, so nothing is
+    re-read."""
     f, box = families.sqrt(), BoxDomain.of(1.0, 4.0, 1025)
     blocks = PairTable(f, box).blocks
     builds, probes = _count_passes(monkeypatch)
     ix = compute_index(f, box)
     assert ix.case is IndexCase.CASE_I and ix.binding is not None
     assert ix.probes == ((-CAP, True), (ix.bracket[1], False))
-    assert builds == blocks + _binding_block(blocks, builds)
+    assert builds == blocks + _binding_pair(builds)
     assert probes == []
 
 
 def test_case_two_block_passes(monkeypatch):
     """Case II reads every block once in the entry pass, the first block in
-    the cap probe, then the binding pair's block and the pair."""
+    the cap probe, then the binding pair."""
     f, box = families.neglog(), BoxDomain.of(1.0, E, 1025)
     blocks = PairTable(f, box).blocks
     builds, probes = _count_passes(monkeypatch)
     ix = compute_index(f, box)
     assert ix.case is IndexCase.CASE_II and ix.binding is not None
     assert ix.probes == ((CAP, False), (ix.bracket[1], False))
-    assert builds == blocks + blocks[:1] + _binding_block(blocks, builds)
+    assert builds == blocks + blocks[:1] + _binding_pair(builds)
     assert probes == [1]
 
 
@@ -953,8 +953,7 @@ def test_case_one_late_switch_rereads_the_passed_blocks(monkeypatch):
     k = blocks.index(block)
     assert ix.case is IndexCase.CASE_I and k == 9
     assert ix.probes == ((-CAP, True), (ix.bracket[1], False))
-    assert builds == (blocks + blocks[:k + (which > 0)]
-                      + _binding_block(blocks, builds))
+    assert builds == blocks + blocks[:k + (which > 0)] + _binding_pair(builds)
     assert probes == []
 
 
@@ -999,6 +998,32 @@ def test_solve_that_keeps_the_best_reads_each_block_once(f, box, monkeypatch):
     assert binding is None and builds == table.blocks and probes == []
 
 
+@pytest.mark.parametrize("f,box", [
+    (families.sqrt(), BoxDomain.of(1.0, 4.0, 257)),
+    (families.neglog(), BoxDomain.of(1.0, E, 257)),
+], ids=["case-I", "case-II"])
+@pytest.mark.parametrize("fault", ["next-pair", "passing-end"])
+def test_upper_end_that_does_not_replay_raises(f, box, fault, monkeypatch):
+    """A solve whose new best names the pair one position after the one
+    it solved, with that pair's failing end, or the passing end as the
+    failing one: the binding pair does not fail the transform test at
+    ``hi``, so the index raises instead of reporting a wrong witness."""
+    solve = extcore._solve
+
+    def faulty(picks, best, *args):
+        got = solve(picks, best, *args)
+        if got is best:
+            return got
+        lam_pass, which, idx, t_pass, t_fail, *rest = got
+        if fault == "next-pair":
+            return (lam_pass, which, idx + 1, t_pass, t_fail, *rest)
+        return (lam_pass, which, idx, t_pass, t_pass, *rest)
+
+    monkeypatch.setattr(extcore, "_solve", faulty)
+    with pytest.raises(RuntimeError, match="does not replay"):
+        compute_index(f, box)
+
+
 class BreakEvenSeed:
     """The seed of the earlier solve, folded block by block as the ``fold``
     of ``PairTable.scan``: per weight, ``rows`` holds the ``SOLVE_BATCH``
@@ -1036,18 +1061,20 @@ class BreakEvenSeed:
 
 def _seeded_result(self, seed, best, t_hat):
     """The bracket and binding pair of a test-side schedule's best pair, as
-    ``PairTable.exp_break_even`` returns them."""
+    ``PairTable.exp_break_even`` returns them: the witness from the pair,
+    rebuilt and its mix evaluated."""
     sign = seed.sign
     if best is None:
         return -t_hat, 0.0, None
-    lam_pass, which, idx, _, t_fail, da, db = best
-    a, b, _, _ = self._build((idx, idx + 1))
+    lam_pass, which, idx, _, t_fail = best
+    hi, eta = -sign * t_fail, DEFAULT_ETAS[which]
+    a, b, fa, fb = self._build((idx, idx + 1))
     with np.errstate(all="ignore"):
-        excess = _excess(np.array([da]), np.array([db]), DEFAULT_ETAS[which],
-                         -sign * t_fail, sign)
-    binding = Witness(tuple(map(float, a[0])), tuple(map(float, b[0])),
-                      DEFAULT_ETAS[which], float(excess[0]))
-    return lam_pass, -sign * t_fail, binding
+        fm = self.g(_mix_points(a, b, eta))
+        excess = _excess(fa - fm, fb - fm, eta, hi, sign)
+    binding = Witness(tuple(map(float, a[0])), tuple(map(float, b[0])), eta,
+                      float(excess[0]))
+    return lam_pass, hi, binding
 
 
 def _prune_at(idx, da, db, *args):

@@ -271,10 +271,9 @@ def test_terms_must_cover_the_axes_in_order():
 
 def _sink():
     """``x``, but ``-inf`` on (0.6, 0.9), which holds no point of a grid of
-    step 1/2: an improper term whose tables hold ``-inf``."""
+    step 1/2: an improper term whose tables would hold ``-inf``."""
     return FunctionSpec(1, lambda p: np.where(
-        (p[:, 0] > 0.6) & (p[:, 0] < 0.9), -np.inf, p[:, 0]),
-        proper=False, name="sink")
+        (p[:, 0] > 0.6) & (p[:, 0] < 0.9), -np.inf, p[:, 0]), name="sink")
 
 
 def _trough():
@@ -314,21 +313,19 @@ def _edge_table(coords, block, monkeypatch):
 
 @pytest.mark.parametrize("block", ["default", "few"])
 def test_improper_term_tables_hold_minus_inf(block, monkeypatch):
-    """The sink's tables hold ``-inf``, so no weight skips the check. A sum
-    declared proper raises the error of the evaluated sum; one declared
-    improper scans to the untabled bits."""
-    g, box = _edge_table(((_sink(), BoxDomain.of(0, 2, 5)),
-                          (families.sqrt(), BoxDomain.of(1, 4, 4))),
-                         block, monkeypatch)
-    improper = dataclasses.replace(g, proper=False)
-    assert PairTable(g, box).floors == [-math.inf] * len(DEFAULT_ETAS)
+    """The sink's mixes hold ``-inf``, so building its tables raises, with
+    the error of the evaluated sum."""
+    dsum = DecomposableSum(((_sink(), BoxDomain.of(0, 2, 5)),
+                            (families.sqrt(), BoxDomain.of(1, 4, 4))))
+    g, box = dsum.as_function(), dsum.product_box()
+    if block == "few":
+        monkeypatch.setattr(extcore, "SCAN_BLOCK", _terms_block(dsum, box))
+    with pytest.raises(ImproperFunctionError, match="sink declared proper"):
+        PairTable(g, box)
     for kind in KINDS:
         got = _outcome(g, box, kind)
         assert got == _outcome(_untabled(g), box, kind), kind
         assert got[0] is ImproperFunctionError
-        got = _outcome(improper, box, kind)
-        assert got == _outcome(_untabled(improper), box, kind), kind
-        assert isinstance(got[0], str)  # the worst gap's bits: no error
 
 
 @pytest.mark.parametrize("block", ["default", "few"])
