@@ -8,7 +8,8 @@ Usage: ``python3 perf/ladder.py [--out PATH]``
 A risk rung is one of the nine checks of ``qcx risk-check`` on one measure
 (entropic or cubed mean) at one ``k``: a uniform space of ``n = 3k``
 outcomes in atoms of three, budget and triples 200, seed 0. The measure is
-built outside the timing. A triple check's call draws its triples and reads
+built outside the timing, and the call is ``cli.check_property``, the one
+``qcx risk-check`` makes. A triple check's call draws its triples and reads
 their table. An index rung is ``compute_index`` of ``sqrt`` on [1, 4] (case
 I), ``neglog`` on [1, e] (case II), ``square`` on [1, 2] (case II, index
 1/8 at the right end, whose solve bursts most), ``log`` on [1, e] (case
@@ -30,7 +31,8 @@ the latter two read a table built outside the timing. A brute rung is
 ``brute_force_sum_quasiconvex`` of ``sqrt + 0.5 neglog`` (certified) on
 ``m^2`` points or of ``sqrt + neglog + square`` (refuted) on ``m^3``
 points, the sums of the ``brute`` bench jobs; an L2 rung is one check of
-``qcx l2-demo`` on its fixture, budget 500 (``basis_locality``, entropic
+``qcx l2-demo`` on the fixture and measure of ``cli.build_l2``, budget 500
+(``basis_locality``, entropic
 on ``paper10pt``, the coarse conditional expectation on
 ``paper10pt-split``), triples 200 (``nqc_wrt_preorder``, entropic), seed
 0, or ``cone_self_dual`` on ``paper10pt``. A rung's ``best_s`` is the best
@@ -43,7 +45,9 @@ peak of one more call, made apart so that tracing slows no timed call;
 file records the commit, the cores,
 Python, numpy and the line count of ``src/qcx`` through ``metadata()`` of
 ``bench/run.py``. Each rung's time is printed with its ratio to the same
-rung of the committed ``BENCH_ladder.json``; nothing gates on seconds.
+rung of the committed ``BENCH_ladder.json``, with ``outcome changed
+(committed: X)`` beside a rung whose outcome is not the committed one;
+nothing gates on seconds or outcomes.
 """
 
 from __future__ import annotations
@@ -63,9 +67,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 from run import metadata  # noqa: E402  (puts src/ on the path too)
-from spans import CHECKERS  # noqa: E402
 
-from qcx import families, l2basis, riskmeasure  # noqa: E402
+from qcx import cli, families, l2basis, riskmeasure  # noqa: E402
 from qcx.cindex import compute_index  # noqa: E402
 from qcx.decomp import DecomposableSum, brute_force_sum_quasiconvex  # noqa: E402
 from qcx.extcore import (BoxDomain, FunctionSpec, PairTable,  # noqa: E402
@@ -106,22 +109,29 @@ INDEX_FUNCTIONS = {"sqrt": (families.sqrt, 1.0, 4.0),
                    "late_concave": (late_concave, 0.0, 1.0)}
 RUNS = 10
 BUDGET = 200
-MEASURES = {"entropic": riskmeasure.entropic_certainty_equivalent,
-            "cubed_mean": riskmeasure.cubed_mean_map}
-TRIPLE_CHECKS = {"convexity", "quasiconvexity", "nqc", "star"}
-BUDGETED_CHECKS = {"monotonicity", "translativity", "locality"}
+MEASURES = ("entropic", "cubed_mean")  # as ``[measure] kind`` names them
 
 
 def check_call(prop: str, rho):
-    """The call of one rung, as ``qcx risk-check`` makes it, seed 0; it
-    returns the verdict."""
-    check = getattr(riskmeasure, CHECKERS[prop])
-    if prop in TRIPLE_CHECKS:
-        return lambda: check(rho, triples=riskmeasure.sample_triples(
-            rho.space, 0, BUDGET)).verdict.value
-    if prop in BUDGETED_CHECKS:
-        return lambda: check(rho, budget=BUDGET, rng=0).verdict.value
-    return lambda: check(rho, rng=0).verdict.value
+    """The call of one rung, seed 0 and the default tolerance; it returns
+    the verdict."""
+    def call():
+        triples = (riskmeasure.sample_triples(rho.space, 0, BUDGET)
+                   if prop in cli.TRIPLE_PROPERTIES else None)
+        return cli.check_property(
+            prop, rho, triples, BUDGET, riskmeasure.DEFAULT_CHECK_TOL,
+            0).verdict.value
+    return call
+
+
+def risk_calls(k: int) -> dict:
+    """The risk rungs' calls at ``k`` atoms of three outcomes each."""
+    space = FiniteProbSpace.uniform(3 * k)
+    sigma = PartitionSigma.of(*(range(3 * a, 3 * a + 3) for a in range(k)))
+    rhos = {measure: cli.PLAIN_MEASURES[measure](sigma, space)
+            for measure in MEASURES}
+    return {f"risk.{prop}.{measure}.k{k}": check_call(prop, rho)
+            for measure, rho in rhos.items() for prop in cli.PROPERTY_CHECKS}
 
 
 def index_call(name: str, m: int):
@@ -167,13 +177,8 @@ def brute_call(name: str, m: int):
 def l2_calls() -> dict:
     """The L2 rungs' calls, as ``qcx l2-demo`` makes the checks, seed 0;
     each returns the verdict."""
-    block = l2basis.build_example_10pt()
-    entropic = riskmeasure.entropic_certainty_equivalent(block.sigma(),
-                                                         block.space)
-    split = l2basis.build_example_10pt_split()
-    coarse = riskmeasure.conditional_expectation_map(
-        PartitionSigma(split.cells), split.space,
-        declared_sigma=l2basis.refined_partition_10pt())
+    block, entropic = cli.build_l2("paper10pt", "entropic")
+    split, coarse = cli.build_l2("paper10pt-split", "coarse_cond_exp")
 
     def nqc():
         rng = np.random.default_rng(0)
@@ -232,12 +237,7 @@ def rungs(ks, points, points_2d, points_3d, runs: int) -> dict:
     drift of the host's speed reaches every rung alike."""
     calls = {}
     for k in ks:
-        space = FiniteProbSpace.uniform(3 * k)
-        sigma = PartitionSigma.of(*(range(3 * a, 3 * a + 3) for a in range(k)))
-        for measure, make in MEASURES.items():
-            rho = make(sigma, space)
-            for prop in CHECKERS:
-                calls[f"risk.{prop}.{measure}.k{k}"] = check_call(prop, rho)
+        calls.update(risk_calls(k))
     for m in points:
         for name in INDEX_FUNCTIONS:
             calls[f"index.{name}.m{m}"] = index_call(name, m)
@@ -272,6 +272,8 @@ def main(argv=None) -> int:
         old = before.get(name)
         ratio = (f"{rung['best_s'] / old['best_s']:6.3f}x committed"
                  if old else "   new")
+        if old and old["outcome"] != rung["outcome"]:
+            ratio += f"  outcome changed (committed: {old['outcome']})"
         print(f"{name:36s} {rung['best_s'] * 1e3:9.3f} ms "
               f"{rung['peak_mb']:7.3f} MB {rung['faults']:6d} faults  {ratio}")
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")

@@ -369,31 +369,69 @@ def build_function(cp, name: str) -> tuple[FunctionSpec, BoxDomain]:
     return f, box
 
 
-def build_measure(cp, name: str, sigma: PartitionSigma,
-                  space: FiniteProbSpace) -> RiskMeasureOracle:
-    section = f"measure {name}"
-    if not cp.has_section(section):
-        raise ConfigError(f"measure {name!r} is not declared (no [{section}])")
-    kind = _read(cp, section, "kind")
+def make_measure(kind: str, sigma: PartitionSigma, space: FiniteProbSpace,
+                 section: str, param) -> RiskMeasureOracle:
+    """The oracle of measure ``kind`` on ``sigma`` and ``space``, with the
+    kind's parameters from ``param(key)``; a value the kind refuses is a
+    config error naming ``[section]``."""
     try:
         if kind in PLAIN_MEASURES:
             return PLAIN_MEASURES[kind](sigma, space)
         if kind == "certainty_equivalent":
-            if _read(cp, section, "loss") == "exp":
+            if param("loss") == "exp":
                 return entropic_certainty_equivalent(sigma, space)
             return certainty_equivalent(lambda t: t, lambda t: t, sigma,
                                         space, name="identity-ce")
         if kind == "blind_spot":
-            atom = _read(cp, section, "ignored_atom")
+            atom = param("ignored_atom")
             if atom > sigma.k:
                 raise ConfigError(f"[{section}] ignored_atom must be an atom "
                                   f"number in 1..{sigma.k}, got {atom}")
             return blind_spot_map(sigma, space, ignored_atom=atom - 1)
         return conditional_expectation_map(  # coarse_cond_exp
-            _read(cp, section, "target"), space, declared_sigma=sigma,
-            negate=_read(cp, section, "negate"))
+            param("target"), space, declared_sigma=sigma,
+            negate=param("negate"))
     except ValueError as e:
         raise ConfigError(f"[{section}]: {e}") from e
+
+
+def build_measure(cp, name: str, sigma: PartitionSigma,
+                  space: FiniteProbSpace) -> RiskMeasureOracle:
+    section = f"measure {name}"
+    if not cp.has_section(section):
+        raise ConfigError(f"measure {name!r} is not declared (no [{section}])")
+    return make_measure(_read(cp, section, "kind"), sigma, space, section,
+                        lambda key: _read(cp, section, key))
+
+
+def build_l2(fixture: str, kind: str) -> tuple:
+    """``(block, rho)`` of an ``l2-demo`` fixture and measure ``kind``; the
+    target of ``coarse_cond_exp`` is the fixture's cells."""
+    if fixture == "paper10pt":
+        block = build_example_10pt()
+        declared = block.sigma()
+    else:
+        block = build_example_10pt_split()
+        declared = refined_partition_10pt()
+    return block, make_measure(
+        kind, declared, block.space, "l2-demo",
+        {"target": block.sigma(), "negate": False}.get)
+
+
+def check_property(prop: str, rho: RiskMeasureOracle, triples, budget: int,
+                   tol: float, rng) -> PropertyReport:
+    """The check of ``prop`` on ``rho`` with the arguments it takes; a
+    measure that is not normalized leaves it inconclusive."""
+    check = PROPERTY_CHECKS[prop]
+    try:
+        if prop in TRIPLE_PROPERTIES:
+            return check(rho, triples=triples, tol=tol)
+        if prop in ("sensitivity", "assumption"):
+            return check(rho, rng=rng)
+        return check(rho, budget=budget, tol=tol, rng=rng)
+    except NotNormalizedError as e:
+        return PropertyReport(prop, CheckVerdict.INCONCLUSIVE,
+                              details={"reason": str(e)})
 
 
 # ---------------------------------------------------------------------------
@@ -485,36 +523,15 @@ def cmd_risk_check(cp, seed: int) -> dict:
     reports = {}
     for i, prop in enumerate(props):
         rng = np.random.default_rng([seed, 100 + i])
-        check = PROPERTY_CHECKS[prop]
-        try:
-            if prop in TRIPLE_PROPERTIES:
-                rep = check(rho, triples=triples, tol=tol)
-            elif prop in ("sensitivity", "assumption"):
-                rep = check(rho, rng=rng)
-            else:
-                rep = check(rho, budget=budget, tol=tol, rng=rng)
-        except NotNormalizedError as e:
-            rep = PropertyReport(prop, CheckVerdict.INCONCLUSIVE,
-                                 details={"reason": str(e)})
-        reports[prop] = report_to_dict(rep)
+        reports[prop] = report_to_dict(
+            check_property(prop, rho, triples, budget, tol, rng))
     return {"measure": rho.name, "budget": budget, "properties": reports}
 
 
 def cmd_l2_demo(cp, seed: int) -> dict:
     fixture = _read(cp, "l2-demo", "fixture")
-    if fixture == "paper10pt":
-        block = build_example_10pt()
-        declared = block.sigma()
-    else:
-        block = build_example_10pt_split()
-        declared = refined_partition_10pt()
+    block, rho = build_l2(fixture, _read(cp, "l2-demo", "measure"))
     space = block.space
-    kind = _read(cp, "l2-demo", "measure")
-    if kind == "coarse_cond_exp":  # the target is the fixture's cells
-        rho = conditional_expectation_map(PartitionSigma(block.cells), space,
-                                          declared_sigma=declared)
-    else:
-        rho = PLAIN_MEASURES[kind](declared, space)
     budget = _read(cp, "l2-demo", "budget")
     samples = _read(cp, "l2-demo", "samples")
     x = np.random.default_rng([seed, 7]).normal(size=(100, space.n))

@@ -151,8 +151,8 @@ def infinite_sum_criterion(index_stream: Iterable[float], n_max: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if tail_bound is not None and tail_bound < 0:
-        raise ValueError("tail_bound must be nonnegative")
+    if tail_bound is not None and not tail_bound >= 0:  # NaN too
+        raise ValueError(f"tail_bound must be nonnegative, got {tail_bound}")
     seen_negative = 0
     a = 0.0
     n = 0

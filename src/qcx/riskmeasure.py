@@ -143,10 +143,11 @@ def certainty_equivalent(loss: Callable[[np.ndarray], np.ndarray],
     """``rho(X) = loss_inv(E[loss(-X) | G])`` for an increasing loss.
 
     The declared inverse is probed at :data:`INVERSE_PROBES` on construction;
-    a mismatch beyond 1e-9 raises :class:`qcx.errors.InverseMismatchError`.
+    a mismatch beyond 1e-9, or a NaN, raises
+    :class:`qcx.errors.InverseMismatchError`.
     """
     residual = np.max(np.abs(loss_inv(loss(INVERSE_PROBES)) - INVERSE_PROBES))
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # NaN too
         raise InverseMismatchError(
             f"{name}: loss_inv(loss(t)) deviates from t by {residual:.3e}")
 

@@ -86,6 +86,8 @@ class PartitionSigma:
             atom = tuple(sorted(int(i) for i in atom))
             if not atom:
                 raise ValueError("empty atom")
+            if len(set(atom)) < len(atom):
+                raise ValueError("an atom lists an outcome twice")
             if seen & set(atom):
                 raise ValueError("atoms overlap")
             seen |= set(atom)
@@ -219,11 +221,14 @@ def load_scenario_table(path) -> tuple[FiniteProbSpace, list[str]]:
 
 
 def _parse_index_list(text: str) -> list[int]:
-    """1-based indices and ranges: ``1 2 5-7`` -> [0, 1, 4, 5, 6]."""
+    """1-based indices and ranges: ``1 2 5-7`` -> [0, 1, 4, 5, 6]. A range
+    that ends below its start is an error."""
     out: list[int] = []
     for tok in text.replace(",", " ").split():
         if "-" in tok:
             a, b = tok.split("-", 1)
+            if int(b) < int(a):
+                raise ValueError(f"range {tok!r} ends below its start")
             out.extend(range(int(a) - 1, int(b)))
         else:
             out.append(int(tok) - 1)

@@ -445,6 +445,27 @@ class TestDeterminismAndErrors:
         assert run([command, "--config", str(cfg)]) == 64
         assert f"[{command}] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("atoms", ["1 1 2; 3", "1-2; 3 5-4; 4-5"],
+                             ids=["repeated-outcome", "reversed-range"])
+    @pytest.mark.parametrize("form", ["atoms", "file"])
+    def test_malformed_partition_is_config_error(self, tmp_path, capsys,
+                                                 atoms, form):
+        """A repeated outcome and a reversed range used to pass unnoticed;
+        the first covered four outcomes with three, so it ran on a uniform
+        space of four."""
+        n = 4 if "1 1" in atoms else 5
+        if form == "file":
+            (tmp_path / "part.txt").write_text(atoms.replace(";", "\n"))
+            given = "part.txt"
+        else:
+            given = atoms
+        cfg = tmp_path / "p.ini"
+        cfg.write_text(f"[space]\nuniform = {n}\n\n[partition]\n"
+                       f"{form} = {given}\n\n[measure m]\n"
+                       "kind = neg_cond_exp\n\n[risk-check]\nmeasure = m\n")
+        assert run(["risk-check", "--config", str(cfg)]) == 64
+        assert f"[partition] {form}: " in capsys.readouterr().err
+
     def test_partition_size_mismatch(self, tmp_path):
         cfg = tmp_path / "m.ini"
         cfg.write_text("[space]\nuniform = 8\n\n[partition]\n"

@@ -164,6 +164,16 @@ class TestInfiniteSum:
         with pytest.raises(ValueError, match="stream index 2 is NaN"):
             infinite_sum_criterion(iter([-1.0, math.nan, 1.0]), n_max=10)
 
+    def test_nan_tail_bound_rejected(self):
+        """A NaN tail bound could never conclude: it ended ``INCONCLUSIVE``
+        at ``budget-exhausted``. An infinite one is a valid bound."""
+        with pytest.raises(ValueError, match="tail_bound must be nonnegative"):
+            infinite_sum_criterion(iter([-1.0, 4.0]), n_max=10,
+                                   tail_bound=math.nan)
+        v = infinite_sum_criterion(iter([-1.0, 4.0]), n_max=2,
+                                   tail_bound=math.inf)
+        assert v.decision is SumDecision.INCONCLUSIVE
+
     def test_two_exceptions_immediate(self):
         v = infinite_sum_criterion(iter([-1.0, -2.0, 1.0]), n_max=10)
         assert v.decision is SumDecision.NOT_QUASICONVEX

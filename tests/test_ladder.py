@@ -27,7 +27,8 @@ L2_RUNGS = {"l2.basis_locality.paper10pt", "l2.basis_locality.paper10pt-split",
 
 def rung_names(ks, points, points_2d, points_3d):
     return ({f"risk.{prop}.{measure}.k{k}" for k in ks
-             for measure in ladder.MEASURES for prop in ladder.CHECKERS}
+             for measure in ladder.MEASURES
+             for prop in ladder.cli.PROPERTY_CHECKS}
             | {f"{layer}.{name}.m{m}" for m in points
                for name in ladder.INDEX_FUNCTIONS
                for layer in ("index", "table", "scan", "probe")}
@@ -95,3 +96,56 @@ def test_committed_file_holds_the_full_ladder():
     data = json.loads((ROOT / "BENCH_ladder.json").read_text(encoding="utf-8"))
     check_schema(data, ladder.KS, ladder.POINTS, ladder.POINTS_2D,
                  ladder.POINTS_3D)
+
+
+def test_rungs_call_the_cli(monkeypatch):
+    """Each risk rung at k = 3 checks its own property through
+    ``cli.check_property``, and each L2 rung checks a fixture and measure
+    from ``cli.build_l2``: the ladder keeps no copy of either."""
+    cli, checked, built = ladder.cli, [], []
+    check_property, build_l2 = cli.check_property, cli.build_l2
+
+    def record_check(prop, *args):
+        checked.append(prop)
+        return check_property(prop, *args)
+
+    def record_build(fixture, kind):
+        built.append(build_l2(fixture, kind))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "check_property", record_check)
+    monkeypatch.setattr(cli, "build_l2", record_build)
+    for name, call in ladder.risk_calls(3).items():
+        checked.clear()
+        assert call() in ("pass", "fail", "inconclusive")
+        assert checked == [name.split(".")[1]], name
+    given = []
+    for check in ("check_basis_locality", "check_cone_self_dual",
+                  "check_nqc_wrt_preorder"):
+        def record(*args, _check=getattr(ladder.l2basis, check), **kwargs):
+            given.append(args)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(ladder.l2basis, check, record)
+    calls = ladder.l2_calls()
+    assert [rho.name for _, rho in built] == ["entropic-ce", "cond-exp-coarse"]
+    for name, call in calls.items():
+        given.clear()
+        assert call() == "pass"
+        assert given and all(any(a is b for pair in built for b in pair)
+                             for args in given for a in args), name
+
+
+def test_changed_outcomes_are_printed(tmp_path, capsys, monkeypatch):
+    committed = tmp_path / "committed.json"
+    committed.write_text(json.dumps({"rungs": {
+        name: {"best_s": 1.0, "outcome": outcome}
+        for name, outcome in (("a", "pass"), ("b", "fail"))}}))
+    monkeypatch.setattr(ladder, "COMMITTED", committed)
+    monkeypatch.setattr(ladder, "rungs", lambda *sizes: {
+        name: {"best_s": 0.5, "peak_mb": 1.0, "faults": 0, "outcome": "pass"}
+        for name in ("a", "b", "c")})
+    assert ladder.main(["--out", str(tmp_path / "out.json")]) == 0
+    a, b, c = capsys.readouterr().out.splitlines()
+    assert "outcome changed" not in a + c
+    assert b.endswith("0.500x committed  outcome changed (committed: fail)")
+    assert c.endswith("new")

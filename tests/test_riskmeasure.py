@@ -119,6 +119,13 @@ class TestCertaintyEquivalent:
         with pytest.raises(InverseMismatchError):
             certainty_equivalent(np.exp, lambda t: t, sigma10, space10)
 
+    def test_nan_inverse_is_a_mismatch(self, space10, sigma10):
+        """An inverse that gives NaN at the probes was accepted, as
+        ``NaN > 1e-9`` is false."""
+        with pytest.raises(InverseMismatchError), np.errstate(invalid="ignore"):
+            certainty_equivalent(np.exp, lambda t: np.log(t - 1e9), sigma10,
+                                 space10)
+
 
 class TestOracleMeasurability:
     def test_not_measurable_names_atom(self, space10, sigma10):
@@ -444,6 +451,28 @@ class TestFileFormats:
     def test_partition_text(self):
         sigma = parse_partition_text("1-4; 5-7; 8-10")
         assert sigma.atoms == ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9))
+
+    def test_reversed_range_is_refused(self, tmp_path):
+        """``5-4`` was read as no outcome at all."""
+        with pytest.raises(ValueError, match="'5-4' ends below its start"):
+            parse_partition_text("1-2; 3 5-4; 4-5")
+        path = tmp_path / "partition.txt"
+        path.write_text("1-2\n3 5-4\n4-5\n")
+        with pytest.raises(ValueError, match="'5-4' ends below its start"):
+            load_partition(path)
+        assert parse_partition_text("1-1; 2").atoms == ((0,), (1,))
+
+    def test_repeated_outcome_is_refused(self, tmp_path):
+        """An atom that lists an outcome twice counted it twice: ``n = 4``
+        for three outcomes, and the labels went wrong."""
+        with pytest.raises(ValueError, match="lists an outcome twice"):
+            PartitionSigma.of((0, 0, 1), (2,))
+        with pytest.raises(ValueError, match="lists an outcome twice"):
+            parse_partition_text("1 1 2; 3")
+        path = tmp_path / "partition.txt"
+        path.write_text("1 2 1-2\n3\n")
+        with pytest.raises(ValueError, match="lists an outcome twice"):
+            load_partition(path)
 
 
 class TestImplicationChain:

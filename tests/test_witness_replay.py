@@ -19,15 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcx.cli import (PLAIN_MEASURES, _read, build_measure, build_partition,
+from qcx.cli import (_read, build_l2, build_measure, build_partition,
                      build_space, load_config, main, report_to_dict)
-from qcx.l2basis import (CONE_TOL, build_example_10pt,
-                         build_example_10pt_split, check_basis_locality,
-                         check_cone_self_dual, refined_partition_10pt)
+from qcx.l2basis import CONE_TOL, check_basis_locality, check_cone_self_dual
 from qcx.riskmeasure import (SENSITIVITY_TOL, RiskMeasureOracle,
                              blind_spot_map, check_assumption_nonconstant,
                              check_quasiconvexity, check_sensitivity,
-                             conditional_expectation_map, mean_broadcast_map,
                              nqc_mu_interval, sample_triples)
 from qcx.spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
 from test_l2basis import skewed
@@ -200,25 +197,14 @@ def replay(report: dict, rho: RiskMeasureOracle, block=None) -> list[str]:
 
 
 def fresh_oracle(command: str, cp):
-    """The measure of a job config, built anew, with the basis of an
-    ``l2-demo`` job (``None`` for ``risk-check``)."""
-    if command == "risk-check":
-        space = build_space(cp)
-        sigma = build_partition(cp, space.n)
-        return build_measure(cp, _read(cp, "risk-check", "measure"), sigma,
-                             space), None
-    if _read(cp, "l2-demo", "fixture") == "paper10pt":
-        block = build_example_10pt()
-        declared = block.sigma()
-    else:
-        block = build_example_10pt_split()
-        declared = refined_partition_10pt()
-    kind = _read(cp, "l2-demo", "measure")
-    if kind == "coarse_cond_exp":
-        return conditional_expectation_map(
-            PartitionSigma(block.cells), block.space,
-            declared_sigma=declared), block
-    return PLAIN_MEASURES[kind](declared, block.space), block
+    """``(block, rho)``: the measure of a job config, built anew, with the
+    basis of an ``l2-demo`` job (``None`` for ``risk-check``)."""
+    if command == "l2-demo":
+        return build_l2(_read(cp, "l2-demo", "fixture"),
+                        _read(cp, "l2-demo", "measure"))
+    space = build_space(cp)
+    return None, build_measure(cp, _read(cp, "risk-check", "measure"),
+                               build_partition(cp, space.n), space)
 
 
 def test_bench_risk_witnesses_replay(tmp_path):
@@ -230,7 +216,7 @@ def test_bench_risk_witnesses_replay(tmp_path):
             cfg.write_text(job["config"])
             main([job["command"], "--config", str(cfg), "--seed",
                   str(job["seed"]), *job["extra"], "--out", str(out)])
-            rho, block = fresh_oracle(job["command"], load_config(str(cfg)))
+            block, rho = fresh_oracle(job["command"], load_config(str(cfg)))
             replayed.update(replay(json.loads(out.read_text()), rho, block))
             reports += 1
     assert reports == 150
@@ -261,8 +247,7 @@ def test_library_witnesses_replay():
                          assumption=check_assumption_nonconstant(blind)),
          blind, None),
     ]
-    block = build_example_10pt()
-    mixing = mean_broadcast_map(block.sigma(), block.space)
+    block, mixing = build_l2("paper10pt", "mean_broadcast")
     reports.append(({"results": {"basis_locality": report_to_dict(
         check_basis_locality(mixing, block))}}, mixing, block))
     replayed = [name for report, rho, b in reports
@@ -272,8 +257,7 @@ def test_library_witnesses_replay():
 
 
 def test_forged_witnesses_do_not_replay():
-    block = build_example_10pt()
-    rho = mean_broadcast_map(block.sigma(), block.space)
+    block, rho = build_l2("paper10pt", "mean_broadcast")
     rep = report_to_dict(check_basis_locality(rho, block))
     rep["witness"]["violation"] *= 1.5
     with pytest.raises(AssertionError):
@@ -287,8 +271,7 @@ def test_forged_witnesses_do_not_replay():
 
 
 def test_cone_witnesses_of_skewed_bases_replay():
-    block = build_example_10pt()
-    rho = mean_broadcast_map(block.sigma(), block.space)
+    block, rho = build_l2("paper10pt", "mean_broadcast")
     for off in (-0.5, 0.5):
         bad = skewed(block, off)
         rep = report_to_dict(check_cone_self_dual(bad))
