@@ -576,17 +576,17 @@ class PairTable:
                  pair_budget: Optional[int] = None):
         if g.dim != box.dim:
             raise ValueError(f"function dim {g.dim} != box dim {box.dim}")
+        n = math.prod(box.m)  # the budget is checked before the grid is built
+        self.grid_pairs = count = n * (n - 1) // 2
+        if pair_budget is not None and count > pair_budget:
+            raise BudgetExceededError(
+                f"grid yields {count} pairs, budget is {pair_budget}")
         self.g = g
         self.pts = box.points()
         self.grid_values = g(self.pts)
         if np.isposinf(self.grid_values).all():
             raise ImproperFunctionError(
                 f"{g.name or 'function'} is +inf on the entire grid")
-        n = len(self.pts)
-        self.grid_pairs = count = n * (n - 1) // 2
-        if pair_budget is not None and count > pair_budget:
-            raise BudgetExceededError(
-                f"grid yields {count} pairs, budget is {pair_budget}")
         self.row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
         self.local = []  # (first position, size, (axis, step, lo, hi)) per run
         for axis, ax in enumerate(box.axes()):

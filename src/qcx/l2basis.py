@@ -27,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AssumptionViolatedError, RankDeficientError
-from .riskmeasure import (CheckVerdict, DEFAULT_CHECK_TOL, DEFAULT_SAMPLE_RANGE,
+from .riskmeasure import (DEFAULT_CHECK_TOL, DEFAULT_SAMPLE_RANGE,
                           PropertyReport, RiskMeasureOracle, _excess_check,
-                          _first_failure, _jensen_bound, _mu_feasibility,
-                          _mu_infeasible, _rng, _stacked, _triple_table, _vec)
+                          _jensen_bound, _nqc_check, _rng, _stacked,
+                          _triple_table, _vec, _verdict)
 from .spaces import FiniteProbSpace, PartitionSigma, conditional_expectation
 
 #: Orthonormality residual required of every block structure.
@@ -268,18 +268,15 @@ def check_basis_locality(rho: RiskMeasureOracle, block: BlockStructure,
     e, e_cells = block.basis[:m], block.row_cells[:m]
     gaps = np.abs(_inner_rows(risks[:, :1], e, block.space)
                   - _inner_rows(risks[:, 1 + e_cells], e, block.space))
-    j = _first_failure(gaps.ravel() > tol, error)
-    if j is not None:
+
+    def witness(j):
         r, i = divmod(j, m)
         cell = int(e_cells[i])
-        return PropertyReport(
-            "basis-locality", CheckVerdict.FAIL,
-            witness={"x": _vec(x[r]), "cell": cell,
-                     "e_index": i - sum(block.e_dims[:cell]),
-                     "violation": float(gaps[r, i])},
-            samples=j + 1, tol=tol)
-    return PropertyReport("basis-locality", CheckVerdict.PASS,
-                          samples=rounds * m, tol=tol)
+        return {"x": _vec(x[r]), "cell": cell,
+                "e_index": i - sum(block.e_dims[:cell]),
+                "violation": float(gaps[r, i])}
+    return _verdict("basis-locality", gaps.ravel() > tol, error, rounds * m,
+                    witness, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +322,13 @@ def check_cone_self_dual(block: BlockStructure) -> PropertyReport:
     # the e-coordinates of the e-vectors: row-wise, no BLAS; 1-D blocks only
     gram = block.e_coordinates(block.basis[:block.k])
     entries = np.stack([gram, _spd_inverse(gram)])
-    bad = np.flatnonzero(~(entries >= -CONE_TOL))
-    if bad.size:
-        which, i, j = map(int, np.unravel_index(bad[0], entries.shape))
-        return PropertyReport(
-            "cone-self-dual", CheckVerdict.FAIL,
-            witness={"inclusion": ("cone-in-dual", "dual-in-cone")[which],
-                     "entry": [i, j], "value": float(entries[which, i, j])},
-            samples=int(bad[0]) + 1, tol=CONE_TOL)
-    return PropertyReport("cone-self-dual", CheckVerdict.PASS,
-                          samples=entries.size, tol=CONE_TOL)
+
+    def witness(bad):
+        which, i, j = map(int, np.unravel_index(bad, entries.shape))
+        return {"inclusion": ("cone-in-dual", "dual-in-cone")[which],
+                "entry": [i, j], "value": float(entries[which, i, j])}
+    return _verdict("cone-self-dual", ~(entries >= -CONE_TOL), None,
+                    entries.size, witness, CONE_TOL)
 
 
 def check_convexity_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
@@ -364,27 +358,20 @@ def check_nqc_wrt_preorder(rho: RiskMeasureOracle, block: BlockStructure,
     """
     table = _triple_table(rho, triples)
     risks, error = table.read()
-    values = block.e_coordinates(risks)  # all outputs in one kernel call
-    i = _first_failure(_mu_infeasible(*values.transpose(1, 0, 2), tol), error)
-    if i is not None:
-        ex, ey, em = values[i]
-        x, y, lam = table.triples[i]
-        return PropertyReport(
-            "nqc-wrt-preorder", CheckVerdict.FAIL,
-            witness={"x": _vec(x), "y": _vec(y), "lam": lam,
-                     "e_x": _vec(ex), "e_y": _vec(ey), "e_mix": _vec(em),
-                     "certificate": _mu_feasibility(ex, ey, em, tol)[1]},
-            samples=i + 1, tol=tol)
+    report = _nqc_check("nqc-wrt-preorder", table,
+                        block.e_coordinates(risks),  # in one kernel call
+                        error, ("e_x", "e_y", "e_mix"), tol)
+    if report.failed:
+        return report
     conv = check_convexity_wrt_preorder(rho, block, triples=table, tol=tol)
     zero = rho(np.zeros(block.space.n))
     normalized = bool(np.max(np.abs(zero)) <= 1e-9)
     loc = check_basis_locality(rho, block, budget=24, tol=tol, rng=rng)
     hypotheses = normalized and loc.passed
-    return PropertyReport(
-        "nqc-wrt-preorder", CheckVerdict.PASS, samples=len(table), tol=tol,
-        details={
-            "convexity_wrt_preorder": conv.verdict.value,
-            "normalized": normalized,
-            "basis_local": loc.passed,
-            "implication_holds": (not hypotheses) or conv.passed,
-        })
+    report.details = {
+        "convexity_wrt_preorder": conv.verdict.value,
+        "normalized": normalized,
+        "basis_local": loc.passed,
+        "implication_holds": (not hypotheses) or conv.passed,
+    }
+    return report

@@ -18,13 +18,15 @@ program with two inequality rows, whose basic solutions (atom vertices and
 two-atom edge points) it tests, their values in closed form.
 
 The sampled checkers evaluate stacked rows: one oracle call for all their
-samples (per locality round, per sensitivity ``eps``; the non-constancy
-check makes one per probe position), in the order of single calls, with
-the first failure taken from a violation mask, so reports equal those of
-one call per row. When a stacked call raises, :func:`_stacked` alone
-decides what a checker sees: the rows from the first failing one on are
-NaN, which no mask flags, so a check reports a failure found before that
-row and otherwise raises its error. The six triple checkers (convexity,
+samples (per locality round, per block of sensitivity events; the
+non-constancy check makes one per probe position), in the order of single
+calls, so reports equal those of one call per row. One rule,
+:func:`_verdict`, turns the violation mask of every check but the
+non-constancy one into its report: the first flagged sample fails. When a
+stacked call raises, :func:`_stacked` alone decides what a checker sees:
+the rows from the first failing one on are NaN, which no mask flags, so a
+check reports a failure found before that row and otherwise raises its
+error. The six triple checkers (convexity,
 quasiconvexity, natural and star quasiconvexity here, and the two preorder
 checks of :mod:`qcx.l2basis`) take the caller's triples, ``triples=`` a
 list from :func:`sample_triples` or a shared :class:`TripleTable`: ``rho``
@@ -65,6 +67,9 @@ DEFAULT_SAMPLE_RANGE = (-3.0, 3.0)
 #: values more than 1e-9 apart.
 SENSITIVITY_EVENTS, SENSITIVITY_TOL = 32, 1e-12
 NONCONSTANT_PROBES, NONCONSTANT_TOL = 16, 1e-9
+
+#: Values per stacked call of the sensitivity check: its event rows.
+SENSITIVITY_BLOCK = 2 ** 16
 
 #: Dual candidate values the star check decides per block of triples.
 STAR_BLOCK = 2 ** 13
@@ -210,7 +215,11 @@ def mean_broadcast_map(sigma: PartitionSigma,
 
 def blind_spot_map(sigma: PartitionSigma, space: FiniteProbSpace,
                    ignored_atom: int = 0) -> RiskMeasureOracle:
-    """``-E[X 1_{A0^c} | G]``: ignores one atom, hence not sensitive there."""
+    """``-E[X 1_{A0^c} | G]``: ignores one atom, hence not sensitive there.
+    ``ignored_atom`` is a 0-based atom index, ``0 <= ignored_atom < k``."""
+    if not 0 <= ignored_atom < sigma.k:
+        raise ValueError(f"ignored_atom must be an atom index in "
+                         f"0..{sigma.k - 1}, got {ignored_atom}")
     mask = 1.0 - sigma.indicator(ignored_atom)
 
     def fn(x: np.ndarray) -> np.ndarray:
@@ -337,17 +346,24 @@ def _stacked(rho: RiskMeasureOracle, rows: np.ndarray
         return out, None
 
 
-def _first_failure(mask: np.ndarray, error: Optional[Exception]
-                   ) -> Optional[int]:
-    """The index of the first ``True`` of a violation mask over the rows of
-    :func:`_stacked`, False on its NaN rows; ``None`` when there is none,
-    unless the rows stopped at ``error``, which is then raised."""
+def _verdict(prop: str, mask, error: Optional[Exception], samples: int,
+             witness: Callable[[int], dict], tol: float,
+             offset: int = 0) -> PropertyReport:
+    """The verdict of every masked check. ``mask`` flags the violating
+    samples among the rows of one :func:`_stacked` call or triple-table
+    read, False on the NaN rows that stopped at ``error``. The first flagged
+    sample ``j`` fails, with ``witness(j)`` and ``offset + j + 1`` samples
+    (``offset`` counts the samples of the blocks decided before). With none
+    flagged, ``error`` is raised when there is one, and otherwise the check
+    passes with ``samples``."""
     bad = np.flatnonzero(mask)
     if bad.size:
-        return int(bad[0])
+        j = int(bad[0])
+        return PropertyReport(prop, CheckVerdict.FAIL, witness=witness(j),
+                              samples=offset + j + 1, tol=tol)
     if error is not None:
         raise error
-    return None
+    return PropertyReport(prop, CheckVerdict.PASS, samples=samples, tol=tol)
 
 
 def _triple_table(rho: RiskMeasureOracle, triples) -> TripleTable:
@@ -358,6 +374,12 @@ def _triple_table(rho: RiskMeasureOracle, triples) -> TripleTable:
     if triples.rho is not rho:
         raise ValueError("the triple table was built for another measure")
     return triples
+
+
+def _triple(table: TripleTable, i: int) -> dict:
+    """The witness entries ``x``, ``y`` and ``lam`` of triple ``i``."""
+    x, y, lam = table.triples[i]
+    return {"x": _vec(x), "y": _vec(y), "lam": lam}
 
 
 def _excess_check(prop: str, table: TripleTable, values: np.ndarray,
@@ -373,15 +395,9 @@ def _excess_check(prop: str, table: TripleTable, values: np.ndarray,
     """
     v_x, v_y, v_mix = values.transpose(1, 0, 2)
     worst = (v_mix - bound(table.lam[:, None], v_x, v_y)).max(axis=1)
-    i = _first_failure(worst > tol, error)
-    if i is not None:
-        x, y, lam = table.triples[i]
-        return PropertyReport(
-            prop, CheckVerdict.FAIL,
-            witness={"x": _vec(x), "y": _vec(y), "lam": lam,
-                     "violation": float(worst[i])},
-            samples=i + 1, tol=tol)
-    return PropertyReport(prop, CheckVerdict.PASS, samples=len(table), tol=tol)
+    return _verdict(prop, worst > tol, error, len(table),
+                    lambda i: {**_triple(table, i),
+                               "violation": float(worst[i])}, tol)
 
 
 def _jensen_bound(lam, v_x, v_y):
@@ -434,15 +450,11 @@ def check_monotonicity(rho: RiskMeasureOracle, budget: int = 200,
     out, error = _stacked(rho, np.stack([x, x + delta], 1).reshape(-1, n))
     rx, ry = out.reshape(-1, 2, n).swapaxes(0, 1)
     viol = rx - (ry - tol)
-    j = _first_failure((viol < 0).any(axis=1), error)
-    if j is not None:
-        i = int(np.argmin(viol[j]))
-        return PropertyReport(
-            "monotonicity", CheckVerdict.FAIL,
-            witness={"x": _vec(x[j]), "delta": _vec(delta[j]), "outcome": i,
-                     "violation": float(ry[j, i] - rx[j, i])},
-            samples=j + 1, tol=tol)
-    return PropertyReport("monotonicity", CheckVerdict.PASS, samples=budget, tol=tol)
+    i = viol.argmin(axis=1)  # the first outcome of largest violation
+    return _verdict("monotonicity", (viol < 0).any(axis=1), error, budget,
+                    lambda j: {"x": _vec(x[j]), "delta": _vec(delta[j]),
+                               "outcome": int(i[j]), "violation":
+                               float(ry[j, i[j]] - rx[j, i[j]])}, tol)
 
 
 def check_translativity(rho: RiskMeasureOracle, budget: int = 200,
@@ -460,14 +472,9 @@ def check_translativity(rho: RiskMeasureOracle, budget: int = 200,
     out, error = _stacked(rho, np.stack([x + z, x], 1).reshape(-1, n))
     lhs, rx = out.reshape(-1, 2, n).swapaxes(0, 1)
     err = np.abs(lhs - (rx - z)).max(axis=1)
-    j = _first_failure(err > tol, error)
-    if j is not None:
-        return PropertyReport(
-            "translativity", CheckVerdict.FAIL,
-            witness={"x": _vec(x[j]), "z": _vec(z[j]),
-                     "violation": float(err[j])},
-            samples=j + 1, tol=tol)
-    return PropertyReport("translativity", CheckVerdict.PASS, samples=budget, tol=tol)
+    return _verdict("translativity", err > tol, error, budget,
+                    lambda j: {"x": _vec(x[j]), "z": _vec(z[j]),
+                               "violation": float(err[j])}, tol)
 
 
 def check_locality(rho: RiskMeasureOracle, budget: int = 200,
@@ -510,27 +517,27 @@ def check_locality(rho: RiskMeasureOracle, budget: int = 200,
         rows[two] += b * off
         return rows
 
+    def witness(e):
+        f = int(np.argmax(err[e] > tol))  # the first failing form
+        return {"x": _vec(x), **({"u": _vec(u)} if f else {}),
+                "event_atoms": list(events[e]),
+                "form": ("definition", "two-sided")[f],
+                "violation": float(err[e, f])}
+
     for r in range(rounds):
         if r:
             x, u = gen.uniform(lo, hi, n), gen.uniform(lo, hi, n)
         out, error = _stacked(rho, np.vstack([x, u, glued(x, u)]))
         rx, ru, out = out[0], out[1], out[2:]
         got = np.where(two[:, None], out, out * ind)
-        err = np.abs(got - glued(rx, ru)).max(axis=1)
-        j = _first_failure(err > tol, error)
-        if j is not None:
-            e = int(slots[j] // 2)
-            witness = {"x": _vec(x)}
-            if two[j]:
-                witness["u"] = _vec(u)
-            witness.update(event_atoms=list(events[e]),
-                           form="two-sided" if two[j] else "definition",
-                           violation=float(err[j]))
-            return PropertyReport("locality", CheckVerdict.FAIL,
-                                  witness=witness,
-                                  samples=r * len(events) + e + 1, tol=tol)
-    return PropertyReport("locality", CheckVerdict.PASS,
-                          samples=rounds * len(events), tol=tol)
+        err = np.full((len(events), 2), np.nan)  # per event and form
+        err.flat[slots] = np.abs(got - glued(rx, ru)).max(axis=1)
+        report = _verdict("locality", (err > tol).any(axis=1), error,
+                          rounds * len(events), witness, tol,
+                          offset=r * len(events))
+        if report.failed:
+            return report
+    return _verdict("locality", [], None, rounds * len(events), witness, tol)
 
 
 def check_convexity(rho: RiskMeasureOracle, *, triples,
@@ -668,6 +675,29 @@ def separating_dual_witness(r_x, r_y, r_mix, atom_probs,
             float(margins[j]))
 
 
+def _nqc_check(prop: str, table: TripleTable, values: np.ndarray,
+               error: Optional[Exception], keys: tuple[str, str, str],
+               tol: float, probs: Optional[np.ndarray] = None
+               ) -> PropertyReport:
+    """Fail at the first triple that no mixing weight satisfies, with the
+    witness of both natural-quasiconvexity checks: ``x``, ``y``, ``lam``,
+    the triple's three value vectors under ``keys`` and the certificate of
+    :func:`_mu_feasibility`; given atom ``probs``, also the separating dual
+    vector and its margin, unless rounding leaves no positive margin.
+    ``values, error`` are as :func:`_excess_check` takes them."""
+    def witness(i):
+        v = values[i]
+        out = {**_triple(table, i), **dict(zip(keys, map(_vec, v))),
+               "certificate": _mu_feasibility(*v, tol)[1]}
+        found = probs is not None and separating_dual_witness(*v, probs, tol)
+        if found:
+            out.update(separating_dual=_vec(found[0]),
+                       separating_margin=found[1])
+        return out
+    return _verdict(prop, _mu_infeasible(*values.transpose(1, 0, 2), tol),
+                    error, len(table), witness, tol)
+
+
 def check_natural_quasiconvexity(rho: RiskMeasureOracle, *, triples,
                                  tol: float = DEFAULT_CHECK_TOL
                                  ) -> PropertyReport:
@@ -679,26 +709,10 @@ def check_natural_quasiconvexity(rho: RiskMeasureOracle, *, triples,
     """
     table = _triple_table(rho, triples)
     risks, error = table.read()
-    values = rho.sigma.atom_values(risks)
-    i = _first_failure(_mu_infeasible(*values.transpose(1, 0, 2), tol), error)
-    if i is None:
-        return PropertyReport("natural-quasiconvexity", CheckVerdict.PASS,
-                              samples=len(table), tol=tol)
-    r_x, r_y, r_mix = values[i]
-    x, y, lam = table.triples[i]
-    witness = {
-        "x": _vec(x), "y": _vec(y), "lam": lam,
-        "r_x": _vec(r_x), "r_y": _vec(r_y), "r_mix": _vec(r_mix),
-        "certificate": _mu_feasibility(r_x, r_y, r_mix, tol)[1],
-    }
-    found = separating_dual_witness(r_x, r_y, r_mix,
-                                    rho.sigma.atom_probs(rho.space), tol)
-    if found is not None:
-        z, m = found
-        witness["separating_dual"] = _vec(z)
-        witness["separating_margin"] = m
-    return PropertyReport("natural-quasiconvexity", CheckVerdict.FAIL,
-                          witness=witness, samples=i + 1, tol=tol)
+    return _nqc_check("natural-quasiconvexity", table,
+                      rho.sigma.atom_values(risks), error,
+                      ("r_x", "r_y", "r_mix"), tol,
+                      rho.sigma.atom_probs(rho.space))
 
 
 def check_star_quasiconvexity(rho: RiskMeasureOracle, *, triples,
@@ -719,26 +733,25 @@ def check_star_quasiconvexity(rho: RiskMeasureOracle, *, triples,
     risks, error = table.read()
     values = rho.sigma.atom_values(risks)
     step = max(1, STAR_BLOCK // len(_candidate_atoms(rho.sigma.k)[0]))
+
+    def witness(i):
+        j = int(np.nanargmax(viol[i]))
+        z = _dual_vector(j, s[i], rho.sigma.atom_probs(rho.space))
+        return {"z": _vec(z), **_triple(table, start + i),
+                "violation": float(viol[i, j] + tol)}
+
     for start in range(0, len(values) or 1, step):  # one block if none
         r_x, r_y, r_mix = values[start:start + step].transpose(1, 0, 2)
         s, (e_x, e_y, e_mix) = _dual_values(r_mix - r_x, r_mix - r_y,
                                             r_x, r_y, r_mix)
         viol = e_mix - np.maximum(e_x, e_y) - tol  # NaN off the edge
-        i = _first_failure(np.fmax.reduce(viol, axis=-1) > 0,
-                           None if start + step < len(values) else error)
-        if i is not None:
-            break
-    else:
-        return PropertyReport("star-quasiconvexity", CheckVerdict.PASS,
-                              samples=len(table), tol=tol)
-    j = int(np.nanargmax(viol[i]))
-    z = _dual_vector(j, s[i], rho.sigma.atom_probs(rho.space))
-    x, y, lam = table.triples[start + i]
-    return PropertyReport(
-        "star-quasiconvexity", CheckVerdict.FAIL,
-        witness={"z": _vec(z), "x": _vec(x), "y": _vec(y), "lam": lam,
-                 "violation": float(viol[i, j] + tol)},
-        samples=start + i + 1, tol=tol)
+        last = start + step >= len(values)
+        report = _verdict("star-quasiconvexity",
+                          np.fmax.reduce(viol, axis=-1) > 0,
+                          error if last else None, len(table), witness, tol,
+                          offset=start)
+        if report.failed or last:
+            return report
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +765,10 @@ def check_sensitivity(rho: RiskMeasureOracle, rng=0) -> PropertyReport:
     sets: every singleton, every atom, the whole space, and random events up
     to :data:`SENSITIVITY_EVENTS`, each charged ``eps`` = 0.01, 0.1 and 1;
     some output must exceed :data:`SENSITIVITY_TOL`. The events of one
-    ``eps`` are one stacked call. The missing random events are drawn in one
-    call, the rows and the stream of one call per event.
+    ``eps`` are stacked calls of at most :data:`SENSITIVITY_BLOCK` values,
+    one call while all ``(n + k + 1) x n`` fit, their rows built per call,
+    so the memory does not grow with ``n^2``. The missing random events are
+    drawn in one call, the rows and the stream of one call per event.
     """
     zero = rho(np.zeros(rho.space.n))
     if np.max(np.abs(zero)) > 1e-9:
@@ -761,25 +776,34 @@ def check_sensitivity(rho: RiskMeasureOracle, rng=0) -> PropertyReport:
                                  f"{np.max(np.abs(zero)):.3e}")
     n, k = rho.space.n, rho.sigma.k
     gen = _rng(rng)
-    inds = np.vstack([np.eye(n), rho.sigma.from_atom_values(np.eye(k)),
-                      np.ones((1, n))])
-    while len(inds) < SENSITIVITY_EVENTS:
-        drawn = gen.integers(0, 2, (SENSITIVITY_EVENTS - len(inds), n))
-        inds = np.vstack([inds, drawn[drawn.any(axis=1)]])
-    checked = 0
-    for eps in (0.01, 0.1, 1.0):
-        out, error = _stacked(rho, -eps * inds)
-        j = _first_failure((out <= SENSITIVITY_TOL).all(axis=1), error)
-        if j is not None:
-            return PropertyReport(
-                "sensitivity", CheckVerdict.FAIL,
-                witness={"eps": float(eps),
-                         "event": np.flatnonzero(inds[j]).tolist(),
-                         "max_output": float(np.max(out[j]))},
-                samples=checked + j + 1, tol=SENSITIVITY_TOL)
-        checked += len(inds)
-    return PropertyReport("sensitivity", CheckVerdict.PASS, samples=checked,
-                          tol=SENSITIVITY_TOL)
+    own = n + k + 1  # every outcome, every atom and the whole space
+    drawn = np.zeros((0, n))
+    while own + len(drawn) < SENSITIVITY_EVENTS:
+        more = gen.integers(0, 2, (SENSITIVITY_EVENTS - own - len(drawn), n))
+        drawn = np.vstack([drawn, more[more.any(axis=1)]])
+    events, step = own + len(drawn), max(1, SENSITIVITY_BLOCK // n)
+
+    def indicators(lo, hi):
+        """The 0/1 rows of events ``lo`` to ``hi``."""
+        e = np.arange(lo, min(hi, own))[:, None]
+        rows = ((e == np.arange(n)) | (e == n + rho.sigma.labels)
+                | (e == n + k))
+        return np.vstack([rows, drawn[max(lo, own) - own:max(hi, own) - own]])
+
+    for charged, eps in enumerate((0.01, 0.1, 1.0)):
+        for lo in range(0, events, step):
+            ind = indicators(lo, lo + step)
+            out, error = _stacked(rho, -eps * ind)
+            report = _verdict(
+                "sensitivity", (out <= SENSITIVITY_TOL).all(axis=1), error,
+                3 * events,
+                lambda j: {"eps": float(eps),
+                           "event": np.flatnonzero(ind[j]).tolist(),
+                           "max_output": float(np.max(out[j]))},
+                SENSITIVITY_TOL, offset=charged * events + lo)
+            if report.failed:
+                return report
+    return report
 
 
 def check_assumption_nonconstant(rho: RiskMeasureOracle, rng=0) -> PropertyReport:

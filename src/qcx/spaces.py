@@ -221,17 +221,18 @@ def load_scenario_table(path) -> tuple[FiniteProbSpace, list[str]]:
 
 
 def _parse_index_list(text: str) -> list[int]:
-    """1-based indices and ranges: ``1 2 5-7`` -> [0, 1, 4, 5, 6]. A range
-    that ends below its start is an error."""
+    """1-based indices and ranges: ``1 2 5-7`` -> [0, 1, 4, 5, 6]. An
+    outcome number below 1, or a range that ends below its start, is an
+    error."""
     out: list[int] = []
     for tok in text.replace(",", " ").split():
-        if "-" in tok:
-            a, b = tok.split("-", 1)
-            if int(b) < int(a):
-                raise ValueError(f"range {tok!r} ends below its start")
-            out.extend(range(int(a) - 1, int(b)))
-        else:
-            out.append(int(tok) - 1)
+        a, b = map(int, tok.split("-", 1)) if "-" in tok else (int(tok),) * 2
+        if a < 1:
+            raise ValueError(f"{tok!r} names outcome {a}: outcomes are "
+                             "numbered from 1")
+        if b < a:
+            raise ValueError(f"range {tok!r} ends below its start")
+        out.extend(range(a - 1, b))
     return out
 
 

@@ -466,6 +466,23 @@ class TestDeterminismAndErrors:
         assert run(["risk-check", "--config", str(cfg)]) == 64
         assert f"[partition] {form}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,changes", [
+        ("partition", {"atoms": "0-4; 5-7; 8-10"}),
+        ("partition", {"atoms": None, "file": "part.txt"}),
+        ("measure m", {"kind": "coarse_cond_exp", "target": "0-7; 8-10"}),
+    ])
+    def test_outcome_zero_is_config_error(self, tmp_path, capsys, section,
+                                          changes):
+        """A partition counts outcomes from 1: outcome 0 exits 64, names its
+        key and says so."""
+        (tmp_path / "part.txt").write_text("0-4\n5-7\n8-10\n")
+        if "file" in changes:
+            changes = {**changes, "file": str(tmp_path / "part.txt")}
+        assert run_changed(tmp_path, "risk-check", section, changes) == 64
+        key = list(changes)[-1]
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}: " in err and "numbered from 1" in err
+
     def test_partition_size_mismatch(self, tmp_path):
         cfg = tmp_path / "m.ini"
         cfg.write_text("[space]\nuniform = 8\n\n[partition]\n"

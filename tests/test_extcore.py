@@ -218,6 +218,21 @@ class TestConcaveAndThreads:
             certify_convex(families.square(), BoxDomain.of(-1, 1, 101),
                            pair_budget=100)
 
+    def test_refused_budget_builds_no_grid(self):
+        """The pair count comes from the grid sizes: a grid of 10^15
+        points, too large to build, is refused before the oracle sees a
+        point."""
+        calls = []
+
+        def fn(p):
+            calls.append(len(p))
+            return p.sum(axis=1)
+
+        box = BoxDomain.of((0, 0, 0), (1, 1, 1), (10 ** 5,) * 3)
+        with pytest.raises(BudgetExceededError, match="budget is 1000000"):
+            PairTable(FunctionSpec(3, fn), box, pair_budget=10 ** 6)
+        assert calls == []
+
 
 def test_scale_function():
     f = scale_function(families.sqrt(), 2.0)

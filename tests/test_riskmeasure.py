@@ -387,6 +387,13 @@ class TestSensitivityAndAssumption:
         assert rep.failed
         assert set(rep.witness["event"]) <= set(sigma10.atoms[0])
 
+    @pytest.mark.parametrize("atom", [-1, 3])
+    def test_blind_spot_atom_out_of_range(self, space10, sigma10, atom):
+        """``-1`` wrapped to the last atom, named ``blind-spot[-1]``, and
+        ``k`` failed with a bare IndexError."""
+        with pytest.raises(ValueError, match=f"atom index in 0..2, got {atom}"):
+            blind_spot_map(sigma10, space10, ignored_atom=atom)
+
     def test_normalization_required(self, space10, sigma10):
         with pytest.raises(NotNormalizedError):
             check_sensitivity(sqrt_log_map(sigma10, space10))
@@ -461,6 +468,18 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="'5-4' ends below its start"):
             load_partition(path)
         assert parse_partition_text("1-1; 2").atoms == ((0,), (1,))
+
+    def test_outcome_zero_is_refused(self, tmp_path):
+        """Outcomes are numbered from 1. ``0`` was refused as a bad cover
+        of ``0..n-1``, in the numbering from 0."""
+        for text, tok in (("0 1; 2", "'0'"), ("0-1; 2", "'0-1'")):
+            with pytest.raises(ValueError, match=f"{tok} names outcome 0: "
+                               "outcomes are numbered from 1"):
+                parse_partition_text(text)
+        path = tmp_path / "partition.txt"
+        path.write_text("1\n2 0\n")
+        with pytest.raises(ValueError, match="numbered from 1"):
+            load_partition(path)
 
     def test_repeated_outcome_is_refused(self, tmp_path):
         """An atom that lists an outcome twice counted it twice: ``n = 4``

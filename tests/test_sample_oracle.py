@@ -39,7 +39,8 @@ from qcx.l2basis import (build_example_10pt, build_example_10pt_split,
 from qcx.l2basis import (check_convexity_wrt_preorder,
                          check_nqc_wrt_preorder)
 from qcx.riskmeasure import (DEFAULT_CHECK_TOL, DEFAULT_LAMBDA_GRID,
-                             DEFAULT_SAMPLE_RANGE,
+                             DEFAULT_SAMPLE_RANGE, SENSITIVITY_BLOCK,
+                             SENSITIVITY_EVENTS,
                              CheckVerdict, PropertyReport,
                              RiskMeasureOracle, _atom_events, _rng,
                              _sampled_events, _vec, blind_spot_map,
@@ -51,7 +52,8 @@ from qcx.riskmeasure import (DEFAULT_CHECK_TOL, DEFAULT_LAMBDA_GRID,
                              conditional_expectation_map, cubed_mean_map,
                              mean_broadcast_map,
                              neg_conditional_expectation, sample_triples)
-from qcx.spaces import conditional_expectation
+from qcx.spaces import (FiniteProbSpace, PartitionSigma,
+                        conditional_expectation)
 from test_triple_oracle import (_squared_gap_measure, indicator_block,
                                 measures, random_case, ref_convexity,
                                 ref_convexity_wrt_preorder, ref_nqc,
@@ -602,6 +604,46 @@ def test_locality_makes_one_call_per_round():
     assert rep.passed and rep.samples == 13 * 15
     # X, U, 15 definition rows and 14 two-sided rows per round
     assert calls == [2 + 15 + 14] * 13
+
+
+def _uniform_triads(n):
+    """A uniform space of ``n`` outcomes, atoms of three."""
+    return (FiniteProbSpace.uniform(n),
+            PartitionSigma.of(*(range(a, a + 3) for a in range(0, n, 3))))
+
+
+@pytest.mark.parametrize("n", [9, 30, 1200])
+def test_sensitivity_stacks_stay_within_the_block(n):
+    """The event rows of one ``eps`` reach the oracle in stacks of at most
+    :data:`SENSITIVITY_BLOCK` values: one stack per ``eps`` while they fit,
+    as on every small space, and blocks beyond that. At ``n = 1200`` the
+    rows of one ``eps`` hold 1.9 million values."""
+    space, sigma = _uniform_triads(n)
+    base = neg_conditional_expectation(sigma, space)
+    stacks = []
+
+    def fn(x):
+        stacks.append(x.reshape(-1, n).shape[0])
+        return base.fn(x)
+
+    rep = check_sensitivity(RiskMeasureOracle("counted", fn, sigma, space))
+    events = max(n + sigma.k + 1, SENSITIVITY_EVENTS)
+    assert rep.passed and rep.samples == 3 * events
+    rows = stacks[1:]  # after rho(0)
+    assert sum(rows) == 3 * events
+    assert max(rows) * n <= SENSITIVITY_BLOCK
+    assert (rows == [events] * 3) is (events * n <= SENSITIVITY_BLOCK)
+
+
+def test_sensitivity_blocks_keep_the_loop_report():
+    """A blind spot on the last atom fails at that atom's first singleton,
+    in the sixth stack of ``n = 600``, with the loop's report."""
+    space, sigma = _uniform_triads(600)
+    blind = blind_spot_map(sigma, space, sigma.k - 1)
+    rep = check_sensitivity(blind)
+    assert rep.failed and rep.samples == 598 > 5 * (SENSITIVITY_BLOCK // 600)
+    assert rep.witness["event"] == [597]
+    assert repr(rep) == repr(ref_sensitivity(blind))
 
 
 # ---------------------------------------------------------------------------
