@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import dataclasses
+import enum
 import json
 import math
 import os
@@ -30,21 +32,20 @@ import numpy as np
 from . import __version__
 from .cindex import (DEFAULT_LAMBDA_CAP, ConvexityIndex, classify,
                      compute_index, smooth_index_1d)
-from .decomp import (DecomposableSum, SumDecision, SumVerdict,
+from .decomp import (DecomposableSum, SumDecision,
                      brute_force_sum_quasiconvex, characterize,
                      harmonic_index, index_sum_criterion)
 from .errors import (ConfigError, ImproperFunctionError, NotGMeasurableError,
                      NotNormalizedError, QcxError)
-from .extcore import (BoxDomain, CertResult, FunctionSpec, Witness,
-                      scale_function)
+from .extcore import BoxDomain, CertResult, FunctionSpec, scale_function
 from .families import make_function
 from .l2basis import (build_example_10pt, build_example_10pt_split,
                       check_basis_locality, check_cone_self_dual,
                       check_nqc_wrt_preorder, refined_partition_10pt)
 from .riskmeasure import (DEFAULT_CHECK_TOL, CheckVerdict, PropertyReport,
                           RiskMeasureOracle, TripleTable, blind_spot_map,
-                          certainty_equivalent, check_assumption_nonconstant,
-                          check_convexity, check_locality, check_monotonicity,
+                          check_assumption_nonconstant, check_convexity,
+                          check_locality, check_monotonicity,
                           check_natural_quasiconvexity, check_quasiconvexity,
                           check_sensitivity, check_star_quasiconvexity,
                           check_translativity, conditional_expectation_map,
@@ -67,8 +68,15 @@ EXIT_CONFIG = 64
 # ---------------------------------------------------------------------------
 
 def _jsonify(obj):
-    """Canonical JSON-friendly form of a report built by the ``*_to_dict``
-    converters: numpy scalars as Python numbers, infinities as strings."""
+    """Canonical JSON-friendly form of a report: result dataclasses as dicts
+    of their fields, enums as their values, numpy scalars as Python
+    numbers, infinities as strings. :func:`main` converts each report once;
+    the renderers and :func:`exit_code_for` read that form."""
+    if dataclasses.is_dataclass(obj):
+        return _jsonify({f.name: getattr(obj, f.name)
+                         for f in dataclasses.fields(obj)})
+    if isinstance(obj, enum.Enum):
+        return obj.value
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -84,7 +92,7 @@ def _jsonify(obj):
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def render_table(rows: list[tuple]) -> str:
@@ -98,6 +106,7 @@ def render_table(rows: list[tuple]) -> str:
 
 
 def report_to_dict(rep: PropertyReport) -> dict:
+    """The report's fields, its verdict as a string for library callers."""
     out = {"verdict": rep.verdict.value, "samples": rep.samples, "tol": rep.tol}
     if rep.witness is not None:
         out["witness"] = rep.witness
@@ -106,20 +115,10 @@ def report_to_dict(rep: PropertyReport) -> dict:
     return out
 
 
-def sum_verdict_to_dict(v: SumVerdict) -> dict:
-    return {"decision": v.decision.value, "rule": v.rule,
-            "margin": v.margin, "boundary": v.boundary}
-
-
-def witness_to_dict(w: Witness) -> dict:
-    return {"x1": list(w.x1), "x2": list(w.x2), "eta": w.eta,
-            "violation": w.violation}
-
-
 def cert_to_dict(res: CertResult) -> dict:
-    out = {"verdict": res.verdict.value, "tol": res.tol}
+    out = {"verdict": res.verdict, "tol": res.tol}
     if res.witness is not None:
-        out["witness"] = witness_to_dict(res.witness)
+        out["witness"] = res.witness
     return out
 
 
@@ -127,12 +126,12 @@ def index_to_dict(ix: ConvexityIndex, smooth: Optional[float]) -> dict:
     cls = classify(ix)
     out = {
         "value": ix.value,
-        "bracket": list(ix.bracket) if ix.bracket else None,
-        "case": ix.case.value,
+        "bracket": ix.bracket,
+        "case": ix.case,
         "lambda_cap": ix.lambda_cap,
         "cap_probe": ix.cap_probe,
         "constant_shortcut": ix.constant_shortcut,
-        "binding": witness_to_dict(ix.binding) if ix.binding else None,
+        "binding": ix.binding,
         "convex": cls.convex,
         "constant": cls.constant,
     }
@@ -213,8 +212,7 @@ PLAIN_MEASURES = {"neg_cond_exp": neg_conditional_expectation,
                   "entropic": entropic_certainty_equivalent,
                   "sqrt_log": sqrt_log_map, "cubed_mean": cubed_mean_map,
                   "mean_broadcast": mean_broadcast_map}
-MEASURE_KINDS = (*PLAIN_MEASURES, "certainty_equivalent", "blind_spot",
-                 "coarse_cond_exp")
+MEASURE_KINDS = (*PLAIN_MEASURES, "blind_spot", "coarse_cond_exp")
 L2_MEASURES = (*PLAIN_MEASURES, "coarse_cond_exp")
 
 #: Default of a key that must be given.
@@ -240,7 +238,6 @@ CONFIG_KEYS = {
         "domain": (_words(float, 2), REQUIRED),
         "grid": (_count(3), 129)},
     "measure": {"kind": (_choice(*MEASURE_KINDS), REQUIRED),
-                "loss": (_choice("exp", "identity"), "exp"),
                 "ignored_atom": (_count(), 1),
                 "target": (parse_partition_text, REQUIRED),
                 "negate": (_flag, False)},
@@ -377,11 +374,6 @@ def make_measure(kind: str, sigma: PartitionSigma, space: FiniteProbSpace,
     try:
         if kind in PLAIN_MEASURES:
             return PLAIN_MEASURES[kind](sigma, space)
-        if kind == "certainty_equivalent":
-            if param("loss") == "exp":
-                return entropic_certainty_equivalent(sigma, space)
-            return certainty_equivalent(lambda t: t, lambda t: t, sigma,
-                                        space, name="identity-ce")
         if kind == "blind_spot":
             atom = param("ignored_atom")
             if atom > sigma.k:
@@ -477,8 +469,7 @@ def cmd_sum_check(cp, brute: bool, csv: Optional[TextIO]) -> dict:
         if pairs > budget:
             raise ConfigError(f"[sum-check] pair_budget = {budget} is below "
                               f"the {pairs} pairs of the brute force grid")
-    indices = dsum.indices(lambda_cap)
-    values = [ix.value for ix in indices]
+    values = dsum.index_values(lambda_cap)
     for name, v in zip(names, values):
         if math.isinf(v):
             raise ConfigError(f"coordinate {name!r} has infinite index {v}; "
@@ -488,8 +479,8 @@ def cmd_sum_check(cp, brute: bool, csv: Optional[TextIO]) -> dict:
     result = {
         "functions": names,
         "indices": values,
-        "index_sum_criterion": sum_verdict_to_dict(by_sum),
-        "characterize": sum_verdict_to_dict(by_structure),
+        "index_sum_criterion": by_sum,
+        "characterize": by_structure,
     }
     if all(v >= 0 for v in values):
         result["harmonic_index"] = harmonic_index(values)
@@ -503,10 +494,10 @@ def cmd_sum_check(cp, brute: bool, csv: Optional[TextIO]) -> dict:
         result["oracle_agrees"] = oracle_decision == by_structure.decision
     if csv is not None:
         csv.write("x1,x2,eta,violation\n")
-        witness = result.get("brute_force", {}).get("witness")
+        witness = oracle.witness if brute else None
         if witness is not None:
-            csv.write(f"\"{witness['x1']!r}\",\"{witness['x2']!r}\","
-                      f"{witness['eta']!r},{witness['violation']!r}\n")
+            csv.write(f"\"{list(witness.x1)!r}\",\"{list(witness.x2)!r}\","
+                      f"{witness.eta!r},{witness.violation!r}\n")
     return result
 
 
@@ -579,7 +570,7 @@ def _verdicts(obj):
 
 
 def exit_code_for(report: dict) -> int:
-    verdicts = set(_verdicts(_jsonify(report)))
+    verdicts = set(_verdicts(report))
     if ("fail" in verdicts
             or report.get("results", {}).get("oracle_agrees") is False):
         return EXIT_FAIL
@@ -593,8 +584,8 @@ def render_text(report: dict) -> str:
     if cmd == "index":
         rows = [("function", "value", "case", "convex", "constant")]
         for name, r in results["functions"].items():
-            val = r["value"]
-            val_s = f"{val:.6g}" if isinstance(val, float) and math.isfinite(val) else str(val)
+            val = r["value"]  # an infinity is a string
+            val_s = f"{val:.6g}" if isinstance(val, float) else val
             rows.append((name, val_s, r["case"], str(r["convex"]),
                          str(r["constant"])))
         lines.append(render_table(rows))
@@ -628,7 +619,7 @@ def render_text(report: dict) -> str:
         lines.append(render_table(rows))
         for prop, rep in results["properties"].items():
             if rep["verdict"] == "fail" and "witness" in rep:
-                lines.append(f"{prop} witness: {json.dumps(_jsonify(rep['witness']), sort_keys=True)}")
+                lines.append(f"{prop} witness: {json.dumps(rep['witness'], sort_keys=True)}")
     elif cmd == "l2-demo":
         lines.append(f"fixture: {results['fixture']}  measure: {results['measure']}")
         lines.append(f"orthonormality residual: {results['orthonormality_residual']:.3e}")
@@ -714,12 +705,12 @@ def main(argv=None) -> int:
         except QcxError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_FAIL
-        report = {
+        report = _jsonify({
             "schema": SCHEMA,
             "command": args.command,
             "seed": args.seed,
             "results": results,
-        }
+        })
         sys.stdout.write(render_text(report))
         if files["out"] is not None:
             files["out"].write(render_json(report))

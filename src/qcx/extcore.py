@@ -802,9 +802,7 @@ class PairTable:
         ``fold(block, which, eta, da, db, refuted)``, if given, gets each
         block and weight's :meth:`_diffs` and whether a gap above ``tol``
         was seen so far, until it returns false, which ends the scan. A scan
-        with a fold only decides whether such a gap exists: it forms no gap
-        once it has seen one, and no witness, and returns ``(inf, None,
-        False)`` if it has seen one and ``(-inf, None, False)`` if not.
+        with a fold forms no gap once it has seen one, and returns nothing.
         """
         sign, refs = GAP_FORMS[kind]
         # finds the best gap's entry in fm - ref, which is sign * gap
@@ -840,7 +838,7 @@ class PairTable:
                         refuted = refuted or bool((gap > tol).any() if sign > 0
                                                   else (gap < -tol).any())
                         if not fold(block, which, eta, *diffs, refuted):
-                            return math.inf if refuted else -math.inf, None, False
+                            return
                         continue
                     # the pick finds a NaN (degenerate if a pair) if there is one
                     k = int(pick(gap))
@@ -855,7 +853,7 @@ class PairTable:
                         best, at = key, (tuple(map(float, x1)),
                                          tuple(map(float, x2)), float(eta))
         if fold is not None:
-            return math.inf if refuted else -math.inf, None, False
+            return
         worst = best[0]
         return worst, Witness(*at, worst) if worst > tol else None, degen
 

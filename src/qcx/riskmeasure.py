@@ -104,6 +104,9 @@ class RiskMeasureOracle:
 
     def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray],
                  sigma: PartitionSigma, space: FiniteProbSpace):
+        if sigma.n != space.n:
+            raise ValueError(f"{name}: partition covers {sigma.n} outcomes, "
+                             f"space has {space.n}")
         self.name = name
         self.fn = fn
         self.sigma = sigma

@@ -13,6 +13,7 @@ its own call. Scenario and partition text files are read here too.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -104,7 +105,7 @@ class PartitionSigma:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "atoms", tuple(norm))
-        object.__setattr__(self, "_atom_probs", {})
+        object.__setattr__(self, "_atom_probs", (None, None))
         object.__setattr__(self, "_stacked", [labels])
 
     @staticmethod
@@ -120,13 +121,14 @@ class PartitionSigma:
         return len(self.atoms)
 
     def atom_probs(self, space: FiniteProbSpace) -> np.ndarray:
-        """Per-atom probabilities (read-only), computed once per space."""
-        probs = self._atom_probs.get(space)
-        if probs is None:
+        """Per-atom probabilities (read-only). Those of the last space asked
+        for are kept, so a run of calls with one space computes them once."""
+        held, probs = self._atom_probs
+        if space is not held and space != held:
             p = space.p
             probs = np.array([p[list(a)].sum() for a in self.atoms])
             probs.setflags(write=False)
-            self._atom_probs[space] = probs
+            object.__setattr__(self, "_atom_probs", (space, probs))
         return probs
 
     def measurability_spread(self, x: np.ndarray) -> tuple[float, int]:
@@ -221,12 +223,16 @@ def load_scenario_table(path) -> tuple[FiniteProbSpace, list[str]]:
 
 
 def _parse_index_list(text: str) -> list[int]:
-    """1-based indices and ranges: ``1 2 5-7`` -> [0, 1, 4, 5, 6]. An
-    outcome number below 1, or a range that ends below its start, is an
-    error."""
+    """1-based indices and ranges: ``1 2 5-7`` -> [0, 1, 4, 5, 6]. A token
+    other than ``N`` or ``N-M`` in ASCII digits, an outcome number below 1,
+    or a range that ends below its start, is an error."""
     out: list[int] = []
     for tok in text.replace(",", " ").split():
-        a, b = map(int, tok.split("-", 1)) if "-" in tok else (int(tok),) * 2
+        match = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", tok)
+        if match is None:
+            raise ValueError(f"{tok!r} is not an outcome number N or a "
+                             "range N-M")
+        a, b = int(match[1]), int(match[2] or match[1])
         if a < 1:
             raise ValueError(f"{tok!r} names outcome {a}: outcomes are "
                              "numbered from 1")

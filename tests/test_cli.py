@@ -386,6 +386,16 @@ class TestDeterminismAndErrors:
                        "[measure m]\nkind = nonsense\n\n[risk-check]\nmeasure = m\n")
         assert run(["risk-check", "--config", str(cfg)]) == 64
 
+    def test_certainty_equivalent_kind_is_gone(self, tmp_path, capsys):
+        """``certainty_equivalent`` only re-spelled ``entropic`` (loss
+        ``exp``) and ``neg_cond_exp`` (loss ``identity``): it exits 64 and
+        the message lists the kinds that remain."""
+        changes = {"kind": "certainty_equivalent"}
+        assert run_changed(tmp_path, "risk-check", "measure m", changes) == 64
+        err = capsys.readouterr().err
+        assert "[measure m] kind: unknown 'certainty_equivalent'" in err
+        assert "known: neg_cond_exp, entropic," in err
+
     def test_file_based_space_and_partition(self, tmp_path):
         (tmp_path / "scen.txt").write_text(
             "\n".join(["0.1 w%d" % i for i in range(1, 11)]) + "\n")
@@ -482,6 +492,27 @@ class TestDeterminismAndErrors:
         key = list(changes)[-1]
         err = capsys.readouterr().err
         assert f"[{section}] {key}: " in err and "numbered from 1" in err
+
+    @pytest.mark.parametrize("token", ["1_0", "+10", "-10", "10-", "8-9-10",
+                                       "9--10"])
+    @pytest.mark.parametrize("section,key", [
+        ("partition", "atoms"), ("partition", "file"),
+        ("measure m", "target")])
+    def test_outcome_token_other_than_n_or_range_is_config_error(
+            self, tmp_path, capsys, token, section, key):
+        """An outcome token other than ``N`` or ``N-M`` exits 64 and names
+        its key and the token; ``1_0`` and ``+10`` ran as outcome 10."""
+        atoms = f"1-4; 5-7; 8-9 {token}"
+        (tmp_path / "part.txt").write_text(atoms.replace(";", "\n"))
+        changes = {"atoms": None, "file": str(tmp_path / "part.txt")}
+        if key == "atoms":
+            changes = {"atoms": atoms}
+        elif key == "target":
+            changes = {"kind": "coarse_cond_exp", "target": atoms}
+        assert run_changed(tmp_path, "risk-check", section, changes) == 64
+        err = capsys.readouterr().err
+        assert (f"[{section}] {key}: {token!r} is not an outcome number"
+                in err)
 
     def test_partition_size_mismatch(self, tmp_path):
         cfg = tmp_path / "m.ini"
@@ -714,7 +745,7 @@ class TestDeterminismAndErrors:
         cfg.write_text(Path(write_config(tmp_path)).read_text()
                        + "\n[notes]\nbudgte = 7\n")
         cp = load_config(str(cfg))
-        cp.set("measure m", "loss", "identity")
+        cp.set("measure m", "negate", "true")
         cp.set("measure m", "ignored_atom", "2")
         cfg = tmp_path / "inf.ini"
         with open(cfg, "w", encoding="utf-8") as fh:

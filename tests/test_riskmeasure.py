@@ -1,5 +1,8 @@
+import gc
 import math
+import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -64,6 +67,25 @@ class TestSpaces:
 
     def test_atom_probs(self, space10, sigma10):
         np.testing.assert_allclose(sigma10.atom_probs(space10), [0.4, 0.3, 0.3])
+
+    def test_atom_probs_keep_only_the_last_space(self, sigma10):
+        """The probabilities of each space are those of a fresh partition,
+        bit for bit, and the partition holds on to no space but the last:
+        it kept every space it had met, with its probabilities."""
+        rng = np.random.default_rng(5)
+        spaces = []
+        for _ in range(4):
+            p = rng.uniform(0.5, 1.5, 10)
+            spaces.append(FiniteProbSpace(tuple(p / p.sum())))
+        for space in spaces + spaces[:1]:
+            fresh = PartitionSigma(sigma10.atoms).atom_probs(space)
+            assert sigma10.atom_probs(space).tobytes() == fresh.tobytes()
+            assert sigma10.atom_probs(space) is sigma10.atom_probs(space)
+        refs = [weakref.ref(space) for space in spaces]
+        del space, spaces
+        gc.collect()
+        assert [ref() is not None for ref in refs] == [True, False, False,
+                                                         False]
 
     def test_measurability(self, sigma10):
         x = sigma10.from_atom_values([1.0, 2.0, 3.0])
@@ -139,6 +161,19 @@ class TestOracleMeasurability:
                                 sigma10, space10)
         with pytest.raises(ValueError):
             bad(np.zeros(10))
+
+    @pytest.mark.parametrize("make", [
+        neg_conditional_expectation, entropic_certainty_equivalent,
+        cubed_mean_map, lambda sigma, space: blind_spot_map(sigma, space, 0),
+        lambda sigma, space: RiskMeasureOracle("raw", lambda x: x, sigma,
+                                               space)])
+    def test_partition_and_space_of_different_sizes_are_refused(self, make):
+        """A 6-outcome partition on a 10-outcome space was accepted, and
+        the first call failed on a reshape."""
+        sigma = PartitionSigma.of(range(0, 3), range(3, 6))
+        with pytest.raises(ValueError, match="partition covers 6 outcomes, "
+                           "space has 10"):
+            make(sigma, FiniteProbSpace.uniform(10))
 
 
 class TestElementaryChecks:
@@ -479,6 +514,22 @@ class TestFileFormats:
         path = tmp_path / "partition.txt"
         path.write_text("1\n2 0\n")
         with pytest.raises(ValueError, match="numbered from 1"):
+            load_partition(path)
+
+    @pytest.mark.parametrize("tok", ["1_0", "+10", "-10", "10-", "8-9-10",
+                                     "9--10", "\uff11\uff10"])
+    def test_outcome_token_other_than_n_or_range_is_refused(self, tmp_path,
+                                                            tok):
+        """A token is ``N`` or ``N-M`` in ASCII digits. ``int`` read
+        ``1_0``, ``+10`` and full-width digits as outcome 10; the others
+        failed with a bare ``int()`` message, or as a range that ends below
+        its start (``9--10``)."""
+        message = f"{tok!r} is not an outcome number N or a range N-M"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_partition_text(f"1-9; {tok}")
+        path = tmp_path / "partition.txt"
+        path.write_text(f"1-9\n{tok}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="is not an outcome number"):
             load_partition(path)
 
     def test_repeated_outcome_is_refused(self, tmp_path):
