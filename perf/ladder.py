@@ -11,18 +11,17 @@ outcomes in atoms of three, budget and triples 200, seed 0. The measure is
 built outside the timing, and the call is ``cli.check_property``, the one
 ``qcx risk-check`` makes. A triple check's call draws its triples and reads
 their table. An index rung is ``compute_index`` of ``sqrt`` on [1, 4] (case
-I), ``neglog`` on [1, e] (case II), ``square`` on [1, 2] (case II, index
-1/8 at the right end, whose solve bursts most), ``log`` on [1, e] (case
-I, where every pair crosses at lambda = -1, so the crossings of the
-tolerance all but tie) or ``late_concave`` on [0, 1] at ``m`` grid
-points, the table build included, or of the 2-D ``neglog2``, ``-log x -
-log y`` on [1, e]^2 (case II, index 1/2 by the harmonic rule), at ``m^2``
-points. ``late_concave`` is case I, but its
-entry scan first sees a gap above tolerance 40-60% of the way through the
-blocks, where the index's solve stream restarts from case II at case I
-and re-reads the blocks already passed once the scan ends. ``sqrt`` and
-``log`` switch in their first block. The layers of an index rung have
-rungs of their own, for the same five functions and ``m``: ``table`` is
+I), ``neglog`` on [1, e] (case II), ``square`` on [1, 2] and ``exp`` on
+[0, 1] (case II, indices 1/8 and 1/e at the right end, whose solves burst
+most), ``log`` on [1, e] (case I, where every pair crosses at lambda = -1,
+so the crossings of the tolerance all but tie) or ``late_concave`` on [0,
+1] at ``m`` grid points, the table build included, or of the 2-D
+``neglog2``, ``-log x - log y`` on [1, e]^2 (case II, index 1/2 by the
+harmonic rule), at ``m^2`` points. ``late_concave`` is case I, convex up to
+0.95 and concave beyond; the local pairs there show its concavity, so like
+``sqrt`` and ``log`` it switches from case II to case I in its first
+block, which the table reads first. The layers of an index rung have
+rungs of their own, for the same six functions and ``m``: ``table`` is
 the ``PairTable(f, box)`` build (outcome: the pair count), ``scan`` one
 ``PairTable.scan("convex", tol)`` at the default tolerance with no fold
 (outcome: the worst gap) and ``probe`` one ``exp_transform_ok`` at the
@@ -105,6 +104,7 @@ def neglog2() -> FunctionSpec:
 INDEX_FUNCTIONS = {"sqrt": (families.sqrt, 1.0, 4.0),
                    "neglog": (families.neglog, 1.0, math.e),
                    "square": (families.square, 1.0, 2.0),
+                   "exp": (families.exp, 0.0, 1.0),
                    "log": (log, 1.0, math.e),
                    "late_concave": (late_concave, 0.0, 1.0)}
 RUNS = 10
@@ -151,7 +151,7 @@ def layer_calls(name: str, m: int) -> dict:
     f, box = make(), BoxDomain.of(lo, hi, m)
     table, lam = PairTable(f, box), compute_index(f, box).value
     tol = default_gap_tol(f)
-    return {f"table.{name}.m{m}": lambda: PairTable(f, box).blocks[-1][1],
+    return {f"table.{name}.m{m}": lambda: max(PairTable(f, box).blocks)[1],
             f"scan.{name}.m{m}": lambda: table.scan("convex", tol)[0],
             f"probe.{name}.m{m}": lambda: table.exp_transform_ok(lam)}
 

@@ -330,8 +330,10 @@ def build_space(cp) -> FiniteProbSpace:
 
 def build_partition(cp, n: int) -> PartitionSigma:
     sigma = _one_of(cp, "partition", ("atoms", "file"))
-    if sigma.n != n:
-        raise ConfigError(f"partition covers {sigma.n} outcomes, space has {n}")
+    if sigma.n != n:  # _one_of has found one key set
+        key = "file" if cp.has_option("partition", "file") else "atoms"
+        raise ConfigError(f"[partition] {key}: covers {sigma.n} outcomes, "
+                          f"[space] has {n}")
     return sigma
 
 
@@ -472,8 +474,9 @@ def cmd_sum_check(cp, brute: bool, csv: Optional[TextIO]) -> dict:
     values = dsum.index_values(lambda_cap)
     for name, v in zip(names, values):
         if math.isinf(v):
-            raise ConfigError(f"coordinate {name!r} has infinite index {v}; "
-                              "the sum criteria need non-constant coordinates")
+            raise ConfigError(f"[sum-check] functions: coordinate {name!r} "
+                              f"has infinite index {v}; the sum criteria "
+                              "need non-constant coordinates")
     by_sum = index_sum_criterion(values)
     by_structure = characterize(values)
     result = {

@@ -42,10 +42,11 @@ Kernels skip the exponentials or logs of pairs that provably cannot matter
 (:func:`_cap_violation`, :func:`_prune`), and a pair pruned at one running
 extremum can beat no later one, so no pass verifies the result.
 
-Every pass walks the blocks in order, one at a time, so the evaluation
-oracle is never called concurrently and need not be reentrant. Ties between
-gaps go to the earlier weight, then the lower pair index, so results do not
-depend on the block size.
+Every pass walks the blocks one at a time, in the table's read order, not
+in the pairs' position order (:class:`PairTable`), so the evaluation oracle
+is never called concurrently and need not be reentrant. Ties between gaps
+go to the earlier weight, then the lower pair position, so results depend
+on neither the block size nor the read order.
 """
 
 from __future__ import annotations
@@ -415,24 +416,25 @@ def _prune(da, db, eta: float, t: float, sign: int, lam_cap: float):
     -EXCESS_MARGIN``, so it passed its cap test, which ignores ``t``.
     """
     excess = _excess(da, db, eta, -sign * t, sign)
-    keep = excess > REL_GAP_TOL - EXCESS_MARGIN
-    if sign > 0:
-        near = np.flatnonzero(excess >= -EXCESS_MARGIN)
-        if _cap_violation(da[near], db[near], eta, lam_cap).any():
+    pos = np.flatnonzero(excess >= -EXCESS_MARGIN if sign > 0
+                         else excess > REL_GAP_TOL - EXCESS_MARGIN)
+    da, db, excess = da[pos], db[pos], excess[pos]
+    if sign > 0:  # the near pairs: NaN fails both tests
+        if _cap_violation(da, db, eta, lam_cap).any():
             return None
-        middle = near[~keep[near]]
+        keep = excess > REL_GAP_TOL - EXCESS_MARGIN
+        middle = np.flatnonzero(~keep)
         if len(middle) and t > math.ulp(0.0):
             middle = middle[~_past_minimizer(da[middle], db[middle], eta, t)]
         if len(middle):
             keep[middle] = _fail_end(da[middle], db[middle], eta, sign,
                                      lam_cap)[1]
-    pos = np.flatnonzero(keep)
+        pos, da, db, excess = pos[keep], da[keep], db[keep], excess[keep]
     if not len(pos):
         return _NONE
-    da, db = da[pos], db[pos]
     at = t if t < lam_cap else 0.0  # the cap is no solved crossing
     return pos, da, db, _crossing_estimate(da, db, eta, sign, t=at,
-                                           excess=excess[pos] if at else 0.0)
+                                           excess=excess if at else 0.0)
 
 
 def _mix_points(a, b, eta):
@@ -544,18 +546,19 @@ class BreakEvenStream:
 class PairTable:
     """The pair set of a box grid, streamed in blocks of :data:`SCAN_BLOCK`.
 
-    Pairs come in scan order: grid pairs in ``np.triu_indices`` order, then
-    per axis and local scale the steps up from every grid point and the steps
-    down, clipped to the box. A step clipped back onto its base point is
-    skipped (its mix may round an ulp away from it). The table keeps only the
-    grid points, their values and the block list; every pass rebuilds each
-    block and evaluates its mixes one weight at a time, so a pass holds one
-    block. The passes are gap scans and the ``expm1`` exponential-transform
-    test. The index's gap scan also streams its break-even solve, so the
-    index reads each block once, and once more the blocks that the scan
-    passed before a case switch, then only its binding pair; that scan
-    only decides whether a gap exceeds its tolerance, and stops forming
-    gaps once one does.
+    Pair positions run over the grid pairs in ``np.triu_indices`` order,
+    then per axis and local scale the steps up from every grid point and the
+    steps down, clipped to the box. A step clipped back onto its base point
+    is skipped (its mix may round an ulp away from it). Passes read the
+    ``blocks`` that hold local pairs first, whose crossings follow
+    ``f''/f'^2`` point by point and mostly fix the index. The table keeps
+    the grid points, their values and the block list; every pass rebuilds
+    each block and evaluates its mixes one weight at a time, so a pass holds
+    one block. The passes are gap scans and the ``expm1`` transform test.
+    The index's gap scan also streams its break-even solve, so the index
+    reads each block once, and once more the blocks that the scan passed
+    before a case switch, then only its binding pair; that scan only decides
+    whether a gap exceeds its tolerance, and stops forming gaps once one does.
 
     For a function that declares separable ``terms``, the table also keeps
     per weight and term the values ``T_k[p, q] = f_k(eta c_p + (1 - eta)
@@ -600,9 +603,10 @@ class PairTable:
         self.a = range(count)  # pair positions; bench/spans.py counts len(a)
         self.terms = self._term_tables(box) if g.terms else None
         first = 0 if self.terms is None else self.grid_pairs
-        self.blocks = ([] if self.terms is None else self._chunks()) + [
+        self.blocks = sorted(([] if self.terms is None else self._chunks()) + [
             (s, min(s + SCAN_BLOCK, count))
-            for s in range(first, count, SCAN_BLOCK)]
+            for s in range(first, count, SCAN_BLOCK)],
+            key=lambda block: block[1] <= self.grid_pairs)  # local pairs first
 
     def _term_tables(self, box):
         """Per term, ``(stride, M, tables, shape)``: grid point ``i`` lies in
@@ -792,10 +796,11 @@ class PairTable:
         on the block size.
 
         A chunk's mix values are summed into one of two buffers of
-        ``chunk_size`` entries and its reference written into the other; the
-        scan drops both before the local blocks. The reference is ``sign *
-        inf`` at the entries that are no pair, so their gaps are ``-inf``, or
-        NaN, which is not degenerate, where the mix value is ``sign * inf``.
+        ``chunk_size`` entries, made at the first chunk, after the local
+        blocks, and its reference written into the other. The reference is
+        ``sign * inf`` at the entries that are no pair, so their gaps are
+        ``-inf``, or NaN, which is not degenerate, where the mix value is
+        ``sign * inf``.
         The best entry is the ``argmax`` of the difference ``fm - ref``, or
         its ``argmin`` for the concave form, whose gap is the negation.
 
@@ -807,14 +812,14 @@ class PairTable:
         sign, refs = GAP_FORMS[kind]
         # finds the best gap's entry in fm - ref, which is sign * gap
         pick = np.ndarray.argmax if sign > 0 else np.ndarray.argmin
+        top = np.fmax.reduce if sign > 0 else np.fmin.reduce  # skip NaN
         # (gap, -which, -position) of the running best; a -inf gap (no pair
         # or all degenerate) is never kept
-        best, degen, refuted = (-math.inf, 0, 0), False, False
-        bufs = None if self.terms is None else np.empty((2, self.chunk_size))
+        best, degen, refuted, bufs = (-math.inf, 0, 0), False, False, None
         with np.errstate(all="ignore"):
             for block in self.blocks:
-                if bufs is not None and block[0] >= self.grid_pairs:
-                    bufs = gap = ref = mix = None  # and every view of them
+                if bufs is None and self.terms and block[0] < self.grid_pairs:
+                    bufs = np.empty((2, self.chunk_size))
                 fa, fb, mix, skip, pair = self._block(
                     block, None if bufs is None else bufs[0])
                 ref = refs(fa, fb, None if skip is None else
@@ -831,12 +836,12 @@ class PairTable:
                         if skip is not None and (refs is _combos or which == 0):
                             np.copyto(r, sign * math.inf, where=skip)
                         # sign times the gap, which is -inf at no pair, or NaN
-                        # where the mix value is sign * inf
-                        gap = np.subtract(gap, r, out=None if skip is None else gap)
+                        # where the mix value is sign * inf; in no oracle's array
+                        gap = np.subtract(gap, r, out=gap if skip is not None
+                                          else r if refs is _combos else None)
                         del r
                     if fold is not None:
-                        refuted = refuted or bool((gap > tol).any() if sign > 0
-                                                  else (gap < -tol).any())
+                        refuted = refuted or bool(sign * top(gap, None) > tol)
                         if not fold(block, which, eta, *diffs, refuted):
                             return
                         continue

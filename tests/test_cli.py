@@ -207,6 +207,15 @@ class TestSumCheckCommand:
         assert res["characterize"]["rule"] == "all-convex"
         assert res["harmonic_index"] == pytest.approx(1 / 9, abs=2e-2)
 
+    def test_infinite_coordinate_index_names_its_key(self, tmp_path, capsys):
+        """A constant coordinate has index +inf: the sum criteria cannot
+        use it, so the run exits 64 and names ``[sum-check] functions``."""
+        changes = {"family": "const", "weight": None}
+        assert run_changed(tmp_path, "sum-check", "function l", changes) == 64
+        err = capsys.readouterr().err
+        assert ("[sum-check] functions: coordinate 'l' has infinite index inf"
+                in err)
+
     def test_needs_two_functions(self, tmp_path):
         cfg = tmp_path / "one.ini"
         cfg.write_text("[function q]\nfamily = square\ndomain = 0 1\n\n"
@@ -520,6 +529,18 @@ class TestDeterminismAndErrors:
                        "atoms = 1-4; 5-7; 8-10\n\n[measure m]\n"
                        "kind = neg_cond_exp\n\n[risk-check]\nmeasure = m\n")
         assert run(["risk-check", "--config", str(cfg)]) == 64
+
+    @pytest.mark.parametrize("key", ["atoms", "file"])
+    def test_partition_size_mismatch_names_its_keys(self, tmp_path, capsys,
+                                                    key):
+        """A partition of another size than the space exits 64 and names
+        the partition's key and the space's section."""
+        (tmp_path / "part.txt").write_text("1-4\n5-7\n8-9\n")
+        changes = ({"atoms": "1-4; 5-7; 8-9"} if key == "atoms" else
+                   {"atoms": None, "file": str(tmp_path / "part.txt")})
+        assert run_changed(tmp_path, "risk-check", "partition", changes) == 64
+        err = capsys.readouterr().err
+        assert f"[partition] {key}: covers 9 outcomes, [space] has 10" in err
 
     def test_threads_flag_accepted(self, tmp_path):
         """``--threads`` is accepted and changes nothing: the report files

@@ -927,20 +927,20 @@ def test_case_two_block_passes(monkeypatch):
 
 
 def _late_refuted():
-    """Increasing, convex up to 0.95 and concave beyond: long chords into
-    the concave end stay above the function, so the first gap above
-    tolerance lies in block 9 of 18."""
+    """Increasing, convex up to 0.95 and concave beyond, with ``f'' = -19``:
+    the local pairs there have gaps above tolerance, and their blocks are
+    read first, so the first such gap lies in block 0."""
     f = FunctionSpec(1, lambda p: p[:, 0] ** 2 / 2 + p[:, 0]
                      - 10 * np.maximum(p[:, 0] - 0.95, 0.0) ** 2,
                      name="late-concave")
     return f, BoxDomain.of(0.0, 1.0, 513)
 
 
-def test_case_one_late_switch_rereads_the_passed_blocks(monkeypatch):
-    """The stream runs case II until the first gap above tolerance, then
-    restarts at case I from there; after the scan it re-reads the blocks
-    passed before, and the switching block if its switch came after weight
-    0, once. Value, bracket and binding pair equal the cached table's."""
+def test_case_one_local_switch_reads_each_block_once(monkeypatch):
+    """A case-I input whose concavity a local pair shows above tolerance
+    switches in block 0, weight 0: it reads every block once, then the
+    binding pair. Value, bracket and binding pair equal the cached
+    table's."""
     f, box = _late_refuted()
     blocks = PairTable(f, box).blocks
     want = oracle_index(f, box)
@@ -949,9 +949,44 @@ def test_case_one_late_switch_rereads_the_passed_blocks(monkeypatch):
     ix = compute_index(f, box)
     assert (ix.value, ix.bracket, ix.binding) == (want.value, want.bracket,
                                                   want.binding)
+    assert ix.case is IndexCase.CASE_I and streams[0].switch == (blocks[0], 0)
+    assert builds == blocks + _binding_pair(builds) and probes == []
+
+
+def _bend(x, lo, hi, c):
+    """``c (max(x - hi, 0)^2 - max(x - lo, 0)^2)``, which lowers ``f''``
+    by ``2 c`` on ``[lo, hi]``."""
+    return c * (np.maximum(x - hi, 0.0) ** 2 - np.maximum(x - lo, 0.0) ** 2)
+
+
+def _chord_refuted():
+    """Increasing, with ``f'' = 1`` but ``f'' = -1`` on [0.5, 0.55]: no
+    local pair's gap reaches the tolerance 1e-6 (each is at most ``h^2 /
+    8``, ``h = 1/512``), while chords across the stretch exceed it, so the
+    first gap above tolerance lies in block 12 of 18, a grid block."""
+    f = FunctionSpec(1, lambda p: p[:, 0] ** 2 / 2 + p[:, 0]
+                     + _bend(p[:, 0], 0.5, 0.55, 1.0), name="chord-concave")
+    return f, BoxDomain.of(0.0, 1.0, 513)
+
+
+def test_case_one_late_switch_rereads_the_passed_blocks(monkeypatch):
+    """The stream runs case II until the first gap above tolerance, then
+    restarts at case I from there; after the scan it re-reads the blocks
+    passed before, and the switching block if its switch came after weight
+    0, once. Value, bracket and binding pair equal the cached table's."""
+    f, box = _chord_refuted()
+    table = PairTable(f, box)
+    blocks = table.blocks
+    want = oracle_index(f, box)
+    streams = _recording_streams(monkeypatch)
+    builds, probes = _count_passes(monkeypatch)
+    ix = compute_index(f, box)
+    assert (ix.value, ix.bracket, ix.binding) == (want.value, want.bracket,
+                                                  want.binding)
     block, which = streams[0].switch
     k = blocks.index(block)
-    assert ix.case is IndexCase.CASE_I and k == 9
+    assert ix.case is IndexCase.CASE_I and k == 12
+    assert block[1] <= table.grid_pairs
     assert ix.probes == ((-CAP, True), (ix.bracket[1], False))
     assert builds == blocks + blocks[:k + (which > 0)] + _binding_pair(builds)
     assert probes == []
@@ -961,21 +996,23 @@ def test_case_one_late_switch_caps_the_passed_blocks(monkeypatch):
     """A spike of 5e-7 at one grid point of a flat stretch, under the gap
     tolerance, fails the transform at the cap only in grid pairs whose mix
     is that point, all in blocks before the switch; no local pair's mix is
-    a grid point. The re-read of those blocks makes their cap test, and the
-    index is -inf."""
+    a grid point, and no local pair's gap on the concave stretch (``f'' =
+    -1``) reaches the tolerance, so the switch comes in a grid block. The
+    re-read of the passed blocks makes their cap test, and the index is
+    -inf."""
     x = lambda p: p[:, 0]  # noqa: E731
-    f = FunctionSpec(1, lambda p: np.maximum(x(p) - 0.5, 0.0) ** 2
-                     - 5 * np.maximum(x(p) - 0.95, 0.0) ** 2
+    f = FunctionSpec(1, lambda p: np.maximum(x(p) - 0.3, 0.0) ** 2
+                     + _bend(x(p), 0.6, 0.65, 1.5)
                      + np.where(x(p) == 52 / 512, 5e-7, 0.0),
-                     name="spike-late-concave")
+                     name="spike-chord-concave")
     box = BoxDomain.of(0.0, 1.0, 513)
     streams = _recording_streams(monkeypatch)
-    blocks = PairTable(f, box).blocks
+    table = PairTable(f, box)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CapTooSmallWarning)
         ix = compute_index(f, box)
         want = oracle_index(f, box)
-    assert streams[0].switch[0] != blocks[0] and streams[0].capped
+    assert streams[0].switch[0][1] <= table.grid_pairs and streams[0].capped
     assert ix == want and ix.value == -math.inf and ix.cap_probe
 
 

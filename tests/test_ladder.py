@@ -9,6 +9,7 @@ committed file must hold every rung of the full ladder.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +68,8 @@ def check_schema(data, *sizes):
             assert abs(rung["outcome"] + 19.0) < 1e-2
         elif name.startswith("index.square."):  # f''/f'^2 = 1/8 at 2
             assert abs(rung["outcome"] - 0.125) < 1e-3
+        elif name.startswith("index.exp."):  # f''/f'^2 = 1/e at 1
+            assert abs(rung["outcome"] - math.exp(-1.0)) < 1e-3
         else:  # sqrt and log are case I, neglog case II, indices near -1, 1
             assert abs(abs(rung["outcome"]) - 1.0) < 1e-3
 
@@ -88,7 +91,7 @@ def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
     assert data["rungs"]["risk.translativity.cubed_mean.k3"]["outcome"] == "fail"
     assert data["rungs"]["risk.locality.entropic.k3"]["outcome"] == "pass"
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 45
+    assert len(printed) == 49
     assert all("committed" in line for line in printed)
 
 

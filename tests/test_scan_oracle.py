@@ -251,16 +251,23 @@ def test_table_scan_matches_oracle(block, split, monkeypatch):
 
 
 def test_table_pairs_match_oracle(monkeypatch):
-    """The blocks build the same pairs in the same order, at the default
-    block size and at a few pairs: grid pairs, then up/down local steps."""
+    """The blocks, in position order, build the same pairs in the same
+    order, at the default block size and at a few pairs: grid pairs, then
+    up/down local steps. They tile the positions, and every block that
+    holds a local pair is read before every block of grid pairs alone."""
     for case, (f, box) in CASES.items():
         a, b = _pair_arrays(box)
         for size in (DEFAULT_BLOCK, _few(box)):
             monkeypatch.setattr(extcore, "SCAN_BLOCK", size)
             table = PairTable(f, box)
-            built = [table._build(block) for block in table.blocks]
+            blocks = sorted(table.blocks)
+            assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
+            assert blocks[-1][1] == len(a), case
+            grid = [stop <= table.grid_pairs for _, stop in table.blocks]
+            assert grid == sorted(grid) and not grid[0], case
+            built = [table._build(block) for block in blocks]
             assert [len(part[0]) for part in built] == [
-                stop - start for start, stop in table.blocks], case
+                stop - start for start, stop in blocks], case
             ta, tb, fa, fb = map(np.concatenate, zip(*built))
             assert np.array_equal(ta, a) and np.array_equal(tb, b), case
             assert np.array_equal(fa, f(a)) and np.array_equal(fb, f(b)), case

@@ -102,7 +102,8 @@ def _pairs_of(fm: np.ndarray, skip) -> np.ndarray:
 def test_looked_up_mixes_are_the_evaluated_bits(seed, block, monkeypatch):
     """Per chunk and weight, the outer sums of the term tables equal ``g``
     evaluated at ``eta a + (1 - eta) b`` of each pair, as int64 bit
-    patterns; the local blocks after the chunks evaluate ``g`` itself."""
+    patterns; the local blocks, read before the chunks, evaluate ``g``
+    itself."""
     dsum, box = random_sum(seed)
     if block == "few":
         monkeypatch.setattr(extcore, "SCAN_BLOCK", _terms_block(dsum, box))
@@ -120,7 +121,9 @@ def test_looked_up_mixes_are_the_evaluated_bits(seed, block, monkeypatch):
                 got = _pairs_of(mix(which), skip)
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), (span, eta)
-    assert chunks > 1 and table.blocks[chunks][0] == table.grid_pairs
+    grid = [span[0] < table.grid_pairs for span in table.blocks]
+    assert chunks > 1 and grid.count(True) == chunks
+    assert grid == sorted(grid) and table.blocks[0][0] == table.grid_pairs
 
 
 @pytest.mark.parametrize("seed", SEEDS)
