@@ -43,10 +43,14 @@ peak of one more call, made apart so that tracing slows no timed call;
 ``outcome`` is that call's verdict, or its index value. The
 file records the commit, the cores,
 Python, numpy and the line count of ``src/qcx`` through ``metadata()`` of
-``bench/run.py``. Each rung's time is printed with its ratio to the same
-rung of the committed ``BENCH_ladder.json``, with ``outcome changed
-(committed: X)`` beside a rung whose outcome is not the committed one;
-nothing gates on seconds or outcomes.
+``bench/run.py``, and ``compile_peak_mb``, the ``tracemalloc`` peak of
+compiling each ``src/qcx`` module's source (:func:`compile_peaks`): a
+process that writes no bytecode compiles every module it imports, and the
+largest module's compile can set the peak memory of a short command. Each
+rung's time is printed with its ratio to the same rung of the committed
+``BENCH_ladder.json``, with ``outcome changed (committed: X)`` beside a
+rung whose outcome is not the committed one, and then the largest compile
+peak; nothing gates on seconds, outcomes or peaks.
 """
 
 from __future__ import annotations
@@ -232,6 +236,21 @@ def traced(call) -> dict:
     return {"peak_mb": peak / 2 ** 20, "outcome": outcome}
 
 
+def compile_peaks() -> dict:
+    """Per ``src/qcx`` module, the ``tracemalloc`` peak of one ``compile()``
+    of its source, in MB."""
+    peaks = {}
+    for path in sorted((ROOT / "src" / "qcx").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def rungs(ks, points, points_2d, points_3d, runs: int) -> dict:
     """Every rung, timed in ``runs`` passes over all rungs, so that a
     drift of the host's speed reaches every rung alike."""
@@ -268,6 +287,8 @@ def main(argv=None) -> int:
               if COMMITTED.is_file() else {})
     result = {"metadata": metadata(), "runs": RUNS,
               "rungs": rungs(KS, POINTS, POINTS_2D, POINTS_3D, RUNS)}
+    # after the rungs, whose fault counts follow the heap they fork from
+    result["metadata"]["compile_peak_mb"] = compile_peaks()
     for name, rung in result["rungs"].items():
         old = before.get(name)
         ratio = (f"{rung['best_s'] / old['best_s']:6.3f}x committed"
@@ -276,6 +297,9 @@ def main(argv=None) -> int:
             ratio += f"  outcome changed (committed: {old['outcome']})"
         print(f"{name:36s} {rung['best_s'] * 1e3:9.3f} ms "
               f"{rung['peak_mb']:7.3f} MB {rung['faults']:6d} faults  {ratio}")
+    peaks = result["metadata"]["compile_peak_mb"]
+    top = max(peaks, key=peaks.get)
+    print(f"largest compile peak: {top} {peaks[top]:.3f} MB")
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

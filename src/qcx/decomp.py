@@ -252,11 +252,14 @@ def brute_force_sum_quasiconvex(dsum: DecomposableSum, pair_budget: int = 10 ** 
 
     The sum declares its terms (:meth:`DecomposableSum.as_function`), so the
     grid pairs' mix values, a chunk of whole grid rows at a time, are outer
-    sums of per-term tables of the term values at the mixes of two cells:
-    the oracle evaluates the grid, ``7 M_k^2`` mixes per term and the local
-    pairs, not every mix of the product. A term with more than
-    ``SCAN_BLOCK`` cell pairs turns the tables off and every mix is
-    evaluated; the result is the same bit for bit either way.
+    sums of per-term tables of the term values at the mixes of two cells,
+    and the local pairs' far endpoint and mix values are outer sums of
+    per-cell term values (:mod:`qcx.separable`): the oracle evaluates the
+    grid, ``7 M_k^2`` mixes and the ``M_k`` cells per term, and per local
+    run the moving term at the far end and 7 mixes of each cell it moves,
+    not every mix of the product. A term with more than ``SCAN_BLOCK`` cell
+    pairs turns the lookups off and every mix is evaluated; the result is
+    the same bit for bit either way.
     """
     box = dsum.product_box(m_override)
     return certify_quasiconvex(dsum.as_function(), box, tol=1e-9,

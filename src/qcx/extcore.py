@@ -23,9 +23,11 @@ keeps no pair: every pass rebuilds each block and evaluates its mixes one
 weight at a time, so memory is O(block + grid) and ``pair_budget`` bounds
 time, not memory. On a declared separable sum (:attr:`FunctionSpec.terms`)
 the grid pairs stream in chunks of whole rows, whose mix values are outer
-sums of per-term tables of O(block) entries; only the local pairs' mixes
-are evaluated. The certifiers make one gap scan. The convexity index reads
-every block once, in its gap scan, which also streams the pairs through its
+sums of per-term tables of O(block) entries, and the local pairs' far
+endpoint and mix values are outer sums of per-cell term values
+(:mod:`qcx.separable`), so the sum is evaluated on the grid only. The
+certifiers make one gap scan. The convexity index reads every block once,
+in its gap scan, which also streams the pairs through its
 break-even solve (:class:`BreakEvenStream`, whose case-I prune makes the cap
 test where it cannot clear a pair) and forms no gap after the first above
 its tolerance; a case switch after the first block and weight re-reads what
@@ -169,7 +171,7 @@ class FunctionSpec:
     ``terms`` declares a separable sum, its axis ranges in order: ``((f_k,
     first, stop), ...)`` says that ``fn`` is ``0 + f_1(x[:, first_1:stop_1])
     + f_2(...) + ...``, summed in that order. :class:`PairTable` then looks
-    the grid pairs' mix values up in per-term tables instead of evaluating.
+    every value off the grid up in per-term values instead of evaluating.
     """
 
     dim: int
@@ -418,6 +420,8 @@ def _prune(da, db, eta: float, t: float, sign: int, lam_cap: float):
     excess = _excess(da, db, eta, -sign * t, sign)
     pos = np.flatnonzero(excess >= -EXCESS_MARGIN if sign > 0
                          else excess > REL_GAP_TOL - EXCESS_MARGIN)
+    if not len(pos):  # most prunes at the final extremum
+        return _NONE
     da, db, excess = da[pos], db[pos], excess[pos]
     if sign > 0:  # the near pairs: NaN fails both tests
         if _cap_violation(da, db, eta, lam_cap).any():
@@ -455,7 +459,12 @@ def _solve(picks, best, sign: int, lam_cap: float):
     no convergence test: a round is one :func:`_exp_violation` of every
     pair at its midpoint and the two bracket updates. A bracket already one
     float wide (or none) re-tests its passing end (sign=-1) or its failing
-    end (sign=+1) with the same operands, so it does not move."""
+    end (sign=+1) with the same operands, so it does not move.
+
+    The rounds form :func:`_excess` in place, in three scratch arrays: the
+    products ``-lam d`` as ``t (sign d)``, the same bits, with ``sign d``
+    and ``1 - eta`` formed once, and for sign=+1 the test ``-x >
+    REL_GAP_TOL`` as ``x < -REL_GAP_TOL``."""
     which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
     idx, da, db = (np.concatenate(c) for c in zip(*(p[1:] for p in picks)))
     eta = np.asarray(DEFAULT_ETAS)[which]
@@ -467,15 +476,24 @@ def _solve(picks, best, sign: int, lam_cap: float):
     pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
     fail_bits = t_fail.view(np.int64)  # t_fail is bisected in place
     width = int(np.abs(fail_bits - pass_bits).max())
+    sda, sdb = (-da, -db) if sign < 0 else (da, db)
+    rest = 1 - eta
+    ea, eb, mid = np.empty(len(idx)), np.empty(len(idx)), np.empty_like(
+        pass_bits)
     for _ in range(max(width - 1, 0).bit_length()):
-        mid = fail_bits - pass_bits
+        np.subtract(fail_bits, pass_bits, out=mid)
         mid >>= 1  # floors, as // 2 does
         mid += pass_bits
         t = mid.view(np.float64)
-        bad = _exp_violation(da, db, eta, t if sign < 0 else -t, sign)
+        np.expm1(np.multiply(t, sda, out=ea), out=ea)
+        np.expm1(np.multiply(t, sdb, out=eb), out=eb)
+        ea *= eta
+        eb *= rest
+        ea += eb
+        bad = ea > REL_GAP_TOL if sign < 0 else ea < -REL_GAP_TOL
         np.putmask(fail_bits, bad, mid)
         np.putmask(mid, bad, pass_bits)  # mid is the new passing end
-        pass_bits = mid
+        pass_bits, mid = mid, pass_bits
     t_pass = pass_bits.view(np.float64)
     lam_pass = -sign * t_pass
     k = np.lexsort((idx, which, lam_pass))[0]
@@ -560,19 +578,20 @@ class PairTable:
     before a case switch, then only its binding pair; that scan only decides
     whether a gap exceeds its tolerance, and stops forming gaps once one does.
 
-    For a function that declares separable ``terms``, the table also keeps
-    per weight and term the values ``T_k[p, q] = f_k(eta c_p + (1 - eta)
-    c_q)`` at the mixes of every two cells ``c_p``, ``c_q`` of the term's
-    sub-grid, and streams the grid pairs in chunks of whole rows
-    (:meth:`_chunk`). A grid pair's mix along the term's axes depends only on
-    its two cells there, so a chunk's mix values are the outer sum ``0 + T_1
-    + T_2 + ...``: the sum's own arithmetic on the same term values. Local
-    pairs, whose far endpoint lies off the grid, are evaluated, in blocks.
-    The tables are kept only when every term has at most ``SCAN_BLOCK`` cell
-    pairs, so they stay O(block) per weight and term; otherwise every mix is
-    evaluated. A gap scan makes three passes per chunk and weight, in one
-    buffer per scan (:meth:`scan`), and checks no sum that the tables'
-    minima prove neither NaN nor ``-inf`` (:meth:`_term_tables`).
+    For a function that declares separable ``terms``, ``terms`` holds its
+    :class:`qcx.separable.TermTables`: per weight and term the values
+    ``T_k[p, q] = f_k(eta c_p + (1 - eta) c_q)`` at the mixes of every two
+    cells ``c_p``, ``c_q`` of the term's sub-grid, and per local run the
+    moving term's values at its far ends and mixes. The grid pairs stream in
+    chunks of whole rows, whose mix values are the outer sum ``0 + T_1 + T_2
+    + ...``, and the local blocks' far endpoint and mix values are outer
+    sums of per-cell term values: the sum's own arithmetic on the same term
+    values, so the sum is evaluated on the grid only. The tables are kept
+    only when every term has at most ``SCAN_BLOCK`` cell pairs, so they stay
+    O(block) per weight and term; otherwise every mix is evaluated. A gap
+    scan makes three passes per chunk and weight, in one buffer per scan
+    (:meth:`scan`), and checks no sum that the term values' minima prove
+    neither NaN nor ``-inf``.
     """
 
     def __init__(self, g: FunctionSpec, box: BoxDomain,
@@ -601,70 +620,13 @@ class PairTable:
                 self.local += [(count, size, local)] if size else []
                 count += size
         self.a = range(count)  # pair positions; bench/spans.py counts len(a)
-        self.terms = self._term_tables(box) if g.terms else None
-        first = 0 if self.terms is None else self.grid_pairs
-        self.blocks = sorted(([] if self.terms is None else self._chunks()) + [
+        self.terms = term_tables(self, box) if g.terms else None
+        chunks, first = ([], 0) if self.terms is None else (
+            self.terms.chunks(), self.grid_pairs)
+        self.blocks = sorted(chunks + [
             (s, min(s + SCAN_BLOCK, count))
             for s in range(first, count, SCAN_BLOCK)],
             key=lambda block: block[1] <= self.grid_pairs)  # local pairs first
-
-    def _term_tables(self, box):
-        """Per term, ``(stride, M, tables, shape)``: grid point ``i`` lies in
-        cell ``i // stride % M`` of the term's sub-grid of ``M`` points; per
-        weight, ``tables[which][p, q]`` is ``0 +`` the term's value at the
-        mix of cells ``p`` and ``q``; ``shape`` broadcasts the rows that
-        :meth:`_chunk` takes from the tables along the term's axis of the
-        outer sum. The ``0 +`` is the sum's first addition, made once, for
-        the leading term; for the others it changes no sum, as it only makes
-        ``-0.0`` ``+0.0`` and no partial sum after ``0 + T_1`` is ``-0.0``.
-        None when a term has over ``SCAN_BLOCK`` cell pairs.
-
-        Sets ``floors``: per weight, the float sum ``0 + min T_1 + min T_2 +
-        ...`` of the tables' minima in term order. Float addition is monotone
-        (``a <= a'`` and ``b <= b'`` give ``fl(a + b) <= fl(a' + b')`` where
-        no operand is NaN), so by induction on ``k`` each partial outer sum
-        ``0 + T_1 + ... + T_k`` of a chunk is at least the same partial sum of
-        minima. A floor above ``-inf`` is no NaN, so no table holds NaN
-        (``min`` propagates it) or ``-inf`` (a partial sum of minima that is
-        ``-inf`` or NaN stays so), and no partial sum adds ``-inf`` to
-        ``+inf``: the weight's outer sums are neither NaN nor ``-inf``, and
-        :meth:`_chunk` need not check them.
-        """
-        if [x for _, s, e in self.g.terms for x in range(s, e)] != [*range(box.dim)]:
-            raise ValueError("terms must cover the axes in order")
-        spans = [(f, first, stop, math.prod(box.m[first:stop]))
-                 for f, first, stop in self.g.terms]
-        if any(size * size > SCAN_BLOCK for *_, size in spans):
-            return None
-        terms, self.floors = [], [0.0] * len(DEFAULT_ETAS)
-        for t, (f, first, stop, size) in enumerate(spans):
-            sub = BoxDomain(box.lo[first:stop], box.hi[first:stop],
-                            box.m[first:stop]).points()
-            a, b = np.repeat(sub, size, axis=0), np.tile(sub, (size, 1))
-            with np.errstate(all="ignore"):
-                tables = [0.0 + f(_mix_points(a, b, eta)).reshape(size, size)
-                          for eta in DEFAULT_ETAS]
-            self.floors = [x + float(table.min())
-                           for x, table in zip(self.floors, tables)]
-            # the leading term's one row, or any count of the others' rows
-            shape = [1] * (len(spans) + 1)
-            shape[0], shape[t + 1] = (-1, size) if t else (1, -1)
-            terms.append((math.prod(box.m[stop:]), size, tables, tuple(shape)))
-        return terms
-
-    def _chunks(self):
-        """Position ranges of runs of whole rows in one cell of the leading
-        term, of at most ``4 * SCAN_BLOCK`` entries of :meth:`_chunk` or one
-        row; sets ``chunk_size``, the entries of the largest."""
-        n, cell = len(self.pts), self.terms[0][0]
-        rows = []
-        for c0 in range(0, n, cell):
-            step = max(1, 4 * SCAN_BLOCK // (n - c0))
-            rows += range(c0, min(c0 + cell, n - 1), step)
-        self.chunk_size = max((b - a) * (n - a + a % cell)
-                              for a, b in zip(rows, rows[1:] + [n - 1]))
-        bounds = [int(self.row_start[i]) for i in rows] + [self.grid_pairs]
-        return list(zip(bounds, bounds[1:]))
 
     def _local(self, axis, step, lo, hi):
         moved = np.clip(self.pts[:, axis] + step, lo, hi)
@@ -724,55 +686,18 @@ class PairTable:
         ``block[0]`` up to ``block[1]``: ``mix(which)`` gives their values at
         the mixes of weight ``DEFAULT_ETAS[which]``, aligned with ``fa`` and
         ``fb``, and ``pair(k)`` the position and endpoints of its entry ``k``
-        in C order. ``skip`` is None, or for a chunk (:meth:`_chunk`, which
-        writes its mix values into ``out`` if given) it marks the entries
-        that are no pair."""
+        in C order. ``skip`` is None, or for a chunk (``TermTables.chunk``,
+        which writes its mix values into ``out`` if given) it marks the
+        entries that are no pair. A sum's local blocks are looked up too
+        (``TermTables.steps``)."""
         if self.terms is not None and block[0] < self.grid_pairs:
-            return self._chunk(block, out)
+            return self.terms.chunk(block, out)
+        if self.terms is not None and self.terms.runs is not None:
+            return self.terms.steps(block)
         a, b, fa, fb = self._build(block)
         return (fa, fb,
                 lambda which: self.g(_mix_points(a, b, DEFAULT_ETAS[which])),
                 None, lambda k: (block[0] + k, a[k], b[k]))
-
-    def _chunk(self, block, out=None):
-        """A chunk's grid pairs as matrices: rows ``i`` share the leading
-        term's cell ``p``, columns ``j`` run from that cell's first point to
-        the end of the grid, and ``skip`` marks the entries ``j <= i``.
-        ``mix(which)`` is the broadcast outer sum ``0 + T_1[p, p:] + T_2[cell
-        of i, :] + ...``, which adds as the sum does: the evaluated bits. The
-        partial sums keep their broadcast shapes, the leading row one row;
-        the last sum goes into ``out``, a flat buffer of at least the chunk's
-        entries, if given. Only a weight whose floor (:meth:`_term_tables`)
-        is not above ``-inf`` has its sums checked as oracle values are."""
-        i0, i1 = (int(i) for i in np.searchsorted(self.row_start, block))
-        p = i0 // self.terms[0][0]  # the rows' cell of the leading term
-        c0 = p * self.terms[0][0]
-        rows, cols = np.arange(i0, i1), len(self.pts) - c0
-        skip = np.arange(c0, len(self.pts)) <= rows[:, None]
-        *_, lead, head = self.terms[0]
-        cells = [(rows // stride % size, tables, shape)
-                 for stride, size, tables, shape in self.terms[1:]]
-        full = None if out is None else out[:skip.size].reshape(
-            len(rows), -1, *(size for _, size, *_ in self.terms[1:]))
-
-        def mix(which):
-            fm = lead[which][p, p:].reshape(head)  # 0 + T_1
-            for k, (q, tables, shape) in enumerate(cells, 1):
-                fm = np.add(fm, tables[which][q].reshape(shape),
-                            out=full if k == len(cells) else None)
-            if not cells:  # one term: a copy of its row
-                fm = np.positive(fm, out=full)
-            fm = fm.reshape(len(rows), -1)
-            if not self.floors[which] > -math.inf and not fm.min() > -math.inf:
-                self.g.check(fm[~skip])  # a NaN or -inf, maybe in no pair
-            return fm
-
-        def pair(k):
-            i, j = i0 + k // cols, c0 + k % cols
-            return int(self.row_start[i]) + j - i - 1, self.pts[i], self.pts[j]
-
-        return (self.grid_values[i0:i1, None], self.grid_values[None, c0:],
-                mix, skip, pair)
 
     def _diffs(self, block):
         """Per weight ``(eta, fa - fm, fb - fm)`` of the block's pairs, in
@@ -818,8 +743,9 @@ class PairTable:
         best, degen, refuted, bufs = (-math.inf, 0, 0), False, False, None
         with np.errstate(all="ignore"):
             for block in self.blocks:
-                if bufs is None and self.terms and block[0] < self.grid_pairs:
-                    bufs = np.empty((2, self.chunk_size))
+                if (bufs is None and self.terms is not None
+                        and block[0] < self.grid_pairs):
+                    bufs = np.empty((2, self.terms.chunk_size))
                 fa, fb, mix, skip, pair = self._block(
                     block, None if bufs is None else bufs[0])
                 ref = refs(fa, fb, None if skip is None else
@@ -987,3 +913,7 @@ def certify_quasiconvex(g: FunctionSpec, box: BoxDomain, tol: Optional[float] = 
                         pair_budget: Optional[int] = None) -> CertResult:
     """Scan for ``g(mix) > max(g(x1), g(x2)) + tol`` over the pair set."""
     return _certify(g, box, "quasiconvex", quasiconvexity_gap, tol, pair_budget)
+
+
+# The lookups of a declared sum build on the names above.
+from .separable import term_tables  # noqa: E402

@@ -19,7 +19,9 @@ float-tight.
 canonical failing end; the cached table prunes with it, and the masked
 ``_prune`` must keep the same pairs with the same bits. ``ref_solve`` is
 ``_solve`` with a convergence test in each round; the fixed-round solve
-must return its tuple on adversarial batches. The case-I cap test, which
+must return its tuple on adversarial batches, and that of ``loop_solve``,
+its rounds before they kept scratch arrays, on the solves of the random
+suite and the bench families. The case-I cap test, which
 the prune makes only on the pairs it cannot clear, must flag what the
 whole table flags.
 
@@ -772,6 +774,57 @@ def ref_solve(picks, best, sign: int, lam_cap: float):
     cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
             float(t_pass[k]), float(fail_bits.view(np.float64)[k]))
     return cand if best is None or cand[:3] < best[:3] else best
+
+
+def loop_solve(picks, best, sign: int, lam_cap: float):
+    """``_solve`` before its rounds kept scratch arrays: each round forms
+    its midpoint and calls :func:`_exp_violation` afresh."""
+    which = np.concatenate([np.full(len(p[1]), p[0]) for p in picks])
+    idx, da, db = (np.concatenate(c) for c in zip(*(p[1:] for p in picks)))
+    eta = np.asarray(DEFAULT_ETAS)[which]
+    t_fail, has = _fail_end(da, db, eta, sign, lam_cap)
+    if not has.any():
+        return best
+    which, idx, da, db, eta, t_fail = (
+        x[has] for x in (which, idx, da, db, eta, t_fail))
+    pass_bits = np.full(len(idx), 0.0 if sign < 0 else lam_cap).view(np.int64)
+    fail_bits = t_fail.view(np.int64)
+    width = int(np.abs(fail_bits - pass_bits).max())
+    for _ in range(max(width - 1, 0).bit_length()):
+        mid = fail_bits - pass_bits
+        mid >>= 1
+        mid += pass_bits
+        t = mid.view(np.float64)
+        bad = _exp_violation(da, db, eta, t if sign < 0 else -t, sign)
+        np.putmask(fail_bits, bad, mid)
+        np.putmask(mid, bad, pass_bits)
+        pass_bits = mid
+    t_pass = pass_bits.view(np.float64)
+    lam_pass = -sign * t_pass
+    k = np.lexsort((idx, which, lam_pass))[0]
+    cand = (float(lam_pass[k]), int(which[k]), int(idx[k]),
+            float(t_pass[k]), float(t_fail[k]))
+    return cand if best is None or cand[:3] < best[:3] else best
+
+
+@pytest.mark.filterwarnings("ignore::qcx.errors.CapTooSmallWarning")
+@pytest.mark.parametrize("group", ["random-suite", "index-families"])
+def test_solve_rounds_match_the_loop_they_replace(group, monkeypatch):
+    """Every solve of the indices of a group returns the tuple ``(lam_pass,
+    which, idx, t_pass, t_fail)`` of :func:`loop_solve` on its picks."""
+    solve, solved = extcore._solve, []
+
+    def both(picks, best, sign, lam_cap):
+        got = solve(picks, best, sign, lam_cap)
+        solved.append((got, loop_solve(picks, best, sign, lam_cap)))
+        return got
+
+    monkeypatch.setattr(extcore, "_solve", both)
+    for f, box in CASES[group]():
+        compute_index(f, box)
+    assert len(solved) > 20
+    for got, want in solved:
+        assert got == want
 
 
 def _solves_alike(pairs, sign, cap, size):

@@ -18,7 +18,8 @@ _SPEC = importlib.util.spec_from_file_location("ladder",
 ladder = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ladder)
 
-METADATA = {"nproc", "python", "numpy", "commit", "src_qcx_lines"}
+METADATA = {"nproc", "python", "numpy", "commit", "src_qcx_lines",
+            "compile_peak_mb"}
 
 
 #: The L2 rungs, which have no size.
@@ -42,6 +43,10 @@ def rung_names(ks, points, points_2d, points_3d):
 def check_schema(data, *sizes):
     assert METADATA <= set(data["metadata"])
     assert data["metadata"]["src_qcx_lines"] > 0
+    peaks = data["metadata"]["compile_peak_mb"]
+    assert set(peaks) == {path.name for path in
+                          (ROOT / "src" / "qcx").glob("*.py")}
+    assert all(peak > 0 for peak in peaks.values())
     assert set(data["rungs"]) == rung_names(*sizes)
     for name, rung in data["rungs"].items():
         assert set(rung) == {"best_s", "faults", "peak_mb", "outcome"}
@@ -90,9 +95,12 @@ def test_smallest_rungs_write_the_schema(tmp_path, capsys, monkeypatch):
     # the cubed mean is neither translative nor convex
     assert data["rungs"]["risk.translativity.cubed_mean.k3"]["outcome"] == "fail"
     assert data["rungs"]["risk.locality.entropic.k3"]["outcome"] == "pass"
-    printed = capsys.readouterr().out.splitlines()
+    *printed, largest = capsys.readouterr().out.splitlines()
     assert len(printed) == 49
     assert all("committed" in line for line in printed)
+    peaks = data["metadata"]["compile_peak_mb"]
+    top = max(peaks, key=peaks.get)
+    assert largest == f"largest compile peak: {top} {peaks[top]:.3f} MB"
 
 
 def test_committed_file_holds_the_full_ladder():
@@ -148,7 +156,8 @@ def test_changed_outcomes_are_printed(tmp_path, capsys, monkeypatch):
         name: {"best_s": 0.5, "peak_mb": 1.0, "faults": 0, "outcome": "pass"}
         for name in ("a", "b", "c")})
     assert ladder.main(["--out", str(tmp_path / "out.json")]) == 0
-    a, b, c = capsys.readouterr().out.splitlines()
+    a, b, c, largest = capsys.readouterr().out.splitlines()
+    assert largest.startswith("largest compile peak: ")
     assert "outcome changed" not in a + c
     assert b.endswith("0.500x committed  outcome changed (committed: fail)")
     assert c.endswith("new")

@@ -2,15 +2,18 @@
 
 A :class:`qcx.decomp.DecomposableSum` declares its terms, and
 :class:`qcx.extcore.PairTable` then looks each grid pair's mix value up in
-per-term tables instead of evaluating the sum at the mix. The lookup must
-give the bits that direct evaluation gives, pair by pair and weight by
-weight, so the scan must return exactly what ``oracle_scan`` returns. The
-evaluation counts show the lookup at work, and its fallback when a term's
-table would exceed ``SCAN_BLOCK`` entries.
+per-term tables, and each local pair's far endpoint and mix values in
+per-cell term values (:mod:`qcx.separable`), instead of evaluating the sum.
+The lookup must give the bits that direct evaluation gives, pair by pair
+and weight by weight, so the scan must return exactly what ``oracle_scan``
+returns. The evaluation counts show the lookup at work, and its fallback
+when a term's table would exceed ``SCAN_BLOCK`` entries; a term that raises
+at the local pairs' values falls back to evaluation, and raises there.
 """
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,30 +100,47 @@ def _pairs_of(fm: np.ndarray, skip) -> np.ndarray:
     return fm[keep]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("block", ["default", "few"])
-def test_looked_up_mixes_are_the_evaluated_bits(seed, block, monkeypatch):
-    """Per chunk and weight, the outer sums of the term tables equal ``g``
-    evaluated at ``eta a + (1 - eta) b`` of each pair, as int64 bit
-    patterns; the local blocks, read before the chunks, evaluate ``g``
-    itself."""
-    dsum, box = random_sum(seed)
-    if block == "few":
-        monkeypatch.setattr(extcore, "SCAN_BLOCK", _terms_block(dsum, box))
-    g = dsum.as_function()
-    table = PairTable(g, box)
-    assert table.terms is not None
+def _assert_lookups_are_evaluated(g: FunctionSpec, table: PairTable) -> int:
+    """Every block's values against ``g`` evaluated at its pairs, as int64
+    bit patterns: per chunk and weight the outer sums of the term tables;
+    per local block the endpoint values, every tenth pair's endpoints and
+    the mix values per weight. Returns the count of chunks."""
     chunks = 0
     for span in table.blocks:
-        a, b, _, _ = table._build(span)
-        _, _, mix, skip, _ = table._block(span)
+        a, b, fa, fb = table._build(span)
+        got_a, got_b, mix, skip, pair = table._block(span)
         chunks += skip is not None
+        if skip is None:
+            assert np.array_equal(got_a.view(np.int64), fa.view(np.int64))
+            assert np.array_equal(got_b.view(np.int64), fb.view(np.int64))
+            for k in [*range(0, len(a), 10), len(a) - 1]:
+                pos, x1, x2 = pair(k)
+                assert pos == span[0] + k, span
+                assert np.array_equal(x1, a[k]) and np.array_equal(x2, b[k])
         with np.errstate(all="ignore"):
             for which, eta in enumerate(DEFAULT_ETAS):
                 want = g(eta * a + (1 - eta) * b)
                 got = _pairs_of(mix(which), skip)
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), (span, eta)
+    return chunks
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("block", ["default", "few"])
+def test_looked_up_mixes_are_the_evaluated_bits(seed, block, monkeypatch):
+    """Per chunk and weight, the outer sums of the term tables equal ``g``
+    evaluated at ``eta a + (1 - eta) b`` of each pair, as int64 bit
+    patterns; so do the local blocks, read before the chunks, whose far
+    endpoint values and mixes are outer sums of per-cell term values, and
+    whose pairs' endpoints are rebuilt from their positions."""
+    dsum, box = random_sum(seed)
+    if block == "few":
+        monkeypatch.setattr(extcore, "SCAN_BLOCK", _terms_block(dsum, box))
+    g = dsum.as_function()
+    table = PairTable(g, box)
+    assert table.terms is not None and table.terms.runs is not None
+    chunks = _assert_lookups_are_evaluated(g, table)
     grid = [span[0] < table.grid_pairs for span in table.blocks]
     assert chunks > 1 and grid.count(True) == chunks
     assert grid == sorted(grid) and table.blocks[0][0] == table.grid_pairs
@@ -167,19 +187,25 @@ def _untabled(g: FunctionSpec) -> FunctionSpec:
 
 def test_brute_force_evaluates_the_tables_and_local_pairs_only(monkeypatch):
     """On the 41 x 41 sum, the oracle evaluates the grid, 7 tables of 41^2
-    mixes per term and the local pairs (far endpoint and 7 mixes each),
-    and certifies as the evaluation of every mix does."""
+    mixes per term, each term at its 41 cells and, per local run, the
+    moving term at the far end and 7 mixes of each valid cell (a cell whose
+    step is not clipped back onto it): under 40,000 points, where the
+    evaluated local pairs took a far endpoint and 7 mixes of the whole sum
+    each. It certifies as the evaluation of every mix does."""
     dsum = DecomposableSum(((families.sqrt(), BoxDomain.of(1, 4, 41)),
                             (families.make_function("neglog", weight=0.7),
                              BoxDomain.of(1, E, 41))))
     box = dsum.product_box()
     table = PairTable(dsum.as_function(), box)
     local_pairs = len(table.a) - table.grid_pairs
+    valid = sum(len(run.cells) for run in table.terms.runs)
+    assert len(table.terms.runs) == 2 * 2 * extcore.LOCAL_SCALES
+    assert valid == len(table.terms.runs) * 40
     count = _count_points(monkeypatch)
     got = brute_force_sum_quasiconvex(dsum, pair_budget=1_500_000)
     n = len(DEFAULT_ETAS)
     assert count[0] == (math.prod(box.m) + n * (41 ** 2 + 41 ** 2)
-                        + (1 + n) * local_pairs)
+                        + (41 + 41) + (1 + n) * valid) < 40_000
     count[0] = 0
     want = certify_quasiconvex(_untabled(dsum.as_function()), box,
                                tol=1e-9, pair_budget=1_500_000)
@@ -238,14 +264,14 @@ def test_chunked_scan_does_not_depend_on_the_chunk_size(size, monkeypatch):
     g, box = dsum.as_function(), dsum.product_box()
     want = {kind: _scan_bits(PairTable(_untabled(g), box).scan(kind, 1e-6))
             for kind in KINDS}
-    build = PairTable._term_tables
+    build = extcore.term_tables
 
-    def at_default(self, box):
+    def at_default(table, box):
         with monkeypatch.context() as default:
             default.setattr(extcore, "SCAN_BLOCK", DEFAULT_BLOCK)
-            return build(self, box)
+            return build(table, box)
 
-    monkeypatch.setattr(PairTable, "_term_tables", at_default)
+    monkeypatch.setattr(extcore, "term_tables", at_default)
     monkeypatch.setattr(extcore, "SCAN_BLOCK", size)
     table = PairTable(g, box)
     assert table.terms is not None
@@ -339,9 +365,10 @@ def test_finite_terms_that_overflow_raise_alike(block, monkeypatch):
                           (_trough(), BoxDomain.of(0, 4, 5))),
                          block, monkeypatch)
     table = PairTable(g, box)
-    assert all(np.isfinite(t).all() for _, _, tables, _ in table.terms
+    assert all(np.isfinite(t).all() for _, _, tables, _ in table.terms.terms
                for t in tables)
-    assert table.floors == [-math.inf] * len(DEFAULT_ETAS)
+    assert table.terms.floors == [-math.inf] * len(DEFAULT_ETAS)
+    assert table.terms.mix_floors == [-math.inf] * len(DEFAULT_ETAS)
     for kind in KINDS:
         got = _outcome(g, box, kind)
         assert got[0] is ImproperFunctionError
@@ -372,3 +399,87 @@ def test_masked_non_pairs_turn_nan(second, block, monkeypatch):
         got = _outcome(g, box, kind)
         assert got == _outcome(_untabled(g), box, kind), kind
         assert got[2] == (second == "capped"), kind
+
+
+def _dyadic(name: str) -> FunctionSpec:
+    """``x^2`` on the multiples of ``2^-9``, NaN off them: on a grid of step
+    1/2 the grid pairs' mixes and the local steps' far ends are such
+    multiples, the mixes of the shortest steps are not."""
+    return FunctionSpec(1, lambda p: np.where(
+        np.floor(p[:, 0] * 512) == p[:, 0] * 512, p[:, 0] ** 2, np.nan),
+        name=name)
+
+
+def test_terms_that_fail_at_local_mixes_raise_where_evaluated(monkeypatch):
+    """Both terms return NaN at mixes of their short steps, whose runs lie
+    in different blocks. The batched call of the first raises at build, so
+    the table keeps its grid tables but evaluates its local blocks, and
+    each pass raises the evaluated sum's error: the first term's, which the
+    evaluated sum meets first."""
+    g, box = _edge_table(((_dyadic("first"), BoxDomain.of(0, 2, 5)),
+                          (_dyadic("second"), BoxDomain.of(0, 2, 5))),
+                         "few", monkeypatch)
+    table = PairTable(g, box)
+    assert table.terms.runs is None
+    owners = {span: {axis for first, size, (axis, *_) in table.local
+                     if first < span[1] and span[0] < first + size}
+              for span in table.blocks if span[0] >= table.grid_pairs}
+    assert {0} in owners.values() and {1} in owners.values()
+    for kind in KINDS:
+        got = _outcome(g, box, kind)
+        assert got == (ValueError, "oracle for first returned NaN"), kind
+        assert got == _outcome(_untabled(g), box, kind), kind
+
+    def probe(g, lam):
+        try:
+            return PairTable(g, box).exp_transform_ok(lam)
+        except ValueError as err:
+            return str(err)
+
+    for lam in (-1.0, 1.0):
+        assert probe(g, lam) == probe(_untabled(g), lam), lam
+
+
+def _far() -> FunctionSpec:
+    """``(x - 2^52)^2``, for coordinates from ``2^52``, where a step of half
+    the grid's unit spacing rounds onto its base at the even cells only."""
+    return FunctionSpec(1, lambda p: (p[:, 0] - 2.0 ** 52) ** 2, name="far")
+
+
+@pytest.mark.parametrize("block", ["default", "few"])
+def test_steps_that_round_onto_some_cells_only(block, monkeypatch):
+    """On ``[2^52, 2^52 + 8]`` in steps of 1, a step of ``+-1/2`` ties and
+    rounds to the even coordinate: it moves the odd cells only, so its run's
+    valid cells are no slab, and steps of ``1/4`` and less move no cell.
+    The lookups are still the evaluated bits, and every scan returns the
+    untabled bits."""
+    g, box = _edge_table(((families.sqrt(), BoxDomain.of(1, 4, 5)),
+                          (_far(), BoxDomain.of(2.0 ** 52, 2.0 ** 52 + 8, 9))),
+                         block, monkeypatch)
+    table = PairTable(g, box)
+    cuts = {(axis, step): run.cells.tolist() for run, (_, _, (axis, step, *_))
+            in zip(table.terms.runs, table.local)}
+    assert cuts[1, 0.5] == cuts[1, -0.5] == [1, 3, 5, 7]
+    assert (1, 0.25) not in cuts and cuts[1, 1.0] == [*range(8)]
+    _assert_lookups_are_evaluated(g, table)
+    for kind in KINDS:
+        assert _outcome(g, box, kind) == _outcome(_untabled(g), box, kind), kind
+
+
+def test_three_term_brute_force_memory_is_bounded():
+    """The 13^3 sum of the ``brute`` workload scans its 2.4 M grid pairs
+    and 110 k local pairs in under 1.25 MB: the local blocks hold per-cell
+    term values and 8192-entry value arrays, no ``(block, 3)`` endpoint or
+    mix arrays, which took the peak to 1.57 MB."""
+    dsum = DecomposableSum((
+        (families.sqrt(), BoxDomain.of(1, 4, 13)),
+        (families.make_function("neglog", weight=1.0), BoxDomain.of(1, E, 13)),
+        (families.square(), BoxDomain.of(1, 2, 13))))
+    tracemalloc.start()
+    try:
+        res = brute_force_sum_quasiconvex(dsum, pair_budget=2_500_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.refuted
+    assert peak < 1.25 * 2 ** 20, peak / 2 ** 20
